@@ -161,14 +161,16 @@ impl BlockCache {
         );
     }
 
-    /// Drop every block belonging to `shard` (called after compaction
-    /// deletes that shard's input segments, and on `forget_node`).
-    pub fn evict_shard(&self, shard: u32) {
+    /// Drop every block of `shard`'s segments numbered within `seqs`
+    /// (called when a merge replaces those segments: the merged segment
+    /// takes over the newest input's number, the rest of the shard's
+    /// blocks stay warm).
+    pub fn evict_segments(&self, shard: u32, seqs: std::ops::RangeInclusive<u64>) {
         let mut inner = self.inner.lock().unwrap();
         let doomed: Vec<(u64, BlockKey)> = inner
             .lru
             .iter()
-            .filter(|(_, k)| k.shard == shard)
+            .filter(|(_, k)| k.shard == shard && seqs.contains(&k.seq))
             .map(|(&t, &k)| (t, k))
             .collect();
         for (t, k) in doomed {
@@ -258,9 +260,10 @@ mod tests {
     }
 
     #[test]
-    fn evict_shard_is_selective() {
+    fn evict_segments_is_selective() {
         let cache = BlockCache::new(1000);
         cache.insert(key(1), block(5));
+        cache.insert(key(4), block(5));
         cache.insert(
             BlockKey {
                 shard: 7,
@@ -270,8 +273,10 @@ mod tests {
             },
             block(5),
         );
-        cache.evict_shard(7);
+        cache.evict_segments(7, 1..=3);
+        cache.evict_segments(0, 2..=4);
         assert!(cache.get(&key(1)).is_some());
+        assert!(cache.get(&key(4)).is_none());
         assert!(cache
             .get(&BlockKey {
                 shard: 7,
@@ -307,8 +312,8 @@ mod tests {
         assert_eq!(s.tier(Resolution::FiveMinutes), TierCacheStats::default());
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 2);
-        // a compaction-triggered shard eviction must cover 1h entries
-        cache.evict_shard(2);
+        // a merge-triggered eviction must cover 1h entries
+        cache.evict_segments(2, 1..=1);
         assert!(cache.get(&hour).is_none());
     }
 

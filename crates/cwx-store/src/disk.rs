@@ -5,9 +5,11 @@
 //! ```text
 //! <dir>/CONFIG                  sharding parameters (fixed at creation)
 //! <dir>/shard-000/wal.log       the shard's write-ahead log
-//! <dir>/shard-000/seg-00000001-r0.seg   raw segment
-//! <dir>/shard-000/seg-00000005-r1.seg   10-second tier
-//! <dir>/shard-000/seg-00000005-r2.seg   5-minute tier
+//! <dir>/shard-000/seg-00000009-r0.seg            raw segment, flush 9
+//! <dir>/shard-000/seg-00000005-00000008-r0.seg   raw segment, flushes 5–8 merged
+//! <dir>/shard-000/seg-00000005-00000008-r1.seg   … its 10-second companion
+//! <dir>/shard-000/seg-00000005-00000008-r2.seg   … its 5-minute companion
+//! <dir>/shard-000/seg-00000005-00000008-r3.seg   … its 1-hour companion
 //! ```
 //!
 //! Nodes map to shards by node group (`node / nodes_per_group`, the ICE
@@ -15,31 +17,61 @@
 //! own writes behind its own lock — the whole point: concurrent agent
 //! threads land on different shards and never contend on a global lock.
 //!
-//! Write path: register series → WAL append (durable on return) →
-//! memtable. [`Store::append_batch`] amortizes the shard lock and the
-//! WAL write across a whole ingest batch. When a shard's memtable
-//! reaches `flush_threshold` samples it is flushed to an immutable raw
-//! segment and the WAL is checkpointed. When `compact_threshold` raw
-//! segments accumulate they are merged into one (dropping forgotten
-//! nodes) and re-downsampled into the 10-second and 5-minute tiers.
+//! Write path: WAL append (series registrations and samples of a batch
+//! in one write, durable on return) → memtable → acknowledgement.
+//! [`Store::append_batch`] amortizes the shard lock and the WAL write
+//! across a whole ingest batch. What a sample costs after that is set by
+//! two policies, neither of which depends on how many series the fleet
+//! has or how old the store is:
+//!
+//! * **Flush** — a series costs ≈ 50 B of header in a segment however
+//!   few samples it brings, so a shard flushes when its memtable
+//!   averages 8 samples per buffered series (`FLUSH_SAMPLES_PER_SERIES`):
+//!   never before `flush_threshold` samples (a handful of series flush
+//!   exactly there) and never after 32 times that (`FLUSH_CAP_FACTOR`),
+//!   which bounds the memtable and WAL replay. A flush writes one raw
+//!   segment under the next sequence number and checkpoints the WAL.
+//! * **Merge** — after a flush, while the shard's segment list holds a
+//!   run of `compact_threshold` adjacent segments whose sample counts
+//!   are within a factor of `compact_threshold` of each other, the
+//!   newest such run is merged into one segment named by the sequence
+//!   range it covers, and the run's 10 s / 5 min / 1 h companions are
+//!   written beside it. Sizes grow geometrically, so a sample is
+//!   rewritten O(log N) times over the life of an N-flush store.
+//!   [`DiskStore::compact_all`] and `forget_node` merge everything.
 //!
 //! Read path: segments are *not* held decoded in memory. Opening a
 //! shard builds a [`SegmentIndex`] per file (header walk, no payload
 //! decode); queries binary-search the index, prune by the per-series
 //! time bounds, and fetch single series payloads through a shared
-//! [`BlockCache`] so repeated range queries decode each block once.
+//! [`BlockCache`] so repeated range queries decode each block once. A
+//! tier query reads, per segment, the coarsest companion that nests in
+//! its window, and raw samples from segments that have none (fresh
+//! flushes) and from the memtable: every sample is in exactly one of
+//! them whenever it arrived, so late samples are never invisible.
 //!
-//! Recovery path: index and checksum-verify segments (corrupt ones are
-//! quarantined with a `.corrupt` suffix), then replay the WAL, skipping
-//! samples already covered by a segment (the crash-between-flush-and-
-//! checkpoint window) and truncating a torn tail.
+//! Recovery: the commit point of a flush or merge is the rename of its
+//! raw (`r0`) file. A merge writes companions first and removes its
+//! inputs last, so whichever instant the process died, open finds for
+//! every sample exactly one live raw segment: raw files whose sequence
+//! range lies inside another's are inputs of a committed merge and are
+//! removed, companions without a raw file of the same range belong to
+//! a merge that never committed and are removed. Corrupt files are
+//! quarantined with a `.corrupt` suffix (a corrupt raw file takes its
+//! companions along) *before* that comparison, so a damaged merge
+//! output never costs its surviving inputs. The WAL header names the
+//! segment its records flush to: the log is discarded when that
+//! segment is live (a kill between flush and checkpoint) and replayed
+//! in full otherwise, torn tail truncated.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cwx_util::time::{SimDuration, SimTime};
+use cwx_util::time::SimTime;
 use parking_lot::Mutex;
 
 use crate::cache::{BlockCache, BlockKey, CacheStats};
@@ -54,6 +86,13 @@ use crate::{
     Resolution, Sample, Store, StoreError,
 };
 
+/// Samples per buffered series a memtable must average before it is
+/// worth a segment (≈ 50 B of per-series header ÷ 8 ≈ 6 B a sample).
+const FLUSH_SAMPLES_PER_SERIES: usize = 8;
+/// A memtable never outgrows this multiple of `flush_threshold`,
+/// however many series share it: the bound on WAL replay.
+const FLUSH_CAP_FACTOR: usize = 32;
+
 /// Sharding and flush parameters. Sharding fields are fixed at store
 /// creation and read back from disk on reopen.
 #[derive(Debug, Clone)]
@@ -62,9 +101,11 @@ pub struct StoreConfig {
     pub n_shards: usize,
     /// Nodes per group; a group always lands on one shard.
     pub nodes_per_group: u32,
-    /// Memtable samples per shard before a segment flush.
+    /// Fewest memtable samples per shard worth a segment flush: the
+    /// floor of the flush rule (see the module doc).
     pub flush_threshold: usize,
-    /// Raw segments per shard before compaction + downsampling.
+    /// Merge fan-in: adjacent raw segments of similar size merged at a
+    /// time, and the size ratio that still counts as similar.
     pub compact_threshold: usize,
     /// Decoded samples the shared block cache may hold (16 B each for
     /// raw blocks). Tunable per open — not persisted in CONFIG.
@@ -100,13 +141,77 @@ pub struct RecoveryReport {
     pub wal_truncated_bytes: u64,
 }
 
-/// An on-disk segment: path plus its header index. Payloads stay on
-/// disk until a query pulls them through the block cache.
+/// What the write path has done since [`DiskStore::open`]; write
+/// amplification is `samples_rewritten ÷` samples appended.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WriteStats {
+    /// Memtables flushed to raw segments.
+    pub flushes: u64,
+    /// Merges of raw segments (policy runs and full merges alike).
+    pub compactions: u64,
+    /// Raw samples written by those merges.
+    pub samples_rewritten: u64,
+}
+
+/// An on-disk segment file: path plus its header index. Payloads stay
+/// on disk until a query pulls them through the block cache.
 #[derive(Debug)]
 struct SegmentFile {
     path: PathBuf,
-    seq: u64,
     index: SegmentIndex,
+}
+
+/// One raw segment and the tier companions written with it.
+#[derive(Debug)]
+struct SegmentSet {
+    /// First and last flush sequence number held (equal for a flush
+    /// output). Live sets never overlap; `hi` keys the block cache.
+    lo: u64,
+    hi: u64,
+    raw: SegmentFile,
+    /// Companions, finest first: all of [`Resolution::TIERS`] for a
+    /// merge output, none for a flush output.
+    tiers: Vec<SegmentFile>,
+    /// Raw samples held — the merge policy's notion of size.
+    samples: u64,
+    /// Bounds on every time in the set's files: the oldest sample
+    /// floored to the coarsest bucket, and the newest sample. A read
+    /// outside them skips the set without a per-series index lookup.
+    oldest: SimTime,
+    newest: SimTime,
+}
+
+impl SegmentSet {
+    fn new(lo: u64, hi: u64, raw: SegmentFile, tiers: Vec<SegmentFile>) -> SegmentSet {
+        let held = || raw.index.entries.iter().filter(|e| e.count > 0);
+        let samples = held().map(|e| e.count as u64).sum();
+        let oldest = held().map(|e| e.min_time).min().unwrap_or(SimTime::MAX);
+        let newest = held().map(|e| e.max_time).max().unwrap_or(SimTime::ZERO);
+        let coarsest = Resolution::OneHour.bucket_nanos().expect("a tier");
+        SegmentSet {
+            lo,
+            hi,
+            oldest: floor_to(oldest, coarsest),
+            newest,
+            raw,
+            tiers,
+            samples,
+        }
+    }
+
+    /// The file a query at `res` reads here: the coarsest companion no
+    /// coarser than `res` (all of them nest in its windows), else raw.
+    fn serving(&self, res: Resolution) -> &SegmentFile {
+        self.tiers
+            .iter()
+            .rev()
+            .find(|t| t.index.resolution <= res)
+            .unwrap_or(&self.raw)
+    }
+
+    fn files(&self) -> impl Iterator<Item = &SegmentFile> {
+        std::iter::once(&self.raw).chain(&self.tiers)
+    }
 }
 
 /// Locate `(node, monitor)` in an index (entries are sorted).
@@ -122,6 +227,36 @@ fn find_entry<'a>(
     (e.node == node && e.monitor == monitor).then_some((i, e))
 }
 
+fn segment_name(lo: u64, hi: u64, res: Resolution) -> String {
+    if lo == hi {
+        format!("seg-{hi:08}-r{}.seg", res.tag())
+    } else {
+        format!("seg-{lo:08}-{hi:08}-r{}.seg", res.tag())
+    }
+}
+
+/// Inverse of [`segment_name`]: `(lo, hi, resolution)`.
+fn parse_segment_name(name: &str) -> Option<(u64, u64, Resolution)> {
+    let (seqs, res) = name
+        .strip_prefix("seg-")?
+        .strip_suffix(".seg")?
+        .rsplit_once("-r")?;
+    let res = Resolution::from_tag(res.parse().ok()?)?;
+    let (lo, hi) = match seqs.split_once('-') {
+        Some((lo, hi)) => (lo.parse().ok()?, hi.parse().ok()?),
+        None => {
+            let seq = seqs.parse().ok()?;
+            (seq, seq)
+        }
+    };
+    (lo <= hi).then_some((lo, hi, res))
+}
+
+fn quarantine(path: &Path, recovery: &mut RecoveryReport) {
+    let _ = std::fs::rename(path, path.with_extension("seg.corrupt"));
+    recovery.segments_quarantined += 1;
+}
+
 #[derive(Debug)]
 struct Shard {
     dir: PathBuf,
@@ -129,26 +264,29 @@ struct Shard {
     idx: u32,
     cache: Arc<BlockCache>,
     wal: Wal,
+    /// Sequence number of the next flush — what the WAL header names.
     next_seq: u64,
-    /// `(node, monitor)` → shard-local series id.
-    ids: HashMap<(u32, String), u32>,
+    /// node → monitor → shard-local series id: a `(u32, &str)` lookup
+    /// borrows, and a node's frame finds its few dozen monitors in one
+    /// small map.
+    ids: HashMap<u32, HashMap<String, u32>>,
     /// series id → `(node, monitor)`.
     keys: Vec<(u32, String)>,
     /// series id → buffered samples (time-ordered as appended).
     mem: Vec<Vec<Sample>>,
     mem_samples: usize,
+    /// Series with at least one buffered sample.
+    mem_series: usize,
     /// ids whose `AddSeries` is in the current WAL generation.
     logged: Vec<bool>,
-    /// series id → newest timestamp already in a raw segment.
-    segmented_max: Vec<Option<SimTime>>,
-    raw: Vec<SegmentFile>,
-    tiers: Vec<SegmentFile>,
-    /// Newest raw sample time covered by the tier files.
-    tier_covered: Option<SimTime>,
-    /// Nodes dropped since the last compaction.
-    forgotten: Vec<u32>,
+    /// Live segments, oldest first.
+    segs: Vec<SegmentSet>,
+    stats: WriteStats,
     flush_threshold: usize,
     compact_threshold: usize,
+    /// Test hook: durable file operations left before the shard plays
+    /// dead (every later one fails, as if the process had been killed).
+    kill_in: Option<u32>,
 }
 
 impl Shard {
@@ -160,95 +298,96 @@ impl Shard {
         recovery: &mut RecoveryReport,
         total: &mut u64,
     ) -> Result<Shard, StoreError> {
-        // 1. segments, in sequence order, checksum-verified and indexed
-        let mut files: Vec<(u64, Resolution, PathBuf)> = Vec::new();
+        // 1. segment files, checksum-verified and indexed, grouped by
+        // the sequence range they cover (the bool: its raw file was
+        // quarantined)
+        let mut next_seq = 1u64;
+        let mut groups: BTreeMap<(u64, Reverse<u64>), (Vec<SegmentFile>, bool)> = BTreeMap::new();
         for entry in std::fs::read_dir(shard_dir)? {
             let path = entry?.path();
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
             if name.ends_with(".tmp") {
-                // a crash mid-flush/compaction left a partial write
+                // a crash mid-write left a partial file
                 let _ = std::fs::remove_file(&path);
                 continue;
             }
-            let Some(rest) = name.strip_prefix("seg-") else {
+            let Some((lo, hi, res)) = parse_segment_name(name) else {
                 continue;
             };
-            let Some(rest) = rest.strip_suffix(".seg") else {
-                continue;
-            };
-            let Some((seq, res)) = rest.split_once("-r") else {
-                continue;
-            };
-            let (Ok(seq), Some(res)) =
-                (seq.parse(), res.parse().ok().and_then(Resolution::from_tag))
-            else {
-                continue;
-            };
-            files.push((seq, res, path));
+            next_seq = next_seq.max(hi + 1);
+            let (files, raw_quarantined) = groups.entry((lo, Reverse(hi))).or_default();
+            match SegmentIndex::read_from(&path) {
+                Ok(index) => files.push(SegmentFile { path, index }),
+                Err(_) => {
+                    quarantine(&path, recovery);
+                    *raw_quarantined |= res == Resolution::Raw;
+                }
+            }
         }
-        files.sort_by_key(|(seq, res, _)| (*seq, res.tag()));
 
-        let wal_rec = Wal::open(&shard_dir.join("wal.log"))?;
+        let wal_rec = Wal::open(&shard_dir.join("wal.log"), next_seq)?;
         let mut shard = Shard {
             dir: shard_dir.to_path_buf(),
             idx,
             cache,
             wal: wal_rec.wal,
-            next_seq: 1,
+            next_seq,
             ids: HashMap::new(),
             keys: Vec::new(),
             mem: Vec::new(),
             mem_samples: 0,
+            mem_series: 0,
             logged: Vec::new(),
-            segmented_max: Vec::new(),
-            raw: Vec::new(),
-            tiers: Vec::new(),
-            tier_covered: None,
-            forgotten: Vec::new(),
+            segs: Vec::new(),
+            stats: WriteStats::default(),
             flush_threshold: cfg.flush_threshold.max(1),
             compact_threshold: cfg.compact_threshold.max(2),
+            kill_in: None,
         };
 
-        for (seq, res, path) in files {
-            shard.next_seq = shard.next_seq.max(seq + 1);
-            let index = match SegmentIndex::read_from(&path) {
-                Ok(i) => i,
-                Err(_) => {
-                    let quarantined = path.with_extension("seg.corrupt");
-                    let _ = std::fs::rename(&path, &quarantined);
-                    recovery.segments_quarantined += 1;
-                    continue;
-                }
-            };
-            recovery.segments_loaded += 1;
-            match res {
-                Resolution::Raw => {
-                    for e in &index.entries {
-                        *total += e.count as u64;
-                        let id = shard.register(e.node, &e.monitor) as usize;
-                        if e.count > 0 {
-                            shard.segmented_max[id] = shard.segmented_max[id].max(Some(e.max_time));
-                        }
+        // 2. one live raw segment per sample: ranges are disjoint or
+        // nested, and the map orders an enclosing range before what it
+        // encloses
+        for ((lo, Reverse(hi)), (mut files, raw_quarantined)) in groups {
+            files.sort_by_key(|f| f.index.resolution);
+            let superseded = shard.segs.last().is_some_and(|live| hi <= live.hi);
+            let has_raw = files
+                .first()
+                .is_some_and(|f| f.index.resolution == Resolution::Raw);
+            if superseded || !has_raw {
+                // inputs of a merge that committed, or companions of one
+                // that did not; companions of a quarantined raw file
+                // follow it (they describe samples it can no longer show)
+                for f in files {
+                    if raw_quarantined && !superseded {
+                        quarantine(&f.path, recovery);
+                    } else {
+                        let _ = std::fs::remove_file(&f.path);
                     }
-                    shard.raw.push(SegmentFile { path, seq, index });
                 }
-                Resolution::TenSeconds => {
-                    for e in &index.entries {
-                        if e.count > 0 {
-                            shard.tier_covered = shard.tier_covered.max(Some(e.max_time));
-                        }
-                    }
-                    shard.tiers.push(SegmentFile { path, seq, index });
-                }
-                Resolution::FiveMinutes | Resolution::OneHour => {
-                    shard.tiers.push(SegmentFile { path, seq, index })
-                }
+                continue;
             }
+            recovery.segments_loaded += files.len();
+            let set = SegmentSet::new(lo, hi, files.remove(0), files);
+            *total += set.samples;
+            for e in &set.raw.index.entries {
+                shard.register(e.node, &e.monitor);
+            }
+            shard.segs.push(set);
         }
 
-        // 2. WAL replay on top of the segment state. The open above
-        // already truncated any torn tail and collected the records.
+        // 3. the WAL, unless the segment it flushes to is live: then its
+        // every record is in that segment (or in a merge of it) and the
+        // process died before the checkpoint
         recovery.wal_truncated_bytes += wal_rec.truncated_bytes;
+        let flushed = |seq| shard.segs.iter().any(|set| set.lo <= seq && seq <= set.hi);
+        if wal_rec.flushes_to.is_some_and(flushed) {
+            shard.wal.checkpoint(next_seq)?;
+            return Ok(shard);
+        }
+        // the next flush must write the segment the header names (again,
+        // if what was written under that number did not survive)
+        shard.next_seq = wal_rec.flushes_to.unwrap_or(next_seq);
         recovery.wal_records += wal_rec.records.len();
         let mut wal_to_internal: HashMap<u32, u32> = HashMap::new();
         for record in wal_rec.records {
@@ -267,53 +406,75 @@ impl Shard {
                     let Some(&id) = wal_to_internal.get(&series) else {
                         continue;
                     };
-                    let floor = shard.segmented_max[id as usize];
-                    for s in samples {
-                        // skip what a pre-crash flush already segmented
-                        if floor.is_none_or(|f| s.time > f) {
-                            shard.mem[id as usize].push(s);
-                            shard.mem_samples += 1;
-                            recovery.samples_replayed += 1;
-                            *total += 1;
-                        }
-                    }
+                    recovery.samples_replayed += samples.len() as u64;
+                    *total += samples.len() as u64;
+                    shard.buffer(id, samples.into_iter());
                 }
             }
         }
         Ok(shard)
     }
 
+    fn lookup(&self, node: u32, monitor: &str) -> Option<u32> {
+        self.ids.get(&node)?.get(monitor).copied()
+    }
+
     fn register(&mut self, node: u32, monitor: &str) -> u32 {
-        if let Some(&id) = self.ids.get(&(node, monitor.to_string())) {
+        let of_node = self.ids.entry(node).or_default();
+        if let Some(&id) = of_node.get(monitor) {
             return id;
         }
         let id = self.keys.len() as u32;
+        of_node.insert(monitor.to_string(), id);
         self.keys.push((node, monitor.to_string()));
-        self.ids.insert((node, monitor.to_string()), id);
         self.mem.push(Vec::new());
-        self.segmented_max.push(None);
         self.logged.push(false);
         id
     }
 
-    /// Look up or create a series id, logging the registration in the
-    /// current WAL generation if it isn't there yet.
-    fn series_id(&mut self, node: u32, monitor: &str) -> Result<u32, StoreError> {
-        let id = self.register(node, monitor);
-        if !self.logged[id as usize] {
-            let (n, m) = self.keys[id as usize].clone();
-            self.wal.add_series(id, n, &m)?;
-            self.logged[id as usize] = true;
+    /// Add samples of one series to the memtable.
+    fn buffer(&mut self, id: u32, samples: impl Iterator<Item = Sample>) {
+        let mem = &mut self.mem[id as usize];
+        let before = mem.len();
+        mem.extend(samples);
+        self.mem_samples += mem.len() - before;
+        self.mem_series += usize::from(before == 0 && !mem.is_empty());
+    }
+
+    /// Has the memtable amortised its per-series segment headers (see
+    /// the module doc's flush rule)?
+    fn flush_due(&self) -> bool {
+        let want = (self.mem_series * FLUSH_SAMPLES_PER_SERIES).clamp(
+            self.flush_threshold,
+            self.flush_threshold.saturating_mul(FLUSH_CAP_FACTOR),
+        );
+        self.mem_samples >= want
+    }
+
+    /// Gate in front of every durable file operation of a flush or
+    /// merge; fails from the armed operation on (see `kill_in`).
+    fn step(&mut self) -> Result<(), StoreError> {
+        match &mut self.kill_in {
+            Some(0) => Err(StoreError::Io(std::io::Error::other("injected kill"))),
+            Some(left) => {
+                *left -= 1;
+                Ok(())
+            }
+            None => Ok(()),
         }
-        Ok(id)
     }
 
     /// Fetch one series payload, through the cache. The segment read
     /// happens outside the cache's internal lock.
-    fn read_block(&self, sf: &SegmentFile, series: usize) -> Result<Arc<SeriesData>, StoreError> {
+    fn read_block(
+        &self,
+        set: &SegmentSet,
+        sf: &SegmentFile,
+        series: usize,
+    ) -> Result<Arc<SeriesData>, StoreError> {
         let key = BlockKey {
             shard: self.idx,
-            seq: sf.seq,
+            seq: set.hi,
             res: sf.index.resolution.tag(),
             series: series as u32,
         };
@@ -329,20 +490,20 @@ impl Shard {
         Ok(data)
     }
 
+    /// Write the memtable as the next raw segment and restart the WAL.
+    /// The memtable is emptied only once the segment is in place, so a
+    /// failed write loses nothing from view.
     fn flush(&mut self) -> Result<(), StoreError> {
         if self.mem_samples == 0 {
             return Ok(());
         }
-        let mut series: Vec<((u32, String), SeriesData)> = Vec::new();
+        let mut series = Vec::with_capacity(self.mem_series);
         for (id, samples) in self.mem.iter_mut().enumerate() {
             if samples.is_empty() {
                 continue;
             }
             samples.sort_by_key(|s| s.time.as_nanos());
-            series.push((
-                self.keys[id].clone(),
-                SeriesData::Raw(std::mem::take(samples)),
-            ));
+            series.push((self.keys[id].clone(), SeriesData::Raw(samples.clone())));
         }
         series.sort_by(|a, b| a.0.cmp(&b.0));
         let seg = Segment {
@@ -350,205 +511,177 @@ impl Shard {
             series,
         };
         let seq = self.next_seq;
-        self.next_seq += 1;
-        let path = self.dir.join(segment_name(seq, Resolution::Raw));
+        let path = self.dir.join(segment_name(seq, seq, Resolution::Raw));
+        self.step()?;
         let index = seg.write_to(&path)?;
-        for e in &index.entries {
-            let id = self.ids[&(e.node, e.monitor.clone())] as usize;
-            if e.count > 0 {
-                self.segmented_max[id] = self.segmented_max[id].max(Some(e.max_time));
-            }
-        }
-        self.raw.push(SegmentFile { path, seq, index });
+        self.next_seq += 1;
+        self.segs.push(SegmentSet::new(
+            seq,
+            seq,
+            SegmentFile { path, index },
+            Vec::new(),
+        ));
+        // buffers keep their capacity: the same series fill them again
+        self.mem.iter_mut().for_each(Vec::clear);
         self.mem_samples = 0;
+        self.mem_series = 0;
+        self.stats.flushes += 1;
         // the flushed samples are durable in the segment; restart the log
-        self.wal.checkpoint()?;
-        self.logged.iter_mut().for_each(|l| *l = false);
-        if self.raw.len() >= self.compact_threshold {
-            self.compact()?;
+        self.step()?;
+        self.wal.checkpoint(self.next_seq)?;
+        self.logged.fill(false);
+        Ok(())
+    }
+
+    /// [`Shard::flush`], then the merge policy: while some run of
+    /// `compact_threshold` adjacent segments is of similar size, merge
+    /// the newest such run.
+    fn flush_and_merge(&mut self) -> Result<(), StoreError> {
+        self.flush()?;
+        let k = self.compact_threshold;
+        let similar = |run: &[SegmentSet]| {
+            let sizes = run.iter().map(|s| s.samples);
+            let (min, max) = (sizes.clone().min(), sizes.max());
+            max.unwrap_or(0) <= min.unwrap_or(0).saturating_mul(k as u64)
+        };
+        while let Some(start) = self.segs.windows(k).rposition(similar) {
+            self.merge(start..start + k, None)?;
         }
         Ok(())
     }
 
-    fn compact(&mut self) -> Result<(), StoreError> {
-        // merge every raw segment per series (full-file reads: compaction
-        // touches everything anyway, no point going through the cache)
-        let mut merged: HashMap<(u32, String), Vec<Sample>> = HashMap::new();
-        for sf in &self.raw {
-            let segment = Segment::read_from(&sf.path)?;
-            for ((node, monitor), data) in segment.series {
-                if self.forgotten.contains(&node) {
-                    continue;
-                }
-                if let SeriesData::Raw(samples) = data {
-                    merged.entry((node, monitor)).or_default().extend(samples);
+    /// Merge `self.segs[run]` into one segment covering the run's
+    /// sequence range, with all three companions, leaving out
+    /// `drop_node`'s series. The raw file's rename is the commit point:
+    /// companions are written before it, inputs removed after it.
+    fn merge(&mut self, run: Range<usize>, drop_node: Option<u32>) -> Result<(), StoreError> {
+        let (lo, hi) = (self.segs[run.start].lo, self.segs[run.end - 1].hi);
+        // full-file reads: a merge touches everything in its inputs
+        // anyway, no point going through the cache
+        let mut parts: Vec<((u32, String), Vec<Sample>)> = Vec::new();
+        for set in &self.segs[run.clone()] {
+            for (key, data) in Segment::read_from(&set.raw.path)?.series {
+                if let (SeriesData::Raw(samples), true) = (data, Some(key.0) != drop_node) {
+                    parts.push((key, samples));
                 }
             }
         }
-        let mut sorted_keys: Vec<(u32, String)> = merged.keys().cloned().collect();
-        sorted_keys.sort();
-        let mut raw_series = Vec::with_capacity(sorted_keys.len());
-        let mut ten_series = Vec::with_capacity(sorted_keys.len());
-        let mut five_series = Vec::with_capacity(sorted_keys.len());
-        let mut hour_series = Vec::with_capacity(sorted_keys.len());
-        let mut covered: Option<SimTime> = None;
-        for key in sorted_keys {
-            let mut samples = merged.remove(&key).unwrap();
+        // stable sorts: a series' parts stay in segment order, and so
+        // do samples of equal time
+        parts.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut series: [Vec<((u32, String), SeriesData)>; 4] = Default::default();
+        let mut rewritten = 0u64;
+        let mut parts = parts.into_iter().peekable();
+        while let Some((key, mut samples)) = parts.next() {
+            while let Some((_, more)) = parts.next_if(|(k, _)| *k == key) {
+                samples.extend(more);
+            }
             samples.sort_by_key(|s| s.time.as_nanos());
-            covered = covered.max(samples.last().map(|s| s.time));
+            rewritten += samples.len() as u64;
             let ten = aggregate(&samples, Resolution::TenSeconds.bucket_nanos().unwrap());
             let five = merge_buckets(&ten, Resolution::FiveMinutes.bucket_nanos().unwrap());
             let hour = merge_buckets(&five, Resolution::OneHour.bucket_nanos().unwrap());
-            raw_series.push((key.clone(), SeriesData::Raw(samples)));
-            ten_series.push((key.clone(), SeriesData::Buckets(ten)));
-            five_series.push((key.clone(), SeriesData::Buckets(five)));
-            hour_series.push((key, SeriesData::Buckets(hour)));
+            series[0].push((key.clone(), SeriesData::Raw(samples)));
+            series[1].push((key.clone(), SeriesData::Buckets(ten)));
+            series[2].push((key.clone(), SeriesData::Buckets(five)));
+            series[3].push((key, SeriesData::Buckets(hour)));
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let mut new_raw = Vec::new();
-        let mut new_tiers = Vec::new();
-        for (res, series) in [
-            (Resolution::Raw, raw_series),
-            (Resolution::TenSeconds, ten_series),
-            (Resolution::FiveMinutes, five_series),
-            (Resolution::OneHour, hour_series),
-        ] {
-            let seg = Segment {
-                resolution: res,
-                series,
-            };
-            let path = self.dir.join(segment_name(seq, res));
-            let index = seg.write_to(&path)?;
-            let sf = SegmentFile { path, seq, index };
-            if res == Resolution::Raw {
-                new_raw.push(sf);
-            } else {
-                new_tiers.push(sf);
+        let [raw, tiers @ ..] = series;
+        let mut written = Vec::with_capacity(4);
+        for (resolution, series) in Resolution::TIERS
+            .into_iter()
+            .zip(tiers)
+            .chain([(Resolution::Raw, raw)])
+        {
+            let path = self.dir.join(segment_name(lo, hi, resolution));
+            self.step()?;
+            let index = Segment { resolution, series }.write_to(&path)?;
+            written.push(SegmentFile { path, index });
+        }
+        let raw = written.pop().expect("the raw file is written last");
+        let merged = SegmentSet::new(lo, hi, raw, written);
+
+        // committed: swap it in, drop cached blocks of the inputs (the
+        // merged segment reuses `hi` as its cache key), remove their
+        // files (a one-segment merge overwrote its input in place)
+        self.cache.evict_segments(self.idx, lo..=hi);
+        self.stats.compactions += 1;
+        self.stats.samples_rewritten += rewritten;
+        let inputs: Vec<SegmentSet> = self.segs.splice(run, [merged]).collect();
+        if inputs.len() > 1 {
+            for sf in inputs.iter().flat_map(SegmentSet::files) {
+                self.step()?;
+                let _ = std::fs::remove_file(&sf.path);
             }
         }
-        // the merged files are durable; drop the inputs and any cached
-        // blocks that pointed into them
-        for sf in self.raw.drain(..).chain(self.tiers.drain(..)) {
-            let _ = std::fs::remove_file(&sf.path);
-        }
-        self.cache.evict_shard(self.idx);
-        self.raw = new_raw;
-        self.tiers = new_tiers;
-        self.tier_covered = covered;
-        self.forgotten.clear();
         Ok(())
     }
 
-    fn raw_range(&self, node: u32, monitor: &str, from: SimTime, to: SimTime) -> Vec<Sample> {
-        let mut out: Vec<Sample> = Vec::new();
-        for sf in &self.raw {
-            let Some((i, e)) = find_entry(&sf.index, node, monitor) else {
-                continue;
-            };
-            if e.count == 0 || e.min_time > to || e.max_time < from {
-                continue;
-            }
-            // unreadable-after-open blocks degrade to a gap rather than
-            // a panic, matching the quarantine behaviour at open
-            let Ok(block) = self.read_block(sf, i) else {
-                continue;
-            };
-            if let SeriesData::Raw(samples) = &*block {
-                out.extend(
-                    samples
-                        .iter()
-                        .filter(|s| s.time >= from && s.time <= to)
-                        .copied(),
-                );
-            }
+    /// One series' buffered samples within `[from, to]`, time-ordered.
+    fn mem_range(&self, node: u32, monitor: &str, from: SimTime, to: SimTime) -> Vec<Sample> {
+        // nothing buffered (a compacted store, a shard just flushed):
+        // not worth a lookup per node of the query
+        if self.mem_samples == 0 {
+            return Vec::new();
         }
-        if let Some(&id) = self.ids.get(&(node, monitor.to_string())) {
-            out.extend(
-                self.mem[id as usize]
-                    .iter()
-                    .filter(|s| s.time >= from && s.time <= to),
-            );
-        }
+        let Some(id) = self.lookup(node, monitor) else {
+            return Vec::new();
+        };
+        let mut out: Vec<Sample> = self.mem[id as usize]
+            .iter()
+            .filter(|s| s.time >= from && s.time <= to)
+            .copied()
+            .collect();
         out.sort_by_key(|s| s.time.as_nanos());
         out
     }
 
-    /// Collect streaming cursors over one series' raw sources (segment
-    /// blocks through the cache, plus a sorted memtable snapshot).
-    /// Cursors hold `Arc`s, so folding can happen after the shard lock
-    /// is released. Unreadable blocks degrade to a gap, like
-    /// [`Shard::raw_range`].
-    fn raw_cursors(
-        &self,
+    /// One series' blocks for a read at `res`: from every segment, the
+    /// block of the file that serves `res` there (see
+    /// [`SegmentSet::serving`]; always the raw file for
+    /// [`Resolution::Raw`]), pruned by the index's time bounds, where
+    /// `from_floor` is `from` floored to the tier's bucket. Unreadable-
+    /// after-open blocks degrade to a gap rather than a panic, matching
+    /// the quarantine behaviour at open.
+    fn blocks<'a>(
+        &'a self,
         node: u32,
-        monitor: &str,
-        from: SimTime,
-        to: SimTime,
-        out: &mut Vec<SampleCursor>,
-    ) {
-        for sf in &self.raw {
-            let Some((i, e)) = find_entry(&sf.index, node, monitor) else {
-                continue;
-            };
-            if e.count == 0 || e.min_time > to || e.max_time < from {
-                continue;
-            }
-            let Ok(block) = self.read_block(sf, i) else {
-                continue;
-            };
-            out.push(SampleCursor::from_block(block, from, to));
-        }
-        if let Some(&id) = self.ids.get(&(node, monitor.to_string())) {
-            let mut mem: Vec<Sample> = self.mem[id as usize]
-                .iter()
-                .filter(|s| s.time >= from && s.time <= to)
-                .copied()
-                .collect();
-            if !mem.is_empty() {
-                mem.sort_by_key(|s| s.time.as_nanos());
-                out.push(SampleCursor::from_owned(mem, from, to));
-            }
-        }
-    }
-
-    /// Collect streaming cursors over one series' stored buckets at
-    /// resolution `res`.
-    fn bucket_cursors(
-        &self,
-        node: u32,
-        monitor: &str,
+        monitor: &'a str,
         res: Resolution,
-        from: SimTime,
+        from_floor: SimTime,
         to: SimTime,
-        out: &mut Vec<BucketCursor>,
-    ) {
-        for sf in &self.tiers {
-            if sf.index.resolution != res {
-                continue;
+    ) -> impl Iterator<Item = Arc<SeriesData>> + 'a {
+        let overlapping = move |set: &&SegmentSet| set.oldest <= to && set.newest >= from_floor;
+        self.segs.iter().filter(overlapping).filter_map(move |set| {
+            let sf = set.serving(res);
+            let (i, e) = find_entry(&sf.index, node, monitor)?;
+            if e.count == 0 || e.min_time > to || e.max_time < from_floor {
+                return None;
             }
-            let Some((i, e)) = find_entry(&sf.index, node, monitor) else {
-                continue;
-            };
-            if e.count == 0 || e.min_time > to || e.max_time < from {
-                continue;
+            self.read_block(set, sf, i).ok()
+        })
+    }
+
+    fn raw_range(&self, node: u32, monitor: &str, from: SimTime, to: SimTime) -> Vec<Sample> {
+        let mut out: Vec<Sample> = Vec::new();
+        for block in self.blocks(node, monitor, Resolution::Raw, from, to) {
+            if let SeriesData::Raw(samples) = &*block {
+                out.extend(samples.iter().filter(|s| s.time >= from && s.time <= to));
             }
-            let Ok(block) = self.read_block(sf, i) else {
-                continue;
-            };
-            out.push(BucketCursor::from_block(block, from, to));
         }
+        out.extend(self.mem_range(node, monitor, from, to));
+        out.sort_by_key(|s| s.time.as_nanos());
+        out
     }
 
-    /// Does this shard hold any segment at `res`? (Stores written
-    /// before the 1h tier existed lack `r3` files until recompacted.)
+    /// Does any segment of this shard hold a companion at `res`?
+    /// (Fresh flushes have none; stores written before the 1h tier
+    /// existed lack `r3` files until merged again.)
     fn has_tier(&self, res: Resolution) -> bool {
-        self.tiers.iter().any(|sf| sf.index.resolution == res)
+        self.segs
+            .iter()
+            .any(|set| set.tiers.iter().any(|t| t.index.resolution == res))
     }
-}
-
-fn segment_name(seq: u64, res: Resolution) -> String {
-    format!("seg-{seq:08}-r{}.seg", res.tag())
 }
 
 /// The persistent sharded store.
@@ -652,6 +785,18 @@ impl DiskStore {
         &self.cfg
     }
 
+    /// Flush, merge and rewrite counters since this handle was opened.
+    pub fn write_stats(&self) -> WriteStats {
+        let mut out = WriteStats::default();
+        for shard in &self.shards {
+            let s = shard.lock().stats;
+            out.flushes += s.flushes;
+            out.compactions += s.compactions;
+            out.samples_rewritten += s.samples_rewritten;
+        }
+        out
+    }
+
     /// Block-cache hit/miss/eviction counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
@@ -687,6 +832,17 @@ impl DiskStore {
         self.fail_inject.store(true, Ordering::Relaxed);
     }
 
+    /// Test hook: every shard completes `file_ops` more durable file
+    /// operations of its flushes and merges (segment write + rename, WAL
+    /// checkpoint, input removal), then fails all later ones — the files
+    /// a `kill -9` at that instant would leave. Reopen to recover.
+    #[doc(hidden)]
+    pub fn inject_kill_after(&self, file_ops: u32) {
+        for shard in &self.shards {
+            shard.lock().kill_in = Some(file_ops);
+        }
+    }
+
     fn degrade(&self, err: StoreError) {
         self.degraded.store(true, Ordering::Relaxed);
         let mut last = self.last_error.lock();
@@ -711,57 +867,99 @@ impl DiskStore {
     /// shutdown; a crash instead replays the WAL).
     pub fn flush_all(&self) -> Result<(), StoreError> {
         for shard in &self.shards {
-            shard.lock().flush()?;
+            shard.lock().flush_and_merge()?;
         }
         Ok(())
     }
 
-    /// Force compaction (and tier downsampling) on every shard.
+    /// Merge each shard into one segment with every tier companion.
     pub fn compact_all(&self) -> Result<(), StoreError> {
         for shard in &self.shards {
             let mut s = shard.lock();
             s.flush()?;
-            if !s.raw.is_empty() {
-                s.compact()?;
+            let whole = 0..s.segs.len();
+            if whole.len() > 1
+                || s.segs
+                    .iter()
+                    .any(|set| set.tiers.len() < Resolution::TIERS.len())
+            {
+                s.merge(whole, None)?;
             }
         }
         Ok(())
+    }
+
+    /// Log, buffer and acknowledge `samples`, all of shard `si`.
+    fn append_to_shard<'a>(
+        &self,
+        si: usize,
+        durable: bool,
+        samples: impl Iterator<Item = &'a BatchSample<'a>>,
+    ) {
+        let mut guard = self.shards[si].lock();
+        let shard = &mut *guard;
+        // rows grouped by series id: a WAL frame per series, and (the
+        // sort is stable) arrival order within each
+        let mut new_series: Vec<u32> = Vec::new();
+        let mut rows: Vec<(u32, Sample)> = Vec::with_capacity(samples.size_hint().0);
+        for s in samples {
+            let id = shard.register(s.node, s.monitor);
+            if durable && !std::mem::replace(&mut shard.logged[id as usize], true) {
+                new_series.push(id);
+            }
+            rows.push((
+                id,
+                Sample {
+                    time: s.time,
+                    value: s.value,
+                },
+            ));
+        }
+        rows.sort_by_key(|(id, _)| *id);
+        // A write error flips the store into degraded (volatile-only)
+        // ingest rather than panicking: the samples still reach the
+        // memtable so charts and events keep seeing fresh data.
+        let logged = durable && {
+            let keys = &shard.keys;
+            let registrations = new_series.iter().map(|&id| {
+                let (node, monitor) = &keys[id as usize];
+                (id, *node, monitor.as_str())
+            });
+            shard
+                .wal
+                .append_samples_multi(registrations, &rows)
+                .map_err(|e| self.degrade(e))
+                .is_ok()
+        };
+        if !logged {
+            self.volatile_samples
+                .fetch_add(rows.len() as u64, Ordering::Relaxed);
+        }
+        for run in rows.chunk_by(|a, b| a.0 == b.0) {
+            shard.buffer(run[0].0, run.iter().map(|(_, s)| *s));
+        }
+        self.total.fetch_add(rows.len() as u64, Ordering::Relaxed);
+        if !self.degraded() && shard.flush_due() {
+            if let Err(e) = shard.flush_and_merge() {
+                self.degrade(e);
+            }
+        }
     }
 }
 
 impl Store for DiskStore {
     fn append(&self, node: u32, monitor: &str, time: SimTime, value: f64) {
-        let durable = self.write_allowed();
-        let mut shard = self.shards[self.shard_of(node)].lock();
-        // A write error flips the store into degraded (volatile-only)
-        // ingest rather than panicking: the sample still reaches the
-        // memtable so charts and events keep seeing fresh data.
-        let id = if durable {
-            match shard.series_id(node, monitor) {
-                Ok(id) => id,
-                Err(e) => {
-                    self.degrade(e);
-                    shard.register(node, monitor)
-                }
-            }
-        } else {
-            shard.register(node, monitor)
+        let sample = BatchSample {
+            node,
+            monitor,
+            time,
+            value,
         };
-        let sample = Sample { time, value };
-        if self.degraded() {
-            self.volatile_samples.fetch_add(1, Ordering::Relaxed);
-        } else if let Err(e) = shard.wal.append_samples(id, &[sample]) {
-            self.degrade(e);
-            self.volatile_samples.fetch_add(1, Ordering::Relaxed);
-        }
-        shard.mem[id as usize].push(sample);
-        shard.mem_samples += 1;
-        self.total.fetch_add(1, Ordering::Relaxed);
-        if !self.degraded() && shard.mem_samples >= shard.flush_threshold {
-            if let Err(e) = shard.flush() {
-                self.degrade(e);
-            }
-        }
+        self.append_to_shard(
+            self.shard_of(node),
+            self.write_allowed(),
+            std::iter::once(&sample),
+        );
     }
 
     fn append_batch(&self, batch: &[BatchSample<'_>]) {
@@ -772,59 +970,15 @@ impl Store for DiskStore {
             by_shard[self.shard_of(s.node)].push(i);
         }
         for (si, idxs) in by_shard.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[si].lock();
-            let mut groups: HashMap<u32, Vec<Sample>> = HashMap::new();
-            for &i in idxs {
-                let s = &batch[i];
-                let id = if durable && !self.degraded() {
-                    match shard.series_id(s.node, s.monitor) {
-                        Ok(id) => id,
-                        Err(e) => {
-                            self.degrade(e);
-                            shard.register(s.node, s.monitor)
-                        }
-                    }
-                } else {
-                    shard.register(s.node, s.monitor)
-                };
-                groups.entry(id).or_default().push(Sample {
-                    time: s.time,
-                    value: s.value,
-                });
-            }
-            if self.degraded() {
-                let n: u64 = groups.values().map(|v| v.len() as u64).sum();
-                self.volatile_samples.fetch_add(n, Ordering::Relaxed);
-            } else {
-                let frames: Vec<(u32, &[Sample])> =
-                    groups.iter().map(|(&id, v)| (id, v.as_slice())).collect();
-                if let Err(e) = shard.wal.append_samples_multi(&frames) {
-                    self.degrade(e);
-                    let n: u64 = frames.iter().map(|(_, v)| v.len() as u64).sum();
-                    self.volatile_samples.fetch_add(n, Ordering::Relaxed);
-                }
-            }
-            let mut appended = 0u64;
-            for (id, samples) in groups {
-                appended += samples.len() as u64;
-                shard.mem_samples += samples.len();
-                shard.mem[id as usize].extend(samples);
-            }
-            self.total.fetch_add(appended, Ordering::Relaxed);
-            if !self.degraded() && shard.mem_samples >= shard.flush_threshold {
-                if let Err(e) = shard.flush() {
-                    self.degrade(e);
-                }
+            if !idxs.is_empty() {
+                self.append_to_shard(si, durable, idxs.iter().map(|&i| &batch[i]));
             }
         }
     }
 
     fn latest(&self, node: u32, monitor: &str) -> Option<Sample> {
         let shard = self.shards[self.shard_of(node)].lock();
-        let id = *shard.ids.get(&(node, monitor.to_string()))?;
+        let id = shard.lookup(node, monitor)?;
         if let Some(s) = shard.mem[id as usize].last() {
             return Some(*s);
         }
@@ -852,53 +1006,33 @@ impl Store for DiskStore {
             return self
                 .range(node, monitor, from, to)
                 .into_iter()
-                .map(|s| AggBucket {
-                    start: s.time,
-                    count: 1,
-                    min: s.value,
-                    mean: s.value,
-                    max: s.value,
-                    last: s.value,
-                })
+                .map(query::bucket_of)
                 .collect();
         };
         let shard = self.shards[self.shard_of(node)].lock();
-        let mut out: Vec<AggBucket> = Vec::new();
         let from_floor = floor_to(from, width);
-        for sf in &shard.tiers {
-            if sf.index.resolution != res {
-                continue;
-            }
-            let Some((i, e)) = find_entry(&sf.index, node, monitor) else {
-                continue;
-            };
-            if e.count == 0 || e.min_time > to || e.max_time < from_floor {
-                continue;
-            }
-            let Ok(block) = shard.read_block(sf, i) else {
-                continue;
-            };
-            if let SeriesData::Buckets(buckets) = &*block {
-                out.extend(
+        // stored buckets where a companion serves `res`, raw samples
+        // (aggregated below) from the segments and memtable without one
+        let mut parts: Vec<AggBucket> = Vec::new();
+        let mut raw = shard.mem_range(node, monitor, from, to);
+        for block in shard.blocks(node, monitor, res, from_floor, to) {
+            match &*block {
+                SeriesData::Buckets(buckets) => parts.extend(
                     buckets
                         .iter()
                         .filter(|b| b.start >= from_floor && b.start <= to),
-                );
+                ),
+                SeriesData::Raw(samples) => {
+                    raw.extend(samples.iter().filter(|s| s.time >= from && s.time <= to))
+                }
             }
         }
-        // aggregate the raw suffix the tiers don't cover yet
-        let suffix_from = match shard.tier_covered {
-            Some(c) => (c + SimDuration::from_nanos(1)).max(from),
-            None => from,
-        };
-        if suffix_from <= to {
-            let raw = shard.raw_range(node, monitor, suffix_from, to);
-            for b in aggregate(&raw, width) {
-                query::fold_bucket(&mut out, &b, width);
-            }
-        }
-        out.sort_by_key(|b| b.start.as_nanos());
-        out
+        raw.sort_by_key(|s| s.time.as_nanos());
+        parts.extend(aggregate(&raw, width));
+        // one bucket per start: a bucket straddling two segments (or a
+        // finer companion standing in for a missing one) folds together
+        parts.sort_by_key(|b| b.start.as_nanos());
+        merge_buckets(&parts, width)
     }
 
     fn query(&self, spec: &QuerySpec) -> Result<QueryResult, QueryError> {
@@ -927,80 +1061,57 @@ impl Store for DiskStore {
             for &node in &g.nodes {
                 by_shard[self.shard_of(node)].push(node);
             }
-            if selected == Resolution::Raw {
-                // one global k-way merge: sources from every shard are
-                // time-ordered, so percentile/rate windows close in
-                // order and only one window's values stay buffered
-                let mut cursors: Vec<SampleCursor> = Vec::new();
-                for (si, nodes) in by_shard.iter().enumerate() {
-                    if nodes.is_empty() {
-                        continue;
-                    }
+            // Raw: one global k-way merge — sources from every shard are
+            // time-ordered, so percentile/rate windows close in order
+            // and only one window's values stay buffered. Tier-served:
+            // each shard's buckets and un-tiered raw samples fold into
+            // per-window accumulators; arrival order across shards
+            // doesn't matter for tier-serveable functions.
+            let mut all_raws: Vec<SampleCursor> = Vec::new();
+            let mut wm = WindowMap::new(spec.window_nanos);
+            for (si, nodes) in by_shard.iter().enumerate() {
+                if nodes.is_empty() {
+                    continue;
+                }
+                let mut raws: Vec<SampleCursor> = Vec::new();
+                let mut buckets: Vec<BucketCursor> = Vec::new();
+                {
                     let shard = self.shards[si].lock();
+                    // fresh flushes have no companions, and a shard
+                    // merged before the 1h tier existed lacks `r3`; any
+                    // finer stored tier still nests in the window
+                    // (10s | 5m | 1h)
+                    if selected != Resolution::Raw && !shard.has_tier(selected) {
+                        stats.fallback_shards += 1;
+                    }
+                    // each sample is behind exactly one cursor: a bucket
+                    // cursor where a companion serves the tier, a raw one
+                    // elsewhere, a sorted snapshot of the memtable
                     for &node in nodes {
-                        shard.raw_cursors(node, &spec.monitor, from, to, &mut cursors);
+                        for block in shard.blocks(node, &spec.monitor, selected, from, to) {
+                            match &*block {
+                                SeriesData::Raw(_) => {
+                                    raws.push(SampleCursor::from_block(block, from, to))
+                                }
+                                SeriesData::Buckets(_) => {
+                                    buckets.push(BucketCursor::from_block(block, from, to))
+                                }
+                            }
+                        }
+                        let mem = shard.mem_range(node, &spec.monitor, from, to);
+                        if !mem.is_empty() {
+                            raws.push(SampleCursor::from_owned(mem, from, to));
+                        }
                     }
                 }
-                stats.scanned_raw += cursors.iter().map(|c| c.remaining()).sum::<u64>();
+                stats.scanned_buckets += buckets.iter().map(|c| c.remaining()).sum::<u64>();
+                stats.scanned_raw += raws.iter().map(|c| c.remaining()).sum::<u64>();
                 if let Some(e) = over(&stats) {
                     return Err(e);
                 }
-                let points =
-                    query::fold_stream(SampleMerge::new(cursors), spec.agg, spec.window_nanos);
-                groups_out.push(GroupSeries {
-                    key: g.key.clone(),
-                    points,
-                });
-            } else {
-                // tier-served: fold buckets (and each shard's raw
-                // suffix) into per-window accumulators; arrival order
-                // across shards doesn't matter for tier-serveable
-                // functions
-                let mut wm = WindowMap::new(spec.window_nanos);
-                for (si, nodes) in by_shard.iter().enumerate() {
-                    if nodes.is_empty() {
-                        continue;
-                    }
-                    let shard = self.shards[si].lock();
-                    // a shard compacted before the 1h tier existed may
-                    // lack the selected resolution; any finer stored
-                    // tier still nests in the window (10s | 5m | 1h)
-                    let eff = if shard.has_tier(selected) {
-                        selected
-                    } else {
-                        stats.fallback_shards += 1;
-                        Resolution::TIERS
-                            .iter()
-                            .rev()
-                            .filter(|r| r.tag() < selected.tag())
-                            .find(|r| shard.has_tier(**r))
-                            .copied()
-                            .unwrap_or(Resolution::Raw)
-                    };
-                    let mut buckets: Vec<BucketCursor> = Vec::new();
-                    let mut raws: Vec<SampleCursor> = Vec::new();
-                    let suffix_from = if eff == Resolution::Raw {
-                        from
-                    } else {
-                        for &node in nodes {
-                            shard.bucket_cursors(node, &spec.monitor, eff, from, to, &mut buckets);
-                        }
-                        match shard.tier_covered {
-                            Some(c) => (c + SimDuration::from_nanos(1)).max(from),
-                            None => from,
-                        }
-                    };
-                    if suffix_from <= to {
-                        for &node in nodes {
-                            shard.raw_cursors(node, &spec.monitor, suffix_from, to, &mut raws);
-                        }
-                    }
-                    drop(shard);
-                    stats.scanned_buckets += buckets.iter().map(|c| c.remaining()).sum::<u64>();
-                    stats.scanned_raw += raws.iter().map(|c| c.remaining()).sum::<u64>();
-                    if let Some(e) = over(&stats) {
-                        return Err(e);
-                    }
+                if selected == Resolution::Raw {
+                    all_raws.append(&mut raws);
+                } else {
                     for b in BucketMerge::new(buckets) {
                         wm.fold_bucket(&b);
                     }
@@ -1008,11 +1119,16 @@ impl Store for DiskStore {
                         wm.fold_sample(s);
                     }
                 }
-                groups_out.push(GroupSeries {
-                    key: g.key.clone(),
-                    points: wm.finish(spec.agg),
-                });
             }
+            let points = if selected == Resolution::Raw {
+                query::fold_stream(SampleMerge::new(all_raws), spec.agg, spec.window_nanos)
+            } else {
+                wm.finish(spec.agg)
+            };
+            groups_out.push(GroupSeries {
+                key: g.key.clone(),
+                points,
+            });
         }
         Ok(QueryResult {
             groups: groups_out,
@@ -1023,38 +1139,34 @@ impl Store for DiskStore {
     fn series(&self) -> Vec<(u32, String)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            out.extend(shard.lock().keys.iter().cloned());
+            for (&node, monitors) in &shard.lock().ids {
+                out.extend(monitors.keys().map(|m| (node, m.clone())));
+            }
         }
         out.sort();
-        out.dedup();
         out
     }
 
     fn forget_node(&self, node: u32) {
         let mut shard = self.shards[self.shard_of(node)].lock();
-        let ids: Vec<u32> = shard
-            .ids
-            .iter()
-            .filter(|((n, _), _)| *n == node)
-            .map(|(_, &id)| id)
-            .collect();
+        let ids = shard.ids.remove(&node);
         let on_disk = shard
-            .raw
+            .segs
             .iter()
-            .any(|sf| sf.index.entries.iter().any(|e| e.node == node));
-        if ids.is_empty() && !on_disk {
+            .any(|set| set.raw.index.entries.iter().any(|e| e.node == node));
+        if ids.is_none() && !on_disk {
             return;
         }
-        for id in ids {
-            shard.mem_samples -= shard.mem[id as usize].len();
-            shard.mem[id as usize].clear();
+        for id in ids.iter().flat_map(|m| m.values()) {
+            let gone = std::mem::take(&mut shard.mem[*id as usize]).len();
+            shard.mem_samples -= gone;
+            shard.mem_series -= usize::from(gone > 0);
         }
-        shard.ids.retain(|(n, _), _| *n != node);
-        shard.forgotten.push(node);
         // rewrite segments without the node so the forget is durable
         let _ = shard.flush();
-        if !shard.raw.is_empty() {
-            let _ = shard.compact();
+        let whole = 0..shard.segs.len();
+        if !whole.is_empty() {
+            let _ = shard.merge(whole, Some(node));
         }
     }
 
@@ -1070,6 +1182,7 @@ impl Store for DiskStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cwx_util::time::SimDuration;
 
     fn t(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
@@ -1415,6 +1528,181 @@ mod tests {
         let total: u64 = r.groups[0].points.iter().map(|p| p.count).sum();
         assert_eq!(total, 350, "tier buckets + raw suffix, no double counting");
         assert!(r.stats.scanned_raw >= 50);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    fn raw_files(dir: &Path) -> Vec<PathBuf> {
+        let mut out: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.to_string_lossy().ends_with("-r0.seg"))
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn segment_names_round_trip_and_old_names_parse() {
+        for (lo, hi) in [(7, 7), (3, 12), (1, 123_456_789)] {
+            for res in [Resolution::Raw, Resolution::OneHour] {
+                let name = segment_name(lo, hi, res);
+                assert_eq!(parse_segment_name(&name), Some((lo, hi, res)), "{name}");
+            }
+        }
+        assert_eq!(segment_name(7, 7, Resolution::Raw), "seg-00000007-r0.seg");
+        for bad in ["seg-9-2-r0.seg", "seg-1-r9.seg", "seg--r0.seg", "wal.log"] {
+            assert_eq!(parse_segment_name(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_sample_is_rewritten_logarithmically_often() {
+        let dir = tmp("writeamp");
+        let cfg = StoreConfig {
+            n_shards: 1,
+            compact_threshold: 4,
+            ..small_cfg()
+        };
+        let store = DiskStore::open(&dir, cfg.clone()).unwrap();
+        let appended = 256 * cfg.flush_threshold as u64;
+        for i in 0..appended {
+            store.append(0, "m", t(i), i as f64);
+        }
+        let stats = store.write_stats();
+        assert_eq!(stats.flushes, 256);
+        // log4(256) + 1; merging the whole shard every fourth flush
+        // rewrote each sample ~43 times here, and more the older it got
+        let amplification = stats.samples_rewritten as f64 / appended as f64;
+        assert!(amplification <= 5.0, "{stats:?}: {amplification}");
+        let left = raw_files(&dir.join("shard-000")).len();
+        assert!(
+            left <= 2 * cfg.compact_threshold,
+            "{left} raw segments left"
+        );
+        let all = store.range(0, "m", SimTime::ZERO, SimTime::MAX);
+        assert_eq!(all.len() as u64, appended);
+        assert!(all.iter().enumerate().all(|(i, s)| s.value == i as f64));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn wide_fleets_flush_at_the_per_series_average_or_the_cap() {
+        let floor = small_cfg().flush_threshold;
+        // (series, samples a flush must hold): 8 per series, capped
+        for (series, want) in [
+            (200u32, 200 * FLUSH_SAMPLES_PER_SERIES),
+            (400, floor * FLUSH_CAP_FACTOR),
+        ] {
+            let dir = tmp(&format!("wide{series}"));
+            let cfg = StoreConfig {
+                n_shards: 1,
+                nodes_per_group: series,
+                compact_threshold: 1000, // keep every flush output
+                ..small_cfg()
+            };
+            let store = DiskStore::open(&dir, cfg).unwrap();
+            assert!(series as usize > floor, "more live series than the floor");
+            for step in 0..30u64 {
+                let batch: Vec<BatchSample<'_>> = (0..series)
+                    .map(|node| BatchSample {
+                        node,
+                        monitor: "m",
+                        time: t(step),
+                        value: step as f64,
+                    })
+                    .collect();
+                store.append_batch(&batch);
+            }
+            let files = raw_files(&dir.join("shard-000"));
+            assert_eq!(
+                files.len(),
+                30 * series as usize / want.next_multiple_of(series as usize)
+            );
+            for path in files {
+                let index = SegmentIndex::read_from(&path).unwrap();
+                let samples: usize = index.entries.iter().map(|e| e.count as usize).sum();
+                assert_eq!(index.entries.len(), series as usize);
+                // a batch lands whole, so a flush overshoots by < one
+                assert!(
+                    (want..want + series as usize).contains(&samples),
+                    "{samples}"
+                );
+            }
+            for node in [0, series - 1] {
+                assert_eq!(
+                    store.range(node, "m", SimTime::ZERO, SimTime::MAX).len(),
+                    30
+                );
+            }
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn merged_runs_carry_companions_and_fresh_flushes_do_not() {
+        use crate::{AggFunc, QueryGroup, QuerySpec};
+        let dir = tmp("companions");
+        let cfg = StoreConfig {
+            n_shards: 1,
+            ..small_cfg()
+        };
+        let store = DiskStore::open(&dir, cfg).unwrap();
+        // 3 flushes merge into seg 1-3; the 4th stays a bare flush;
+        // 10 more samples stay in the memtable
+        for i in 0..(4 * 64 + 10) {
+            store.append(0, "m", t(i), 1.0);
+        }
+        let mut names: Vec<String> = std::fs::read_dir(dir.join("shard-000"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.ends_with(".seg"))
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            [
+                "seg-00000001-00000003-r0.seg",
+                "seg-00000001-00000003-r1.seg",
+                "seg-00000001-00000003-r2.seg",
+                "seg-00000001-00000003-r3.seg",
+                "seg-00000004-r0.seg",
+            ]
+        );
+        let spec = QuerySpec {
+            monitor: "m".into(),
+            from: t(0),
+            to: t(265),
+            window_nanos: 10 * 1_000_000_000,
+            agg: AggFunc::Count,
+            groups: vec![QueryGroup {
+                key: "n0".into(),
+                nodes: vec![0],
+            }],
+            max_scan: 0,
+        };
+        let r = store.query(&spec).unwrap();
+        assert_eq!(r.stats.tier, Resolution::TenSeconds);
+        // 192 merged samples arrive as buckets (t 0..=191 → 20 of them),
+        // the flush's 64 and the memtable's 10 as raw samples
+        assert_eq!((r.stats.scanned_buckets, r.stats.scanned_raw), (20, 74));
+        assert_eq!(r.groups[0].points.iter().map(|p| p.count).sum::<u64>(), 266);
+        assert!(r.groups[0].points.iter().all(|p| p.count <= 10));
+        // a window on one side of the merge reads that side only
+        for (from, to, buckets, raw) in [(0, 99, 10, 0), (200, 265, 0, 66)] {
+            let r = store
+                .query(&QuerySpec {
+                    from: t(from),
+                    to: t(to),
+                    ..spec.clone()
+                })
+                .unwrap();
+            assert_eq!(
+                (r.stats.scanned_buckets, r.stats.scanned_raw),
+                (buckets, raw)
+            );
+            let counted: u64 = r.groups[0].points.iter().map(|p| p.count).sum();
+            assert_eq!(counted, to - from + 1);
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -11,9 +11,10 @@
 //! * [`segment`] — immutable on-disk segment files flushed from
 //!   in-memory memtables, with delta-of-delta timestamp compression and
 //!   XOR-varint value compression ([`codec`]).
-//! * tiered compaction — raw samples are periodically merged and
-//!   downsampled into 10-second and 5-minute min/mean/max/last tiers,
-//!   so charts over long windows read pre-aggregated data.
+//! * size-tiered merges — runs of similar-sized raw segments are merged
+//!   and downsampled into 10-second, 5-minute and 1-hour
+//!   min/mean/max/last companions, so charts over long windows read
+//!   pre-aggregated data and a sample is rewritten O(log N) times.
 //! * [`disk::DiskStore`] — shard-per-node-group write paths: each
 //!   shard owns its own WAL, memtable and segments behind its own lock,
 //!   so many agent threads ingest in parallel without a global lock.
@@ -24,8 +25,9 @@
 //! returns, at which point it lives in the shard WAL (OS page cache;
 //! the engine does not fsync). A crash loses nothing acknowledged:
 //! memtables are rebuilt by WAL replay, segments are immutable and
-//! checksummed, and a torn WAL tail is truncated at the last record
-//! whose CRC32 verifies. What is rebuilt rather than stored: memtables
+//! checksummed (the rename of a raw segment file commits a flush or a
+//! merge), and a torn WAL tail is truncated at the last record whose
+//! CRC32 verifies. What is rebuilt rather than stored: memtables
 //! and the series registry (from segment headers + WAL records).
 
 #![warn(missing_docs)]
@@ -294,7 +296,7 @@ impl<S: Store + ?Sized> Store for std::sync::Arc<S> {
 }
 
 // The windowed fold lives in [`query`] now (one aggregation code path
-// for compaction, `range_agg` suffix merging and the query engine);
+// for merge rollups, `range_agg` and the query engine);
 // re-exported here because PR 1 published it at the crate root.
 pub use query::aggregate;
 

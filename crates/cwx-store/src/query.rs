@@ -5,7 +5,7 @@
 //!
 //! * **The canonical windowed fold** — [`aggregate`], [`merge_buckets`]
 //!   and the incremental [`fold_sample`]/[`fold_bucket`] primitives.
-//!   Compaction, `range_agg` suffix merging and the query engine all go
+//!   Merge rollups, `range_agg` and the query engine all go
 //!   through these; there is exactly one aggregation code path in the
 //!   crate.
 //! * **Query evaluation** — [`QuerySpec`] (windowed function over a
@@ -280,11 +280,11 @@ pub struct QueryStats {
     /// The tier selected for the window ([`Resolution::Raw`] when the
     /// function or window forced a raw scan).
     pub tier: Resolution,
-    /// Raw samples folded (tier-uncovered suffix included).
+    /// Raw samples folded (un-tiered segments and memtables included).
     pub scanned_raw: u64,
     /// Pre-aggregated buckets folded.
     pub scanned_buckets: u64,
-    /// Shards that lacked the selected tier and fell back finer/raw.
+    /// Shards with no companion at the selected tier (finer/raw served).
     pub fallback_shards: u64,
 }
 
@@ -649,7 +649,8 @@ pub(crate) fn fold_stream<I: Iterator<Item = Sample>>(
 
 /// Windowed accumulation keyed by window start, for tier-served
 /// queries whose contributions (tier buckets from several segments,
-/// per-shard raw suffixes) do not arrive globally time-ordered. Only
+/// per-shard raw samples of un-tiered segments and memtables) do not
+/// arrive globally time-ordered. Only
 /// tier-serveable functions use this, so no per-value buffering.
 #[derive(Debug)]
 pub(crate) struct WindowMap {

@@ -1,0 +1,114 @@
+//! A store directory written before segments were named by sequence
+//! range and before the WAL header named its flush target must open
+//! and answer as it did then. `fixtures/parent-layout` was written by
+//! that code (2 shards × {one compacted segment with its three tier
+//! files, one later flush segment, a headerless WAL holding the tail}):
+//! 4 nodes × 2 monitors × 35 samples, 47 s apart.
+
+use std::path::{Path, PathBuf};
+
+use cwx_store::disk::{DiskStore, StoreConfig};
+use cwx_store::{query, AggFunc, QueryGroup, QuerySpec, Resolution, Sample, Store};
+use cwx_util::time::SimTime;
+
+const MONITORS: [&str; 2] = ["cpu.util", "load.one"];
+const STEPS: u64 = 35;
+
+fn expected(node: u32, monitor: usize, steps: u64) -> Vec<Sample> {
+    (0..steps)
+        .map(|i| Sample {
+            time: SimTime::from_nanos(1_000_000_000 + i * 47_000_000_000),
+            value: ((node as u64 * 31 + monitor as u64 * 7 + i * 13) % 997) as f64 * 0.25,
+        })
+        .collect()
+}
+
+fn copy_fixture(tag: &str) -> PathBuf {
+    let from = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent-layout");
+    let to = std::env::temp_dir().join(format!("cwx-parent-layout-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&to);
+    for shard in ["shard-000", "shard-001"] {
+        std::fs::create_dir_all(to.join(shard)).unwrap();
+        for entry in std::fs::read_dir(from.join(shard)).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, to.join(shard).join(path.file_name().unwrap())).unwrap();
+        }
+    }
+    std::fs::copy(from.join("CONFIG"), to.join("CONFIG")).unwrap();
+    to
+}
+
+fn assert_holds(store: &DiskStore, steps: u64) {
+    assert_eq!(store.total_samples(), 8 * steps);
+    for node in 0..4u32 {
+        for (m, monitor) in MONITORS.iter().enumerate() {
+            let got = store.range(node, monitor, SimTime::ZERO, SimTime::MAX);
+            let want = expected(node, m, steps);
+            assert_eq!(got.len(), want.len(), "node{node} {monitor}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!((g.time, g.value.to_bits()), (w.time, w.value.to_bits()));
+            }
+            for res in Resolution::TIERS {
+                let buckets = store.range_agg(node, monitor, SimTime::ZERO, SimTime::MAX, res);
+                assert_eq!(
+                    buckets,
+                    query::aggregate(&want, res.bucket_nanos().unwrap())
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn parent_written_store_opens_and_answers_identically() {
+    let dir = copy_fixture("open");
+    let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+    let rec = store.recovery();
+    assert_eq!(
+        (store.config().n_shards, store.config().nodes_per_group),
+        (2, 2)
+    );
+    assert_eq!(rec.segments_loaded, 2 * 5, "{rec:?}");
+    assert_eq!(rec.segments_quarantined, 0, "{rec:?}");
+    assert_eq!(rec.samples_replayed, 2 * 4 * 3, "the v1 WAL tail: {rec:?}");
+    assert_holds(&store, STEPS);
+
+    // tier queries read the old tier files as the compacted segment's
+    // companions, raw for the flush segment and the replayed memtable
+    let spec = QuerySpec {
+        monitor: "cpu.util".into(),
+        from: SimTime::ZERO,
+        to: SimTime::from_nanos(1_700 * 1_000_000_000),
+        window_nanos: 300 * 1_000_000_000,
+        agg: AggFunc::Max,
+        groups: vec![QueryGroup {
+            key: "all".into(),
+            nodes: (0..4).collect(),
+        }],
+        max_scan: 0,
+    };
+    let tiered = store.query(&spec).unwrap();
+    assert_eq!(tiered.stats.tier, Resolution::FiveMinutes);
+    assert_eq!(tiered.stats.fallback_shards, 0);
+    // 24 of each series' 35 samples are behind 5-minute buckets
+    assert_eq!(tiered.stats.scanned_raw, 4 * (35 - 24));
+    let reference = query::run_over_ranges(&spec, |n, m, f, t| store.range(n, m, f, t)).unwrap();
+    assert_eq!(tiered.groups[0].points, reference.groups[0].points);
+
+    // and it keeps living under the new rules: more samples, a flush
+    // (first v2 WAL), a full merge, a reopen
+    for node in 0..4u32 {
+        for (m, monitor) in MONITORS.iter().enumerate() {
+            let s = expected(node, m, STEPS + 1)[STEPS as usize];
+            store.append(node, monitor, s.time, s.value);
+        }
+    }
+    store.flush_all().unwrap();
+    assert_holds(&store, STEPS + 1);
+    store.compact_all().unwrap();
+    drop(store);
+    let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+    assert_eq!(store.recovery().segments_loaded, 2 * 4);
+    assert_holds(&store, STEPS + 1);
+    let _ = std::fs::remove_dir_all(dir);
+}

@@ -33,6 +33,11 @@ fn samples_from(raw: &[(u64, u64)]) -> Vec<Sample> {
         .collect()
 }
 
+/// One series' samples as WAL rows.
+fn rows(series: u32, samples: &[Sample]) -> Vec<(u32, Sample)> {
+    samples.iter().map(|s| (series, *s)).collect()
+}
+
 fn eq_bits(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits()
 }
@@ -143,14 +148,17 @@ proptest! {
         let path = dir.join("wal.log");
         let mut written = Vec::new();
         {
-            let mut wal = Wal::open(&path).unwrap().wal;
+            let mut wal = Wal::open(&path, 1).unwrap().wal;
             for (i, b) in batches.iter().enumerate() {
                 let samples = samples_from(b);
-                wal.append_samples(i as u32, &samples).unwrap();
+                if samples.is_empty() {
+                    continue; // no rows, no frame
+                }
+                wal.append_samples_multi([], &rows(i as u32, &samples)).unwrap();
                 written.push((i as u32, samples));
             }
         }
-        let rec = Wal::open(&path).unwrap();
+        let rec = Wal::open(&path, 1).unwrap();
         prop_assert_eq!(rec.truncated_bytes, 0);
         prop_assert_eq!(rec.records.len(), written.len());
         for (record, (series, samples)) in rec.records.iter().zip(&written) {
@@ -178,9 +186,9 @@ fn wal_truncation_at_every_byte_offset_never_corrupts() {
     let path = dir.join("wal.log");
     let mut written: Vec<(u32, Vec<Sample>)> = Vec::new();
     {
-        let mut wal = Wal::open(&path).unwrap().wal;
-        wal.add_series(0, 3, "load.one").unwrap();
-        wal.add_series(1, 3, "temp.cpu").unwrap();
+        let mut wal = Wal::open(&path, 1).unwrap().wal;
+        wal.append_samples_multi([(0, 3, "load.one"), (1, 3, "temp.cpu")], &[])
+            .unwrap();
         for i in 0..12u64 {
             let series = (i % 2) as u32;
             let samples = vec![
@@ -193,7 +201,8 @@ fn wal_truncation_at_every_byte_offset_never_corrupts() {
                     value: f64::NAN,
                 },
             ];
-            wal.append_samples(series, &samples).unwrap();
+            wal.append_samples_multi([], &rows(series, &samples))
+                .unwrap();
             written.push((series, samples));
         }
     }
@@ -202,7 +211,7 @@ fn wal_truncation_at_every_byte_offset_never_corrupts() {
     for cut in 0..=pristine.len() {
         let trunc_path = dir.join("cut.log");
         std::fs::write(&trunc_path, &pristine[..cut]).unwrap();
-        let rec = Wal::open(&trunc_path).expect("recovery must not error");
+        let rec = Wal::open(&trunc_path, 1).expect("recovery must not error");
 
         // recovered sample records must be a prefix of the written ones
         let recovered: Vec<&WalRecord> = rec
@@ -232,14 +241,12 @@ fn wal_truncation_at_every_byte_offset_never_corrupts() {
 
         // and the repaired log must append cleanly afterwards
         let mut wal = rec.wal;
-        wal.append_samples(
-            0,
-            &[Sample {
-                time: SimTime::from_nanos(1),
-                value: 1.0,
-            }],
-        )
-        .expect("append after repair");
+        let one = Sample {
+            time: SimTime::from_nanos(1),
+            value: 1.0,
+        };
+        wal.append_samples_multi([], &[(0, one)])
+            .expect("append after repair");
     }
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -1,8 +1,9 @@
 //! Tier-selection correctness: a query answered from the 10s/5min/1h
 //! tiers must be value-identical (within float-merge tolerance) to the
-//! same aggregation computed from raw samples — including at the
-//! tier-uncovered suffix boundary, where part of a window comes from
-//! stored buckets and the rest from raw segments and memtables.
+//! same aggregation computed from raw samples — including where part of
+//! a window comes from stored buckets and the rest from raw segments
+//! and memtables, and where one bucket's samples sit in several
+//! segments because they arrived late.
 
 use std::path::PathBuf;
 
@@ -58,8 +59,136 @@ fn value(seed: u64, i: u64) -> f64 {
     ((x >> 16) % 20_000) as f64 / 7.0 - 1_000.0
 }
 
+/// Assert two answers to one spec agree window by window.
+fn assert_same_points(
+    agg: AggFunc,
+    tiered: &cwx_store::QueryResult,
+    reference: &cwx_store::QueryResult,
+) {
+    let a = &tiered.groups[0].points;
+    let b = &reference.groups[0].points;
+    assert_eq!(a.len(), b.len(), "window count differs");
+    for (x, y) in a.iter().zip(b.iter()) {
+        assert_eq!(x.start, y.start);
+        assert_eq!(x.count, y.count, "per-window counts must be exact");
+        match agg {
+            AggFunc::Min | AggFunc::Max | AggFunc::Count => {
+                assert_eq!(x.value.to_bits(), y.value.to_bits(), "{agg:?}");
+            }
+            _ => assert!(
+                close(x.value, y.value),
+                "{agg:?}: tier {} vs raw {}",
+                x.value,
+                y.value
+            ),
+        }
+    }
+}
+
+fn files_ending(dir: &std::path::Path, suffix: &str) -> usize {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            name.to_string_lossy().ends_with(suffix)
+        })
+        .count()
+}
+
+/// Flush counts after which the size-tiered policy (fan-in 3) leaves a
+/// shard with two merged segments and one or two bare flushes.
+const LAYERED_FLUSHES: [usize; 4] = [11, 12, 17, 19];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The store as ingest leaves it: per shard two merged segments
+    /// with companions, bare flush segments and a part-full memtable.
+    /// Every `late_every`-th sample arrives up to `late_by` steps after
+    /// its neighbours in time, so it lands in a later segment (or the
+    /// memtable) than the bucket it belongs to, on either side of a
+    /// merge; the span is hours, so 10 s, 5 min and 1 h buckets all
+    /// straddle files.
+    #[test]
+    fn tier_answers_match_raw_in_a_layered_store(
+        step in 5u64..40,
+        flushes_idx in 0usize..4,
+        in_memtable in 1usize..41,
+        late_every in 2u64..9,
+        late_by in 1u64..400,
+        seed in any::<u64>(),
+        window_idx in 0usize..6,
+        agg_idx in 0usize..5,
+    ) {
+        let window_secs = WINDOWS_SECS[window_idx];
+        let agg = AGGS[agg_idx];
+        let dir = tmp_dir("layered");
+        let cfg = StoreConfig {
+            n_shards: 2,
+            nodes_per_group: 2,
+            flush_threshold: 41,
+            compact_threshold: 3,
+            cache_capacity_samples: 1 << 16,
+        };
+        let store = DiskStore::open(&dir, cfg).unwrap();
+        // one series per shard, so per-shard counts are exact
+        let nodes = [0u32, 3u32];
+        let per_node = LAYERED_FLUSHES[flushes_idx] * 41 + in_memtable;
+        let time_of = |i: u64| {
+            let on_time = 400 * step + i * step + (i % 3);
+            if i.is_multiple_of(late_every) { on_time - late_by * step } else { on_time }
+        };
+        let mut newest = 0;
+        for i in 0..per_node as u64 {
+            newest = newest.max(time_of(i));
+            for (k, &n) in nodes.iter().enumerate() {
+                store.append(n, "m", t(time_of(i)), value(seed, i * 2 + k as u64));
+            }
+        }
+        for shard in ["shard-000", "shard-001"] {
+            let tiered = files_ending(&dir.join(shard), "-r1.seg");
+            let raw = files_ending(&dir.join(shard), "-r0.seg");
+            prop_assert_eq!(tiered, 2, "{}: merged segments", shard);
+            prop_assert!(raw > tiered, "{}: bare flush segments", shard);
+        }
+
+        let spec = QuerySpec {
+            monitor: "m".into(),
+            from: t(0),
+            to: t(newest),
+            window_nanos: window_secs * SEC,
+            agg,
+            groups: vec![QueryGroup { key: "g".into(), nodes: nodes.to_vec() }],
+            max_scan: 0,
+        };
+        let tiered = store.query(&spec).unwrap();
+        prop_assert_eq!(tiered.stats.tier, query::select_tier(spec.window_nanos, agg));
+        let reference =
+            query::run_over_ranges(&spec, |n, m, f, to_| store.range(n, m, f, to_)).unwrap();
+        assert_same_points(agg, &tiered, &reference);
+        let total: u64 = tiered.groups[0].points.iter().map(|p| p.count).sum();
+        prop_assert_eq!(total, 2 * per_node as u64, "late samples included");
+        prop_assert!(tiered.stats.scanned_buckets > 0, "companions serve the merged runs");
+        prop_assert!(tiered.stats.scanned_raw > 0, "raw serves flushes and memtable");
+
+        // range_agg over the same layout: one bucket per start, each
+        // equal to the fold of the raw samples it covers
+        let raw = store.range(0, "m", SimTime::ZERO, SimTime::MAX);
+        for res in Resolution::TIERS {
+            let got = store.range_agg(0, "m", SimTime::ZERO, SimTime::MAX, res);
+            let want = query::aggregate(&raw, res.bucket_nanos().unwrap());
+            prop_assert_eq!(got.len(), want.len(), "{:?}", res);
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(
+                    (g.start, g.count, g.min.to_bits(), g.max.to_bits()),
+                    (w.start, w.count, w.min.to_bits(), w.max.to_bits()),
+                    "{:?}", res
+                );
+                prop_assert!(close(g.mean, w.mean), "{:?}: {} vs {}", res, g.mean, w.mean);
+            }
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
 
     #[test]
     fn tier_answers_match_raw_computation(
@@ -116,22 +245,7 @@ proptest! {
         // reference: the same spec evaluated purely over raw samples
         let reference = query::run_over_ranges(&spec, |n, m, f, to_| store.range(n, m, f, to_)).unwrap();
 
-        let a = &tiered.groups[0].points;
-        let b = &reference.groups[0].points;
-        prop_assert_eq!(a.len(), b.len(), "window count differs");
-        for (x, y) in a.iter().zip(b.iter()) {
-            prop_assert_eq!(x.start, y.start);
-            prop_assert_eq!(x.count, y.count, "per-window counts must be exact");
-            match agg {
-                AggFunc::Min | AggFunc::Max | AggFunc::Count => {
-                    prop_assert_eq!(x.value.to_bits(), y.value.to_bits(), "{:?}", agg);
-                }
-                _ => prop_assert!(
-                    close(x.value, y.value),
-                    "{:?}: tier {} vs raw {}", agg, x.value, y.value
-                ),
-            }
-        }
+        assert_same_points(agg, &tiered, &reference);
         // suffix really exercised the boundary when present
         if suffix > 0 {
             prop_assert!(tiered.stats.scanned_raw > 0, "suffix must be raw-scanned");

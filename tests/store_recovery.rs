@@ -190,3 +190,226 @@ fn kill_mid_batch_preserves_acknowledged_batches() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+fn secs(s: u64) -> SimTime {
+    SimTime::from_nanos(s * 1_000_000_000)
+}
+
+fn fresh_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("cwx-recovery-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// One shard, so every file operation of a test is in one directory.
+fn one_shard(flush_threshold: usize, compact_threshold: usize) -> StoreConfig {
+    StoreConfig {
+        n_shards: 1,
+        nodes_per_group: 64,
+        flush_threshold,
+        compact_threshold,
+        ..StoreConfig::default()
+    }
+}
+
+#[test]
+fn acknowledged_late_samples_survive_a_restart() {
+    // A sample older than what its series already has in a segment is
+    // still an acknowledged write. Replay used to drop it as "already
+    // flushed" by comparing times; what is flushed is now known exactly.
+    let dir = fresh_dir("late");
+    {
+        let store = DiskStore::open(&dir, one_shard(1024, 4)).unwrap();
+        store.append(0, "m", secs(10), 1.0);
+        store.flush_all().unwrap();
+        store.append(0, "m", secs(5), 2.0); // late, WAL only
+    }
+    let store = DiskStore::open(&dir, one_shard(1024, 4)).unwrap();
+    assert_eq!(store.recovery().samples_replayed, 1);
+    let got = store.range(0, "m", SimTime::ZERO, SimTime::MAX);
+    assert_eq!(
+        got.iter().map(|s| (s.time, s.value)).collect::<Vec<_>>(),
+        [(secs(5), 2.0), (secs(10), 1.0)]
+    );
+    assert_eq!(store.total_samples(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_flushed_but_unreadable_segment_does_not_cost_the_wal_its_samples() {
+    // Killed between the segment's rename and the WAL checkpoint, and
+    // the segment did not survive intact: the log is discarded only for
+    // a segment that can be read, so its samples replay.
+    let dir = fresh_dir("flushed-corrupt");
+    {
+        let store = DiskStore::open(&dir, one_shard(1024, 4)).unwrap();
+        for i in 0..10 {
+            store.append(0, "m", secs(i), i as f64);
+        }
+        store.inject_kill_after(1); // the segment write, not the checkpoint
+        assert!(store.flush_all().is_err());
+    }
+    let segment = dir.join("shard-000").join("seg-00000001-r0.seg");
+    let mut bytes = std::fs::read(&segment).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&segment, bytes).unwrap();
+
+    let store = DiskStore::open(&dir, one_shard(1024, 4)).unwrap();
+    let rec = store.recovery();
+    assert_eq!((rec.segments_quarantined, rec.samples_replayed), (1, 10));
+    assert_eq!(store.range(0, "m", SimTime::ZERO, SimTime::MAX).len(), 10);
+    // and the same kill with the segment intact replays nothing twice
+    store.inject_kill_after(1);
+    assert!(store.flush_all().is_err());
+    drop(store);
+    let store = DiskStore::open(&dir, one_shard(1024, 4)).unwrap();
+    assert_eq!(store.recovery().samples_replayed, 0);
+    assert_eq!(store.range(0, "m", SimTime::ZERO, SimTime::MAX).len(), 10);
+    assert_eq!(store.total_samples(), 10);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Copy every regular file of `from` into `to` unless it exists there.
+fn restore_missing(from: &std::path::Path, to: &std::path::Path) -> usize {
+    let mut restored = 0;
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        let target = to.join(path.file_name().unwrap());
+        if !target.exists() {
+            std::fs::copy(&path, &target).unwrap();
+            restored += 1;
+        }
+    }
+    restored
+}
+
+/// Four bare flush segments of two series, a copy of them taken, then
+/// merged: returns the store dir and the copy. Putting the copy back
+/// is the directory a kill between a merge's commit and the removal of
+/// its inputs leaves behind.
+fn merged_with_inputs_saved(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+    let dir = fresh_dir(tag);
+    let saved = fresh_dir(&format!("{tag}-saved"));
+    let store = DiskStore::open(&dir, one_shard(50, 100)).unwrap();
+    for i in 0..100u64 {
+        store.append(0, "a", secs(i), i as f64);
+        store.append(1, "b", secs(i), -(i as f64));
+    }
+    store.flush_all().unwrap();
+    std::fs::create_dir_all(&saved).unwrap();
+    assert_eq!(restore_missing(&dir.join("shard-000"), &saved), 5); // 4 segments + wal
+    store.compact_all().unwrap();
+    (dir, saved)
+}
+
+fn assert_two_series_of_100(store: &DiskStore) {
+    assert_eq!(store.total_samples(), 200);
+    for (node, monitor, sign) in [(0, "a", 1.0), (1, "b", -1.0)] {
+        let got = store.range(node, monitor, SimTime::ZERO, SimTime::MAX);
+        assert_eq!(got.len(), 100, "{monitor}");
+        for (i, s) in got.iter().enumerate() {
+            assert_eq!((s.time, s.value), (secs(i as u64), sign * i as f64));
+        }
+    }
+}
+
+#[test]
+fn a_kill_between_merge_commit_and_input_removal_does_not_double_count() {
+    let (dir, saved) = merged_with_inputs_saved("dup");
+    assert_eq!(restore_missing(&saved, &dir.join("shard-000")), 4);
+    let store = DiskStore::open(&dir, one_shard(50, 100)).unwrap();
+    assert_two_series_of_100(&store);
+    // the superseded inputs are gone for good, not just skipped
+    drop(store);
+    assert_eq!(restore_missing(&dir.join("shard-000"), &saved), 4); // r0..r3 of the merge
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&saved);
+}
+
+#[test]
+fn a_damaged_merge_output_falls_back_to_its_surviving_inputs() {
+    let (dir, saved) = merged_with_inputs_saved("dmg");
+    let shard = dir.join("shard-000");
+    restore_missing(&saved, &shard);
+    let merged = shard.join("seg-00000001-00000004-r0.seg");
+    let mut bytes = std::fs::read(&merged).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&merged, bytes).unwrap();
+
+    let store = DiskStore::open(&dir, one_shard(50, 100)).unwrap();
+    // the raw file and the three companions that described it
+    assert_eq!(store.recovery().segments_quarantined, 4);
+    assert_two_series_of_100(&store);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&saved);
+}
+
+#[test]
+fn a_kill_at_any_file_operation_of_flush_or_merge_keeps_every_sample_once() {
+    // Let the store complete n durable file operations (segment writes,
+    // WAL checkpoints, input removals), fail everything after — the
+    // directory a kill at that instant leaves — and reopen. Sweep n
+    // until a run gets through unharmed.
+    const SERIES: [(u32, &str); 3] = [(0, "a"), (0, "b"), (7, "a")];
+    let value = |k: usize, i: u64| (k as u64 * 1000 + i) as f64 * 0.5;
+    let cfg = || one_shard(30, 2);
+    let mut kills = 0;
+    for n in 0.. {
+        let dir = fresh_dir(&format!("sweep-{n}"));
+        let store = DiskStore::open(&dir, cfg()).unwrap();
+        store.inject_kill_after(n);
+        // 8 flushes of 30: merges cascade 2 → 4 → 8 flushes deep
+        let mut acknowledged = 0u64;
+        while acknowledged < 80 && !store.degraded() {
+            for (k, (node, monitor)) in SERIES.iter().enumerate() {
+                // returning from append IS the acknowledgement, also for
+                // the append whose flush or merge then died
+                store.append(*node, monitor, secs(acknowledged), value(k, acknowledged));
+            }
+            acknowledged += 1;
+        }
+        let killed = store.degraded();
+        drop(store);
+
+        let store = DiskStore::open(&dir, cfg()).unwrap();
+        let rec = store.recovery();
+        assert_eq!(rec.segments_quarantined, 0, "kill after {n} ops: {rec:?}");
+        assert_eq!(
+            store.total_samples(),
+            3 * acknowledged,
+            "kill after {n} ops: {rec:?}"
+        );
+        let check = |store: &DiskStore, upto: u64| {
+            for (k, (node, monitor)) in SERIES.iter().enumerate() {
+                let got = store.range(*node, monitor, SimTime::ZERO, SimTime::MAX);
+                assert_eq!(
+                    got.len() as u64,
+                    upto,
+                    "kill after {n} ops: {monitor}@{node}"
+                );
+                for (i, s) in got.iter().enumerate() {
+                    assert_eq!((s.time, s.value), (secs(i as u64), value(k, i as u64)));
+                }
+            }
+        };
+        check(&store, acknowledged);
+        // the survivor keeps working: more appends, a full merge, a third open
+        for (k, (node, monitor)) in SERIES.iter().enumerate() {
+            store.append(*node, monitor, secs(acknowledged), value(k, acknowledged));
+        }
+        store.compact_all().unwrap();
+        check(&store, acknowledged + 1);
+        drop(store);
+        check(&DiskStore::open(&dir, cfg()).unwrap(), acknowledged + 1);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        if !killed {
+            break;
+        }
+        kills += 1;
+    }
+    // 8 flushes (2 ops) + 7 merges (4 writes + their input files)
+    assert!(kills > 8 * 2 + 7 * 6, "only {kills} kill points swept");
+}
