@@ -89,23 +89,35 @@ pub fn put_timestamps(out: &mut Vec<u8>, times: &[u64]) {
     }
 }
 
-/// Decode `count` timestamps written by [`put_timestamps`].
-pub fn get_timestamps(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u64>, CodecError> {
-    let mut out = Vec::with_capacity(count);
+/// Decode `count` timestamps written by [`put_timestamps`], handing
+/// each to `each` in order (segment decode writes them straight into
+/// its output rows).
+pub fn for_each_timestamp(
+    buf: &[u8],
+    pos: &mut usize,
+    count: usize,
+    mut each: impl FnMut(u64),
+) -> Result<(), CodecError> {
     if count == 0 {
-        return Ok(out);
+        return Ok(());
     }
-    let first = get_uvarint(buf, pos)?;
-    out.push(first);
-    let mut prev = first;
+    let mut prev = get_uvarint(buf, pos)?;
+    each(prev);
     let mut prev_delta: i64 = 0;
     for _ in 1..count {
         let dd = unzigzag(get_uvarint(buf, pos)?);
         let delta = prev_delta.wrapping_add(dd);
         prev = prev.wrapping_add(delta as u64);
         prev_delta = delta;
-        out.push(prev);
+        each(prev);
     }
+    Ok(())
+}
+
+/// Decode `count` timestamps written by [`put_timestamps`].
+pub fn get_timestamps(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u64>, CodecError> {
+    let mut out = Vec::with_capacity(count.min(buf.len()));
+    for_each_timestamp(buf, pos, count, |t| out.push(t))?;
     Ok(out)
 }
 
@@ -122,40 +134,33 @@ pub fn put_values(out: &mut Vec<u8>, values: &[f64]) {
     }
 }
 
-/// Decode `count` values written by [`put_values`]. Bit patterns (NaN
-/// payloads included) round-trip exactly.
-pub fn get_values(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<f64>, CodecError> {
-    let mut out = Vec::with_capacity(count);
+/// Decode `count` values written by [`put_values`], handing each to
+/// `each` in order. Bit patterns (NaN payloads included) round-trip
+/// exactly.
+pub fn for_each_value(
+    buf: &[u8],
+    pos: &mut usize,
+    count: usize,
+    mut each: impl FnMut(f64),
+) -> Result<(), CodecError> {
     let mut prev = 0u64;
     for _ in 0..count {
-        let bits = prev ^ get_uvarint(buf, pos)?;
-        out.push(f64::from_bits(bits));
-        prev = bits;
+        prev ^= get_uvarint(buf, pos)?;
+        each(f64::from_bits(prev));
     }
+    Ok(())
+}
+
+/// Decode `count` values written by [`put_values`].
+pub fn get_values(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<f64>, CodecError> {
+    let mut out = Vec::with_capacity(count.min(buf.len()));
+    for_each_value(buf, pos, count, |v| out.push(v))?;
     Ok(out)
 }
 
-/// CRC32 (IEEE 802.3 polynomial, reflected).
-pub fn crc32(data: &[u8]) -> u32 {
-    const POLY: u32 = 0xEDB8_8320;
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-            }
-            *slot = c;
-        }
-        t
-    });
-    let mut crc = !0u32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
+/// CRC32 (IEEE 802.3 polynomial, reflected): the workspace's one
+/// implementation, re-exported where the store's formats look for it.
+pub use cwx_util::hash::crc32;
 
 #[cfg(test)]
 mod tests {
@@ -235,13 +240,5 @@ mod tests {
         let mut buf = Vec::new();
         put_values(&mut buf, &values);
         assert!(buf.len() <= 500 + 9, "{} bytes for 500 repeats", buf.len());
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // the classic check value for "123456789"
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_ne!(crc32(b"a"), crc32(b"b"));
     }
 }

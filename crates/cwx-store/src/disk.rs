@@ -44,7 +44,9 @@
 //! shard builds a [`SegmentIndex`] per file (header walk, no payload
 //! decode); queries binary-search the index, prune by the per-series
 //! time bounds, and fetch single series payloads through a shared
-//! [`BlockCache`] so repeated range queries decode each block once. A
+//! [`BlockCache`] so repeated range queries decode each block once; a
+//! miss is one positioned read on a descriptor the segment file keeps
+//! open from its first miss until a merge drops it. A
 //! tier query reads, per segment, the coarsest companion that nests in
 //! its window, and raw samples from segments that have none (fresh
 //! flushes) and from the memtable: every sample is in exactly one of
@@ -66,24 +68,22 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
+use std::fs::File;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cwx_util::time::SimTime;
 use parking_lot::Mutex;
 
 use crate::cache::{BlockCache, BlockKey, CacheStats};
-use crate::query::{
-    self, aggregate, floor_to, merge_buckets, BucketCursor, BucketMerge, SampleCursor, SampleMerge,
-    WindowMap,
-};
+use crate::query::{self, aggregate, floor_to, merge_buckets};
 use crate::segment::{self, Segment, SegmentIndex, SeriesData, SeriesIndexEntry};
 use crate::wal::{Wal, WalRecord};
 use crate::{
-    AggBucket, BatchSample, GroupSeries, QueryError, QueryResult, QuerySpec, QueryStats,
-    Resolution, Sample, Store, StoreError,
+    AggBucket, BatchSample, QueryError, QueryResult, QuerySpec, Resolution, Sample, Store,
+    StoreError,
 };
 
 /// Samples per buffered series a memtable must average before it is
@@ -159,6 +159,38 @@ pub struct WriteStats {
 struct SegmentFile {
     path: PathBuf,
     index: SegmentIndex,
+    /// Opened by the first cache miss, closed when the file's set is
+    /// dropped (a merge drops its inputs; reads already done hold
+    /// decoded blocks, not the descriptor).
+    file: OnceLock<File>,
+}
+
+impl SegmentFile {
+    fn new(path: PathBuf, index: SegmentIndex) -> SegmentFile {
+        SegmentFile {
+            path,
+            index,
+            file: OnceLock::new(),
+        }
+    }
+
+    /// Read and decode one series' block: a positioned read on the
+    /// open file, payload CRC verified.
+    fn read_series(&self, series: usize) -> Result<SeriesData, StoreError> {
+        let file = match self.file.get() {
+            Some(file) => file,
+            None => {
+                let opened = File::open(&self.path)?;
+                self.file.get_or_init(|| opened)
+            }
+        };
+        segment::read_series_at(
+            file,
+            &self.path,
+            self.index.resolution,
+            &self.index.entries[series],
+        )
+    }
 }
 
 /// One raw segment and the tier companions written with it.
@@ -317,7 +349,7 @@ impl Shard {
             next_seq = next_seq.max(hi + 1);
             let (files, raw_quarantined) = groups.entry((lo, Reverse(hi))).or_default();
             match SegmentIndex::read_from(&path) {
-                Ok(index) => files.push(SegmentFile { path, index }),
+                Ok(index) => files.push(SegmentFile::new(path, index)),
                 Err(_) => {
                     quarantine(&path, recovery);
                     *raw_quarantined |= res == Resolution::Raw;
@@ -481,11 +513,7 @@ impl Shard {
         if let Some(block) = self.cache.get(&key) {
             return Ok(block);
         }
-        let data = Arc::new(segment::read_series(
-            &sf.path,
-            sf.index.resolution,
-            &sf.index.entries[series],
-        )?);
+        let data = Arc::new(sf.read_series(series)?);
         self.cache.insert(key, Arc::clone(&data));
         Ok(data)
     }
@@ -518,7 +546,7 @@ impl Shard {
         self.segs.push(SegmentSet::new(
             seq,
             seq,
-            SegmentFile { path, index },
+            SegmentFile::new(path, index),
             Vec::new(),
         ));
         // buffers keep their capacity: the same series fill them again
@@ -596,7 +624,7 @@ impl Shard {
             let path = self.dir.join(segment_name(lo, hi, resolution));
             self.step()?;
             let index = Segment { resolution, series }.write_to(&path)?;
-            written.push(SegmentFile { path, index });
+            written.push(SegmentFile::new(path, index));
         }
         let raw = written.pop().expect("the raw file is written last");
         let merged = SegmentSet::new(lo, hi, raw, written);
@@ -636,42 +664,78 @@ impl Shard {
         out
     }
 
-    /// One series' blocks for a read at `res`: from every segment, the
-    /// block of the file that serves `res` there (see
-    /// [`SegmentSet::serving`]; always the raw file for
+    /// One series' blocks for a read at `res`, oldest segment first:
+    /// from every segment, the block of the file that serves `res`
+    /// there (see [`SegmentSet::serving`]; always the raw file for
     /// [`Resolution::Raw`]), pruned by the index's time bounds, where
-    /// `from_floor` is `from` floored to the tier's bucket. Unreadable-
-    /// after-open blocks degrade to a gap rather than a panic, matching
-    /// the quarantine behaviour at open.
-    fn blocks<'a>(
-        &'a self,
+    /// `from_floor` is `from` floored to the tier's bucket. `each` may
+    /// stop the walk with an error. A block that cannot be read after
+    /// open is a gap in the answer rather than a panic, matching the
+    /// quarantine behaviour at open; the walk returns how many.
+    fn blocks(
+        &self,
         node: u32,
-        monitor: &'a str,
+        monitor: &str,
         res: Resolution,
         from_floor: SimTime,
         to: SimTime,
-    ) -> impl Iterator<Item = Arc<SeriesData>> + 'a {
-        let overlapping = move |set: &&SegmentSet| set.oldest <= to && set.newest >= from_floor;
-        self.segs.iter().filter(overlapping).filter_map(move |set| {
-            let sf = set.serving(res);
-            let (i, e) = find_entry(&sf.index, node, monitor)?;
-            if e.count == 0 || e.min_time > to || e.max_time < from_floor {
-                return None;
+        mut each: impl FnMut(Arc<SeriesData>) -> Result<(), QueryError>,
+    ) -> Result<u64, QueryError> {
+        let mut unreadable = 0;
+        for set in &self.segs {
+            if set.oldest > to || set.newest < from_floor {
+                continue;
             }
-            self.read_block(set, sf, i).ok()
-        })
+            let sf = set.serving(res);
+            let Some((i, e)) = find_entry(&sf.index, node, monitor) else {
+                continue;
+            };
+            if e.count == 0 || e.min_time > to || e.max_time < from_floor {
+                continue;
+            }
+            match self.read_block(set, sf, i) {
+                Ok(block) => each(block)?,
+                Err(_) => unreadable += 1,
+            }
+        }
+        Ok(unreadable)
     }
 
     fn raw_range(&self, node: u32, monitor: &str, from: SimTime, to: SimTime) -> Vec<Sample> {
         let mut out: Vec<Sample> = Vec::new();
-        for block in self.blocks(node, monitor, Resolution::Raw, from, to) {
+        let _ = self.blocks(node, monitor, Resolution::Raw, from, to, |block| {
             if let SeriesData::Raw(samples) = &*block {
                 out.extend(samples.iter().filter(|s| s.time >= from && s.time <= to));
             }
-        }
+            Ok(())
+        });
         out.extend(self.mem_range(node, monitor, from, to));
         out.sort_by_key(|s| s.time.as_nanos());
         out
+    }
+
+    /// The newest sample of a series that has nothing buffered: the
+    /// last of the one block whose index promises the greatest time
+    /// (the newest segment among equals, as a stable sort of the whole
+    /// history would have it). Only if that block cannot be read is the
+    /// next best tried.
+    fn latest_on_disk(&self, node: u32, monitor: &str) -> Option<Sample> {
+        let mut candidates: Vec<(SimTime, usize, usize)> = Vec::new();
+        for (k, set) in self.segs.iter().enumerate() {
+            if let Some((i, e)) = find_entry(&set.raw.index, node, monitor) {
+                if e.count > 0 {
+                    candidates.push((e.max_time, k, i));
+                }
+            }
+        }
+        candidates.sort_unstable_by_key(|&c| Reverse(c));
+        candidates.into_iter().find_map(|(_, k, i)| {
+            let set = &self.segs[k];
+            match &*self.read_block(set, &set.raw, i).ok()? {
+                SeriesData::Raw(samples) => samples.last().copied(),
+                SeriesData::Buckets(_) => None,
+            }
+        })
     }
 
     /// Does any segment of this shard hold a companion at `res`?
@@ -982,10 +1046,7 @@ impl Store for DiskStore {
         if let Some(s) = shard.mem[id as usize].last() {
             return Some(*s);
         }
-        shard
-            .raw_range(node, monitor, SimTime::ZERO, SimTime::MAX)
-            .last()
-            .copied()
+        shard.latest_on_disk(node, monitor)
     }
 
     fn range(&self, node: u32, monitor: &str, from: SimTime, to: SimTime) -> Vec<Sample> {
@@ -1015,7 +1076,7 @@ impl Store for DiskStore {
         // (aggregated below) from the segments and memtable without one
         let mut parts: Vec<AggBucket> = Vec::new();
         let mut raw = shard.mem_range(node, monitor, from, to);
-        for block in shard.blocks(node, monitor, res, from_floor, to) {
+        let _ = shard.blocks(node, monitor, res, from_floor, to, |block| {
             match &*block {
                 SeriesData::Buckets(buckets) => parts.extend(
                     buckets
@@ -1026,7 +1087,8 @@ impl Store for DiskStore {
                     raw.extend(samples.iter().filter(|s| s.time >= from && s.time <= to))
                 }
             }
-        }
+            Ok(())
+        });
         raw.sort_by_key(|s| s.time.as_nanos());
         parts.extend(aggregate(&raw, width));
         // one bucket per start: a bucket straddling two segments (or a
@@ -1036,103 +1098,45 @@ impl Store for DiskStore {
     }
 
     fn query(&self, spec: &QuerySpec) -> Result<QueryResult, QueryError> {
-        spec.validate()?;
-        let (from, to) = spec.window_bounds();
-        let budget = if spec.max_scan == 0 {
-            u64::MAX
-        } else {
-            spec.max_scan
-        };
         let selected = query::select_tier(spec.window_nanos, spec.agg);
-        let mut stats = QueryStats {
-            tier: selected,
-            ..QueryStats::default()
-        };
-        let over = |stats: &QueryStats| {
-            let scanned = stats.scanned_raw + stats.scanned_buckets;
-            (scanned > budget).then_some(QueryError::BudgetExceeded { scanned, budget })
-        };
-        let mut groups_out = Vec::with_capacity(spec.groups.len());
-        for g in &spec.groups {
-            // one pass per shard: collect Arc-backed cursors under the
-            // shard lock, fold after releasing it so long queries never
-            // sit on an ingest shard's lock
-            let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
-            for &node in &g.nodes {
-                by_shard[self.shard_of(node)].push(node);
+        query::evaluate(spec, selected, |group, out| {
+            let (from, to) = (out.from, out.to);
+            // one pass per shard: blocks are collected (and the scan
+            // budget charged) under the shard lock and folded once it
+            // is released, so a long fold never sits on an ingest
+            // shard's lock
+            let mut by_shard: Vec<Vec<(usize, u32)>> = vec![Vec::new(); self.shards.len()];
+            for (pos, &node) in group.nodes.iter().enumerate() {
+                by_shard[self.shard_of(node)].push((pos, node));
             }
-            // Raw: one global k-way merge — sources from every shard are
-            // time-ordered, so percentile/rate windows close in order
-            // and only one window's values stay buffered. Tier-served:
-            // each shard's buckets and un-tiered raw samples fold into
-            // per-window accumulators; arrival order across shards
-            // doesn't matter for tier-serveable functions.
-            let mut all_raws: Vec<SampleCursor> = Vec::new();
-            let mut wm = WindowMap::new(spec.window_nanos);
             for (si, nodes) in by_shard.iter().enumerate() {
                 if nodes.is_empty() {
                     continue;
                 }
-                let mut raws: Vec<SampleCursor> = Vec::new();
-                let mut buckets: Vec<BucketCursor> = Vec::new();
-                {
-                    let shard = self.shards[si].lock();
-                    // fresh flushes have no companions, and a shard
-                    // merged before the 1h tier existed lacks `r3`; any
-                    // finer stored tier still nests in the window
-                    // (10s | 5m | 1h)
-                    if selected != Resolution::Raw && !shard.has_tier(selected) {
-                        stats.fallback_shards += 1;
-                    }
-                    // each sample is behind exactly one cursor: a bucket
-                    // cursor where a companion serves the tier, a raw one
-                    // elsewhere, a sorted snapshot of the memtable
-                    for &node in nodes {
-                        for block in shard.blocks(node, &spec.monitor, selected, from, to) {
-                            match &*block {
-                                SeriesData::Raw(_) => {
-                                    raws.push(SampleCursor::from_block(block, from, to))
-                                }
-                                SeriesData::Buckets(_) => {
-                                    buckets.push(BucketCursor::from_block(block, from, to))
-                                }
-                            }
-                        }
-                        let mem = shard.mem_range(node, &spec.monitor, from, to);
-                        if !mem.is_empty() {
-                            raws.push(SampleCursor::from_owned(mem, from, to));
-                        }
-                    }
+                // the previous shard's blocks, its lock released
+                out.fold_pending()?;
+                let shard = self.shards[si].lock();
+                // fresh flushes have no companions, and a shard merged
+                // before the 1h tier existed lacks `r3`; any finer
+                // stored tier still nests in the window (10s | 5m | 1h)
+                if selected != Resolution::Raw && !shard.has_tier(selected) {
+                    out.stats.fallback_shards += 1;
                 }
-                stats.scanned_buckets += buckets.iter().map(|c| c.remaining()).sum::<u64>();
-                stats.scanned_raw += raws.iter().map(|c| c.remaining()).sum::<u64>();
-                if let Some(e) = over(&stats) {
-                    return Err(e);
-                }
-                if selected == Resolution::Raw {
-                    all_raws.append(&mut raws);
-                } else {
-                    for b in BucketMerge::new(buckets) {
-                        wm.fold_bucket(&b);
-                    }
-                    for s in SampleMerge::new(raws) {
-                        wm.fold_sample(s);
+                // each sample is in exactly one source: a tier block
+                // where a companion serves the tier, a raw block
+                // elsewhere, a sorted snapshot of the memtable
+                for &(pos, node) in nodes {
+                    out.stats.unreadable_blocks +=
+                        shard.blocks(node, &spec.monitor, selected, from, to, |block| {
+                            out.push(pos, block)
+                        })?;
+                    let mem = shard.mem_range(node, &spec.monitor, from, to);
+                    if !mem.is_empty() {
+                        out.push(pos, Arc::new(SeriesData::Raw(mem)))?;
                     }
                 }
             }
-            let points = if selected == Resolution::Raw {
-                query::fold_stream(SampleMerge::new(all_raws), spec.agg, spec.window_nanos)
-            } else {
-                wm.finish(spec.agg)
-            };
-            groups_out.push(GroupSeries {
-                key: g.key.clone(),
-                points,
-            });
-        }
-        Ok(QueryResult {
-            groups: groups_out,
-            stats,
+            Ok(())
         })
     }
 

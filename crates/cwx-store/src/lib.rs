@@ -74,9 +74,10 @@ pub struct AggBucket {
 }
 
 /// Storage resolution tiers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Resolution {
     /// Every sample as ingested.
+    #[default]
     Raw,
     /// 10-second min/mean/max/last buckets.
     TenSeconds,
@@ -244,10 +245,10 @@ pub trait Store: std::fmt::Debug + Send + Sync {
 
     /// Run an aggregation query (windowed, multi-series, grouped).
     ///
-    /// The default implementation streams each group's member series
-    /// through the query layer's k-way merge over [`Store::range`];
-    /// backends with stored tiers override it to answer from the
-    /// coarsest tier that satisfies the window.
+    /// The default implementation folds each group's member series,
+    /// read with [`Store::range`], through the query layer's windowed
+    /// accumulator; backends with stored tiers override it to answer
+    /// from the coarsest tier that satisfies the window.
     fn query(&self, spec: &QuerySpec) -> Result<QueryResult, QueryError> {
         query::run_over_ranges(spec, |node, monitor, from, to| {
             self.range(node, monitor, from, to)

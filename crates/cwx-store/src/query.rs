@@ -3,36 +3,42 @@
 //!
 //! Three layers live here:
 //!
-//! * **The canonical windowed fold** — [`aggregate`], [`merge_buckets`]
-//!   and the incremental [`fold_sample`]/[`fold_bucket`] primitives.
-//!   Merge rollups, `range_agg` and the query engine all go
-//!   through these; there is exactly one aggregation code path in the
-//!   crate.
+//! * **The stored rollup** — [`aggregate`] and [`merge_buckets`]: the
+//!   time-ordered fold that merges write into tier companions and
+//!   `range_agg` returns (min / mean / max / last buckets).
 //! * **Query evaluation** — [`QuerySpec`] (windowed function over a
 //!   time range, evaluated per [`QueryGroup`] of nodes) is answered by
-//!   k-way **merge iterators** (`SampleMerge`/`BucketMerge`) that
-//!   stream time-ordered over per-series sources (decoded segment
-//!   blocks held by `Arc`, memtable snapshots) instead of
-//!   materializing and re-sorting whole ranges. Windows are
-//!   epoch-aligned and *complete*: `from`/`to` widen to window
-//!   boundaries so a tier-served answer and a raw-served answer see
-//!   the same samples. [`select_tier`] picks the coarsest stored tier
-//!   whose buckets nest exactly inside the window; percentiles and
-//!   `rate` need individual samples and always scan raw.
+//!   one order-independent accumulator, `WindowFold`: every in-range
+//!   slice of every source (decoded segment blocks held by `Arc`,
+//!   memtable snapshots; raw samples and tier buckets alike) is folded
+//!   in place into a dense vector of per-window accumulators. Nothing
+//!   is merged, re-sorted or copied, so a query costs what the entries
+//!   it folds cost; `DiskStore::query` and [`run_over_ranges`]
+//!   (`MemStore`, the tests' raw-only reference) both end in it.
+//!   Windows are epoch-aligned and *complete*: `from`/`to` widen to
+//!   window boundaries so a tier-served answer and a raw-served answer
+//!   see the same samples. [`select_tier`] picks the coarsest stored
+//!   tier whose buckets nest exactly inside the window; percentiles
+//!   and `rate` need individual samples and always scan raw.
 //! * **Admission control** — [`QueryExecutor`], a bounded worker pool
 //!   with a queue-depth cap and a per-query scanned-samples budget so
 //!   N dashboard-shaped clients cannot starve ingest. Over-budget or
 //!   over-queue queries fail fast with [`QueryError`] instead of
 //!   piling onto the shard locks.
 //!
-//! Memory bounds: a raw-path query holds the `Arc`s of the blocks its
-//! cursors point into plus, for percentile functions, the values of
-//! the *single open window* (the merged stream is time-ordered, so
-//! windows close in order). A tier-path query holds one small
-//! accumulator per output window. The scanned-samples budget caps both.
+//! Memory bounds: a query holds 80 B per window of its span, empty
+//! windows included, so the span is charged to the scan budget: more
+//! windows than `max_scan` and the query is refused before the vector
+//! grows. It pins the blocks of the shard it is folding (16 B a raw
+//! sample, 48 B a bucket) and lets go of them shard by shard — except
+//! a percentile query, which pins every raw block of its range to the
+//! end and then holds each in-range value once more, 8 B each, to
+//! select the rank from. The budget is checked as each block is
+//! collected: an over-budget query stops reading at the block that
+//! trips it.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -63,64 +69,47 @@ pub fn bucket_of(s: Sample) -> AggBucket {
     }
 }
 
-/// Merge one sample into a bucket accumulator (incremental mean).
-pub fn bucket_add_sample(b: &mut AggBucket, value: f64) {
-    b.count += 1;
-    b.min = b.min.min(value);
-    b.max = b.max.max(value);
-    b.mean += (value - b.mean) / b.count as f64;
-    b.last = value;
-}
-
-/// Merge a finer bucket into a wider accumulator (count-weighted mean;
-/// `fine` must be at or after `w` in time so `last` stays the newest).
-pub fn bucket_add_bucket(w: &mut AggBucket, fine: &AggBucket) {
-    let total = w.count + fine.count;
-    w.mean = (w.mean * w.count as f64 + fine.mean * fine.count as f64) / total as f64;
-    w.count = total;
-    w.min = w.min.min(fine.min);
-    w.max = w.max.max(fine.max);
-    w.last = fine.last;
-}
-
-/// Fold one sample into epoch-aligned buckets; `out` must be fed
-/// time-ordered input (the bucket merged into is always the last).
-pub fn fold_sample(out: &mut Vec<AggBucket>, s: Sample, width_nanos: u64) {
-    let start = floor_to(s.time, width_nanos);
-    match out.last_mut() {
-        Some(b) if b.start == start => bucket_add_sample(b, s.value),
-        _ => out.push(AggBucket {
-            start,
-            ..bucket_of(s)
-        }),
-    }
-}
-
-/// Fold one (finer) bucket into epoch-aligned wider buckets; means are
-/// combined count-weighted. Like [`fold_sample`], expects time order.
-pub fn fold_bucket(out: &mut Vec<AggBucket>, b: &AggBucket, width_nanos: u64) {
-    let start = floor_to(b.start, width_nanos);
-    match out.last_mut() {
-        Some(w) if w.start == start => bucket_add_bucket(w, b),
-        _ => out.push(AggBucket { start, ..*b }),
-    }
-}
-
 /// Aggregate time-ordered samples into fixed-width buckets aligned to
-/// the epoch (so buckets from different flushes line up).
+/// the epoch (so buckets from different flushes line up); the mean is
+/// kept incrementally.
 pub fn aggregate(samples: &[Sample], width_nanos: u64) -> Vec<AggBucket> {
-    let mut out = Vec::new();
+    let mut out: Vec<AggBucket> = Vec::new();
     for &s in samples {
-        fold_sample(&mut out, s, width_nanos);
+        let start = floor_to(s.time, width_nanos);
+        match out.last_mut() {
+            Some(b) if b.start == start => {
+                b.count += 1;
+                b.min = b.min.min(s.value);
+                b.max = b.max.max(s.value);
+                b.mean += (s.value - b.mean) / b.count as f64;
+                b.last = s.value;
+            }
+            _ => out.push(AggBucket {
+                start,
+                ..bucket_of(s)
+            }),
+        }
     }
     out
 }
 
-/// Combine fine buckets into wider epoch-aligned buckets.
+/// Combine time-ordered fine buckets into wider epoch-aligned buckets;
+/// means are combined count-weighted.
 pub fn merge_buckets(fine: &[AggBucket], width_nanos: u64) -> Vec<AggBucket> {
-    let mut out = Vec::new();
+    let mut out: Vec<AggBucket> = Vec::new();
     for b in fine {
-        fold_bucket(&mut out, b, width_nanos);
+        let start = floor_to(b.start, width_nanos);
+        match out.last_mut() {
+            Some(w) if w.start == start => {
+                let total = w.count + b.count;
+                w.mean = (w.mean * w.count as f64 + b.mean * b.count as f64) / total as f64;
+                w.count = total;
+                w.min = w.min.min(b.min);
+                w.max = w.max.max(b.max);
+                w.last = b.last;
+            }
+            _ => out.push(AggBucket { start, ..*b }),
+        }
     }
     out
 }
@@ -275,7 +264,7 @@ pub struct GroupSeries {
 }
 
 /// How a query was answered (the E17 bench attributes tier wins here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// The tier selected for the window ([`Resolution::Raw`] when the
     /// function or window forced a raw scan).
@@ -286,17 +275,9 @@ pub struct QueryStats {
     pub scanned_buckets: u64,
     /// Shards with no companion at the selected tier (finer/raw served).
     pub fallback_shards: u64,
-}
-
-impl Default for QueryStats {
-    fn default() -> Self {
-        QueryStats {
-            tier: Resolution::Raw,
-            scanned_raw: 0,
-            scanned_buckets: 0,
-            fallback_shards: 0,
-        }
-    }
+    /// Blocks the index promised that could not be read back (damaged
+    /// or gone since open): each is a gap in the answer.
+    pub unreadable_blocks: u64,
 }
 
 /// A complete query answer.
@@ -364,384 +345,378 @@ pub fn select_tier(window_nanos: u64, agg: AggFunc) -> Resolution {
 }
 
 // ---------------------------------------------------------------------
-// merge iterators
+// the windowed accumulator
 
-/// A time-ordered cursor over one series' samples from one source —
-/// either a decoded segment block (kept alive by its `Arc`, so the
-/// block cache can evict underneath) or an owned snapshot (memtable).
-#[derive(Debug)]
-pub(crate) struct SampleCursor {
-    block: Option<Arc<SeriesData>>,
-    owned: Vec<Sample>,
-    pos: usize,
-    end: usize,
-}
-
-impl SampleCursor {
-    pub(crate) fn from_block(block: Arc<SeriesData>, from: SimTime, to: SimTime) -> SampleCursor {
-        let (pos, end) = match &*block {
-            SeriesData::Raw(s) => bounds(s, from, to),
-            SeriesData::Buckets(_) => (0, 0),
-        };
-        SampleCursor {
-            block: Some(block),
-            owned: Vec::new(),
-            pos,
-            end,
-        }
-    }
-
-    pub(crate) fn from_owned(samples: Vec<Sample>, from: SimTime, to: SimTime) -> SampleCursor {
-        let (pos, end) = bounds(&samples, from, to);
-        SampleCursor {
-            block: None,
-            owned: samples,
-            pos,
-            end,
-        }
-    }
-
-    fn samples(&self) -> &[Sample] {
-        match &self.block {
-            Some(b) => match &**b {
-                SeriesData::Raw(s) => s,
-                SeriesData::Buckets(_) => &[],
-            },
-            None => &self.owned,
-        }
-    }
-
-    /// In-range samples left to stream (the scan-budget contribution).
-    pub(crate) fn remaining(&self) -> u64 {
-        (self.end - self.pos) as u64
-    }
-
-    fn peek(&self) -> Option<Sample> {
-        (self.pos < self.end).then(|| self.samples()[self.pos])
-    }
-}
-
-fn bounds(samples: &[Sample], from: SimTime, to: SimTime) -> (usize, usize) {
-    let pos = samples.partition_point(|s| s.time < from);
-    let end = samples.partition_point(|s| s.time <= to);
-    (pos, end.max(pos))
-}
-
-/// K-way merge over [`SampleCursor`]s, yielding samples in time order
-/// (ties broken by source index, preserving segment-then-memtable
-/// order within a series).
-#[derive(Debug)]
-pub(crate) struct SampleMerge {
-    cursors: Vec<SampleCursor>,
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-}
-
-impl SampleMerge {
-    pub(crate) fn new(cursors: Vec<SampleCursor>) -> SampleMerge {
-        let mut heap = BinaryHeap::with_capacity(cursors.len());
-        for (i, c) in cursors.iter().enumerate() {
-            if let Some(s) = c.peek() {
-                heap.push(Reverse((s.time.as_nanos(), i)));
-            }
-        }
-        SampleMerge { cursors, heap }
-    }
-}
-
-impl Iterator for SampleMerge {
-    type Item = Sample;
-
-    fn next(&mut self) -> Option<Sample> {
-        let Reverse((_, i)) = self.heap.pop()?;
-        let c = &mut self.cursors[i];
-        let s = c.peek().expect("heap entry implies a peekable cursor");
-        c.pos += 1;
-        if let Some(n) = c.peek() {
-            self.heap.push(Reverse((n.time.as_nanos(), i)));
-        }
-        Some(s)
-    }
-}
-
-/// Bucket equivalent of [`SampleCursor`] over a tier block.
-#[derive(Debug)]
-pub(crate) struct BucketCursor {
+/// The in-range part of one source of one series: a decoded segment
+/// block (kept alive by its `Arc`, so the block cache can evict
+/// underneath) or a memtable snapshot wrapped the same way.
+#[derive(Debug, Clone)]
+pub(crate) struct Slice {
     block: Arc<SeriesData>,
-    pos: usize,
-    end: usize,
+    range: Range<usize>,
+    /// Where the source stands in the query's canonical order — node
+    /// position in the group, then offer order within the node. `rate`
+    /// breaks equal timestamps by it, so its answer does not depend on
+    /// the order slices are folded in.
+    source: u64,
 }
 
-impl BucketCursor {
-    pub(crate) fn from_block(block: Arc<SeriesData>, from: SimTime, to: SimTime) -> BucketCursor {
-        let (pos, end) = match &*block {
-            SeriesData::Buckets(b) => {
-                let pos = b.partition_point(|x| x.start < from);
-                let end = b.partition_point(|x| x.start <= to);
-                (pos, end.max(pos))
-            }
-            SeriesData::Raw(_) => (0, 0),
+/// The part of time-ordered `rows` whose times lie in `from..=to`.
+fn in_range<T>(
+    rows: &[T],
+    time: impl Fn(&T) -> SimTime,
+    from: SimTime,
+    to: SimTime,
+) -> Range<usize> {
+    match (rows.first(), rows.last()) {
+        (Some(a), Some(b)) if time(a) >= from && time(b) <= to => 0..rows.len(),
+        _ => {
+            let lo = rows.partition_point(|r| time(r) < from);
+            lo..rows.partition_point(|r| time(r) <= to).max(lo)
+        }
+    }
+}
+
+impl Slice {
+    fn new(block: Arc<SeriesData>, source: u64, from: SimTime, to: SimTime) -> Slice {
+        let range = match &*block {
+            SeriesData::Raw(s) => in_range(s, |s| s.time, from, to),
+            SeriesData::Buckets(b) => in_range(b, |b| b.start, from, to),
         };
-        BucketCursor { block, pos, end }
-    }
-
-    fn buckets(&self) -> &[AggBucket] {
-        match &*self.block {
-            SeriesData::Buckets(b) => b,
-            SeriesData::Raw(_) => &[],
+        Slice {
+            block,
+            range,
+            source,
         }
     }
 
-    /// In-range buckets left to stream.
-    pub(crate) fn remaining(&self) -> u64 {
-        (self.end - self.pos) as u64
-    }
-
-    fn peek(&self) -> Option<AggBucket> {
-        (self.pos < self.end).then(|| self.buckets()[self.pos])
-    }
-}
-
-/// K-way merge over [`BucketCursor`]s by bucket start.
-#[derive(Debug)]
-pub(crate) struct BucketMerge {
-    cursors: Vec<BucketCursor>,
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-}
-
-impl BucketMerge {
-    pub(crate) fn new(cursors: Vec<BucketCursor>) -> BucketMerge {
-        let mut heap = BinaryHeap::with_capacity(cursors.len());
-        for (i, c) in cursors.iter().enumerate() {
-            if let Some(b) = c.peek() {
-                heap.push(Reverse((b.start.as_nanos(), i)));
-            }
-        }
-        BucketMerge { cursors, heap }
+    /// First and last time held (bucket starts for a tier block).
+    fn time_bounds(&self) -> Option<(u64, u64)> {
+        let (a, b) = (self.range.start, self.range.end.checked_sub(1)?);
+        (a <= b).then(|| match &*self.block {
+            SeriesData::Raw(s) => (s[a].time.as_nanos(), s[b].time.as_nanos()),
+            SeriesData::Buckets(r) => (r[a].start.as_nanos(), r[b].start.as_nanos()),
+        })
     }
 }
 
-impl Iterator for BucketMerge {
-    type Item = AggBucket;
-
-    fn next(&mut self) -> Option<AggBucket> {
-        let Reverse((_, i)) = self.heap.pop()?;
-        let c = &mut self.cursors[i];
-        let b = c.peek().expect("heap entry implies a peekable cursor");
-        c.pos += 1;
-        if let Some(n) = c.peek() {
-            self.heap.push(Reverse((n.start.as_nanos(), i)));
-        }
-        Some(b)
-    }
-}
-
-// ---------------------------------------------------------------------
-// window accumulation
-
-/// Accumulator for one output window.
-#[derive(Debug)]
+/// One window's accumulator. `rate` is computed from `first`/`last`,
+/// `(time, source, value)` of the smallest and largest `(time, source)`
+/// seen: the ends of a time-ordered merge of the sources.
+#[derive(Debug, Clone, Copy)]
 struct WinAcc {
-    bucket: AggBucket,
+    count: u64,
     sum: f64,
-    first: f64,
-    first_time: SimTime,
-    last_time: SimTime,
-    /// Individual values, kept only for percentile functions.
-    values: Vec<f64>,
+    min: f64,
+    max: f64,
+    first: (u64, u64, f64),
+    last: (u64, u64, f64),
 }
 
 impl WinAcc {
-    fn from_sample(start: SimTime, s: Sample, keep_values: bool) -> WinAcc {
-        WinAcc {
-            bucket: AggBucket {
-                start,
-                ..bucket_of(s)
-            },
-            sum: s.value,
-            first: s.value,
-            first_time: s.time,
-            last_time: s.time,
-            values: if keep_values {
-                vec![s.value]
-            } else {
-                Vec::new()
-            },
+    const EMPTY: WinAcc = WinAcc {
+        count: 0,
+        sum: 0.0,
+        min: 0.0,
+        max: 0.0,
+        first: (u64::MAX, u64::MAX, 0.0),
+        last: (0, 0, 0.0),
+    };
+
+    fn add(&mut self, count: u64, sum: f64, min: f64, max: f64) {
+        // the first entry sets the extremes: `f64::min` would drop a NaN
+        if self.count == 0 {
+            (self.min, self.max) = (min, max);
+        } else {
+            (self.min, self.max) = (self.min.min(min), self.max.max(max));
         }
+        self.count += count;
+        self.sum += sum;
     }
 
-    fn push_sample(&mut self, s: Sample, keep_values: bool) {
-        bucket_add_sample(&mut self.bucket, s.value);
-        self.sum += s.value;
-        self.last_time = s.time;
-        if keep_values {
-            self.values.push(s.value);
+    /// A slice is folded front to back: among equal times of one source
+    /// the first sample keeps `first` and the last takes `last`.
+    fn add_ends(&mut self, time: u64, source: u64, value: f64) {
+        if (time, source) < (self.first.0, self.first.1) {
+            self.first = (time, source, value);
         }
-    }
-
-    fn finish(mut self, agg: AggFunc) -> AggPoint {
-        let b = self.bucket;
-        let value = match agg {
-            AggFunc::Avg => b.mean,
-            AggFunc::Min => b.min,
-            AggFunc::Max => b.max,
-            AggFunc::Sum => self.sum,
-            AggFunc::Count => b.count as f64,
-            AggFunc::Rate => {
-                let dt = self
-                    .last_time
-                    .as_nanos()
-                    .saturating_sub(self.first_time.as_nanos());
-                if b.count < 2 || dt == 0 {
-                    0.0
-                } else {
-                    (b.last - self.first) / (dt as f64 / 1e9)
-                }
-            }
-            AggFunc::P50 | AggFunc::P95 | AggFunc::P99 => {
-                let p = agg.percentile().expect("percentile func");
-                self.values
-                    .sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                let n = self.values.len();
-                if n == 0 {
-                    0.0
-                } else {
-                    let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n);
-                    self.values[rank - 1]
-                }
-            }
-        };
-        AggPoint {
-            start: b.start,
-            value,
-            count: b.count,
+        if (time, source) >= (self.last.0, self.last.1) {
+            self.last = (time, source, value);
         }
     }
 }
 
-/// Fold a time-ordered sample stream into windowed points. Only the
-/// current window's accumulator (and, for percentiles, its values) is
-/// held at any moment.
-pub(crate) fn fold_stream<I: Iterator<Item = Sample>>(
-    stream: I,
-    agg: AggFunc,
-    width_nanos: u64,
-) -> Vec<AggPoint> {
-    let keep_values = agg.percentile().is_some();
-    let mut out = Vec::new();
-    let mut open: Option<WinAcc> = None;
-    for s in stream {
-        let start = floor_to(s.time, width_nanos);
-        match &mut open {
-            Some(acc) if acc.bucket.start == start => acc.push_sample(s, keep_values),
-            _ => {
-                if let Some(done) = open.take() {
-                    out.push(done.finish(agg));
-                }
-                open = Some(WinAcc::from_sample(start, s, keep_values));
-            }
-        }
-    }
-    if let Some(done) = open {
-        out.push(done.finish(agg));
-    }
-    out
-}
-
-/// Windowed accumulation keyed by window start, for tier-served
-/// queries whose contributions (tier buckets from several segments,
-/// per-shard raw samples of un-tiered segments and memtables) do not
-/// arrive globally time-ordered. Only
-/// tier-serveable functions use this, so no per-value buffering.
+/// The one windowed aggregation of the query path, for every
+/// [`AggFunc`] and every kind of source: a dense vector of per-window
+/// accumulators indexed by `(time − first window) ÷ width`, which each
+/// entry of each [`Slice`] goes straight into. The order slices are
+/// folded in does not change the answer (bit for bit for min, max,
+/// count, percentiles and `rate`; `avg` and `sum` add in a different
+/// order). The vector grows to cover a slice's span before the slice
+/// is folded, and a span of more than `max_windows` is refused.
+/// Percentiles need a second look at the samples, so they alone keep
+/// their slices: `finish` writes each window's values to its stretch
+/// of one flat vector and selects (not sorts) the rank.
 #[derive(Debug)]
-pub(crate) struct WindowMap {
+pub(crate) struct WindowFold {
+    agg: AggFunc,
     width: u64,
-    map: BTreeMap<u64, (AggBucket, f64)>,
+    max_windows: u64,
+    /// Start of window 0 and end of the last one (both 0 while empty).
+    base: u64,
+    end: u64,
+    accs: Vec<WinAcc>,
+    /// The slices folded so far, for percentile functions only.
+    kept: Vec<Slice>,
 }
 
-impl WindowMap {
-    pub(crate) fn new(width_nanos: u64) -> WindowMap {
-        WindowMap {
+impl WindowFold {
+    pub(crate) fn new(agg: AggFunc, width_nanos: u64, max_windows: u64) -> WindowFold {
+        WindowFold {
+            agg,
             width: width_nanos.max(1),
-            map: BTreeMap::new(),
+            max_windows,
+            base: 0,
+            end: 0,
+            accs: Vec::new(),
+            kept: Vec::new(),
         }
     }
 
-    pub(crate) fn fold_bucket(&mut self, b: &AggBucket) {
-        let start = floor_to(b.start, self.width);
-        match self.map.get_mut(&start.as_nanos()) {
-            Some((w, sum)) => {
-                bucket_add_bucket(w, b);
-                *sum += b.mean * b.count as f64;
+    /// Grow the accumulators to cover times `lo..=hi` too.
+    fn cover(&mut self, lo: u64, hi: u64) -> Result<(), QueryError> {
+        let w = self.width;
+        let held = self.accs.len() as u64;
+        let old_first = if held == 0 { lo / w } else { self.base / w };
+        let first = old_first.min(lo / w);
+        let n = (hi / w).max(old_first + held.saturating_sub(1)) - first + 1;
+        if n > self.max_windows {
+            return Err(QueryError::BudgetExceeded {
+                scanned: n,
+                budget: self.max_windows,
+            });
+        }
+        let in_front = (old_first - first) as usize;
+        self.accs
+            .splice(0..0, std::iter::repeat_n(WinAcc::EMPTY, in_front));
+        self.accs.resize(n as usize, WinAcc::EMPTY);
+        self.base = first * w;
+        self.end = self.base.saturating_add(n.saturating_mul(w));
+        Ok(())
+    }
+
+    /// The window `t` falls in. Clamped: a source that breaks its time
+    /// order misfiles an entry, it does not index out of bounds.
+    fn window_of(&self, t: u64) -> usize {
+        ((t.saturating_sub(self.base) / self.width) as usize).min(self.accs.len() - 1)
+    }
+
+    pub(crate) fn fold(&mut self, slice: Slice) -> Result<(), QueryError> {
+        let Some((lo, hi)) = slice.time_bounds() else {
+            return Ok(());
+        };
+        if lo < self.base || hi >= self.end {
+            self.cover(lo, hi)?;
+        }
+        match &*slice.block {
+            SeriesData::Raw(samples) => {
+                let rate = self.agg == AggFunc::Rate;
+                for s in &samples[slice.range.clone()] {
+                    let w = self.window_of(s.time.as_nanos());
+                    self.accs[w].add(1, s.value, s.value, s.value);
+                    if rate {
+                        self.accs[w].add_ends(s.time.as_nanos(), slice.source, s.value);
+                    }
+                }
             }
-            None => {
-                self.map.insert(
-                    start.as_nanos(),
-                    (AggBucket { start, ..*b }, b.mean * b.count as f64),
-                );
+            SeriesData::Buckets(buckets) => {
+                debug_assert!(self.agg.tier_serveable(), "{:?} needs samples", self.agg);
+                for b in &buckets[slice.range.clone()] {
+                    let w = self.window_of(b.start.as_nanos());
+                    self.accs[w].add(b.count, b.mean * b.count as f64, b.min, b.max);
+                }
             }
         }
+        if self.agg.percentile().is_some() {
+            self.kept.push(slice);
+        }
+        Ok(())
     }
 
-    pub(crate) fn fold_sample(&mut self, s: Sample) {
-        self.fold_bucket(&bucket_of(s));
+    /// The non-empty windows, in time order.
+    pub(crate) fn finish(self) -> Vec<AggPoint> {
+        // percentiles: each window's values side by side in one vector
+        let mut values = Vec::new();
+        let mut stretch = Vec::new();
+        if self.agg.percentile().is_some() {
+            let mut total = 0usize;
+            stretch.extend(self.accs.iter().map(|a| {
+                total += a.count as usize;
+                total - a.count as usize
+            }));
+            values.resize(total, 0.0f64);
+            let mut next = stretch.clone();
+            for slice in &self.kept {
+                if let SeriesData::Raw(samples) = &*slice.block {
+                    for s in &samples[slice.range.clone()] {
+                        let at = &mut next[self.window_of(s.time.as_nanos())];
+                        values[*at] = s.value;
+                        *at += 1;
+                    }
+                }
+            }
+        }
+        let mut points = Vec::new();
+        for (w, acc) in self.accs.iter().enumerate().filter(|(_, a)| a.count > 0) {
+            let value = match self.agg {
+                AggFunc::Avg => acc.sum / acc.count as f64,
+                AggFunc::Min => acc.min,
+                AggFunc::Max => acc.max,
+                AggFunc::Sum => acc.sum,
+                AggFunc::Count => acc.count as f64,
+                AggFunc::Rate => {
+                    let dt = acc.last.0.saturating_sub(acc.first.0);
+                    if acc.count < 2 || dt == 0 {
+                        0.0
+                    } else {
+                        (acc.last.2 - acc.first.2) / (dt as f64 / 1e9)
+                    }
+                }
+                AggFunc::P50 | AggFunc::P95 | AggFunc::P99 => {
+                    let p = self.agg.percentile().expect("percentile func");
+                    let n = acc.count as usize;
+                    let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n);
+                    let held = &mut values[stretch[w]..stretch[w] + n];
+                    *held.select_nth_unstable_by(rank - 1, f64::total_cmp).1
+                }
+            };
+            points.push(AggPoint {
+                start: SimTime::from_nanos(self.base + w as u64 * self.width),
+                value,
+                count: acc.count,
+            });
+        }
+        points
+    }
+}
+
+/// The executor's default scan budget, and the window span a query
+/// without a budget may still allocate accumulators for.
+const DEFAULT_MAX_SCAN: u64 = 8_000_000;
+
+/// Gathers a query's [`Slice`]s group by group and refuses the query
+/// the moment their entries pass its budget — before the next block is
+/// read, let alone folded.
+#[derive(Debug)]
+pub(crate) struct Collector {
+    /// The complete-window bounds sources are cut to.
+    pub(crate) from: SimTime,
+    pub(crate) to: SimTime,
+    budget: u64,
+    /// Sources offered since the last fold, and how many in the group.
+    pending: Vec<Slice>,
+    offered: u64,
+    fold: WindowFold,
+    /// Counters of the whole query so far.
+    pub(crate) stats: QueryStats,
+}
+
+impl Collector {
+    /// Offer one source of the group's `node_pos`-th node (a node's
+    /// sources oldest segment first, memtable last).
+    pub(crate) fn push(
+        &mut self,
+        node_pos: usize,
+        block: Arc<SeriesData>,
+    ) -> Result<(), QueryError> {
+        let slice = Slice::new(
+            block,
+            (node_pos as u64) << 32 | self.offered,
+            self.from,
+            self.to,
+        );
+        self.offered += 1;
+        match &*slice.block {
+            SeriesData::Raw(_) => self.stats.scanned_raw += slice.range.len() as u64,
+            SeriesData::Buckets(_) => self.stats.scanned_buckets += slice.range.len() as u64,
+        }
+        let scanned = self.stats.scanned_raw + self.stats.scanned_buckets;
+        if scanned > self.budget {
+            return Err(QueryError::BudgetExceeded {
+                scanned,
+                budget: self.budget,
+            });
+        }
+        self.pending.push(slice);
+        Ok(())
     }
 
-    pub(crate) fn finish(self, agg: AggFunc) -> Vec<AggPoint> {
-        self.map
-            .into_values()
-            .map(|(b, sum)| AggPoint {
-                start: b.start,
-                value: match agg {
-                    AggFunc::Avg => b.mean,
-                    AggFunc::Min => b.min,
-                    AggFunc::Max => b.max,
-                    AggFunc::Sum => sum,
-                    AggFunc::Count => b.count as f64,
-                    _ => unreachable!("non-tier-serveable func in WindowMap"),
-                },
-                count: b.count,
-            })
-            .collect()
+    /// Fold what has been offered and let go of it: called wherever a
+    /// backend has released the lock it collected under, so no more
+    /// than one lock's worth of blocks is pinned at a time.
+    pub(crate) fn fold_pending(&mut self) -> Result<(), QueryError> {
+        self.pending.drain(..).try_for_each(|s| self.fold.fold(s))
     }
+}
+
+/// Evaluate `spec`: `collect` offers each group's sources, the
+/// [`WindowFold`] turns them into the group's points. Every backend's
+/// [`Store::query`] ends here.
+pub(crate) fn evaluate(
+    spec: &QuerySpec,
+    tier: Resolution,
+    mut collect: impl FnMut(&QueryGroup, &mut Collector) -> Result<(), QueryError>,
+) -> Result<QueryResult, QueryError> {
+    spec.validate()?;
+    let (from, to) = spec.window_bounds();
+    let (budget, max_windows) = match spec.max_scan {
+        0 => (u64::MAX, DEFAULT_MAX_SCAN),
+        n => (n, n),
+    };
+    let new_fold = || WindowFold::new(spec.agg, spec.window_nanos, max_windows);
+    let mut collector = Collector {
+        from,
+        to,
+        budget,
+        pending: Vec::new(),
+        offered: 0,
+        fold: new_fold(),
+        stats: QueryStats {
+            tier,
+            ..QueryStats::default()
+        },
+    };
+    let mut groups = Vec::with_capacity(spec.groups.len());
+    for g in &spec.groups {
+        collector.offered = 0;
+        collect(g, &mut collector)?;
+        collector.fold_pending()?;
+        groups.push(GroupSeries {
+            key: g.key.clone(),
+            points: std::mem::replace(&mut collector.fold, new_fold()).finish(),
+        });
+    }
+    Ok(QueryResult {
+        groups,
+        stats: collector.stats,
+    })
 }
 
 /// Evaluate `spec` against any `fetch(node, monitor, from, to)` range
-/// reader — the default [`Store::query`] path for backends without
-/// stored tiers.
+/// reader (samples oldest first) — the default [`Store::query`] path
+/// for backends without stored tiers, and the raw-only reference the
+/// tier tests compare against.
 pub fn run_over_ranges<F>(spec: &QuerySpec, fetch: F) -> Result<QueryResult, QueryError>
 where
     F: Fn(u32, &str, SimTime, SimTime) -> Vec<Sample>,
 {
-    spec.validate()?;
-    let (from, to) = spec.window_bounds();
-    let budget = if spec.max_scan == 0 {
-        u64::MAX
-    } else {
-        spec.max_scan
-    };
-    let mut stats = QueryStats::default();
-    let mut groups = Vec::with_capacity(spec.groups.len());
-    for g in &spec.groups {
-        let cursors: Vec<SampleCursor> = g
-            .nodes
-            .iter()
-            .map(|&n| SampleCursor::from_owned(fetch(n, &spec.monitor, from, to), from, to))
-            .collect();
-        let scan: u64 = cursors.iter().map(|c| c.remaining()).sum();
-        stats.scanned_raw += scan;
-        if stats.scanned_raw + stats.scanned_buckets > budget {
-            return Err(QueryError::BudgetExceeded {
-                scanned: stats.scanned_raw + stats.scanned_buckets,
-                budget,
-            });
+    evaluate(spec, Resolution::Raw, |g, out| {
+        for (pos, &node) in g.nodes.iter().enumerate() {
+            let samples = fetch(node, &spec.monitor, out.from, out.to);
+            out.push(pos, Arc::new(SeriesData::Raw(samples)))?;
         }
-        let points = fold_stream(SampleMerge::new(cursors), spec.agg, spec.window_nanos);
-        groups.push(GroupSeries {
-            key: g.key.clone(),
-            points,
-        });
-    }
-    Ok(QueryResult { groups, stats })
+        Ok(())
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -765,7 +740,7 @@ impl Default for QueryLimits {
         QueryLimits {
             workers: 2,
             max_queue: 32,
-            max_scanned_samples: 8_000_000,
+            max_scanned_samples: DEFAULT_MAX_SCAN,
         }
     }
 }
@@ -988,93 +963,117 @@ mod tests {
         assert_eq!(select_tier(3_600 * SEC, AggFunc::Rate), Resolution::Raw);
     }
 
-    #[test]
-    fn fold_stream_merges_multi_series_windows() {
-        let a: Vec<Sample> = (0..20)
-            .map(|i| Sample {
-                time: t(i),
-                value: i as f64,
-            })
-            .collect();
-        let b: Vec<Sample> = (0..20)
-            .map(|i| Sample {
-                time: t(i),
-                value: 100.0 + i as f64,
-            })
-            .collect();
-        let merge = SampleMerge::new(vec![
-            SampleCursor::from_owned(a, SimTime::ZERO, SimTime::MAX),
-            SampleCursor::from_owned(b, SimTime::ZERO, SimTime::MAX),
-        ]);
-        let points = fold_stream(merge, AggFunc::Max, 10 * SEC);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].count, 20);
-        assert_eq!(points[0].value, 109.0);
-        assert_eq!(points[1].value, 119.0);
+    fn slice(source: u64, data: SeriesData) -> Slice {
+        Slice::new(Arc::new(data), source, SimTime::ZERO, SimTime::MAX)
+    }
+
+    fn series(secs: impl IntoIterator<Item = u64>, value: impl Fn(u64) -> f64) -> SeriesData {
+        let sample = |i| Sample {
+            time: t(i),
+            value: value(i),
+        };
+        SeriesData::Raw(secs.into_iter().map(sample).collect())
+    }
+
+    /// Fold `slices` in the order given.
+    fn fold(slices: &[Slice], agg: AggFunc, width: u64) -> Vec<AggPoint> {
+        let mut fold = WindowFold::new(agg, width, u64::MAX);
+        for s in slices {
+            fold.fold(s.clone()).unwrap();
+        }
+        fold.finish()
     }
 
     #[test]
     fn percentiles_nearest_rank() {
-        let s: Vec<Sample> = (1..=100)
-            .map(|i| Sample {
-                time: t(i),
-                value: i as f64,
-            })
-            .collect();
-        let merge = |agg| fold_stream(s.iter().copied(), agg, 1_000_000 * SEC)[0].value;
-        assert_eq!(merge(AggFunc::P50), 50.0);
-        assert_eq!(merge(AggFunc::P95), 95.0);
-        assert_eq!(merge(AggFunc::P99), 99.0);
+        let slices = [slice(0, series(1..101, |i| i as f64))];
+        let one = |agg| fold(&slices, agg, 1_000_000 * SEC)[0].value;
+        assert_eq!(one(AggFunc::P50), 50.0);
+        assert_eq!(one(AggFunc::P95), 95.0);
+        assert_eq!(one(AggFunc::P99), 99.0);
     }
 
     #[test]
-    fn rate_is_delta_over_seconds() {
-        let s = vec![
-            Sample {
-                time: t(0),
-                value: 10.0,
-            },
-            Sample {
-                time: t(5),
-                value: 20.0,
-            },
-            Sample {
-                time: t(10),
-                value: 40.0,
-            },
-        ];
-        let p = fold_stream(s.into_iter(), AggFunc::Rate, 60 * SEC);
+    fn rate_is_delta_over_seconds_and_breaks_equal_times_by_source() {
+        let values = |i| [10.0, 20.0, 40.0][i as usize / 5];
+        let p = fold(
+            &[slice(0, series([0, 5, 10], values))],
+            AggFunc::Rate,
+            60 * SEC,
+        );
         assert_eq!(p.len(), 1);
         assert!((p[0].value - 3.0).abs() < 1e-12);
+        // three sources starting and ending at the same instants: a
+        // merge would deliver source 3's first sample first and source
+        // 9's second t=10 sample last
+        let ends = |a: f64| series([0, 10, 10], move |i| a * (i + 1) as f64);
+        let slices = [
+            slice(7, ends(1.0)),
+            slice(3, ends(2.0)),
+            slice(9, ends(3.0)),
+        ];
+        let SeriesData::Raw(nine) = &*slices[2].block else {
+            unreachable!()
+        };
+        assert_eq!(nine[2].value, 33.0);
+        let p = fold(&slices, AggFunc::Rate, 60 * SEC);
+        assert_eq!(p[0].value, (33.0 - 2.0) / 10.0);
     }
 
     #[test]
-    fn window_map_matches_stream_fold_for_tier_funcs() {
-        let samples: Vec<Sample> = (0..100)
-            .map(|i| Sample {
-                time: t(i),
-                value: (i * 7 % 13) as f64,
+    fn the_order_slices_are_offered_in_does_not_change_the_answer() {
+        // overlapping spans, equal timestamps across sources, a stretch
+        // of windows nobody has samples in, each source offered raw or
+        // as the 10 s buckets a merge would have stored for it
+        let raw: Vec<Slice> = (0..6u64)
+            .map(|k| {
+                let from = if k == 5 { 900 } else { 40 * k };
+                slice(
+                    k,
+                    series(from..from + 90, |i| ((i * 7 + k) % 13) as f64 - 6.0),
+                )
             })
             .collect();
-        for agg in [
-            AggFunc::Avg,
-            AggFunc::Min,
-            AggFunc::Max,
-            AggFunc::Sum,
-            AggFunc::Count,
-        ] {
-            let streamed = fold_stream(samples.iter().copied(), agg, 30 * SEC);
-            let mut wm = WindowMap::new(30 * SEC);
-            // feed out of order to prove ordering independence
-            for s in samples.iter().rev() {
-                wm.fold_sample(*s);
+        let tiered = |s: &Slice| match &*s.block {
+            SeriesData::Raw(samples) => {
+                slice(s.source, SeriesData::Buckets(aggregate(samples, 10 * SEC)))
             }
-            let mapped = wm.finish(agg);
-            assert_eq!(streamed.len(), mapped.len());
-            for (a, b) in streamed.iter().zip(&mapped) {
-                assert_eq!(a.start, b.start);
-                assert_eq!(a.count, b.count);
-                assert!((a.value - b.value).abs() < 1e-9, "{agg:?}");
+            SeriesData::Buckets(_) => unreachable!(),
+        };
+        let mixed: Vec<Slice> = raw
+            .iter()
+            .map(|s| {
+                if s.source % 2 == 0 {
+                    s.clone()
+                } else {
+                    tiered(s)
+                }
+            })
+            .collect();
+        for name in [
+            "rate", "avg", "min", "max", "sum", "count", "p50", "p95", "p99",
+        ] {
+            let agg = AggFunc::parse(name).unwrap();
+            for width in [SEC, 10 * SEC, 30 * SEC, 70 * SEC, 3_600 * SEC] {
+                let want = fold(&raw, agg, width);
+                let tier_ok = agg.tier_serveable() && width % (10 * SEC) == 0;
+                let mut order = if tier_ok { mixed.clone() } else { raw.clone() };
+                for turn in 0..order.len() {
+                    // the latest source first, then every rotation
+                    order.rotate_right(1);
+                    order.swap(1, turn.max(1));
+                    let got = fold(&order, agg, width);
+                    assert_eq!(got.len(), want.len(), "{agg:?} {width}");
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!((g.start, g.count), (w.start, w.count));
+                        match agg {
+                            AggFunc::Avg | AggFunc::Sum => {
+                                assert!((g.value - w.value).abs() < 1e-9, "{agg:?}")
+                            }
+                            _ => assert_eq!(g.value.to_bits(), w.value.to_bits(), "{agg:?}"),
+                        }
+                    }
+                }
             }
         }
     }

@@ -20,21 +20,24 @@
 //! Each series header carries the payload length, its own CRC and the
 //! series' time bounds, so a reader can walk the headers once into a
 //! [`SegmentIndex`] and afterwards fetch any single series with one
-//! `seek` + `read_exact` ([`read_series`]) — queries no longer decode
-//! the whole file. The trailing file CRC still guards the full-file
-//! read paths (recovery, compaction).
+//! positioned read on an already-open file ([`read_series_at`]) and one
+//! decode pass over the payload. The trailing file CRC still guards
+//! the full-file read paths (recovery, compaction).
 //!
 //! Segments are written to a temp file and atomically renamed into
 //! place, so a crash mid-flush leaves no partial segment behind. The
 //! reader verifies magic and CRC before parsing anything.
 
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use cwx_util::time::SimTime;
 
 use crate::codec::{
-    crc32, get_timestamps, get_uvarint, get_values, put_timestamps, put_uvarint, put_values,
+    crc32, for_each_timestamp, for_each_value, get_uvarint, put_timestamps, put_uvarint,
+    put_values, CodecError,
 };
 use crate::{AggBucket, Resolution, Sample, StoreError};
 
@@ -186,27 +189,37 @@ impl SegmentIndex {
     }
 }
 
-/// Fetch and decode one series' payload with a single positioned read.
-///
-/// `entry` must come from a [`SegmentIndex`] built over the same file;
-/// the payload CRC recorded in the header is re-verified, so a file
-/// swapped or damaged since indexing is detected, not mis-decoded.
+/// Fetch and decode one series' payload: [`read_series_at`] on a file
+/// opened for this one read.
 pub fn read_series(
     path: &Path,
     resolution: Resolution,
     entry: &SeriesIndexEntry,
 ) -> Result<SeriesData, StoreError> {
-    let mut f = std::fs::File::open(path)?;
-    f.seek(SeekFrom::Start(entry.offset))?;
+    read_series_at(&File::open(path)?, path, resolution, entry)
+}
+
+/// Fetch and decode one series' payload with a single positioned read
+/// on `file` (the segment at `origin`, which the error names).
+///
+/// `entry` must come from a [`SegmentIndex`] built over the same file;
+/// the payload CRC recorded in the header is re-verified, so a file
+/// swapped or damaged since indexing is detected, not mis-decoded.
+pub fn read_series_at(
+    file: &File,
+    origin: &Path,
+    resolution: Resolution,
+    entry: &SeriesIndexEntry,
+) -> Result<SeriesData, StoreError> {
     let mut payload = vec![0u8; entry.len as usize];
-    f.read_exact(&mut payload)?;
+    file.read_exact_at(&mut payload, entry.offset)?;
     if crc32(&payload) != entry.crc {
         return Err(StoreError::CorruptSegment {
-            path: path.to_path_buf(),
+            path: origin.to_path_buf(),
             reason: "series payload checksum mismatch",
         });
     }
-    decode_payload(&payload, resolution, entry.count as usize, path)
+    decode_payload(&payload, resolution, entry.count as usize, origin)
 }
 
 fn encode_payload(data: &SeriesData, out: &mut Vec<u8>) {
@@ -236,58 +249,73 @@ fn encode_payload(data: &SeriesData, out: &mut Vec<u8>) {
     }
 }
 
+/// Decode one XOR-chained value column into a field of every row.
+fn fill_column<T>(
+    rows: &mut [T],
+    payload: &[u8],
+    pos: &mut usize,
+    set: impl Fn(&mut T, f64),
+) -> Result<(), CodecError> {
+    let count = rows.len();
+    let mut row = rows.iter_mut();
+    for_each_value(payload, pos, count, |v| {
+        set(row.next().expect("one value per row"), v)
+    })
+}
+
 fn decode_payload(
     payload: &[u8],
     resolution: Resolution,
     count: usize,
     origin: &Path,
 ) -> Result<SeriesData, StoreError> {
-    let decode_err = |_| StoreError::CorruptSegment {
+    let corrupt = |reason| StoreError::CorruptSegment {
         path: origin.to_path_buf(),
-        reason: "varint stream truncated",
+        reason,
     };
+    // every entry costs at least a byte per column: bounds the
+    // allocation a damaged header could ask for
+    if count > payload.len() {
+        return Err(corrupt("series count exceeds its payload"));
+    }
+    let truncated = |_| corrupt("varint stream truncated");
     let mut pos = 0usize;
+    // one pass per column, each written straight into the output rows
     let data = if resolution == Resolution::Raw {
-        let times = get_timestamps(payload, &mut pos, count).map_err(decode_err)?;
-        let values = get_values(payload, &mut pos, count).map_err(decode_err)?;
-        SeriesData::Raw(
-            times
-                .into_iter()
-                .zip(values)
-                .map(|(t, value)| Sample {
-                    time: SimTime::from_nanos(t),
-                    value,
-                })
-                .collect(),
-        )
+        let mut rows: Vec<Sample> = Vec::with_capacity(count);
+        for_each_timestamp(payload, &mut pos, count, |t| {
+            rows.push(Sample {
+                time: SimTime::from_nanos(t),
+                value: 0.0,
+            })
+        })
+        .map_err(truncated)?;
+        fill_column(&mut rows, payload, &mut pos, |s, v| s.value = v).map_err(truncated)?;
+        SeriesData::Raw(rows)
     } else {
-        let starts = get_timestamps(payload, &mut pos, count).map_err(decode_err)?;
-        let mut counts = Vec::with_capacity(count);
-        for _ in 0..count {
-            counts.push(get_uvarint(payload, &mut pos).map_err(decode_err)?);
+        let mut rows: Vec<AggBucket> = Vec::with_capacity(count);
+        for_each_timestamp(payload, &mut pos, count, |t| {
+            rows.push(AggBucket {
+                start: SimTime::from_nanos(t),
+                count: 0,
+                min: 0.0,
+                mean: 0.0,
+                max: 0.0,
+                last: 0.0,
+            })
+        })
+        .map_err(truncated)?;
+        for row in &mut rows {
+            row.count = get_uvarint(payload, &mut pos).map_err(truncated)?;
         }
-        let min = get_values(payload, &mut pos, count).map_err(decode_err)?;
-        let mean = get_values(payload, &mut pos, count).map_err(decode_err)?;
-        let max = get_values(payload, &mut pos, count).map_err(decode_err)?;
-        let last = get_values(payload, &mut pos, count).map_err(decode_err)?;
-        SeriesData::Buckets(
-            (0..count)
-                .map(|i| AggBucket {
-                    start: SimTime::from_nanos(starts[i]),
-                    count: counts[i],
-                    min: min[i],
-                    mean: mean[i],
-                    max: max[i],
-                    last: last[i],
-                })
-                .collect(),
-        )
+        fill_column(&mut rows, payload, &mut pos, |b, v| b.min = v).map_err(truncated)?;
+        fill_column(&mut rows, payload, &mut pos, |b, v| b.mean = v).map_err(truncated)?;
+        fill_column(&mut rows, payload, &mut pos, |b, v| b.max = v).map_err(truncated)?;
+        fill_column(&mut rows, payload, &mut pos, |b, v| b.last = v).map_err(truncated)?;
+        SeriesData::Buckets(rows)
     };
     if pos != payload.len() {
-        return Err(StoreError::CorruptSegment {
-            path: origin.to_path_buf(),
-            reason: "trailing bytes in series payload",
-        });
+        return Err(corrupt("trailing bytes in series payload"));
     }
     Ok(data)
 }

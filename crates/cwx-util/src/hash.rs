@@ -5,6 +5,10 @@
 //! Three crates grew their own copies of these two constants before
 //! this module existed; they now all route through here so a constant
 //! typo can never make one fingerprint silently diverge from another.
+//!
+//! The workspace's one CRC-32 lives here for the same reason: snapshot
+//! files, WAL frames, segment files and the wire formats all checksum
+//! with [`crc32`].
 
 /// FNV-1a 64-bit offset basis. `fnv1a(b"")` returns exactly this.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -53,6 +57,63 @@ pub fn fnv1a_debug<T: std::fmt::Debug>(items: &[T]) -> u64 {
     fnv1a_debug_fold(FNV_OFFSET, items)
 }
 
+/// Slicing-by-8 tables for the reflected IEEE polynomial: `[0]` is the
+/// classic byte-at-a-time table, `[k][b]` is byte `b` followed by `k`
+/// zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum
+/// gzip and PNG use — eight bytes per step.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][(lo >> 8 & 0xff) as usize]
+            ^ t[5][(lo >> 16 & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][(hi >> 8 & 0xff) as usize]
+            ^ t[1][(hi >> 16 & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
+    }
+    !crc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,6 +135,41 @@ mod tests {
         let whole = fnv1a(b"hello world");
         let split = fnv1a_fold(fnv1a(b"hello "), b"world");
         assert_eq!(whole, split);
+    }
+
+    #[test]
+    fn crc32_known_vectors() {
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    /// The definition, one bit at a time.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_form_at_every_length_and_offset() {
+        // head and tail handling: every length 0..=64 starting at every
+        // offset 0..8 of a buffer with no repeating pattern
+        let buf: Vec<u8> = (0..80u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[offset..offset + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "offset {offset} len {len}");
+            }
+        }
     }
 
     #[test]

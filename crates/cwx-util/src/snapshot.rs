@@ -27,6 +27,8 @@
 
 use std::fmt;
 
+use crate::hash::crc32;
+
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CWXSNAP1";
 /// Container version written by this build.
@@ -50,21 +52,6 @@ impl std::error::Error for SnapshotError {}
 
 fn err(msg: impl Into<String>) -> SnapshotError {
     SnapshotError(msg.into())
-}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the same
-/// checksum gzip and PNG use. Bitwise, no table: snapshot files are
-/// megabytes at most and integrity beats speed here.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// Append a `u32` little-endian.
@@ -250,12 +237,6 @@ mod tests {
                 ("empty".into(), vec![]),
             ],
         }
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
     }
 
     #[test]

@@ -385,6 +385,12 @@ fn cmd_history(args: &Args) {
                     "served from {:?} tier | {} raw samples + {} buckets scanned | {} shards fell back",
                     r.stats.tier, r.stats.scanned_raw, r.stats.scanned_buckets, r.stats.fallback_shards
                 );
+                if r.stats.unreadable_blocks > 0 {
+                    eprintln!(
+                        "warning: {} block(s) could not be read back; the answer has gaps",
+                        r.stats.unreadable_blocks
+                    );
+                }
                 println!("group,window_start_secs,{},count", agg.name());
                 for g in &r.groups {
                     for p in &g.points {
