@@ -6,10 +6,11 @@
 //! actions for the chassis layer to execute.
 
 use std::collections::BTreeMap;
+use std::sync::LazyLock;
 
 use cwx_events::engine::{default_rules, EventDef, EventEngine, Firing};
 use cwx_events::notify::{Email, Notifier};
-use cwx_monitor::history::HistoryStore;
+use cwx_monitor::history::{BatchSample, HistoryStore};
 use cwx_monitor::monitor::{MonitorKey, Value};
 use cwx_monitor::transmit::{self, Report};
 use cwx_util::time::{SimDuration, SimTime};
@@ -21,6 +22,12 @@ use crate::lifecycle::LifecycleCounts;
 /// Cap on the buffered alarm feed: non-federated deployments never call
 /// [`Server::take_alarms`], so the buffer must stay bounded.
 const ALARM_FEED_CAP: usize = 4096;
+
+/// The sensor keys a probe reading is recorded under, in
+/// [`Server::record_probe`]'s argument order — built once, not per
+/// node per probe sweep.
+static PROBE_KEYS: LazyLock<[MonitorKey; 3]> =
+    LazyLock::new(|| ["temp.cpu", "power.watts", "fan.cpu_rpm"].map(MonitorKey::new));
 
 /// Liveness bookkeeping per node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -243,10 +250,25 @@ impl Server {
         entry.last_report = now;
         entry.reports += 1;
         entry.reachable = true;
+        // history takes the report's numeric values as one batch; the
+        // event engine never reads history, so evaluating after the
+        // append sees what evaluating between appends saw
+        let batch: Vec<BatchSample<'_>> = report
+            .values
+            .iter()
+            .filter_map(|(key, value)| {
+                value.as_num().map(|x| BatchSample {
+                    node: report.node,
+                    monitor: key.as_str(),
+                    time: now,
+                    value: x,
+                })
+            })
+            .collect();
+        self.history.record_batch(&batch);
         for (key, value) in &report.values {
             self.stats.values_rx += 1;
             if let Value::Num(x) = value {
-                self.history.record(report.node, key, now, *x);
                 self.observe(now, report.node, key, *x);
             }
         }
@@ -321,14 +343,16 @@ impl Server {
 
     /// Record a probe reading into history under the sensor keys.
     pub fn record_probe(&mut self, now: SimTime, node: u32, temp_c: f64, watts: f64, fan_rpm: f64) {
-        for (key, v) in [
-            ("temp.cpu", temp_c),
-            ("power.watts", watts),
-            ("fan.cpu_rpm", fan_rpm),
-        ] {
-            let k = MonitorKey::new(key);
-            self.history.record(node, &k, now, v);
-            self.observe(now, node, &k, v);
+        let readings = [temp_c, watts, fan_rpm];
+        let batch: [BatchSample<'_>; 3] = std::array::from_fn(|i| BatchSample {
+            node,
+            monitor: PROBE_KEYS[i].as_str(),
+            time: now,
+            value: readings[i],
+        });
+        self.history.record_batch(&batch);
+        for (key, v) in PROBE_KEYS.iter().zip(readings) {
+            self.observe(now, node, key, v);
         }
     }
 

@@ -438,22 +438,21 @@ fn agent_tick(sim: &mut Sim<World>) {
             Some(AgentFault::DelayedReports { extra }) => extra,
             _ => SimDuration::ZERO,
         };
-        let copies = if matches!(fault, Some(AgentFault::DuplicatedReports)) {
-            2
-        } else {
-            1
-        };
-        for _ in 0..copies {
-            let size = payload.len() as u64;
+        let size = payload.len() as u64;
+        let mut send = |msg: Vec<u8>| {
             let ds = sim.world_mut().net.unicast(
                 now,
                 World::addr_of(node),
                 World::SERVER_ADDR,
                 size,
-                payload.clone(),
+                msg,
             );
             deliveries.extend(ds.into_iter().map(|d| (d.at + extra, d.msg)));
+        };
+        if matches!(fault, Some(AgentFault::DuplicatedReports)) {
+            send(payload.clone());
         }
+        send(payload);
     }
     for (at, msg) in deliveries {
         sim.schedule_at(at, move |sim| {

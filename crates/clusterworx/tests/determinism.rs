@@ -12,8 +12,12 @@ use cwx_util::time::{SimDuration, SimTime};
 /// Drive a busy little cluster (boots, faults, event-engine actions,
 /// reports) and serialize everything observable about the run.
 fn run_trace(seed: u64, hw_shards: usize) -> String {
+    run_trace_of(24, 600, seed, hw_shards)
+}
+
+fn run_trace_of(n_nodes: u32, secs: u64, seed: u64, hw_shards: usize) -> String {
     let mut sim = Cluster::build(ClusterConfig {
-        n_nodes: 24,
+        n_nodes,
         seed,
         hw_shards,
         workload: WorkloadMix::Mixed,
@@ -31,7 +35,7 @@ fn run_trace(seed: u64, hw_shards: usize) -> String {
         17,
         Fault::KernelPanic,
     );
-    sim.run_for(SimDuration::from_secs(600));
+    sim.run_for(SimDuration::from_secs(secs));
     let w = sim.world();
     let mut out = String::new();
     use std::fmt::Write;
@@ -50,6 +54,7 @@ fn run_trace(seed: u64, hw_shards: usize) -> String {
         .unwrap();
     }
     writeln!(out, "stats {:?}", w.server.stats()).unwrap();
+    writeln!(out, "history {}", w.server.history().total_samples()).unwrap();
     writeln!(out, "outbox {}", w.server.outbox().len()).unwrap();
     writeln!(out, "up {}", w.up_count()).unwrap();
     writeln!(out, "events {}", sim.events_executed()).unwrap();
@@ -83,4 +88,25 @@ fn shard_count_is_unobservable() {
         let n = run_trace(7, shards);
         assert_eq!(one, n, "trace diverged at hw_shards={shards}");
     }
+}
+
+/// The benchmark's fleet shape: 1250 nodes whose agents tick on two
+/// shard threads (each with its own compressor tables). The trace —
+/// audit trail, server byte and sample counts, every node's physics —
+/// must not depend on which thread ticked which agent, and must stay
+/// what it was before the report path was rebuilt: the hash below was
+/// captured at commit `49f96f3`.
+#[test]
+fn wide_fleet_on_two_shards_is_pinned() {
+    const PINNED: u64 = 0xc377_4afb_2d4b_42d2;
+    let two = run_trace_of(1250, 150, 7, 2);
+    assert!(two.contains("stats ServerStats { reports_rx: "));
+    assert!(!two.contains("reports_rx: 0,"), "agents never reported");
+    let hash = cwx_util::hash::fnv1a(two.as_bytes());
+    assert_eq!(hash, PINNED, "trace hash is {hash:#018x}");
+    assert_eq!(
+        two,
+        run_trace_of(1250, 150, 7, 1),
+        "diverged from one shard"
+    );
 }

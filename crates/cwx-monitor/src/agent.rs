@@ -7,6 +7,7 @@ use cwx_proc::gather::{
     UptimeGatherer,
 };
 use cwx_proc::source::ProcSource;
+use cwx_util::compress;
 use cwx_util::time::SimTime;
 
 use crate::consolidate::{ConsolidationStats, Consolidator};
@@ -213,7 +214,7 @@ impl<S: ProcSource> Agent<S> {
         let mut values = Vec::new();
         for m in self.registry.iter_mut() {
             if let Some(v) = m.extract(&self.snap) {
-                if self.consolidator.offer(&m.key, m.class, &v) {
+                if self.consolidator.offer_slot(m.slot(), m.class, &v) {
                     values.push((m.key.clone(), v));
                 }
             }
@@ -235,7 +236,7 @@ impl<S: ProcSource> Agent<S> {
             let raw = transmit::encode(&report);
             let raw_len = raw.len();
             let payload = if self.cfg.compress {
-                transmit::encode_compressed(&report)
+                compress::compress(raw.as_bytes())
             } else {
                 raw.into_bytes()
             };

@@ -31,19 +31,26 @@ pub struct ConsolidationStats {
 
 /// Per-monitor change tracking.
 ///
-/// Keys are interned once into a dense id space; the steady-state
-/// [`Consolidator::offer`] path is a hash lookup plus two `Vec` index
-/// reads and performs no cloning or allocation when the sample is
-/// suppressed (the overwhelmingly common case — see the
+/// State is one `Vec` indexed by a dense *slot* the caller owns: the
+/// agent offers by [`crate::monitor::MonitorDef::slot`], so a tick's 55
+/// decisions are 55 indexed reads — no key hash, no key deref, no map
+/// bucket. `Some` in a slot means "sent since the last reset"; whether
+/// that suppresses the offer (static) or is compared (dynamic) is
+/// decided by the class the offer carries. A suppressed offer clones
+/// and allocates nothing (the overwhelmingly common case — see the
 /// `alloc_regression` integration test).
+///
+/// Callers without slots of their own ([`Consolidator::offer`]: the
+/// federation uplink, one tier up) get them from a key → slot table in
+/// front of the same decision. One consolidator is fed one way or the
+/// other — the two would otherwise name different monitors by the same
+/// slot.
 #[derive(Debug, Default)]
 pub struct Consolidator {
-    /// Key → dense id, populated on first sight of a key.
-    ids: HashMap<MonitorKey, u32>,
-    /// id → last transmitted value.
-    last_sent: Vec<Option<Value>>,
-    /// id → whether the static value was already sent.
-    static_sent: Vec<bool>,
+    /// slot → last transmitted value, `None` until sent.
+    sent: Vec<Option<Value>>,
+    /// Key → slot for [`Consolidator::offer`], in first-sight order.
+    keyed: HashMap<MonitorKey, u32>,
     delta_enabled: bool,
     stats: ConsolidationStats,
 }
@@ -70,57 +77,63 @@ impl Consolidator {
         self.stats.cache_hits += 1;
     }
 
-    /// Decide whether `(key, value)` must be transmitted this tick, and
-    /// record it as sent if so. Suppressed offers clone nothing.
+    /// Decide whether the value of the monitor in `slot` must be
+    /// transmitted this tick, and record it as sent if so. Suppressed
+    /// offers clone nothing.
+    pub fn offer_slot(&mut self, slot: usize, class: MonitorClass, value: &Value) -> bool {
+        debug_assert!(self.keyed.is_empty(), "offered by slot and by key");
+        self.decide(slot, class, value)
+    }
+
+    /// [`Consolidator::offer_slot`] for callers that know monitors by
+    /// key only: the slot is the key's first-sight index.
     pub fn offer(&mut self, key: &MonitorKey, class: MonitorClass, value: &Value) -> bool {
+        debug_assert!(
+            self.sent.len() <= self.keyed.len(),
+            "offered by slot and by key"
+        );
+        let slot = match self.keyed.get(key) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.keyed.len() as u32;
+                self.keyed.insert(key.clone(), slot);
+                slot
+            }
+        };
+        self.decide(slot as usize, class, value)
+    }
+
+    fn decide(&mut self, slot: usize, class: MonitorClass, value: &Value) -> bool {
         self.stats.evaluated += 1;
         if !self.delta_enabled {
             self.stats.emitted += 1;
             return true;
         }
-        let id = match self.ids.get(key) {
-            Some(&id) => id as usize,
-            None => {
-                let id = self.last_sent.len();
-                self.ids.insert(key.clone(), id as u32);
-                self.last_sent.push(None);
-                self.static_sent.push(false);
-                id
+        if slot >= self.sent.len() {
+            self.sent.resize_with(slot + 1, || None);
+        }
+        match (&self.sent[slot], class) {
+            (Some(_), MonitorClass::Static) => {
+                self.stats.suppressed_static += 1;
+                false
             }
-        };
-        match class {
-            MonitorClass::Static => {
-                if self.static_sent[id] {
-                    self.stats.suppressed_static += 1;
-                    false
-                } else {
-                    self.static_sent[id] = true;
-                    self.last_sent[id] = Some(value.clone());
-                    self.stats.emitted += 1;
-                    true
-                }
+            (Some(prev), MonitorClass::Dynamic) if prev.same_as(value) => {
+                self.stats.suppressed_unchanged += 1;
+                false
             }
-            MonitorClass::Dynamic => match &self.last_sent[id] {
-                Some(prev) if prev.same_as(value) => {
-                    self.stats.suppressed_unchanged += 1;
-                    false
-                }
-                _ => {
-                    self.last_sent[id] = Some(value.clone());
-                    self.stats.emitted += 1;
-                    true
-                }
-            },
+            _ => {
+                self.sent[slot] = Some(value.clone());
+                self.stats.emitted += 1;
+                true
+            }
         }
     }
 
     /// Forget everything sent (e.g. after the server asks for a full
     /// resync or the node reboots): the next tick retransmits every
-    /// value. The key interner survives — ids are stable for the life
-    /// of the consolidator.
+    /// value. Slots are stable for the life of the consolidator.
     pub fn reset(&mut self) {
-        self.last_sent.iter_mut().for_each(|v| *v = None);
-        self.static_sent.iter_mut().for_each(|s| *s = false);
+        self.sent.fill(None);
     }
 }
 
@@ -182,6 +195,65 @@ mod tests {
         c.reset();
         assert!(c.offer(&ks, MonitorClass::Static, &Value::Num(1.0)));
         assert!(c.offer(&kd, MonitorClass::Dynamic, &Value::Num(2.0)));
+    }
+
+    #[test]
+    fn static_after_reset_retransmits_once() {
+        let mut c = Consolidator::new(true);
+        assert!(c.offer_slot(3, MonitorClass::Static, &Value::Num(1.0)));
+        assert!(!c.offer_slot(3, MonitorClass::Static, &Value::Num(1.0)));
+        c.reset();
+        assert!(c.offer_slot(3, MonitorClass::Static, &Value::Num(1.0)));
+        for _ in 0..5 {
+            assert!(!c.offer_slot(3, MonitorClass::Static, &Value::Num(1.0)));
+        }
+        assert_eq!(c.stats().emitted, 2);
+        assert_eq!(c.stats().suppressed_static, 6);
+    }
+
+    #[test]
+    fn slots_may_arrive_sparse_and_out_of_order() {
+        let mut c = Consolidator::new(true);
+        assert!(c.offer_slot(40, MonitorClass::Dynamic, &Value::Num(1.0)));
+        assert!(c.offer_slot(2, MonitorClass::Dynamic, &Value::Num(1.0)));
+        assert!(!c.offer_slot(40, MonitorClass::Dynamic, &Value::Num(1.0)));
+        // a slot never offered before holds nothing: its first value goes
+        assert!(c.offer_slot(7, MonitorClass::Static, &Value::Num(1.0)));
+    }
+
+    proptest::proptest! {
+        /// The keyed front is only a lookup: any offer sequence (changing
+        /// values, both classes, text, resets, ablation) decides the same
+        /// through `offer` as through `offer_slot`.
+        #[test]
+        fn slot_path_equals_keyed_path(
+            ops in proptest::collection::vec((0usize..12, 0u8..6, proptest::any::<bool>()), 1..300),
+            delta in proptest::any::<bool>(),
+        ) {
+            let keys: Vec<MonitorKey> = (0..12).map(|i| key(&format!("g{}.m{i}", i % 3))).collect();
+            // the keyed table numbers keys by first sight; give the slot
+            // side the registry's numbering instead (any fixed one works)
+            let slot_of = |k: usize| (k * 5) % 12;
+            let mut by_key = Consolidator::new(delta);
+            let mut by_slot = Consolidator::new(delta);
+            for (k, v, reset) in ops {
+                if reset && v == 0 {
+                    by_key.reset();
+                    by_slot.reset();
+                }
+                let class = if k % 4 == 0 { MonitorClass::Static } else { MonitorClass::Dynamic };
+                let value = if k % 5 == 1 {
+                    Value::Text(format!("s{}", v / 2))
+                } else {
+                    Value::Num((v / 2) as f64)
+                };
+                proptest::prop_assert_eq!(
+                    by_key.offer(&keys[k], class, &value),
+                    by_slot.offer_slot(slot_of(k), class, &value)
+                );
+            }
+            proptest::prop_assert_eq!(by_key.stats(), by_slot.stats());
+        }
     }
 
     #[test]

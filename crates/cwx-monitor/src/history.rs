@@ -19,7 +19,7 @@ use cwx_util::time::SimTime;
 
 use crate::monitor::MonitorKey;
 
-pub use cwx_store::Sample;
+pub use cwx_store::{BatchSample, Sample};
 
 /// A downsampled chart bucket.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,6 +69,13 @@ impl HistoryStore {
     /// return).
     pub fn record(&mut self, node: u32, key: &MonitorKey, time: SimTime, value: f64) {
         self.backend.append(node, key.as_str(), time, value);
+    }
+
+    /// Record a batch of samples — a report's worth — in one backend
+    /// call: one lock and one node lookup on the volatile backend, one
+    /// WAL write on the persistent one.
+    pub fn record_batch(&mut self, batch: &[BatchSample<'_>]) {
+        self.backend.append_batch(batch);
     }
 
     /// Number of distinct series.

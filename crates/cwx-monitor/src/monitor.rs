@@ -88,16 +88,25 @@ impl Value {
 
     /// Render for the text wire format.
     pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    /// Append the text wire rendering to `out` (the encoder writes every
+    /// value of a report into one buffer).
+    pub fn render_into(&self, out: &mut String) {
+        use std::fmt::Write;
         match self {
             // trim trailing zeros so unchanged values render identically
             Value::Num(x) => {
-                if x.fract() == 0.0 && x.abs() < 1e15 {
-                    format!("{}", *x as i64)
+                let _ = if x.fract() == 0.0 && x.abs() < 1e15 {
+                    write!(out, "{}", *x as i64)
                 } else {
-                    format!("{x:.3}")
-                }
+                    write!(out, "{x:.3}")
+                };
             }
-            Value::Text(s) => s.clone(),
+            Value::Text(s) => out.push_str(s),
         }
     }
 
@@ -128,6 +137,7 @@ pub struct MonitorDef {
     pub unit: &'static str,
     /// Whether this came from the plug-in directory.
     pub plugin: bool,
+    slot: u32,
     extract: ExtractFn,
 }
 
@@ -138,11 +148,20 @@ impl fmt::Debug for MonitorDef {
             .field("class", &self.class)
             .field("unit", &self.unit)
             .field("plugin", &self.plugin)
+            .field("slot", &self.slot)
             .finish_non_exhaustive()
     }
 }
 
 impl MonitorDef {
+    /// The registry's dense index for this monitor: assigned in
+    /// registration order, kept when the key is re-registered, never
+    /// handed to another key. The consolidator keeps its per-monitor
+    /// state in a `Vec` indexed by it.
+    pub fn slot(&self) -> usize {
+        self.slot as usize
+    }
+
     /// Evaluate the monitor against a snapshot.
     pub fn extract(&mut self, snap: &Snapshot) -> Option<Value> {
         (self.extract)(snap)
@@ -153,6 +172,8 @@ impl MonitorDef {
 #[derive(Debug, Default)]
 pub struct Registry {
     monitors: BTreeMap<MonitorKey, MonitorDef>,
+    /// Slots handed out so far (monotonic: unregistering frees none).
+    slots: u32,
 }
 
 impl Registry {
@@ -186,7 +207,7 @@ impl Registry {
 
     /// Look up a monitor.
     pub fn get(&self, key: &str) -> Option<&MonitorDef> {
-        self.monitors.get(&MonitorKey::new(key))
+        self.monitors.get(key)
     }
 
     /// Register a monitor (replacing any previous one with the key).
@@ -197,16 +218,7 @@ impl Registry {
         unit: &'static str,
         f: impl FnMut(&Snapshot) -> Option<Value> + Send + 'static,
     ) {
-        self.monitors.insert(
-            MonitorKey::new(key),
-            MonitorDef {
-                key: MonitorKey::new(key),
-                class,
-                unit,
-                plugin: false,
-                extract: Box::new(f),
-            },
-        );
+        self.install(key, class, unit, false, Box::new(f));
     }
 
     /// Register an administrator plug-in. Identical surface to built-ins
@@ -219,21 +231,42 @@ impl Registry {
         unit: &'static str,
         f: impl FnMut(&Snapshot) -> Option<Value> + Send + 'static,
     ) {
+        self.install(key, class, unit, true, Box::new(f));
+    }
+
+    fn install(
+        &mut self,
+        key: &str,
+        class: MonitorClass,
+        unit: &'static str,
+        plugin: bool,
+        extract: ExtractFn,
+    ) {
+        let key = MonitorKey::new(key);
+        // a replaced monitor is the same series: it keeps its slot
+        let slot = match self.monitors.get(&key) {
+            Some(replaced) => replaced.slot,
+            None => {
+                self.slots += 1;
+                self.slots - 1
+            }
+        };
         self.monitors.insert(
-            MonitorKey::new(key),
+            key.clone(),
             MonitorDef {
-                key: MonitorKey::new(key),
+                key,
                 class,
                 unit,
-                plugin: true,
-                extract: Box::new(f),
+                plugin,
+                slot,
+                extract,
             },
         );
     }
 
     /// Remove a monitor; true if it existed.
     pub fn unregister(&mut self, key: &str) -> bool {
-        self.monitors.remove(&MonitorKey::new(key)).is_some()
+        self.monitors.remove(key).is_some()
     }
 
     fn install_builtins(&mut self, interfaces: &[&str]) {
@@ -494,10 +527,50 @@ mod tests {
     }
 
     #[test]
+    fn slots_are_dense_stable_and_never_reused() {
+        let mut r = Registry::with_builtins(&["lo", "eth0"]);
+        let n = r.len();
+        let mut slots: Vec<usize> = r.iter_mut().map(|m| m.slot()).collect();
+        slots.sort_unstable();
+        assert_eq!(slots, (0..n).collect::<Vec<_>>());
+        // a plug-in registered later takes the next slot
+        r.register_plugin("site.a", MonitorClass::Dynamic, "", |_| None);
+        assert_eq!(r.get("site.a").unwrap().slot(), n);
+        // replacing a monitor keeps its slot (same series) ...
+        let mem_free = r.get("mem.free").unwrap().slot();
+        r.register("mem.free", MonitorClass::Dynamic, "kB", |_| None);
+        r.register_plugin("site.a", MonitorClass::Dynamic, "", |_| None);
+        assert_eq!(r.get("mem.free").unwrap().slot(), mem_free);
+        assert_eq!(r.get("site.a").unwrap().slot(), n);
+        // ... but a slot freed by unregister is not handed out again
+        assert!(r.unregister("site.a"));
+        r.register_plugin("site.b", MonitorClass::Dynamic, "", |_| None);
+        r.register_plugin("site.a", MonitorClass::Dynamic, "", |_| None);
+        assert_eq!(r.get("site.b").unwrap().slot(), n + 1);
+        assert_eq!(r.get("site.a").unwrap().slot(), n + 2);
+    }
+
+    #[test]
     fn value_rendering() {
         assert_eq!(Value::Num(42.0).render(), "42");
         assert_eq!(Value::Num(0.5).render(), "0.500");
         assert_eq!(Value::Text("x y".into()).render(), "x y");
+        // render_into appends, in exactly render()'s text
+        let mut out = String::from("k=");
+        for v in [
+            Value::Num(-3.0),
+            Value::Num(1e15),
+            Value::Num(-0.0004),
+            Value::Num(f64::NAN),
+            Value::Num(f64::INFINITY),
+            Value::Text("a=b".into()),
+        ] {
+            let before = out.len();
+            v.render_into(&mut out);
+            assert_eq!(&out[before..], v.render());
+        }
+        assert!(out.starts_with("k=-3"));
+        assert_eq!(Value::Num(1e15).render(), "1000000000000000.000");
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //! kept per connection; the stateless free function only decodes
 //! self-contained binary frames (first frame after a reset).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use cwx_store::codec::{self, CodecError};
 use cwx_util::compress;
@@ -128,7 +128,10 @@ pub fn encode(report: &Report) -> String {
         report.node, report.seq, report.time_secs
     );
     for (k, v) in &report.values {
-        let _ = writeln!(s, "{}={}", k, v.render());
+        s.push_str(k);
+        s.push('=');
+        v.render_into(&mut s);
+        s.push('\n');
     }
     s
 }
@@ -141,6 +144,12 @@ pub fn encode_compressed(report: &Report) -> Vec<u8> {
 /// Parse wire text back into a report. Values that parse as numbers
 /// become [`Value::Num`]; everything else is [`Value::Text`].
 pub fn decode(text: &str) -> Result<Report, WireError> {
+    decode_text(text, |k| MonitorKey::new(k))
+}
+
+/// [`decode`] with the caller's way of turning `key=` text into a
+/// [`MonitorKey`] (a fresh allocation, or a connection's key table).
+fn decode_text(text: &str, mut key: impl FnMut(&str) -> MonitorKey) -> Result<Report, WireError> {
     let mut lines = text.lines();
     let header = lines.next().ok_or(WireError::BadHeader)?;
     let rest = header.strip_prefix("CWX1 ").ok_or(WireError::BadHeader)?;
@@ -171,7 +180,7 @@ pub fn decode(text: &str) -> Result<Report, WireError> {
             Ok(n) => Value::Num(n),
             Err(_) => Value::Text(v.to_string()),
         };
-        values.push((MonitorKey::new(k), value));
+        values.push((key(k), value));
     }
     Ok(Report {
         node,
@@ -189,11 +198,32 @@ pub fn decode(text: &str) -> Result<Report, WireError> {
 pub fn decode_auto(bytes: &[u8]) -> Result<Report, WireError> {
     if bytes.starts_with(BINARY_MAGIC) {
         WireDecoder::new().decode_binary(bytes)
-    } else if bytes.starts_with(b"CWZ1") {
-        decode_compressed(bytes)
     } else {
-        decode(std::str::from_utf8(bytes).map_err(|_| WireError::NotText)?)
+        decode_text_payload(bytes, |k| MonitorKey::new(k))
     }
+}
+
+/// The text arms of [`decode_auto`]: LZSS `CWZ1` or plain text.
+fn decode_text_payload(
+    bytes: &[u8],
+    key: impl FnMut(&str) -> MonitorKey,
+) -> Result<Report, WireError> {
+    if bytes.starts_with(b"CWZ1") {
+        decode_lzss(bytes, key)
+    } else {
+        decode_text(
+            std::str::from_utf8(bytes).map_err(|_| WireError::NotText)?,
+            key,
+        )
+    }
+}
+
+fn decode_lzss(bytes: &[u8], key: impl FnMut(&str) -> MonitorKey) -> Result<Report, WireError> {
+    let raw = compress::decompress(bytes).map_err(|e| WireError::BadCompression(e.to_string()))?;
+    decode_text(
+        std::str::from_utf8(&raw).map_err(|_| WireError::NotText)?,
+        key,
+    )
 }
 
 /// Stateful binary encoder for one agent connection.
@@ -300,7 +330,19 @@ struct NodeTable {
 #[derive(Debug, Default)]
 pub struct WireDecoder {
     nodes: HashMap<u32, NodeTable>,
+    /// Keys seen in text reports on this connection, so a decoded value
+    /// shares its key (a refcount bump) instead of allocating one. Every
+    /// node sends the same few dozen names; the table stops growing at
+    /// [`TEXT_KEYS_MAX`] and keys beyond it are allocated per value.
+    text_keys: HashSet<MonitorKey>,
 }
+
+/// Bounds on [`WireDecoder`]'s text key table — entries, and bytes of a
+/// key worth keeping: far above any real monitor set, small enough
+/// (≈ 0.6 MiB a connection at worst) that a peer inventing names cannot
+/// grow the server.
+const TEXT_KEYS_MAX: usize = 4096;
+const TEXT_KEY_LEN_MAX: usize = 128;
 
 impl WireDecoder {
     /// A decoder with no negotiated state.
@@ -314,7 +356,17 @@ impl WireDecoder {
         if bytes.starts_with(BINARY_MAGIC) {
             self.decode_binary(bytes)
         } else {
-            decode_auto(bytes)
+            let keys = &mut self.text_keys;
+            decode_text_payload(bytes, |k| match keys.get(k) {
+                Some(key) => key.clone(),
+                None => {
+                    let key = MonitorKey::new(k);
+                    if keys.len() < TEXT_KEYS_MAX && k.len() <= TEXT_KEY_LEN_MAX {
+                        keys.insert(key.clone());
+                    }
+                    key
+                }
+            })
         }
     }
 
@@ -406,9 +458,7 @@ impl WireDecoder {
 
 /// Decompress and parse a report.
 pub fn decode_compressed(bytes: &[u8]) -> Result<Report, WireError> {
-    let raw = compress::decompress(bytes).map_err(|e| WireError::BadCompression(e.to_string()))?;
-    let text = std::str::from_utf8(&raw).map_err(|_| WireError::NotText)?;
-    decode(text)
+    decode_lzss(bytes, |k| MonitorKey::new(k))
 }
 
 #[cfg(test)]
@@ -592,6 +642,78 @@ mod tests {
         assert_eq!(back.values.len(), r.values.len());
         let packed = encode_compressed(&r);
         assert_eq!(decode_auto(&packed).unwrap().values.len(), r.values.len());
+    }
+
+    #[test]
+    fn decoder_key_table_shares_keys_and_changes_nothing() {
+        let mut r = report();
+        r.values
+            .push((MonitorKey::new("empty"), Value::Text(String::new())));
+        let mut dec = WireDecoder::new();
+        for (seq, payload) in [encode(&r).into_bytes(), encode_compressed(&r)]
+            .iter()
+            .cycle()
+            .take(6)
+            .enumerate()
+        {
+            let got = dec.decode_auto(payload).unwrap();
+            assert_eq!(got, decode_auto(payload).unwrap(), "frame {seq}");
+            assert_eq!(got, decode(&encode(&r)).unwrap());
+        }
+        assert_eq!(dec.text_keys.len(), r.values.len());
+        // malformed text fails the same way through either door
+        for bad in [
+            &b"CWX1 node=1 seq=2 t=0\nbroken-line"[..],
+            b"\xff\xfe",
+            b"CWZ1junk",
+        ] {
+            assert_eq!(dec.decode_auto(bad), decode_auto(bad));
+        }
+    }
+
+    #[test]
+    fn decoder_key_table_is_bounded_under_hostile_keys() {
+        let mut dec = WireDecoder::new();
+        let mut r = Report {
+            node: 9,
+            seq: 0,
+            time_secs: 1.0,
+            values: Vec::new(),
+        };
+        // 10^5 distinct names, 100 a frame, plus one oversized name
+        for frame in 0..1000u64 {
+            r.seq = frame;
+            r.values = (0..100)
+                .map(|i| {
+                    (
+                        MonitorKey::new(format!("evil.{}", frame * 100 + i)),
+                        Value::Num(i as f64),
+                    )
+                })
+                .collect();
+            r.values
+                .push((MonitorKey::new("x".repeat(4000)), Value::Num(1.0)));
+            let text = encode(&r);
+            assert_eq!(
+                dec.decode_auto(text.as_bytes()).unwrap(),
+                decode(&text).unwrap()
+            );
+            assert!(dec.text_keys.len() <= TEXT_KEYS_MAX);
+        }
+        assert_eq!(dec.text_keys.len(), TEXT_KEYS_MAX);
+        assert!(dec.text_keys.iter().all(|k| k.len() <= TEXT_KEY_LEN_MAX));
+        // a full table still decodes names it never kept, and ones it did
+        let text = encode(&report());
+        assert_eq!(
+            dec.decode_auto(text.as_bytes()).unwrap(),
+            decode(&text).unwrap()
+        );
+        r.values.truncate(3);
+        let text = encode(&r);
+        assert_eq!(
+            dec.decode_auto(text.as_bytes()).unwrap(),
+            decode(&text).unwrap()
+        );
     }
 
     #[test]

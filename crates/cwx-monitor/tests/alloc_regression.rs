@@ -2,8 +2,8 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the
 //! test warms up the consolidator and the binary wire encoder, then
-//! asserts the steady state — suppressed `offer` calls and
-//! `encode_into` onto a reused buffer — performs zero heap
+//! asserts the steady state — suppressed `offer` / `offer_slot` calls
+//! and `encode_into` onto a reused buffer — performs zero heap
 //! allocations. This pins the two perf properties the interning and
 //! encode-into-buffer work bought: losing either shows up here as a
 //! counted alloc, not as a silent throughput regression.
@@ -78,6 +78,31 @@ fn steady_state_hot_path_does_not_allocate() {
         after - before,
         0,
         "suppressed offers allocated on the hot path"
+    );
+
+    // --- the same by slot (the agent's path): statics and dynamics ---
+    let mut cons = Consolidator::new(true);
+    let class = |slot: usize| {
+        if slot.is_multiple_of(6) {
+            MonitorClass::Static
+        } else {
+            MonitorClass::Dynamic
+        }
+    };
+    let text = Value::Text("Pentium III (Coppermine) 1000MHz".into());
+    for slot in 0..KEYS {
+        assert!(cons.offer_slot(slot, class(slot), &text));
+    }
+    let before = allocs();
+    for _ in 0..256 {
+        for slot in 0..KEYS {
+            assert!(!cons.offer_slot(slot, class(slot), &text));
+        }
+    }
+    assert_eq!(
+        allocs() - before,
+        0,
+        "suppressed slot offers allocated on the hot path"
     );
 
     // --- binary encoder: steady-state frames reuse the caller buffer ---

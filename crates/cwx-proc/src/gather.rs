@@ -84,7 +84,10 @@ impl<S: ProcSource> KeepOpenFile<S> {
     pub fn open(source: &S, path: &str) -> io::Result<Self> {
         Ok(KeepOpenFile {
             handle: source.open(path)?,
-            buf: vec![0; 8192],
+            // most proc files are a few hundred bytes and a simulated
+            // fleet holds five of these per node; `read` doubles the
+            // buffer the first time a file fills it
+            buf: vec![0; 1024],
         })
     }
 

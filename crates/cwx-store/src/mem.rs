@@ -11,6 +11,13 @@
 //! bytes of map, string and deque overhead per series before the first
 //! sample; at 20k nodes × 8 monitors that overhead alone is tens of
 //! megabytes of resident memory on the realtime ingest server.
+//!
+//! Writes arrive as batches ([`Store::append_batch`]; `append` is a
+//! batch of one): one write lock per batch and one node lookup per run
+//! of same-node samples — a report's samples all belong to one node —
+//! so a stored sample costs its name's interning and a ring push. Name
+//! ids are `u32`: the store is the realtime live view, and an agent
+//! inventing names must not be able to take the ingest thread down.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,7 +25,7 @@ use std::sync::Arc;
 use cwx_util::time::SimTime;
 use parking_lot::RwLock;
 
-use crate::{Sample, Store};
+use crate::{BatchSample, Sample, Store};
 
 /// Bounded per-series in-memory store.
 #[derive(Debug)]
@@ -29,8 +36,8 @@ pub struct MemStore {
 
 #[derive(Debug, Default)]
 struct Inner {
-    /// Interned monitor names; a series stores the 2-byte id.
-    key_ids: HashMap<Arc<str>, u16>,
+    /// Interned monitor names; a series stores the 4-byte id.
+    key_ids: HashMap<Arc<str>, u32>,
     keys: Vec<Arc<str>>,
     nodes: HashMap<u32, NodeSeries>,
     total_samples: u64,
@@ -40,16 +47,29 @@ struct Inner {
 /// node has few monitors, so lookups are a short linear scan.
 #[derive(Debug, Default)]
 struct NodeSeries {
-    ids: Vec<u16>,
+    ids: Vec<u32>,
     rings: Vec<Ring>,
 }
 
 impl NodeSeries {
-    fn get(&self, id: u16) -> Option<&Ring> {
+    fn get(&self, id: u32) -> Option<&Ring> {
         self.ids
             .iter()
             .position(|&i| i == id)
             .map(|p| &self.rings[p])
+    }
+
+    /// The ring of monitor `id`, created empty on first sight.
+    fn ring_mut(&mut self, id: u32) -> &mut Ring {
+        let p = self.ids.iter().position(|&i| i == id).unwrap_or_else(|| {
+            self.ids.push(id);
+            self.rings.push(Ring {
+                buf: Vec::new(),
+                head: 0,
+            });
+            self.rings.len() - 1
+        });
+        &mut self.rings[p]
     }
 }
 
@@ -90,20 +110,24 @@ impl Ring {
 }
 
 impl Inner {
-    fn key_id(&self, monitor: &str) -> Option<u16> {
+    fn key_id(&self, monitor: &str) -> Option<u32> {
         self.key_ids.get(monitor).copied()
     }
+}
 
-    fn intern(&mut self, monitor: &str) -> u16 {
-        if let Some(&id) = self.key_ids.get(monitor) {
-            return id;
-        }
-        let id = u16::try_from(self.keys.len()).expect("more than 65k distinct monitor names");
-        let name: Arc<str> = Arc::from(monitor);
-        self.keys.push(Arc::clone(&name));
-        self.key_ids.insert(name, id);
-        id
+/// The id of `monitor`, assigned on first sight. (A free function over
+/// the two tables so a caller can hold a node's rings meanwhile.)
+fn intern(key_ids: &mut HashMap<Arc<str>, u32>, keys: &mut Vec<Arc<str>>, monitor: &str) -> u32 {
+    if let Some(&id) = key_ids.get(monitor) {
+        return id;
     }
+    // 2^32 names of ≥ 1 byte plus their table entries exceed any
+    // address space this runs in
+    let id = u32::try_from(keys.len()).expect("monitor name table outgrew memory");
+    let name: Arc<str> = Arc::from(monitor);
+    keys.push(Arc::clone(&name));
+    key_ids.insert(name, id);
+    id
 }
 
 impl MemStore {
@@ -120,23 +144,36 @@ impl MemStore {
 
 impl Store for MemStore {
     fn append(&self, node: u32, monitor: &str, time: SimTime, value: f64) {
+        self.append_batch(&[BatchSample {
+            node,
+            monitor,
+            time,
+            value,
+        }]);
+    }
+
+    fn append_batch(&self, batch: &[BatchSample<'_>]) {
         let mut inner = self.inner.write();
-        let id = inner.intern(monitor);
-        let cap = self.capacity_per_series;
-        let ns = inner.nodes.entry(node).or_default();
-        let ring = match ns.ids.iter().position(|&i| i == id) {
-            Some(p) => &mut ns.rings[p],
-            None => {
-                ns.ids.push(id);
-                ns.rings.push(Ring {
-                    buf: Vec::new(),
-                    head: 0,
-                });
-                ns.rings.last_mut().unwrap()
+        let Inner {
+            key_ids,
+            keys,
+            nodes,
+            total_samples,
+        } = &mut *inner;
+        for run in batch.chunk_by(|a, b| a.node == b.node) {
+            let ns = nodes.entry(run[0].node).or_default();
+            for s in run {
+                let id = intern(key_ids, keys, s.monitor);
+                ns.ring_mut(id).push(
+                    self.capacity_per_series,
+                    Sample {
+                        time: s.time,
+                        value: s.value,
+                    },
+                );
             }
-        };
-        ring.push(cap, Sample { time, value });
-        inner.total_samples += 1;
+        }
+        *total_samples += batch.len() as u64;
     }
 
     fn latest(&self, node: u32, monitor: &str) -> Option<Sample> {
@@ -229,6 +266,81 @@ mod tests {
         assert_eq!(m.series().len(), 3);
         m.forget_node(2);
         assert_eq!(m.series(), vec![(1, "a".to_string())]);
+    }
+
+    #[test]
+    fn seventy_thousand_monitor_names_survive() {
+        // the reproduced defect: name 65 536 panicked the 2-byte interner
+        let m = MemStore::new(2);
+        for i in 0..70_000u32 {
+            m.append(i % 64, &format!("k{i}"), t(1), i as f64);
+        }
+        assert_eq!(m.total_samples(), 70_000);
+        let series = m.series();
+        assert_eq!(series.len(), 70_000);
+        assert!(series.contains(&(69_999 % 64, "k69999".to_string())));
+        assert_eq!(m.latest(65_536 % 64, "k65536").unwrap().value, 65_536.0);
+        assert_eq!(
+            series
+                .iter()
+                .map(|(n, k)| m.range(*n, k, t(0), t(9)).len())
+                .sum::<usize>(),
+            70_000
+        );
+    }
+
+    /// One series as a reader sees it: node, name, ring contents, latest.
+    type SeriesView = (u32, String, Vec<Sample>, Option<Sample>);
+
+    /// Everything a reader can see of a store.
+    fn observe(m: &MemStore) -> (Vec<SeriesView>, u64) {
+        let rows = m
+            .series()
+            .into_iter()
+            .map(|(n, k)| {
+                let all = m.range(n, &k, SimTime::ZERO, SimTime::MAX);
+                let latest = m.latest(n, &k);
+                (n, k, all, latest)
+            })
+            .collect();
+        (rows, m.total_samples())
+    }
+
+    proptest::proptest! {
+        /// A batch is its samples appended one by one: interleaved
+        /// nodes, rings wrapping at capacity, names first seen mid-batch,
+        /// empty batches.
+        #[test]
+        fn append_batch_equals_appends(
+            rows in proptest::collection::vec((0u32..4, 0u32..9, -50.0f64..50.0), 0..400),
+            cuts in proptest::collection::vec(0usize..60, 1..12),
+            cap in 1usize..7,
+        ) {
+            let names: Vec<String> = (0..9).map(|k| format!("m{}.{k}", k % 2)).collect();
+            let one = MemStore::new(cap);
+            let batched = MemStore::new(cap);
+            let mut rest = &rows[..];
+            let mut step = 0u64;
+            for &cut in cuts.iter().cycle() {
+                let (now, later) = rest.split_at(cut.min(rest.len()));
+                let batch: Vec<BatchSample<'_>> = now
+                    .iter()
+                    .map(|&(node, k, value)| {
+                        step += 1;
+                        BatchSample { node, monitor: &names[k as usize], time: t(step / 3), value }
+                    })
+                    .collect();
+                for s in &batch {
+                    one.append(s.node, s.monitor, s.time, s.value);
+                }
+                batched.append_batch(&batch);
+                rest = later;
+                if rest.is_empty() {
+                    break;
+                }
+            }
+            proptest::prop_assert_eq!(observe(&one), observe(&batched));
+        }
     }
 
     #[test]
