@@ -2,15 +2,24 @@
 //!
 //! The paper's pitch is qualitative — failed nodes are noticed, power-
 //! cycled and reported without flooding the administrator. E14 makes it
-//! quantitative: the three canned `cwx-chaos` campaigns (rack
-//! partitions, chassis-controller carnage, flapping nodes) run under
-//! fixed seeds while the invariant checker watches, and we report the
-//! detection latency, mean time to repair, fleet availability and
-//! notification volume each campaign produced — plus the two numbers
-//! that must always be zero and always be equal: invariant violations,
-//! and the audit-hash difference between two runs of the same seed.
+//! quantitative: three scenario manifests from `examples/scenarios/`
+//! (rack partitions, chassis-controller carnage, flapping nodes) run
+//! under their fixed seeds while the invariant checker watches, and we
+//! report the detection latency, mean time to repair, fleet
+//! availability and notification volume each campaign produced — plus
+//! the two numbers that must always be zero and always be equal:
+//! invariant violations, and the audit-hash difference between two runs
+//! of the same seed.
 
-use cwx_chaos::{run_campaign, scenario, CampaignReport, SCENARIO_NAMES};
+use cwx_chaos::{run_campaign, CampaignReport};
+use cwx_scenario::Manifest;
+
+/// The E14 campaigns' manifests, in presentation order.
+const MANIFESTS: [&str; 3] = [
+    include_str!("../../../examples/scenarios/partition-storm.toml"),
+    include_str!("../../../examples/scenarios/chassis-carnage.toml"),
+    include_str!("../../../examples/scenarios/flaky-fleet.toml"),
+];
 
 /// One campaign's row in the E14 table.
 #[derive(Debug, Clone)]
@@ -22,12 +31,13 @@ pub struct ChaosRun {
     pub reproducible: bool,
 }
 
-/// Run one canned scenario (twice — the second run checks
+/// Run one manifest's campaign (twice — the second run checks
 /// reproducibility).
-pub fn canned(name: &str) -> ChaosRun {
-    let c = scenario(name).expect("canned scenario");
-    let report = run_campaign(&c);
-    let again = run_campaign(&c);
+fn run_manifest(text: &str) -> ChaosRun {
+    let m = Manifest::parse(text).expect("shipped manifest parses");
+    let c = m.campaign().expect("a [cluster] scenario");
+    let report = run_campaign(c);
+    let again = run_campaign(c);
     let reproducible = report.audit_hash == again.audit_hash && report.audit_len == again.audit_len;
     ChaosRun {
         report,
@@ -35,7 +45,7 @@ pub fn canned(name: &str) -> ChaosRun {
     }
 }
 
-/// All three canned campaigns, in presentation order.
+/// All three campaigns, in presentation order.
 pub fn all_canned() -> Vec<ChaosRun> {
-    SCENARIO_NAMES.iter().map(|n| canned(n)).collect()
+    MANIFESTS.iter().map(|text| run_manifest(text)).collect()
 }

@@ -1,7 +1,7 @@
 //! E16: realtime ingest density — connections vs CPU, memory, and
-//! tail latency; reactor vs thread-per-connection (paper §5.3: data
-//! gathering "must not impact application performance"; one management
-//! server absorbs the whole cluster's agent traffic).
+//! tail latency of the reactor (paper §5.3: data gathering "must not
+//! impact application performance"; one management server absorbs the
+//! whole cluster's agent traffic).
 //!
 //! Each scenario runs in its own subprocess (re-exec of the
 //! `experiments` binary) so CPU and RSS are measured per run from
@@ -20,16 +20,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use clusterworx::actions::ControlPlane;
-use clusterworx::ingest::{drive, IngestConfig, IngestMode, IngestServer, LoadConfig};
+use clusterworx::ingest::{drive, IngestConfig, IngestServer, LoadConfig};
 use clusterworx::server::Server;
 use cwx_util::time::SimDuration;
 use parking_lot::{Mutex, RwLock};
 
-/// One (mode, scale) measurement.
+/// One scale's measurement.
 #[derive(Debug, Clone)]
 pub struct IngestRow {
-    /// `"reactor"` or `"thread-per-conn"`.
-    pub mode: &'static str,
     /// Concurrent connections requested.
     pub requested: usize,
     /// Concurrent connections actually driven (fd-clamped).
@@ -38,8 +36,7 @@ pub struct IngestRow {
     pub frames_per_conn: u64,
     /// History ring slots per series. 1 = live-view (current values
     /// only) so the per-connection cost is the ingest architecture;
-    /// larger values add retained-sample memory that is identical in
-    /// both modes.
+    /// larger values add retained-sample memory on top.
     pub retention: usize,
     /// Frames the server ingested.
     pub ingested: u64,
@@ -155,19 +152,15 @@ fn drive_main(args: &[String]) {
     );
 }
 
-/// Server-side scenario subprocess: `--e16-scenario <mode> <conns>
-/// <frames> <interval_ms> <keys> <retention>`. Prints one
-/// `E16ROW key=value ...` line.
+/// Server-side scenario subprocess: `--e16-scenario <conns> <frames>
+/// <interval_ms> <keys> <retention>`. Prints one `E16ROW key=value ...`
+/// line.
 fn scenario_main(args: &[String]) {
-    let mode = match args[0].as_str() {
-        "reactor" => IngestMode::Reactor,
-        _ => IngestMode::ThreadPerConn,
-    };
-    let conns: usize = args[1].parse().unwrap();
-    let frames_per_conn: u64 = args[2].parse().unwrap();
-    let interval_ms: u64 = args[3].parse().unwrap();
-    let keys: usize = args[4].parse().unwrap();
-    let retention: usize = args.get(5).and_then(|s| s.parse().ok()).unwrap_or(16);
+    let conns: usize = args[0].parse().unwrap();
+    let frames_per_conn: u64 = args[1].parse().unwrap();
+    let interval_ms: u64 = args[2].parse().unwrap();
+    let keys: usize = args[3].parse().unwrap();
+    let retention: usize = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(16);
     let _ = cwx_net::reactor::raise_nofile_limit();
 
     let server = Arc::new(RwLock::new(Server::new(
@@ -179,7 +172,6 @@ fn scenario_main(args: &[String]) {
     let control = Arc::new(Mutex::new(ControlPlane::new(1024)));
     let ingest = IngestServer::start(
         IngestConfig {
-            mode,
             n_lanes: 4,
             nodes_per_group: (conns as u32).div_ceil(4).max(1),
             ..IngestConfig::default()
@@ -239,14 +231,13 @@ fn scenario_main(args: &[String]) {
     println!(
         "E16ROW conns={conns} frames={frames_per_conn} retention={retention} ingested={total} \
          wall={wall:.3} cpu={cpu:.3} rss_mib={rss:.1} p50_us={:.1} p99_us={:.1} max_us={:.1} \
-         evicted={} backpressure={} accepted={} handoff_drops={} decode_errors={}",
+         evicted={} backpressure={} accepted={} decode_errors={}",
         lat.p50_us,
         lat.p99_us,
         lat.max_us,
         ingested.evicted,
         ingested.backpressure_trips,
         ingested.accepted,
-        ingested.handoff_drops,
         ingested.decode_errors,
     );
 }
@@ -261,9 +252,8 @@ fn parse_row(line: &str) -> Option<std::collections::BTreeMap<String, f64>> {
     Some(m)
 }
 
-/// Run one (mode, scale) scenario in a fresh subprocess.
+/// Run one scale's scenario in a fresh subprocess.
 pub fn scenario(
-    mode: IngestMode,
     requested: usize,
     frames_per_conn: u64,
     interval: Duration,
@@ -271,15 +261,10 @@ pub fn scenario(
     retention: usize,
 ) -> IngestRow {
     let conns = fd_clamp(requested);
-    let mode_str = match mode {
-        IngestMode::Reactor => "reactor",
-        IngestMode::ThreadPerConn => "thread-per-conn",
-    };
     let exe = std::env::current_exe().unwrap();
     let mut child = Command::new(exe)
         .args([
             SCENARIO_FLAG,
-            mode_str,
             &conns.to_string(),
             &frames_per_conn.to_string(),
             &interval.as_millis().to_string(),
@@ -298,11 +283,10 @@ pub fn scenario(
     }
     let _ = child.wait();
     let Some(m) = row else {
-        // the subprocess died before reporting (e.g. thread-per-conn
-        // aborted by a kernel resource limit): that inability to reach
-        // the scale IS the measurement — record an incomplete row
+        // the subprocess died before reporting (e.g. aborted by a
+        // kernel resource limit): that inability to reach the scale IS
+        // the measurement — record an incomplete row
         return IngestRow {
-            mode: mode_str,
             requested,
             conns,
             frames_per_conn,
@@ -323,7 +307,6 @@ pub fn scenario(
     let g = |k: &str| m.get(k).copied().unwrap_or(0.0);
     let rss = g("rss_mib");
     IngestRow {
-        mode: mode_str,
         requested,
         conns,
         frames_per_conn,
@@ -346,22 +329,17 @@ pub fn scenario(
     }
 }
 
-/// The sweep: both modes at each scale with a live-view store
-/// (retention 1), so the per-connection memory is the ingest
-/// architecture itself; then one pair at the largest scale with
-/// history retention, showing the retained-sample cost is
-/// mode-independent.
+/// The sweep: each scale with a live-view store (retention 1), so the
+/// per-connection memory is the ingest architecture itself; then the
+/// largest scale with history retention, showing the retained-sample
+/// cost on top.
 pub fn sweep(scales: &[usize], frames_per_conn: u64, interval: Duration) -> Vec<IngestRow> {
-    let mut rows = Vec::new();
-    for &n in scales {
-        for mode in [IngestMode::Reactor, IngestMode::ThreadPerConn] {
-            rows.push(scenario(mode, n, frames_per_conn, interval, 8, 1));
-        }
-    }
+    let mut rows: Vec<IngestRow> = scales
+        .iter()
+        .map(|&n| scenario(n, frames_per_conn, interval, 8, 1))
+        .collect();
     if let Some(&n) = scales.last() {
-        for mode in [IngestMode::Reactor, IngestMode::ThreadPerConn] {
-            rows.push(scenario(mode, n, frames_per_conn, interval, 8, 16));
-        }
+        rows.push(scenario(n, frames_per_conn, interval, 8, 16));
     }
     rows
 }
@@ -371,13 +349,12 @@ pub fn to_json(rows: &[IngestRow]) -> String {
     let mut out = String::from("{\n  \"experiment\": \"e16_ingest\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"requested\": {}, \"conns\": {}, \
+            "    {{\"requested\": {}, \"conns\": {}, \
              \"frames_per_conn\": {}, \"retention\": {}, \"ingested\": {}, \
              \"wall_secs\": {:.3}, \
              \"cpu_secs\": {:.3}, \"rss_mib\": {:.1}, \"conns_per_gib\": {:.0}, \
              \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"max_us\": {:.1}, \
              \"evicted\": {}, \"backpressure\": {}, \"completed\": {}}}{}\n",
-            r.mode,
             r.requested,
             r.conns,
             r.frames_per_conn,

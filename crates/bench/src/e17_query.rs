@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use clusterworx::actions::ControlPlane;
 use clusterworx::ingest::{
-    drive, encode_query, parse_reply, IngestConfig, IngestMode, IngestServer, LoadConfig,
+    drive, encode_query, parse_reply, IngestConfig, IngestServer, LoadConfig,
 };
 use clusterworx::server::Server;
 use cwx_store::disk::{DiskStore, StoreConfig};
@@ -349,7 +349,6 @@ fn scenario_main(args: &[String]) {
     let control = Arc::new(Mutex::new(ControlPlane::new(1024)));
     let ingest = IngestServer::start(
         IngestConfig {
-            mode: IngestMode::Reactor,
             n_lanes: 4,
             nodes_per_group,
             ..IngestConfig::default()

@@ -1,24 +1,17 @@
 //! Connection-oriented realtime ingest: the TCP front door agents ship
 //! `CWB1` reports through.
 //!
-//! Two implementations sit behind one listener API:
-//!
-//! * [`IngestMode::Reactor`] (the default) — a single readiness-driven
-//!   reactor thread (`cwx_net::reactor`, epoll) owns every agent
-//!   connection: nonblocking accept, per-connection [`FrameConn`]
-//!   state machines that survive partial frames across readiness
-//!   events, and per-connection `CWB1` decoders that decode straight
-//!   out of the reused read buffer. Decoded reports land in per-lane
-//!   batch buffers (one lane per store shard) that flush on size/delay
-//!   bounds to a small pool of flush workers, which batch-append to
-//!   the store ([`Store::append_batch`] → one WAL write per shard per
-//!   batch) and take the server lock once per batch. One thread
-//!   sustains tens of thousands of connections with bounded memory.
-//! * [`IngestMode::ThreadPerConn`] — the classic shape this replaces,
-//!   kept as a differential baseline: one OS thread per accepted
-//!   connection doing blocking reads into the same decode/batch/flush
-//!   path. Same frames in, same store contents out (a test pins this),
-//!   but memory and scheduler load grow with every agent.
+//! A single readiness-driven reactor thread (`cwx_net::reactor`, epoll)
+//! owns every agent connection: nonblocking accept, per-connection
+//! [`FrameConn`] state machines that survive partial frames across
+//! readiness events, and per-connection `CWB1` decoders that decode
+//! straight out of the reused read buffer. Decoded reports land in
+//! per-lane batch buffers (one lane per store shard) that flush on
+//! size/delay bounds to a small pool of flush workers, which
+//! batch-append to the store ([`Store::append_batch`] → one WAL write
+//! per shard per batch) and take the server lock once per batch. One
+//! thread sustains tens of thousands of connections with bounded
+//! memory.
 //!
 //! Backpressure is explicit, never an unbounded buffer or a stalled
 //! reactor: when a lane's flush queue fills, the connections feeding
@@ -32,11 +25,11 @@
 //!
 //! Samples are stamped with the *report's* gather time (`time_secs`),
 //! so identical agent traffic produces identical store contents
-//! regardless of ingest mode, arrival jitter, or batching boundaries —
-//! that property is what the reactor-vs-baseline differential test
-//! asserts. Receive time still drives liveness and event evaluation.
+//! regardless of arrival jitter or batching boundaries — the ingest
+//! tests check the store against the scripted traffic itself. Receive
+//! time still drives liveness and event evaluation.
 
-use std::io::{self, Read};
+use std::io;
 use std::mem;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -61,22 +54,11 @@ use parking_lot::{Mutex, RwLock};
 use crate::actions::ControlPlane;
 use crate::server::Server;
 
-/// Which server architecture accepts agent connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IngestMode {
-    /// Readiness-driven reactor: one thread, any number of sockets.
-    Reactor,
-    /// One blocking OS thread per connection (differential baseline).
-    ThreadPerConn,
-}
-
 /// Tuning knobs for the ingest plane.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
     /// Listen address; port 0 picks a free port.
     pub listen: String,
-    /// Server architecture.
-    pub mode: IngestMode,
     /// Ingest lanes (one flush worker each); match the store's shard
     /// count so each lane's batches hit one WAL.
     pub n_lanes: usize,
@@ -100,15 +82,12 @@ pub struct IngestConfig {
     /// Decode failures tolerated per connection before it is evicted
     /// as a garbage flood.
     pub max_decode_errors: u64,
-    /// Baseline mode: how long a connection thread parks on a full
-    /// lane queue before dropping the batch (park-then-drop, audited).
-    pub handoff_timeout: Duration,
     /// Test hook: per-report flush-worker delay, to force backpressure.
     pub flush_stall: Option<Duration>,
     /// Test hook: confine `flush_stall` to one lane (`None` = all).
     pub stall_lane: Option<usize>,
     /// Worker threads of the query executor behind the `CWQ1` endpoint
-    /// (reactor mode with a disk store only).
+    /// (with a disk store only).
     pub query_workers: usize,
     /// Queries allowed to wait in the executor queue; one more is shed
     /// with an audit row.
@@ -126,7 +105,6 @@ impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
             listen: "127.0.0.1:0".to_string(),
-            mode: IngestMode::Reactor,
             n_lanes: 1,
             nodes_per_group: u32::MAX,
             batch_samples: 512,
@@ -136,7 +114,6 @@ impl Default for IngestConfig {
             lane_queue_batches: 64,
             evict_pause: Duration::from_secs(30),
             max_decode_errors: 64,
-            handoff_timeout: Duration::from_secs(30),
             flush_stall: None,
             stall_lane: None,
             query_workers: 2,
@@ -167,8 +144,6 @@ pub struct IngestStats {
     /// Times a lane's flush queue filled and its connections were
     /// paused.
     pub backpressure_trips: u64,
-    /// Baseline mode: reports dropped after a handoff park timed out.
-    pub handoff_drops: u64,
     /// Wire payload bytes received.
     pub bytes: u64,
     /// `CWQ1` query requests received on the ingest plane.
@@ -205,7 +180,6 @@ struct Shared {
     samples: AtomicU64,
     decode_errors: AtomicU64,
     backpressure_trips: AtomicU64,
-    handoff_drops: AtomicU64,
     bytes: AtomicU64,
     queries: AtomicU64,
     queries_shed: AtomicU64,
@@ -223,7 +197,6 @@ impl Shared {
             samples: self.samples.load(Ordering::Relaxed),
             decode_errors: self.decode_errors.load(Ordering::Relaxed),
             backpressure_trips: self.backpressure_trips.load(Ordering::Relaxed),
-            handoff_drops: self.handoff_drops.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
             queries: self.queries.load(Ordering::Relaxed),
             queries_shed: self.queries_shed.load(Ordering::Relaxed),
@@ -259,8 +232,7 @@ fn numeric_samples(report: &Report) -> usize {
 
 /// The sample timestamp written to history: the report's own gather
 /// time when it is sane, else the receive time. Using gather time makes
-/// store contents a pure function of the agent traffic — the property
-/// the reactor-vs-baseline differential test pins.
+/// store contents a pure function of the agent traffic.
 fn sample_time(d: &Decoded) -> SimTime {
     let t = d.report.time_secs;
     if t.is_finite() && t >= 0.0 {
@@ -270,9 +242,7 @@ fn sample_time(d: &Decoded) -> SimTime {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn flusher_loop(
-    lane: usize,
     rx: Receiver<Batch>,
     server: Arc<RwLock<Server>>,
     store: Option<Arc<DiskStore>>,
@@ -281,7 +251,6 @@ fn flusher_loop(
     epoch: Instant,
     stall: Option<Duration>,
 ) -> u64 {
-    let _ = lane;
     let mut total = 0u64;
     while let Ok(batch) = rx.recv() {
         if let Some(d) = stall {
@@ -349,7 +318,7 @@ fn flusher_loop(
     total
 }
 
-/// A running ingest listener (either mode) plus its flush workers.
+/// A running ingest listener plus its flush workers.
 pub struct IngestServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
@@ -392,39 +361,33 @@ impl IngestServer {
                 _ => None,
             };
             flushers.push(std::thread::spawn(move || {
-                flusher_loop(lane, rx, server, store, shared, waker, epoch, stall)
+                flusher_loop(rx, server, store, shared, waker, epoch, stall)
             }));
         }
 
-        // query endpoint: reactor front door over a durable store only
-        let query = match (cfg.mode, &store) {
-            (IngestMode::Reactor, Some(store)) => Some(Arc::new(QueryExecutor::new(
+        // query endpoint: over a durable store only
+        let query = store.as_ref().map(|store| {
+            Arc::new(QueryExecutor::new(
                 Arc::clone(store) as Arc<dyn Store>,
                 QueryLimits {
                     workers: cfg.query_workers.max(1),
                     max_queue: cfg.query_queue.max(1),
                     max_scanned_samples: cfg.query_max_scan,
                 },
-            ))),
-            _ => None,
-        };
+            ))
+        });
 
-        let front = {
-            let cfg = cfg.clone();
-            let shared = Arc::clone(&shared);
-            let waker = waker.clone();
-            let query = query.clone();
-            match cfg.mode {
-                IngestMode::Reactor => {
-                    let mut reactor =
-                        Reactor::new(cfg, listener, txs, control, shared, waker, epoch, query)?;
-                    std::thread::spawn(move || reactor.run())
-                }
-                IngestMode::ThreadPerConn => std::thread::spawn(move || {
-                    baseline_accept_loop(cfg, listener, txs, control, shared, waker, epoch)
-                }),
-            }
-        };
+        let mut reactor = Reactor::new(
+            cfg,
+            listener,
+            txs,
+            control,
+            Arc::clone(&shared),
+            waker.clone(),
+            epoch,
+            query.clone(),
+        )?;
+        let front = std::thread::spawn(move || reactor.run());
 
         Ok(IngestServer {
             addr,
@@ -1300,331 +1263,6 @@ impl Reactor {
 }
 
 // ---------------------------------------------------------------------
-// Thread-per-connection baseline
-
-/// How many worker threads the baseline may hold at once. Every thread
-/// costs the kernel ~4 memory mappings (stack, guard, sigaltstack and
-/// its guard; measured, not guessed); blowing past `vm.max_map_count`
-/// aborts the process from inside a half-started thread, where no
-/// error path can run. Budget ahead of time — a fifth of the map
-/// limit, leaving headroom for the heap and mapped segments — and shed
-/// connections instead.
-fn baseline_thread_budget() -> usize {
-    let max_maps: usize = std::fs::read_to_string("/proc/sys/vm/max_map_count")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(65530);
-    (max_maps / 5).max(256)
-}
-
-fn baseline_accept_loop(
-    cfg: IngestConfig,
-    listener: TcpListener,
-    txs: Vec<Sender<Batch>>,
-    control: Arc<Mutex<ControlPlane>>,
-    shared: Arc<Shared>,
-    waker: Waker,
-    epoch: Instant,
-) {
-    let budget = baseline_thread_budget();
-    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shared.drain.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                shared.accepted.fetch_add(1, Ordering::Relaxed);
-                shared.active.fetch_add(1, Ordering::Relaxed);
-                if workers.len() >= budget {
-                    shared.active.fetch_sub(1, Ordering::Relaxed);
-                    shared.evicted.fetch_add(1, Ordering::Relaxed);
-                    let now =
-                        SimTime::ZERO + SimDuration::from_secs_f64(epoch.elapsed().as_secs_f64());
-                    control.lock().audit_connection_evicted(
-                        now,
-                        None,
-                        "thread-per-conn exhausted: worker thread budget reached",
-                    );
-                    drop(stream);
-                    continue;
-                }
-                let cfg = cfg.clone();
-                let txs = txs.clone();
-                let control = Arc::clone(&control);
-                let conn_control = Arc::clone(&control);
-                let conn_shared = Arc::clone(&shared);
-                let waker = waker.clone();
-                // a modest stack: the conn loop keeps its buffers on
-                // the heap, and default 8 MiB stacks exhaust the
-                // kernel's mmap budget thousands of threads before the
-                // fd limit
-                let spawned = std::thread::Builder::new()
-                    .stack_size(256 * 1024)
-                    .spawn(move || {
-                        baseline_conn_loop(
-                            cfg,
-                            stream,
-                            txs,
-                            conn_control,
-                            &conn_shared,
-                            waker,
-                            epoch,
-                        );
-                        conn_shared.active.fetch_sub(1, Ordering::Relaxed);
-                    });
-                match spawned {
-                    Ok(h) => workers.push(h),
-                    // out of threads IS the baseline's failure mode at
-                    // scale; shed the connection instead of panicking
-                    Err(_) => {
-                        shared.active.fetch_sub(1, Ordering::Relaxed);
-                        shared.evicted.fetch_add(1, Ordering::Relaxed);
-                        let now = SimTime::ZERO
-                            + SimDuration::from_secs_f64(epoch.elapsed().as_secs_f64());
-                        control.lock().audit_connection_evicted(
-                            now,
-                            None,
-                            "thread-per-conn exhausted: cannot spawn worker thread",
-                        );
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-    for w in workers {
-        let _ = w.join();
-    }
-}
-
-/// Outcome of one blocking framed read.
-enum BlockingRead {
-    Frame(usize),
-    Eof,
-    /// Read timeout at a frame boundary (safe point for a delay flush).
-    Idle,
-}
-
-/// Blocking length-prefixed read that survives read timeouts without
-/// losing framing: a timeout mid-frame keeps waiting, a timeout at a
-/// frame boundary returns [`BlockingRead::Idle`].
-fn read_frame_blocking(
-    stream: &mut TcpStream,
-    max_frame: usize,
-    buf: &mut Vec<u8>,
-) -> io::Result<BlockingRead> {
-    let mut header = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        match stream.read(&mut header[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Ok(BlockingRead::Eof)
-                } else {
-                    Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "eof inside frame header",
-                    ))
-                }
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if got == 0 {
-                    return Ok(BlockingRead::Idle);
-                }
-                // mid-header: keep waiting, framing depends on it
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > max_frame {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("oversized frame ({len} bytes)"),
-        ));
-    }
-    buf.resize(len, 0);
-    let mut read = 0usize;
-    while read < len {
-        match stream.read(&mut buf[read..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame body",
-                ))
-            }
-            Ok(n) => read += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(BlockingRead::Frame(len))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn baseline_conn_loop(
-    cfg: IngestConfig,
-    mut stream: TcpStream,
-    txs: Vec<Sender<Batch>>,
-    control: Arc<Mutex<ControlPlane>>,
-    shared: &Shared,
-    waker: Waker,
-    epoch: Instant,
-) {
-    let _ = stream.set_nodelay(true);
-    // short timeout only while a partial batch waits on the delay
-    // flush; with nothing pending the thread can block much longer —
-    // at tens of thousands of threads the idle wake rate is what
-    // decides whether this architecture lives or dies
-    let batch_to = cfg.batch_delay.max(Duration::from_millis(1));
-    let idle_to = batch_to.max(Duration::from_millis(500));
-    let _ = stream.set_read_timeout(Some(idle_to));
-    let mut timeout_is_batch = false;
-    let mut decoder = WireDecoder::new();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut pending: Vec<Decoded> = Vec::new();
-    let mut pending_samples = 0usize;
-    let mut error_bytes: Vec<usize> = Vec::new();
-    let mut oldest: Option<Instant> = None;
-    let mut lane = 0usize;
-    let mut decode_errors = 0u64;
-    let mut drop_audited = false;
-    let nodes_per_group = cfg.nodes_per_group.max(1);
-
-    let handoff = |pending: &mut Vec<Decoded>,
-                   pending_samples: &mut usize,
-                   error_bytes: &mut Vec<usize>,
-                   oldest: &mut Option<Instant>,
-                   lane: usize,
-                   drop_audited: &mut bool| {
-        if pending.is_empty() && error_bytes.is_empty() {
-            return;
-        }
-        let n = pending.len() as u64;
-        let batch = Batch {
-            reports: mem::take(pending),
-            error_bytes: mem::take(error_bytes),
-        };
-        *pending_samples = 0;
-        *oldest = None;
-        // bounded handoff: park up to the timeout, then drop — audited,
-        // never an unbounded wait or an unbounded buffer
-        if txs[lane].send_timeout(batch, cfg.handoff_timeout).is_err() {
-            shared.handoff_drops.fetch_add(n, Ordering::Relaxed);
-            if !*drop_audited {
-                *drop_audited = true;
-                let now = SimTime::ZERO + SimDuration::from_secs_f64(epoch.elapsed().as_secs_f64());
-                control.lock().audit_io_error(
-                    now,
-                    None,
-                    format!("ingest handoff parked past bound; dropping (lane {lane})"),
-                );
-            }
-        } else {
-            waker.wake();
-        }
-    };
-
-    // on drain, keep reading until the stream goes quiet (frame
-    // boundary with nothing buffered) or EOF, bounded by the same
-    // deadline as the reactor — breaking immediately would strand
-    // frames the kernel has already accepted from the agent
-    let mut drain_since: Option<Instant> = None;
-    loop {
-        if drain_since.is_none() && shared.drain.load(Ordering::SeqCst) {
-            drain_since = Some(Instant::now());
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
-        }
-        if drain_since.is_some_and(|t| t.elapsed() >= DRAIN_DEADLINE) {
-            break;
-        }
-        let want_batch = !(pending.is_empty() && error_bytes.is_empty());
-        if drain_since.is_none() && want_batch != timeout_is_batch {
-            timeout_is_batch = want_batch;
-            let _ = stream.set_read_timeout(Some(if want_batch { batch_to } else { idle_to }));
-        }
-        match read_frame_blocking(&mut stream, cfg.max_frame, &mut buf) {
-            Ok(BlockingRead::Frame(len)) => {
-                shared.frames.fetch_add(1, Ordering::Relaxed);
-                shared.bytes.fetch_add(len as u64, Ordering::Relaxed);
-                let now = SimTime::ZERO + SimDuration::from_secs_f64(epoch.elapsed().as_secs_f64());
-                match decoder.decode_auto(&buf[..len]) {
-                    Ok(report) => {
-                        lane = (report.node / nodes_per_group) as usize % txs.len();
-                        pending_samples += numeric_samples(&report);
-                        pending.push(Decoded {
-                            recv: now,
-                            rx_at: Instant::now(),
-                            wire: len,
-                            report,
-                        });
-                        oldest.get_or_insert_with(Instant::now);
-                    }
-                    Err(_) => {
-                        shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        decode_errors += 1;
-                        error_bytes.push(len);
-                        oldest.get_or_insert_with(Instant::now);
-                        if decode_errors > cfg.max_decode_errors {
-                            shared.evicted.fetch_add(1, Ordering::Relaxed);
-                            control.lock().audit_connection_evicted(
-                                now,
-                                None,
-                                "garbage flood: too many undecodable frames",
-                            );
-                            break;
-                        }
-                    }
-                }
-                if pending_samples >= cfg.batch_samples {
-                    handoff(
-                        &mut pending,
-                        &mut pending_samples,
-                        &mut error_bytes,
-                        &mut oldest,
-                        lane,
-                        &mut drop_audited,
-                    );
-                }
-            }
-            Ok(BlockingRead::Idle) => {
-                if drain_since.is_some() {
-                    break; // quiet at a frame boundary: drained
-                }
-                if oldest.is_some_and(|t| t.elapsed() >= cfg.batch_delay) {
-                    handoff(
-                        &mut pending,
-                        &mut pending_samples,
-                        &mut error_bytes,
-                        &mut oldest,
-                        lane,
-                        &mut drop_audited,
-                    );
-                }
-            }
-            Ok(BlockingRead::Eof) => break,
-            Err(_) => break,
-        }
-    }
-    handoff(
-        &mut pending,
-        &mut pending_samples,
-        &mut error_bytes,
-        &mut oldest,
-        lane,
-        &mut drop_audited,
-    );
-}
-
-// ---------------------------------------------------------------------
 // Load driver (benchmarks, smoke tests, `cwx ingest drive`)
 
 /// Traffic shape for [`drive`]: `conns` concurrent agent connections
@@ -1679,9 +1317,9 @@ pub struct LoadStats {
 }
 
 /// The deterministic report connection `node` sends as its `seq`-th
-/// frame. Times and values are scripted, so two servers fed the same
-/// `LoadConfig` hold identical store contents — the differential
-/// test's ground truth.
+/// frame. Times and values are scripted, so a server fed a
+/// `LoadConfig` must hold exactly these reports' samples — the ingest
+/// tests' oracle.
 pub fn scripted_report(node: u32, seq: u64, interval: Duration, keys: usize) -> Report {
     use cwx_monitor::monitor::MonitorKey;
     let values = (0..keys)
@@ -1801,8 +1439,9 @@ pub fn drive(cfg: LoadConfig) -> io::Result<LoadStats> {
 mod tests {
     use super::*;
     use cwx_util::time::SimDuration;
+    use std::io::Read;
 
-    fn harness(mode: IngestMode, cfg_tweak: impl FnOnce(&mut IngestConfig)) -> TestRig {
+    fn harness(cfg_tweak: impl FnOnce(&mut IngestConfig)) -> TestRig {
         let control = Arc::new(Mutex::new(ControlPlane::new(64)));
         let server = Arc::new(RwLock::new(Server::new(
             "ingest-test",
@@ -1811,7 +1450,6 @@ mod tests {
             SimDuration::from_secs(30),
         )));
         let mut cfg = IngestConfig {
-            mode,
             batch_delay: Duration::from_millis(10),
             ..IngestConfig::default()
         };
@@ -1839,7 +1477,7 @@ mod tests {
 
     #[test]
     fn reactor_ingests_multiplexed_connections() {
-        let rig = harness(IngestMode::Reactor, |_| {});
+        let rig = harness(|_| {});
         let stats = drive(LoadConfig {
             addr: rig.ingest.addr().to_string(),
             conns: 50,
@@ -1861,25 +1499,8 @@ mod tests {
     }
 
     #[test]
-    fn baseline_ingests_the_same_traffic() {
-        let rig = harness(IngestMode::ThreadPerConn, |_| {});
-        let stats = drive(LoadConfig {
-            addr: rig.ingest.addr().to_string(),
-            conns: 10,
-            frames_per_conn: 4,
-            interval: Duration::from_millis(5),
-            ..LoadConfig::default()
-        })
-        .unwrap();
-        assert_eq!(stats.frames_sent, 40);
-        let ingested = rig.ingest.shutdown();
-        assert_eq!(ingested, 40);
-        assert_eq!(rig.server.read().stats().reports_rx, 40);
-    }
-
-    #[test]
     fn garbage_flood_is_evicted_with_audit() {
-        let rig = harness(IngestMode::Reactor, |c| c.max_decode_errors = 5);
+        let rig = harness(|c| c.max_decode_errors = 5);
         let mut s = TcpStream::connect(rig.ingest.addr()).unwrap();
         let mut wire = Vec::new();
         for _ in 0..50 {
@@ -1981,7 +1602,7 @@ mod tests {
 
     #[test]
     fn fd_budget_sheds_new_clients_with_audit_row() {
-        let rig = harness(IngestMode::Reactor, |c| c.conn_budget = Some(2));
+        let rig = harness(|c| c.conn_budget = Some(2));
         let _s1 = TcpStream::connect(rig.ingest.addr()).unwrap();
         let _s2 = TcpStream::connect(rig.ingest.addr()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -2039,7 +1660,7 @@ mod tests {
 
     #[test]
     fn oversized_frame_is_evicted_not_allocated() {
-        let rig = harness(IngestMode::Reactor, |c| c.max_frame = 1024);
+        let rig = harness(|c| c.max_frame = 1024);
         let mut s = TcpStream::connect(rig.ingest.addr()).unwrap();
         let _ = io::Write::write_all(&mut s, &u32::MAX.to_le_bytes());
         let deadline = Instant::now() + Duration::from_secs(5);

@@ -7,12 +7,11 @@
 //! loopback TCP connection — length-prefixed `CWB1` frames into the
 //! [`crate::ingest`] plane, reconnecting (with
 //! [`cwx_monitor::agent::Agent::resync`]) if the link drops. Tier 2 is
-//! the ingest server: a readiness-driven reactor by default
-//! ([`IngestMode::Reactor`]), or the retired thread-per-connection
-//! baseline for differential runs. Decoded reports land in a shared
-//! [`Server`] behind a `parking_lot::RwLock`. Tier 3: any number of
-//! client threads read the lock concurrently ("multiple clients access
-//! the ClusterWorX server at the same time without conflict").
+//! the ingest server's readiness-driven reactor. Decoded reports land
+//! in a shared [`Server`] behind a `parking_lot::RwLock`. Tier 3: any
+//! number of client threads read the lock concurrently ("multiple
+//! clients access the ClusterWorX server at the same time without
+//! conflict").
 //!
 //! Two history shapes:
 //!
@@ -53,7 +52,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::actions::{CommandTransport, ControlPlane, Effect, IssueOutcome, NoGate, PowerCmd};
-use crate::ingest::{IngestConfig, IngestLatency, IngestMode, IngestServer, IngestStats};
+use crate::ingest::{IngestConfig, IngestLatency, IngestServer, IngestStats};
 use crate::server::Server;
 
 /// Handle to a running real-time deployment.
@@ -76,10 +75,6 @@ pub struct RealTimeConfig {
     pub interval: Duration,
     /// Simulated activity level of the nodes.
     pub util: f64,
-    /// Which ingest front end accepts agent connections. The reactor is
-    /// the default; the thread-per-connection baseline exists for
-    /// differential runs and benchmarks.
-    pub ingest_mode: IngestMode,
     /// Ingest listen address (port 0 picks a free port; agents connect
     /// to whatever was bound).
     pub listen: String,
@@ -87,14 +82,6 @@ pub struct RealTimeConfig {
     /// queue pauses (backpressures) the connections feeding that lane
     /// rather than dropping reports.
     pub channel_capacity: usize,
-    /// How long a connection may stay paused under lane backpressure
-    /// before the ingest server evicts it as a slow consumer.
-    pub evict_pause: Duration,
-    /// Baseline mode: bound on a connection thread's park when its
-    /// lane queue is full, before the batch is dropped (audited).
-    pub handoff_timeout: Duration,
-    /// Test hook: confine `ingest_stall` to one lane (`None` = all).
-    pub stall_lane: Option<usize>,
     /// When set, history persists to a sharded [`DiskStore`] in this
     /// directory and ingest runs one worker per shard.
     pub persist_dir: Option<PathBuf>,
@@ -103,12 +90,6 @@ pub struct RealTimeConfig {
     /// Agents emit the binary CWB1 delta wire format (the textual
     /// format still decodes; this only selects what agents send).
     pub binary_wire: bool,
-    /// Persistent path: decoded samples a shard worker buffers before
-    /// batch-appending to the store (one WAL write per batch).
-    pub ingest_batch_samples: usize,
-    /// Persistent path: longest a buffered sample waits before the
-    /// batch is flushed anyway.
-    pub ingest_batch_delay: Duration,
     /// Test hook: per-report processing delay injected into ingest
     /// threads, to exercise backpressure.
     pub ingest_stall: Option<Duration>,
@@ -133,17 +114,11 @@ impl Default for RealTimeConfig {
             n_nodes: 8,
             interval: Duration::from_millis(50),
             util: 0.4,
-            ingest_mode: IngestMode::Reactor,
             listen: "127.0.0.1:0".to_string(),
             channel_capacity: 64,
-            evict_pause: Duration::from_secs(30),
-            handoff_timeout: Duration::from_secs(30),
-            stall_lane: None,
             persist_dir: None,
             shards: 4,
             binary_wire: true,
-            ingest_batch_samples: 512,
-            ingest_batch_delay: Duration::from_millis(25),
             ingest_stall: None,
             control_interval: Duration::from_millis(20),
             command_loss: 0.0,
@@ -480,16 +455,10 @@ impl RealTimeDeployment {
         let ingest = IngestServer::start(
             IngestConfig {
                 listen: cfg.listen.clone(),
-                mode: cfg.ingest_mode,
                 n_lanes,
                 nodes_per_group,
-                batch_samples: cfg.ingest_batch_samples.max(1),
-                batch_delay: cfg.ingest_batch_delay.max(Duration::from_millis(1)),
                 lane_queue_batches: cfg.channel_capacity.max(1),
-                evict_pause: cfg.evict_pause,
-                handoff_timeout: cfg.handoff_timeout,
                 flush_stall: cfg.ingest_stall,
-                stall_lane: cfg.stall_lane,
                 ..IngestConfig::default()
             },
             Arc::clone(&server),

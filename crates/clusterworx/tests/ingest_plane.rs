@@ -1,6 +1,6 @@
 //! The connection-oriented ingest plane, attacked from outside the
 //! crate: wire fragmentation, hostile tails, slow consumers, and the
-//! reactor-vs-baseline differential.
+//! store contents checked against the scripted traffic.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -8,9 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use clusterworx::actions::{AuditEntry, ControlPlane};
-use clusterworx::ingest::{
-    drive, scripted_report, IngestConfig, IngestMode, IngestServer, LoadConfig,
-};
+use clusterworx::ingest::{drive, scripted_report, IngestConfig, IngestServer, LoadConfig};
 use clusterworx::server::Server;
 use cwx_monitor::monitor::{MonitorKey, Value};
 use cwx_monitor::transmit::{Report, WireDecoder, WireEncoder};
@@ -278,72 +276,74 @@ fn slow_consumer_is_evicted_while_other_lanes_flow() {
     );
 }
 
-/// Tentpole acceptance: the reactor and the thread-per-connection
-/// baseline, fed identical scripted traffic, leave byte-identical
-/// sample sets in the store.
+/// The reactor, fed scripted traffic over a sharded disk store, stores
+/// exactly that traffic: every sample of every report, at the report's
+/// gather time, and nothing else.
 #[test]
-fn reactor_and_baseline_store_identical_contents() {
-    let run = |mode: IngestMode, dir: &std::path::Path| -> Arc<DiskStore> {
-        let store = Arc::new(
-            DiskStore::open(
-                dir,
-                StoreConfig {
-                    n_shards: 2,
-                    nodes_per_group: 4,
-                    ..StoreConfig::default()
-                },
-            )
-            .unwrap(),
-        );
-        let control = Arc::new(Mutex::new(ControlPlane::new(8)));
-        let server = test_server();
-        let ingest = IngestServer::start(
-            IngestConfig {
-                mode,
-                n_lanes: 2,
+fn reactor_stores_exactly_the_scripted_traffic() {
+    let interval = Duration::from_millis(2);
+    let dir = std::env::temp_dir().join(format!("cwx-ingest-oracle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(
+        DiskStore::open(
+            &dir,
+            StoreConfig {
+                n_shards: 2,
                 nodes_per_group: 4,
-                batch_delay: Duration::from_millis(5),
-                ..IngestConfig::default()
+                ..StoreConfig::default()
             },
-            server,
-            Some(Arc::clone(&store)),
-            control,
-            Instant::now(),
         )
-        .unwrap();
-        let load = LoadConfig {
-            addr: ingest.addr().to_string(),
-            conns: 8,
-            frames_per_conn: 10,
-            interval: Duration::from_millis(2),
-            writer_threads: 4,
-            keys: 4,
-            ..LoadConfig::default()
-        };
-        let sent = drive(load).unwrap();
-        assert_eq!(sent.frames_sent, 80);
-        assert_eq!(sent.write_errors, 0);
-        let ingested = ingest.shutdown();
-        assert_eq!(ingested, 80, "every frame ingested ({mode:?})");
-        store.flush_all().unwrap();
-        store
-    };
+        .unwrap(),
+    );
+    let control = Arc::new(Mutex::new(ControlPlane::new(8)));
+    let ingest = IngestServer::start(
+        IngestConfig {
+            n_lanes: 2,
+            nodes_per_group: 4,
+            batch_delay: Duration::from_millis(5),
+            ..IngestConfig::default()
+        },
+        test_server(),
+        Some(Arc::clone(&store)),
+        control,
+        Instant::now(),
+    )
+    .unwrap();
+    let sent = drive(LoadConfig {
+        addr: ingest.addr().to_string(),
+        conns: 8,
+        frames_per_conn: 10,
+        interval,
+        writer_threads: 4,
+        keys: 4,
+        ..LoadConfig::default()
+    })
+    .unwrap();
+    assert_eq!(sent.frames_sent, 80);
+    assert_eq!(sent.write_errors, 0);
+    assert_eq!(ingest.shutdown(), 80, "every frame ingested");
+    store.flush_all().unwrap();
 
-    let base = std::env::temp_dir().join(format!("cwx-ingest-diff-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    let a = run(IngestMode::Reactor, &base.join("reactor"));
-    let b = run(IngestMode::ThreadPerConn, &base.join("baseline"));
-
-    assert_eq!(a.total_samples(), b.total_samples());
-    assert_eq!(a.total_samples(), 8 * 10 * 4);
+    assert_eq!(store.total_samples(), 8 * 10 * 4);
     for node in 0..8u32 {
         for k in 0..4 {
             let key = format!("bench.m{k}");
-            let sa = a.range(node, &key, SimTime::ZERO, SimTime::MAX);
-            let sb = b.range(node, &key, SimTime::ZERO, SimTime::MAX);
-            assert_eq!(sa.len(), 10, "node{node} {key} sample count");
-            assert_eq!(sa, sb, "node{node} {key} samples differ across modes");
+            let want: Vec<(SimTime, f64)> = (0..10)
+                .map(|seq| {
+                    let r = scripted_report(node, seq, interval, 4);
+                    let Value::Num(v) = r.values[k].1 else {
+                        unreachable!("scripted values are numeric")
+                    };
+                    (SimTime::ZERO + SimDuration::from_secs_f64(r.time_secs), v)
+                })
+                .collect();
+            let got: Vec<(SimTime, f64)> = store
+                .range(node, &key, SimTime::ZERO, SimTime::MAX)
+                .iter()
+                .map(|s| (s.time, s.value))
+                .collect();
+            assert_eq!(got, want, "node{node} {key}");
         }
     }
-    let _ = std::fs::remove_dir_all(base);
+    let _ = std::fs::remove_dir_all(dir);
 }

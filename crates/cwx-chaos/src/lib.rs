@@ -25,7 +25,6 @@
 pub mod campaign;
 pub mod invariants;
 pub mod run;
-pub mod scenarios;
 
 pub use campaign::{Campaign, FaultEvent, FaultKind, FAULT_SLUGS};
 pub use invariants::{audit_hash, InvariantChecker, InvariantPolicy, Violation, INVARIANT_NAMES};
@@ -33,4 +32,3 @@ pub use run::{
     apply_fault, campaign_config, run_campaign, run_campaign_sim, run_campaign_sim_observed,
     run_campaign_with, CampaignReport,
 };
-pub use scenarios::{scenario, soak, SCENARIO_NAMES};

@@ -2,7 +2,7 @@
 //! Asserts the aggregated node count, exact lifecycle-census agreement
 //! with ground truth, and audit-hash reproducibility across two
 //! identical runs — the same properties the CI federation job checks
-//! through the `cwx fed sim` command line.
+//! by running `examples/scenarios/federation-smoke.toml`.
 
 use cwx_fed::{FederationConfig, FederationSim};
 use cwx_util::time::SimDuration;

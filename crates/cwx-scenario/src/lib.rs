@@ -17,11 +17,10 @@
 //!   scoreboard merged across runs.
 //!
 //! Exit codes are a contract: 0 pass, 1 assertion failure, 2 invariant
-//! violation, 3 manifest or operational error. The legacy `cwx chaos
-//! run` and `cwx fed sim` flag interfaces lower into [`Manifest`]
-//! values via [`Manifest::from_campaign`] / [`Manifest::federation`]
-//! and ride the same runtime, so there is exactly one execution path
-//! to trust.
+//! violation, 3 manifest or operational error. A manifest is the one
+//! way to define a scenario: the shipped ones live in
+//! `examples/scenarios/`, and experiments and tests read those same
+//! files, so there is exactly one execution path to trust.
 //!
 //! Because every run is deterministic, it can also be frozen and
 //! replayed: [`run_scenario_with`] captures `cwx-snapshot-v1` world

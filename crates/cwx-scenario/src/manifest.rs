@@ -929,55 +929,6 @@ impl Manifest {
         })
     }
 
-    /// Lower a programmatic [`Campaign`] into a manifest — the shim the
-    /// legacy `cwx chaos run` flags ride through, so both entry points
-    /// share one runtime.
-    pub fn from_campaign(campaign: &Campaign) -> Manifest {
-        Manifest {
-            name: campaign.name.clone(),
-            seed: campaign.seed,
-            mode: Mode::Chaos(ChaosSpec {
-                campaign: campaign.clone(),
-                rack_network: true,
-                policy: InvariantPolicyValues::default(),
-            }),
-            limits: Limits::default(),
-            assertions: Assertions::default(),
-            checkpoints: Vec::new(),
-        }
-    }
-
-    /// Lower the legacy `cwx fed sim` flags into a manifest. The census
-    /// check those flags always performed becomes an explicit
-    /// `census_match` assertion.
-    pub fn federation(
-        name: &str,
-        clusters: u16,
-        nodes_per_cluster: u32,
-        seed: u64,
-        duration_secs: f64,
-    ) -> Manifest {
-        Manifest {
-            name: name.to_string(),
-            seed,
-            mode: Mode::Federation(FedSpec {
-                clusters,
-                nodes_per_cluster,
-                duration_secs,
-                settle_secs: 0.0,
-                uplink_secs: 10.0,
-                stale_after_secs: 40.0,
-                faults: Vec::new(),
-            }),
-            limits: Limits::default(),
-            assertions: Assertions {
-                census_match: Some(true),
-                ..Assertions::default()
-            },
-            checkpoints: Vec::new(),
-        }
-    }
-
     /// Override the seed (the `--seed` flag), keeping the embedded
     /// campaign in sync.
     pub fn set_seed(&mut self, seed: u64) {
@@ -1107,7 +1058,7 @@ quarantined_empty = true
 
     #[test]
     fn parses_a_full_chaos_manifest() {
-        let m = Manifest::parse(GOOD).expect("parses");
+        let mut m = Manifest::parse(GOOD).expect("parses");
         assert_eq!(m.name, "smoke");
         assert_eq!(m.seed, 7);
         assert_eq!(m.limits.max_wall_ms, Some(60000));
@@ -1124,6 +1075,10 @@ quarantined_empty = true
         assert_eq!(spec.campaign.events.len(), 3);
         assert_eq!(spec.campaign.events[0].kind, FaultKind::KernelPanic(7));
         assert_eq!(spec.campaign.events[1].kind, FaultKind::PartitionRack(2));
+
+        // `--seed` keeps the embedded campaign in sync
+        m.set_seed(42);
+        assert_eq!((m.seed, m.campaign().unwrap().seed), (42, 42));
     }
 
     #[test]
@@ -1285,23 +1240,6 @@ total_nodes = 48
             let e = Manifest::parse(text).expect_err(what);
             assert!(e.0.contains(needle), "{what}: {e}");
         }
-    }
-
-    #[test]
-    fn shim_constructors_mirror_the_legacy_flags() {
-        let c = Campaign::new("t", 5, 8, 100.0).at(10.0, FaultKind::AgentCrash(3));
-        let mut m = Manifest::from_campaign(&c);
-        assert_eq!(m.campaign(), Some(&c));
-        m.set_seed(42);
-        assert_eq!(m.seed, 42);
-        assert_eq!(m.campaign().unwrap().seed, 42);
-
-        let f = Manifest::federation("fed-smoke", 3, 16, 42, 600.0);
-        assert_eq!(f.assertions.census_match, Some(true));
-        let Mode::Federation(spec) = &f.mode else {
-            panic!()
-        };
-        assert_eq!(spec.uplink_secs, 10.0);
     }
 
     #[test]

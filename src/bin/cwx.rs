@@ -9,17 +9,21 @@
 //! cwx lite     [--ticks 5]
 //! cwx history  --store DIR [--node N --monitor KEY] [--res raw|10s|5m|1h] [--chart]
 //! cwx history  --store DIR --monitor KEY --agg p99 --window 1h [--group-by rack]
-//! cwx chaos    list | run <scenario> [--seed X] [--toml FILE] [--verbose] [--report FILE]
-//! cwx fed      sim [--clusters N --nodes M --secs S --seed X]
 //! cwx fed      serve [--listen ADDR --secs S] | join [--head ADDR --cluster C --nodes N]
-//! cwx ingest   serve [--listen ADDR --secs S --mode reactor|thread --lanes N --store DIR]
+//! cwx ingest   serve [--listen ADDR --secs S --lanes N --store DIR]
 //! cwx ingest   drive [--addr ADDR --conns N --frames N --interval-ms MS --keys K]
 //! cwx help
 //! ```
 //!
+//! Scenarios — chaos campaigns and simulated federations alike — are
+//! manifests run by `cwx run`; the shipped ones live in
+//! `examples/scenarios/`.
+//!
 //! Exit codes are uniform across every subcommand: 0 success, 1 an
 //! assertion or census check failed, 2 an invariant was violated,
-//! 3 bad usage / bad manifest / operational error.
+//! 3 bad usage / bad manifest / operational error. Every subcommand
+//! names the flags it reads: an unknown flag, or a value that does not
+//! parse, is bad usage.
 
 use clusterworx::world::schedule_fault;
 use clusterworx::{dashboard, Cluster, ClusterConfig, LiteMonitor, WorkloadMix};
@@ -31,25 +35,35 @@ use cwx_util::time::{SimDuration, SimTime};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  cwx run MANIFEST.toml [--seed X] [--out DIR] [--coverage FILE] [--snapshot-at SECS]... [--snapshots DIR] [--resume-from FILE]\n  cwx bisect MANIFEST.toml [--seed X] [--out DIR]\n  cwx simulate --nodes N --secs S [--seed X] [--store DIR] [--fan-fail NODE@SECS]... [--dump-history FILE --dump-node N]\n  cwx clone --nodes N --image-mb M [--loss P] [--unicast]\n  cwx lite [--ticks N]\n  cwx history --store DIR [--node N --monitor KEY] [--from S] [--to S] [--res raw|10s|5m|1h] [--chart]\n  cwx history --store DIR --monitor KEY --agg rate|avg|min|max|sum|count|p50|p95|p99 --window 10s|5m|1h|SECS [--group-by all|rack|node] [--node N] [--from S] [--to S] [--max-scan N]\n  cwx chaos list\n  cwx chaos run SCENARIO [--seed X] [--verbose] [--report FILE]\n  cwx chaos run --toml FILE [--seed X] [--verbose] [--report FILE]\n  cwx fed sim [--clusters N] [--nodes M] [--secs S] [--seed X] [--uplink SECS]\n  cwx fed serve [--listen ADDR] [--secs S] [--stale-after SECS]\n  cwx fed join [--head ADDR] [--cluster C] [--nodes N] [--secs S] [--interval-ms MS]\n  cwx ingest serve [--listen ADDR] [--secs S] [--mode reactor|thread] [--lanes N] [--nodes-per-group N] [--retention N] [--store DIR]\n  cwx ingest drive [--addr ADDR] [--conns N] [--frames N] [--interval-ms MS] [--keys K] [--threads T]\n  cwx help\n\nexit codes (uniform across subcommands):\n  0  success: every invariant held, every assertion passed\n  1  an assertion failed (manifest [assertions], federation census)\n  2  an invariant was violated\n  3  bad usage, bad manifest, or operational error"
+        "usage:\n  cwx run MANIFEST.toml [--seed X] [--out DIR] [--coverage FILE] [--snapshot-at SECS]... [--snapshots DIR] [--resume-from FILE]\n  cwx bisect MANIFEST.toml [--seed X] [--out DIR]\n  cwx simulate --nodes N --secs S [--seed X] [--store DIR] [--fan-fail NODE@SECS]... [--dump-history FILE --dump-node N]\n  cwx clone --nodes N --image-mb M [--loss P] [--seed X] [--unicast]\n  cwx lite [--ticks N]\n  cwx history --store DIR [--node N --monitor KEY] [--from S] [--to S] [--res raw|10s|5m|1h] [--chart]\n  cwx history --store DIR --monitor KEY --agg rate|avg|min|max|sum|count|p50|p95|p99 --window 10s|5m|1h|SECS [--group-by all|rack|node] [--node N] [--from S] [--to S] [--max-scan N]\n  cwx fed serve [--listen ADDR] [--secs S] [--stale-after SECS]\n  cwx fed join [--head ADDR] [--cluster C] [--nodes N] [--secs S] [--interval-ms MS]\n  cwx ingest serve [--listen ADDR] [--secs S] [--lanes N] [--nodes-per-group N] [--retention N] [--store DIR]\n  cwx ingest drive [--addr ADDR] [--conns N] [--frames N] [--interval-ms MS] [--keys K] [--threads T]\n  cwx help\n\nscenarios (chaos campaigns, simulated federations) are manifests: see examples/scenarios/\n\nexit codes (uniform across subcommands):\n  0  success: every invariant held, every assertion passed\n  1  an assertion failed (manifest [assertions], federation census)\n  2  an invariant was violated\n  3  bad usage, bad manifest, or operational error"
     );
     std::process::exit(3);
 }
 
-/// Tiny flag parser: `--key value` pairs plus repeatable `--fan-fail`.
+/// Bad command-line input: name the offending flag and exit 3.
+fn bad_flag(msg: &str) -> ! {
+    eprintln!("{msg} (see `cwx help`)");
+    std::process::exit(3);
+}
+
+/// Tiny flag parser: `--key value` pairs and bare `--switch`es, checked
+/// against the keys the subcommand reads (`keys` is space-separated).
 struct Args {
     pairs: Vec<(String, String)>,
     flags: Vec<String>,
 }
 
 impl Args {
-    fn parse(args: &[String]) -> Args {
+    fn parse(args: &[String], keys: &str) -> Args {
         let mut pairs = Vec::new();
         let mut flags = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let a = &args[i];
             if let Some(key) = a.strip_prefix("--") {
+                if !keys.split(' ').any(|k| k == key) {
+                    bad_flag(&format!("unknown flag --{key}"));
+                }
                 if i + 1 < args.len() && !args[i + 1].starts_with("--") {
                     pairs.push((key.to_string(), args[i + 1].clone()));
                     i += 2;
@@ -65,16 +79,11 @@ impl Args {
         Args { pairs, flags }
     }
 
-    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    fn all(&self, key: &str) -> Vec<&str> {
+    /// Every value given for `--key`, in order.
+    fn values(&self, key: &str) -> Vec<&str> {
+        if self.flags.iter().any(|f| f == key) {
+            bad_flag(&format!("--{key} wants a value"));
+        }
         self.pairs
             .iter()
             .filter(|(k, _)| k == key)
@@ -82,20 +91,36 @@ impl Args {
             .collect()
     }
 
+    /// The last value given for `--key`, parsed.
+    fn opt<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+        let v = *self.values(key).last()?;
+        match v.parse() {
+            Ok(x) => Some(x),
+            Err(_) => bad_flag(&format!("--{key}: cannot parse {v:?}")),
+        }
+    }
+
+    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        self.opt(key).unwrap_or(default)
+    }
+
     fn flag(&self, key: &str) -> bool {
+        if self.pairs.iter().any(|(k, _)| k == key) {
+            bad_flag(&format!("--{key} takes no value"));
+        }
         self.flags.iter().any(|f| f == key)
     }
 }
 
-fn cmd_simulate(args: &Args) {
+fn cmd_simulate(rest: &[String]) {
+    let args = Args::parse(
+        rest,
+        "nodes secs seed store fan-fail dump-history dump-node",
+    );
     let nodes: u32 = args.get("nodes", 16);
     let secs: u64 = args.get("secs", 600);
     let seed: u64 = args.get("seed", 42);
-    let store_dir = args
-        .pairs
-        .iter()
-        .find(|(k, _)| k == "store")
-        .map(|(_, v)| std::path::PathBuf::from(v));
+    let store_dir: Option<std::path::PathBuf> = args.opt("store");
     if let Some(dir) = &store_dir {
         println!("history persists to {} (reruns recover it)", dir.display());
     }
@@ -106,14 +131,12 @@ fn cmd_simulate(args: &Args) {
         store_dir,
         ..Default::default()
     });
-    for spec in args.all("fan-fail") {
-        let Some((node, at)) = spec.split_once('@') else {
-            eprintln!("--fan-fail wants NODE@SECS, got {spec}");
-            usage();
-        };
-        let (node, at): (u32, u64) = match (node.parse(), at.parse()) {
-            (Ok(n), Ok(a)) => (n, a),
-            _ => usage(),
+    for spec in args.values("fan-fail") {
+        let parsed = spec
+            .split_once('@')
+            .and_then(|(node, at)| Some((node.parse::<u32>().ok()?, at.parse::<u64>().ok()?)));
+        let Some((node, at)) = parsed else {
+            bad_flag(&format!("--fan-fail wants NODE@SECS, got {spec:?}"));
         };
         schedule_fault(
             &mut sim,
@@ -143,10 +166,10 @@ fn cmd_simulate(args: &Args) {
     for m in w.server.outbox() {
         println!("mail: {}", m.subject);
     }
-    if let Some((_, path)) = args.pairs.iter().find(|(k, _)| k == "dump-history") {
+    if let Some(path) = args.opt::<String>("dump-history") {
         let node: u32 = args.get("dump-node", 0);
         let csv = w.server.history().export_node_csv(node);
-        match std::fs::write(path, &csv) {
+        match std::fs::write(&path, &csv) {
             Ok(()) => println!(
                 "wrote {} bytes of node{node:03} history to {path}",
                 csv.len()
@@ -156,7 +179,8 @@ fn cmd_simulate(args: &Args) {
     }
 }
 
-fn cmd_clone(args: &Args) {
+fn cmd_clone(rest: &[String]) {
+    let args = Args::parse(rest, "nodes image-mb loss seed unicast");
     let nodes: u32 = args.get("nodes", 100);
     let image_mb: u64 = args.get("image-mb", 650);
     let loss: f64 = args.get("loss", 0.005);
@@ -192,7 +216,8 @@ fn cmd_clone(args: &Args) {
     );
 }
 
-fn cmd_lite(args: &Args) {
+fn cmd_lite(rest: &[String]) {
+    let args = Args::parse(rest, "ticks");
     let ticks: u64 = args.get("ticks", 5);
     let src = cwx_proc::source::RealProc::new();
     if !src.available() {
@@ -248,22 +273,26 @@ fn parse_window(s: &str) -> Option<u64> {
     (n > 0).then_some(n * mult)
 }
 
-fn cmd_history(args: &Args) {
+fn cmd_history(rest: &[String]) {
     use cwx_monitor::history::HistoryStore;
     use cwx_monitor::monitor::MonitorKey;
     use cwx_store::disk::{DiskStore, StoreConfig};
     use cwx_store::{Resolution, Store};
 
-    let Some((_, dir)) = args.pairs.iter().find(|(k, _)| k == "store") else {
+    let args = Args::parse(
+        rest,
+        "store node monitor from to res chart agg window group-by max-scan",
+    );
+    let Some(dir) = args.opt::<String>("store") else {
         eprintln!("`cwx history` needs --store DIR");
         usage();
     };
     // inspection must not create a store that isn't there
-    if !std::path::Path::new(dir).is_dir() {
+    if !std::path::Path::new(&dir).is_dir() {
         eprintln!("no store at {dir}");
         std::process::exit(3);
     }
-    let store = match DiskStore::open(std::path::Path::new(dir), StoreConfig::default()) {
+    let store = match DiskStore::open(std::path::Path::new(&dir), StoreConfig::default()) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("could not open store at {dir}: {e}");
@@ -280,25 +309,19 @@ fn cmd_history(args: &Args) {
         rec.segments_quarantined
     );
 
-    let monitor = args
-        .pairs
-        .iter()
-        .rev()
-        .find(|(k, _)| k == "monitor")
-        .map(|(_, v)| v.clone());
-    let node_arg = args
-        .pairs
-        .iter()
-        .rev()
-        .find(|(k, _)| k == "node")
-        .map(|(_, v)| v.clone());
+    let monitor: Option<String> = args.opt("monitor");
+    let node_arg: Option<u32> = args.opt("node");
+    let from = SimTime::ZERO + SimDuration::from_secs(args.get("from", 0u64));
+    let to_arg = args
+        .opt::<u64>("to")
+        .map(|t| SimTime::ZERO + SimDuration::from_secs(t));
     // aggregation query path: `--agg p99 --window 1h [--group-by rack]`
     // runs through the admission-controlled query executor, answering
     // from the coarsest stored tier that satisfies the window
-    if let Some((_, agg_s)) = args.pairs.iter().rev().find(|(k, _)| k == "agg") {
+    if let Some(agg_s) = args.opt::<String>("agg") {
         use cwx_store::{AggFunc, QueryExecutor, QueryGroup, QueryLimits, QuerySpec};
 
-        let Some(agg) = AggFunc::parse(agg_s) else {
+        let Some(agg) = AggFunc::parse(&agg_s) else {
             eprintln!("--agg wants rate|avg|min|max|sum|count|p50|p95|p99, got {agg_s}");
             usage();
         };
@@ -311,19 +334,15 @@ fn cmd_history(args: &Args) {
             eprintln!("--window wants 10s / 5m / 1h / SECS, got {window_s}");
             usage();
         };
-        let from = SimTime::ZERO + SimDuration::from_secs(args.get("from", 0u64));
-        let to = match args.pairs.iter().rev().find(|(k, _)| k == "to") {
-            Some((_, v)) => {
-                SimTime::ZERO + SimDuration::from_secs(v.parse().unwrap_or_else(|_| usage()))
-            }
-            None => store
+        let to = to_arg.unwrap_or_else(|| {
+            store
                 .series()
                 .iter()
                 .filter(|(_, k)| *k == monitor)
                 .filter_map(|(n, k)| store.latest(*n, k).map(|s| s.time))
                 .max()
-                .unwrap_or(SimTime::ZERO),
-        };
+                .unwrap_or(SimTime::ZERO)
+        });
         // group membership: the nodes that actually hold this monitor
         let mut nodes: Vec<u32> = store
             .series()
@@ -331,8 +350,7 @@ fn cmd_history(args: &Args) {
             .filter(|(_, k)| *k == monitor)
             .map(|(n, _)| n)
             .collect();
-        if let Some(node_str) = &node_arg {
-            let node: u32 = node_str.parse().unwrap_or_else(|_| usage());
+        if let Some(node) = node_arg {
             nodes.retain(|&n| n == node);
         }
         nodes.sort_unstable();
@@ -412,7 +430,7 @@ fn cmd_history(args: &Args) {
         return;
     }
 
-    let (Some(monitor), Some(node_str)) = (monitor, node_arg) else {
+    let (Some(monitor), Some(node)) = (monitor, node_arg) else {
         // no series selected: list what the store holds
         println!(
             "{:<8} {:<20} {:>9} {:>14}",
@@ -428,14 +446,7 @@ fn cmd_history(args: &Args) {
         }
         return;
     };
-    let node: u32 = node_str.parse().unwrap_or_else(|_| usage());
-    let from = SimTime::ZERO + SimDuration::from_secs(args.get("from", 0u64));
-    let to = match args.pairs.iter().rev().find(|(k, _)| k == "to") {
-        Some((_, v)) => {
-            SimTime::ZERO + SimDuration::from_secs(v.parse().unwrap_or_else(|_| usage()))
-        }
-        None => SimTime::MAX,
-    };
+    let to = to_arg.unwrap_or(SimTime::MAX);
     let key = MonitorKey::new(monitor.as_str());
     if args.flag("chart") {
         let to = if to == SimTime::MAX {
@@ -496,8 +507,8 @@ fn load_manifest(path: &str, args: &Args) -> cwx_scenario::Manifest {
         eprintln!("{path}: {e}");
         std::process::exit(3);
     });
-    if let Some((_, seed)) = args.pairs.iter().rev().find(|(k, _)| k == "seed") {
-        manifest.set_seed(seed.parse().unwrap_or_else(|_| usage()));
+    if let Some(seed) = args.opt("seed") {
+        manifest.set_seed(seed);
     }
     manifest
 }
@@ -521,11 +532,14 @@ fn cmd_run(rest: &[String]) {
             usage();
         }
     };
-    let args = Args::parse(flag_args);
+    let args = Args::parse(
+        flag_args,
+        "seed out coverage snapshot-at snapshots resume-from",
+    );
     let manifest = load_manifest(path, &args);
 
     let mut opts = RunOptions::default();
-    for v in args.all("snapshot-at") {
+    for v in args.values("snapshot-at") {
         match v.parse::<f64>() {
             Ok(t) => opts.snapshot_at.push(t),
             Err(_) => {
@@ -534,8 +548,8 @@ fn cmd_run(rest: &[String]) {
             }
         }
     }
-    if let Some((_, snap_path)) = args.pairs.iter().rev().find(|(k, _)| k == "resume-from") {
-        let bytes = std::fs::read(snap_path).unwrap_or_else(|e| {
+    if let Some(snap_path) = args.opt::<String>("resume-from") {
+        let bytes = std::fs::read(&snap_path).unwrap_or_else(|e| {
             eprintln!("could not read {snap_path}: {e}");
             std::process::exit(3);
         });
@@ -594,10 +608,10 @@ fn cmd_run(rest: &[String]) {
             }
         }
     }
-    if let Some((_, cov_path)) = args.pairs.iter().rev().find(|(k, _)| k == "coverage") {
+    if let Some(cov_path) = args.opt::<String>("coverage") {
         // merge into an existing scoreboard so one file accumulates a
         // whole CI job's worth of runs
-        let mut board = match std::fs::read_to_string(cov_path) {
+        let mut board = match std::fs::read_to_string(&cov_path) {
             Ok(t) => Scoreboard::from_json(&t).unwrap_or_else(|e| {
                 eprintln!("{cov_path}: not a coverage scoreboard ({e}); refusing to overwrite");
                 std::process::exit(3);
@@ -605,7 +619,7 @@ fn cmd_run(rest: &[String]) {
             Err(_) => Scoreboard::new(),
         };
         board.record(&r.coverage);
-        match std::fs::write(cov_path, board.to_json()) {
+        match std::fs::write(&cov_path, board.to_json()) {
             Ok(()) => println!(
                 "coverage -> {cov_path}: {} runs, {} cells covered, {} faults / {} states never exercised",
                 board.runs(),
@@ -637,7 +651,7 @@ fn cmd_bisect(rest: &[String]) {
             usage();
         }
     };
-    let args = Args::parse(flag_args);
+    let args = Args::parse(flag_args, "seed out");
     let manifest = load_manifest(path, &args);
     println!(
         "bisecting `{}` from {path} ({} faults)",
@@ -666,142 +680,18 @@ fn cmd_bisect(rest: &[String]) {
     }
 }
 
-fn cmd_chaos(rest: &[String]) {
-    use cwx_chaos::{scenario, SCENARIO_NAMES};
-    use cwx_scenario::{run_scenario, Manifest, Mode, Outcome};
-
-    match rest.split_first().map(|(s, t)| (s.as_str(), t)) {
-        Some(("list", _)) => {
-            println!(
-                "{:<18} {:>6} {:>8} {:>8} {:>7}",
-                "scenario", "nodes", "active_s", "settle_s", "faults"
-            );
-            for name in SCENARIO_NAMES.iter().copied().chain(["soak"]) {
-                let c = scenario(name).expect("canned scenario");
-                println!(
-                    "{:<18} {:>6} {:>8.0} {:>8.0} {:>7}",
-                    c.name,
-                    c.n_nodes,
-                    c.duration_secs,
-                    c.settle_secs,
-                    c.events.len()
-                );
-            }
-        }
-        Some(("run", tail)) => {
-            // peel an optional bare scenario name before flag parsing
-            // (the flag parser rejects bare words)
-            let (name, flag_args) = match tail.split_first() {
-                Some((first, more)) if !first.starts_with("--") => (Some(first.as_str()), more),
-                _ => (None, tail),
-            };
-            let args = Args::parse(flag_args);
-            // this subcommand is a thin shim: both entry points lower
-            // into a scenario manifest and ride the `cwx run` runtime
-            let mut manifest = match (name, args.pairs.iter().find(|(k, _)| k == "toml")) {
-                (Some(n), None) => Manifest::from_campaign(&scenario(n).unwrap_or_else(|| {
-                    eprintln!("unknown scenario: {n} (try `cwx chaos list`)");
-                    std::process::exit(3);
-                })),
-                (None, Some((_, path))) => {
-                    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                        eprintln!("could not read {path}: {e}");
-                        std::process::exit(3);
-                    });
-                    let m = Manifest::parse(&text).unwrap_or_else(|e| {
-                        eprintln!("{path}: {e}");
-                        std::process::exit(3);
-                    });
-                    if !matches!(m.mode, Mode::Chaos(_)) {
-                        eprintln!("{path} is a federation manifest; run it with `cwx run {path}`");
-                        std::process::exit(3);
-                    }
-                    m
-                }
-                _ => {
-                    eprintln!("`cwx chaos run` wants a scenario name or --toml FILE");
-                    usage();
-                }
-            };
-            if let Some((_, seed)) = args.pairs.iter().rev().find(|(k, _)| k == "seed") {
-                manifest.set_seed(seed.parse().unwrap_or_else(|_| usage()));
-            }
-            let campaign = manifest.campaign().expect("chaos manifest");
-            println!(
-                "campaign {} | seed {} | {} nodes | {} faults over {:.0}s (+{:.0}s settle)",
-                campaign.name,
-                campaign.seed,
-                campaign.n_nodes,
-                campaign.events.len(),
-                campaign.duration_secs,
-                campaign.settle_secs
-            );
-            if args.flag("verbose") {
-                for ev in &campaign.events {
-                    println!("  t={:>7.1}s  {}", ev.at_secs, ev.kind);
-                }
-            }
-            let r = run_scenario(&manifest);
-            for line in &r.summary {
-                println!("{line}");
-            }
-            // --report PATH always writes result.json there; a failing
-            // run writes invariant_report.json even without the flag,
-            // so CI never has to grep human output
-            let report_path = args
-                .pairs
-                .iter()
-                .rev()
-                .find(|(k, _)| k == "report")
-                .map(|(_, v)| v.clone());
-            let write_report = |path: &str| match std::fs::write(path, &r.result_json) {
-                Ok(()) => println!("wrote machine-readable report to {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            };
-            if let Some(path) = &report_path {
-                write_report(path);
-            }
-            if r.outcome != Outcome::Pass && report_path.is_none() {
-                write_report("invariant_report.json");
-            }
-            std::process::exit(r.outcome.exit_code());
-        }
-        _ => usage(),
-    }
-}
-
 fn cmd_fed(rest: &[String]) {
     use clusterworx::{RealTimeConfig, RealTimeDeployment, RetryPolicy};
     use cwx_fed::HeadServer;
 
     let Some((sub, tail)) = rest.split_first() else {
-        eprintln!("`cwx fed` wants sim, serve or join");
+        eprintln!("`cwx fed` wants serve or join");
         usage();
     };
-    let args = Args::parse(tail);
     match sub.as_str() {
-        // deterministic in-process federation: a thin shim lowering
-        // the legacy flags into a scenario manifest, so `fed sim` and
-        // `cwx run` share one runtime (the census check becomes a
-        // census_match assertion -> exit 1 on mismatch)
-        "sim" => {
-            let clusters: u16 = args.get("clusters", 4);
-            let nodes: u32 = args.get("nodes", 16);
-            let secs: u64 = args.get("secs", 600);
-            let seed: u64 = args.get("seed", 42);
-            let mut manifest =
-                cwx_scenario::Manifest::federation("fed-sim", clusters, nodes, seed, secs as f64);
-            if let cwx_scenario::Mode::Federation(spec) = &mut manifest.mode {
-                spec.uplink_secs = args.get("uplink", 10u64) as f64;
-            }
-            let r = cwx_scenario::run_scenario(&manifest);
-            for line in &r.summary {
-                println!("{line}");
-            }
-            std::process::exit(r.outcome.exit_code());
-        }
         // realtime head process: accept sub-servers over TCP
         "serve" => {
+            let args = Args::parse(tail, "listen secs stale-after");
             let listen: String = args.get("listen", "127.0.0.1:7411".to_string());
             let secs: u64 = args.get("secs", 60);
             let stale: u64 = args.get("stale-after", 10);
@@ -843,6 +733,7 @@ fn cmd_fed(rest: &[String]) {
         // realtime sub-server process: run a local deployment and
         // export it to a head
         "join" => {
+            let args = Args::parse(tail, "head cluster nodes secs interval-ms");
             let head_addr: String = args.get("head", "127.0.0.1:7411".to_string());
             let cluster: u16 = args.get("cluster", 0);
             let nodes: u32 = args.get("nodes", 8);
@@ -888,7 +779,7 @@ fn cmd_fed(rest: &[String]) {
 
 fn cmd_ingest(rest: &[String]) {
     use clusterworx::actions::ControlPlane;
-    use clusterworx::ingest::{drive, IngestConfig, IngestMode, IngestServer, LoadConfig};
+    use clusterworx::ingest::{drive, IngestConfig, IngestServer, LoadConfig};
     use clusterworx::server::Server;
     use cwx_store::disk::{DiskStore, StoreConfig};
     use std::sync::Arc;
@@ -898,37 +789,29 @@ fn cmd_ingest(rest: &[String]) {
         eprintln!("`cwx ingest` wants serve or drive");
         usage();
     };
-    let args = Args::parse(tail);
     match sub.as_str() {
         // realtime ingest front door: accept CWB1 agent streams
         "serve" => {
+            let args = Args::parse(tail, "listen secs lanes nodes-per-group retention store");
             let listen: String = args.get("listen", "127.0.0.1:7420".to_string());
             let secs: u64 = args.get("secs", 60);
-            let mode = match args.get::<String>("mode", "reactor".into()).as_str() {
-                "thread" | "thread-per-conn" => IngestMode::ThreadPerConn,
-                _ => IngestMode::Reactor,
-            };
             let lanes: usize = args.get("lanes", 4);
             let nodes_per_group: u32 = args.get("nodes-per-group", 10);
             let retention: usize = args.get("retention", 64);
             let _ = cwx_net::reactor::raise_nofile_limit();
-            let store = args
-                .pairs
-                .iter()
-                .find(|(k, _)| k == "store")
-                .map(|(_, dir)| {
-                    let cfg = StoreConfig {
-                        n_shards: lanes,
-                        nodes_per_group,
-                        ..StoreConfig::default()
-                    };
-                    Arc::new(
-                        DiskStore::open(std::path::Path::new(dir), cfg).unwrap_or_else(|e| {
-                            eprintln!("could not open store {dir}: {e}");
-                            std::process::exit(3);
-                        }),
-                    )
-                });
+            let store = args.opt::<String>("store").map(|dir| {
+                let cfg = StoreConfig {
+                    n_shards: lanes,
+                    nodes_per_group,
+                    ..StoreConfig::default()
+                };
+                Arc::new(
+                    DiskStore::open(std::path::Path::new(&dir), cfg).unwrap_or_else(|e| {
+                        eprintln!("could not open store {dir}: {e}");
+                        std::process::exit(3);
+                    }),
+                )
+            });
             let server = Arc::new(parking_lot::RwLock::new(Server::new(
                 "ingest",
                 SimDuration::from_secs(5),
@@ -939,7 +822,6 @@ fn cmd_ingest(rest: &[String]) {
             let ingest = IngestServer::start(
                 IngestConfig {
                     listen,
-                    mode,
                     n_lanes: lanes,
                     nodes_per_group,
                     ..IngestConfig::default()
@@ -953,15 +835,7 @@ fn cmd_ingest(rest: &[String]) {
                 eprintln!("could not start ingest server: {e}");
                 std::process::exit(3);
             });
-            println!(
-                "ingest server ({}) on {} for {}s",
-                match mode {
-                    IngestMode::Reactor => "reactor",
-                    IngestMode::ThreadPerConn => "thread-per-conn",
-                },
-                ingest.addr(),
-                secs
-            );
+            println!("ingest server on {} for {}s", ingest.addr(), secs);
             let deadline = Instant::now() + Duration::from_secs(secs);
             while Instant::now() < deadline {
                 std::thread::sleep(
@@ -988,6 +862,7 @@ fn cmd_ingest(rest: &[String]) {
         }
         // synthetic agent fleet: stream frames at a fixed cadence
         "drive" => {
+            let args = Args::parse(tail, "addr conns frames interval-ms keys threads");
             let addr: String = args.get("addr", "127.0.0.1:7420".to_string());
             let conns: usize = args.get("conns", 100);
             let frames: u64 = args.get("frames", 10);
@@ -1025,27 +900,15 @@ fn main() {
     let Some((cmd, rest)) = argv.split_first() else {
         usage()
     };
-    if cmd == "run" {
-        return cmd_run(rest);
-    }
-    if cmd == "bisect" {
-        return cmd_bisect(rest);
-    }
-    if cmd == "chaos" {
-        return cmd_chaos(rest);
-    }
-    if cmd == "fed" {
-        return cmd_fed(rest);
-    }
-    if cmd == "ingest" {
-        return cmd_ingest(rest);
-    }
-    let args = Args::parse(rest);
     match cmd.as_str() {
-        "simulate" => cmd_simulate(&args),
-        "clone" => cmd_clone(&args),
-        "lite" => cmd_lite(&args),
-        "history" => cmd_history(&args),
+        "run" => cmd_run(rest),
+        "bisect" => cmd_bisect(rest),
+        "simulate" => cmd_simulate(rest),
+        "clone" => cmd_clone(rest),
+        "lite" => cmd_lite(rest),
+        "history" => cmd_history(rest),
+        "fed" => cmd_fed(rest),
+        "ingest" => cmd_ingest(rest),
         "help" | "--help" | "-h" => usage(),
         other => {
             eprintln!("unknown command: {other}");

@@ -3,7 +3,9 @@
 //! crashes and a hard-flapping node at the management plane, all at
 //! once. The run must keep every invariant, quarantine the flapper
 //! without a notification storm, converge to all-Up after the last
-//! heal, and replay byte-for-byte under the same seed.
+//! heal, and replay byte-for-byte under the same seed. The campaign is
+//! `examples/scenarios/soak.toml`, the manifest CI also runs through
+//! `cwx run`.
 //!
 //! The full-size runs are expensive in debug builds, so they are
 //! `#[ignore]`d by default and driven in release mode by the CI
@@ -11,16 +13,20 @@
 //! --ignored`). A scaled-down smoke variant always runs.
 
 use clusterworx::AuditEntry;
-use cwx_chaos::{campaign_config, run_campaign_sim, soak, CampaignReport, InvariantPolicy};
+use cwx_chaos::{campaign_config, run_campaign_sim, CampaignReport, InvariantPolicy};
+use cwx_scenario::Manifest;
 use cwx_util::time::SimDuration;
 
-/// The flapping node in [`soak`]'s schedule.
+/// The flapping node in `examples/scenarios/soak.toml`'s schedule.
 const FLAPPER: u32 = 7;
 
 fn run_soak(seed: u64) -> (CampaignReport, cwx_util::sim::Sim<clusterworx::World>) {
-    let c = soak(seed);
+    let mut m =
+        Manifest::parse(include_str!("../examples/scenarios/soak.toml")).expect("soak.toml parses");
+    m.set_seed(seed);
+    let c = m.campaign().expect("soak.toml is a [cluster] scenario");
     assert!(c.n_nodes >= 400, "the soak must cover at least 400 nodes");
-    run_campaign_sim(&c, campaign_config(&c), InvariantPolicy::default())
+    run_campaign_sim(c, campaign_config(c), InvariantPolicy::default())
 }
 
 fn assert_soak_clean(seed: u64) -> CampaignReport {

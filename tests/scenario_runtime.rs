@@ -1,12 +1,12 @@
-//! The scenario runtime's cross-crate contracts: the shipped example
-//! manifests stay in lock-step with the programmatic scenarios they
-//! transcribe, the legacy `cwx chaos run` shim and the manifest path
-//! produce the same simulation (pinned by the audit hash), result
-//! bodies are deterministic under a fixed seed, and the exit-code
-//! ladder classifies assertion failures and invariant violations the
-//! way `cwx run --help` documents.
+//! The scenario runtime's cross-crate contracts: every shipped example
+//! manifest reproduces its pinned outcome, fingerprint and audit hash,
+//! the runtime drives exactly the simulation the chaos crate runs on
+//! its own (pinned by the audit hash), result bodies are deterministic
+//! under a fixed seed, and the exit-code ladder classifies assertion
+//! failures and invariant violations the way `cwx run --help`
+//! documents.
 
-use cwx_chaos::{campaign_config, run_campaign_sim, soak, Campaign, FaultKind, InvariantPolicy};
+use cwx_chaos::{campaign_config, run_campaign_sim, InvariantPolicy};
 use cwx_scenario::{run_scenario, Manifest, Outcome};
 
 /// Read a manifest from `examples/scenarios/` relative to the repo root.
@@ -15,15 +15,56 @@ fn example(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// `examples/scenarios/soak.toml` claims to be the TOML transcription
-/// of the programmatic [`soak`] scenario. Pin them to exact equality —
-/// same fleet, same schedule, same builder order — so neither can
-/// drift without this test forcing the other to follow.
+/// What every shipped manifest must keep producing:
+/// `(file, outcome, fingerprint, audit hash)`. A fingerprint of `None`
+/// pins the audit hash only (the manifest's assertions changed its
+/// body, not its simulation). Every file in `examples/scenarios/` must
+/// have a row.
+#[rustfmt::skip]
+const PINS: [(&str, Outcome, Option<&str>, &str); 11] = [
+    ("smoke.toml",                Outcome::Pass,          Some("9de5528ca84e28ea"), "3ebe2615805c5f35"),
+    ("rack-outage.toml",          Outcome::Pass,          Some("685366e29420e904"), "d49128622a4e5a62"),
+    ("hardware-grief.toml",       Outcome::Pass,          Some("a36199fc9e99ee34"), "910535949cd58dfb"),
+    ("sensor-lies.toml",          Outcome::Pass,          Some("d06fe04078f88c23"), "b8b3cacf7d84b2df"),
+    ("bisect-demo.toml",          Outcome::AssertionFail, Some("b79a00ea9b9be1de"), "3775ae808fcb29f8"),
+    ("federation-smoke.toml",     Outcome::Pass,          Some("e87102ad078bfa7c"), "c10950f343d61915"),
+    ("federation-partition.toml", Outcome::Pass,          Some("90117aff810a5ab8"), "cacce18d9a364865"),
+    ("soak.toml",                 Outcome::Pass,          Some("1d25109361f7f75f"), "ceade77ce20e4e56"),
+    ("partition-storm.toml",      Outcome::Pass,          None,                     "6b88c27c5a66b66c"),
+    ("chassis-carnage.toml",      Outcome::Pass,          None,                     "915e8aaafe624b77"),
+    ("flaky-fleet.toml",          Outcome::Pass,          None,                     "72eaf8f49809c579"),
+];
+
+/// The pin table: deleting or refactoring code must not move a single
+/// shipped scenario. Release-only (CI `chaos-soak` job runs it with
+/// `--include-ignored`); the 400-node soak takes minutes in debug.
 #[test]
-fn soak_manifest_is_the_programmatic_soak_campaign() {
-    let m = Manifest::parse(&example("soak.toml")).expect("soak.toml parses");
-    let campaign = m.campaign().expect("soak.toml is a chaos scenario");
-    assert_eq!(campaign, &soak(4001));
+#[ignore = "release-mode pin table (CI chaos-soak job); debug builds take minutes"]
+fn shipped_manifests_reproduce_their_pins() {
+    let dir = format!("{}/examples/scenarios", env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{dir}: {e}"))
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|f| f.ends_with(".toml"))
+        .collect();
+    files.sort();
+    let mut pinned: Vec<String> = PINS.iter().map(|p| p.0.to_string()).collect();
+    pinned.sort();
+    assert_eq!(files, pinned, "every shipped manifest has exactly one pin");
+
+    for (file, outcome, fingerprint, audit) in PINS {
+        let r = run_scenario(&Manifest::parse(&example(file)).expect(file));
+        assert_eq!(r.outcome, outcome, "{file}: {:?}", r.summary);
+        if let Some(fp) = fingerprint {
+            assert_eq!(format!("{:016x}", r.fingerprint), fp, "{file} fingerprint");
+        }
+        let want = format!("\"audit\":{{\"hash\":\"{audit}\"");
+        assert!(
+            r.result_json.contains(&want),
+            "{file}: wanted {want} in {}",
+            r.result_json
+        );
+    }
 }
 
 /// The other shipped chaos manifests must at least parse and carry the
@@ -42,24 +83,50 @@ fn shipped_manifests_parse() {
     Manifest::parse(&example("federation-partition.toml")).expect("fed partition parses");
 }
 
-/// The differential pin for the old-flag path: lowering a campaign
-/// through [`Manifest::from_campaign`] and running it via the scenario
-/// runtime must drive the exact same simulation as calling
-/// [`run_campaign_sim`] directly, byte-for-byte on the audit log.
+/// The runtime does not perturb the simulation: running a manifest
+/// through the scenario runtime drives the exact same simulation as
+/// handing its campaign to [`run_campaign_sim`] directly,
+/// byte-for-byte on the audit log.
 #[test]
 fn manifest_run_and_direct_run_agree_on_the_audit_hash() {
-    let campaign = Campaign::new("diff", 31, 16, 300.0)
-        .at(60.0, FaultKind::AgentCrash(3))
-        .at(90.0, FaultKind::KernelPanic(9))
-        .at(180.0, FaultKind::AgentRecover(3))
-        .settle(240.0);
+    let m = Manifest::parse(
+        r#"
+scenario_version = 1
+name = "diff"
+seed = 31
 
-    // the old path: cwx chaos run built the config and ran the sim itself
-    let cfg = campaign_config(&campaign);
-    let (report, _sim) = run_campaign_sim(&campaign, cfg, InvariantPolicy::default());
+[cluster]
+nodes = 16
 
-    // the new path: the same campaign lowered into a manifest
-    let r = run_scenario(&Manifest::from_campaign(&campaign));
+[run]
+duration = 300
+settle = 240
+
+[[fault]]
+at = 60
+kind = "agent-crash"
+node = 3
+
+[[fault]]
+at = 90
+kind = "kernel-panic"
+node = 9
+
+[[fault]]
+at = 180
+kind = "agent-recover"
+node = 3
+"#,
+    )
+    .expect("parses");
+
+    // directly: the chaos crate builds the config and runs the sim
+    let campaign = m.campaign().expect("a [cluster] scenario");
+    let cfg = campaign_config(campaign);
+    let (report, _sim) = run_campaign_sim(campaign, cfg, InvariantPolicy::default());
+
+    // through the runtime
+    let r = run_scenario(&m);
 
     let want = format!("\"hash\":\"{:016x}\"", report.audit_hash);
     assert!(
