@@ -2,13 +2,15 @@
 //! throughput, serial ring-buffer writes, and history-store operations.
 //! These bound how large an experiment the harness can sweep.
 
+use clusterworx::dashboard;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use cwx_monitor::history::HistoryStore;
-use cwx_monitor::monitor::MonitorKey;
+use cwx_store::mem::MemStore;
+use cwx_store::Store;
 use cwx_util::ring::ByteRing;
 use cwx_util::sim::Sim;
 use cwx_util::time::{SimDuration, SimTime};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn benches(c: &mut Criterion) {
     let mut g = c.benchmark_group("substrate");
@@ -55,27 +57,28 @@ fn benches(c: &mut Criterion) {
         })
     });
 
-    // history store: record + downsample (a chart refresh)
+    // history store: record + chart render (a chart refresh)
     g.bench_function("history_record_and_chart", |b| {
-        let key = MonitorKey::new("cpu.util_pct");
         b.iter(|| {
-            let mut h = HistoryStore::new(720);
+            let h: Arc<dyn Store> = Arc::new(MemStore::new(720));
             for i in 0..720u64 {
-                h.record(
+                h.append(
                     1,
-                    &key,
+                    "cpu.util_pct",
                     SimTime::ZERO + SimDuration::from_secs(i * 5),
                     (i % 100) as f64,
                 );
             }
-            let buckets = h.downsample(
+            let chart = dashboard::chart(
+                &*h,
                 1,
-                &key,
+                "cpu.util_pct",
                 SimTime::ZERO,
                 SimTime::ZERO + SimDuration::from_secs(3600),
                 60,
+                12,
             );
-            black_box(buckets.len())
+            black_box(chart.len())
         })
     });
 

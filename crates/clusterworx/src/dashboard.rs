@@ -3,9 +3,10 @@
 //! The product shipped a Java GUI; the reproduction renders the same
 //! information — a per-node status table and a cluster summary — as
 //! text, which is what the examples print and what a TUI would consume.
+//! Historical graphing reads any [`Store`]: [`chart`] draws one series,
+//! [`export_node_csv`] hands a node's history to external tools.
 
-use cwx_monitor::history::HistoryStore;
-use cwx_monitor::monitor::MonitorKey;
+use cwx_store::{AggBucket, Store};
 use cwx_util::time::SimTime;
 
 use crate::world::World;
@@ -61,7 +62,7 @@ pub fn rows(world: &World, now: SimTime) -> Vec<NodeRow> {
             world
                 .server
                 .history()
-                .latest(node, &MonitorKey::new(key))
+                .latest(node, key)
                 .map(|s| s.value)
                 .unwrap_or(f64::NAN)
         };
@@ -153,9 +154,9 @@ pub fn render(world: &World, now: SimTime) -> String {
 /// Each column is one downsampled bucket; `*` marks the bucket mean and
 /// `·` fills the min–max spread behind it.
 pub fn chart(
-    history: &HistoryStore,
+    history: &dyn Store,
     node: u32,
-    key: &MonitorKey,
+    key: &str,
     from: SimTime,
     to: SimTime,
     width: usize,
@@ -164,7 +165,7 @@ pub fn chart(
     use std::fmt::Write;
     let width = width.clamp(1, 200);
     let height = height.clamp(2, 50);
-    let buckets = history.downsample(node, key, from, to, width);
+    let buckets = downsample(history, node, key, from, to, width);
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -209,11 +210,75 @@ pub fn chart(
     s
 }
 
+/// Downsample a range into at most `buckets` fixed-width buckets
+/// (chart rendering). Empty buckets are omitted; an empty range, a
+/// zero bucket count or an inverted range yield no buckets, and a
+/// single-timestamp range (`from == to`) buckets whatever sits at
+/// that instant.
+fn downsample(
+    history: &dyn Store,
+    node: u32,
+    key: &str,
+    from: SimTime,
+    to: SimTime,
+    buckets: usize,
+) -> Vec<AggBucket> {
+    if buckets == 0 || to < from {
+        return Vec::new();
+    }
+    let span = to.since(from).as_nanos();
+    // a degenerate span still gets a well-defined 1ns bucket width
+    let width = (span / buckets as u64).max(1);
+    let samples = history.range(node, key, from, to);
+    let mut out: Vec<AggBucket> = Vec::new();
+    for s in samples {
+        let idx = ((s.time.since(from).as_nanos()) / width).min(buckets as u64 - 1);
+        let start = SimTime::from_nanos(from.as_nanos() + idx * width);
+        match out.last_mut() {
+            Some(b) if b.start == start => {
+                b.count += 1;
+                b.min = b.min.min(s.value);
+                b.max = b.max.max(s.value);
+                // incremental mean: no count*mean products to overflow
+                b.mean += (s.value - b.mean) / b.count as f64;
+                b.last = s.value;
+            }
+            _ => out.push(AggBucket {
+                start,
+                count: 1,
+                min: s.value,
+                mean: s.value,
+                max: s.value,
+                last: s.value,
+            }),
+        }
+    }
+    out
+}
+
+/// Export every series of a node as CSV (`monitor,time_secs,value`) —
+/// the egress path for external charting tools (`cwx simulate
+/// --dump-history`) and the digest a snapshot's `store` section holds.
+pub fn export_node_csv(history: &dyn Store, node: u32) -> String {
+    use std::fmt::Write;
+    let mut out = String::from("monitor,time_secs,value\n");
+    for (n, key) in history.series() {
+        if n != node {
+            continue;
+        }
+        for s in history.range(n, &key, SimTime::ZERO, SimTime::MAX) {
+            let _ = writeln!(out, "{},{:.3},{}", key, s.time.as_secs_f64(), s.value);
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
     use crate::world::Cluster;
+    use cwx_store::mem::MemStore;
     use cwx_util::time::SimDuration;
 
     #[test]
@@ -258,9 +323,9 @@ mod tests {
         sim.run_for(SimDuration::from_secs(300));
         let now = sim.now();
         let text = chart(
-            sim.world().server.history(),
+            &**sim.world().server.history(),
             0,
-            &MonitorKey::new("temp.cpu"),
+            "temp.cpu",
             SimTime::ZERO,
             now,
             40,
@@ -271,9 +336,9 @@ mod tests {
         assert_eq!(text.lines().count(), 9, "title + height rows:\n{text}");
         // an unknown series renders a placeholder, not a panic
         let empty = chart(
-            sim.world().server.history(),
+            &**sim.world().server.history(),
             0,
-            &MonitorKey::new("nope"),
+            "nope",
             SimTime::ZERO,
             now,
             40,
@@ -293,5 +358,83 @@ mod tests {
         let table = rows(sim.world(), sim.now());
         assert_eq!(table[1].status, "off");
         assert_eq!(table[0].status, "up");
+    }
+
+    fn t(s: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs(s)
+    }
+
+    #[test]
+    fn downsample_buckets_min_mean_max_last() {
+        let h = MemStore::new(1000);
+        // 100 samples over 100s, values 0..99
+        for i in 0..100 {
+            h.append(1, "cpu.util_pct", t(i), i as f64);
+        }
+        let buckets = downsample(&h, 1, "cpu.util_pct", t(0), t(100), 10);
+        assert_eq!(buckets.len(), 10);
+        let b0 = &buckets[0];
+        assert_eq!(b0.count, 10);
+        assert_eq!(b0.min, 0.0);
+        assert_eq!(b0.max, 9.0);
+        assert_eq!(b0.last, 9.0);
+        assert!((b0.mean - 4.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn downsample_edge_cases() {
+        let h = MemStore::new(10);
+        assert!(downsample(&h, 1, "k", t(0), t(10), 0).is_empty());
+        assert!(downsample(&h, 1, "k", t(10), t(0), 5).is_empty());
+        assert!(
+            downsample(&h, 1, "k", t(0), t(10), 5).is_empty(),
+            "no data -> no buckets"
+        );
+    }
+
+    #[test]
+    fn downsample_single_timestamp_range() {
+        let h = MemStore::new(10);
+        h.append(1, "k", t(5), 2.0);
+        h.append(1, "k", t(5), 4.0);
+        // from == to: degenerate span must neither panic nor divide by
+        // zero, and the samples at that instant land in one bucket
+        let buckets = downsample(&h, 1, "k", t(5), t(5), 8);
+        assert_eq!(buckets.len(), 1);
+        assert_eq!(buckets[0].count, 2);
+        assert_eq!(
+            (buckets[0].min, buckets[0].max, buckets[0].last),
+            (2.0, 4.0, 4.0)
+        );
+        assert!((buckets[0].mean - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn downsample_more_buckets_than_span_nanos() {
+        let h = MemStore::new(10);
+        h.append(1, "k", t(0), 1.0);
+        let a = SimTime::from_nanos(t(0).as_nanos());
+        let b = SimTime::from_nanos(t(0).as_nanos() + 3);
+        // span of 3ns into 10 buckets: width clamps to 1ns, no panic
+        let buckets = downsample(&h, 1, "k", a, b, 10);
+        assert_eq!(buckets.len(), 1);
+        assert_eq!(buckets[0].count, 1);
+    }
+
+    #[test]
+    fn node_csv_lists_every_series_of_one_node() {
+        let h = MemStore::new(10);
+        h.append(1, "cpu.util_pct", t(5), 42.5);
+        h.append(1, "cpu.util_pct", t(10), 43.0);
+        h.append(1, "mem.free", t(5), 1000.0);
+        h.append(2, "mem.free", t(5), 7.0);
+        assert_eq!(
+            export_node_csv(&h, 1),
+            "monitor,time_secs,value\n\
+             cpu.util_pct,5.000,42.5\n\
+             cpu.util_pct,10.000,43\n\
+             mem.free,5.000,1000\n"
+        );
+        assert_eq!(export_node_csv(&h, 9), "monitor,time_secs,value\n");
     }
 }

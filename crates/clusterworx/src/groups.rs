@@ -8,7 +8,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cwx_monitor::monitor::MonitorKey;
 use cwx_util::sim::Sim;
 
 use crate::world::{power_off_node, power_on_node, World};
@@ -112,13 +111,7 @@ pub fn summarize(world: &World, groups: &Groups, group: &str) -> GroupSummary {
         .iter()
         .filter(|&&n| world.nodes.get(n as usize).is_some_and(|s| s.hw.is_up()))
         .count();
-    let latest = |node: u32, key: &str| {
-        world
-            .server
-            .history()
-            .latest(node, &MonitorKey::new(key))
-            .map(|s| s.value)
-    };
+    let latest = |node: u32, key: &str| world.server.history().latest(node, key).map(|s| s.value);
     let cpus: Vec<f64> = members
         .iter()
         .filter_map(|&n| latest(n, "cpu.util_pct"))

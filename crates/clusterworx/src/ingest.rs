@@ -26,8 +26,9 @@
 //! Samples are stamped with the *report's* gather time (`time_secs`),
 //! so identical agent traffic produces identical store contents
 //! regardless of arrival jitter or batching boundaries — the ingest
-//! tests check the store against the scripted traffic itself. Receive
-//! time still drives liveness and event evaluation.
+//! tests check the store against the scripted traffic itself, on a disk
+//! store and on the server's own in-memory history alike. Receive time
+//! still drives liveness and event evaluation.
 
 use std::io;
 use std::mem;
@@ -222,14 +223,6 @@ struct Batch {
     error_bytes: Vec<usize>,
 }
 
-fn numeric_samples(report: &Report) -> usize {
-    report
-        .values
-        .iter()
-        .filter(|(_, v)| matches!(v, Value::Num(_)))
-        .count()
-}
-
 /// The sample timestamp written to history: the report's own gather
 /// time when it is sane, else the receive time. Using gather time makes
 /// store contents a pure function of the agent traffic.
@@ -242,10 +235,13 @@ fn sample_time(d: &Decoded) -> SimTime {
     }
 }
 
+/// One lane's flush worker: every batch is appended to `store` at gather
+/// time outside the server lock, then the server lock is taken once for
+/// events, liveness and housekeeping.
 fn flusher_loop(
     rx: Receiver<Batch>,
     server: Arc<RwLock<Server>>,
-    store: Option<Arc<DiskStore>>,
+    store: Arc<dyn Store>,
     shared: Arc<Shared>,
     waker: Waker,
     epoch: Instant,
@@ -258,39 +254,28 @@ fn flusher_loop(
             std::thread::sleep(d * batch.reports.len().max(1) as u32);
         }
         let now = SimTime::ZERO + SimDuration::from_secs_f64(epoch.elapsed().as_secs_f64());
-        let mut samples = 0u64;
-        if let Some(store) = &store {
-            let mut out: Vec<BatchSample> = Vec::new();
-            for d in &batch.reports {
-                let at = sample_time(d);
-                for (key, value) in &d.report.values {
-                    if let Value::Num(x) = value {
-                        out.push(BatchSample {
-                            node: d.report.node,
-                            monitor: key.as_str(),
-                            time: at,
-                            value: *x,
-                        });
-                    }
+        let mut out: Vec<BatchSample> = Vec::new();
+        for d in &batch.reports {
+            let at = sample_time(d);
+            for (key, value) in &d.report.values {
+                if let Value::Num(x) = value {
+                    out.push(BatchSample {
+                        node: d.report.node,
+                        monitor: key.as_str(),
+                        time: at,
+                        value: *x,
+                    });
                 }
             }
-            samples = out.len() as u64;
-            // storage writes on the shard lock only; the server lock
-            // below covers just events + liveness
-            store.append_batch(&out);
+        }
+        let samples = out.len() as u64;
+        // storage writes on the store's own locks only; the server lock
+        // below covers just events + liveness
+        store.append_batch(&out);
+        {
             let mut srv = server.write();
             for d in &batch.reports {
                 srv.ingest_report_events_only(d.recv, &d.report, d.wire);
-            }
-            for &b in &batch.error_bytes {
-                srv.note_decode_error(b);
-            }
-            srv.housekeeping(now);
-        } else {
-            let mut srv = server.write();
-            for d in &batch.reports {
-                samples += numeric_samples(&d.report) as u64;
-                srv.ingest_report_wire(d.recv, &d.report, d.wire);
             }
             for &b in &batch.error_bytes {
                 srv.note_decode_error(b);
@@ -330,6 +315,9 @@ pub struct IngestServer {
 
 impl IngestServer {
     /// Bind the listener and start the front end and flush workers.
+    ///
+    /// Lanes write to `store` when one is given — which also enables the
+    /// `CWQ1` query endpoint — and otherwise to the server's own history.
     pub fn start(
         cfg: IngestConfig,
         server: Arc<RwLock<Server>>,
@@ -344,6 +332,10 @@ impl IngestServer {
         let _ = cwx_net::reactor::widen_listen_backlog(&listener, 4096);
         let shared = Arc::new(Shared::default());
         let waker = Waker::new()?;
+        let target: Arc<dyn Store> = match &store {
+            Some(s) => Arc::clone(s) as Arc<dyn Store>,
+            None => Arc::clone(server.read().history()),
+        };
 
         let n_lanes = cfg.n_lanes.max(1);
         let mut txs = Vec::with_capacity(n_lanes);
@@ -352,7 +344,7 @@ impl IngestServer {
             let (tx, rx) = bounded::<Batch>(cfg.lane_queue_batches.max(1));
             txs.push(tx);
             let server = Arc::clone(&server);
-            let store = store.clone();
+            let store = Arc::clone(&target);
             let shared = Arc::clone(&shared);
             let waker = waker.clone();
             let stall = match (cfg.flush_stall, cfg.stall_lane) {
@@ -366,9 +358,9 @@ impl IngestServer {
         }
 
         // query endpoint: over a durable store only
-        let query = store.as_ref().map(|store| {
+        let query = store.is_some().then(|| {
             Arc::new(QueryExecutor::new(
-                Arc::clone(store) as Arc<dyn Store>,
+                Arc::clone(&target),
                 QueryLimits {
                     workers: cfg.query_workers.max(1),
                     max_queue: cfg.query_queue.max(1),
@@ -998,7 +990,11 @@ impl Reactor {
                     *node = Some(report.node);
                     *lane = Some(l);
                     let entry = &mut lanes[l];
-                    entry.pending_samples += numeric_samples(&report);
+                    entry.pending_samples += report
+                        .values
+                        .iter()
+                        .filter(|(_, v)| matches!(v, Value::Num(_)))
+                        .count();
                     entry.pending.push(Decoded {
                         recv: now,
                         rx_at: Instant::now(),

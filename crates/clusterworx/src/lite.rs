@@ -3,21 +3,25 @@
 //! The companion white paper ships a trimmed "ClusterWorX Lite" for
 //! small installations — monitoring, history, events and notification on
 //! one machine, without the 3-tier server or any chassis hardware. The
-//! reproduction's Lite is a self-contained loop over any
-//! [`cwx_proc::ProcSource`], which makes it directly usable on the real
-//! `/proc` of a Linux host: the agent's pipeline feeds a local history
-//! store and the local event engine; actions are surfaced to the caller
-//! (there is no ICE Box to switch relays through).
+//! reproduction's Lite is an [`Agent`] over any [`cwx_proc::ProcSource`]
+//! feeding an in-process [`Server`] — the same history, event and
+//! notification path a cluster's reports take — which makes it directly
+//! usable on the real `/proc` of a Linux host. Actions are surfaced to
+//! the caller as firings (there is no ICE Box to switch relays through).
 
-use cwx_events::engine::{default_rules, EventDef, EventEngine, Firing};
-use cwx_events::notify::{Email, Notifier};
+use std::io;
+use std::sync::Arc;
+
+use cwx_events::engine::{EventEngine, Firing};
+use cwx_events::notify::Email;
 use cwx_monitor::agent::{Agent, AgentConfig};
-use cwx_monitor::history::HistoryStore;
-use cwx_monitor::monitor::{Registry, Value};
+use cwx_monitor::monitor::Registry;
 use cwx_monitor::snapshot::Sensors;
 use cwx_proc::source::ProcSource;
+use cwx_store::Store;
 use cwx_util::time::{SimDuration, SimTime};
-use std::io;
+
+use crate::server::Server;
 
 /// One Lite tick's outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,18 +38,12 @@ pub struct LiteTick {
 /// A standalone single-host monitor.
 pub struct LiteMonitor<S: ProcSource> {
     agent: Agent<S>,
-    history: HistoryStore,
-    engine: EventEngine,
-    notifier: Notifier,
+    server: Server,
 }
 
 impl<S: ProcSource + Clone> LiteMonitor<S> {
     /// Build over a proc source with the default rule set.
     pub fn new(source: S, host: &str) -> io::Result<Self> {
-        let mut engine = EventEngine::new();
-        for r in default_rules() {
-            engine.add(r);
-        }
         Ok(LiteMonitor {
             agent: Agent::new(
                 source,
@@ -56,20 +54,24 @@ impl<S: ProcSource + Clone> LiteMonitor<S> {
                     ..AgentConfig::default()
                 },
             )?,
-            history: HistoryStore::new(720),
-            engine,
-            notifier: Notifier::new(host, SimDuration::from_secs(30)),
+            // one host reporting to itself every tick is never stale
+            server: Server::new(
+                host,
+                SimDuration::from_secs(30),
+                720,
+                SimDuration::from_nanos(u64::MAX),
+            ),
         })
     }
 
     /// Local history (for charting).
-    pub fn history(&self) -> &HistoryStore {
-        &self.history
+    pub fn history(&self) -> &Arc<dyn Store> {
+        self.server.history()
     }
 
     /// Event engine (to add site rules).
     pub fn engine_mut(&mut self) -> &mut EventEngine {
-        &mut self.engine
+        self.server.engine_mut()
     }
 
     /// The monitor registry (to add plug-ins).
@@ -79,31 +81,18 @@ impl<S: ProcSource + Clone> LiteMonitor<S> {
 
     /// All notifications so far.
     pub fn outbox(&self) -> &[Email] {
-        self.notifier.outbox()
+        self.server.outbox()
     }
 
     /// One sampling cycle at logical time `now`.
     pub fn tick(&mut self, now: SimTime, sensors: Sensors) -> io::Result<LiteTick> {
         let out = self.agent.tick(now, sensors)?;
-        let mut fired = Vec::new();
-        for (key, value) in &out.report.values {
-            if let Value::Num(x) = value {
-                self.history.record(0, key, now, *x);
-                let (f, cleared) = self.engine.observe(now, 0, key, *x);
-                for firing in &f {
-                    if let Some(def) = self.engine.defs().iter().find(|d| d.id == firing.event) {
-                        let def: EventDef = def.clone();
-                        self.notifier.on_fire(now, &def, firing);
-                    }
-                }
-                for c in &cleared {
-                    self.notifier.on_clear(c);
-                }
-                fired.extend(f);
-            }
-        }
-        let defs: Vec<EventDef> = self.engine.defs().to_vec();
-        let mail = self.notifier.flush(now, &defs);
+        self.server.ingest_report(now, &out.report);
+        // every tick drains the feed, so it never reaches its cap
+        let (fired, _) = self.server.take_alarms();
+        let mail = self.server.housekeeping(now);
+        // no chassis: the firings above are how actions surface
+        self.server.take_actions();
         Ok(LiteTick {
             changed_values: out.report.values.len(),
             fired,
@@ -116,7 +105,7 @@ impl<S: ProcSource + Clone> LiteMonitor<S> {
 mod tests {
     use super::*;
     use cwx_events::Action;
-    use cwx_monitor::monitor::MonitorKey;
+    use cwx_monitor::monitor::Value;
     use cwx_proc::synthetic::SyntheticProc;
 
     fn t(s: u64) -> SimTime {
@@ -140,8 +129,7 @@ mod tests {
             )
             .unwrap();
         }
-        let key = MonitorKey::new("uptime.secs");
-        let hist = lite.history().range(0, &key, t(0), t(1000));
+        let hist = lite.history().range(0, "uptime.secs", t(0), t(1000));
         assert_eq!(hist.len(), 20);
         assert!(lite.outbox().is_empty(), "healthy host, no mail");
     }
@@ -187,10 +175,7 @@ mod tests {
             },
         )
         .unwrap();
-        let v = lite
-            .history()
-            .latest(0, &MonitorKey::new("site.answer"))
-            .unwrap();
+        let v = lite.history().latest(0, "site.answer").unwrap();
         assert_eq!(v.value, 42.0);
     }
 
@@ -218,9 +203,6 @@ mod tests {
             tick.changed_values > 40,
             "first tick carries the full monitor set"
         );
-        assert!(lite
-            .history()
-            .latest(0, &MonitorKey::new("mem.total"))
-            .is_some());
+        assert!(lite.history().latest(0, "mem.total").is_some());
     }
 }

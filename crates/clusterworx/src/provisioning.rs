@@ -176,7 +176,6 @@ mod tests {
     use crate::config::ClusterConfig;
     use crate::world::Cluster;
     use cwx_clone::image::ImageManager;
-    use cwx_monitor::monitor::MonitorKey;
 
     #[test]
     fn group_clone_replays_the_protocol_in_the_world() {
@@ -216,11 +215,7 @@ mod tests {
         }
         assert!(w.nodes[10].image.is_none(), "rack1 untouched");
         // monitoring resumed on recloned nodes
-        assert!(w
-            .server
-            .history()
-            .latest(0, &MonitorKey::new("uptime.secs"))
-            .is_some());
+        assert!(w.server.history().latest(0, "uptime.secs").is_some());
     }
 
     #[test]
@@ -257,11 +252,7 @@ mod tests {
             .node_status(new)
             .map(|s| s.reachable)
             .unwrap_or(false));
-        assert!(w
-            .server
-            .history()
-            .latest(new, &MonitorKey::new("load.one"))
-            .is_some());
+        assert!(w.server.history().latest(new, "load.one").is_some());
         // and it is probe-covered by its chassis
         let (bx, port) = World::rack_of(new);
         assert!(w.iceboxes[bx].probe(port).is_some());

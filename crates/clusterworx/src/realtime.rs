@@ -13,17 +13,14 @@
 //! clients access the ClusterWorX server at the same time without
 //! conflict").
 //!
-//! Two history shapes:
-//!
-//! * **Volatile** (default): history lives in the in-memory ring; a
-//!   single ingest lane feeds the server.
-//! * **Persistent** (`persist_dir` set): history goes to a
-//!   [`cwx_store::disk::DiskStore`], and ingest runs one lane (flush
-//!   worker) per store shard, with each agent's connection routed by
-//!   its node group. Lanes batch-append samples straight into their
-//!   own shard (per-shard lock, no global contention) and only take
-//!   the server write lock for event evaluation. On restart the same
-//!   `persist_dir` recovers every acknowledged sample.
+//! The server's history is one store, chosen at start: a
+//! [`cwx_store::disk::DiskStore`] when `persist_dir` is set, else an
+//! in-memory [`MemStore`] ring. Ingest lanes batch-append samples to it
+//! at each report's gather time outside the server lock, and take the
+//! server write lock only for event evaluation. With a disk store there
+//! is one lane per store shard, each agent's connection routed by its
+//! node group, and on restart the same `persist_dir` recovers every
+//! acknowledged sample.
 //!
 //! Backpressure is end-to-end and bounded at every hop: lane flush
 //! queues are bounded (a full queue pauses the offending connections
@@ -39,21 +36,21 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cwx_icebox::chassis::{IceBox, NodeCommand, PortEffect, PortId, NODE_PORTS};
+use cwx_icebox::chassis::{IceBox, NODE_PORTS};
 use cwx_monitor::agent::{Agent, AgentConfig};
-use cwx_monitor::history::HistoryStore;
 use cwx_monitor::snapshot::Sensors;
 use cwx_net::frame::put_frame;
 use cwx_proc::synthetic::SyntheticProc;
 use cwx_store::disk::{DiskStore, StoreConfig};
+use cwx_store::mem::MemStore;
+use cwx_store::Store;
 use cwx_util::time::{SimDuration, SimTime};
 use parking_lot::{Mutex, RwLock};
-use rand::rngs::StdRng;
-use rand::Rng;
 
-use crate::actions::{CommandTransport, ControlPlane, Effect, IssueOutcome, NoGate, PowerCmd};
+use crate::actions::{CommandTransport, ControlPlane, Effect, NoGate};
 use crate::ingest::{IngestConfig, IngestLatency, IngestServer, IngestStats};
 use crate::server::Server;
+use crate::world::{IceBoxTransport, World};
 
 /// Handle to a running real-time deployment.
 pub struct RealTimeDeployment {
@@ -87,9 +84,6 @@ pub struct RealTimeConfig {
     pub persist_dir: Option<PathBuf>,
     /// Store shard count for the persistent path.
     pub shards: usize,
-    /// Agents emit the binary CWB1 delta wire format (the textual
-    /// format still decodes; this only selects what agents send).
-    pub binary_wire: bool,
     /// Test hook: per-report processing delay injected into ingest
     /// threads, to exercise backpressure.
     pub ingest_stall: Option<Duration>,
@@ -118,7 +112,6 @@ impl Default for RealTimeConfig {
             channel_capacity: 64,
             persist_dir: None,
             shards: 4,
-            binary_wire: true,
             ingest_stall: None,
             control_interval: Duration::from_millis(20),
             command_loss: 0.0,
@@ -146,7 +139,7 @@ fn agent_loop(
         proc_.clone(),
         AgentConfig {
             node,
-            binary: cfg.binary_wire,
+            binary: true,
             ..AgentConfig::default()
         },
     ) {
@@ -219,52 +212,6 @@ fn agent_loop(
     sent
 }
 
-/// The wall-clock [`CommandTransport`]: a rack of ICE Boxes owned by the
-/// controller thread, with the same loss injection as the simulation.
-struct ChassisTransport {
-    iceboxes: Vec<IceBox>,
-    loss: f64,
-    rng: StdRng,
-}
-
-impl ChassisTransport {
-    fn rack_of(node: u32) -> (usize, PortId) {
-        (
-            (node / NODE_PORTS as u32) as usize,
-            PortId((node % NODE_PORTS as u32) as u8),
-        )
-    }
-}
-
-impl CommandTransport for ChassisTransport {
-    fn issue(&mut self, now: SimTime, node: u32, cmd: PowerCmd) -> IssueOutcome {
-        if self.loss > 0.0 && self.rng.random::<f64>() < self.loss {
-            return IssueOutcome::Lost;
-        }
-        let (bx, port) = Self::rack_of(node);
-        let Some(icebox) = self.iceboxes.get_mut(bx) else {
-            return IssueOutcome::Rejected;
-        };
-        let chassis_cmd = match cmd {
-            PowerCmd::On => NodeCommand::PowerOn,
-            PowerCmd::Off => NodeCommand::PowerOff,
-        };
-        match icebox.execute(now, port, chassis_cmd) {
-            Ok(Some(PortEffect::EnergizeAt { at, .. })) => IssueOutcome::Applied {
-                energize_at: Some(at),
-            },
-            Ok(Some(_)) => IssueOutcome::Applied { energize_at: None },
-            Ok(None) => IssueOutcome::Noop,
-            Err(_) => IssueOutcome::Rejected,
-        }
-    }
-
-    fn relay_on(&self, node: u32) -> bool {
-        let (bx, port) = Self::rack_of(node);
-        self.iceboxes.get(bx).is_some_and(|ib| ib.relay_on(port))
-    }
-}
-
 /// A node boot in progress on the controller thread's timeline.
 struct PendingBoot {
     node: u32,
@@ -277,8 +224,10 @@ struct PendingBoot {
 /// `execute_pending_actions` + `pump_control`. Every `control_interval`
 /// it drains the server's queued actions into the shared
 /// [`ControlPlane`], pumps the command bus through the chassis
-/// transport, and applies the physical effects (power flags, boots,
-/// `forget_node`). Identical state machine, different clock.
+/// transport the simulation uses — over a rack of ICE Boxes and a
+/// command-loss stream this thread owns — and applies the physical
+/// effects (power flags, boots, `forget_node`). Identical state machine,
+/// different clock.
 #[allow(clippy::too_many_arguments)]
 fn controller_loop(
     cfg: RealTimeConfig,
@@ -288,18 +237,15 @@ fn controller_loop(
     stop: Arc<AtomicBool>,
 ) {
     let n_boxes = (cfg.n_nodes as usize).div_ceil(NODE_PORTS);
-    let mut transport = ChassisTransport {
-        iceboxes: (0..n_boxes.max(1)).map(|_| IceBox::new()).collect(),
-        loss: cfg.command_loss,
-        rng: cwx_util::rng::rng(0x1ce_b0c5),
-    };
+    let mut iceboxes: Vec<IceBox> = (0..n_boxes.max(1)).map(|_| IceBox::new()).collect();
+    let mut rng = cwx_util::rng::rng(0x1ce_b0c5);
     // adopt the running fleet: relays closed, lifecycle forced Up
     {
         let mut cp = control.lock();
         for node in 0..cfg.n_nodes {
-            let (bx, port) = ChassisTransport::rack_of(node);
-            let _ = transport.iceboxes[bx].power_on(SimTime::ZERO, port);
-            transport.iceboxes[bx].mark_energized(port);
+            let (bx, port) = World::rack_of(node);
+            let _ = iceboxes[bx].power_on(SimTime::ZERO, port);
+            iceboxes[bx].mark_energized(port);
             cp.adopt_up(SimTime::ZERO, node);
         }
     }
@@ -312,8 +258,8 @@ fn controller_loop(
         let mut cp = control.lock();
         for b in &mut boots {
             if !b.energized && now >= b.energize_at {
-                let (bx, port) = ChassisTransport::rack_of(b.node);
-                transport.iceboxes[bx].mark_energized(port);
+                let (bx, port) = World::rack_of(b.node);
+                iceboxes[bx].mark_energized(port);
                 cp.note_energized(now, b.node);
                 b.energized = true;
             }
@@ -323,6 +269,11 @@ fn controller_loop(
             }
         }
         boots.retain(|b| !(b.energized && b.up_at <= now));
+        let mut transport = IceBoxTransport {
+            iceboxes: &mut iceboxes,
+            loss: cfg.command_loss,
+            rng: &mut rng,
+        };
         // drain queued actions, mirroring the simulation driver: pump
         // after each submission so an applied power-off suppresses later
         // duplicates in the same batch
@@ -430,9 +381,9 @@ impl RealTimeDeployment {
                 }
             }
         });
-        let history = match &store {
-            Some(s) => HistoryStore::with_backend(Box::new(Arc::clone(s))),
-            None => HistoryStore::new(4096),
+        let history: Arc<dyn Store> = match &store {
+            Some(s) => Arc::clone(s) as Arc<dyn Store>,
+            None => Arc::new(MemStore::new(4096)),
         };
         let server = Arc::new(RwLock::new(Server::with_history(
             "realtime",
@@ -605,8 +556,6 @@ impl RealTimeDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwx_monitor::monitor::MonitorKey;
-    use cwx_store::Store;
 
     #[test]
     fn threaded_pipeline_delivers_everything() {
@@ -620,11 +569,15 @@ mod tests {
         // tier-3 clients read while agents write
         let server = dep.server();
         let reader = std::thread::spawn(move || {
-            let key = MonitorKey::new("load.one");
             let mut reads = 0;
             for _ in 0..50 {
                 let s = server.read();
-                let _ = s.history().latest_across_nodes(&key);
+                let history = s.history();
+                for (node, key) in history.series() {
+                    if key == "load.one" {
+                        let _ = history.latest(node, &key);
+                    }
+                }
                 reads += 1;
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -645,22 +598,6 @@ mod tests {
         for node in 0..6 {
             assert!(s.node_status(node).is_some(), "node{node} reported");
         }
-    }
-
-    #[test]
-    fn text_wire_still_flows_end_to_end() {
-        let dep = RealTimeDeployment::start(RealTimeConfig {
-            n_nodes: 3,
-            interval: Duration::from_millis(10),
-            binary_wire: false,
-            ..RealTimeConfig::default()
-        });
-        std::thread::sleep(Duration::from_millis(150));
-        let server = dep.server();
-        let (sent, ingested) = dep.shutdown();
-        assert!(sent > 0);
-        assert_eq!(sent, ingested);
-        assert_eq!(server.read().stats().decode_errors, 0);
     }
 
     #[test]
@@ -717,14 +654,13 @@ mod tests {
         let recovered = store.total_samples();
         assert!(recovered > 0, "prior run's samples recovered");
         let server = dep.server();
-        let key = MonitorKey::new("load.one");
         {
             let s = server.read();
             let mut nodes_with_history = 0;
             for node in 0..8 {
                 if !s
                     .history()
-                    .range(node, &key, SimTime::ZERO, SimTime::MAX)
+                    .range(node, "load.one", SimTime::ZERO, SimTime::MAX)
                     .is_empty()
                 {
                     nodes_with_history += 1;

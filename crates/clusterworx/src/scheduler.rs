@@ -149,7 +149,6 @@ mod tests {
     use crate::config::{ClusterConfig, WorkloadMix};
     use crate::world::{schedule_fault, Cluster};
     use cwx_hw::node::Fault;
-    use cwx_monitor::monitor::MonitorKey;
     use cwx_util::time::SimTime;
     use slurm_lite::{JobRequest, JobState};
 
@@ -192,12 +191,11 @@ mod tests {
         assert_eq!(running.len(), 4);
         // the monitoring pipeline sees the job run: allocated nodes hot,
         // idle nodes cold
-        let key = MonitorKey::new("cpu.util_pct");
         for i in 0..8u32 {
             let util = w
                 .server
                 .history()
-                .latest(i, &key)
+                .latest(i, "cpu.util_pct")
                 .map(|s| s.value)
                 .unwrap_or(0.0);
             if running.contains(&i) {

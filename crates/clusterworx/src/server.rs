@@ -4,15 +4,25 @@
 //! clients (GUI sessions) query downward. The server decodes reports,
 //! feeds the history store, evaluates events and queues the resulting
 //! actions for the chassis layer to execute.
+//!
+//! History is one `Arc<dyn Store>`: a [`MemStore`] ring from
+//! [`Server::new`], or whatever [`Server::with_history`] is handed (a
+//! `cwx_store::disk::DiskStore` for history that survives a restart).
+//! Every report takes one path: [`Server::ingest_report`] appends its
+//! numeric values as one batch, then runs
+//! [`Server::ingest_report_events_only`] — liveness, counters, events.
+//! The realtime ingest lanes append outside the server lock and call
+//! the second half alone.
 
 use std::collections::BTreeMap;
-use std::sync::LazyLock;
+use std::sync::{Arc, LazyLock};
 
 use cwx_events::engine::{default_rules, EventDef, EventEngine, Firing};
 use cwx_events::notify::{Email, Notifier};
-use cwx_monitor::history::{BatchSample, HistoryStore};
 use cwx_monitor::monitor::{MonitorKey, Value};
 use cwx_monitor::transmit::{self, Report};
+use cwx_store::mem::MemStore;
+use cwx_store::{BatchSample, Store};
 use cwx_util::time::{SimDuration, SimTime};
 
 use cwx_events::Action;
@@ -88,7 +98,7 @@ pub struct ClusterSnapshot {
 /// The management server.
 #[derive(Debug)]
 pub struct Server {
-    history: HistoryStore,
+    history: Arc<dyn Store>,
     engine: EventEngine,
     notifier: Notifier,
     status: BTreeMap<u32, NodeStatus>,
@@ -104,7 +114,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// A server with the paper's default rule set installed.
+    /// A server with the paper's default rule set installed, keeping at
+    /// most `history_capacity` samples per series in memory.
     pub fn new(
         cluster_name: &str,
         notify_window: SimDuration,
@@ -114,18 +125,18 @@ impl Server {
         Server::with_history(
             cluster_name,
             notify_window,
-            HistoryStore::new(history_capacity),
+            Arc::new(MemStore::new(history_capacity)),
             stale_after,
         )
     }
 
-    /// A server over a caller-supplied history store — pass one backed
-    /// by `cwx_store::disk::DiskStore` and monitoring history (charts,
+    /// A server over a caller-supplied history store — pass a
+    /// `cwx_store::disk::DiskStore` and monitoring history (charts,
     /// range queries) survives a server restart.
     pub fn with_history(
         cluster_name: &str,
         notify_window: SimDuration,
-        history: HistoryStore,
+        history: Arc<dyn Store>,
         stale_after: SimDuration,
     ) -> Self {
         let mut engine = EventEngine::new();
@@ -151,8 +162,9 @@ impl Server {
         &mut self.engine
     }
 
-    /// The history store (charting queries).
-    pub fn history(&self) -> &HistoryStore {
+    /// The history store (charting queries; clone the `Arc` to write to
+    /// it outside the server lock).
+    pub fn history(&self) -> &Arc<dyn Store> {
         &self.history
     }
 
@@ -238,21 +250,12 @@ impl Server {
         self.ingest_report(now, &report);
     }
 
-    /// Handle an already-decoded report (used by the simulation driver
-    /// to skip redundant re-encoding when it already accounted bytes).
+    /// Handle an already-decoded report: its numeric values go to
+    /// history as one batch stamped `now`, then
+    /// [`Server::ingest_report_events_only`] runs. The event engine never
+    /// reads history, so evaluating after the append sees what
+    /// evaluating between appends saw.
     pub fn ingest_report(&mut self, now: SimTime, report: &Report) {
-        self.stats.reports_rx += 1;
-        let entry = self.status.entry(report.node).or_insert(NodeStatus {
-            last_report: now,
-            reports: 0,
-            reachable: true,
-        });
-        entry.last_report = now;
-        entry.reports += 1;
-        entry.reachable = true;
-        // history takes the report's numeric values as one batch; the
-        // event engine never reads history, so evaluating after the
-        // append sees what evaluating between appends saw
         let batch: Vec<BatchSample<'_>> = report
             .values
             .iter()
@@ -265,20 +268,14 @@ impl Server {
                 })
             })
             .collect();
-        self.history.record_batch(&batch);
-        for (key, value) in &report.values {
-            self.stats.values_rx += 1;
-            if let Value::Num(x) = value {
-                self.observe(now, report.node, key, *x);
-            }
-        }
+        self.history.append_batch(&batch);
+        self.ingest_report_events_only(now, report, 0);
     }
 
-    /// Handle a report whose samples a sharded ingest worker already
-    /// wrote straight into the shared history backend: account stats
-    /// and liveness and run event evaluation, but skip the (already
-    /// done) history writes. This keeps the expensive storage write
-    /// outside the server lock.
+    /// Handle a report whose samples an ingest lane already appended to
+    /// the history store: account stats and liveness and run event
+    /// evaluation, but skip the (already done) history writes. This
+    /// keeps the storage write outside the server lock.
     pub fn ingest_report_events_only(&mut self, now: SimTime, report: &Report, wire_bytes: usize) {
         self.stats.bytes_rx += wire_bytes as u64;
         self.stats.reports_rx += 1;
@@ -296,14 +293,6 @@ impl Server {
                 self.observe(now, report.node, key, *x);
             }
         }
-    }
-
-    /// Handle an already-decoded report from a connection-oriented
-    /// ingest front end that also wants wire-byte accounting: full
-    /// ingest (history + events + liveness) plus `bytes_rx`.
-    pub fn ingest_report_wire(&mut self, now: SimTime, report: &Report, wire_bytes: usize) {
-        self.stats.bytes_rx += wire_bytes as u64;
-        self.ingest_report(now, report);
     }
 
     /// Account a datagram that failed to decode in a sharded ingest
@@ -350,7 +339,7 @@ impl Server {
             time: now,
             value: readings[i],
         });
-        self.history.record_batch(&batch);
+        self.history.append_batch(&batch);
         for (key, v) in PROBE_KEYS.iter().zip(readings) {
             self.observe(now, node, key, v);
         }
@@ -419,7 +408,7 @@ mod tests {
         assert_eq!(st.reports_rx, 1);
         assert_eq!(st.values_rx, 2);
         assert_eq!(st.bytes_rx, payload.len() as u64);
-        let latest = s.history().latest(7, &MonitorKey::new("temp.cpu")).unwrap();
+        let latest = s.history().latest(7, "temp.cpu").unwrap();
         assert_eq!(latest.value, 55.0);
         assert!(s.node_status(7).unwrap().reachable);
     }

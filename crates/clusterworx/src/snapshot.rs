@@ -161,10 +161,11 @@ pub fn capture_sections(sim: &Sim<World>) -> Vec<(String, Vec<u8>)> {
     // store: the history store's full contents, one digest per node
     let mut b = Vec::new();
     let hist = w.server.history();
-    put_u64(&mut b, hist.series_count() as u64);
+    put_u64(&mut b, hist.series().len() as u64);
     put_u64(&mut b, hist.total_samples());
     for node in 0..n as u32 {
-        put_u64(&mut b, fnv1a(hist.export_node_csv(node).as_bytes()));
+        let csv = crate::dashboard::export_node_csv(&**hist, node);
+        put_u64(&mut b, fnv1a(csv.as_bytes()));
     }
     push("store", b);
 

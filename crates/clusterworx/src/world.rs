@@ -7,6 +7,8 @@
 //! simulation events, and feeds hardware reality back in. The observation
 //! paths (probe sampling, liveness housekeeping) are in `crate::probes`.
 
+use std::sync::Arc;
+
 use cwx_bios::{BiosChip, MemoryCheck};
 use cwx_events::Action;
 use cwx_hw::node::{Fault, HwEvent, NodeHardware, PowerState, ThermalConfig};
@@ -18,6 +20,9 @@ use cwx_monitor::fault::AgentFault;
 use cwx_monitor::snapshot::Sensors;
 use cwx_net::{Network, NodeAddr};
 use cwx_proc::synthetic::SyntheticProc;
+use cwx_store::disk::{DiskStore, StoreConfig};
+use cwx_store::mem::MemStore;
+use cwx_store::Store;
 use cwx_util::rng::rng as seeded_rng;
 use cwx_util::sim::{EventId, Sim};
 use cwx_util::time::{SimDuration, SimTime};
@@ -252,28 +257,21 @@ impl Cluster {
         } else {
             Network::single_segment(cfg.seed ^ 0xdead_beef, n + 1, cfg.bandwidth_bps, cfg.loss)
         };
-        let stale_after = cfg.effective_stale_after();
-        let server = match &cfg.store_dir {
-            None => Server::new(
-                "cluster",
-                cfg.notify_window,
-                cfg.history_capacity,
-                stale_after,
+        let history: Arc<dyn Store> = match &cfg.store_dir {
+            None => Arc::new(MemStore::new(cfg.history_capacity)),
+            // persistent history: a restarted simulation over the same
+            // directory recovers every recorded sample
+            Some(dir) => Arc::new(
+                DiskStore::open(dir, StoreConfig::default())
+                    .expect("open persistent history store"),
             ),
-            Some(dir) => {
-                // persistent history: a restarted simulation over the
-                // same directory recovers every recorded sample
-                let disk =
-                    cwx_store::disk::DiskStore::open(dir, cwx_store::disk::StoreConfig::default())
-                        .expect("open persistent history store");
-                Server::with_history(
-                    "cluster",
-                    cfg.notify_window,
-                    cwx_monitor::history::HistoryStore::with_backend(Box::new(disk)),
-                    stale_after,
-                )
-            }
         };
+        let server = Server::with_history(
+            "cluster",
+            cfg.notify_window,
+            history,
+            cfg.effective_stale_after(),
+        );
         let control = {
             let mut c = ControlPlane::new(n as usize);
             c.set_drain_force_after(cfg.drain_force_after);
@@ -463,16 +461,18 @@ fn agent_tick(sim: &mut Sim<World>) {
     }
 }
 
-/// The simulation-side [`CommandTransport`]: commands land on the
-/// in-world chassis through [`IceBox::execute`], optionally losing a
-/// configured fraction in transit (the E13 fault-injection knob).
-struct SimTransport<'a> {
-    iceboxes: &'a mut Vec<IceBox>,
-    loss: f64,
-    rng: &'a mut StdRng,
+/// The [`CommandTransport`] both deployments drive: commands land on a
+/// rack of ICE Boxes through [`IceBox::execute`], losing a configured
+/// fraction in transit (the E13 fault-injection knob). The simulation
+/// lends it the world's chassis and command-loss stream per pump; the
+/// realtime controller lends it the rack and stream it owns.
+pub(crate) struct IceBoxTransport<'a> {
+    pub(crate) iceboxes: &'a mut [IceBox],
+    pub(crate) loss: f64,
+    pub(crate) rng: &'a mut StdRng,
 }
 
-impl CommandTransport for SimTransport<'_> {
+impl CommandTransport for IceBoxTransport<'_> {
     fn issue(&mut self, now: SimTime, node: u32, cmd: PowerCmd) -> IssueOutcome {
         // the loss draw comes first: a lost command never reaches the
         // chassis at all. The draw is skipped entirely at loss 0 so the
@@ -552,7 +552,7 @@ pub(crate) fn pump_control(sim: &mut Sim<World>) {
                 cfg,
                 ..
             } = w;
-            let mut transport = SimTransport {
+            let mut transport = IceBoxTransport {
                 iceboxes,
                 loss: cfg.icebox_command_loss,
                 rng: cmd_rng,
@@ -857,7 +857,6 @@ pub fn chassis_restart(sim: &mut Sim<World>, bx: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwx_monitor::monitor::MonitorKey;
 
     fn run_cluster(cfg: ClusterConfig, secs: u64) -> Sim<World> {
         let mut sim = Cluster::build(cfg);
@@ -885,11 +884,7 @@ mod tests {
         assert_eq!(stats.decode_errors, 0);
         // history has data for every node
         for i in 0..8 {
-            assert!(w
-                .server
-                .history()
-                .latest(i, &MonitorKey::new("load.one"))
-                .is_some());
+            assert!(w.server.history().latest(i, "load.one").is_some());
         }
     }
 

@@ -4,19 +4,21 @@
 //! the volatile backend and on the persistent one, including when the
 //! network delivers a report twice (the `DuplicatedReports` fault).
 
+use std::sync::Arc;
+
 use clusterworx::server::Server;
-use cwx_monitor::history::HistoryStore;
 use cwx_monitor::monitor::{MonitorKey, Value};
 use cwx_monitor::transmit::{self, Report};
 use cwx_store::disk::{DiskStore, StoreConfig};
-use cwx_store::Sample;
+use cwx_store::mem::MemStore;
+use cwx_store::{Sample, Store};
 use cwx_util::time::{SimDuration, SimTime};
 
 fn t(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)
 }
 
-fn server(history: HistoryStore) -> Server {
+fn server(history: Arc<dyn Store>) -> Server {
     Server::with_history(
         "batch",
         SimDuration::from_secs(5),
@@ -84,31 +86,30 @@ fn traffic() -> Vec<(SimTime, Vec<u8>)> {
 
 type Stored = (Vec<(u32, String, Vec<Sample>)>, u64);
 
-fn stored(h: &HistoryStore) -> Stored {
-    let b = h.backend();
-    let rows = b
+fn stored(h: &dyn Store) -> Stored {
+    let rows = h
         .series()
         .into_iter()
         .map(|(n, k)| {
-            let all = b.range(n, &k, SimTime::ZERO, SimTime::MAX);
+            let all = h.range(n, &k, SimTime::ZERO, SimTime::MAX);
             (n, k, all)
         })
         .collect();
-    (rows, b.total_samples())
+    (rows, h.total_samples())
 }
 
 /// Run the traffic through `Server::ingest` and, beside it, through the
 /// per-value loop on `reference`/`reference_history`; everything a
 /// client could read afterwards must agree.
-fn assert_batched_ingest_matches(history: HistoryStore, mut reference_history: HistoryStore) {
+fn assert_batched_ingest_matches(history: Arc<dyn Store>, reference_history: Arc<dyn Store>) {
     let mut batched = server(history);
-    let mut reference = server(HistoryStore::new(1));
+    let mut reference = server(Arc::new(MemStore::new(1)));
     for (now, payload) in traffic() {
         batched.ingest(now, &payload);
         let report = transmit::decode_auto(&payload).unwrap();
         for (key, value) in &report.values {
             if let Value::Num(x) = value {
-                reference_history.record(report.node, key, now, *x);
+                reference_history.append(report.node, key, now, *x);
                 reference.observe(now, report.node, key, *x);
             }
         }
@@ -124,28 +125,28 @@ fn assert_batched_ingest_matches(history: HistoryStore, mut reference_history: H
     assert_eq!(batched.housekeeping(t(400)), reference.housekeeping(t(400)));
     assert_eq!(batched.outbox(), reference.outbox());
     assert_eq!(batched.mails_suppressed(), reference.mails_suppressed());
-    let (rows, total) = stored(batched.history());
-    assert_eq!((rows.clone(), total), stored(&reference_history));
+    let (rows, total) = stored(&**batched.history());
+    assert_eq!((rows.clone(), total), stored(&*reference_history));
     assert!(total > 800 && rows.len() > 24);
 }
 
 #[test]
 fn batched_ingest_matches_per_value_loop_on_memstore() {
     // capacity 16 < 40 ticks: the rings wrap
-    assert_batched_ingest_matches(HistoryStore::new(16), HistoryStore::new(16));
+    assert_batched_ingest_matches(Arc::new(MemStore::new(16)), Arc::new(MemStore::new(16)));
 }
 
 #[test]
 fn batched_ingest_matches_per_value_loop_on_diskstore() {
     let base = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("ingest-batch");
     let _ = std::fs::remove_dir_all(&base);
-    let open = |name: &str| {
+    let open = |name: &str| -> Arc<dyn Store> {
         let cfg = StoreConfig {
             // small enough that flushes and merges happen mid-run
             flush_threshold: 64,
             ..StoreConfig::default()
         };
-        HistoryStore::with_backend(Box::new(DiskStore::open(&base.join(name), cfg).unwrap()))
+        Arc::new(DiskStore::open(&base.join(name), cfg).unwrap())
     };
     assert_batched_ingest_matches(open("batched"), open("reference"));
     let _ = std::fs::remove_dir_all(&base);

@@ -11,7 +11,7 @@ use clusterworx::actions::{AuditEntry, ControlPlane};
 use clusterworx::ingest::{drive, scripted_report, IngestConfig, IngestServer, LoadConfig};
 use clusterworx::server::Server;
 use cwx_monitor::monitor::{MonitorKey, Value};
-use cwx_monitor::transmit::{Report, WireDecoder, WireEncoder};
+use cwx_monitor::transmit::{encode_compressed, Report, WireDecoder, WireEncoder};
 use cwx_net::frame::{put_frame, FrameBuffer};
 use cwx_store::disk::{DiskStore, StoreConfig};
 use cwx_store::Store;
@@ -276,15 +276,16 @@ fn slow_consumer_is_evicted_while_other_lanes_flow() {
     );
 }
 
-/// The reactor, fed scripted traffic over a sharded disk store, stores
-/// exactly that traffic: every sample of every report, at the report's
-/// gather time, and nothing else.
+/// The reactor, fed scripted traffic, stores exactly that traffic: every
+/// sample of every report, at the report's gather time, and nothing else
+/// — into a sharded disk store, and into the server's own in-memory
+/// history when no store is given.
 #[test]
 fn reactor_stores_exactly_the_scripted_traffic() {
     let interval = Duration::from_millis(2);
     let dir = std::env::temp_dir().join(format!("cwx-ingest-oracle-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = Arc::new(
+    let disk = Arc::new(
         DiskStore::open(
             &dir,
             StoreConfig {
@@ -295,55 +296,114 @@ fn reactor_stores_exactly_the_scripted_traffic() {
         )
         .unwrap(),
     );
+    for given in [Some(Arc::clone(&disk)), None] {
+        let which = if given.is_some() { "disk" } else { "volatile" };
+        let server = test_server();
+        let control = Arc::new(Mutex::new(ControlPlane::new(8)));
+        let ingest = IngestServer::start(
+            IngestConfig {
+                n_lanes: 2,
+                nodes_per_group: 4,
+                batch_delay: Duration::from_millis(5),
+                ..IngestConfig::default()
+            },
+            Arc::clone(&server),
+            given.clone(),
+            control,
+            Instant::now(),
+        )
+        .unwrap();
+        let sent = drive(LoadConfig {
+            addr: ingest.addr().to_string(),
+            conns: 8,
+            frames_per_conn: 10,
+            interval,
+            writer_threads: 4,
+            keys: 4,
+            ..LoadConfig::default()
+        })
+        .unwrap();
+        assert_eq!(sent.frames_sent, 80, "{which}");
+        assert_eq!(sent.write_errors, 0, "{which}");
+        assert_eq!(ingest.shutdown(), 80, "{which}: every frame ingested");
+        let store: Arc<dyn Store> = match given {
+            Some(disk) => {
+                disk.flush_all().unwrap();
+                disk
+            }
+            None => Arc::clone(server.read().history()),
+        };
+
+        assert_eq!(store.total_samples(), 8 * 10 * 4, "{which}");
+        for node in 0..8u32 {
+            for k in 0..4 {
+                let key = format!("bench.m{k}");
+                let want: Vec<(SimTime, f64)> = (0..10)
+                    .map(|seq| {
+                        let r = scripted_report(node, seq, interval, 4);
+                        let Value::Num(v) = r.values[k].1 else {
+                            unreachable!("scripted values are numeric")
+                        };
+                        (SimTime::ZERO + SimDuration::from_secs_f64(r.time_secs), v)
+                    })
+                    .collect();
+                let got: Vec<(SimTime, f64)> = store
+                    .range(node, &key, SimTime::ZERO, SimTime::MAX)
+                    .iter()
+                    .map(|s| (s.time, s.value))
+                    .collect();
+                assert_eq!(got, want, "{which}: node{node} {key}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Agents may still send the compressed text wire format: text reports
+/// framed over a real socket are decoded and stored exactly like `CWB1`
+/// ones.
+#[test]
+fn text_wire_reports_are_decoded_and_stored() {
+    let server = test_server();
     let control = Arc::new(Mutex::new(ControlPlane::new(8)));
     let ingest = IngestServer::start(
         IngestConfig {
-            n_lanes: 2,
-            nodes_per_group: 4,
             batch_delay: Duration::from_millis(5),
             ..IngestConfig::default()
         },
-        test_server(),
-        Some(Arc::clone(&store)),
+        Arc::clone(&server),
+        None,
         control,
         Instant::now(),
     )
     .unwrap();
-    let sent = drive(LoadConfig {
-        addr: ingest.addr().to_string(),
-        conns: 8,
-        frames_per_conn: 10,
-        interval,
-        writer_threads: 4,
-        keys: 4,
-        ..LoadConfig::default()
-    })
-    .unwrap();
-    assert_eq!(sent.frames_sent, 80);
-    assert_eq!(sent.write_errors, 0);
-    assert_eq!(ingest.shutdown(), 80, "every frame ingested");
-    store.flush_all().unwrap();
-
-    assert_eq!(store.total_samples(), 8 * 10 * 4);
-    for node in 0..8u32 {
-        for k in 0..4 {
-            let key = format!("bench.m{k}");
-            let want: Vec<(SimTime, f64)> = (0..10)
-                .map(|seq| {
-                    let r = scripted_report(node, seq, interval, 4);
-                    let Value::Num(v) = r.values[k].1 else {
-                        unreachable!("scripted values are numeric")
-                    };
-                    (SimTime::ZERO + SimDuration::from_secs_f64(r.time_secs), v)
-                })
-                .collect();
-            let got: Vec<(SimTime, f64)> = store
-                .range(node, &key, SimTime::ZERO, SimTime::MAX)
-                .iter()
-                .map(|s| (s.time, s.value))
-                .collect();
-            assert_eq!(got, want, "node{node} {key}");
-        }
+    let reports = report_stream(3, 6);
+    let mut wire = Vec::new();
+    for r in &reports {
+        put_frame(&mut wire, &encode_compressed(r));
     }
-    let _ = std::fs::remove_dir_all(dir);
+    let mut s = TcpStream::connect(ingest.addr()).unwrap();
+    s.write_all(&wire).unwrap();
+    drop(s);
+    assert_eq!(ingest.shutdown(), 6, "every text frame ingested");
+
+    let srv = server.read();
+    assert_eq!(srv.stats().decode_errors, 0);
+    assert_eq!(srv.stats().reports_rx, 6);
+    let want: Vec<(SimTime, f64)> = reports
+        .iter()
+        .map(|r| {
+            let Value::Num(v) = r.values[0].1 else {
+                unreachable!("load.one is numeric")
+            };
+            (SimTime::ZERO + SimDuration::from_secs_f64(r.time_secs), v)
+        })
+        .collect();
+    let got: Vec<(SimTime, f64)> = srv
+        .history()
+        .range(3, "load.one", SimTime::ZERO, SimTime::MAX)
+        .iter()
+        .map(|s| (s.time, s.value))
+        .collect();
+    assert_eq!(got, want);
 }

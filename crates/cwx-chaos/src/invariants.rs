@@ -141,12 +141,8 @@ impl InvariantChecker {
     pub fn check_store_readable(&mut self, now: SimTime, w: &World) {
         // any node that has been up long enough to report will do; the
         // point is that the read path works, not which sample comes back
-        let readable = (0..w.nodes.len() as u32).any(|n| {
-            w.server
-                .history()
-                .latest(n, &cwx_monitor::monitor::MonitorKey::new("load.one"))
-                .is_some()
-        });
+        let readable =
+            (0..w.nodes.len() as u32).any(|n| w.server.history().latest(n, "load.one").is_some());
         if !readable {
             self.report(
                 now,

@@ -21,15 +21,15 @@
 //! product shipped with ("comes standard with over 40 monitors built
 //! in") plus the plug-in mechanism ("a plugin itself can be any program
 //! or script ... it will be recognized by the system automatically").
-//! [`agent`] ties the stages into the per-node agent; [`history`] is the
-//! server-side time-series store behind historical graphing.
+//! [`agent`] ties the stages into the per-node agent. What the server
+//! does with a report — history, events — lives in `clusterworx`; the
+//! history it writes is a `cwx_store::Store`.
 
 #![warn(missing_docs)]
 
 pub mod agent;
 pub mod consolidate;
 pub mod fault;
-pub mod history;
 pub mod monitor;
 pub mod plugins;
 pub mod snapshot;

@@ -18,8 +18,8 @@
 //! * [`disk::DiskStore`] — shard-per-node-group write paths: each
 //!   shard owns its own WAL, memtable and segments behind its own lock,
 //!   so many agent threads ingest in parallel without a global lock.
-//! * [`mem::MemStore`] — the volatile ring-buffer backend, kept for
-//!   deterministic simulation tests.
+//! * [`mem::MemStore`] — the volatile ring-buffer backend: the
+//!   simulator's, Lite's, and a storeless ingest server's history.
 //!
 //! Durability contract: a sample is *acknowledged* once `append`
 //! returns, at which point it lives in the shard WAL (OS page cache;
@@ -176,7 +176,8 @@ pub struct BatchSample<'a> {
     pub value: f64,
 }
 
-/// The interface `cwx-monitor`'s history façade programs against.
+/// The history interface: the management server, its ingest lanes, Lite,
+/// the dashboard and the CLI all hold an `Arc<dyn Store>`.
 ///
 /// Methods take `&self`: backends use interior locking (per-shard for
 /// the disk store), which is what lets many ingest threads write
@@ -253,46 +254,6 @@ pub trait Store: std::fmt::Debug + Send + Sync {
         query::run_over_ranges(spec, |node, monitor, from, to| {
             self.range(node, monitor, from, to)
         })
-    }
-}
-
-impl<S: Store + ?Sized> Store for std::sync::Arc<S> {
-    fn append(&self, node: u32, monitor: &str, time: SimTime, value: f64) {
-        (**self).append(node, monitor, time, value)
-    }
-    fn append_batch(&self, batch: &[BatchSample<'_>]) {
-        (**self).append_batch(batch)
-    }
-    fn latest(&self, node: u32, monitor: &str) -> Option<Sample> {
-        (**self).latest(node, monitor)
-    }
-    fn range(&self, node: u32, monitor: &str, from: SimTime, to: SimTime) -> Vec<Sample> {
-        (**self).range(node, monitor, from, to)
-    }
-    fn range_agg(
-        &self,
-        node: u32,
-        monitor: &str,
-        from: SimTime,
-        to: SimTime,
-        res: Resolution,
-    ) -> Vec<AggBucket> {
-        (**self).range_agg(node, monitor, from, to, res)
-    }
-    fn series(&self) -> Vec<(u32, String)> {
-        (**self).series()
-    }
-    fn forget_node(&self, node: u32) {
-        (**self).forget_node(node)
-    }
-    fn total_samples(&self) -> u64 {
-        (**self).total_samples()
-    }
-    fn flush(&self) {
-        (**self).flush()
-    }
-    fn query(&self, spec: &QuerySpec) -> Result<QueryResult, QueryError> {
-        (**self).query(spec)
     }
 }
 

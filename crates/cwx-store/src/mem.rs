@@ -1,8 +1,8 @@
 //! The volatile in-memory backend.
 //!
-//! A bounded ring of samples per `(node, monitor)` series — the storage
-//! the repository started with, kept as a [`Store`] backend because the
-//! deterministic simulation tests neither need nor want disk state.
+//! A bounded ring of samples per `(node, monitor)` series — the history
+//! of the deterministic simulator, of Lite, and of an ingest server run
+//! without a disk store, none of which need or want disk state.
 //!
 //! Layout is tuned for very wide clusters (tens of thousands of nodes ×
 //! dozens of monitors): one map entry per *node*, with that node's rings
@@ -242,6 +242,13 @@ mod tests {
         assert_eq!(all[2].value, 4.0);
         assert_eq!(m.total_samples(), 5);
         assert_eq!(m.latest(1, "k").unwrap().value, 4.0);
+        assert!(m.latest(2, "k").is_none());
+        // both ends of a range are inclusive
+        let inner = m.range(1, "k", t(3), t(4));
+        assert_eq!(
+            inner.iter().map(|s| s.value).collect::<Vec<_>>(),
+            [3.0, 4.0]
+        );
     }
 
     #[test]
@@ -264,6 +271,14 @@ mod tests {
         m.append(2, "a", t(1), 2.0);
         m.append(2, "b", t(1), 3.0);
         assert_eq!(m.series().len(), 3);
+        // cross-node compare: the latest "a" of every node that has one
+        let across: Vec<(u32, f64)> = m
+            .series()
+            .into_iter()
+            .filter(|(_, k)| k == "a")
+            .filter_map(|(n, k)| m.latest(n, &k).map(|s| (n, s.value)))
+            .collect();
+        assert_eq!(across, [(1, 1.0), (2, 2.0)]);
         m.forget_node(2);
         assert_eq!(m.series(), vec![(1, "a".to_string())]);
     }

@@ -6,8 +6,7 @@
 //! ```
 
 use clusterworx::{dashboard, Cluster, ClusterConfig, WorkloadMix};
-use cwx_monitor::monitor::MonitorKey;
-use cwx_util::time::SimDuration;
+use cwx_util::time::{SimDuration, SimTime};
 
 fn main() {
     // a 32-node cluster with a realistic workload mix, LinuxBIOS
@@ -34,34 +33,27 @@ fn main() {
         stats.reports_rx, stats.values_rx, stats.bytes_rx, stats.decode_errors
     );
 
-    // historical graphing: chart one node's CPU over the run
-    let key = MonitorKey::new("cpu.util_pct");
-    let buckets =
-        world
-            .server
-            .history()
-            .downsample(5, &key, cwx_util::time::SimTime::ZERO, now, 12);
-    println!(
-        "\nnode005 cpu.util_pct history ({} buckets):",
-        buckets.len()
+    // historical graphing: chart one node's CPU temperature over the run
+    let history = world.server.history();
+    print!(
+        "\n{}",
+        dashboard::chart(&**history, 5, "temp.cpu", SimTime::ZERO, now, 60, 10)
     );
-    for b in buckets {
-        let bar = "#".repeat((b.mean / 4.0) as usize);
-        println!(
-            "  t={:>6.0}s  mean={:>5.1}%  {bar}",
-            b.start.as_secs_f64(),
-            b.mean
-        );
-    }
 
     // compare performance between nodes (paper: "compare performance
-    // between nodes")
-    let mut rows = world.server.history().latest_across_nodes(&key);
-    rows.sort_by(|a, b| b.1.value.partial_cmp(&a.1.value).unwrap());
+    // between nodes"): the latest CPU sample of every node that has one
+    let mut rows: Vec<(u32, f64)> = history
+        .series()
+        .into_iter()
+        .filter(|(_, key)| key == "cpu.util_pct")
+        .filter_map(|(node, key)| history.latest(node, &key).map(|s| (node, s.value)))
+        .collect();
+    rows.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("\nbusiest nodes right now:");
-    for (node, sample) in rows.iter().take(5) {
-        println!("  node{node:03}: {:.1}% cpu", sample.value);
+    for (node, cpu) in rows.iter().take(5) {
+        println!("  node{node:03}: {cpu:.1}% cpu");
     }
+    assert_eq!(rows.len(), 32, "every node reports its CPU");
 
     println!("\nemails sent: {}", world.server.outbox().len());
     assert_eq!(world.up_count(), 32, "every node should be up");

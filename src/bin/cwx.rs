@@ -168,7 +168,7 @@ fn cmd_simulate(rest: &[String]) {
     }
     if let Some(path) = args.opt::<String>("dump-history") {
         let node: u32 = args.get("dump-node", 0);
-        let csv = w.server.history().export_node_csv(node);
+        let csv = dashboard::export_node_csv(&**w.server.history(), node);
         match std::fs::write(&path, &csv) {
             Ok(()) => println!(
                 "wrote {} bytes of node{node:03} history to {path}",
@@ -241,16 +241,13 @@ fn cmd_lite(rest: &[String]) {
                 },
             )
             .expect("tick");
-        let load = lite
-            .history()
-            .latest(0, &cwx_monitor::monitor::MonitorKey::new("load.one"))
-            .map(|s| s.value)
-            .unwrap_or(f64::NAN);
-        let memfree = lite
-            .history()
-            .latest(0, &cwx_monitor::monitor::MonitorKey::new("mem.free"))
-            .map(|s| s.value)
-            .unwrap_or(f64::NAN);
+        let latest = |key: &str| {
+            lite.history()
+                .latest(0, key)
+                .map(|s| s.value)
+                .unwrap_or(f64::NAN)
+        };
+        let (load, memfree) = (latest("load.one"), latest("mem.free"));
         println!(
             "  tick {i}: {} changed values | load {load:.2} | mem free {:.0} MB | {} events",
             tick.changed_values,
@@ -274,8 +271,6 @@ fn parse_window(s: &str) -> Option<u64> {
 }
 
 fn cmd_history(rest: &[String]) {
-    use cwx_monitor::history::HistoryStore;
-    use cwx_monitor::monitor::MonitorKey;
     use cwx_store::disk::{DiskStore, StoreConfig};
     use cwx_store::{Resolution, Store};
 
@@ -447,7 +442,6 @@ fn cmd_history(rest: &[String]) {
         return;
     };
     let to = to_arg.unwrap_or(SimTime::MAX);
-    let key = MonitorKey::new(monitor.as_str());
     if args.flag("chart") {
         let to = if to == SimTime::MAX {
             store
@@ -457,10 +451,9 @@ fn cmd_history(rest: &[String]) {
         } else {
             to
         };
-        let history = HistoryStore::with_backend(Box::new(store));
         print!(
             "{}",
-            dashboard::chart(&history, node, &key, from, to, 72, 12)
+            dashboard::chart(&store, node, &monitor, from, to, 72, 12)
         );
         return;
     }
@@ -782,6 +775,8 @@ fn cmd_ingest(rest: &[String]) {
     use clusterworx::ingest::{drive, IngestConfig, IngestServer, LoadConfig};
     use clusterworx::server::Server;
     use cwx_store::disk::{DiskStore, StoreConfig};
+    use cwx_store::mem::MemStore;
+    use cwx_store::Store;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -812,10 +807,16 @@ fn cmd_ingest(rest: &[String]) {
                     }),
                 )
             });
-            let server = Arc::new(parking_lot::RwLock::new(Server::new(
+            // with --store the disk store is the server's history;
+            // without it, a live view of `retention` samples per series
+            let history: Arc<dyn Store> = match &store {
+                Some(s) => Arc::clone(s) as Arc<dyn Store>,
+                None => Arc::new(MemStore::new(retention)),
+            };
+            let server = Arc::new(parking_lot::RwLock::new(Server::with_history(
                 "ingest",
                 SimDuration::from_secs(5),
-                retention,
+                history,
                 SimDuration::from_secs(3600),
             )));
             let control = Arc::new(parking_lot::Mutex::new(ControlPlane::new(4096)));

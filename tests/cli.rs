@@ -50,3 +50,84 @@ fn flags_a_subcommand_reads_still_work() {
     let (code, err) = cwx("clone --nodes 4 --image-mb 1 --unicast");
     assert_eq!(code, 0, "{err}");
 }
+
+/// Run `cwx <args>` in `dir`: `(exit code, stdout)`.
+fn cwx_in(dir: &std::path::Path, args: &[&str]) -> (i32, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_cwx"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("cwx runs");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    (out.status.code().unwrap_or(-1), stdout)
+}
+
+/// `cwx history --chart` of node 0's `temp.cpu` after the simulation in
+/// [`history_egress_is_pinned`], minus the store's recovery line.
+const TEMP_CPU_CHART: &str = "\
+node000 temp.cpu [0s..120s]
+    54.46 |                 ***
+          |              ***
+          |           ***
+          |         **
+          |       **
+          |      *
+          |    **
+          |   *
+          |  *
+          |
+          | *
+    26.20 |*
+";
+
+/// The history a simulation leaves behind, read back through both
+/// egress paths: `--dump-history` writes the same CSV bytes with and
+/// without a disk store, and `cwx history --chart` over that store
+/// draws the same chart.
+#[test]
+fn history_egress_is_pinned() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-history-egress");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let sim = "simulate --nodes 4 --secs 120 --seed 7 --dump-node 0";
+    for (extra, csv) in [
+        ("--store D --dump-history F", "F"),
+        ("--dump-history M", "M"),
+    ] {
+        let args: Vec<&str> = sim
+            .split_whitespace()
+            .chain(extra.split_whitespace())
+            .collect();
+        let (code, out) = cwx_in(&dir, &args);
+        assert_eq!(code, 0, "{out}");
+        let bytes = std::fs::read(dir.join(csv)).unwrap();
+        assert_eq!(bytes.len(), 10_346, "{extra}");
+        assert_eq!(
+            bytes.iter().filter(|&&b| b == b'\n').count(),
+            399,
+            "{extra}"
+        );
+        assert_eq!(
+            cwx_util::hash::fnv1a(&bytes),
+            0xebb1_20e4_5c74_676d,
+            "{extra}"
+        );
+    }
+    let (code, out) = cwx_in(
+        &dir,
+        &[
+            "history",
+            "--store",
+            "D",
+            "--node",
+            "0",
+            "--monitor",
+            "temp.cpu",
+            "--chart",
+        ],
+    );
+    assert_eq!(code, 0, "{out}");
+    let chart = out.split_once('\n').map_or("", |(_, rest)| rest);
+    assert_eq!(chart, TEMP_CPU_CHART);
+    let _ = std::fs::remove_dir_all(&dir);
+}

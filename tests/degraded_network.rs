@@ -3,7 +3,6 @@
 //! counted and dropped, and the cluster must stay managed throughout.
 
 use clusterworx::{Cluster, ClusterConfig, WorkloadMix};
-use cwx_monitor::monitor::MonitorKey;
 use cwx_util::time::{SimDuration, SimTime};
 
 #[test]
@@ -30,9 +29,11 @@ fn report_loss_degrades_gracefully() {
     let net = w.net.stats();
     assert!(net.lost > 0, "the network actually lost traffic: {net:?}");
     // history still accumulates for every node despite holes
-    let key = MonitorKey::new("uptime.secs");
     for i in 0..10 {
-        let hist = w.server.history().range(i, &key, SimTime::ZERO, sim.now());
+        let hist = w
+            .server
+            .history()
+            .range(i, "uptime.secs", SimTime::ZERO, sim.now());
         assert!(hist.len() > 50, "node{i} history too thin: {}", hist.len());
     }
 }

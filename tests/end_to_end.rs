@@ -6,7 +6,6 @@ use clusterworx::{dashboard, Cluster, ClusterConfig, WorkloadMix, World};
 use cwx_events::Action;
 use cwx_hw::node::Fault;
 use cwx_hw::HealthState;
-use cwx_monitor::monitor::MonitorKey;
 use cwx_util::time::{SimDuration, SimTime};
 
 #[test]
@@ -76,16 +75,16 @@ fn full_lifecycle_with_mixed_failures() {
     assert_eq!(rows[7].status, "up");
     // history kept flowing for healthy nodes the whole time (uptime
     // changes every tick, so delta consolidation never suppresses it)
-    let key = MonitorKey::new("uptime.secs");
-    let hist = w.server.history().range(0, &key, SimTime::ZERO, sim.now());
+    let hist = w
+        .server
+        .history()
+        .range(0, "uptime.secs", SimTime::ZERO, sim.now());
     assert!(hist.len() > 100, "continuous history: {}", hist.len());
     // while a constant monitor is (correctly) sparse under delta
-    let sparse = w.server.history().range(
-        0,
-        &MonitorKey::new("cpu.util_pct"),
-        SimTime::ZERO,
-        sim.now(),
-    );
+    let sparse = w
+        .server
+        .history()
+        .range(0, "cpu.util_pct", SimTime::ZERO, sim.now());
     assert!(
         sparse.len() < hist.len() / 4,
         "delta suppresses constants: {}",
@@ -216,10 +215,6 @@ fn memory_leak_is_flagged_then_oom_heals_by_reboot() {
     let (bx, port) = World::rack_of(2);
     assert!(w.iceboxes[bx].console_log(port).contains("Out of Memory"));
     // swap is healthy again, so the episode closed
-    let hist = w
-        .server
-        .history()
-        .latest(2, &MonitorKey::new("swap.free"))
-        .unwrap();
+    let hist = w.server.history().latest(2, "swap.free").unwrap();
     assert!(hist.value > 1_500_000.0, "swap recovered: {}", hist.value);
 }

@@ -59,16 +59,22 @@ fn concurrent_clients_and_agents_do_not_conflict() {
         let server = Arc::clone(&server);
         let stop = Arc::clone(&stop);
         clients.push(std::thread::spawn(move || {
-            let key = MonitorKey::new("load.one");
             let mut reads = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let s = server.read().unwrap();
+                let history = s.history();
                 for node in 0..16 {
-                    if let Some(sample) = s.history().latest(node, &key) {
+                    if let Some(sample) = history.latest(node, "load.one") {
                         assert!((0.0..=1.0).contains(&sample.value));
                     }
                 }
-                let _ = s.history().latest_across_nodes(&key);
+                // the cross-node compare walks the series listing
+                let nodes = history
+                    .series()
+                    .into_iter()
+                    .filter(|(_, k)| k == "load.one")
+                    .count();
+                assert!(nodes <= 16);
                 reads += 1;
             }
             reads
