@@ -8,7 +8,7 @@
 //! the consolidation ablation alongside.
 
 use clusterworx::{Cluster, ClusterConfig, WorkloadMix};
-use cwx_net::SegmentId;
+use cwx_net::{SegmentId, FAST_ETHERNET_BPS};
 use cwx_util::time::SimDuration;
 
 /// One sweep row.
@@ -62,7 +62,6 @@ pub fn monitor_load(seed: u64, n: u32, secs: u64, delta: bool) -> ScaleRow {
 
     let dt = secs as f64;
     let wire_rate = (wire1 - wire0) as f64 / dt;
-    let bandwidth = sim.world().cfg.bandwidth_bps as f64;
     ScaleRow {
         n_nodes: n,
         delta,
@@ -70,7 +69,7 @@ pub fn monitor_load(seed: u64, n: u32, secs: u64, delta: bool) -> ScaleRow {
         wire_bytes_per_sec: wire_rate,
         values_per_sec: (stats1.values_rx - stats0.values_rx) as f64 / dt,
         bytes_per_node_per_sec: wire_rate / n as f64,
-        segment_fraction: wire_rate / bandwidth,
+        segment_fraction: wire_rate / FAST_ETHERNET_BPS as f64,
         wall_secs,
         events_per_sec: (events1 - events0) as f64 / wall_secs.max(1e-9),
     }

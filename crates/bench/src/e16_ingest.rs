@@ -143,7 +143,6 @@ fn drive_main(args: &[String]) {
         interval,
         writer_threads: 8,
         keys,
-        ..LoadConfig::default()
     })
     .unwrap();
     println!(

@@ -293,7 +293,6 @@ fn drive_main(args: &[String]) {
         interval,
         writer_threads: 8,
         keys,
-        ..LoadConfig::default()
     })
     .unwrap();
     println!(

@@ -19,7 +19,6 @@ pub fn llnl_config() -> CloneConfig {
         chunk_bytes: 1 << 20,
         pace_bps: 4 << 20,
         strategy: RepairStrategy::MulticastRoundRobin,
-        disk_write_bps: 25 << 20,
         firmware: Firmware::LegacyBios,
         ..CloneConfig::default()
     }

@@ -173,6 +173,11 @@ impl Default for BootWatchdog {
     }
 }
 
+/// How long a SLURM drain may hold a power action on an allocated node
+/// before the control plane forces it through anyway (the hardware is at
+/// risk; the job is already lost either way).
+const DRAIN_FORCE_AFTER: SimDuration = SimDuration::from_secs(30);
+
 /// Where a command (or action) came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmdSource {
@@ -403,8 +408,6 @@ pub struct ControlPlane {
     audit: Vec<AuditRecord>,
     next_seq: u64,
     policy: RetryPolicy,
-    /// how long a drain may hold a power action before it is forced
-    drain_force_after: SimDuration,
     /// pause between the off and on halves of a reboot
     reboot_delay: SimDuration,
     stats: ControlStats,
@@ -430,7 +433,6 @@ impl ControlPlane {
             audit: Vec::new(),
             next_seq: 0,
             policy: RetryPolicy::default(),
-            drain_force_after: SimDuration::from_secs(30),
             reboot_delay: SimDuration::from_secs(2),
             stats: ControlStats::default(),
             flap_policy: FlapPolicy::default(),
@@ -445,11 +447,6 @@ impl ControlPlane {
     /// Override the retry policy.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.policy = policy;
-    }
-
-    /// Override the drain force-after deadline.
-    pub fn set_drain_force_after(&mut self, d: SimDuration) {
-        self.drain_force_after = d;
     }
 
     /// Override the reboot off→on pause.
@@ -812,7 +809,7 @@ impl ControlPlane {
             attempts: 0,
         };
         if gated {
-            let force_at = now + self.drain_force_after;
+            let force_at = now + DRAIN_FORCE_AFTER;
             cmd.gated_until = Some(force_at);
             cmd.holds_drain = true;
             let t = self
@@ -1466,7 +1463,6 @@ mod tests {
     #[test]
     fn drain_deadline_forces_the_gate_open() {
         let mut cp = up_plane(1);
-        cp.set_drain_force_after(SimDuration::from_secs(30));
         let mut gate = MockGate {
             busy: true,
             drained: false,

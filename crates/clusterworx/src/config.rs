@@ -1,7 +1,6 @@
 //! Cluster construction parameters.
 
 use cwx_bios::Firmware;
-use cwx_net::FAST_ETHERNET_BPS;
 use cwx_util::time::SimDuration;
 
 /// How node workloads are assigned.
@@ -31,14 +30,6 @@ pub struct ClusterConfig {
     pub hw_step: SimDuration,
     /// Monitoring agent sampling interval.
     pub agent_interval: SimDuration,
-    /// ICE Box probe sampling interval (out-of-band path).
-    pub probe_interval: SimDuration,
-    /// Server housekeeping interval (mail flush, staleness checks).
-    pub housekeeping_interval: SimDuration,
-    /// Notification batching window.
-    pub notify_window: SimDuration,
-    /// Cluster network bandwidth (shared segment), bytes/s.
-    pub bandwidth_bps: u64,
     /// Per-receiver packet loss on the segment.
     pub loss: f64,
     /// Node firmware.
@@ -55,8 +46,6 @@ pub struct ClusterConfig {
     /// LinuxBIOS reports the failure on the serial console (captured by
     /// the ICE Box); a vendor BIOS just beeps at a monitor nobody has.
     pub bad_memory_nodes: Vec<u32>,
-    /// History retained per series.
-    pub history_capacity: usize,
     /// When set, server history persists to a `cwx-store` directory
     /// instead of the in-memory ring, surviving server restarts.
     pub store_dir: Option<std::path::PathBuf>,
@@ -69,27 +58,12 @@ pub struct ClusterConfig {
     /// the control plane's retry machinery). `0.0` = reliable chassis
     /// link, the default.
     pub icebox_command_loss: f64,
-    /// How long a SLURM drain may hold a power action on an allocated
-    /// node before the control plane forces it through anyway (the
-    /// hardware is at risk; the job is already lost either way).
-    pub drain_force_after: SimDuration,
-    /// How long after its last report a node is considered unreachable
-    /// by the staleness checks (probes and housekeeping). `None` keeps
-    /// the historical default of four agent intervals.
-    pub probe_stale_after: Option<SimDuration>,
-    /// Flap detection: Up-entries inside [`ClusterConfig::flap_window`]
-    /// that quarantine a node. `0` disables flap detection.
+    /// Flap detection: Up-entries inside the flap window
+    /// ([`crate::actions::FlapPolicy::window`]) that quarantine a node.
+    /// `0` disables flap detection.
     pub flap_threshold: u32,
-    /// Flap detection sliding window.
-    pub flap_window: SimDuration,
     /// Automatic quarantine release delay; `None` = manual release only.
     pub quarantine_release_after: Option<SimDuration>,
-    /// Boot watchdog: how long a node may sit in `PoweringOn`/`Bios`
-    /// before the control plane power-cycles it.
-    pub boot_deadline: SimDuration,
-    /// Boot watchdog power-cycle retries before marking the node
-    /// `Failed(Unresponsive)`.
-    pub boot_max_retries: u32,
     /// Build one network segment per chassis bridged by a backbone
     /// instead of a single shared segment. Rack segments can then be
     /// partitioned independently (the chaos campaigns' partition
@@ -98,12 +72,6 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Resolve [`ClusterConfig::probe_stale_after`] to a concrete
-    /// staleness window: the explicit knob, or four agent intervals.
-    pub fn effective_stale_after(&self) -> SimDuration {
-        self.probe_stale_after.unwrap_or(self.agent_interval * 4)
-    }
-
     /// Resolve [`ClusterConfig::hw_shards`] to a concrete shard count.
     pub fn effective_hw_shards(&self) -> usize {
         if self.hw_shards != 0 {
@@ -128,10 +96,6 @@ impl Default for ClusterConfig {
             seed: 42,
             hw_step: SimDuration::from_secs(1),
             agent_interval: SimDuration::from_secs(5),
-            probe_interval: SimDuration::from_secs(5),
-            housekeeping_interval: SimDuration::from_secs(10),
-            notify_window: SimDuration::from_secs(30),
-            bandwidth_bps: FAST_ETHERNET_BPS,
             loss: 0.0,
             firmware: Firmware::LinuxBios,
             workload: WorkloadMix::Mixed,
@@ -139,17 +103,11 @@ impl Default for ClusterConfig {
             compress: true,
             autostart: true,
             bad_memory_nodes: Vec::new(),
-            history_capacity: 720,
             store_dir: None,
             hw_shards: 0,
             icebox_command_loss: 0.0,
-            drain_force_after: SimDuration::from_secs(30),
-            probe_stale_after: None,
             flap_threshold: 4,
-            flap_window: SimDuration::from_secs(900),
             quarantine_release_after: None,
-            boot_deadline: SimDuration::from_secs(300),
-            boot_max_retries: 5,
             rack_network: false,
         }
     }

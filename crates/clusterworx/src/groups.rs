@@ -43,7 +43,7 @@ impl Groups {
     pub fn by_rack(n_nodes: u32) -> Self {
         let mut g = Self::new();
         for node in 0..n_nodes {
-            g.add(&format!("rack{}", node / 10), node);
+            g.add(&format!("rack{}", World::rack_of(node).0), node);
         }
         g
     }

@@ -20,8 +20,8 @@
 //! [`AuditEntry::IngestBackpressure`](crate::actions::AuditEntry::IngestBackpressure) row is written, and a connection
 //! that stays paused past `evict_pause` — a slow consumer holding the
 //! lane hostage — is evicted with [`AuditEntry::ConnectionEvicted`](crate::actions::AuditEntry::ConnectionEvicted)
-//! while every other lane keeps flowing. Oversized frames,
-//! receive-buffer overflow and garbage floods evict the same way.
+//! while every other lane keeps flowing. Oversized frames and garbage
+//! floods evict the same way.
 //!
 //! Samples are stamped with the *report's* gather time (`time_secs`),
 //! so identical agent traffic produces identical store contents
@@ -70,10 +70,9 @@ pub struct IngestConfig {
     pub batch_samples: usize,
     /// Longest a buffered report waits before the batch flushes anyway.
     pub batch_delay: Duration,
-    /// Largest accepted wire frame.
+    /// Largest accepted wire frame; also bounds what one connection
+    /// buffers across readiness events (at most one partial frame).
     pub max_frame: usize,
-    /// Per-connection unparsed-byte bound across readiness events.
-    pub conn_read_buffer: usize,
     /// Bound of each lane's flush queue, in batches; a full queue is a
     /// backpressure trip, not a bigger buffer.
     pub lane_queue_batches: usize,
@@ -87,14 +86,6 @@ pub struct IngestConfig {
     pub flush_stall: Option<Duration>,
     /// Test hook: confine `flush_stall` to one lane (`None` = all).
     pub stall_lane: Option<usize>,
-    /// Worker threads of the query executor behind the `CWQ1` endpoint
-    /// (with a disk store only).
-    pub query_workers: usize,
-    /// Queries allowed to wait in the executor queue; one more is shed
-    /// with an audit row.
-    pub query_queue: usize,
-    /// Default per-query scanned-entries budget.
-    pub query_max_scan: u64,
     /// Most connections (agents + query clients) the reactor holds at
     /// once; `None` derives it from the process fd limit. A client
     /// accepted past the budget is shed with an audit row — reported,
@@ -111,15 +102,11 @@ impl Default for IngestConfig {
             batch_samples: 512,
             batch_delay: Duration::from_millis(25),
             max_frame: 1 << 20,
-            conn_read_buffer: 1 << 20,
             lane_queue_batches: 64,
             evict_pause: Duration::from_secs(30),
             max_decode_errors: 64,
             flush_stall: None,
             stall_lane: None,
-            query_workers: 2,
-            query_queue: 32,
-            query_max_scan: 8_000_000,
             conn_budget: None,
         }
     }
@@ -361,11 +348,7 @@ impl IngestServer {
         let query = store.is_some().then(|| {
             Arc::new(QueryExecutor::new(
                 Arc::clone(&target),
-                QueryLimits {
-                    workers: cfg.query_workers.max(1),
-                    max_queue: cfg.query_queue.max(1),
-                    max_scanned_samples: cfg.query_max_scan,
-                },
+                QueryLimits::default(),
             ))
         });
 
@@ -860,7 +843,6 @@ impl Reactor {
                     }
                     let limits = ConnLimits {
                         max_frame: self.cfg.max_frame,
-                        max_read_buffer: self.cfg.conn_read_buffer,
                         max_write_buffer: 1 << 20,
                     };
                     let fc = match FrameConn::new(stream, limits) {
@@ -1268,11 +1250,9 @@ impl Reactor {
 pub struct LoadConfig {
     /// Ingest server address.
     pub addr: String,
-    /// Concurrent connections to hold open.
+    /// Concurrent connections to hold open; connection `i` reports as
+    /// node `i`.
     pub conns: usize,
-    /// Node id of the first connection (connection `i` reports as
-    /// `start_node + i`).
-    pub start_node: u32,
     /// Frames each connection sends.
     pub frames_per_conn: u64,
     /// Pacing between a connection's frames.
@@ -1288,7 +1268,6 @@ impl Default for LoadConfig {
         LoadConfig {
             addr: String::new(),
             conns: 100,
-            start_node: 0,
             frames_per_conn: 10,
             interval: Duration::from_millis(100),
             writer_threads: 4,
@@ -1383,7 +1362,7 @@ pub fn drive(cfg: LoadConfig) -> io::Result<LoadStats> {
                 conns.push(Lane {
                     stream,
                     encoder: WireEncoder::new(),
-                    node: cfg.start_node + i as u32,
+                    node: i as u32,
                     dead: false,
                 });
             }
@@ -1652,6 +1631,35 @@ mod tests {
         assert_eq!(parsed.max_scan, spec.max_scan);
         assert_eq!(parsed.groups.len(), 2);
         assert_eq!(parsed.groups[1].nodes, vec![10, 11]);
+    }
+
+    #[test]
+    fn max_size_frame_split_across_reads_is_accepted() {
+        let rig = harness(|_| {});
+        let mut s = TcpStream::connect(rig.ingest.addr()).unwrap();
+        let mut wire = Vec::new();
+        cwx_net::frame::put_frame(&mut wire, &vec![0xAB; IngestConfig::default().max_frame]);
+        // all but the last two bytes now, the rest after the reactor has
+        // buffered the partial frame
+        let (head, tail) = wire.split_at(wire.len() - 2);
+        io::Write::write_all(&mut s, head).unwrap();
+        std::thread::sleep(Duration::from_millis(300));
+        io::Write::write_all(&mut s, tail).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while rig.ingest.stats().frames == 0
+            && rig.ingest.stats().evicted == 0
+            && Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let stats = rig.ingest.stats();
+        assert_eq!(
+            (stats.frames, stats.evicted),
+            (1, 0),
+            "a legal max-size frame must not be evicted"
+        );
+        drop(s);
+        rig.ingest.shutdown();
     }
 
     #[test]

@@ -12,6 +12,10 @@ use cwx_util::sim::Sim;
 
 use crate::world::{execute_pending_actions, World};
 
+/// How many agent intervals after its last report a node is considered
+/// unreachable by the staleness checks (probes and housekeeping).
+pub(crate) const STALE_AGENT_INTERVALS: u64 = 4;
+
 /// Sample the ICE Box probes and feed them to the server out-of-band.
 ///
 /// A single fleet-wide pass over the dense node vector: the chassis,
@@ -74,7 +78,7 @@ pub(crate) fn housekeeping_tick(sim: &mut Sim<World>) {
     let key = MonitorKey::new("net.connectivity");
     {
         let w = sim.world_mut();
-        let stale = w.cfg.effective_stale_after();
+        let stale = w.cfg.agent_interval * STALE_AGENT_INTERVALS;
         let World {
             nodes,
             server,

@@ -16,6 +16,7 @@
 
 use cwx_clone::image::Image;
 use cwx_clone::protocol::{run_clone, CloneConfig};
+use cwx_net::FAST_ETHERNET_BPS;
 use cwx_util::sim::Sim;
 use cwx_util::time::SimDuration;
 
@@ -59,14 +60,14 @@ pub fn clone_image_to_group(
         return None;
     }
     // inner simulation: the full reliable-multicast protocol
-    let (seed, bandwidth, firmware) = {
+    let (seed, firmware) = {
         let w = sim.world();
-        (w.cfg.seed ^ 0xc10e, w.cfg.bandwidth_bps, w.cfg.firmware)
+        (w.cfg.seed ^ 0xc10e, w.cfg.firmware)
     };
     let report = run_clone(
         seed,
         targets.len() as u32,
-        bandwidth,
+        FAST_ETHERNET_BPS,
         loss,
         CloneConfig {
             image_bytes: image.size_bytes,
@@ -149,12 +150,8 @@ pub fn add_node(sim: &mut Sim<World>) -> u32 {
         // single shared segment
         let seg = if w.cfg.rack_network {
             while w.net.segment_count() <= 1 + bx {
-                let (bw, lat, loss) = (
-                    w.cfg.bandwidth_bps,
-                    SimDuration::from_micros(100),
-                    w.cfg.loss,
-                );
-                w.net.add_segment(bw, lat, loss);
+                w.net
+                    .add_segment(FAST_ETHERNET_BPS, SimDuration::from_micros(100), w.cfg.loss);
             }
             w.rack_segment(bx)
         } else {

@@ -48,7 +48,7 @@ use cwx_util::time::{SimDuration, SimTime};
 use parking_lot::{Mutex, RwLock};
 
 use crate::actions::{CommandTransport, ControlPlane, Effect, NoGate};
-use crate::ingest::{IngestConfig, IngestLatency, IngestServer, IngestStats};
+use crate::ingest::{IngestConfig, IngestServer, IngestStats};
 use crate::server::Server;
 use crate::world::{IceBoxTransport, World};
 
@@ -90,17 +90,14 @@ pub struct RealTimeConfig {
     /// How often the controller thread drains the server's queued
     /// actions into the control plane and pumps the command bus.
     pub control_interval: Duration,
-    /// Fraction of chassis commands lost in transit (the same fault
-    /// knob as [`crate::ClusterConfig::icebox_command_loss`]).
-    pub command_loss: f64,
     /// Wall-clock stand-in for a node's firmware+OS boot after its
     /// outlet energizes.
     pub boot_delay: Duration,
-    /// How long after its last report a node counts as unreachable in
-    /// the server's staleness checks (the same knob as
-    /// [`crate::ClusterConfig::probe_stale_after`]).
-    pub stale_after: Duration,
 }
+
+/// How long after its last report a node counts as unreachable in the
+/// server's staleness checks.
+const STALE_AFTER: SimDuration = SimDuration::from_secs(30);
 
 impl Default for RealTimeConfig {
     fn default() -> Self {
@@ -114,9 +111,7 @@ impl Default for RealTimeConfig {
             shards: 4,
             ingest_stall: None,
             control_interval: Duration::from_millis(20),
-            command_loss: 0.0,
             boot_delay: Duration::from_millis(100),
-            stale_after: Duration::from_secs(30),
         }
     }
 }
@@ -271,7 +266,8 @@ fn controller_loop(
         boots.retain(|b| !(b.energized && b.up_at <= now));
         let mut transport = IceBoxTransport {
             iceboxes: &mut iceboxes,
-            loss: cfg.command_loss,
+            // the wall-clock deployment's chassis link is reliable
+            loss: 0.0,
             rng: &mut rng,
         };
         // drain queued actions, mirroring the simulation driver: pump
@@ -389,7 +385,7 @@ impl RealTimeDeployment {
             "realtime",
             SimDuration::from_secs(5),
             history,
-            SimDuration::from_nanos(cfg.stale_after.as_nanos().min(u64::MAX as u128) as u64),
+            STALE_AFTER,
         )));
         let stop = Arc::new(AtomicBool::new(false));
         let started = Instant::now();
@@ -483,23 +479,9 @@ impl RealTimeDeployment {
         self.store.clone()
     }
 
-    /// The address the ingest listener bound (what agents dial), when
-    /// it came up.
-    pub fn ingest_addr(&self) -> Option<SocketAddr> {
-        self.ingest.as_ref().map(|i| i.addr())
-    }
-
     /// Live ingest-plane counters (connections, frames, backpressure).
     pub fn ingest_stats(&self) -> IngestStats {
         self.ingest.as_ref().map(|i| i.stats()).unwrap_or_default()
-    }
-
-    /// Ingest flush-latency percentiles observed so far.
-    pub fn ingest_latency(&self) -> IngestLatency {
-        self.ingest
-            .as_ref()
-            .map(|i| i.latency())
-            .unwrap_or_default()
     }
 
     /// A point-in-time rollup for federation export — the realtime

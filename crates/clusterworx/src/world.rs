@@ -18,7 +18,7 @@ use cwx_icebox::chassis::{IceBox, NodeCommand, PortEffect, PortId, NODE_PORTS};
 use cwx_monitor::agent::{Agent, AgentConfig};
 use cwx_monitor::fault::AgentFault;
 use cwx_monitor::snapshot::Sensors;
-use cwx_net::{Network, NodeAddr};
+use cwx_net::{Network, NodeAddr, FAST_ETHERNET_BPS};
 use cwx_proc::synthetic::SyntheticProc;
 use cwx_store::disk::{DiskStore, StoreConfig};
 use cwx_store::mem::MemStore;
@@ -30,8 +30,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::actions::{
-    BootWatchdog, CommandTransport, ControlPlane, Effect, FlapPolicy, IssueOutcome, NoGate,
-    PowerCmd,
+    CommandTransport, ControlPlane, Effect, FlapPolicy, IssueOutcome, NoGate, PowerCmd,
 };
 use crate::config::{ClusterConfig, WorkloadMix};
 use crate::server::Server;
@@ -188,6 +187,18 @@ impl World {
     }
 }
 
+/// Notification batching window.
+const NOTIFY_WINDOW: SimDuration = SimDuration::from_secs(30);
+
+/// History retained per series.
+const HISTORY_CAPACITY: usize = 720;
+
+/// ICE Box probe sampling interval (out-of-band path).
+const PROBE_INTERVAL: SimDuration = SimDuration::from_secs(5);
+
+/// Server housekeeping interval (mail flush, staleness checks).
+const HOUSEKEEPING_INTERVAL: SimDuration = SimDuration::from_secs(10);
+
 /// Namespace struct: builds simulated clusters.
 pub struct Cluster;
 
@@ -235,7 +246,7 @@ impl Cluster {
             // isolates exactly that chassis's nodes
             let mut net = Network::new(cfg.seed ^ 0xdead_beef);
             let backbone = net.add_segment(
-                cfg.bandwidth_bps * 10,
+                FAST_ETHERNET_BPS * 10,
                 cwx_util::time::SimDuration::from_micros(100),
                 0.0,
             );
@@ -243,7 +254,7 @@ impl Cluster {
             net.attach(World::SERVER_ADDR, backbone);
             for bx in 0..n_boxes {
                 let seg = net.add_segment(
-                    cfg.bandwidth_bps,
+                    FAST_ETHERNET_BPS,
                     cwx_util::time::SimDuration::from_micros(100),
                     cfg.loss,
                 );
@@ -255,10 +266,10 @@ impl Cluster {
             }
             net
         } else {
-            Network::single_segment(cfg.seed ^ 0xdead_beef, n + 1, cfg.bandwidth_bps, cfg.loss)
+            Network::single_segment(cfg.seed ^ 0xdead_beef, n + 1, FAST_ETHERNET_BPS, cfg.loss)
         };
         let history: Arc<dyn Store> = match &cfg.store_dir {
-            None => Arc::new(MemStore::new(cfg.history_capacity)),
+            None => Arc::new(MemStore::new(HISTORY_CAPACITY)),
             // persistent history: a restarted simulation over the same
             // directory recovers every recorded sample
             Some(dir) => Arc::new(
@@ -268,13 +279,12 @@ impl Cluster {
         };
         let server = Server::with_history(
             "cluster",
-            cfg.notify_window,
+            NOTIFY_WINDOW,
             history,
-            cfg.effective_stale_after(),
+            cfg.agent_interval * crate::probes::STALE_AGENT_INTERVALS,
         );
         let control = {
             let mut c = ControlPlane::new(n as usize);
-            c.set_drain_force_after(cfg.drain_force_after);
             c.set_flap_policy(FlapPolicy {
                 // threshold 0 disables the detector outright
                 threshold: if cfg.flap_threshold == 0 {
@@ -282,12 +292,8 @@ impl Cluster {
                 } else {
                     cfg.flap_threshold
                 },
-                window: cfg.flap_window,
                 release_after: cfg.quarantine_release_after,
-            });
-            c.set_boot_watchdog(BootWatchdog {
-                deadline: cfg.boot_deadline,
-                max_retries: cfg.boot_max_retries,
+                ..FlapPolicy::default()
             });
             c
         };
@@ -328,8 +334,6 @@ impl Cluster {
 fn install_recurring_events(sim: &mut Sim<World>) {
     let hw_step = sim.world().cfg.hw_step;
     let agent_interval = sim.world().cfg.agent_interval;
-    let probe_interval = sim.world().cfg.probe_interval;
-    let housekeeping = sim.world().cfg.housekeeping_interval;
 
     sim.schedule_every(hw_step, move |sim| {
         hw_tick(sim, hw_step.as_secs_f64());
@@ -339,11 +343,11 @@ fn install_recurring_events(sim: &mut Sim<World>) {
         agent_tick(sim);
         true
     });
-    sim.schedule_every(probe_interval, |sim| {
+    sim.schedule_every(PROBE_INTERVAL, |sim| {
         crate::probes::probe_tick(sim);
         true
     });
-    sim.schedule_every(housekeeping, |sim| {
+    sim.schedule_every(HOUSEKEEPING_INTERVAL, |sim| {
         crate::probes::housekeeping_tick(sim);
         true
     });
@@ -757,11 +761,9 @@ fn finish_boot(sim: &mut Sim<World>, node: u32) {
     w.control.note_boot_complete(now, node);
     let cfg = AgentConfig {
         node,
-        interfaces: vec!["lo".into(), "eth0".into()],
         delta_enabled: w.cfg.delta_enabled,
         compress: w.cfg.compress,
         binary: false,
-        cache_ttl_secs: 0.5,
     };
     let st = &mut w.nodes[node as usize];
     st.agent = Agent::new(st.hw.proc_fs().clone(), cfg).ok();

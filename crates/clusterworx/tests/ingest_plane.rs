@@ -320,7 +320,6 @@ fn reactor_stores_exactly_the_scripted_traffic() {
             interval,
             writer_threads: 4,
             keys: 4,
-            ..LoadConfig::default()
         })
         .unwrap();
         assert_eq!(sent.frames_sent, 80, "{which}");

@@ -59,7 +59,6 @@ fn smoke(conns: usize, frames_per_conn: u64, keys: usize) {
         interval: Duration::from_millis(200),
         writer_threads: 8,
         keys,
-        ..LoadConfig::default()
     })
     .unwrap();
     assert_eq!(sent.connected as usize, conns, "every connection came up");

@@ -94,11 +94,6 @@ impl InvariantChecker {
         &self.violations
     }
 
-    /// Consume the checker, returning its findings.
-    pub fn into_violations(self) -> Vec<Violation> {
-        self.violations
-    }
-
     fn report(&mut self, now: SimTime, invariant: &'static str, detail: String) {
         self.violations.push(Violation {
             at_secs: now.as_secs_f64(),

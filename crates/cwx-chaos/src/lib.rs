@@ -30,5 +30,5 @@ pub use campaign::{Campaign, FaultEvent, FaultKind, FAULT_SLUGS};
 pub use invariants::{audit_hash, InvariantChecker, InvariantPolicy, Violation, INVARIANT_NAMES};
 pub use run::{
     apply_fault, campaign_config, run_campaign, run_campaign_sim, run_campaign_sim_observed,
-    run_campaign_with, CampaignReport,
+    CampaignReport,
 };

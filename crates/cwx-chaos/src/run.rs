@@ -135,7 +135,7 @@ pub fn apply_fault(sim: &mut Sim<World>, kind: FaultKind) {
 /// Base cluster configuration for a campaign: the rack topology (so
 /// partitions have a blast radius smaller than "everything") with the
 /// campaign's fleet size and seed. Callers may tweak the result before
-/// [`run_campaign_with`].
+/// [`run_campaign_sim`].
 pub fn campaign_config(c: &Campaign) -> ClusterConfig {
     let mut cfg = ClusterConfig {
         n_nodes: c.n_nodes,
@@ -152,26 +152,19 @@ pub fn campaign_config(c: &Campaign) -> ClusterConfig {
     cfg
 }
 
-/// Run `campaign` on a default cluster; see [`run_campaign_with`].
+/// Run `campaign` on a default cluster, checking invariants under the
+/// default policy throughout, and report.
 pub fn run_campaign(campaign: &Campaign) -> CampaignReport {
-    run_campaign_with(
+    run_campaign_sim(
         campaign,
         campaign_config(campaign),
         InvariantPolicy::default(),
     )
+    .0
 }
 
 /// Run `campaign` on a cluster built from `cfg`, checking invariants
-/// under `policy` throughout, and report.
-pub fn run_campaign_with(
-    campaign: &Campaign,
-    cfg: ClusterConfig,
-    policy: InvariantPolicy,
-) -> CampaignReport {
-    run_campaign_sim(campaign, cfg, policy).0
-}
-
-/// Like [`run_campaign_with`], but also hand back the finished
+/// under `policy` throughout, and hand back the report with the finished
 /// simulation so callers (soak tests, the CLI) can dig into the audit
 /// trail, outbox or per-node state beyond what the report summarises.
 pub fn run_campaign_sim(

@@ -54,24 +54,12 @@ pub struct CloneConfig {
     pub pace_bps: u64,
     /// Strategy.
     pub strategy: RepairStrategy,
-    /// Sequential disk write rate on the nodes, bytes/s.
-    pub disk_write_bps: u64,
     /// Firmware installed on the nodes (drives reboot time).
     pub firmware: Firmware,
-    /// Control-message retransmission timeout.
-    pub ctrl_rto: SimDuration,
-    /// Give up on a node after this many poll rounds.
-    pub max_poll_rounds: u32,
     /// Reboot after writing (full reclone). `false` models the in-place
     /// package/kernel-file update path — "update files or packages on
     /// the nodes in parallel" — where nodes stay up.
     pub reboot: bool,
-    /// Response deadline for a poll, measured from its wire delivery
-    /// time (so queued repair traffic cannot fake a dead receiver).
-    pub poll_timeout: SimDuration,
-    /// Consecutive missed poll deadlines before a receiver is evicted
-    /// as dead and the session moves on for the survivors.
-    pub max_poll_misses: u32,
     /// Fault injection: receivers that die mid-session, as `(node,
     /// seconds after campaign start)`. A dead receiver ignores every
     /// message — chunks, polls, everything.
@@ -85,13 +73,8 @@ impl Default for CloneConfig {
             chunk_bytes: 1 << 20,
             pace_bps: 4 << 20,
             strategy: RepairStrategy::MulticastRoundRobin,
-            disk_write_bps: 25 << 20,
             firmware: Firmware::LinuxBios,
-            ctrl_rto: SimDuration::from_millis(200),
-            max_poll_rounds: 1000,
             reboot: true,
-            poll_timeout: SimDuration::from_secs(10),
-            max_poll_misses: 5,
             dropouts: Vec::new(),
         }
     }
@@ -119,7 +102,7 @@ pub struct CloneReport {
     pub remulticast_chunks: u64,
     /// Poll messages sent.
     pub polls: u64,
-    /// Nodes abandoned after `max_poll_rounds`.
+    /// Nodes abandoned after `MAX_POLL_ROUNDS`.
     pub failed_nodes: u32,
     /// Per-node operational times (seconds; NaN for failed nodes).
     pub per_node_operational: Vec<f64>,
@@ -128,6 +111,18 @@ pub struct CloneReport {
 const CLONE_GROUP: GroupId = GroupId(1);
 const CTRL_BYTES: u64 = 64;
 const MAX_CTRL_RETRIES: u32 = 60;
+/// Sequential disk write rate on the nodes, bytes/s.
+const DISK_WRITE_BPS: u64 = 25 << 20;
+/// Control-message retransmission timeout.
+const CTRL_RTO: SimDuration = SimDuration::from_millis(200);
+/// Give up on a node after this many poll rounds.
+const MAX_POLL_ROUNDS: u32 = 1000;
+/// Response deadline for a poll, measured from its wire delivery time
+/// (so queued repair traffic cannot fake a dead receiver).
+const POLL_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+/// Consecutive missed poll deadlines before a receiver is evicted as
+/// dead and the session moves on for the survivors.
+const MAX_POLL_MISSES: u32 = 5;
 /// Cap on missing-chunk indices listed per NACK.
 const NACK_LIST_CAP: usize = 1024;
 
@@ -281,8 +276,7 @@ fn send_ctrl(sim: &mut CloneSim, from: NodeAddr, to: NodeAddr, size: u64, msg: M
         .unicast(now, from, to, size, msg.clone());
     if ds.is_empty() {
         if attempt < MAX_CTRL_RETRIES {
-            let rto = sim.world().cfg.ctrl_rto;
-            sim.schedule_in(rto, move |sim| {
+            sim.schedule_in(CTRL_RTO, move |sim| {
                 send_ctrl(sim, from, to, size, msg, attempt + 1)
             });
         }
@@ -393,7 +387,7 @@ fn finish_node(sim: &mut CloneSim, node: u32) {
     let (disk_secs, firmware, reboot) = {
         let w = sim.world();
         (
-            w.cfg.image_bytes as f64 / w.cfg.disk_write_bps as f64,
+            w.cfg.image_bytes as f64 / DISK_WRITE_BPS as f64,
             w.cfg.firmware,
             w.cfg.reboot,
         )
@@ -422,7 +416,7 @@ fn poll_current(sim: &mut CloneSim) {
         let w = sim.world_mut();
         w.current_rounds += 1;
         w.polls += 1;
-        if w.current_rounds > w.cfg.max_poll_rounds {
+        if w.current_rounds > MAX_POLL_ROUNDS {
             w.targets[node as usize].failed = true;
             w.failed += 1;
             w.poll_queue.pop_front();
@@ -468,8 +462,7 @@ fn send_poll_attempt(sim: &mut CloneSim, node: u32, seq: u64, attempt: u32) {
         .unicast(now, MASTER, addr_of(node), CTRL_BYTES, Msg::Poll);
     if ds.is_empty() {
         if attempt < MAX_CTRL_RETRIES {
-            let rto = sim.world().cfg.ctrl_rto;
-            sim.schedule_in(rto, move |sim| {
+            sim.schedule_in(CTRL_RTO, move |sim| {
                 send_poll_attempt(sim, node, seq, attempt + 1)
             });
         }
@@ -477,9 +470,8 @@ fn send_poll_attempt(sim: &mut CloneSim, node: u32, seq: u64, attempt: u32) {
         // Deadline measured from the poll's wire delivery, so queued
         // repair traffic ahead of it cannot fake a dead receiver.
         let deliver = ds.iter().map(|d| d.at).max().unwrap_or(now);
-        let timeout = sim.world().cfg.poll_timeout;
         schedule_deliveries(sim, ds);
-        sim.schedule_at(deliver + timeout, move |sim| {
+        sim.schedule_at(deliver + POLL_TIMEOUT, move |sim| {
             check_poll_deadline(sim, node, seq)
         });
         return;
@@ -490,28 +482,27 @@ fn send_poll_attempt(sim: &mut CloneSim, node: u32, seq: u64, attempt: u32) {
     if attempt == 0 {
         // first copy lost: arm the deadline anyway so a receiver behind
         // a fully broken control channel is still evicted
-        let timeout = sim.world().cfg.poll_timeout;
-        sim.schedule_in(timeout, move |sim| check_poll_deadline(sim, node, seq));
+        sim.schedule_in(POLL_TIMEOUT, move |sim| check_poll_deadline(sim, node, seq));
     }
 }
 
 /// The response deadline for poll `seq` to `node` expired.
 ///
 /// Re-arms a few times (retransmits or a jammed wire may still produce
-/// the answer); after [`CloneConfig::max_poll_misses`] consecutive
+/// the answer); after [`MAX_POLL_MISSES`] consecutive
 /// misses the receiver is declared dead and evicted so the session
 /// completes for the survivors.
 fn check_poll_deadline(sim: &mut CloneSim, node: u32, seq: u64) {
     if sim.world().awaiting != Some((node, seq)) {
         return; // answered (or the head moved on); stale deadline
     }
-    let (evict, timeout) = {
+    let evict = {
         let w = sim.world_mut();
         w.poll_misses += 1;
-        (w.poll_misses >= w.cfg.max_poll_misses, w.cfg.poll_timeout)
+        w.poll_misses >= MAX_POLL_MISSES
     };
     if !evict {
-        sim.schedule_in(timeout, move |sim| check_poll_deadline(sim, node, seq));
+        sim.schedule_in(POLL_TIMEOUT, move |sim| check_poll_deadline(sim, node, seq));
         return;
     }
     let now = sim.now();
@@ -1005,9 +996,8 @@ mod tests {
             r.makespan_secs.is_finite() && r.data_complete_secs.is_finite(),
             "the session must terminate despite the dropout"
         );
-        // eviction costs at most max_poll_misses deadline windows
-        let cfg = small_cfg();
-        let bound = cfg.poll_timeout.as_secs_f64() * (cfg.max_poll_misses + 2) as f64 + 60.0;
+        // eviction costs at most MAX_POLL_MISSES deadline windows
+        let bound = POLL_TIMEOUT.as_secs_f64() * (MAX_POLL_MISSES + 2) as f64 + 60.0;
         assert!(
             r.data_complete_secs < bound,
             "eviction should be prompt: {} vs bound {bound}",

@@ -146,7 +146,6 @@ impl HeadReactor {
                 Ok((stream, _)) => {
                     let limits = ConnLimits {
                         max_frame: MAX_FRAME as usize,
-                        max_read_buffer: MAX_FRAME as usize + 64,
                         // a sub that stops reading may absorb this much
                         // queued command traffic before eviction
                         max_write_buffer: 4 << 20,

@@ -33,8 +33,6 @@ pub struct FederationConfig {
     pub uplink_interval: SimDuration,
     /// Head-side staleness window.
     pub stale_after: SimDuration,
-    /// Head-side command retry policy.
-    pub retry: RetryPolicy,
 }
 
 impl FederationConfig {
@@ -52,7 +50,6 @@ impl FederationConfig {
             clusters,
             uplink_interval: SimDuration::from_secs(10),
             stale_after: SimDuration::from_secs(40),
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -112,7 +109,7 @@ impl FederationSim {
             })
             .collect();
         FederationSim {
-            head: FederationHead::new(cfg.stale_after, cfg.retry),
+            head: FederationHead::new(cfg.stale_after, RetryPolicy::default()),
             subs,
             now: SimTime::ZERO,
             uplink: cfg.uplink_interval,
@@ -155,11 +152,6 @@ impl FederationSim {
     /// One sub-cluster's simulation (assertions, fault injection).
     pub fn sub_sim(&self, cluster: u16) -> &Sim<World> {
         &self.subs[cluster as usize].sim
-    }
-
-    /// Mutable access to one sub-cluster's simulation.
-    pub fn sub_sim_mut(&mut self, cluster: u16) -> &mut Sim<World> {
-        &mut self.subs[cluster as usize].sim
     }
 
     /// Sever the uplink of `cluster` (sub keeps running; the head

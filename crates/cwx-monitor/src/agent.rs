@@ -15,13 +15,17 @@ use crate::monitor::Registry;
 use crate::snapshot::{Sensors, Snapshot};
 use crate::transmit::{self, Report};
 
+/// Interfaces to monitor.
+const INTERFACES: [&str; 2] = ["lo", "eth0"];
+
+/// Serve repeat requests from the snapshot cache within this window.
+const CACHE_TTL_SECS: f64 = 0.5;
+
 /// Agent configuration.
 #[derive(Debug, Clone)]
 pub struct AgentConfig {
     /// Node id used in report headers.
     pub node: u32,
-    /// Interfaces to monitor.
-    pub interfaces: Vec<String>,
     /// Delta consolidation on (product behaviour) or off (E7 ablation).
     pub delta_enabled: bool,
     /// LZSS-compress reports (product behaviour) or send raw text.
@@ -29,19 +33,15 @@ pub struct AgentConfig {
     /// Emit the binary `CWB1` delta wire format instead of text
     /// (overrides `compress`; the binary format is already compact).
     pub binary: bool,
-    /// Serve repeat requests from the snapshot cache within this window.
-    pub cache_ttl_secs: f64,
 }
 
 impl Default for AgentConfig {
     fn default() -> Self {
         AgentConfig {
             node: 0,
-            interfaces: vec!["lo".into(), "eth0".into()],
             delta_enabled: true,
             compress: true,
             binary: false,
-            cache_ttl_secs: 0.5,
         }
     }
 }
@@ -102,7 +102,6 @@ impl<S: ProcSource> Agent<S> {
     where
         S: Clone,
     {
-        let ifaces: Vec<&str> = cfg.interfaces.iter().map(String::as_str).collect();
         Ok(Agent {
             mem: MemInfoGatherer::new(source.clone(), GatherLevel::KeepOpen)?,
             stat: StatGatherer::new(&source)?,
@@ -110,7 +109,7 @@ impl<S: ProcSource> Agent<S> {
             up: UptimeGatherer::new(&source)?,
             netdev: NetDevGatherer::new(&source)?,
             disk: DiskStatsGatherer::new(&source).ok(),
-            registry: Registry::with_builtins(&ifaces),
+            registry: Registry::with_builtins(&INTERFACES),
             consolidator: Consolidator::new(cfg.delta_enabled),
             encoder: transmit::WireEncoder::new(),
             wire_buf: Vec::new(),
@@ -141,8 +140,7 @@ impl<S: ProcSource> Agent<S> {
     /// the TTL (the "simultaneous requests" path). `None` when stale or
     /// no snapshot was gathered yet.
     pub fn cached_snapshot(&mut self, now: SimTime) -> Option<&Snapshot> {
-        if self.have_snapshot && now.since(self.snap.time).as_secs_f64() <= self.cfg.cache_ttl_secs
-        {
+        if self.have_snapshot && now.since(self.snap.time).as_secs_f64() <= CACHE_TTL_SECS {
             self.consolidator.note_cache_hit();
             Some(&self.snap)
         } else {

@@ -11,9 +11,8 @@
 //!   is handed to the decoder without a copy.
 //! * [`FrameConn`] pairs a nonblocking [`TcpStream`] with a
 //!   [`FrameBuffer`] and a bounded outbound queue, surfacing explicit
-//!   [`ConnError`]s — oversized frames, receive-buffer overflow,
-//!   send-queue overflow (a peer that stopped draining) — instead of
-//!   blocking a thread.
+//!   [`ConnError`]s — oversized frames, send-queue overflow (a peer that
+//!   stopped draining) — instead of blocking a thread.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -28,11 +27,10 @@ const READ_CHUNK: usize = 16 * 1024;
 #[derive(Debug, Clone, Copy)]
 pub struct ConnLimits {
     /// Largest accepted frame body; a corrupt or hostile length prefix
-    /// must not allocate gigabytes.
+    /// must not allocate gigabytes. Every complete frame is consumed
+    /// after each read, so this also bounds the inbound buffer: at most
+    /// one partial frame, under `LEN_PREFIX + max_frame` bytes.
     pub max_frame: usize,
-    /// Most unparsed inbound bytes buffered before the connection is
-    /// declared misbehaving.
-    pub max_read_buffer: usize,
     /// Most outbound bytes queued for a peer that is not draining its
     /// socket before [`ConnError::SendOverflow`].
     pub max_write_buffer: usize,
@@ -42,7 +40,6 @@ impl Default for ConnLimits {
     fn default() -> Self {
         ConnLimits {
             max_frame: 1 << 20,
-            max_read_buffer: 1 << 20,
             max_write_buffer: 4 << 20,
         }
     }
@@ -58,9 +55,6 @@ pub enum ConnError {
         /// The announced length.
         len: usize,
     },
-    /// The peer sent faster than frames were consumed past
-    /// `max_read_buffer`.
-    RecvOverflow,
     /// The peer stopped draining and the outbound queue passed
     /// `max_write_buffer`.
     SendOverflow,
@@ -71,7 +65,6 @@ impl std::fmt::Display for ConnError {
         match self {
             ConnError::Io(e) => write!(f, "connection i/o error: {e}"),
             ConnError::Oversize { len } => write!(f, "oversized frame ({len} bytes)"),
-            ConnError::RecvOverflow => write!(f, "inbound buffer overflow"),
             ConnError::SendOverflow => write!(f, "outbound queue overflow (slow consumer)"),
         }
     }
@@ -255,9 +248,6 @@ impl FrameConn {
                     while let Some(frame) = self.rbuf.next_frame()? {
                         on_frame(frame);
                     }
-                    if self.rbuf.buffered() > self.limits.max_read_buffer {
-                        return Err(ConnError::RecvOverflow);
-                    }
                     budget -= 1;
                     if budget == 0 {
                         return Ok(ReadState::HasMore);
@@ -316,11 +306,6 @@ impl FrameConn {
     /// Whether the reactor should keep write interest registered.
     pub fn wants_write(&self) -> bool {
         self.pending_write() > 0
-    }
-
-    /// Unparsed inbound bytes held across readiness events.
-    pub fn read_buffered(&self) -> usize {
-        self.rbuf.buffered()
     }
 }
 

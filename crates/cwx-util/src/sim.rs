@@ -188,11 +188,6 @@ impl<W> Sim<W> {
         &mut self.world
     }
 
-    /// Consume the simulator, returning the world.
-    pub fn into_world(self) -> W {
-        self.world
-    }
-
     /// A canonical digest of the engine's scheduling state: clock,
     /// sequence counter, every pending ticket (time, seq, slab index),
     /// slab entry states and generations, and the free list.

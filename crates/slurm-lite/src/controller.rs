@@ -97,7 +97,6 @@ pub struct Controller {
     next_id: u64,
     kind: SchedulerKind,
     priority: PriorityFn,
-    requeue_on_node_fail: bool,
     stats: ControllerStats,
     last_advance: SimTime,
 }
@@ -118,7 +117,6 @@ impl Controller {
             next_id: 1,
             kind,
             priority: fifo_priority,
-            requeue_on_node_fail: true,
             stats: ControllerStats::default(),
             last_advance: SimTime::ZERO,
         }
@@ -128,11 +126,6 @@ impl Controller {
     /// hook).
     pub fn set_priority_fn(&mut self, f: PriorityFn) {
         self.priority = f;
-    }
-
-    /// Whether jobs hit by node failures go back in the queue.
-    pub fn set_requeue_on_node_fail(&mut self, requeue: bool) {
-        self.requeue_on_node_fail = requeue;
     }
 
     /// Define a named partition over specific node indices.
@@ -290,7 +283,7 @@ impl Controller {
     }
 
     /// Mark a node failed. The job holding it (if any) dies with
-    /// `NodeFail` and is optionally requeued.
+    /// `NodeFail` and is requeued.
     pub fn node_fail(&mut self, now: SimTime, node: u32) {
         let prev = self.nodes[node as usize];
         self.nodes[node as usize] = NodeAllocState::Down;
@@ -310,9 +303,7 @@ impl Controller {
                     self.shared[n as usize].retain(|&j| j != id);
                 }
             }
-            if self.requeue_on_node_fail {
-                let _ = self.submit(now, request);
-            }
+            let _ = self.submit(now, request);
         }
         if let NodeAllocState::Allocated(id) = prev {
             let job = self.jobs.get_mut(&id).expect("allocated job exists");
@@ -326,10 +317,8 @@ impl Controller {
                     self.nodes[n as usize] = NodeAllocState::Idle;
                 }
             }
-            if self.requeue_on_node_fail {
-                // resubmitted under a fresh id, keeping queue fairness
-                let _ = self.submit(now, request);
-            }
+            // resubmitted under a fresh id, keeping queue fairness
+            let _ = self.submit(now, request);
         }
     }
 

@@ -11,6 +11,15 @@ use rand::Rng;
 
 use crate::job::JobRequest;
 
+/// Fraction of jobs that are "wide" (up to half the cluster).
+const WIDE_FRACTION: f64 = 0.15;
+
+/// Minimum runtime, seconds.
+const MIN_RUNTIME_SECS: f64 = 60.0;
+
+/// Maximum runtime, seconds.
+const MAX_RUNTIME_SECS: f64 = 14_400.0;
+
 /// Trace generation parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
@@ -18,12 +27,6 @@ pub struct TraceConfig {
     pub mean_interarrival_secs: f64,
     /// Cluster size (bounds job widths).
     pub cluster_nodes: u32,
-    /// Fraction of jobs that are "wide" (up to half the cluster).
-    pub wide_fraction: f64,
-    /// Minimum runtime, seconds.
-    pub min_runtime_secs: f64,
-    /// Maximum runtime, seconds.
-    pub max_runtime_secs: f64,
     /// Fraction of jobs that underestimate their limit (and time out).
     pub underestimate_fraction: f64,
 }
@@ -33,9 +36,6 @@ impl Default for TraceConfig {
         TraceConfig {
             mean_interarrival_secs: 120.0,
             cluster_nodes: 64,
-            wide_fraction: 0.15,
-            min_runtime_secs: 60.0,
-            max_runtime_secs: 14_400.0,
             underestimate_fraction: 0.05,
         }
     }
@@ -57,10 +57,10 @@ pub fn generate(rng: &mut StdRng, cfg: &TraceConfig, n: usize) -> Vec<TraceJob> 
     for i in 0..n {
         t += exponential(rng, 1.0 / cfg.mean_interarrival_secs);
         // log-uniform runtime
-        let lo = cfg.min_runtime_secs.ln();
-        let hi = cfg.max_runtime_secs.ln();
+        let lo = MIN_RUNTIME_SECS.ln();
+        let hi = MAX_RUNTIME_SECS.ln();
         let runtime = (lo + rng.random::<f64>() * (hi - lo)).exp();
-        let nodes = if chance(rng, cfg.wide_fraction) {
+        let nodes = if chance(rng, WIDE_FRACTION) {
             // wide: 25%..50% of the cluster
             let max = (cfg.cluster_nodes / 2).max(1);
             let min = (cfg.cluster_nodes / 4).max(1);

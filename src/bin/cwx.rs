@@ -26,7 +26,7 @@
 //! parse, is bad usage.
 
 use clusterworx::world::schedule_fault;
-use clusterworx::{dashboard, Cluster, ClusterConfig, LiteMonitor, WorkloadMix};
+use clusterworx::{dashboard, Cluster, ClusterConfig, LiteMonitor, WorkloadMix, World};
 use cwx_clone::protocol::{run_clone, CloneConfig, RepairStrategy};
 use cwx_hw::node::Fault;
 use cwx_monitor::snapshot::Sensors;
@@ -358,9 +358,9 @@ fn cmd_history(rest: &[String]) {
             }],
             // chassis topology: rack0 = nodes 0-9, rack1 = 10-19, ...
             "rack" => {
-                let mut by_rack: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
+                let mut by_rack: std::collections::BTreeMap<usize, Vec<u32>> = Default::default();
                 for n in nodes {
-                    by_rack.entry(n / 10).or_default().push(n);
+                    by_rack.entry(World::rack_of(n).0).or_default().push(n);
                 }
                 by_rack
                     .into_iter()
@@ -878,7 +878,6 @@ fn cmd_ingest(rest: &[String]) {
                 interval: Duration::from_millis(interval_ms),
                 writer_threads: threads,
                 keys,
-                ..LoadConfig::default()
             })
             .unwrap_or_else(|e| {
                 eprintln!("could not reach ingest server at {addr}: {e}");

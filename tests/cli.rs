@@ -131,3 +131,33 @@ fn history_egress_is_pinned() {
     assert_eq!(chart, TEMP_CPU_CHART);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `cwx history --group-by rack` over a 12-node simulation (two
+/// chassis), minus the store's recovery line.
+const TEMP_CPU_BY_RACK: &str = "\
+group,window_start_secs,max,count
+rack0,0,42.3,140
+rack0,60,54.719761783666364,235
+rack0,120,55.16021585136025,10
+rack1,0,42.3,28
+rack1,60,54.126589770867234,48
+rack1,120,54.46561812125936,2
+";
+
+/// A windowed query grouped by chassis: rack membership follows the
+/// ICE Box port count, and the simulated history it folds is pinned.
+#[test]
+fn rack_grouped_history_is_pinned() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-history-by-rack");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let sim = "simulate --nodes 12 --secs 120 --seed 7 --store D";
+    let (code, out) = cwx_in(&dir, &sim.split_whitespace().collect::<Vec<_>>());
+    assert_eq!(code, 0, "{out}");
+    let query = "history --store D --monitor temp.cpu --agg max --window 60 --group-by rack";
+    let (code, out) = cwx_in(&dir, &query.split_whitespace().collect::<Vec<_>>());
+    assert_eq!(code, 0, "{out}");
+    let table = out.split_once('\n').map_or("", |(_, rest)| rest);
+    assert_eq!(table, TEMP_CPU_BY_RACK);
+    let _ = std::fs::remove_dir_all(&dir);
+}
