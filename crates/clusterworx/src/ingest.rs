@@ -6,12 +6,21 @@
 //! [`FrameConn`] state machines that survive partial frames across
 //! readiness events, and per-connection `CWB1` decoders that decode
 //! straight out of the reused read buffer. Decoded reports land in
-//! per-lane batch buffers (one lane per store shard) that flush on
-//! size/delay bounds to a small pool of flush workers, which
-//! batch-append to the store ([`Store::append_batch`] → one WAL write
-//! per shard per batch) and take the server lock once per batch. One
-//! thread sustains tens of thousands of connections with bounded
-//! memory.
+//! per-lane batch buffers (one lane per store shard), each drained by a
+//! flush worker that batch-appends to the store ([`Store::append_batch`]
+//! → one WAL write per shard per batch) and takes the server lock once
+//! per batch. One thread sustains tens of thousands of connections with
+//! bounded memory.
+//!
+//! Lanes flush by group commit, not by timer: once a `poll` pass has
+//! drained every ready socket, each lane whose worker is idle hands its
+//! pending reports over as one batch. While a batch is in flight,
+//! reports keep accumulating and go over together the moment it lands
+//! (the worker wakes the reactor, but only when asked to). Nothing waits
+//! on a clock: an idle worker takes the batch at once, and a busy one
+//! could not make it visible sooner. `batch_samples` caps a burst — a
+//! lane at the cap enqueues even behind an in-flight batch, so a full
+//! queue still trips backpressure.
 //!
 //! Backpressure is explicit, never an unbounded buffer or a stalled
 //! reactor: when a lane's flush queue fills, the connections feeding
@@ -34,7 +43,7 @@ use std::io;
 use std::mem;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -66,10 +75,9 @@ pub struct IngestConfig {
     /// Node-group width used to route a report's node to a lane
     /// (matches the store's shard routing).
     pub nodes_per_group: u32,
-    /// Decoded samples a lane buffers before its batch flushes.
+    /// Burst cap: a lane holding this many decoded samples enqueues its
+    /// batch even while the previous one is still in flight.
     pub batch_samples: usize,
-    /// Longest a buffered report waits before the batch flushes anyway.
-    pub batch_delay: Duration,
     /// Largest accepted wire frame; also bounds what one connection
     /// buffers across readiness events (at most one partial frame).
     pub max_frame: usize,
@@ -100,7 +108,6 @@ impl Default for IngestConfig {
             n_lanes: 1,
             nodes_per_group: u32::MAX,
             batch_samples: 512,
-            batch_delay: Duration::from_millis(25),
             max_frame: 1 << 20,
             lane_queue_batches: 64,
             evict_pause: Duration::from_secs(30),
@@ -125,6 +132,9 @@ pub struct IngestStats {
     pub frames: u64,
     /// Reports decoded and handed to flush workers.
     pub reports: u64,
+    /// Batches handed to flush workers (one store append and one server
+    /// lock each).
+    pub batches: u64,
     /// Numeric samples appended to the store.
     pub samples: u64,
     /// Frames that failed to decode.
@@ -165,6 +175,7 @@ struct Shared {
     evicted: AtomicU64,
     frames: AtomicU64,
     reports: AtomicU64,
+    batches: AtomicU64,
     samples: AtomicU64,
     decode_errors: AtomicU64,
     backpressure_trips: AtomicU64,
@@ -182,6 +193,7 @@ impl Shared {
             evicted: self.evicted.load(Ordering::Relaxed),
             frames: self.frames.load(Ordering::Relaxed),
             reports: self.reports.load(Ordering::Relaxed),
+            batches: self.batches.load(Ordering::Relaxed),
             samples: self.samples.load(Ordering::Relaxed),
             decode_errors: self.decode_errors.load(Ordering::Relaxed),
             backpressure_trips: self.backpressure_trips.load(Ordering::Relaxed),
@@ -210,6 +222,21 @@ struct Batch {
     error_bytes: Vec<usize>,
 }
 
+/// What a lane's reactor side and its flush worker share.
+#[derive(Default)]
+struct LaneSync {
+    /// Batches handed to the worker and not yet store-visible.
+    in_flight: AtomicUsize,
+    /// Set by the reactor when it holds reports back behind an
+    /// in-flight batch or is blocked on a full queue: the worker wakes
+    /// it once its current batch lands.
+    wake: AtomicBool,
+}
+
+/// How often, in receive time, a flush worker runs the server's
+/// liveness scan and notifier flush.
+const HOUSEKEEPING_EVERY: SimDuration = SimDuration::from_millis(250);
+
 /// The sample timestamp written to history: the report's own gather
 /// time when it is sane, else the receive time. Using gather time makes
 /// store contents a pure function of the agent traffic.
@@ -224,9 +251,11 @@ fn sample_time(d: &Decoded) -> SimTime {
 
 /// One lane's flush worker: every batch is appended to `store` at gather
 /// time outside the server lock, then the server lock is taken once for
-/// events, liveness and housekeeping.
+/// events, liveness and (every [`HOUSEKEEPING_EVERY`]) housekeeping.
+#[allow(clippy::too_many_arguments)]
 fn flusher_loop(
     rx: Receiver<Batch>,
+    sync: Arc<LaneSync>,
     server: Arc<RwLock<Server>>,
     store: Arc<dyn Store>,
     shared: Arc<Shared>,
@@ -235,6 +264,7 @@ fn flusher_loop(
     stall: Option<Duration>,
 ) -> u64 {
     let mut total = 0u64;
+    let mut housekept: Option<SimTime> = None;
     while let Ok(batch) = rx.recv() {
         if let Some(d) = stall {
             // test hook: a deliberately slow consumer
@@ -267,7 +297,10 @@ fn flusher_loop(
             for &b in &batch.error_bytes {
                 srv.note_decode_error(b);
             }
-            srv.housekeeping(now);
+            if housekept.is_none_or(|t| now.since(t) >= HOUSEKEEPING_EVERY) {
+                srv.housekeeping(now);
+                housekept = Some(now);
+            }
         }
         let done = Instant::now();
         {
@@ -284,8 +317,10 @@ fn flusher_loop(
             .reports
             .fetch_add(batch.reports.len() as u64, Ordering::Relaxed);
         shared.samples.fetch_add(samples, Ordering::Relaxed);
-        // a blocked lane may be waiting on this queue slot
-        waker.wake();
+        sync.in_flight.fetch_sub(1, Ordering::SeqCst);
+        if sync.wake.swap(false, Ordering::SeqCst) {
+            waker.wake();
+        }
     }
     total
 }
@@ -325,11 +360,19 @@ impl IngestServer {
         };
 
         let n_lanes = cfg.n_lanes.max(1);
-        let mut txs = Vec::with_capacity(n_lanes);
+        let mut lanes = Vec::with_capacity(n_lanes);
         let mut flushers = Vec::with_capacity(n_lanes);
         for lane in 0..n_lanes {
             let (tx, rx) = bounded::<Batch>(cfg.lane_queue_batches.max(1));
-            txs.push(tx);
+            let sync = Arc::new(LaneSync::default());
+            lanes.push(Lane {
+                tx,
+                sync: Arc::clone(&sync),
+                pending: Vec::new(),
+                pending_samples: 0,
+                error_bytes: Vec::new(),
+                blocked: false,
+            });
             let server = Arc::clone(&server);
             let store = Arc::clone(&target);
             let shared = Arc::clone(&shared);
@@ -340,7 +383,7 @@ impl IngestServer {
                 _ => None,
             };
             flushers.push(std::thread::spawn(move || {
-                flusher_loop(rx, server, store, shared, waker, epoch, stall)
+                flusher_loop(rx, sync, server, store, shared, waker, epoch, stall)
             }));
         }
 
@@ -355,7 +398,7 @@ impl IngestServer {
         let mut reactor = Reactor::new(
             cfg,
             listener,
-            txs,
+            lanes,
             control,
             Arc::clone(&shared),
             waker.clone(),
@@ -617,6 +660,13 @@ const TOK_BASE: usize = 2;
 /// forcibly.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
 
+/// Poll timeout while a lane holds reports, is blocked, or connections
+/// are paused: bounds a missed worker wake and the eviction check.
+const BUSY_TICK: Duration = Duration::from_millis(20);
+
+/// Poll timeout with nothing pending.
+const IDLE_TICK: Duration = Duration::from_millis(100);
+
 struct Conn {
     fc: FrameConn,
     decoder: WireDecoder,
@@ -643,11 +693,17 @@ struct Reply {
 
 struct Lane {
     tx: Sender<Batch>,
+    sync: Arc<LaneSync>,
     pending: Vec<Decoded>,
     pending_samples: usize,
     error_bytes: Vec<usize>,
-    oldest: Option<Instant>,
     blocked: bool,
+}
+
+impl Lane {
+    fn has_pending(&self) -> bool {
+        !self.pending.is_empty() || !self.error_bytes.is_empty()
+    }
 }
 
 struct Reactor {
@@ -657,6 +713,8 @@ struct Reactor {
     waker: Waker,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
+    /// Connections currently paused under lane backpressure.
+    paused: usize,
     lanes: Vec<Lane>,
     control: Arc<Mutex<ControlPlane>>,
     shared: Arc<Shared>,
@@ -677,7 +735,7 @@ impl Reactor {
     fn new(
         cfg: IngestConfig,
         listener: TcpListener,
-        txs: Vec<Sender<Batch>>,
+        lanes: Vec<Lane>,
         control: Arc<Mutex<ControlPlane>>,
         shared: Arc<Shared>,
         waker: Waker,
@@ -687,17 +745,6 @@ impl Reactor {
         let mut poller = Poller::new()?;
         poller.register(listener.as_raw_fd(), TOK_LISTENER, Interest::READABLE)?;
         poller.register(waker.as_raw_fd(), TOK_WAKER, Interest::READABLE)?;
-        let lanes = txs
-            .into_iter()
-            .map(|tx| Lane {
-                tx,
-                pending: Vec::new(),
-                pending_samples: 0,
-                error_bytes: Vec::new(),
-                oldest: None,
-                blocked: false,
-            })
-            .collect();
         // fd budget: the soft RLIMIT_NOFILE minus headroom for the
         // listener, waker, epoll, WAL/segment files and stdio
         let conn_budget = cfg.conn_budget.unwrap_or_else(|| {
@@ -712,6 +759,7 @@ impl Reactor {
             waker,
             conns: Vec::new(),
             free: Vec::new(),
+            paused: 0,
             lanes,
             control,
             shared,
@@ -732,17 +780,10 @@ impl Reactor {
     fn run(&mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
-            let busy = self.lanes.iter().any(|l| l.oldest.is_some() || l.blocked)
+            let busy = self.paused > 0
                 || self.drain_seen.is_some()
-                || self
-                    .conns
-                    .iter()
-                    .any(|c| c.as_ref().is_some_and(|c| c.paused_at.is_some()));
-            let timeout = if busy {
-                self.cfg.batch_delay.min(Duration::from_millis(20))
-            } else {
-                Duration::from_millis(100)
-            };
+                || self.lanes.iter().any(|l| l.blocked || l.has_pending());
+            let timeout = if busy { BUSY_TICK } else { IDLE_TICK };
             events.clear();
             if self.poller.poll(&mut events, Some(timeout)).is_err() {
                 break;
@@ -758,18 +799,12 @@ impl Reactor {
                     Token(t) => self.conn_ready(t - TOK_BASE, ev),
                 }
             }
-            // time-based batch flushes
-            for l in 0..self.lanes.len() {
-                let due = self.lanes[l]
-                    .oldest
-                    .is_some_and(|t| t.elapsed() >= self.cfg.batch_delay);
-                if due {
-                    self.flush_lane(l);
-                }
-            }
             self.deliver_replies();
             self.retry_blocked_lanes();
-            self.evict_overdue();
+            self.commit_lanes();
+            if self.paused > 0 {
+                self.evict_overdue();
+            }
             if self.drain_tick() {
                 break;
             }
@@ -809,14 +844,17 @@ impl Reactor {
     /// run), then the lane senders drop so workers exit.
     fn finish(&mut self) {
         for lane in &mut self.lanes {
-            if lane.pending.is_empty() && lane.error_bytes.is_empty() {
+            if !lane.has_pending() {
                 continue;
             }
             let batch = Batch {
                 reports: mem::take(&mut lane.pending),
                 error_bytes: mem::take(&mut lane.error_bytes),
             };
-            let _ = lane.tx.send(batch);
+            lane.sync.in_flight.fetch_add(1, Ordering::SeqCst);
+            if lane.tx.send(batch).is_ok() {
+                self.shared.batches.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -983,14 +1021,11 @@ impl Reactor {
                         wire: frame.len(),
                         report,
                     });
-                    entry.oldest.get_or_insert_with(Instant::now);
                 }
                 Err(_) => {
                     shared.decode_errors.fetch_add(1, Ordering::Relaxed);
                     *decode_errors += 1;
-                    let l = lane.unwrap_or(0);
-                    lanes[l].error_bytes.push(frame.len());
-                    lanes[l].oldest.get_or_insert_with(Instant::now);
+                    lanes[lane.unwrap_or(0)].error_bytes.push(frame.len());
                 }
             }
         })?;
@@ -1094,10 +1129,30 @@ impl Reactor {
         }
     }
 
-    /// Flush every lane whose size bound tripped.
+    /// Flush every lane at its burst cap, in flight or not.
     fn flush_due_lanes(&mut self) {
         for l in 0..self.lanes.len() {
             if self.lanes[l].pending_samples >= self.cfg.batch_samples {
+                self.flush_lane(l);
+            }
+        }
+    }
+
+    /// Group commit, run once a poll pass has drained every ready
+    /// socket: a lane whose worker is idle hands its pending reports
+    /// over now; one whose worker is busy asks to be woken when that
+    /// batch lands.
+    fn commit_lanes(&mut self) {
+        for l in 0..self.lanes.len() {
+            let lane = &self.lanes[l];
+            if lane.blocked || !lane.has_pending() {
+                continue;
+            }
+            // ask before looking: a batch landing in between either sees
+            // the request or leaves `in_flight` at zero
+            lane.sync.wake.store(true, Ordering::SeqCst);
+            if lane.sync.in_flight.load(Ordering::SeqCst) == 0 {
+                lane.sync.wake.store(false, Ordering::SeqCst);
                 self.flush_lane(l);
             }
         }
@@ -1107,28 +1162,34 @@ impl Reactor {
     /// queue, trip backpressure and pause the lane's connections.
     fn flush_lane(&mut self, l: usize) {
         let lane = &mut self.lanes[l];
-        if lane.pending.is_empty() && lane.error_bytes.is_empty() {
-            lane.oldest = None;
+        if !lane.has_pending() {
             return;
         }
         let batch = Batch {
             reports: mem::take(&mut lane.pending),
             error_bytes: mem::take(&mut lane.error_bytes),
         };
-        match lane.tx.try_send(batch) {
+        // counted before the send: the worker may finish it at once
+        lane.sync.in_flight.fetch_add(1, Ordering::SeqCst);
+        let sent = lane.tx.try_send(batch);
+        if sent.is_err() {
+            lane.sync.in_flight.fetch_sub(1, Ordering::SeqCst);
+        }
+        match sent {
             Ok(()) => {
                 lane.pending_samples = 0;
-                lane.oldest = None;
+                self.shared.batches.fetch_add(1, Ordering::Relaxed);
                 if lane.blocked {
                     lane.blocked = false;
                     self.resume_lane(l);
                 }
             }
             Err(TrySendError::Full(batch)) => {
-                // put the batch back; the waker retries when the worker
-                // frees a slot
+                // put the batch back; the worker wakes us when its
+                // current batch lands, by which time a slot is free
                 lane.pending = batch.reports;
                 lane.error_bytes = batch.error_bytes;
+                lane.sync.wake.store(true, Ordering::SeqCst);
                 if !lane.blocked {
                     lane.blocked = true;
                     let queued = self.cfg.lane_queue_batches.max(1);
@@ -1144,7 +1205,6 @@ impl Reactor {
             Err(TrySendError::Disconnected(_)) => {
                 // shutdown race: workers are gone
                 lane.pending_samples = 0;
-                lane.oldest = None;
             }
         }
     }
@@ -1163,6 +1223,7 @@ impl Reactor {
             if let Some(conn) = &mut self.conns[idx] {
                 if conn.lane == Some(l) && conn.paused_at.is_none() {
                     conn.paused_at = Some(Instant::now());
+                    self.paused += 1;
                     let _ = self.poller.reregister(
                         conn.fc.stream().as_raw_fd(),
                         Token(idx + TOK_BASE),
@@ -1179,6 +1240,7 @@ impl Reactor {
             if let Some(conn) = &mut self.conns[idx] {
                 if conn.lane == Some(l) && conn.paused_at.is_some() {
                     conn.paused_at = None;
+                    self.paused -= 1;
                     let want = conn.fc.wants_write();
                     conn.write_interest = want;
                     let interest = if want {
@@ -1227,6 +1289,9 @@ impl Reactor {
     }
 
     fn drop_conn(&mut self, idx: usize, conn: Conn) {
+        if conn.paused_at.is_some() {
+            self.paused -= 1;
+        }
         let _ = self.poller.deregister(conn.fc.stream().as_raw_fd());
         self.shared.active.fetch_sub(1, Ordering::Relaxed);
         self.free.push(idx);
@@ -1424,10 +1489,7 @@ mod tests {
             4096,
             SimDuration::from_secs(30),
         )));
-        let mut cfg = IngestConfig {
-            batch_delay: Duration::from_millis(10),
-            ..IngestConfig::default()
-        };
+        let mut cfg = IngestConfig::default();
         cfg_tweak(&mut cfg);
         let ingest = IngestServer::start(
             cfg,

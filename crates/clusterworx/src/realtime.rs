@@ -587,7 +587,10 @@ mod tests {
         // a tiny lane queue and a deliberately slow flush worker: the
         // reactor must pause the offending connections (backpressure,
         // audited) rather than drop or balloon, agents block in the TCP
-        // window, and shutdown still drains every buffered report
+        // window, and shutdown still drains every buffered report. The
+        // backlog first grows the lane's batch up to its burst cap, so
+        // the queue fills only once capped batches pile up behind the
+        // stalled worker: wait for that rather than a fixed time.
         let dep = RealTimeDeployment::start(RealTimeConfig {
             n_nodes: 4,
             interval: Duration::from_millis(5),
@@ -596,7 +599,10 @@ mod tests {
             ingest_stall: Some(Duration::from_millis(5)),
             ..RealTimeConfig::default()
         });
-        std::thread::sleep(Duration::from_millis(250));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while dep.ingest_stats().backpressure_trips == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
         let server = dep.server();
         let stats = dep.ingest_stats();
         let (sent, ingested) = dep.shutdown();

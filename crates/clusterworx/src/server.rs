@@ -353,8 +353,7 @@ impl Server {
                 st.reachable = false;
             }
         }
-        let defs: Vec<EventDef> = self.engine.defs().to_vec();
-        self.notifier.flush(now, &defs)
+        self.notifier.flush(now, self.engine.defs())
     }
 
     /// The engine lost track of a node (powered down): clear its trigger

@@ -183,7 +183,6 @@ fn slow_consumer_is_evicted_while_other_lanes_flow() {
         n_lanes: 2,
         nodes_per_group: 1, // node 0 → lane 0, node 1 → lane 1
         batch_samples: 8,
-        batch_delay: Duration::from_millis(5),
         lane_queue_batches: 1,
         evict_pause: Duration::from_millis(100),
         // one report wedges the lane-1 flusher for far longer than the
@@ -276,6 +275,106 @@ fn slow_consumer_is_evicted_while_other_lanes_flow() {
     );
 }
 
+/// Send `reports` scripted reports for `node` on one connection,
+/// `gap` apart (back to back when zero).
+fn send_scripted(s: &mut TcpStream, node: u32, reports: u64, gap: Duration) {
+    let mut enc = WireEncoder::new();
+    let mut payload = Vec::new();
+    let mut frame = Vec::new();
+    for seq in 0..reports {
+        enc.encode_into(
+            &scripted_report(node, seq, Duration::from_millis(10), 8),
+            &mut payload,
+        );
+        frame.clear();
+        put_frame(&mut frame, &payload);
+        s.write_all(&frame).unwrap();
+        if !gap.is_zero() {
+            std::thread::sleep(gap);
+        }
+    }
+}
+
+fn start_volatile(cfg: IngestConfig) -> (Arc<RwLock<Server>>, IngestServer) {
+    let server = test_server();
+    let control = Arc::new(Mutex::new(ControlPlane::new(8)));
+    let ingest =
+        IngestServer::start(cfg, Arc::clone(&server), None, control, Instant::now()).unwrap();
+    (server, ingest)
+}
+
+fn wait_for_reports(ingest: &IngestServer, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while ingest.stats().reports < n && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(ingest.stats().reports, n, "every report flushed");
+}
+
+/// Freshness without a timer: a sparse report is store-visible once the
+/// reactor has drained its socket, so its receive-to-visible time is
+/// the work of one batch, not a batching delay.
+#[test]
+fn sparse_reports_are_visible_without_a_flush_timer() {
+    let (_server, ingest) = start_volatile(IngestConfig::default());
+    let mut s = TcpStream::connect(ingest.addr()).unwrap();
+    send_scripted(&mut s, 0, 20, Duration::from_millis(10));
+    wait_for_reports(&ingest, 20);
+    let lat = ingest.latency();
+    drop(s);
+    ingest.shutdown();
+    assert_eq!(lat.count, 20);
+    assert!(
+        lat.p50_us < 5_000.0,
+        "receive-to-visible p50 {:.0} us: reports waited on a timer",
+        lat.p50_us
+    );
+}
+
+/// Group commit still coalesces: reports arriving while a batch is in
+/// flight go over together when it lands, in order, without tripping
+/// backpressure.
+#[test]
+fn group_commit_coalesces_a_burst_behind_a_slow_batch() {
+    let (server, ingest) = start_volatile(IngestConfig {
+        flush_stall: Some(Duration::from_millis(2)),
+        ..IngestConfig::default()
+    });
+    let mut s = TcpStream::connect(ingest.addr()).unwrap();
+    send_scripted(&mut s, 0, 200, Duration::ZERO);
+    wait_for_reports(&ingest, 200);
+    let stats = ingest.stats();
+    drop(s);
+    ingest.shutdown();
+    assert!(
+        stats.batches <= stats.reports / 4,
+        "a burst coalesces: {} batches for {} reports",
+        stats.batches,
+        stats.reports
+    );
+    assert_eq!(stats.backpressure_trips, 0, "{stats:?}");
+    let srv = server.read();
+    for k in 0..8 {
+        let key = format!("bench.m{k}");
+        let want: Vec<f64> = (0..200)
+            .map(|seq| {
+                let r = scripted_report(0, seq, Duration::from_millis(10), 8);
+                let Value::Num(v) = r.values[k].1 else {
+                    unreachable!("scripted values are numeric")
+                };
+                v
+            })
+            .collect();
+        let got: Vec<f64> = srv
+            .history()
+            .range(0, &key, SimTime::ZERO, SimTime::MAX)
+            .iter()
+            .map(|s| s.value)
+            .collect();
+        assert_eq!(got, want, "{key}: all 200 stored, in order");
+    }
+}
+
 /// The reactor, fed scripted traffic, stores exactly that traffic: every
 /// sample of every report, at the report's gather time, and nothing else
 /// — into a sharded disk store, and into the server's own in-memory
@@ -304,7 +403,6 @@ fn reactor_stores_exactly_the_scripted_traffic() {
             IngestConfig {
                 n_lanes: 2,
                 nodes_per_group: 4,
-                batch_delay: Duration::from_millis(5),
                 ..IngestConfig::default()
             },
             Arc::clone(&server),
@@ -363,19 +461,7 @@ fn reactor_stores_exactly_the_scripted_traffic() {
 /// ones.
 #[test]
 fn text_wire_reports_are_decoded_and_stored() {
-    let server = test_server();
-    let control = Arc::new(Mutex::new(ControlPlane::new(8)));
-    let ingest = IngestServer::start(
-        IngestConfig {
-            batch_delay: Duration::from_millis(5),
-            ..IngestConfig::default()
-        },
-        Arc::clone(&server),
-        None,
-        control,
-        Instant::now(),
-    )
-    .unwrap();
+    let (server, ingest) = start_volatile(IngestConfig::default());
     let reports = report_stream(3, 6);
     let mut wire = Vec::new();
     for r in &reports {
