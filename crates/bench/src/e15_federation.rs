@@ -21,7 +21,9 @@ pub struct FedScaleRow {
     pub total_nodes: u32,
     /// Head CPU over the measured window, wall seconds.
     pub head_busy_secs: f64,
-    /// Sub-server tier CPU over the measured window, wall seconds.
+    /// Sub-server tier CPU over the measured window: each sub-world's
+    /// stepping time, summed ([`cwx_fed::FedLoad::sub_busy`]). Sub-worlds
+    /// step concurrently, so this exceeds `wall_secs` on several CPUs.
     pub sub_busy_secs: f64,
     /// Federation frames the head ingested per simulated second.
     pub head_frames_per_sec: f64,

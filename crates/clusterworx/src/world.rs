@@ -50,7 +50,7 @@ pub enum PluginVerdict {
 /// An executable action plug-in: called with the node the event fired
 /// on. Stands in for the "shell scripts, perl scripts, symbolic links,
 /// programs, and more" the paper allows as actions.
-pub type ActionPlugin = Box<dyn FnMut(u32) -> PluginVerdict>;
+pub type ActionPlugin = Box<dyn FnMut(u32) -> PluginVerdict + Send>;
 
 /// An executed event action (the audit trail).
 #[derive(Debug, Clone, PartialEq)]

@@ -2,8 +2,7 @@
 //! inject every scheduled fault, run the invariant checker alongside,
 //! and measure how the management plane coped.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use clusterworx::{
     chassis_restart, schedule_fault, set_agent_fault, Cluster, ClusterConfig, World,
@@ -50,6 +49,10 @@ pub struct CampaignReport {
     /// Storm episodes the notifier rate-limited.
     pub storms: u64,
 }
+
+/// The checker and metrics are shared with event handlers, which must be
+/// `Send`; a lock fails only after one of those handlers panicked.
+const POISONED: &str = "a campaign event handler panicked";
 
 /// Per-outage bookkeeping for the detection/MTTR metrics.
 #[derive(Debug, Clone, Copy)]
@@ -208,20 +211,20 @@ pub fn run_campaign_sim_observed(
     let n = campaign.n_nodes;
     let mut sim = Cluster::build(cfg);
 
-    let checker = Rc::new(RefCell::new(InvariantChecker::new(n, policy)));
-    let metrics = Rc::new(RefCell::new(Metrics::default()));
+    let checker = Arc::new(Mutex::new(InvariantChecker::new(n, policy)));
+    let metrics = Arc::new(Mutex::new(Metrics::default()));
 
     // the fault schedule
     for ev in &campaign.events {
         let kind = ev.kind;
-        let checker = Rc::clone(&checker);
-        let metrics = Rc::clone(&metrics);
+        let checker = Arc::clone(&checker);
+        let metrics = Arc::clone(&metrics);
         sim.schedule_at(
             SimTime::ZERO + SimDuration::from_secs_f64(ev.at_secs),
             move |sim| {
                 if kind.is_outage() {
                     let now = sim.now();
-                    let mut m = metrics.borrow_mut();
+                    let mut m = metrics.lock().expect(POISONED);
                     match kind {
                         FaultKind::PartitionRack(r) => {
                             for node in rack_nodes(sim.world(), r) {
@@ -248,10 +251,11 @@ pub fn run_campaign_sim_observed(
                 apply_fault(sim, kind);
                 if destructive(kind) {
                     // the archive must survive every kill
-                    let checker = Rc::clone(&checker);
+                    let checker = Arc::clone(&checker);
                     sim.schedule_in(SimDuration::from_secs(1), move |sim| {
                         checker
-                            .borrow_mut()
+                            .lock()
+                            .expect(POISONED)
                             .check_store_readable(sim.now(), sim.world());
                     });
                 }
@@ -261,14 +265,14 @@ pub fn run_campaign_sim_observed(
 
     // the runtime scan: stuck-transient checks, metric sampling
     {
-        let checker = Rc::clone(&checker);
-        let metrics = Rc::clone(&metrics);
+        let checker = Arc::clone(&checker);
+        let metrics = Arc::clone(&metrics);
         let every = SimDuration::from_secs_f64(policy.check_every_secs.max(1.0));
         sim.schedule_every(every, move |sim| {
             let now = sim.now();
             let w = sim.world();
-            checker.borrow_mut().scan(now, w);
-            let mut m = metrics.borrow_mut();
+            checker.lock().expect(POISONED).scan(now, w);
+            let mut m = metrics.lock().expect(POISONED);
             m.up_samples += w.up_count() as f64 / w.nodes.len().max(1) as f64;
             m.samples += 1;
             for o in m.outages.iter_mut() {
@@ -303,7 +307,7 @@ pub fn run_campaign_sim_observed(
     // end-of-run checks over the full record
     let now = sim.now();
     {
-        let mut ck = checker.borrow_mut();
+        let mut ck = checker.lock().expect(POISONED);
         let w = sim.world();
         ck.check_transition_legality(w);
         ck.check_command_accounting(now, w);
@@ -311,7 +315,7 @@ pub fn run_campaign_sim_observed(
     }
 
     let w = sim.world();
-    let m = metrics.borrow();
+    let m = metrics.lock().expect(POISONED);
     let det: Vec<f64> = m
         .outages
         .iter()
@@ -323,7 +327,7 @@ pub fn run_campaign_sim_observed(
         .filter_map(|o| o.recovered.map(|t| t.since(o.t0).as_secs_f64()))
         .collect();
     let quarantined: Vec<u32> = (0..n).filter(|&i| w.control.quarantined(i)).collect();
-    let violations = checker.borrow().violations().to_vec();
+    let violations = checker.lock().expect(POISONED).violations().to_vec();
     let report = CampaignReport {
         name: campaign.name.clone(),
         seed: campaign.seed,

@@ -2,14 +2,24 @@
 //! lock-step epochs under one seed, exchanging federation frames with
 //! an in-process head.
 //!
-//! Determinism discipline: sub-clusters are stepped and drained in
-//! cluster-id order every epoch, per-cluster seeds derive from the
-//! federation seed with a splitmix-style mix, and every head structure
-//! iterates in `BTreeMap` order — so two runs with the same
-//! [`FederationConfig`] produce byte-identical audit trails (the CI
-//! smoke job asserts the hash). Wall-clock load accounting uses
+//! An epoch steps every sub-world to the epoch boundary concurrently,
+//! on one thread per CPU the process may use (never more threads than
+//! worlds), then exports and drains them into the head in cluster-id
+//! order on the calling thread.
+//!
+//! Determinism discipline: a sub-world shares no state with any other,
+//! so which thread steps it, and when, cannot change it; everything that
+//! crosses worlds (export, head ingest, command fan-out) runs serially in
+//! cluster-id order. Per-cluster seeds derive from the federation seed
+//! with a splitmix-style mix, and every head structure iterates in
+//! `BTreeMap` order — so two runs with the same [`FederationConfig`]
+//! produce byte-identical audit trails on any number of CPUs (the CI
+//! smoke job asserts the hash, and a unit test steps one federation
+//! through 1, 2, 3 and 8 threads). Wall-clock load accounting uses
 //! `std::time::Instant` but never feeds back into simulated state.
 
+use std::sync::Mutex;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use clusterworx::{Cluster, ClusterConfig, LifecycleCounts, RetryPolicy, World};
@@ -59,7 +69,10 @@ impl FederationConfig {
 pub struct FedLoad {
     /// Wall time the head spent ingesting frames and polling commands.
     pub head_busy: Duration,
-    /// Wall time spent stepping the sub-cluster simulations.
+    /// Time spent stepping the sub-cluster simulations: the sum of each
+    /// sub-world's `run_until` time, measured on the thread that stepped
+    /// it. That is sub-tier CPU, not the wall time of an epoch's step,
+    /// which is shorter when sub-worlds step concurrently.
     pub sub_busy: Duration,
     /// Simulation events executed across all sub-clusters.
     pub sub_events: u64,
@@ -237,20 +250,18 @@ impl FederationSim {
     /// Advance the whole federation by `span`, in uplink-interval
     /// epochs (a final partial epoch covers any remainder).
     pub fn run_for(&mut self, span: SimDuration) {
+        // respects CPU affinity and cgroup quotas
+        let threads = thread::available_parallelism().map_or(1, |p| p.get());
         let deadline = self.now + span;
         while self.now < deadline {
             let target = (self.now + self.uplink).min(deadline);
-            self.epoch(target);
+            self.epoch(target, threads);
         }
     }
 
-    fn epoch(&mut self, target: SimTime) {
-        // 1. step every sub-world to the epoch boundary, in id order
-        let t0 = Instant::now();
-        for s in &mut self.subs {
-            s.sim.run_until(target);
-        }
-        self.load.sub_busy += t0.elapsed();
+    fn epoch(&mut self, target: SimTime, threads: usize) {
+        // 1. step every sub-world to the epoch boundary, concurrently
+        self.load.sub_busy += step_subs(&mut self.subs, target, threads);
 
         // 2. connected subs export; the head ingests in id order
         for s in &mut self.subs {
@@ -304,6 +315,52 @@ impl FederationSim {
     }
 }
 
+// `step_subs` hands sub-worlds to other threads.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<Sim<World>>();
+    send::<FederationSim>();
+};
+
+/// Step every sub-world to `target` on at most `threads` threads, the
+/// caller among them. Threads claim sub-worlds one at a time from a
+/// shared cursor, so a cluster count that does not divide evenly still
+/// balances. With one thread or one sub-world everything runs on the
+/// caller.
+///
+/// Which thread steps a world cannot change it: a world owns every
+/// piece of state its events touch, and no world reads another's until
+/// the head drains them in id order afterwards. Returns the summed time
+/// each world spent in `run_until`, measured on the thread that stepped
+/// it.
+fn step_subs(subs: &mut [SubEntry], target: SimTime, threads: usize) -> Duration {
+    let helpers = threads.min(subs.len()).saturating_sub(1);
+    let queue = Mutex::new(subs.iter_mut());
+    let work = || {
+        let mut busy = Duration::ZERO;
+        loop {
+            let Some(s) = queue
+                .lock()
+                .expect("claiming a sub-world never panics")
+                .next()
+            else {
+                return busy;
+            };
+            let t0 = Instant::now();
+            s.sim.run_until(target);
+            busy += t0.elapsed();
+        }
+    };
+    thread::scope(|scope| {
+        let spawned: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
+        let mut busy = work();
+        for h in spawned {
+            busy += h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+        }
+        busy
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,5 +410,40 @@ mod tests {
         );
         assert_eq!(fed.sub_sim(0).world().up_count(), 4, "cluster 0 untouched");
         assert_eq!(fed.head().stats().commands_delivered, 1);
+    }
+
+    #[test]
+    fn thread_count_never_changes_a_byte() {
+        // 5 clusters, so 2 and 3 threads claim unevenly; 8 > clusters
+        let mut feds: Vec<(usize, FederationSim)> = [1, 2, 3, 8]
+            .into_iter()
+            .map(|t| (t, FederationSim::build(small(5, 6, 23))))
+            .collect();
+        for k in 0..30 {
+            for (threads, fed) in &mut feds {
+                match k {
+                    8 => fed.disconnect(3),
+                    14 => fed.heal(3),
+                    20 => {
+                        fed.request_action(1, 2, Action::PowerDown);
+                    }
+                    _ => {}
+                }
+                let target = fed.now() + fed.uplink_interval();
+                fed.epoch(target, *threads);
+            }
+            let (_, serial) = &feds[0];
+            let want = serial.capture_sections();
+            for (threads, fed) in &feds[1..] {
+                assert!(
+                    fed.capture_sections() == want,
+                    "epoch {k}: {threads} threads diverged from 1"
+                );
+                assert_eq!(fed.head().audit_hash(), serial.head().audit_hash());
+            }
+        }
+        let serial = &feds[0].1;
+        assert_eq!(serial.head().stats().commands_delivered, 1);
+        assert_eq!(serial.sub_sim(1).world().up_count(), 5);
     }
 }

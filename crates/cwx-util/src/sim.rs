@@ -20,12 +20,15 @@
 //! * ties at the same timestamp are broken by a global insertion
 //!   sequence number, which makes runs bit-for-bit reproducible for a
 //!   fixed seed — the exact `(time, seq)` order the original
-//!   binary-heap engine produced (kept as [`baseline::HeapSim`] and
-//!   cross-checked against this one in `tests/sim_properties.rs`).
+//!   binary-heap engine produced (that engine lives on as the
+//!   differential oracle in `tests/sim_properties.rs`).
 //!
 //! The world state `W` is owned by the simulator and handed to each event
 //! by `&mut`, so event handlers can freely mutate any component without
-//! interior mutability.
+//! interior mutability. Handlers are `Send`, so a `Sim<W>` is `Send`
+//! whenever `W` is: independent simulations (a federation's sub-worlds)
+//! can be stepped on different threads. A handler that shares state
+//! outside the world does so through `Arc<Mutex<_>>`, not `Rc<RefCell<_>>`.
 
 use std::collections::VecDeque;
 use std::mem;
@@ -34,10 +37,10 @@ use crate::time::{SimDuration, SimTime};
 
 /// A one-shot event handler: runs at its scheduled time with exclusive
 /// access to the whole simulation.
-type OnceFn<W> = Box<dyn FnOnce(&mut Sim<W>)>;
+type OnceFn<W> = Box<dyn FnOnce(&mut Sim<W>) + Send>;
 /// A recurring event handler: re-fires every period until it returns
 /// `false` (or is cancelled).
-type EveryFn<W> = Box<dyn FnMut(&mut Sim<W>) -> bool>;
+type EveryFn<W> = Box<dyn FnMut(&mut Sim<W>) -> bool + Send>;
 
 /// Handle to a scheduled event, returned by the `schedule_*` methods.
 ///
@@ -445,7 +448,11 @@ impl<W> Sim<W> {
     ///
     /// Scheduling in the past is clamped to "now": the event runs at the
     /// current time, after already-queued events with the same timestamp.
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Sim<W>) + 'static) -> EventId {
+    pub fn schedule_at(
+        &mut self,
+        at: SimTime,
+        f: impl FnOnce(&mut Sim<W>) + Send + 'static,
+    ) -> EventId {
         let time = at.max(self.now).as_nanos();
         let id = self.alloc(Payload::Once(Box::new(f)));
         let seq = self.seq;
@@ -462,7 +469,7 @@ impl<W> Sim<W> {
     pub fn schedule_in(
         &mut self,
         delay: SimDuration,
-        f: impl FnOnce(&mut Sim<W>) + 'static,
+        f: impl FnOnce(&mut Sim<W>) + Send + 'static,
     ) -> EventId {
         self.schedule_at(self.now + delay, f)
     }
@@ -473,7 +480,7 @@ impl<W> Sim<W> {
     pub fn schedule_every(
         &mut self,
         period: SimDuration,
-        f: impl FnMut(&mut Sim<W>) -> bool + 'static,
+        f: impl FnMut(&mut Sim<W>) -> bool + Send + 'static,
     ) -> EventId {
         let time = (self.now + period).as_nanos();
         let id = self.alloc(Payload::Every {
@@ -558,203 +565,34 @@ impl<W> Sim<W> {
     }
 }
 
-pub mod baseline {
-    //! The pre-wheel event-list engine: a `BinaryHeap` of boxed
-    //! closures ordered by `(time, seq)`.
-    //!
-    //! Kept as the reference implementation: `tests/sim_properties.rs`
-    //! cross-checks the timing wheel against it event-for-event, and
-    //! `bench`'s `benches/sim.rs` measures the wheel's speedup over it.
-    //! Not used by any production path.
-
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    use crate::time::{SimDuration, SimTime};
-
-    type EventFn<W> = Box<dyn FnOnce(&mut HeapSim<W>)>;
-
-    struct Entry<W> {
-        time: SimTime,
-        seq: u64,
-        f: EventFn<W>,
-    }
-
-    impl<W> PartialEq for Entry<W> {
-        fn eq(&self, other: &Self) -> bool {
-            self.time == other.time && self.seq == other.seq
-        }
-    }
-    impl<W> Eq for Entry<W> {}
-    impl<W> PartialOrd for Entry<W> {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<W> Ord for Entry<W> {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            (self.time, self.seq).cmp(&(other.time, other.seq))
-        }
-    }
-
-    /// The binary-heap reference simulator (old engine, same semantics).
-    pub struct HeapSim<W> {
-        world: W,
-        now: SimTime,
-        seq: u64,
-        queue: BinaryHeap<Reverse<Entry<W>>>,
-        executed: u64,
-    }
-
-    impl<W> HeapSim<W> {
-        /// Create a simulator at time zero owning `world`.
-        pub fn new(world: W) -> Self {
-            HeapSim {
-                world,
-                now: SimTime::ZERO,
-                seq: 0,
-                queue: BinaryHeap::new(),
-                executed: 0,
-            }
-        }
-
-        /// Current simulated time.
-        pub fn now(&self) -> SimTime {
-            self.now
-        }
-
-        /// Number of events executed so far.
-        pub fn events_executed(&self) -> u64 {
-            self.executed
-        }
-
-        /// Number of events still pending.
-        pub fn events_pending(&self) -> usize {
-            self.queue.len()
-        }
-
-        /// Shared access to the world.
-        pub fn world(&self) -> &W {
-            &self.world
-        }
-
-        /// Exclusive access to the world.
-        pub fn world_mut(&mut self) -> &mut W {
-            &mut self.world
-        }
-
-        /// Schedule `f` at absolute time `at` (clamped to now).
-        pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut HeapSim<W>) + 'static) {
-            let time = at.max(self.now);
-            let seq = self.seq;
-            self.seq += 1;
-            self.queue.push(Reverse(Entry {
-                time,
-                seq,
-                f: Box::new(f),
-            }));
-        }
-
-        /// Schedule `f` to run `delay` after the current time.
-        pub fn schedule_in(
-            &mut self,
-            delay: SimDuration,
-            f: impl FnOnce(&mut HeapSim<W>) + 'static,
-        ) {
-            self.schedule_at(self.now + delay, f);
-        }
-
-        /// Recurring event every `period` until `f` returns `false`
-        /// (re-boxes the closure each firing — the churn the wheel's
-        /// native recurring timers eliminate).
-        pub fn schedule_every(
-            &mut self,
-            period: SimDuration,
-            f: impl FnMut(&mut HeapSim<W>) -> bool + 'static,
-        ) {
-            fn tick<W>(
-                sim: &mut HeapSim<W>,
-                period: SimDuration,
-                mut f: impl FnMut(&mut HeapSim<W>) -> bool + 'static,
-            ) {
-                if f(sim) {
-                    sim.schedule_in(period, move |sim| tick(sim, period, f));
-                }
-            }
-            self.schedule_in(period, move |sim| tick(sim, period, f));
-        }
-
-        /// Execute the next pending event.
-        pub fn step(&mut self) -> bool {
-            match self.queue.pop() {
-                Some(Reverse(entry)) => {
-                    debug_assert!(entry.time >= self.now, "event list went backwards");
-                    self.now = entry.time;
-                    self.executed += 1;
-                    (entry.f)(self);
-                    true
-                }
-                None => false,
-            }
-        }
-
-        /// Run until no events remain.
-        pub fn run(&mut self) {
-            while self.step() {}
-        }
-
-        /// Run until the clock would pass `deadline` (inclusive).
-        pub fn run_until(&mut self, deadline: SimTime) {
-            loop {
-                match self.queue.peek() {
-                    Some(Reverse(entry)) if entry.time <= deadline => {
-                        self.step();
-                    }
-                    _ => break,
-                }
-            }
-            if self.now < deadline {
-                self.now = deadline;
-            }
-        }
-
-        /// Run for `span` of simulated time from now.
-        pub fn run_for(&mut self, span: SimDuration) {
-            let deadline = self.now + span;
-            self.run_until(deadline);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn events_run_in_time_order() {
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::new(());
         for &t in &[5u64, 1, 3, 2, 4] {
-            let log = Rc::clone(&log);
-            sim.schedule_at(SimTime::from_nanos(t), move |_| log.borrow_mut().push(t));
+            let log = Arc::clone(&log);
+            sim.schedule_at(SimTime::from_nanos(t), move |_| log.lock().unwrap().push(t));
         }
         sim.run();
-        assert_eq!(*log.borrow(), vec![1, 2, 3, 4, 5]);
+        assert_eq!(*log.lock().unwrap(), vec![1, 2, 3, 4, 5]);
         assert_eq!(sim.events_executed(), 5);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::new(());
         for i in 0..10u32 {
-            let log = Rc::clone(&log);
-            sim.schedule_at(SimTime::from_nanos(7), move |_| log.borrow_mut().push(i));
+            let log = Arc::clone(&log);
+            sim.schedule_at(SimTime::from_nanos(7), move |_| log.lock().unwrap().push(i));
         }
         sim.run();
-        assert_eq!(*log.borrow(), (0..10).collect::<Vec<_>>());
+        assert_eq!(*log.lock().unwrap(), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -776,24 +614,26 @@ mod tests {
     fn past_clamp_runs_after_queued_same_time_events() {
         // an event clamped to "now" must run after events already queued
         // at that timestamp (it has a later seq)
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::new(());
         for tag in [1u32, 2] {
-            let log = Rc::clone(&log);
-            sim.schedule_at(SimTime::from_nanos(50), move |_| log.borrow_mut().push(tag));
+            let log = Arc::clone(&log);
+            sim.schedule_at(SimTime::from_nanos(50), move |_| {
+                log.lock().unwrap().push(tag)
+            });
         }
         {
-            let log = Rc::clone(&log);
+            let log = Arc::clone(&log);
             sim.schedule_at(SimTime::from_nanos(50), move |sim| {
-                log.borrow_mut().push(3);
-                let log = Rc::clone(&log);
+                log.lock().unwrap().push(3);
+                let log = Arc::clone(&log);
                 // clamped: runs at t=50 but after the tag=2 event
-                sim.schedule_at(SimTime::from_nanos(7), move |_| log.borrow_mut().push(4));
+                sim.schedule_at(SimTime::from_nanos(7), move |_| log.lock().unwrap().push(4));
             });
         }
         // reorder: the clamping event was scheduled first at seq order 1,2,3
         sim.run();
-        assert_eq!(*log.borrow(), vec![1, 2, 3, 4]);
+        assert_eq!(*log.lock().unwrap(), vec![1, 2, 3, 4]);
         assert_eq!(sim.now(), SimTime::from_nanos(50));
     }
 
@@ -878,27 +718,27 @@ mod tests {
     #[test]
     fn cancel_then_fire_same_tick() {
         // first handler at t cancels the second handler at the same t
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let victim = Rc::new(RefCell::new(None));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let victim = Arc::new(Mutex::new(None));
         let mut sim = Sim::new(());
         {
-            let victim = Rc::clone(&victim);
-            let log = Rc::clone(&log);
+            let victim = Arc::clone(&victim);
+            let log = Arc::clone(&log);
             sim.schedule_at(SimTime::from_nanos(5), move |sim| {
-                log.borrow_mut().push("killer");
-                let id = victim.borrow_mut().take().unwrap();
+                log.lock().unwrap().push("killer");
+                let id = victim.lock().unwrap().take().unwrap();
                 assert!(sim.cancel(id));
             });
         }
         {
-            let log = Rc::clone(&log);
+            let log = Arc::clone(&log);
             let id = sim.schedule_at(SimTime::from_nanos(5), move |_| {
-                log.borrow_mut().push("victim");
+                log.lock().unwrap().push("victim");
             });
-            *victim.borrow_mut() = Some(id);
+            *victim.lock().unwrap() = Some(id);
         }
         sim.run();
-        assert_eq!(*log.borrow(), vec!["killer"]);
+        assert_eq!(*log.lock().unwrap(), vec!["killer"]);
         assert_eq!(sim.events_executed(), 1);
         assert_eq!(sim.events_pending(), 0);
     }
@@ -920,18 +760,18 @@ mod tests {
 
     #[test]
     fn recurring_can_cancel_itself_mid_firing() {
-        let id_cell: Rc<RefCell<Option<EventId>>> = Rc::new(RefCell::new(None));
-        let id_cell2 = Rc::clone(&id_cell);
+        let id_cell: Arc<Mutex<Option<EventId>>> = Arc::new(Mutex::new(None));
+        let id_cell2 = Arc::clone(&id_cell);
         let mut sim = Sim::new(0u32);
         let id = sim.schedule_every(SimDuration::from_secs(1), move |sim| {
             *sim.world_mut() += 1;
             if *sim.world() == 2 {
-                let id = id_cell2.borrow().unwrap();
+                let id = id_cell2.lock().unwrap().unwrap();
                 assert!(sim.cancel(id));
             }
             true // says "go on", but the cancellation wins
         });
-        *id_cell.borrow_mut() = Some(id);
+        *id_cell.lock().unwrap() = Some(id);
         sim.run();
         assert_eq!(*sim.world(), 2);
     }
@@ -953,20 +793,20 @@ mod tests {
     fn far_future_events_cross_every_wheel_level() {
         // times spread over 10 orders of magnitude, including one close
         // to the top wheel level, all dispatch in order
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::new(());
         let times: Vec<u64> = (0..12)
             .map(|k| 7u64 << (5 * k))
             .chain([u64::MAX - 1])
             .collect();
         for &t in times.iter().rev() {
-            let log = Rc::clone(&log);
-            sim.schedule_at(SimTime::from_nanos(t), move |_| log.borrow_mut().push(t));
+            let log = Arc::clone(&log);
+            sim.schedule_at(SimTime::from_nanos(t), move |_| log.lock().unwrap().push(t));
         }
         sim.run();
         let mut expect = times.clone();
         expect.sort_unstable();
-        assert_eq!(*log.borrow(), expect);
+        assert_eq!(*log.lock().unwrap(), expect);
     }
 
     #[test]
