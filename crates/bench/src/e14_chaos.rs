@@ -11,8 +11,7 @@
 //! invariant violations, and the audit-hash difference between two runs
 //! of the same seed.
 
-use cwx_chaos::{run_campaign, CampaignReport};
-use cwx_scenario::Manifest;
+use cwx_scenario::{run_chaos, CampaignReport, Manifest};
 
 /// The E14 campaigns' manifests, in presentation order.
 const MANIFESTS: [&str; 3] = [
@@ -24,6 +23,8 @@ const MANIFESTS: [&str; 3] = [
 /// One campaign's row in the E14 table.
 #[derive(Debug, Clone)]
 pub struct ChaosRun {
+    /// The campaign's manifest.
+    pub manifest: Manifest,
     /// The campaign's report.
     pub report: CampaignReport,
     /// Whether a second run under the same seed produced the same
@@ -34,12 +35,12 @@ pub struct ChaosRun {
 /// Run one manifest's campaign (twice — the second run checks
 /// reproducibility).
 fn run_manifest(text: &str) -> ChaosRun {
-    let m = Manifest::parse(text).expect("shipped manifest parses");
-    let c = m.campaign().expect("a [cluster] scenario");
-    let report = run_campaign(c);
-    let again = run_campaign(c);
+    let manifest = Manifest::parse(text).expect("shipped manifest parses");
+    let (report, _) = run_chaos(&manifest);
+    let (again, _) = run_chaos(&manifest);
     let reproducible = report.audit_hash == again.audit_hash && report.audit_len == again.audit_len;
     ChaosRun {
+        manifest,
         report,
         reproducible,
     }

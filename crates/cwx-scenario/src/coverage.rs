@@ -13,9 +13,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use clusterworx::lifecycle::LifecycleState;
-use cwx_chaos::FAULT_SLUGS;
 
 use crate::artifact::esc_json;
+use crate::fault::FAULT_SLUGS;
 use crate::json::{self, Json};
 
 /// Lifecycle state names the scoreboard tracks (the `Failed(_)`

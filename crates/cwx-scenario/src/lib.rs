@@ -3,7 +3,7 @@
 //!
 //! One versioned TOML manifest (`scenario_version = 1`) composes
 //! everything a reproducible experiment needs: the cluster shape, a
-//! chaos campaign or federation topology, the invariant policy,
+//! chaos fault schedule or federation topology, the invariant policy,
 //! resource limits and pass/fail assertions. `cwx run manifest.toml`
 //! executes it headless and emits machine-readable artifacts:
 //!
@@ -22,6 +22,24 @@
 //! `examples/scenarios/`, and experiments and tests read those same
 //! files, so there is exactly one execution path to trust.
 //!
+//! The paper sells ClusterWorX on resilience claims — failed nodes are
+//! detected, power-cycled, quarantined; the administrator hears about
+//! each incident once. A `[cluster]` manifest turns those claims into
+//! executable checks: [`run_chaos`] injects its [`FaultKind`] schedule
+//! (network segments, ICE Box chassis, monitoring agents, node
+//! hardware, temperature probes) into a simulated fleet under one seed
+//! while an invariant checker watches the management plane's promises:
+//!
+//! 1. every lifecycle transition crosses a legal edge,
+//! 2. no control-plane command is silently dropped (audit accounting),
+//! 3. no node sits in a transient state past its deadline,
+//! 4. the event engine re-converges with hardware truth once faults
+//!    heal, and
+//! 5. the history store answers queries after every kill.
+//!
+//! Identical (manifest, seed) pairs produce identical audit trails —
+//! [`CampaignReport::audit_hash`] makes that checkable.
+//!
 //! Because every run is deterministic, it can also be frozen and
 //! replayed: [`run_scenario_with`] captures `cwx-snapshot-v1` world
 //! snapshots at requested instants (or a `[checkpoints]` manifest
@@ -34,7 +52,10 @@
 
 pub mod artifact;
 pub mod bisect;
+mod chaos;
 pub mod coverage;
+mod fault;
+mod invariants;
 pub mod json;
 pub mod manifest;
 pub mod run;
@@ -43,7 +64,10 @@ pub mod toml;
 
 pub use artifact::{esc_json, fnv1a, json_num, junit_xml, AssertionResult, JunitCase};
 pub use bisect::{bisect_scenario, BisectReport};
+pub use chaos::{run_chaos, CampaignReport};
 pub use coverage::{scale_band, state_slug, CoverageRun, Scoreboard, SCALE_BANDS, STATE_SLUGS};
+pub use fault::FaultKind;
+pub use invariants::{InvariantPolicy, Violation};
 pub use manifest::{
     Assertions, ChaosSpec, FedFault, FedSpec, FinalUp, Limits, Manifest, ManifestError, Mode,
     SCENARIO_VERSION,

@@ -10,9 +10,11 @@
 
 use std::fmt;
 
-use cwx_chaos::{Campaign, FaultKind, InvariantPolicy, FAULT_SLUGS};
 use cwx_icebox::NODE_PORTS;
 
+use crate::fault::{FaultKind, FAULT_SLUGS};
+use crate::invariants::InvariantPolicy;
+use crate::snapshot::secs_to_nanos;
 use crate::toml::{self, Entry, Table, Value};
 
 /// The manifest format version this runtime understands.
@@ -40,50 +42,26 @@ fn err<T>(msg: String) -> Result<T, ManifestError> {
     Err(ManifestError(msg))
 }
 
-/// A chaos-mode scenario: one simulated cluster under a fault campaign.
+/// A chaos-mode scenario: one simulated cluster under a fault schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosSpec {
-    /// The lowered fault campaign.
-    pub campaign: Campaign,
+    /// Fleet size.
+    pub n_nodes: u32,
     /// Whether racks get their own network segments (default true;
     /// required by rack-targeted faults).
     pub rack_network: bool,
+    /// Override the cluster's flap threshold (`0` disables flap
+    /// detection — e.g. for pure network scenarios, where the engine's
+    /// reboot-the-unreachable rule would otherwise thrash partitioned
+    /// racks straight into quarantine).
+    pub flap_threshold: Option<u32>,
+    /// Auto-release quarantined nodes after this many seconds (`None`
+    /// keeps the cluster default: manual release only).
+    pub quarantine_release_secs: Option<f64>,
     /// Invariant checker tunables.
-    pub policy: InvariantPolicyValues,
-}
-
-/// Plain-data mirror of [`InvariantPolicy`] so specs stay comparable
-/// (`InvariantPolicy` itself doesn't implement `PartialEq`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InvariantPolicyValues {
-    /// Period of the runtime scan, seconds.
-    pub check_every_secs: f64,
-    /// Stuck-transient deadline, seconds.
-    pub transient_deadline_secs: f64,
-    /// Final freshness bound, seconds.
-    pub freshness_secs: f64,
-}
-
-impl Default for InvariantPolicyValues {
-    fn default() -> Self {
-        let p = InvariantPolicy::default();
-        InvariantPolicyValues {
-            check_every_secs: p.check_every_secs,
-            transient_deadline_secs: p.transient_deadline_secs,
-            freshness_secs: p.freshness_secs,
-        }
-    }
-}
-
-impl InvariantPolicyValues {
-    /// Convert into the checker's policy type.
-    pub fn to_policy(self) -> InvariantPolicy {
-        InvariantPolicy {
-            check_every_secs: self.check_every_secs,
-            transient_deadline_secs: self.transient_deadline_secs,
-            freshness_secs: self.freshness_secs,
-        }
-    }
+    pub policy: InvariantPolicy,
+    /// Scheduled faults, run-relative seconds, in manifest order.
+    pub faults: Vec<(f64, FaultKind)>,
 }
 
 /// A fault against a federated sub-cluster's uplink.
@@ -103,15 +81,11 @@ pub struct FedSpec {
     pub clusters: u16,
     /// Nodes per sub-cluster.
     pub nodes_per_cluster: u32,
-    /// Active phase, seconds.
-    pub duration_secs: f64,
-    /// Quiet tail before the final census, seconds.
-    pub settle_secs: f64,
     /// Uplink reporting interval, seconds.
     pub uplink_secs: f64,
     /// Staleness bound for sub-cluster views, seconds.
     pub stale_after_secs: f64,
-    /// Scheduled uplink faults, campaign-relative seconds.
+    /// Scheduled uplink faults, run-relative seconds, in manifest order.
     pub faults: Vec<(f64, FedFault)>,
 }
 
@@ -157,7 +131,8 @@ pub struct Assertions {
 /// Resource limits on the run itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Limits {
-    /// Abort (exit 3) if the run's wall clock exceeds this.
+    /// Fail the run (exit 3) if its wall clock exceeded this. Checked
+    /// once the run has finished: the limit does not interrupt a run.
     pub max_wall_ms: Option<u64>,
 }
 
@@ -168,6 +143,11 @@ pub struct Manifest {
     pub name: String,
     /// Seed for every random draw.
     pub seed: u64,
+    /// Active phase, seconds: faults land inside `[0, duration_secs]`.
+    pub duration_secs: f64,
+    /// Quiet tail after the active phase, seconds, before the final
+    /// checks (default 600 for chaos, 0 for federation).
+    pub settle_secs: f64,
     /// Chaos or federation runtime.
     pub mode: Mode,
     /// Resource limits.
@@ -215,10 +195,19 @@ fn want_f64(e: &Entry) -> Result<f64, ManifestError> {
     }
 }
 
+/// A duration in seconds. It must be positive on the runner's
+/// nanosecond grid: a value that rounds to 0 ns would, as an uplink
+/// interval, stall the federation epoch loop forever.
 fn want_pos_f64(e: &Entry) -> Result<f64, ManifestError> {
     let x = want_f64(e)?;
     if x <= 0.0 {
         return err(format!("line {}: `{}` must be positive", e.line, e.key));
+    }
+    if secs_to_nanos(x) == 0 {
+        return err(format!(
+            "line {}: `{}` = {x} rounds to 0 ns; durations must be at least 1 ns",
+            e.line, e.key
+        ));
     }
     Ok(x)
 }
@@ -595,8 +584,8 @@ fn lower_limits(t: Option<&Table>) -> Result<Limits, ManifestError> {
     Ok(limits)
 }
 
-fn lower_policy(t: Option<&Table>) -> Result<InvariantPolicyValues, ManifestError> {
-    let mut p = InvariantPolicyValues::default();
+fn lower_policy(t: Option<&Table>) -> Result<InvariantPolicy, ManifestError> {
+    let mut p = InvariantPolicy::default();
     let Some(t) = t else { return Ok(p) };
     for e in &t.entries {
         match e.key.as_str() {
@@ -822,18 +811,17 @@ impl Manifest {
                     rack_network,
                     duration_secs: run.duration_secs,
                 };
-                let mut campaign = Campaign::new(&name, seed, n_nodes, run.duration_secs);
-                campaign.settle_secs = run.settle_secs.unwrap_or(600.0);
-                campaign.flap_threshold = flap_threshold;
-                campaign.quarantine_release_secs = quarantine_release;
-                for t in doc.arrays_named("fault") {
-                    let (at, kind) = lower_chaos_fault(t, &ctx)?;
-                    campaign = campaign.at(at, kind);
-                }
+                let faults = doc
+                    .arrays_named("fault")
+                    .map(|t| lower_chaos_fault(t, &ctx))
+                    .collect::<Result<_, _>>()?;
                 Mode::Chaos(ChaosSpec {
-                    campaign,
+                    n_nodes,
                     rack_network,
+                    flap_threshold,
+                    quarantine_release_secs: quarantine_release,
                     policy: lower_policy(doc.table("invariants"))?,
+                    faults,
                 })
             }
             (None, Some(fed)) => {
@@ -896,15 +884,13 @@ impl Manifest {
                         fed.line
                     ))
                 })?;
-                let mut faults = Vec::new();
-                for t in doc.arrays_named("fault") {
-                    faults.push(lower_fed_fault(t, clusters, run.duration_secs)?);
-                }
+                let faults = doc
+                    .arrays_named("fault")
+                    .map(|t| lower_fed_fault(t, clusters, run.duration_secs))
+                    .collect::<Result<_, _>>()?;
                 Mode::Federation(FedSpec {
                     clusters,
                     nodes_per_cluster: nodes_per,
-                    duration_secs: run.duration_secs,
-                    settle_secs: run.settle_secs.unwrap_or(0.0),
                     uplink_secs: uplink,
                     stale_after_secs: stale_after,
                     faults,
@@ -914,14 +900,17 @@ impl Manifest {
 
         let assertions =
             lower_assertions(doc.table("assertions"), matches!(mode, Mode::Federation(_)))?;
-        let horizon = match &mode {
-            Mode::Chaos(spec) => spec.campaign.duration_secs + spec.campaign.settle_secs,
-            Mode::Federation(spec) => spec.duration_secs + spec.settle_secs,
-        };
-        let checkpoints = lower_checkpoints(doc.table("checkpoints"), horizon)?;
+        let settle_secs = run.settle_secs.unwrap_or(match mode {
+            Mode::Chaos(_) => 600.0,
+            Mode::Federation(_) => 0.0,
+        });
+        let checkpoints =
+            lower_checkpoints(doc.table("checkpoints"), run.duration_secs + settle_secs)?;
         Ok(Manifest {
             name,
             seed,
+            duration_secs: run.duration_secs,
+            settle_secs,
             mode,
             limits,
             assertions,
@@ -929,24 +918,15 @@ impl Manifest {
         })
     }
 
-    /// Override the seed (the `--seed` flag), keeping the embedded
-    /// campaign in sync.
-    pub fn set_seed(&mut self, seed: u64) {
-        self.seed = seed;
-        if let Mode::Chaos(spec) = &mut self.mode {
-            spec.campaign.seed = seed;
-        }
-    }
-
     /// Scenario name.
     pub fn name(&self) -> &str {
         &self.name
     }
 
-    /// The embedded campaign, when this is a chaos scenario.
-    pub fn campaign(&self) -> Option<&Campaign> {
+    /// The chaos spec, when this is a `[cluster]` scenario.
+    pub fn chaos(&self) -> Option<&ChaosSpec> {
         match &self.mode {
-            Mode::Chaos(spec) => Some(&spec.campaign),
+            Mode::Chaos(spec) => Some(spec),
             Mode::Federation(_) => None,
         }
     }
@@ -954,7 +934,7 @@ impl Manifest {
     /// Number of scheduled faults, in either mode.
     pub fn fault_count(&self) -> usize {
         match &self.mode {
-            Mode::Chaos(spec) => spec.campaign.events.len(),
+            Mode::Chaos(spec) => spec.faults.len(),
             Mode::Federation(spec) => spec.faults.len(),
         }
     }
@@ -965,10 +945,9 @@ impl Manifest {
     pub fn fault_schedule(&self) -> Vec<(f64, String)> {
         let mut v: Vec<(f64, String)> = match &self.mode {
             Mode::Chaos(spec) => spec
-                .campaign
-                .events
+                .faults
                 .iter()
-                .map(|e| (e.at_secs, e.kind.to_string()))
+                .map(|(at, kind)| (*at, kind.to_string()))
                 .collect(),
             Mode::Federation(spec) => spec
                 .faults
@@ -993,19 +972,13 @@ impl Manifest {
     pub fn with_fault_prefix(&self, k: usize) -> Manifest {
         let mut m = self.clone();
         m.checkpoints = Vec::new();
+        fn keep_prefix<T>(faults: &mut Vec<(f64, T)>, k: usize) {
+            faults.sort_by(|a, b| a.0.total_cmp(&b.0));
+            faults.truncate(k);
+        }
         match &mut m.mode {
-            Mode::Chaos(spec) => {
-                let mut ev = std::mem::take(&mut spec.campaign.events);
-                ev.sort_by(|a, b| a.at_secs.total_cmp(&b.at_secs));
-                ev.truncate(k);
-                spec.campaign.events = ev;
-            }
-            Mode::Federation(spec) => {
-                let mut ev = std::mem::take(&mut spec.faults);
-                ev.sort_by(|a, b| a.0.total_cmp(&b.0));
-                ev.truncate(k);
-                spec.faults = ev;
-            }
+            Mode::Chaos(spec) => keep_prefix(&mut spec.faults, k),
+            Mode::Federation(spec) => keep_prefix(&mut spec.faults, k),
         }
         m
     }
@@ -1058,7 +1031,7 @@ quarantined_empty = true
 
     #[test]
     fn parses_a_full_chaos_manifest() {
-        let mut m = Manifest::parse(GOOD).expect("parses");
+        let m = Manifest::parse(GOOD).expect("parses");
         assert_eq!(m.name, "smoke");
         assert_eq!(m.seed, 7);
         assert_eq!(m.limits.max_wall_ms, Some(60000));
@@ -1066,19 +1039,15 @@ quarantined_empty = true
         let Mode::Chaos(spec) = &m.mode else {
             panic!("chaos mode")
         };
-        assert_eq!(spec.campaign.n_nodes, 40);
-        assert_eq!(spec.campaign.settle_secs, 300.0);
-        assert_eq!(spec.campaign.flap_threshold, Some(6));
-        assert_eq!(spec.campaign.quarantine_release_secs, Some(500.0));
+        assert_eq!(spec.n_nodes, 40);
+        assert_eq!((m.duration_secs, m.settle_secs), (900.0, 300.0));
+        assert_eq!(spec.flap_threshold, Some(6));
+        assert_eq!(spec.quarantine_release_secs, Some(500.0));
         assert_eq!(spec.policy.transient_deadline_secs, 1800.0);
         assert_eq!(spec.policy.check_every_secs, 5.0);
-        assert_eq!(spec.campaign.events.len(), 3);
-        assert_eq!(spec.campaign.events[0].kind, FaultKind::KernelPanic(7));
-        assert_eq!(spec.campaign.events[1].kind, FaultKind::PartitionRack(2));
-
-        // `--seed` keeps the embedded campaign in sync
-        m.set_seed(42);
-        assert_eq!((m.seed, m.campaign().unwrap().seed), (42, 42));
+        assert_eq!(spec.faults.len(), 3);
+        assert_eq!(spec.faults[0], (100.0, FaultKind::KernelPanic(7)));
+        assert_eq!(spec.faults[1], (200.0, FaultKind::PartitionRack(2)));
     }
 
     #[test]
@@ -1240,6 +1209,29 @@ total_nodes = 48
             let e = Manifest::parse(text).expect_err(what);
             assert!(e.0.contains(needle), "{what}: {e}");
         }
+    }
+
+    /// A duration that rounds to 0 ns on the simulation grid is
+    /// rejected at parse time, naming its line: a zero-length uplink
+    /// would never advance the federation's epoch loop.
+    #[test]
+    fn sub_nanosecond_durations_are_rejected() {
+        let fed = |uplink: &str| {
+            format!(
+                "scenario_version = 1\nname = \"x\"\n[federation]\nclusters = 2\n\
+                 nodes_per_cluster = 4\nuplink = {uplink}\n[run]\nduration = 10"
+            )
+        };
+        let e = Manifest::parse(&fed("1e-12")).expect_err("zero-length uplink");
+        assert!(e.0.starts_with("line 6: `uplink`"), "{e}");
+        assert!(e.0.contains("rounds to 0 ns"), "{e}");
+        // tiny but non-zero is still a valid interval
+        assert!(Manifest::parse(&fed("1e-6")).is_ok());
+
+        let chaos = "scenario_version = 1\nname = \"x\"\n[cluster]\nnodes = 4\n\
+                     [run]\nduration = 10\n[invariants]\nfreshness = 4e-10";
+        let e = Manifest::parse(chaos).expect_err("zero-length freshness");
+        assert!(e.0.starts_with("line 8: `freshness`"), "{e}");
     }
 
     #[test]

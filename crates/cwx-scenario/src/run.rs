@@ -12,17 +12,18 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use cwx_chaos::{campaign_config, run_campaign_sim_observed, CampaignReport, INVARIANT_NAMES};
 use cwx_fed::{FederationConfig, FederationSim};
 use cwx_util::snapshot::SnapshotFile;
 use cwx_util::time::SimDuration;
 
 use crate::artifact::{esc_json, fnv1a, json_num, junit_xml, AssertionResult, JunitCase};
+use crate::chaos::{run_chaos_observed, CampaignReport};
 use crate::coverage::{scale_band, state_slug, CoverageRun};
+use crate::invariants::INVARIANT_NAMES;
 use crate::manifest::{Assertions, ChaosSpec, FedFault, FedSpec, FinalUp, Manifest, Mode};
 use crate::snapshot::{
     build_snapshot, check_resumable, fed_effective_times, fed_faults_at, fed_segment_ends,
-    secs_to_nanos,
+    horizon_nanos, secs_to_nanos,
 };
 
 /// World sections captured at one instant, as an engine produced them.
@@ -120,10 +121,7 @@ pub fn run_scenario_with(m: &Manifest, opts: &RunOptions) -> Result<ScenarioResu
 
     // the capture plan: manifest checkpoints + CLI instants + (for
     // resume) the snapshot's own instant, on the nanosecond grid
-    let total_n = match &m.mode {
-        Mode::Chaos(spec) => secs_to_nanos(spec.campaign.duration_secs + spec.campaign.settle_secs),
-        Mode::Federation(spec) => secs_to_nanos(spec.duration_secs + spec.settle_secs),
-    };
+    let total_n = horizon_nanos(m);
     let mut emit_n: Vec<u64> = m.checkpoints.iter().map(|&t| secs_to_nanos(t)).collect();
     for &t in &opts.snapshot_at {
         if !t.is_finite() || t < 0.0 {
@@ -142,7 +140,7 @@ pub fn run_scenario_with(m: &Manifest, opts: &RunOptions) -> Result<ScenarioResu
     emit_n.dedup();
     if let Mode::Federation(spec) = &m.mode {
         // federation pauses only on uplink-epoch boundaries
-        emit_n = fed_effective_times(spec, &emit_n);
+        emit_n = fed_effective_times(spec, total_n, &emit_n);
     }
     let mut at_nanos = emit_n.clone();
     if let Some(file) = &opts.resume {
@@ -151,7 +149,7 @@ pub fn run_scenario_with(m: &Manifest, opts: &RunOptions) -> Result<ScenarioResu
         at_nanos.sort_unstable();
         at_nanos.dedup();
         if let Mode::Federation(spec) = &m.mode {
-            if fed_effective_times(spec, &[file.t_nanos]) != vec![file.t_nanos] {
+            if fed_effective_times(spec, total_n, &[file.t_nanos]) != vec![file.t_nanos] {
                 return Err(format!(
                     "snapshot instant {}s does not land on an uplink-epoch boundary of this \
                      schedule (was it taken under a different fault schedule?)",
@@ -163,7 +161,7 @@ pub fn run_scenario_with(m: &Manifest, opts: &RunOptions) -> Result<ScenarioResu
 
     let mut captured: Captured = Vec::new();
     let (body_tail, cases, coverage, mut summary, sim_outcome) = match &m.mode {
-        Mode::Chaos(spec) => run_chaos(m, spec, &at_nanos, &mut captured),
+        Mode::Chaos(spec) => chaos_output(m, spec, &at_nanos, &mut captured),
         Mode::Federation(spec) => run_federation(m, spec, &at_nanos, &mut captured),
     };
 
@@ -321,22 +319,15 @@ fn outcome_of(any_violation: bool, asserts: &[AssertionResult]) -> Outcome {
     }
 }
 
-fn run_chaos(
+fn chaos_output(
     m: &Manifest,
     spec: &ChaosSpec,
     at_nanos: &[u64],
     captured: &mut Captured,
 ) -> ModeOutput {
-    let campaign = &spec.campaign;
-    let mut cfg = campaign_config(campaign);
-    cfg.rack_network = spec.rack_network;
-    let (report, sim) = run_campaign_sim_observed(
-        campaign,
-        cfg,
-        spec.policy.to_policy(),
-        at_nanos,
-        &mut |t, sim| captured.push((t, clusterworx::snapshot::capture_sections(sim))),
-    );
+    let (report, sim) = run_chaos_observed(m, at_nanos, &mut |t, sim| {
+        captured.push((t, clusterworx::snapshot::capture_sections(sim)))
+    });
 
     // coverage: every injected kind × every lifecycle state any node
     // touched, at this fleet's scale band
@@ -347,12 +338,12 @@ fn run_chaos(
         states.insert(state_slug(t.from));
         states.insert(state_slug(t.to));
     }
-    for node in 0..campaign.n_nodes {
+    for node in 0..spec.n_nodes {
         states.insert(state_slug(lc.state(node)));
     }
     let coverage = CoverageRun {
-        scale: scale_band(campaign.n_nodes),
-        faults: campaign.events.iter().map(|e| e.kind.slug()).collect(),
+        scale: scale_band(spec.n_nodes),
+        faults: spec.faults.iter().map(|(_, kind)| kind.slug()).collect(),
         states,
     };
 
@@ -387,7 +378,13 @@ fn run_chaos(
     invariants_json.push(']');
 
     let mut asserts = Vec::new();
-    eval_chaos_assertions(&m.assertions, &report, &mut cases, &mut asserts);
+    eval_chaos_assertions(
+        &m.assertions,
+        spec.n_nodes,
+        &report,
+        &mut cases,
+        &mut asserts,
+    );
     let outcome = outcome_of(!report.violations.is_empty(), &asserts);
 
     let tail = format!(
@@ -396,9 +393,9 @@ fn run_chaos(
          \"metrics\":{{\"availability\":{},\"detection_latency_secs\":{},\"mttr_secs\":{},\
          \"final_up\":{},\"quarantined\":{},\"emails\":{},\"storms\":{}}},\
          {invariants_json},{},\"coverage\":{}",
-        campaign.n_nodes,
-        json_num(campaign.duration_secs),
-        json_num(campaign.settle_secs),
+        spec.n_nodes,
+        json_num(m.duration_secs),
+        json_num(m.settle_secs),
         report.audit_hash,
         report.audit_len,
         json_num(report.availability),
@@ -415,12 +412,12 @@ fn run_chaos(
     let summary = vec![
         format!(
             "chaos `{}`: {} nodes, {}s + {}s settle, seed {}, {} faults",
-            report.name,
-            report.n_nodes,
-            campaign.duration_secs,
-            campaign.settle_secs,
-            report.seed,
-            campaign.events.len()
+            m.name,
+            spec.n_nodes,
+            m.duration_secs,
+            m.settle_secs,
+            m.seed,
+            spec.faults.len()
         ),
         format!(
             "availability {:.4} | detection {:.1}s | mttr {:.1}s | {} up | {} quarantined | {} emails",
@@ -443,6 +440,7 @@ fn run_chaos(
 
 fn eval_chaos_assertions(
     a: &Assertions,
+    n_nodes: u32,
     report: &CampaignReport,
     cases: &mut Vec<JunitCase>,
     out: &mut Vec<AssertionResult>,
@@ -459,7 +457,7 @@ fn eval_chaos_assertions(
     }
     if let Some(want) = a.final_up {
         let expected = match want {
-            FinalUp::All => report.n_nodes as u64,
+            FinalUp::All => n_nodes as u64,
             FinalUp::Exactly(n) => n,
         };
         push_assert(
@@ -534,7 +532,7 @@ fn run_federation(
         req.next();
     }
     apply(&mut fed, 0);
-    for seg_end in fed_segment_ends(spec) {
+    for seg_end in fed_segment_ends(spec, horizon_nanos(m)) {
         while let Some(&t) = req.peek() {
             if t > seg_end {
                 break;
@@ -622,8 +620,8 @@ fn run_federation(
         spec.nodes_per_cluster,
         json_num(spec.uplink_secs),
         json_num(spec.stale_after_secs),
-        json_num(spec.duration_secs),
-        json_num(spec.settle_secs),
+        json_num(m.duration_secs),
+        json_num(m.settle_secs),
         fleet.total_nodes,
         fleet.counts.up,
         fleet.counts.failed,
@@ -636,7 +634,7 @@ fn run_federation(
     let summary = vec![
         format!(
             "federation `{}`: {} clusters x {} nodes, {}s + {}s settle, seed {}",
-            m.name, spec.clusters, spec.nodes_per_cluster, spec.duration_secs, spec.settle_secs, m.seed
+            m.name, spec.clusters, spec.nodes_per_cluster, m.duration_secs, m.settle_secs, m.seed
         ),
         format!(
             "head view: {} nodes | up {} | failed {} | reachable {} | {} stale | census match: {census_match}",
@@ -763,7 +761,7 @@ final_up = "all"
 
         // a different seed is refused before any replay happens
         let mut other = m.clone();
-        other.set_seed(777);
+        other.seed = 777;
         let err = run_scenario_with(
             &other,
             &RunOptions {

@@ -30,6 +30,11 @@ pub fn secs_to_nanos(t: f64) -> u64 {
     SimDuration::from_secs_f64(t).as_nanos()
 }
 
+/// The run's horizon, active phase plus settle, on the nanosecond grid.
+pub(crate) fn horizon_nanos(m: &Manifest) -> u64 {
+    secs_to_nanos(m.duration_secs + m.settle_secs)
+}
+
 /// The snapshot mode byte for a manifest.
 pub fn mode_byte(m: &Manifest) -> u8 {
     match &m.mode {
@@ -59,19 +64,25 @@ pub fn prefix_identity(m: &Manifest, t_nanos: u64) -> u64 {
     let mut s = String::new();
     match &m.mode {
         Mode::Chaos(spec) => {
-            let c = &spec.campaign;
+            // the policy is spelled as the `Debug` rendering of the
+            // plain-data struct that once carried it: the identity of
+            // every snapshot older builds wrote hashes this exact text
+            let p = &spec.policy;
             let _ = write!(
                 s,
                 "chaos seed={} nodes={} rack_network={} flap={:?} release={:?} \
-                 duration={} settle={} policy={:?};",
+                 duration={} settle={} policy=InvariantPolicyValues {{ check_every_secs: {:?}, \
+                 transient_deadline_secs: {:?}, freshness_secs: {:?} }};",
                 m.seed,
-                c.n_nodes,
+                spec.n_nodes,
                 spec.rack_network,
-                c.flap_threshold,
-                c.quarantine_release_secs,
-                secs_to_nanos(c.duration_secs),
-                secs_to_nanos(c.settle_secs),
-                spec.policy
+                spec.flap_threshold,
+                spec.quarantine_release_secs,
+                secs_to_nanos(m.duration_secs),
+                secs_to_nanos(m.settle_secs),
+                p.check_every_secs,
+                p.transient_deadline_secs,
+                p.freshness_secs
             );
         }
         Mode::Federation(spec) => {
@@ -84,8 +95,8 @@ pub fn prefix_identity(m: &Manifest, t_nanos: u64) -> u64 {
                 spec.nodes_per_cluster,
                 secs_to_nanos(spec.uplink_secs),
                 secs_to_nanos(spec.stale_after_secs),
-                secs_to_nanos(spec.duration_secs),
-                secs_to_nanos(spec.settle_secs)
+                secs_to_nanos(m.duration_secs),
+                secs_to_nanos(m.settle_secs)
             );
         }
     }
@@ -133,10 +144,7 @@ pub fn check_resumable(m: &Manifest, file: &SnapshotFile) -> Result<(), String> 
             name(want_mode)
         ));
     }
-    let total_n = match &m.mode {
-        Mode::Chaos(spec) => secs_to_nanos(spec.campaign.duration_secs + spec.campaign.settle_secs),
-        Mode::Federation(spec) => secs_to_nanos(spec.duration_secs + spec.settle_secs),
-    };
+    let total_n = horizon_nanos(m);
     if file.t_nanos > total_n {
         return Err(format!(
             "snapshot instant {}s is beyond this run's horizon of {}s",
@@ -161,13 +169,12 @@ pub fn check_resumable(m: &Manifest, file: &SnapshotFile) -> Result<(), String> 
 /// current fault segment, or the segment end itself (a fault instant
 /// or the end of the run), whichever comes first.
 ///
-/// Returned ascending and deduplicated. Times beyond the run are
-/// dropped. A time that is already an effective instant (e.g. one
+/// Returned ascending and deduplicated. Times beyond the run's horizon
+/// `total_n` are dropped. A time that is already an effective instant (e.g. one
 /// read back from a snapshot file) maps to itself, which is what
 /// makes capture and resume agree on where to pause.
-pub fn fed_effective_times(spec: &FedSpec, requested: &[u64]) -> Vec<u64> {
+pub fn fed_effective_times(spec: &FedSpec, total_n: u64, requested: &[u64]) -> Vec<u64> {
     let uplink_n = secs_to_nanos(spec.uplink_secs).max(1);
-    let total_n = secs_to_nanos(spec.duration_secs + spec.settle_secs);
     let mut req: Vec<u64> = requested
         .iter()
         .copied()
@@ -179,7 +186,7 @@ pub fn fed_effective_times(spec: &FedSpec, requested: &[u64]) -> Vec<u64> {
     let mut out = Vec::with_capacity(req.len());
     let mut req_it = req.into_iter().peekable();
     let mut seg_start = 0u64;
-    for seg_end in fed_segment_ends(spec) {
+    for seg_end in fed_segment_ends(spec, total_n) {
         while let Some(&t) = req_it.peek() {
             if t > seg_end {
                 break;
@@ -200,10 +207,9 @@ pub fn fed_effective_times(spec: &FedSpec, requested: &[u64]) -> Vec<u64> {
 }
 
 /// The federation runner's stop points in nanoseconds: each distinct
-/// fault instant, then the end of the run. Shared by the runner and
-/// [`fed_effective_times`] so both walk identical segments.
-pub(crate) fn fed_segment_ends(spec: &FedSpec) -> Vec<u64> {
-    let total_n = secs_to_nanos(spec.duration_secs + spec.settle_secs);
+/// fault instant, then the end of the run at `total_n`. Shared by the
+/// runner and [`fed_effective_times`] so both walk identical segments.
+pub(crate) fn fed_segment_ends(spec: &FedSpec, total_n: u64) -> Vec<u64> {
     let mut faults = spec.faults.clone();
     faults.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut ends: Vec<u64> = faults
@@ -259,7 +265,7 @@ mod tests {
         );
         // a different seed changes every identity
         let mut c = fed_manifest(false);
-        c.set_seed(10);
+        c.seed = 10;
         assert_ne!(prefix_identity(&a, t), prefix_identity(&c, t));
         // the name is deliberately not part of the identity
         let mut d = fed_manifest(false);
@@ -278,13 +284,15 @@ mod tests {
         // 12s -> epoch boundary 20s; 31s -> capped at segment end 35s;
         // 40s -> 35+10 = 45s; 35s -> itself (a segment end);
         // 119s -> capped at 120s; 300s -> dropped (beyond the run)
+        let total_n = horizon_nanos(&m);
         let eff = fed_effective_times(
             spec,
+            total_n,
             &[s(12.0), s(31.0), s(35.0), s(40.0), s(119.0), s(300.0)],
         );
         assert_eq!(eff, vec![s(20.0), s(35.0), s(45.0), s(120.0)]);
         // effective instants are fixed points
-        assert_eq!(fed_effective_times(spec, &eff), eff);
+        assert_eq!(fed_effective_times(spec, total_n, &eff), eff);
     }
 
     #[test]
@@ -295,7 +303,7 @@ mod tests {
         assert!(check_resumable(&m, &file).is_ok());
 
         let mut other = fed_manifest(false);
-        other.set_seed(1234);
+        other.seed = 1234;
         let err = check_resumable(&other, &file).expect_err("identity mismatch");
         assert!(err.contains("identity"), "{err}");
 

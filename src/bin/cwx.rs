@@ -501,7 +501,7 @@ fn load_manifest(path: &str, args: &Args) -> cwx_scenario::Manifest {
         std::process::exit(3);
     });
     if let Some(seed) = args.opt("seed") {
-        manifest.set_seed(seed);
+        manifest.seed = seed;
     }
     manifest
 }

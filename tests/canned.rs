@@ -2,10 +2,9 @@
 //! chassis-carnage,flaky-fleet}.toml`) run clean. Each manifest's
 //! `[assertions]` — fleet back up, availability, the pinned audit hash
 //! (same seed, same trail) — are checked by the runtime itself; what a
-//! manifest cannot express is checked here on the campaign's report.
+//! manifest cannot express is checked here on the chaos run's report.
 
-use cwx_chaos::{run_campaign, CampaignReport};
-use cwx_scenario::{run_scenario, Manifest, Outcome};
+use cwx_scenario::{run_chaos, run_scenario, CampaignReport, Manifest, Outcome};
 
 /// Parse `examples/scenarios/{name}.toml` and require the scenario
 /// runtime to pass it (every invariant and assertion).
@@ -21,9 +20,9 @@ fn passes(name: &str) -> Manifest {
     m
 }
 
-/// The campaign's own report, for what the manifest cannot assert.
+/// The chaos run's own report, for what the manifest cannot assert.
 fn report(m: &Manifest) -> CampaignReport {
-    run_campaign(m.campaign().expect("a [cluster] scenario"))
+    run_chaos(m).0
 }
 
 #[test]

@@ -10,31 +10,41 @@
 //! The full-size runs are expensive in debug builds, so they are
 //! `#[ignore]`d by default and driven in release mode by the CI
 //! `chaos-soak` job (`cargo test --release --test chaos_soak --
-//! --ignored`). A scaled-down smoke variant always runs.
+//! --ignored`). Its scaled-down twin, `smoke.toml`, always runs.
 
 use clusterworx::AuditEntry;
-use cwx_chaos::{campaign_config, run_campaign_sim, CampaignReport, InvariantPolicy};
-use cwx_scenario::Manifest;
+use cwx_scenario::{run_chaos, CampaignReport, Manifest};
 use cwx_util::time::SimDuration;
 
-/// The flapping node in `examples/scenarios/soak.toml`'s schedule.
+/// The flapping node in the schedules of `examples/scenarios/soak.toml`
+/// and its scaled-down twin `smoke.toml`.
 const FLAPPER: u32 = 7;
 
-fn run_soak(seed: u64) -> (CampaignReport, cwx_util::sim::Sim<clusterworx::World>) {
+/// `soak.toml` under `seed`.
+fn soak(seed: u64) -> Manifest {
     let mut m =
         Manifest::parse(include_str!("../examples/scenarios/soak.toml")).expect("soak.toml parses");
-    m.set_seed(seed);
-    let c = m.campaign().expect("soak.toml is a [cluster] scenario");
-    assert!(c.n_nodes >= 400, "the soak must cover at least 400 nodes");
-    run_campaign_sim(c, campaign_config(c), InvariantPolicy::default())
+    m.seed = seed;
+    let spec = m.chaos().expect("soak.toml is a [cluster] scenario");
+    assert!(
+        spec.n_nodes >= 400,
+        "the soak must cover at least 400 nodes"
+    );
+    m
 }
 
-fn assert_soak_clean(seed: u64) -> CampaignReport {
-    let (r, sim) = run_soak(seed);
+fn assert_runs_clean(m: &Manifest) -> CampaignReport {
+    let (r, sim) = run_chaos(m);
     let w = sim.world();
+    let (name, seed) = (&m.name, m.seed);
 
     // 1. every invariant held, the whole way through
-    assert_eq!(r.violations, vec![], "seed {seed}: {:#?}", r.violations);
+    assert_eq!(
+        r.violations,
+        vec![],
+        "{name} seed {seed}: {:#?}",
+        r.violations
+    );
 
     // 2. the flapper was quarantined — exactly one audit event
     let trips: Vec<_> = w
@@ -48,7 +58,7 @@ fn assert_soak_clean(seed: u64) -> CampaignReport {
     assert_eq!(
         trips.len(),
         1,
-        "seed {seed}: the flapper quarantines exactly once, got {trips:#?}"
+        "{name} seed {seed}: the flapper quarantines exactly once, got {trips:#?}"
     );
 
     // 3. ...with at most one notification episode afterwards: once the
@@ -63,14 +73,15 @@ fn assert_soak_clean(seed: u64) -> CampaignReport {
         .count();
     assert!(
         flap_mail_after <= 1,
-        "seed {seed}: quarantine must silence the flapper's mail storm, \
+        "{name} seed {seed}: quarantine must silence the flapper's mail storm, \
          got {flap_mail_after} emails after quarantine"
     );
 
     // 4. convergence: everyone back up within the settle window
+    let n_nodes = m.chaos().expect("a [cluster] scenario").n_nodes;
     assert_eq!(
-        r.final_up as u32, r.n_nodes,
-        "seed {seed}: all-Up after the final heal (quarantined at end: {:?})",
+        r.final_up as u32, n_nodes,
+        "{name} seed {seed}: all-Up after the final heal (quarantined at end: {:?})",
         r.quarantined
     );
 
@@ -87,65 +98,36 @@ fn assert_soak_clean(seed: u64) -> CampaignReport {
 #[test]
 #[ignore = "release-mode soak (CI chaos-soak job); debug builds take minutes"]
 fn soak_400_nodes_survives_the_campaign() {
-    assert_soak_clean(4001);
+    assert_runs_clean(&soak(4001));
 }
 
 #[test]
 #[ignore = "release-mode soak (CI chaos-soak job); debug builds take minutes"]
 fn soak_other_seeds_survive_too() {
     // CI sweeps three fixed seeds; the first lives in the test above.
-    assert_soak_clean(4002);
-    assert_soak_clean(4003);
+    assert_runs_clean(&soak(4002));
+    assert_runs_clean(&soak(4003));
 }
 
 #[test]
 #[ignore = "release-mode soak (CI chaos-soak job); debug builds take minutes"]
 fn soak_same_seed_same_audit_hash() {
-    let (a, _) = run_soak(4001);
-    let (b, _) = run_soak(4001);
+    let (a, _) = run_chaos(&soak(4001));
+    let (b, _) = run_chaos(&soak(4001));
     assert_eq!(a.audit_hash, b.audit_hash, "the soak must be reproducible");
     assert_eq!(a.audit_len, b.audit_len);
 }
 
-/// A scaled-down version of the same promise that always runs: one
-/// partitioned rack, one chassis restart, one crashed agent, one
-/// flapper — zero violations, flapper quarantined, convergence,
+/// A scaled-down version of the same promise that always runs:
+/// `smoke.toml` throws one partitioned rack, one chassis restart, one
+/// crashed agent and the same flapper at 60 nodes — zero violations,
+/// flapper quarantined without a mail storm, convergence,
 /// reproducibility.
 #[test]
 fn soak_smoke_scaled_down() {
-    use cwx_chaos::FaultKind::*;
-    let c = cwx_chaos::Campaign::new("soak-smoke", 4009, 60, 1400.0)
-        .flap_threshold(6)
-        .release_after(500.0)
-        .at(240.0, KernelPanic(FLAPPER))
-        .at(390.0, KernelPanic(FLAPPER))
-        .at(540.0, KernelPanic(FLAPPER))
-        .at(690.0, KernelPanic(FLAPPER))
-        .at(840.0, KernelPanic(FLAPPER))
-        .at(990.0, KernelPanic(FLAPPER))
-        .at(300.0, PartitionRack(3))
-        .at(520.0, HealRack(3))
-        .at(450.0, ChassisRestart(5))
-        .at(350.0, AgentCrash(31))
-        .at(1100.0, AgentRecover(31))
-        .settle(800.0);
-    let (a, sim) = run_campaign_sim(&c, campaign_config(&c), InvariantPolicy::default());
-    assert_eq!(a.violations, vec![], "{:#?}", a.violations);
-    assert_eq!(
-        a.final_up as u32, a.n_nodes,
-        "quarantined: {:?}",
-        a.quarantined
-    );
-    let trips = sim
-        .world()
-        .control
-        .audit()
-        .iter()
-        .filter(|rec| {
-            rec.node == Some(FLAPPER) && matches!(rec.entry, AuditEntry::Quarantined { .. })
-        })
-        .count();
-    assert_eq!(trips, 1, "the flapper quarantines exactly once");
-    let (b, _) = run_campaign_sim(&c, campaign_config(&c), InvariantPolicy::default());
+    let m = Manifest::parse(include_str!("../examples/scenarios/smoke.toml"))
+        .expect("smoke.toml parses");
+    let a = assert_runs_clean(&m);
+    let (b, _) = run_chaos(&m);
     assert_eq!(a.audit_hash, b.audit_hash);
 }

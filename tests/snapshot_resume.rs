@@ -6,7 +6,7 @@
 //! shipped demo scenario.
 
 use cwx_scenario::{
-    bisect_scenario, run_scenario, run_scenario_with, Manifest, Outcome, RunOptions,
+    bisect_scenario, fnv1a, run_scenario, run_scenario_with, Manifest, Outcome, RunOptions,
 };
 use cwx_util::snapshot::{SnapshotFile, SNAPSHOT_MAGIC};
 
@@ -125,6 +125,39 @@ fn resume_reproduces_the_straight_run_at_every_instant() {
             );
             assert!(resumed.summary[0].contains("verified bit-exact"));
         }
+    }
+}
+
+/// `(manifest, --snapshot-at, effective instant, encoded bytes, FNV-1a
+/// of the encoding, prefix identity)`.
+type SnapshotPin = (&'static str, &'static [f64], u64, usize, u64, u64);
+
+#[rustfmt::skip]
+const SNAPSHOT_PINS: [SnapshotPin; 2] = [
+    ("hardware-grief.toml",       &[],      600_000_000_000, 70_846,  0x73b0_671e_d96b_2f6b, 0x6e78_a036_a6d9_3673),
+    ("federation-partition.toml", &[333.0], 340_000_000_000, 116_365, 0x8529_2ecc_554e_efc9, 0xe25b_6cf6_e346_f12c),
+];
+
+/// Snapshot files outlive the build that wrote them: a capture must
+/// resume under the next build, so its section bytes and its prefix
+/// identity may not drift. Two shipped captures are pinned — the
+/// length and FNV-1a of the encoded file, and the identity hash.
+#[test]
+fn shipped_snapshot_bytes_are_pinned() {
+    for (file, snapshot_at, t_nanos, len, hash, identity) in SNAPSHOT_PINS {
+        let m = Manifest::parse(&example(file)).expect(file);
+        let opts = RunOptions {
+            snapshot_at: snapshot_at.to_vec(),
+            resume: None,
+        };
+        let r = run_scenario_with(&m, &opts).expect(file);
+        assert_eq!(r.snapshots.len(), 1, "{file}");
+        let snap = &r.snapshots[0];
+        assert_eq!(snap.t_nanos, t_nanos, "{file} capture instant");
+        assert_eq!(snap.identity, identity, "{file} prefix identity");
+        let bytes = snap.encode();
+        assert_eq!(bytes.len(), len, "{file} encoded length");
+        assert_eq!(fnv1a(&bytes), hash, "{file} encoded bytes");
     }
 }
 
