@@ -2,21 +2,15 @@
 
 use std::io;
 
-use cwx_proc::gather::{
-    DiskStatsGatherer, GatherLevel, LoadAvgGatherer, MemInfoGatherer, NetDevGatherer, StatGatherer,
-    UptimeGatherer,
-};
+use cwx_proc::gather::{NodeReader, NodeSample};
 use cwx_proc::source::ProcSource;
 use cwx_util::compress;
 use cwx_util::time::SimTime;
 
 use crate::consolidate::{ConsolidationStats, Consolidator};
-use crate::monitor::Registry;
+use crate::monitor::{MonitorClass, Registry};
 use crate::snapshot::{Sensors, Snapshot};
 use crate::transmit::{self, Report};
-
-/// Interfaces to monitor.
-const INTERFACES: [&str; 2] = ["lo", "eth0"];
 
 /// Serve repeat requests from the snapshot cache within this window.
 const CACHE_TTL_SECS: f64 = 0.5;
@@ -57,7 +51,9 @@ pub struct AgentStats {
     pub raw_bytes: u64,
     /// Bytes actually handed to the network.
     pub wire_bytes: u64,
-    /// Individual proc-file reads performed.
+    /// Proc files read, one per file per tick. A source that hands over
+    /// its values instead of text (a simulated node) counts the six
+    /// files it stands in for, so the count is the same on both paths.
     pub gather_calls: u64,
 }
 
@@ -78,13 +74,9 @@ pub struct AgentOutput {
 /// The monitoring agent for one node.
 pub struct Agent<S: ProcSource> {
     cfg: AgentConfig,
-    mem: MemInfoGatherer<S>,
-    stat: StatGatherer<S>,
-    load: LoadAvgGatherer<S>,
-    up: UptimeGatherer<S>,
-    netdev: NetDevGatherer<S>,
-    /// disk I/O is optional: not every source exposes diskstats
-    disk: Option<DiskStatsGatherer<S>>,
+    reader: NodeReader<S>,
+    /// the reader's output; its vectors are recycled from tick to tick
+    sample: NodeSample,
     registry: Registry,
     consolidator: Consolidator,
     encoder: transmit::WireEncoder,
@@ -96,20 +88,18 @@ pub struct Agent<S: ProcSource> {
 }
 
 impl<S: ProcSource> Agent<S> {
-    /// Build an agent over a proc source. Opens the keep-open gatherers
-    /// (the paper's fastest configuration) immediately.
+    /// Build an agent over a proc source. Opens the source's
+    /// [`ProcSource::node_reader`] immediately: the keep-open gatherers
+    /// (the paper's fastest configuration) over a real `/proc`, the
+    /// values themselves on a simulated node.
     pub fn new(source: S, cfg: AgentConfig) -> io::Result<Self>
     where
         S: Clone,
     {
         Ok(Agent {
-            mem: MemInfoGatherer::new(source.clone(), GatherLevel::KeepOpen)?,
-            stat: StatGatherer::new(&source)?,
-            load: LoadAvgGatherer::new(&source)?,
-            up: UptimeGatherer::new(&source)?,
-            netdev: NetDevGatherer::new(&source)?,
-            disk: DiskStatsGatherer::new(&source).ok(),
-            registry: Registry::with_builtins(&INTERFACES),
+            reader: source.node_reader()?,
+            sample: NodeSample::default(),
+            registry: Registry::for_agent(),
             consolidator: Consolidator::new(cfg.delta_enabled),
             encoder: transmit::WireEncoder::new(),
             wire_buf: Vec::new(),
@@ -158,59 +148,41 @@ impl<S: ProcSource> Agent<S> {
     /// Run one gather/consolidate/transmit cycle.
     pub fn tick(&mut self, now: SimTime, sensors: Sensors) -> io::Result<AgentOutput> {
         // --- gather ---
-        let mem = self.mem.sample()?;
-        let stat = self.stat.sample()?;
-        let load = self.load.sample()?;
-        let up = self.up.sample()?;
-        let net = self.netdev.sample()?.to_vec();
-        let disks = match self.disk.as_mut() {
-            Some(g) => {
-                self.stats.gather_calls += 1;
-                g.sample()?.to_vec()
-            }
-            None => Vec::new(),
-        };
-        self.stats.gather_calls += 5;
-
-        let prev_stat = if self.have_snapshot {
-            self.snap.stat
+        self.stats.gather_calls += self.reader.read(&mut self.sample)?;
+        let (snap, sample) = (&mut self.snap, &mut self.sample);
+        if self.have_snapshot {
+            snap.dt_secs = now.since(snap.time).as_secs_f64();
+            snap.prev_stat = snap.stat;
+            std::mem::swap(&mut snap.prev_net, &mut snap.net);
+            std::mem::swap(&mut snap.prev_disks, &mut snap.disks);
         } else {
-            stat
-        };
-        let prev_net = if self.have_snapshot {
-            std::mem::take(&mut self.snap.net)
-        } else {
-            net.clone()
-        };
-        let prev_disks = if self.have_snapshot {
-            std::mem::take(&mut self.snap.disks)
-        } else {
-            disks.clone()
-        };
-        let dt_secs = if self.have_snapshot {
-            now.since(self.snap.time).as_secs_f64()
-        } else {
-            0.0
-        };
-        self.snap = Snapshot {
-            time: now,
-            dt_secs,
-            mem,
-            stat,
-            prev_stat,
-            load,
-            uptime: up,
-            net,
-            prev_net,
-            disks,
-            prev_disks,
-            sensors,
-        };
+            snap.dt_secs = 0.0;
+            snap.prev_stat = sample.stat;
+            snap.prev_net.clone_from(&sample.net);
+            snap.prev_disks.clone_from(&sample.disks);
+        }
+        // the vectors this replaces are the ones the next read refills
+        std::mem::swap(&mut snap.net, &mut sample.net);
+        std::mem::swap(&mut snap.disks, &mut sample.disks);
+        snap.time = now;
+        snap.mem = sample.mem;
+        snap.stat = sample.stat;
+        snap.load = sample.load;
+        snap.uptime = sample.uptime;
+        snap.sensors = sensors;
         self.have_snapshot = true;
 
         // --- consolidate ---
         let mut values = Vec::new();
-        for m in self.registry.iter_mut() {
+        for mut m in self.registry.iter_mut() {
+            // a built-in static already sent is suppressed whatever it
+            // reads, so it is not read
+            if m.class == MonitorClass::Static
+                && m.is_builtin()
+                && self.consolidator.suppress_sent_static(m.slot())
+            {
+                continue;
+            }
             if let Some(v) = m.extract(&self.snap) {
                 if self.consolidator.offer_slot(m.slot(), m.class, &v) {
                     values.push((m.key.clone(), v));

@@ -85,6 +85,20 @@ impl Consolidator {
         self.decide(slot, class, value)
     }
 
+    /// [`Consolidator::offer_slot`] for a static monitor, decided without
+    /// its value: true, counted exactly as a suppressed offer, when the
+    /// slot was sent since the last reset (and delta suppression is on),
+    /// so the caller need not extract the value at all.
+    pub fn suppress_sent_static(&mut self, slot: usize) -> bool {
+        debug_assert!(self.keyed.is_empty(), "offered by slot and by key");
+        if !self.delta_enabled || !self.sent.get(slot).is_some_and(Option::is_some) {
+            return false;
+        }
+        self.stats.evaluated += 1;
+        self.stats.suppressed_static += 1;
+        true
+    }
+
     /// [`Consolidator::offer_slot`] for callers that know monitors by
     /// key only: the slot is the key's first-sight index.
     pub fn offer(&mut self, key: &MonitorKey, class: MonitorClass, value: &Value) -> bool {
@@ -253,6 +267,33 @@ mod tests {
                 );
             }
             proptest::prop_assert_eq!(by_key.stats(), by_slot.stats());
+        }
+    }
+
+    proptest::proptest! {
+        /// Skipping a sent static unread decides and counts exactly what
+        /// offering its (unchanged) value would have.
+        #[test]
+        fn sent_static_skip_equals_offer(
+            ops in proptest::collection::vec((0usize..8, proptest::any::<bool>()), 1..200),
+            delta in proptest::any::<bool>(),
+        ) {
+            let value = Value::Text("Pentium III (Coppermine) 1000MHz".into());
+            let mut skipping = Consolidator::new(delta);
+            let mut offering = Consolidator::new(delta);
+            for (slot, reset) in ops {
+                if reset && slot == 0 {
+                    skipping.reset();
+                    offering.reset();
+                }
+                let sent = !skipping.suppress_sent_static(slot)
+                    && skipping.offer_slot(slot, MonitorClass::Static, &value);
+                proptest::prop_assert_eq!(
+                    sent,
+                    offering.offer_slot(slot, MonitorClass::Static, &value)
+                );
+            }
+            proptest::prop_assert_eq!(skipping.stats(), offering.stats());
         }
     }
 

@@ -5,8 +5,9 @@
 //! and transmission."
 //!
 //! * **Gathering** ([`snapshot`], using `cwx-proc`): the agent reads
-//!   `/proc` with the keep-open zero-allocation gatherers and samples the
-//!   hardware sensors, producing one [`snapshot::Snapshot`] per tick.
+//!   `/proc` with the keep-open zero-allocation gatherers (a simulated
+//!   node hands over the same values without rendering text) and samples
+//!   the hardware sensors, producing one [`snapshot::Snapshot`] per tick.
 //! * **Consolidation** ([`consolidate`]): monitors extract values from
 //!   the snapshot; the consolidator splits them into static and dynamic
 //!   data, transmits "only data that has changed since the last

@@ -8,9 +8,8 @@
 //! ClusterWorX plug-in directory it will be recognized by the system
 //! automatically."
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::snapshot::Snapshot;
 
@@ -122,12 +121,18 @@ impl Value {
     }
 }
 
-/// The extraction function of a monitor: a pure function of the
-/// snapshot. Plug-ins are exactly this signature, which models "any
-/// program, script (shell, perl, etc.)" producing a value.
+/// The extraction function of a registered monitor: the snapshot in, a
+/// value out. Plug-ins are exactly this signature, which models "any
+/// program, script (shell, perl, etc.)" producing a value; one may keep
+/// state of its own from tick to tick.
 pub type ExtractFn = Box<dyn FnMut(&Snapshot) -> Option<Value> + Send>;
 
-/// A registered monitor.
+/// A built-in monitor's extractor: a pure function of the snapshot, so
+/// one table of them serves every agent in the process, on any thread.
+type BuiltinFn = Box<dyn Fn(&Snapshot) -> Option<Value> + Send + Sync>;
+
+/// A registered monitor's description.
+#[derive(Debug, Clone)]
 pub struct MonitorDef {
     /// Identity.
     pub key: MonitorKey,
@@ -138,19 +143,6 @@ pub struct MonitorDef {
     /// Whether this came from the plug-in directory.
     pub plugin: bool,
     slot: u32,
-    extract: ExtractFn,
-}
-
-impl fmt::Debug for MonitorDef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MonitorDef")
-            .field("key", &self.key)
-            .field("class", &self.class)
-            .field("unit", &self.unit)
-            .field("plugin", &self.plugin)
-            .field("slot", &self.slot)
-            .finish_non_exhaustive()
-    }
 }
 
 impl MonitorDef {
@@ -161,19 +153,94 @@ impl MonitorDef {
     pub fn slot(&self) -> usize {
         self.slot as usize
     }
+}
 
+/// One monitor of a [`Registry::iter_mut`] walk: its description (by
+/// `Deref`) and its extractor.
+pub struct Monitor<'a> {
+    def: &'a MonitorDef,
+    extract: Extractor<'a>,
+}
+
+enum Extractor<'a> {
+    Builtin(&'a BuiltinFn),
+    Own(&'a mut ExtractFn),
+}
+
+impl Monitor<'_> {
     /// Evaluate the monitor against a snapshot.
     pub fn extract(&mut self, snap: &Snapshot) -> Option<Value> {
-        (self.extract)(snap)
+        match &mut self.extract {
+            Extractor::Builtin(f) => f(snap),
+            Extractor::Own(f) => f(snap),
+        }
+    }
+
+    /// Whether this is a built-in: a pure function of the snapshot that
+    /// always yields a value when it is static.
+    pub(crate) fn is_builtin(&self) -> bool {
+        matches!(self.extract, Extractor::Builtin(_))
     }
 }
 
+impl std::ops::Deref for Monitor<'_> {
+    type Target = MonitorDef;
+
+    fn deref(&self) -> &MonitorDef {
+        self.def
+    }
+}
+
+struct Builtin {
+    def: MonitorDef,
+    extract: BuiltinFn,
+}
+
+/// The built-in monitors for one interface list, in key order. Slots
+/// are registration order, as a registry installing them one by one
+/// would hand them out.
+#[derive(Default)]
+struct Builtins(Vec<Builtin>);
+
+/// A monitor a registry holds itself: a plug-in, or a monitor registered
+/// in place of a built-in.
+struct Own {
+    def: MonitorDef,
+    extract: ExtractFn,
+    /// How many built-ins sort before this key: where the walk takes it.
+    at: usize,
+}
+
+/// The interfaces an agent monitors.
+const AGENT_INTERFACES: [&str; 2] = ["lo", "eth0"];
+
 /// The set of monitors an agent evaluates each tick.
-#[derive(Debug, Default)]
+///
+/// Built-ins are pure functions of the snapshot, so registries share one
+/// table of them (an agent's is built once per process); a registry
+/// holds only what it registers itself, plus a mark for each built-in
+/// it replaced or removed. The walk merges the two in key order.
+#[derive(Default)]
 pub struct Registry {
-    monitors: BTreeMap<MonitorKey, MonitorDef>,
+    builtins: Option<Arc<Builtins>>,
+    /// Built-ins replaced or unregistered here, by table index (empty
+    /// until the first one is).
+    hidden: Vec<bool>,
+    /// This registry's own monitors, in key order.
+    own: Vec<Own>,
     /// Slots handed out so far (monotonic: unregistering frees none).
     slots: u32,
+}
+
+impl fmt::Debug for Registry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Registry")
+            .field("builtins", &self.builtin_table().len())
+            .field("hidden", &self.hidden)
+            .field("own", &self.own.iter().map(|o| &o.def).collect::<Vec<_>>())
+            .field("slots", &self.slots)
+            .finish()
+    }
 }
 
 impl Registry {
@@ -185,29 +252,79 @@ impl Registry {
     /// The registry with all built-in monitors for the given interface
     /// names (typically `["lo", "eth0"]`).
     pub fn with_builtins(interfaces: &[&str]) -> Self {
-        let mut r = Self::new();
-        r.install_builtins(interfaces);
-        r
+        Self::over(Arc::new(Builtins::new(interfaces)))
+    }
+
+    /// The built-ins for an agent's interfaces (`lo`, `eth0`), over the
+    /// one table every agent of the process shares.
+    pub(crate) fn for_agent() -> Self {
+        static TABLE: OnceLock<Arc<Builtins>> = OnceLock::new();
+        let table = TABLE.get_or_init(|| Arc::new(Builtins::new(&AGENT_INTERFACES)));
+        Self::over(Arc::clone(table))
+    }
+
+    fn over(builtins: Arc<Builtins>) -> Self {
+        Registry {
+            slots: builtins.0.len() as u32,
+            builtins: Some(builtins),
+            ..Self::default()
+        }
+    }
+
+    fn builtin_table(&self) -> &[Builtin] {
+        self.builtins.as_deref().map_or(&[], |b| &b.0)
+    }
+
+    fn find_builtin(&self, key: &str) -> Result<usize, usize> {
+        self.builtin_table()
+            .binary_search_by(|b| b.def.key.as_str().cmp(key))
+    }
+
+    fn find_own(&self, key: &str) -> Result<usize, usize> {
+        self.own.binary_search_by(|o| o.def.key.as_str().cmp(key))
+    }
+
+    fn is_hidden(&self, i: usize) -> bool {
+        self.hidden.get(i).copied().unwrap_or(false)
+    }
+
+    fn hide(&mut self, i: usize) {
+        if self.hidden.is_empty() {
+            self.hidden = vec![false; self.builtin_table().len()];
+        }
+        self.hidden[i] = true;
     }
 
     /// Number of registered monitors.
     pub fn len(&self) -> usize {
-        self.monitors.len()
+        let hidden = self.hidden.iter().filter(|&&h| h).count();
+        self.builtin_table().len() - hidden + self.own.len()
     }
 
     /// True when no monitors are registered.
     pub fn is_empty(&self) -> bool {
-        self.monitors.is_empty()
+        self.len() == 0
     }
 
     /// Iterate (in key order — deterministic wire layout).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut MonitorDef> {
-        self.monitors.values_mut()
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = Monitor<'_>> {
+        Walk {
+            builtins: self.builtins.as_deref().map_or(&[], |b| &b.0),
+            hidden: &self.hidden,
+            next: 0,
+            own: self.own.iter_mut().peekable(),
+        }
     }
 
     /// Look up a monitor.
     pub fn get(&self, key: &str) -> Option<&MonitorDef> {
-        self.monitors.get(key)
+        if let Ok(j) = self.find_own(key) {
+            return Some(&self.own[j].def);
+        }
+        match self.find_builtin(key) {
+            Ok(i) if !self.is_hidden(i) => Some(&self.builtin_table()[i].def),
+            _ => None,
+        }
     }
 
     /// Register a monitor (replacing any previous one with the key).
@@ -242,34 +359,117 @@ impl Registry {
         plugin: bool,
         extract: ExtractFn,
     ) {
-        let key = MonitorKey::new(key);
-        // a replaced monitor is the same series: it keeps its slot
-        let slot = match self.monitors.get(&key) {
-            Some(replaced) => replaced.slot,
-            None => {
-                self.slots += 1;
-                self.slots - 1
-            }
+        let def = |slot| MonitorDef {
+            key: MonitorKey::new(key),
+            class,
+            unit,
+            plugin,
+            slot,
         };
-        self.monitors.insert(
-            key.clone(),
-            MonitorDef {
-                key,
-                class,
-                unit,
-                plugin,
-                slot,
-                extract,
-            },
-        );
+        match self.find_own(key) {
+            // a replaced monitor is the same series: it keeps its slot
+            Ok(j) => {
+                let own = &mut self.own[j];
+                own.def = def(own.def.slot);
+                own.extract = extract;
+            }
+            Err(j) => {
+                let (at, slot) = match self.find_builtin(key) {
+                    // so does a replaced built-in, which leaves the walk
+                    Ok(i) if !self.is_hidden(i) => {
+                        self.hide(i);
+                        (i, self.builtin_table()[i].def.slot)
+                    }
+                    Ok(at) | Err(at) => {
+                        self.slots += 1;
+                        (at, self.slots - 1)
+                    }
+                };
+                let def = def(slot);
+                self.own.insert(j, Own { def, extract, at });
+            }
+        }
     }
 
     /// Remove a monitor; true if it existed.
     pub fn unregister(&mut self, key: &str) -> bool {
-        self.monitors.remove(key).is_some()
+        if let Ok(j) = self.find_own(key) {
+            self.own.remove(j);
+            return true;
+        }
+        match self.find_builtin(key) {
+            Ok(i) if !self.is_hidden(i) => {
+                self.hide(i);
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+/// The walk behind [`Registry::iter_mut`]: the visible built-ins, with
+/// each own monitor taken just before the first built-in whose key sorts
+/// after its own.
+struct Walk<'a> {
+    builtins: &'a [Builtin],
+    hidden: &'a [bool],
+    next: usize,
+    own: std::iter::Peekable<std::slice::IterMut<'a, Own>>,
+}
+
+impl<'a> Iterator for Walk<'a> {
+    type Item = Monitor<'a>;
+
+    fn next(&mut self) -> Option<Monitor<'a>> {
+        loop {
+            let next = self.next;
+            if let Some(Own { def, extract, .. }) = self.own.next_if(|o| o.at <= next) {
+                return Some(Monitor {
+                    def,
+                    extract: Extractor::Own(extract),
+                });
+            }
+            let b = self.builtins.get(next)?;
+            self.next += 1;
+            if !self.hidden.get(next).copied().unwrap_or(false) {
+                return Some(Monitor {
+                    def: &b.def,
+                    extract: Extractor::Builtin(&b.extract),
+                });
+            }
+        }
+    }
+}
+
+impl Builtins {
+    fn new(interfaces: &[&str]) -> Builtins {
+        let mut b = Builtins::default();
+        b.install(interfaces);
+        b.0.sort_by(|x, y| x.def.key.cmp(&y.def.key));
+        b
     }
 
-    fn install_builtins(&mut self, interfaces: &[&str]) {
+    fn register(
+        &mut self,
+        key: &str,
+        class: MonitorClass,
+        unit: &'static str,
+        f: impl Fn(&Snapshot) -> Option<Value> + Send + Sync + 'static,
+    ) {
+        let def = MonitorDef {
+            key: MonitorKey::new(key),
+            class,
+            unit,
+            plugin: false,
+            slot: self.0.len() as u32,
+        };
+        self.0.push(Builtin {
+            def,
+            extract: Box::new(f),
+        });
+    }
+
+    fn install(&mut self, interfaces: &[&str]) {
         use MonitorClass::{Dynamic, Static};
         let pct = |x: f64| Value::Num((x * 100.0 * 10.0).round() / 10.0);
 
@@ -473,6 +673,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn builtins_exceed_forty_monitors() {
@@ -499,7 +700,7 @@ mod tests {
         snap.mem.total_kb = 1_048_576;
         snap.mem.free_kb = 524_288;
         let mut values = BTreeMap::new();
-        for m in r.iter_mut() {
+        for mut m in r.iter_mut() {
             if let Some(v) = m.extract(&snap) {
                 values.insert(m.key.clone(), v);
             }
@@ -551,6 +752,48 @@ mod tests {
     }
 
     #[test]
+    fn walk_merges_own_monitors_in_key_order() {
+        let mut r = Registry::with_builtins(&["lo", "eth0"]);
+        let builtin_keys: Vec<String> = r.iter_mut().map(|m| m.key.to_string()).collect();
+        for key in [
+            "aaa.first",
+            "disk.queue_depth",
+            "site.a",
+            "zzz.last",
+            "load.one",
+        ] {
+            r.register_plugin(key, MonitorClass::Dynamic, "", |_| None);
+        }
+        assert!(r.unregister("mem.free"));
+        let mut want: Vec<String> = builtin_keys
+            .into_iter()
+            .filter(|k| k != "mem.free")
+            .chain(["aaa.first", "disk.queue_depth", "site.a", "zzz.last"].map(String::from))
+            .collect();
+        want.sort();
+        let walked: Vec<(String, bool)> = r
+            .iter_mut()
+            .map(|m| (m.key.to_string(), m.plugin))
+            .collect();
+        assert_eq!(
+            walked.iter().map(|(k, _)| k).collect::<Vec<_>>(),
+            want.iter().collect::<Vec<_>>()
+        );
+        assert_eq!(r.len(), want.len());
+        // the replacement is walked once, as the plug-in, in its slot
+        assert!(walked.contains(&("load.one".into(), true)));
+        assert!(r.get("mem.free").is_none());
+        // another registry over the shared table sees none of it
+        let mut a = Registry::for_agent();
+        let mut b = Registry::for_agent();
+        a.register_plugin("site.a", MonitorClass::Dynamic, "", |_| None);
+        assert!(a.unregister("cpu.type"));
+        assert_eq!(b.len(), Registry::with_builtins(&["lo", "eth0"]).len());
+        assert!(b.iter_mut().all(|m| !m.plugin));
+        assert!(b.get("cpu.type").is_some() && b.get("site.a").is_none());
+    }
+
+    #[test]
     fn value_rendering() {
         assert_eq!(Value::Num(42.0).render(), "42");
         assert_eq!(Value::Num(0.5).render(), "0.500");
@@ -587,7 +830,7 @@ mod tests {
         let mut r = Registry::with_builtins(&["myri0"]);
         let snap = Snapshot::default(); // no interfaces at all
         let mut got_any = false;
-        for m in r.iter_mut() {
+        for mut m in r.iter_mut() {
             if m.key.as_str() == "net.myri0.rx_bytes" {
                 got_any = true;
                 assert!(m.extract(&snap).is_none());

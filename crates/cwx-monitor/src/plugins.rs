@@ -259,7 +259,7 @@ mod tests {
         let mut snap = Snapshot::default();
         snap.mem.free_kb = 1234;
         let mut got = std::collections::BTreeMap::new();
-        for m in reg.iter_mut() {
+        for mut m in reg.iter_mut() {
             got.insert(m.key.to_string(), m.extract(&snap));
         }
         assert_eq!(got["site.rack"], Some(Value::Num(12.0)));
@@ -282,7 +282,7 @@ mod tests {
             },
         );
         let snap = Snapshot::default();
-        let m = reg.iter_mut().next().unwrap();
+        let mut m = reg.iter_mut().next().unwrap();
         assert_eq!(m.extract(&snap), Some(Value::Num(42.5)));
         // site script updates the file; next tick sees the new value
         fs::write(&status, "degraded\n").unwrap();

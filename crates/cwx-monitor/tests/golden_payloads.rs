@@ -93,3 +93,83 @@ fn paper_format_payloads_are_byte_stable() {
         "agent payload bytes drifted: got ({hash:#018x}, {wire_bytes})"
     );
 }
+
+/// FNV-1a over agent A's payloads in [`plugins_stay_with_their_agent`],
+/// captured while every agent still built its own monitor table.
+const PLUGIN_AGENT_FNV1A: u64 = 0x890e_6f5f_496b_b1eb;
+
+/// Plug-ins belong to the agent they were registered on. Agent A gets a
+/// stateful plug-in whose key sorts between two built-ins
+/// (`disk.queue_depth`, between `disk.io_rate` and `disk.reads`) and a
+/// replacement for the built-in `load.one`; agent B, on a node of its
+/// own, registers nothing and must send exactly what a plain agent over
+/// the same node sends. A's bytes are pinned, so the plug-ins keep their
+/// place in the key order and the replacement keeps `load.one`'s slot.
+#[test]
+fn plugins_stay_with_their_agent() {
+    let proc_a = SyntheticProc::default();
+    let proc_b = SyntheticProc::default();
+    let cfg = |node| AgentConfig {
+        node,
+        binary: false,
+        compress: true,
+        ..AgentConfig::default()
+    };
+    let mut a = Agent::new(proc_a.clone(), cfg(1)).unwrap();
+    let mut b = Agent::new(proc_b.clone(), cfg(2)).unwrap();
+    let mut plain = Agent::new(proc_b.clone(), cfg(2)).unwrap();
+    let mut calls = 0u32;
+    a.registry_mut()
+        .register_plugin("disk.queue_depth", MonitorClass::Dynamic, "", move |_| {
+            calls += 1;
+            Some(Value::Num((calls / 2) as f64))
+        });
+    a.registry_mut()
+        .register_plugin("load.one", MonitorClass::Dynamic, "", |s| {
+            Some(Value::Num((s.load.one * 4.0).round()))
+        });
+    let mut hash = FNV_OFFSET;
+    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+    for tick in 0..20u64 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let util = (x >> 40) as f64 / (1u64 << 24) as f64;
+        proc_a.with_state(|s| {
+            s.tick(5.0, util);
+            s.load_one = util * 3.0;
+        });
+        proc_b.with_state(|s| {
+            s.tick(5.0, 1.0 - util);
+            s.load_one = (1.0 - util) * 3.0;
+        });
+        let sensors = Sensors {
+            cpu_temp_c: 42.0 + util,
+            udp_echo_ok: true,
+            ..Sensors::default()
+        };
+        let now = SimTime::ZERO + SimDuration::from_secs(5 * (tick + 1));
+        let out_a = a.tick(now, sensors).unwrap();
+        let out_b = b.tick(now, sensors).unwrap();
+        let out_plain = plain.tick(now, sensors).unwrap();
+        assert_eq!(
+            out_b.payload, out_plain.payload,
+            "tick {tick}: agent B's report is not a plain agent's"
+        );
+        if tick == 0 {
+            let keys = |r: &transmit::Report| -> Vec<String> {
+                r.values.iter().map(|(k, _)| k.to_string()).collect()
+            };
+            let (ka, kb) = (keys(&out_a.report), keys(&out_b.report));
+            assert!(ka.iter().any(|k| k == "disk.queue_depth"));
+            assert!(!kb.iter().any(|k| k == "disk.queue_depth"));
+            assert_eq!(ka.len(), kb.len() + 1, "A replaces load.one, adds one");
+        }
+        hash = fnv1a_fold_u64(hash, out_a.payload.len() as u64);
+        hash = fnv1a_fold(hash, &out_a.payload);
+    }
+    assert_eq!(
+        hash, PLUGIN_AGENT_FNV1A,
+        "agent A's payload bytes drifted: got {hash:#018x}"
+    );
+}

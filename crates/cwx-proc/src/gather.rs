@@ -12,6 +12,11 @@
 //! byte-at-a-time reader is quadratic in file size — that is the paper's
 //! 85 samples/s floor; each subsequent level removes one cost: the
 //! repeated regeneration, then the allocations, then the `open()`.
+//!
+//! An agent reads its node through a [`NodeReader`]: these keep-open
+//! gatherers ([`NodeFiles`]) unless the source can hand over the values
+//! its files are rendered from (a simulated node, see
+//! [`ProcSource::node_reader`]).
 
 use std::io;
 
@@ -84,8 +89,7 @@ impl<S: ProcSource> KeepOpenFile<S> {
     pub fn open(source: &S, path: &str) -> io::Result<Self> {
         Ok(KeepOpenFile {
             handle: source.open(path)?,
-            // most proc files are a few hundred bytes and a simulated
-            // fleet holds five of these per node; `read` doubles the
+            // most proc files are a few hundred bytes; `read` doubles the
             // buffer the first time a file fills it
             buf: vec![0; 1024],
         })
@@ -327,6 +331,98 @@ impl<S: ProcSource> DiskStatsGatherer<S> {
         diskstats::parse_apriori(b, &mut self.disks)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "diskstats parse"))?;
         Ok(&self.disks)
+    }
+}
+
+/// Everything one agent tick reads from a node: the six files, typed.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct NodeSample {
+    /// `/proc/meminfo`.
+    pub mem: MemInfo,
+    /// `/proc/stat`.
+    pub stat: stat::Stat,
+    /// `/proc/loadavg`.
+    pub load: loadavg::LoadAvg,
+    /// `/proc/uptime`.
+    pub uptime: uptime::Uptime,
+    /// `/proc/net/dev`.
+    pub net: Vec<netdev::IfStats>,
+    /// `/proc/diskstats` (empty when the source has none).
+    pub disks: Vec<diskstats::DiskStats>,
+}
+
+/// The keep-open gatherers an agent reads a text `/proc` through: one
+/// per file, diskstats optional (not every source has it).
+pub struct NodeFiles<S: ProcSource> {
+    mem: MemInfoGatherer<S>,
+    stat: StatGatherer<S>,
+    load: LoadAvgGatherer<S>,
+    up: UptimeGatherer<S>,
+    netdev: NetDevGatherer<S>,
+    disk: Option<DiskStatsGatherer<S>>,
+}
+
+impl<S: ProcSource> NodeFiles<S> {
+    /// Open every file once.
+    pub fn open(source: &S) -> io::Result<Self>
+    where
+        S: Clone,
+    {
+        Ok(NodeFiles {
+            mem: MemInfoGatherer::new(source.clone(), GatherLevel::KeepOpen)?,
+            stat: StatGatherer::new(source)?,
+            load: LoadAvgGatherer::new(source)?,
+            up: UptimeGatherer::new(source)?,
+            netdev: NetDevGatherer::new(source)?,
+            disk: DiskStatsGatherer::new(source).ok(),
+        })
+    }
+
+    /// Sample every file into `out`, reusing its vectors.
+    pub fn read(&mut self, out: &mut NodeSample) -> io::Result<()> {
+        out.mem = self.mem.sample()?;
+        out.stat = self.stat.sample()?;
+        out.load = self.load.sample()?;
+        out.uptime = self.up.sample()?;
+        out.net.clear();
+        out.net.extend_from_slice(self.netdev.sample()?);
+        out.disks.clear();
+        if let Some(g) = self.disk.as_mut() {
+            out.disks.extend_from_slice(g.sample()?);
+        }
+        Ok(())
+    }
+}
+
+/// Fills a [`NodeSample`] from a source's values: the
+/// [`NodeReader::Values`] path.
+pub type FillFn = Box<dyn FnMut(&mut NodeSample) -> io::Result<()> + Send>;
+
+/// How an agent reads its node every tick: what
+/// [`ProcSource::node_reader`] opens.
+pub enum NodeReader<S: ProcSource> {
+    /// The keep-open gatherers over the files' text.
+    Files(Box<NodeFiles<S>>),
+    /// A source that fills the sample from the values its files would be
+    /// rendered from, equal to what the gatherers parse, bit for bit.
+    Values(FillFn),
+}
+
+impl<S: ProcSource> NodeReader<S> {
+    /// Read one tick into `out`, reusing its vectors. Returns the number
+    /// of proc files read; a values source counts the six files it
+    /// stands in for, so the count means the same on both paths.
+    pub fn read(&mut self, out: &mut NodeSample) -> io::Result<u64> {
+        match self {
+            NodeReader::Files(files) => {
+                files.read(out)?;
+                Ok(5 + files.disk.is_some() as u64)
+            }
+            NodeReader::Values(fill) => {
+                fill(out)?;
+                Ok(6)
+            }
+        }
     }
 }
 

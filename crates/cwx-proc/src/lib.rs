@@ -24,8 +24,16 @@
 //!   by a mutable [`synthetic::SyntheticState`]. The cluster simulator
 //!   plugs node activity into this state, and tests get determinism.
 //!
+//! An agent reads its node through [`ProcSource::node_reader`]: the
+//! keep-open gatherers over the text by default (a real `/proc`), while
+//! a simulated node hands over the values its files would be rendered
+//! from, equal bit for bit to what the gatherers parse out of them, so
+//! a simulated fleet pays for neither the text nor the read buffers. The
+//! text ladder is what E1/E2 and `RealProc` agents run.
+//!
 //! Typed parsers for the five files the paper names (`meminfo`, `stat`,
-//! `loadavg`, `uptime`, `net/dev`) live in their own modules, each with a
+//! `loadavg`, `uptime`, `net/dev`) and `diskstats` live in their own
+//! modules, each with a
 //! generic allocating parser (the "before" in the paper's story) and a
 //! zero-allocation a-priori parser (the "after").
 

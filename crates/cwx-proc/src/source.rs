@@ -13,6 +13,8 @@ use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::gather::{NodeFiles, NodeReader};
+
 /// An open /proc-style file supporting positional reads.
 pub trait ProcHandle {
     /// Read up to `buf.len()` bytes at byte `offset` into `buf`,
@@ -49,6 +51,20 @@ pub trait ProcSource {
     /// Open `path` (e.g. `"meminfo"`, `"net/dev"`, relative to the proc
     /// root).
     fn open(&self, path: &str) -> io::Result<Self::Handle>;
+
+    /// Open what an agent reads this source through every tick.
+    ///
+    /// The default is the six keep-open gatherers over the files' text,
+    /// the paper's fastest configuration and what a real `/proc` needs.
+    /// A source that holds the values its files are rendered from may
+    /// hand those over instead ([`crate::synthetic::SyntheticProc`]
+    /// does), provided they equal what the gatherers parse, bit for bit.
+    fn node_reader(&self) -> io::Result<NodeReader<Self>>
+    where
+        Self: Sized + Clone,
+    {
+        Ok(NodeReader::Files(Box::new(NodeFiles::open(self)?)))
+    }
 }
 
 /// The real `/proc` of the machine we are running on.

@@ -2,16 +2,31 @@
 //!
 //! Each simulated node owns a [`SyntheticState`] describing its current
 //! activity (memory occupancy, per-CPU jiffie counters, load averages,
-//! uptime, NIC counters). [`SyntheticProc`] serves the five proc files
-//! the paper's agent reads, **regenerating the full file text on every
+//! uptime, NIC and disk counters). [`SyntheticProc`] serves the six proc
+//! files the agent reads, **regenerating the full file text on every
 //! `read_at` call** — the exact kernel-handler behaviour the paper calls
 //! "a crucial point for efficiency". A regeneration counter lets tests
-//! assert that naive byte-at-a-time readers pay the quadratic cost.
+//! assert that naive byte-at-a-time readers pay the quadratic cost. That
+//! text is what the gathering ladder (E1/E2) reads.
+//!
+//! A simulated node's agent skips the text: [`SyntheticProc`]'s
+//! [`ProcSource::node_reader`] copies the state into the typed values
+//! under one lock, equal bit for bit to what the keep-open gatherers
+//! parse out of the rendered files, and builds no gatherers or read
+//! buffers.
 
 use std::io;
 use std::sync::{Arc, Mutex};
 
+use crate::diskstats::{DiskName, DiskStats};
+use crate::gather::{NodeReader, NodeSample};
+use crate::loadavg::LoadAvg;
+use crate::meminfo::MemInfo;
+use crate::netdev::{IfName, IfStats};
+use crate::parse::next_f64;
 use crate::source::{ProcHandle, ProcSource};
+use crate::stat::{CpuTimes, Stat};
+use crate::uptime::Uptime;
 
 /// Per-disk counters for `/proc/diskstats`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,16 +194,23 @@ impl SyntheticState {
         let _ = writeln!(out, "SwapFree: {:>8} kB", self.swap_free_kb);
     }
 
-    /// Render `/proc/stat`.
-    pub fn render_stat(&self, out: &mut String) {
-        use std::fmt::Write;
-        out.clear();
+    /// The aggregate `cpu` line of `/proc/stat`: each counter summed over
+    /// all CPUs.
+    fn cpu_total(&self) -> [u64; 4] {
         let mut total = [0u64; 4];
         for cpu in &self.cpus {
             for k in 0..4 {
                 total[k] += cpu[k];
             }
         }
+        total
+    }
+
+    /// Render `/proc/stat`.
+    pub fn render_stat(&self, out: &mut String) {
+        use std::fmt::Write;
+        out.clear();
+        let total = self.cpu_total();
         let _ = writeln!(
             out,
             "cpu  {} {} {} {}",
@@ -265,6 +287,81 @@ impl SyntheticState {
         }
     }
 
+    /// The six files' values as the keep-open gatherers parse them out
+    /// of this state's rendered text, without rendering it. Counters are
+    /// copied (the text path is exact for them), names truncate as the
+    /// parsers truncate them, and the five fractional fields go through
+    /// the text path's own `{:.2}` and scanner, so every bit matches.
+    /// Fails where the text path fails: on a non-finite load or uptime.
+    /// `files` counts the files served, in the gatherers' order, up to
+    /// and including one that fails.
+    fn serve(&self, out: &mut NodeSample, files: &mut u64) -> io::Result<()> {
+        let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
+        out.mem = MemInfo {
+            total_kb: self.mem_total_kb,
+            free_kb: self.mem_free_kb,
+            buffers_kb: self.buffers_kb,
+            cached_kb: self.cached_kb,
+            swap_total_kb: self.swap_total_kb,
+            swap_free_kb: self.swap_free_kb,
+        };
+        let [user, nice, system, idle] = self.cpu_total();
+        out.stat = Stat {
+            total: CpuTimes {
+                user,
+                nice,
+                system,
+                idle,
+            },
+            ncpu: self.cpus.len(),
+            ctxt: self.ctxt,
+            btime: self.btime,
+            processes: self.processes,
+            procs_running: self.procs_running,
+            procs_blocked: self.procs_blocked,
+        };
+        let load = |x| through_text(x).ok_or_else(|| bad("loadavg parse"));
+        *files = 3;
+        out.load = LoadAvg {
+            one: load(self.load_one)?,
+            five: load(self.load_five)?,
+            fifteen: load(self.load_fifteen)?,
+            running: self.procs_running,
+            total: self.tasks_total,
+            last_pid: self.last_pid,
+        };
+        let up = |x| through_text(x).ok_or_else(|| bad("uptime parse"));
+        *files = 4;
+        out.uptime = Uptime {
+            uptime_secs: up(self.uptime_secs)?,
+            idle_secs: up(self.idle_secs)?,
+        };
+        out.net.clear();
+        out.net.extend(self.interfaces.iter().map(|i| IfStats {
+            name: IfName::new(i.name.as_bytes()),
+            rx_bytes: i.rx_bytes,
+            rx_packets: i.rx_packets,
+            rx_errs: i.rx_errs,
+            rx_drop: i.rx_drop,
+            tx_bytes: i.tx_bytes,
+            tx_packets: i.tx_packets,
+            tx_errs: i.tx_errs,
+            tx_drop: i.tx_drop,
+        }));
+        out.disks.clear();
+        out.disks.extend(self.disks.iter().map(|d| DiskStats {
+            major: d.major,
+            minor: 0,
+            name: DiskName::new(d.name.as_bytes()),
+            reads: d.reads,
+            sectors_read: d.sectors_read,
+            writes: d.writes,
+            sectors_written: d.sectors_written,
+        }));
+        *files = 6;
+        Ok(())
+    }
+
     /// Advance activity counters by `dt_secs` of simulated time given a
     /// CPU utilisation in `[0,1]` spread across all CPUs (assumes 100 Hz
     /// jiffies, the 2.4-kernel tick).
@@ -289,6 +386,34 @@ impl SyntheticState {
             d.sectors_written += (ops - ops * 2 / 3) * 16;
         }
     }
+}
+
+/// `x` as the loadavg and uptime files deliver it: printed `{:.2}`, as
+/// they print it, and read back with the gatherers' own scanner, so the
+/// bits are the text path's, rounding quirks included. `None` where that
+/// scanner finds no number (a non-finite `x`).
+fn through_text(x: f64) -> Option<f64> {
+    use std::fmt::Write;
+    /// `{:.2}` of any `f64` fits: a sign, 309 integer digits and ".00".
+    struct Digits {
+        buf: [u8; 320],
+        len: usize,
+    }
+    impl Write for Digits {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            let end = self.len + s.len();
+            let dst = self.buf.get_mut(self.len..end).ok_or(std::fmt::Error)?;
+            dst.copy_from_slice(s.as_bytes());
+            self.len = end;
+            Ok(())
+        }
+    }
+    let mut d = Digits {
+        buf: [0; 320],
+        len: 0,
+    };
+    write!(d, "{x:.2}").ok()?;
+    next_f64(&d.buf[..d.len], &mut 0)
 }
 
 /// A proc source backed by a shared [`SyntheticState`].
@@ -317,7 +442,8 @@ impl SyntheticProc {
     }
 
     /// How many times a file handler regenerated content. A direct
-    /// measure of the waste the paper's naive gatherer incurs.
+    /// measure of the waste the paper's naive gatherer incurs. An agent's
+    /// values reader counts what the keep-open gatherers would have.
     pub fn regenerations(&self) -> u64 {
         *self.regens.lock().unwrap()
     }
@@ -371,6 +497,23 @@ impl ProcSource for SyntheticProc {
             kind,
             scratch: String::new(),
         })
+    }
+
+    /// The state's values under one lock, without rendering any text.
+    /// [`SyntheticProc::regenerations`] still counts what the keep-open
+    /// gatherers regenerate (two for learning the `meminfo` layout, its
+    /// content and the end-of-file probe, then one per file served), so
+    /// the count a world snapshot records does not depend on the path.
+    fn node_reader(&self) -> io::Result<NodeReader<Self>> {
+        const POISONED: &str = "a thread panicked holding a synthetic node's lock";
+        *self.regens.lock().expect(POISONED) += 2;
+        let proc_ = self.clone();
+        Ok(NodeReader::Values(Box::new(move |out| {
+            let mut files = 0;
+            let served = proc_.state.lock().expect(POISONED).serve(out, &mut files);
+            *proc_.regens.lock().expect(POISONED) += files;
+            served
+        })))
     }
 }
 

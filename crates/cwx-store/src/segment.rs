@@ -431,7 +431,8 @@ impl Segment {
         {
             let mut f = std::fs::File::create(&tmp)?;
             f.write_all(&bytes)?;
-            f.sync_data().ok();
+            // a failed fsync must not be published by the rename below
+            f.sync_data()?;
         }
         std::fs::rename(&tmp, path)?;
         Ok(index)

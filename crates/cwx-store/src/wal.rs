@@ -238,7 +238,8 @@ impl Wal {
         {
             let mut f = File::create(&tmp)?;
             f.write_all(&header(flushes_to))?;
-            f.sync_data().ok();
+            // a failed fsync must not be published by the rename below
+            f.sync_data()?;
         }
         std::fs::rename(&tmp, &self.path)?;
         self.file = OpenOptions::new().read(true).write(true).open(&self.path)?;
