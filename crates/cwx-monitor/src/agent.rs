@@ -363,8 +363,8 @@ mod tests {
             txt_bytes += txt.tick(t, Sensors::default()).unwrap().wire_len;
         }
         // Changed floats XOR-delta to near-full-width varints, so the
-        // byte win over text is modest; the real payoff (measured in
-        // benches/wire.rs) is skipping float formatting and parsing.
+        // byte win over text is modest; the real payoff (cwxbench's
+        // encode/decode rows) is skipping float formatting and parsing.
         assert!(
             bin_bytes < txt_bytes,
             "binary wire must undercut raw text: {bin_bytes} vs {txt_bytes}"

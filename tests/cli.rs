@@ -1,7 +1,8 @@
 //! The `cwx` command line rejects input it cannot honour: a flag the
-//! subcommand does not read, or a value that does not parse, is bad
-//! usage (exit 3, flag named on stderr) — never a run with the flag
-//! silently dropped or defaulted.
+//! subcommand does not read, or a value that does not parse or is out
+//! of range, is bad usage (exit 3, flag named on stderr) — never a run
+//! with the flag silently dropped, defaulted or wrapped, and never a
+//! panic. A write that fails is exit 3 as well.
 
 use std::process::Command;
 
@@ -28,6 +29,45 @@ fn unknown_or_unparseable_flags_exit_3_naming_the_flag() {
             "ingest serve --listen 127.0.0.1:0 --secs 0 --mode thread",
             "--mode",
         ),
+        // a duration whose nanoseconds overflow must not panic or wrap
+        ("simulate --secs 99999999999", "--secs"),
+        ("simulate --fan-fail 1@99999999999", "--fan-fail"),
+        (
+            concat!(
+                "history --store ",
+                env!("CARGO_TARGET_TMPDIR"),
+                " --from 99999999999999999"
+            ),
+            "--from",
+        ),
+        (
+            concat!(
+                "history --store ",
+                env!("CARGO_TARGET_TMPDIR"),
+                " --to 99999999999999999"
+            ),
+            "--to",
+        ),
+        (
+            concat!(
+                "history --store ",
+                env!("CARGO_TARGET_TMPDIR"),
+                " --monitor temp.cpu --agg max --window 99999999999h"
+            ),
+            "--window",
+        ),
+        (
+            "fed serve --listen 127.0.0.1:0 --secs 0 --stale-after 99999999999",
+            "--stale-after",
+        ),
+        // an out-of-range value must not run
+        ("clone --nodes 0", "--nodes"),
+        ("clone --nodes 2 --image-mb 1 --loss 2", "--loss"),
+        // a failed write must not exit 0 (Cargo.toml is a file)
+        (
+            "simulate --nodes 2 --secs 10 --dump-history Cargo.toml/f.csv",
+            "--dump-history",
+        ),
     ] {
         let (code, err) = cwx(line);
         assert_eq!(code, 3, "`cwx {line}` must be refused: {err}");
@@ -47,8 +87,11 @@ fn removed_shims_are_usage_errors() {
 
 #[test]
 fn flags_a_subcommand_reads_still_work() {
-    let (code, err) = cwx("clone --nodes 4 --image-mb 1 --unicast");
-    assert_eq!(code, 0, "{err}");
+    // asking for help is not bad usage either
+    for line in ["clone --nodes 4 --image-mb 1 --unicast", "help"] {
+        let (code, err) = cwx(line);
+        assert_eq!(code, 0, "`cwx {line}`: {err}");
+    }
 }
 
 /// Run `cwx <args>` in `dir`: `(exit code, stdout)`.
