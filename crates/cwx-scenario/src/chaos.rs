@@ -128,6 +128,9 @@ fn apply_fault(sim: &mut Sim<World>, kind: FaultKind) {
             let seed = sim.world().cfg.seed ^ (n as u64);
             sim.world_mut().iceboxes[bx].feed_garbage(port, seed, 256);
         }
+        FaultKind::ClusterDisconnect(_) | FaultKind::ClusterHeal(_) => {
+            unreachable!("a parsed [cluster] manifest has no {kind}")
+        }
     }
 }
 
@@ -139,7 +142,8 @@ fn apply_fault(sim: &mut Sim<World>, kind: FaultKind) {
 ///
 /// # Panics
 ///
-/// If `m` is a `[federation]` manifest.
+/// If `m` is a `[federation]` manifest, or schedules a federation fault
+/// (a parsed manifest never does).
 pub fn run_chaos(m: &Manifest) -> (CampaignReport, Sim<World>) {
     run_chaos_observed(m, &[], &mut |_, _| {})
 }
@@ -164,7 +168,7 @@ pub(crate) fn run_chaos_observed(
     let spec = m.chaos().expect("run_chaos needs a [cluster] manifest");
     assert!(
         spec.rack_network
-            || !spec.faults.iter().any(|(_, k)| {
+            || !m.faults.iter().any(|(_, k)| {
                 matches!(k, FaultKind::PartitionRack(_) | FaultKind::HealRack(_))
             }),
         "rack partitions need rack_network"
@@ -189,17 +193,14 @@ pub(crate) fn run_chaos_observed(
     let metrics = Arc::new(Mutex::new(Metrics::default()));
 
     // the fault schedule
-    for &(at_secs, kind) in &spec.faults {
+    for &(at_secs, kind) in &m.faults {
         let checker = Arc::clone(&checker);
         let metrics = Arc::clone(&metrics);
         sim.schedule_at(
             SimTime::ZERO + SimDuration::from_secs_f64(at_secs),
             move |sim| {
-                if kind.is_outage() {
-                    let nodes = match kind {
-                        FaultKind::PartitionRack(r) => rack_nodes(sim.world(), r),
-                        _ => kind.node().into_iter().collect(),
-                    };
+                let nodes = outage_nodes(sim.world(), kind);
+                if !nodes.is_empty() {
                     let now = sim.now();
                     let mut m = metrics.lock().expect(POISONED);
                     m.outages.extend(nodes.into_iter().map(|node| Outage {
@@ -326,10 +327,16 @@ fn destructive(kind: FaultKind) -> bool {
     )
 }
 
-fn rack_nodes(w: &World, rack: usize) -> Vec<u32> {
-    (0..w.nodes.len() as u32)
-        .filter(|&n| World::rack_of(n).0 == rack)
-        .collect()
+/// The nodes an outage fault takes down, which the availability and
+/// MTTR metrics track; empty for every other kind.
+fn outage_nodes(w: &World, kind: FaultKind) -> Vec<u32> {
+    match kind {
+        FaultKind::KernelPanic(n) | FaultKind::PsuFailure(n) => vec![n],
+        FaultKind::PartitionRack(rack) => (0..w.nodes.len() as u32)
+            .filter(|&n| World::rack_of(n).0 == rack)
+            .collect(),
+        _ => Vec::new(),
+    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 use clusterworx::lifecycle::LifecycleState;
 
 use crate::artifact::esc_json;
-use crate::fault::FAULT_SLUGS;
+use crate::fault::KINDS;
 use crate::json::{self, Json};
 
 /// Lifecycle state names the scoreboard tracks (the `Failed(_)`
@@ -138,9 +138,9 @@ impl Scoreboard {
 
     /// Fault kinds no merged run has injected.
     pub fn uncovered_faults(&self) -> Vec<&'static str> {
-        FAULT_SLUGS
+        KINDS
             .iter()
-            .copied()
+            .map(|k| k.slug)
             .filter(|f| !self.cells.keys().any(|(cf, _)| cf == f))
             .collect()
     }
@@ -161,7 +161,7 @@ impl Scoreboard {
             out,
             "{{\"schema\":\"cwx-coverage-v1\",\"runs\":{},\"fault_kinds\":{},\"states\":{},\"covered_cells\":{}",
             self.runs,
-            FAULT_SLUGS.len(),
+            KINDS.len(),
             STATE_SLUGS.len(),
             self.cells.len()
         );
@@ -264,6 +264,11 @@ mod tests {
         assert!(b.uncovered_faults().contains(&"psu-failure"));
         assert!(b.uncovered_states().contains(&"Quarantined"));
         assert!(!b.uncovered_faults().contains(&"agent-crash"));
+        // federation kinds are rows of the same grid
+        assert!(b.uncovered_faults().contains(&"cluster-heal"));
+        b.record(&run("large", &["cluster-disconnect"], &["Up"]));
+        assert!(!b.uncovered_faults().contains(&"cluster-disconnect"));
+        assert!(b.to_json().contains("\"fault_kinds\":20,"));
     }
 
     #[test]

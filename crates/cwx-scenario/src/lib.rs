@@ -24,11 +24,13 @@
 //!
 //! The paper sells ClusterWorX on resilience claims — failed nodes are
 //! detected, power-cycled, quarantined; the administrator hears about
-//! each incident once. A `[cluster]` manifest turns those claims into
-//! executable checks: [`run_chaos`] injects its [`FaultKind`] schedule
+//! each incident once. A manifest's [`FaultKind`] schedule makes those
+//! claims executable, in either mode. A `[federation]` manifest severs
+//! and restores sub-cluster uplinks. A `[cluster]` manifest's schedule
 //! (network segments, ICE Box chassis, monitoring agents, node
-//! hardware, temperature probes) into a simulated fleet under one seed
-//! while an invariant checker watches the management plane's promises:
+//! hardware, temperature probes) is what [`run_chaos`] injects into a
+//! simulated fleet under one seed while an invariant checker watches
+//! the management plane's promises:
 //!
 //! 1. every lifecycle transition crosses a legal edge,
 //! 2. no control-plane command is silently dropped (audit accounting),
@@ -69,7 +71,7 @@ pub use coverage::{scale_band, state_slug, CoverageRun, Scoreboard, SCALE_BANDS,
 pub use fault::FaultKind;
 pub use invariants::{InvariantPolicy, Violation};
 pub use manifest::{
-    Assertions, ChaosSpec, FedFault, FedSpec, FinalUp, Limits, Manifest, ManifestError, Mode,
+    Assertions, ChaosSpec, FedSpec, FinalUp, Limits, Manifest, ManifestError, Mode,
     SCENARIO_VERSION,
 };
 pub use run::{run_scenario, run_scenario_with, Outcome, RunOptions, ScenarioResult};

@@ -12,7 +12,7 @@ use std::fmt;
 
 use cwx_icebox::NODE_PORTS;
 
-use crate::fault::{FaultKind, FAULT_SLUGS};
+use crate::fault::{all_operands, Arg, FaultKind, FaultMode, KindRow, Operand, Read, KINDS};
 use crate::invariants::InvariantPolicy;
 use crate::snapshot::secs_to_nanos;
 use crate::toml::{self, Entry, Table, Value};
@@ -60,17 +60,6 @@ pub struct ChaosSpec {
     pub quarantine_release_secs: Option<f64>,
     /// Invariant checker tunables.
     pub policy: InvariantPolicy,
-    /// Scheduled faults, run-relative seconds, in manifest order.
-    pub faults: Vec<(f64, FaultKind)>,
-}
-
-/// A fault against a federated sub-cluster's uplink.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FedFault {
-    /// Sever a sub-cluster's uplink to the head.
-    Disconnect(u16),
-    /// Restore it.
-    Heal(u16),
 }
 
 /// A federation-mode scenario: a head cluster aggregating sub-clusters
@@ -85,8 +74,6 @@ pub struct FedSpec {
     pub uplink_secs: f64,
     /// Staleness bound for sub-cluster views, seconds.
     pub stale_after_secs: f64,
-    /// Scheduled uplink faults, run-relative seconds, in manifest order.
-    pub faults: Vec<(f64, FedFault)>,
 }
 
 /// Which runtime a manifest drives.
@@ -150,6 +137,9 @@ pub struct Manifest {
     pub settle_secs: f64,
     /// Chaos or federation runtime.
     pub mode: Mode,
+    /// Scheduled faults, run-relative seconds, in manifest order. The
+    /// parser admits only kinds of this manifest's mode.
+    pub faults: Vec<(f64, FaultKind)>,
     /// Resource limits.
     pub limits: Limits,
     /// Pass/fail demands.
@@ -162,17 +152,26 @@ pub struct Manifest {
     pub checkpoints: Vec<f64>,
 }
 
+/// The `[section]` names a manifest may use.
+#[rustfmt::skip]
+const SECTIONS: [&str; 7] =
+    ["cluster", "federation", "run", "invariants", "limits", "assertions", "checkpoints"];
+
 // ---------- typed value extraction ----------
+
+/// The error for an entry whose value is not `what` its key takes.
+fn wrong_type<T>(e: &Entry, what: &str) -> Result<T, ManifestError> {
+    let got = e.value.type_name();
+    err(format!(
+        "line {}: `{}` must be {what}, got {got}",
+        e.line, e.key
+    ))
+}
 
 fn want_int(e: &Entry) -> Result<i64, ManifestError> {
     match e.value {
         Value::Int(i) => Ok(i),
-        ref v => err(format!(
-            "line {}: `{}` must be an integer, got {}",
-            e.line,
-            e.key,
-            v.type_name()
-        )),
+        _ => wrong_type(e, "an integer"),
     }
 }
 
@@ -182,17 +181,35 @@ fn want_u64(e: &Entry) -> Result<u64, ManifestError> {
         .map_err(|_| ManifestError(format!("line {}: `{}` must be nonnegative", e.line, e.key)))
 }
 
+/// A nonnegative integer that fits `T`.
+fn want_uint<T: TryFrom<u64>>(e: &Entry) -> Result<T, ManifestError> {
+    T::try_from(want_u64(e)?)
+        .map_err(|_| ManifestError(format!("line {}: `{}` is too large", e.line, e.key)))
+}
+
+/// A positive integer that fits `T`.
+fn want_positive<T: TryFrom<u64>>(e: &Entry) -> Result<T, ManifestError> {
+    if want_u64(e)? == 0 {
+        return err(format!("line {}: `{}` must be positive", e.line, e.key));
+    }
+    want_uint(e)
+}
+
 fn want_f64(e: &Entry) -> Result<f64, ManifestError> {
     match e.value {
         Value::Int(i) => Ok(i as f64),
         Value::Float(x) => Ok(x),
-        ref v => err(format!(
-            "line {}: `{}` must be a number, got {}",
-            e.line,
-            e.key,
-            v.type_name()
-        )),
+        _ => wrong_type(e, "a number"),
     }
+}
+
+/// A number within 0..=1.
+fn want_share(e: &Entry) -> Result<f64, ManifestError> {
+    let x = want_f64(e)?;
+    if !(0.0..=1.0).contains(&x) {
+        return err(format!("line {}: `{}` must be within 0..=1", e.line, e.key));
+    }
+    Ok(x)
 }
 
 /// A duration in seconds. It must be positive on the runner's
@@ -215,474 +232,277 @@ fn want_pos_f64(e: &Entry) -> Result<f64, ManifestError> {
 fn want_str(e: &Entry) -> Result<&str, ManifestError> {
     match e.value {
         Value::Str(ref s) => Ok(s),
-        ref v => err(format!(
-            "line {}: `{}` must be a string, got {}",
-            e.line,
-            e.key,
-            v.type_name()
-        )),
+        _ => wrong_type(e, "a string"),
     }
 }
 
 fn want_bool(e: &Entry) -> Result<bool, ManifestError> {
     match e.value {
         Value::Bool(b) => Ok(b),
-        ref v => err(format!(
-            "line {}: `{}` must be a boolean, got {}",
-            e.line,
-            e.key,
-            v.type_name()
-        )),
+        _ => wrong_type(e, "a boolean"),
     }
 }
 
-fn unknown_key(section: &str, e: &Entry, legal: &[&str]) -> ManifestError {
-    ManifestError(format!(
-        "line {}: unknown key `{}` in {section} (legal keys: {})",
-        e.line,
-        e.key,
-        legal.join(", ")
-    ))
+/// Reads one section. Each read of a key, with the function that types
+/// and range-checks its value, is that key's declaration: [`Self::finish`]
+/// rejects any entry no read asked for and lists the keys that were.
+struct Section<'a> {
+    /// How messages name the section (`[run]`, `the top level`).
+    name: &'static str,
+    /// The section's entries (`None`: the manifest leaves it out).
+    table: Option<&'a Table>,
+    /// Keys read so far, in read order.
+    read: Vec<&'static str>,
+}
+
+impl<'a> Section<'a> {
+    fn new(name: &'static str, table: Option<&'a Table>) -> Section<'a> {
+        Section {
+            name,
+            table,
+            read: Vec::new(),
+        }
+    }
+
+    /// Declare `key`: its entry, when the section has one.
+    fn entry(&mut self, key: &'static str) -> Option<&'a Entry> {
+        self.read.push(key);
+        self.table?.get(key)
+    }
+
+    /// Declare `key` and read its value with `want`.
+    fn get<T>(
+        &mut self,
+        key: &'static str,
+        want: impl FnOnce(&'a Entry) -> Result<T, ManifestError>,
+    ) -> Result<Option<T>, ManifestError> {
+        self.entry(key).map(want).transpose()
+    }
+
+    /// [`Self::get`] for a key the section must have.
+    fn need<T>(
+        &mut self,
+        key: &'static str,
+        want: impl FnOnce(&'a Entry) -> Result<T, ManifestError>,
+    ) -> Result<T, ManifestError> {
+        self.get(key, want)?.ok_or_else(|| {
+            let line = self.table.map_or(0, |t| t.line);
+            ManifestError(format!("line {line}: {} needs `{key}`", self.name))
+        })
+    }
+
+    /// Reject the first entry no read declared.
+    fn finish(self) -> Result<(), ManifestError> {
+        let entries = self.table.map_or(&[][..], |t| &t.entries);
+        match entries
+            .iter()
+            .find(|e| !self.read.contains(&e.key.as_str()))
+        {
+            Some(e) => err(format!(
+                "line {}: unknown key `{}` in {} (legal keys: {})",
+                e.line,
+                e.key,
+                self.name,
+                self.read.join(", ")
+            )),
+            None => Ok(()),
+        }
+    }
 }
 
 // ---------- fault lowering ----------
 
-struct FaultCtx {
+/// What a `[[fault]]` entry is checked against.
+struct FaultScope {
+    mode: FaultMode,
+    duration_secs: f64,
     n_nodes: u32,
     n_racks: usize,
+    clusters: u16,
     rack_network: bool,
-    duration_secs: f64,
 }
 
-fn lower_chaos_fault(t: &Table, ctx: &FaultCtx) -> Result<(f64, FaultKind), ManifestError> {
-    let mut at = None;
-    let mut kind = None;
-    let mut rack = None;
-    let mut chassis = None;
-    let mut node = None;
-    let mut secs = None;
-    let mut loss = None;
-    let mut bps = None;
-    let mut delta = None;
-    let mut cluster = None;
-    for e in &t.entries {
-        match e.key.as_str() {
-            "at" => at = Some(want_f64(e)?),
-            "kind" => kind = Some((want_str(e)?.to_string(), e.line)),
-            "rack" => rack = Some((want_u64(e)?, e.line)),
-            "chassis" => chassis = Some((want_u64(e)?, e.line)),
-            "node" => node = Some((want_u64(e)?, e.line)),
-            "secs" => secs = Some(want_pos_f64(e)?),
-            "loss" => {
-                let x = want_f64(e)?;
-                if !(0.0..=1.0).contains(&x) {
-                    return err(format!("line {}: `loss` must be within 0..=1", e.line));
-                }
-                loss = Some(x);
+impl FaultScope {
+    /// Read one operand's value and check its range.
+    fn read(&self, op: &Operand, e: &Entry) -> Result<Arg, ManifestError> {
+        let below = |bound: usize, of: String| {
+            let i = want_u64(e)?;
+            if i >= bound as u64 {
+                return err(format!(
+                    "line {}: {} {i} is out of range {of}",
+                    e.line, op.key
+                ));
             }
-            "bps" => bps = Some(want_u64(e)?),
-            "delta" => delta = Some(want_f64(e)?),
-            // accepted here only so `cluster-disconnect` in a chaos
-            // scenario fails on the kind, not the operand
-            "cluster" => cluster = Some(want_u64(e)?),
-            _ => {
-                return Err(unknown_key(
-                    "[[fault]]",
-                    e,
-                    &[
-                        "at", "kind", "rack", "chassis", "node", "secs", "loss", "bps", "delta",
-                    ],
-                ))
-            }
+            Ok(Arg::Int(i))
+        };
+        let (nodes, racks, clusters) = (self.n_nodes, self.n_racks, self.clusters);
+        match op.read {
+            Read::Rack => below(racks, format!("(fleet of {nodes} nodes has {racks} racks)")),
+            Read::Node => below(nodes as usize, format!("for a fleet of {nodes} nodes")),
+            Read::Cluster => below(clusters as usize, format!("for a federation of {clusters}")),
+            Read::Secs => want_pos_f64(e).map(Arg::Num),
+            Read::Share => want_share(e).map(Arg::Num),
+            Read::Positive => want_positive(e).map(Arg::Int),
+            Read::Number => want_f64(e).map(Arg::Num),
         }
     }
-    let at =
-        at.ok_or_else(|| ManifestError(format!("line {}: [[fault]] is missing `at`", t.line)))?;
-    if !(0.0..=ctx.duration_secs).contains(&at) {
+}
+
+/// Lower one `[[fault]]` entry: its time, then its kind (known, and of
+/// this scenario's mode), then exactly the operands its row declares.
+fn lower_fault(t: &Table, scope: &FaultScope) -> Result<(f64, FaultKind), ManifestError> {
+    let mut s = Section::new("[[fault]]", Some(t));
+    let at = s.need("at", want_f64)?;
+    if !(0.0..=scope.duration_secs).contains(&at) {
         return err(format!(
             "line {}: fault time {at} is outside the run's [0, {}] window",
-            t.line, ctx.duration_secs
+            t.line, scope.duration_secs
         ));
     }
-    let (kind_name, kind_line) =
-        kind.ok_or_else(|| ManifestError(format!("line {}: [[fault]] is missing `kind`", t.line)))?;
-
-    let take_rack = |pair: Option<(u64, usize)>, key: &str| -> Result<usize, ManifestError> {
-        let (r, line) = pair.ok_or_else(|| {
-            ManifestError(format!("line {}: `{kind_name}` needs `{key}`", t.line))
-        })?;
-        if r as usize >= ctx.n_racks {
-            return err(format!(
-                "line {line}: {key} {r} is out of range (fleet of {} nodes has {} racks)",
-                ctx.n_nodes, ctx.n_racks
-            ));
-        }
-        Ok(r as usize)
+    let (name, kind_line) = s.need("kind", |e| Ok((want_str(e)?, e.line)))?;
+    let Some(row) = KindRow::named(name) else {
+        let legal = KINDS.iter().filter(|k| k.mode == scope.mode);
+        let legal: Vec<_> = legal.map(|k| k.slug).collect();
+        return err(format!(
+            "line {kind_line}: unknown fault kind {name:?} (one of: {})",
+            legal.join(", ")
+        ));
     };
-    let take_node = |pair: Option<(u64, usize)>| -> Result<u32, ManifestError> {
-        let (n, line) = pair
-            .ok_or_else(|| ManifestError(format!("line {}: `{kind_name}` needs `node`", t.line)))?;
-        if n >= ctx.n_nodes as u64 {
+    if row.mode != scope.mode {
+        return err(format!(
+            "line {kind_line}: `{name}` is a {} fault; this is a [{}] scenario",
+            row.mode.name(),
+            scope.mode.name()
+        ));
+    }
+    for op in all_operands() {
+        if s.entry(op.key).is_some() && !row.operands.contains(op) {
             return err(format!(
-                "line {line}: node {n} is out of range for a fleet of {} nodes",
-                ctx.n_nodes
-            ));
-        }
-        Ok(n as u32)
-    };
-    let need_secs = || -> Result<f64, ManifestError> {
-        secs.ok_or_else(|| ManifestError(format!("line {}: `{kind_name}` needs `secs`", t.line)))
-    };
-
-    // operands each kind consumes; anything else present is an error
-    let (kind, used): (FaultKind, &[&str]) = match kind_name.as_str() {
-        "partition-rack" => (
-            FaultKind::PartitionRack(take_rack(rack, "rack")?),
-            &["rack"],
-        ),
-        "heal-rack" => (FaultKind::HealRack(take_rack(rack, "rack")?), &["rack"]),
-        "rack-loss" => {
-            let l = loss.ok_or_else(|| {
-                ManifestError(format!("line {}: `rack-loss` needs `loss`", t.line))
-            })?;
-            (
-                FaultKind::RackLoss(take_rack(rack, "rack")?, l),
-                &["rack", "loss"],
-            )
-        }
-        "rack-bandwidth" => {
-            let (b, _) = bps.map(|b| (b, 0)).ok_or_else(|| {
-                ManifestError(format!("line {}: `rack-bandwidth` needs `bps`", t.line))
-            })?;
-            (
-                FaultKind::RackBandwidth(take_rack(rack, "rack")?, b),
-                &["rack", "bps"],
-            )
-        }
-        "chassis-restart" => (
-            FaultKind::ChassisRestart(take_rack(chassis, "chassis")?),
-            &["chassis"],
-        ),
-        "agent-crash" => (FaultKind::AgentCrash(take_node(node)?), &["node"]),
-        "agent-hang" => (
-            FaultKind::AgentHang(take_node(node)?, need_secs()?),
-            &["node", "secs"],
-        ),
-        "agent-delay" => (
-            FaultKind::AgentDelay(take_node(node)?, need_secs()?),
-            &["node", "secs"],
-        ),
-        "agent-duplicate" => (FaultKind::AgentDuplicate(take_node(node)?), &["node"]),
-        "agent-recover" => (FaultKind::AgentRecover(take_node(node)?), &["node"]),
-        "kernel-panic" => (FaultKind::KernelPanic(take_node(node)?), &["node"]),
-        "fan-failure" => (FaultKind::FanFailure(take_node(node)?), &["node"]),
-        "psu-failure" => (FaultKind::PsuFailure(take_node(node)?), &["node"]),
-        "memory-leak" => (FaultKind::MemoryLeak(take_node(node)?), &["node"]),
-        "probe-stuck" => (FaultKind::ProbeStuck(take_node(node)?), &["node"]),
-        "probe-skew" => {
-            let d = delta.ok_or_else(|| {
-                ManifestError(format!("line {}: `probe-skew` needs `delta`", t.line))
-            })?;
-            (
-                FaultKind::ProbeSkew(take_node(node)?, d),
-                &["node", "delta"],
-            )
-        }
-        "probe-clear" => (FaultKind::ProbeClear(take_node(node)?), &["node"]),
-        "console-garbage" => (FaultKind::ConsoleGarbage(take_node(node)?), &["node"]),
-        "cluster-disconnect" | "cluster-heal" => {
-            return err(format!(
-                "line {kind_line}: `{kind_name}` is a federation fault; this is a [cluster] scenario"
-            ));
-        }
-        other => {
-            return err(format!(
-                "line {kind_line}: unknown fault kind {other:?} (one of: {})",
-                FAULT_SLUGS.join(", ")
-            ));
-        }
-    };
-
-    // reject operands the kind does not take
-    let present: [(&str, bool); 8] = [
-        ("rack", rack.is_some()),
-        ("chassis", chassis.is_some()),
-        ("node", node.is_some()),
-        ("secs", secs.is_some()),
-        ("loss", loss.is_some()),
-        ("bps", bps.is_some()),
-        ("delta", delta.is_some()),
-        ("cluster", cluster.is_some()),
-    ];
-    for (name, here) in present {
-        if here && !used.contains(&name) {
-            return err(format!(
-                "line {}: `{kind_name}` does not take `{name}`",
-                t.line
+                "line {}: `{name}` does not take `{}`",
+                t.line, op.key
             ));
         }
     }
-
-    if matches!(kind, FaultKind::PartitionRack(_) | FaultKind::HealRack(_)) && !ctx.rack_network {
+    s.finish()?;
+    let args = row.operands.iter().map(|op| match t.get(op.key) {
+        Some(e) => scope.read(op, e),
+        None => err(format!("line {}: `{name}` needs `{}`", t.line, op.key)),
+    });
+    let kind = (row.build)(&args.collect::<Result<Vec<_>, _>>()?);
+    if matches!(kind, FaultKind::PartitionRack(_) | FaultKind::HealRack(_)) && !scope.rack_network {
         return err(format!(
-            "line {}: `{kind_name}` needs `rack_network = true` in [cluster]",
+            "line {}: `{name}` needs `rack_network = true` in [cluster]",
             t.line
         ));
     }
     Ok((at, kind))
 }
 
-fn lower_fed_fault(
-    t: &Table,
-    clusters: u16,
-    duration_secs: f64,
-) -> Result<(f64, FedFault), ManifestError> {
-    let mut at = None;
-    let mut kind = None;
-    let mut cluster = None;
-    for e in &t.entries {
-        match e.key.as_str() {
-            "at" => at = Some(want_f64(e)?),
-            "kind" => kind = Some((want_str(e)?.to_string(), e.line)),
-            "cluster" => cluster = Some((want_u64(e)?, e.line)),
-            _ => return Err(unknown_key("[[fault]]", e, &["at", "kind", "cluster"])),
-        }
-    }
-    let at =
-        at.ok_or_else(|| ManifestError(format!("line {}: [[fault]] is missing `at`", t.line)))?;
-    if !(0.0..=duration_secs).contains(&at) {
-        return err(format!(
-            "line {}: fault time {at} is outside the run's [0, {duration_secs}] window",
-            t.line
-        ));
-    }
-    let (kind_name, kind_line) =
-        kind.ok_or_else(|| ManifestError(format!("line {}: [[fault]] is missing `kind`", t.line)))?;
-    let (c, line) = cluster
-        .ok_or_else(|| ManifestError(format!("line {}: `{kind_name}` needs `cluster`", t.line)))?;
-    if c >= clusters as u64 {
-        return err(format!(
-            "line {line}: cluster {c} is out of range for a federation of {clusters}"
-        ));
-    }
-    let fault = match kind_name.as_str() {
-        "cluster-disconnect" => FedFault::Disconnect(c as u16),
-        "cluster-heal" => FedFault::Heal(c as u16),
-        other => {
-            return err(format!(
-                "line {kind_line}: unknown federation fault kind {other:?} \
-                 (one of: cluster-disconnect, cluster-heal)"
-            ));
-        }
-    };
-    Ok((at, fault))
-}
-
 // ---------- section lowering ----------
 
-fn lower_assertions(t: Option<&Table>, federation: bool) -> Result<Assertions, ManifestError> {
-    let mut a = Assertions::default();
-    let Some(t) = t else { return Ok(a) };
-    for e in &t.entries {
-        let chaos_only = |what: &str| {
-            ManifestError(format!(
-                "line {}: assertion `{what}` only applies to [cluster] scenarios",
-                e.line
-            ))
-        };
-        let fed_only = |what: &str| {
-            ManifestError(format!(
-                "line {}: assertion `{what}` only applies to [federation] scenarios",
-                e.line
-            ))
-        };
-        match e.key.as_str() {
-            "min_availability" if federation => return Err(chaos_only("min_availability")),
-            "min_availability" => {
-                let x = want_f64(e)?;
-                if !(0.0..=1.0).contains(&x) {
-                    return err(format!(
-                        "line {}: `min_availability` must be within 0..=1",
-                        e.line
-                    ));
-                }
-                a.min_availability = Some(x);
-            }
-            "final_up" if federation => return Err(chaos_only("final_up")),
-            "final_up" => {
-                a.final_up = Some(match &e.value {
-                    Value::Str(s) if s == "all" => FinalUp::All,
-                    Value::Int(i) if *i >= 0 => FinalUp::Exactly(*i as u64),
-                    v => {
-                        return err(format!(
-                            "line {}: `final_up` must be \"all\" or a nonnegative integer, got {v}",
-                            e.line
-                        ))
-                    }
-                });
-            }
-            "max_emails" if federation => return Err(chaos_only("max_emails")),
-            "max_emails" => a.max_emails = Some(want_u64(e)?),
-            "quarantined_empty" if federation => return Err(chaos_only("quarantined_empty")),
-            "quarantined_empty" => a.quarantined_empty = Some(want_bool(e)?),
-            "audit_hash" if federation => return Err(chaos_only("audit_hash")),
-            "audit_hash" => {
-                let s = want_str(e)?;
-                let hex = s.strip_prefix("0x").unwrap_or(s);
-                let parsed = (hex.len() == 16)
-                    .then(|| u64::from_str_radix(hex, 16).ok())
-                    .flatten();
-                match parsed {
-                    Some(h) => a.audit_hash = Some(h),
-                    None => {
-                        return err(format!(
-                            "line {}: `audit_hash` must be 16 hex digits, got {s:?}",
-                            e.line
-                        ))
-                    }
-                }
-            }
-            "census_match" if !federation => return Err(fed_only("census_match")),
-            "census_match" => a.census_match = Some(want_bool(e)?),
-            "total_nodes" if !federation => return Err(fed_only("total_nodes")),
-            "total_nodes" => a.total_nodes = Some(want_u64(e)?),
-            _ => {
-                return Err(unknown_key(
-                    "[assertions]",
-                    e,
-                    &[
-                        "min_availability",
-                        "final_up",
-                        "max_emails",
-                        "quarantined_empty",
-                        "audit_hash",
-                        "census_match",
-                        "total_nodes",
-                    ],
-                ))
-            }
-        }
-    }
+fn lower_assertions(t: Option<&Table>, mode: FaultMode) -> Result<Assertions, ManifestError> {
+    use FaultMode::{Cluster, Federation};
+    let mut s = Section::new("[assertions]", t);
+    // each assertion applies to one mode; naming it in the other is an error
+    let mut key = |key: &'static str, applies: FaultMode| match s.entry(key) {
+        Some(e) if applies != mode => err(format!(
+            "line {}: assertion `{key}` only applies to [{}] scenarios",
+            e.line,
+            applies.name()
+        )),
+        e => Ok(e),
+    };
+    let a = Assertions {
+        min_availability: key("min_availability", Cluster)?
+            .map(want_share)
+            .transpose()?,
+        final_up: key("final_up", Cluster)?.map(want_final_up).transpose()?,
+        max_emails: key("max_emails", Cluster)?.map(want_u64).transpose()?,
+        quarantined_empty: key("quarantined_empty", Cluster)?
+            .map(want_bool)
+            .transpose()?,
+        audit_hash: key("audit_hash", Cluster)?.map(want_hash).transpose()?,
+        census_match: key("census_match", Federation)?
+            .map(want_bool)
+            .transpose()?,
+        total_nodes: key("total_nodes", Federation)?.map(want_u64).transpose()?,
+    };
+    s.finish()?;
     Ok(a)
 }
 
-fn lower_limits(t: Option<&Table>) -> Result<Limits, ManifestError> {
-    let mut limits = Limits::default();
-    let Some(t) = t else { return Ok(limits) };
-    for e in &t.entries {
-        match e.key.as_str() {
-            "max_wall_ms" => {
-                let v = want_u64(e)?;
-                if v == 0 {
-                    return err(format!("line {}: `max_wall_ms` must be positive", e.line));
-                }
-                limits.max_wall_ms = Some(v);
-            }
-            _ => return Err(unknown_key("[limits]", e, &["max_wall_ms"])),
-        }
+fn want_final_up(e: &Entry) -> Result<FinalUp, ManifestError> {
+    match &e.value {
+        Value::Str(s) if s == "all" => Ok(FinalUp::All),
+        Value::Int(i) if *i >= 0 => Ok(FinalUp::Exactly(*i as u64)),
+        v => err(format!(
+            "line {}: `final_up` must be \"all\" or a nonnegative integer, got {v}",
+            e.line
+        )),
     }
-    Ok(limits)
 }
 
-fn lower_policy(t: Option<&Table>) -> Result<InvariantPolicy, ManifestError> {
-    let mut p = InvariantPolicy::default();
-    let Some(t) = t else { return Ok(p) };
-    for e in &t.entries {
-        match e.key.as_str() {
-            "check_every" => p.check_every_secs = want_pos_f64(e)?,
-            "transient_deadline" => p.transient_deadline_secs = want_pos_f64(e)?,
-            "freshness" => p.freshness_secs = want_pos_f64(e)?,
-            _ => {
-                return Err(unknown_key(
-                    "[invariants]",
-                    e,
-                    &["check_every", "transient_deadline", "freshness"],
-                ))
-            }
-        }
-    }
-    Ok(p)
-}
-
-struct RunSection {
-    duration_secs: f64,
-    settle_secs: Option<f64>,
-}
-
-fn lower_run(t: Option<&Table>) -> Result<RunSection, ManifestError> {
-    let t = t.ok_or_else(|| ManifestError("missing required section [run]".to_string()))?;
-    let mut duration = None;
-    let mut settle = None;
-    for e in &t.entries {
-        match e.key.as_str() {
-            "duration" => duration = Some(want_pos_f64(e)?),
-            "settle" => {
-                let x = want_f64(e)?;
-                if x < 0.0 {
-                    return err(format!("line {}: `settle` must be nonnegative", e.line));
-                }
-                settle = Some(x);
-            }
-            _ => return Err(unknown_key("[run]", e, &["duration", "settle"])),
-        }
-    }
-    Ok(RunSection {
-        duration_secs: duration
-            .ok_or_else(|| ManifestError(format!("line {}: [run] needs `duration`", t.line)))?,
-        settle_secs: settle,
+/// 16 hex digits, with or without a `0x` prefix.
+fn want_hash(e: &Entry) -> Result<u64, ManifestError> {
+    let s = want_str(e)?;
+    let hex = s.strip_prefix("0x").unwrap_or(s);
+    let parsed = (hex.len() == 16)
+        .then(|| u64::from_str_radix(hex, 16).ok())
+        .flatten();
+    parsed.ok_or_else(|| {
+        ManifestError(format!(
+            "line {}: `audit_hash` must be 16 hex digits, got {s:?}",
+            e.line
+        ))
     })
 }
 
 /// Lower `[checkpoints] at = [...]`: strictly ascending simulated
 /// seconds inside `[0, duration + settle]`.
 fn lower_checkpoints(t: Option<&Table>, horizon: f64) -> Result<Vec<f64>, ManifestError> {
-    let Some(t) = t else {
+    if t.is_none() {
         return Ok(Vec::new());
-    };
-    let mut at = None;
-    for e in &t.entries {
-        match e.key.as_str() {
-            "at" => {
-                let Value::Array(items) = &e.value else {
-                    return err(format!(
-                        "line {}: `at` must be an array of times, got {}",
-                        e.line,
-                        e.value.type_name()
-                    ));
-                };
-                let mut times = Vec::with_capacity(items.len());
-                for v in items {
-                    let x = match v {
-                        Value::Int(i) => *i as f64,
-                        Value::Float(x) => *x,
-                        other => {
-                            return err(format!(
-                                "line {}: checkpoint times must be numbers, got {}",
-                                e.line,
-                                other.type_name()
-                            ))
-                        }
-                    };
-                    if !(x.is_finite() && (0.0..=horizon).contains(&x)) {
-                        return err(format!(
-                            "line {}: checkpoint time {x} outside the run (0..={horizon} seconds)",
-                            e.line
-                        ));
-                    }
-                    if times.last().is_some_and(|&prev| x <= prev) {
-                        return err(format!(
-                            "line {}: checkpoint times must be strictly ascending",
-                            e.line
-                        ));
-                    }
-                    times.push(x);
-                }
-                at = Some(times);
-            }
-            _ => return Err(unknown_key("[checkpoints]", e, &["at"])),
-        }
     }
-    at.ok_or_else(|| ManifestError(format!("line {}: [checkpoints] needs `at`", t.line)))
+    let mut s = Section::new("[checkpoints]", t);
+    let at = s.need("at", |e| {
+        let Value::Array(items) = &e.value else {
+            return err(format!(
+                "line {}: `at` must be an array of times, got {}",
+                e.line,
+                e.value.type_name()
+            ));
+        };
+        let mut times = Vec::with_capacity(items.len());
+        for v in items {
+            let x = match v {
+                Value::Int(i) => *i as f64,
+                Value::Float(x) => *x,
+                other => {
+                    return err(format!(
+                        "line {}: checkpoint times must be numbers, got {}",
+                        e.line,
+                        other.type_name()
+                    ))
+                }
+            };
+            if !(x.is_finite() && (0.0..=horizon).contains(&x)) {
+                return err(format!(
+                    "line {}: checkpoint time {x} outside the run (0..={horizon} seconds)",
+                    e.line
+                ));
+            }
+            if times.last().is_some_and(|&prev| x <= prev) {
+                return err(format!(
+                    "line {}: checkpoint times must be strictly ascending",
+                    e.line
+                ));
+            }
+            times.push(x);
+        }
+        Ok(times)
+    })?;
+    s.finish()?;
+    Ok(at)
 }
 
 impl Manifest {
@@ -690,24 +510,11 @@ impl Manifest {
     pub fn parse(text: &str) -> Result<Manifest, ManifestError> {
         let doc = toml::parse(text)?;
 
-        // top level
-        let mut version = None;
-        let mut name = None;
-        let mut seed = 0u64;
-        for e in &doc.top.entries {
-            match e.key.as_str() {
-                "scenario_version" => version = Some(want_int(e)?),
-                "name" => name = Some(want_str(e)?.to_string()),
-                "seed" => seed = want_u64(e)?,
-                _ => {
-                    return Err(unknown_key(
-                        "the top level",
-                        e,
-                        &["scenario_version", "name", "seed"],
-                    ))
-                }
-            }
-        }
+        let mut top = Section::new("the top level", Some(&doc.top));
+        let version = top.get("scenario_version", want_int)?;
+        let name = top.get("name", want_str)?;
+        let seed = top.get("seed", want_u64)?.unwrap_or(0);
+        top.finish()?;
         match version {
             Some(SCENARIO_VERSION) => {}
             Some(v) => {
@@ -725,16 +532,7 @@ impl Manifest {
 
         // every section must be one we know
         for t in &doc.tables {
-            if !matches!(
-                t.name.as_str(),
-                "cluster"
-                    | "federation"
-                    | "run"
-                    | "invariants"
-                    | "limits"
-                    | "assertions"
-                    | "checkpoints"
-            ) {
+            if !SECTIONS.contains(&t.name.as_str()) {
                 return err(format!("line {}: unknown section [{}]", t.line, t.name));
             }
         }
@@ -747,10 +545,27 @@ impl Manifest {
             }
         }
 
-        let run = lower_run(doc.table("run"))?;
-        let limits = lower_limits(doc.table("limits"))?;
+        let run = doc
+            .table("run")
+            .ok_or_else(|| ManifestError("missing required section [run]".to_string()))?;
+        let mut s = Section::new("[run]", Some(run));
+        let duration_secs = s.need("duration", want_pos_f64)?;
+        let settle_secs = s.get("settle", |e| {
+            let x = want_f64(e)?;
+            if x < 0.0 {
+                return err(format!("line {}: `settle` must be nonnegative", e.line));
+            }
+            Ok(x)
+        })?;
+        s.finish()?;
 
-        let mode = match (doc.table("cluster"), doc.table("federation")) {
+        let mut s = Section::new("[limits]", doc.table("limits"));
+        let limits = Limits {
+            max_wall_ms: s.get("max_wall_ms", want_positive)?,
+        };
+        s.finish()?;
+
+        let (mode, scope) = match (doc.table("cluster"), doc.table("federation")) {
             (Some(_), Some(f)) => {
                 return err(format!(
                     "line {}: [cluster] and [federation] are mutually exclusive",
@@ -761,68 +576,42 @@ impl Manifest {
                 return err("a scenario needs a [cluster] or [federation] section".to_string())
             }
             (Some(cluster), None) => {
-                let mut nodes = None;
-                let mut rack_network = true;
-                let mut flap_threshold = None;
-                let mut quarantine_release = None;
-                for e in &cluster.entries {
-                    match e.key.as_str() {
-                        "nodes" => {
-                            let n = want_u64(e)?;
-                            if n == 0 {
-                                return err(format!("line {}: `nodes` must be positive", e.line));
-                            }
-                            nodes = Some(u32::try_from(n).map_err(|_| {
-                                ManifestError(format!("line {}: `nodes` is too large", e.line))
-                            })?);
-                        }
-                        "rack_network" => rack_network = want_bool(e)?,
-                        "flap_threshold" => {
-                            let v = want_u64(e)?;
-                            flap_threshold = Some(u32::try_from(v).map_err(|_| {
-                                ManifestError(format!(
-                                    "line {}: `flap_threshold` is too large",
-                                    e.line
-                                ))
-                            })?);
-                        }
-                        "quarantine_release" => quarantine_release = Some(want_pos_f64(e)?),
-                        _ => {
-                            return Err(unknown_key(
-                                "[cluster]",
-                                e,
-                                &[
-                                    "nodes",
-                                    "rack_network",
-                                    "flap_threshold",
-                                    "quarantine_release",
-                                ],
-                            ))
-                        }
-                    }
-                }
-                let n_nodes = nodes.ok_or_else(|| {
-                    ManifestError(format!("line {}: [cluster] needs `nodes`", cluster.line))
-                })?;
+                let mut s = Section::new("[cluster]", Some(cluster));
+                let n_nodes: u32 = s.need("nodes", want_positive)?;
+                let rack_network = s.get("rack_network", want_bool)?.unwrap_or(true);
+                let flap_threshold = s.get("flap_threshold", want_uint)?;
+                let quarantine_release_secs = s.get("quarantine_release", want_pos_f64)?;
+                s.finish()?;
 
-                let ctx = FaultCtx {
+                let mut s = Section::new("[invariants]", doc.table("invariants"));
+                let mut policy = InvariantPolicy::default();
+                if let Some(x) = s.get("check_every", want_pos_f64)? {
+                    policy.check_every_secs = x;
+                }
+                if let Some(x) = s.get("transient_deadline", want_pos_f64)? {
+                    policy.transient_deadline_secs = x;
+                }
+                if let Some(x) = s.get("freshness", want_pos_f64)? {
+                    policy.freshness_secs = x;
+                }
+                s.finish()?;
+
+                let scope = FaultScope {
+                    mode: FaultMode::Cluster,
+                    duration_secs,
                     n_nodes,
                     n_racks: (n_nodes as usize).div_ceil(NODE_PORTS),
+                    clusters: 0,
                     rack_network,
-                    duration_secs: run.duration_secs,
                 };
-                let faults = doc
-                    .arrays_named("fault")
-                    .map(|t| lower_chaos_fault(t, &ctx))
-                    .collect::<Result<_, _>>()?;
-                Mode::Chaos(ChaosSpec {
+                let spec = ChaosSpec {
                     n_nodes,
                     rack_network,
                     flap_threshold,
-                    quarantine_release_secs: quarantine_release,
-                    policy: lower_policy(doc.table("invariants"))?,
-                    faults,
-                })
+                    quarantine_release_secs,
+                    policy,
+                };
+                (Mode::Chaos(spec), scope)
             }
             (None, Some(fed)) => {
                 if let Some(t) = doc.table("invariants") {
@@ -831,87 +620,45 @@ impl Manifest {
                         t.line
                     ));
                 }
-                let mut clusters = None;
-                let mut nodes_per = None;
-                let mut uplink = 10.0;
-                let mut stale_after = 40.0;
-                for e in &fed.entries {
-                    match e.key.as_str() {
-                        "clusters" => {
-                            let n = want_u64(e)?;
-                            if n == 0 {
-                                return err(format!(
-                                    "line {}: `clusters` must be positive",
-                                    e.line
-                                ));
-                            }
-                            clusters = Some(u16::try_from(n).map_err(|_| {
-                                ManifestError(format!("line {}: `clusters` is too large", e.line))
-                            })?);
-                        }
-                        "nodes_per_cluster" => {
-                            let n = want_u64(e)?;
-                            if n == 0 {
-                                return err(format!(
-                                    "line {}: `nodes_per_cluster` must be positive",
-                                    e.line
-                                ));
-                            }
-                            nodes_per = Some(u32::try_from(n).map_err(|_| {
-                                ManifestError(format!(
-                                    "line {}: `nodes_per_cluster` is too large",
-                                    e.line
-                                ))
-                            })?);
-                        }
-                        "uplink" => uplink = want_pos_f64(e)?,
-                        "stale_after" => stale_after = want_pos_f64(e)?,
-                        _ => {
-                            return Err(unknown_key(
-                                "[federation]",
-                                e,
-                                &["clusters", "nodes_per_cluster", "uplink", "stale_after"],
-                            ))
-                        }
-                    }
-                }
-                let clusters = clusters.ok_or_else(|| {
-                    ManifestError(format!("line {}: [federation] needs `clusters`", fed.line))
-                })?;
-                let nodes_per = nodes_per.ok_or_else(|| {
-                    ManifestError(format!(
-                        "line {}: [federation] needs `nodes_per_cluster`",
-                        fed.line
-                    ))
-                })?;
-                let faults = doc
-                    .arrays_named("fault")
-                    .map(|t| lower_fed_fault(t, clusters, run.duration_secs))
-                    .collect::<Result<_, _>>()?;
-                Mode::Federation(FedSpec {
-                    clusters,
-                    nodes_per_cluster: nodes_per,
-                    uplink_secs: uplink,
-                    stale_after_secs: stale_after,
-                    faults,
-                })
+                let mut s = Section::new("[federation]", Some(fed));
+                let spec = FedSpec {
+                    clusters: s.need("clusters", want_positive)?,
+                    nodes_per_cluster: s.need("nodes_per_cluster", want_positive)?,
+                    uplink_secs: s.get("uplink", want_pos_f64)?.unwrap_or(10.0),
+                    stale_after_secs: s.get("stale_after", want_pos_f64)?.unwrap_or(40.0),
+                };
+                s.finish()?;
+                let scope = FaultScope {
+                    mode: FaultMode::Federation,
+                    duration_secs,
+                    n_nodes: 0,
+                    n_racks: 0,
+                    clusters: spec.clusters,
+                    rack_network: false,
+                };
+                (Mode::Federation(spec), scope)
             }
         };
+        let faults = doc
+            .arrays_named("fault")
+            .map(|t| lower_fault(t, &scope))
+            .collect::<Result<_, _>>()?;
 
-        let assertions =
-            lower_assertions(doc.table("assertions"), matches!(mode, Mode::Federation(_)))?;
-        let settle_secs = run.settle_secs.unwrap_or(match mode {
-            Mode::Chaos(_) => 600.0,
-            Mode::Federation(_) => 0.0,
-        });
-        let checkpoints =
-            lower_checkpoints(doc.table("checkpoints"), run.duration_secs + settle_secs)?;
+        let assertions = lower_assertions(doc.table("assertions"), scope.mode)?;
+        let settle_default = if scope.mode == FaultMode::Cluster {
+            600.0
+        } else {
+            0.0
+        };
+        let settle_secs = settle_secs.unwrap_or(settle_default);
+        let checkpoints = lower_checkpoints(doc.table("checkpoints"), duration_secs + settle_secs)?;
         Ok(Manifest {
-            name,
+            name: name.to_string(),
             seed,
-            duration_secs: run.duration_secs,
+            duration_secs,
             settle_secs,
             mode,
+            faults,
             limits,
             assertions,
             checkpoints,
@@ -931,36 +678,20 @@ impl Manifest {
         }
     }
 
-    /// Number of scheduled faults, in either mode.
+    /// Number of scheduled faults.
     pub fn fault_count(&self) -> usize {
-        match &self.mode {
-            Mode::Chaos(spec) => spec.faults.len(),
-            Mode::Federation(spec) => spec.faults.len(),
-        }
+        self.faults.len()
     }
 
     /// The fault schedule in chronological order, rendered for reports:
     /// `(seconds, description)`. Ties keep manifest order (the order
     /// the runner applies them in).
     pub fn fault_schedule(&self) -> Vec<(f64, String)> {
-        let mut v: Vec<(f64, String)> = match &self.mode {
-            Mode::Chaos(spec) => spec
-                .faults
-                .iter()
-                .map(|(at, kind)| (*at, kind.to_string()))
-                .collect(),
-            Mode::Federation(spec) => spec
-                .faults
-                .iter()
-                .map(|(at, f)| {
-                    let d = match f {
-                        FedFault::Disconnect(c) => format!("cluster-disconnect {c}"),
-                        FedFault::Heal(c) => format!("cluster-heal {c}"),
-                    };
-                    (*at, d)
-                })
-                .collect(),
-        };
+        let mut v: Vec<(f64, String)> = self
+            .faults
+            .iter()
+            .map(|(at, kind)| (*at, kind.to_string()))
+            .collect();
         v.sort_by(|a, b| a.0.total_cmp(&b.0));
         v
     }
@@ -972,14 +703,8 @@ impl Manifest {
     pub fn with_fault_prefix(&self, k: usize) -> Manifest {
         let mut m = self.clone();
         m.checkpoints = Vec::new();
-        fn keep_prefix<T>(faults: &mut Vec<(f64, T)>, k: usize) {
-            faults.sort_by(|a, b| a.0.total_cmp(&b.0));
-            faults.truncate(k);
-        }
-        match &mut m.mode {
-            Mode::Chaos(spec) => keep_prefix(&mut spec.faults, k),
-            Mode::Federation(spec) => keep_prefix(&mut spec.faults, k),
-        }
+        m.faults.sort_by(|a, b| a.0.total_cmp(&b.0));
+        m.faults.truncate(k);
         m
     }
 }
@@ -1045,9 +770,9 @@ quarantined_empty = true
         assert_eq!(spec.quarantine_release_secs, Some(500.0));
         assert_eq!(spec.policy.transient_deadline_secs, 1800.0);
         assert_eq!(spec.policy.check_every_secs, 5.0);
-        assert_eq!(spec.faults.len(), 3);
-        assert_eq!(spec.faults[0], (100.0, FaultKind::KernelPanic(7)));
-        assert_eq!(spec.faults[1], (200.0, FaultKind::PartitionRack(2)));
+        assert_eq!(m.faults.len(), 3);
+        assert_eq!(m.faults[0], (100.0, FaultKind::KernelPanic(7)));
+        assert_eq!(m.faults[1], (200.0, FaultKind::PartitionRack(2)));
     }
 
     #[test]
@@ -1089,8 +814,11 @@ total_nodes = 48
         assert_eq!(spec.uplink_secs, 5.0);
         assert_eq!(spec.stale_after_secs, 40.0);
         assert_eq!(
-            spec.faults,
-            vec![(60.0, FedFault::Disconnect(1)), (120.0, FedFault::Heal(1))]
+            m.faults,
+            vec![
+                (60.0, FaultKind::ClusterDisconnect(1)),
+                (120.0, FaultKind::ClusterHeal(1))
+            ]
         );
         assert_eq!(m.assertions.total_nodes, Some(48));
     }
@@ -1181,6 +909,31 @@ total_nodes = 48
                 "scenario_version = 1\nname = \"x\"\n[cluster]\nnodes = 4\n[run]\nduration = 10\n\
                  [[fault]]\nat = 1\nkind = \"cluster-disconnect\"\ncluster = 0",
                 "federation fault",
+            ),
+            (
+                "fault operand out of range",
+                "scenario_version = 1\nname = \"x\"\n[cluster]\nnodes = 40\n[run]\nduration = 10\n\
+                 [[fault]]\nat = 1\nkind = \"rack-bandwidth\"\nrack = 0\nbps = 0",
+                "line 11: `bps` must be positive",
+            ),
+            (
+                "chaos fault in fed mode",
+                "scenario_version = 1\nname = \"x\"\n[federation]\nclusters = 2\nnodes_per_cluster = 4\n\
+                 [run]\nduration = 10\n[[fault]]\nat = 1\nkind = \"kernel-panic\"\nnode = 1",
+                "`kernel-panic` is a cluster fault; this is a [federation] scenario",
+            ),
+            (
+                "typo'd fed fault kind without its operand",
+                "scenario_version = 1\nname = \"x\"\n[federation]\nclusters = 2\nnodes_per_cluster = 4\n\
+                 [run]\nduration = 10\n[[fault]]\nat = 1\nkind = \"cluster-disconect\"",
+                "unknown fault kind \"cluster-disconect\"",
+            ),
+            (
+                "typo'd fault operand",
+                "scenario_version = 1\nname = \"x\"\n[cluster]\nnodes = 4\n[run]\nduration = 10\n\
+                 [[fault]]\nat = 1\nkind = \"kernel-panic\"\nnod = 1",
+                "unknown key `nod` in [[fault]] \
+                 (legal keys: at, kind, rack, loss, bps, chassis, node, secs, delta, cluster)",
             ),
             (
                 "unknown section",

@@ -21,7 +21,7 @@ use cwx_util::hash::fnv1a;
 use cwx_util::snapshot::{SnapshotFile, MODE_CHAOS, MODE_FEDERATION};
 use cwx_util::time::SimDuration;
 
-use crate::manifest::{FedFault, FedSpec, Manifest, Mode};
+use crate::manifest::{Manifest, Mode};
 
 /// Convert a manifest time (simulated seconds) to the runner's
 /// nanosecond grid — the single conversion both capture and resume
@@ -163,30 +163,32 @@ pub fn check_resumable(m: &Manifest, file: &SnapshotFile) -> Result<(), String> 
     Ok(())
 }
 
-/// The instants a federation run can actually stop at, for a set of
-/// requested capture times: each requested time rounds **up** to the
-/// next place the runner pauses — an uplink-epoch boundary within the
-/// current fault segment, or the segment end itself (a fault instant
-/// or the end of the run), whichever comes first.
+/// The instants a run can actually stop at, for a set of requested
+/// capture times. A chaos run stops anywhere. A federation run rounds
+/// each requested time **up** to the next place its runner pauses — an
+/// uplink-epoch boundary within the current fault segment, or the
+/// segment end itself (a fault instant or the end of the run),
+/// whichever comes first.
 ///
 /// Returned ascending and deduplicated. Times beyond the run's horizon
-/// `total_n` are dropped. A time that is already an effective instant (e.g. one
+/// are dropped. A time that is already an effective instant (e.g. one
 /// read back from a snapshot file) maps to itself, which is what
 /// makes capture and resume agree on where to pause.
-pub fn fed_effective_times(spec: &FedSpec, total_n: u64, requested: &[u64]) -> Vec<u64> {
-    let uplink_n = secs_to_nanos(spec.uplink_secs).max(1);
-    let mut req: Vec<u64> = requested
-        .iter()
-        .copied()
-        .filter(|&t| t <= total_n)
-        .collect();
+pub fn effective_times(m: &Manifest, requested: &[u64]) -> Vec<u64> {
+    let total_n = horizon_nanos(m);
+    let mut req = requested.to_vec();
+    req.retain(|&t| t <= total_n);
     req.sort_unstable();
     req.dedup();
+    let Mode::Federation(spec) = &m.mode else {
+        return req;
+    };
+    let uplink_n = secs_to_nanos(spec.uplink_secs).max(1);
 
     let mut out = Vec::with_capacity(req.len());
     let mut req_it = req.into_iter().peekable();
     let mut seg_start = 0u64;
-    for seg_end in fed_segment_ends(spec, total_n) {
+    for seg_end in fed_segment_ends(m) {
         while let Some(&t) = req_it.peek() {
             if t > seg_end {
                 break;
@@ -207,31 +209,16 @@ pub fn fed_effective_times(spec: &FedSpec, total_n: u64, requested: &[u64]) -> V
 }
 
 /// The federation runner's stop points in nanoseconds: each distinct
-/// fault instant, then the end of the run at `total_n`. Shared by the
-/// runner and [`fed_effective_times`] so both walk identical segments.
-pub(crate) fn fed_segment_ends(spec: &FedSpec, total_n: u64) -> Vec<u64> {
-    let mut faults = spec.faults.clone();
-    faults.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut ends: Vec<u64> = faults
-        .iter()
-        .map(|(at, _)| secs_to_nanos(*at))
-        .filter(|&n| n > 0 && n < total_n)
-        .collect();
+/// fault instant, then the end of the run. Shared by the runner and
+/// [`effective_times`] so both walk identical segments.
+pub(crate) fn fed_segment_ends(m: &Manifest) -> Vec<u64> {
+    let total_n = horizon_nanos(m);
+    let mut ends: Vec<u64> = m.faults.iter().map(|f| secs_to_nanos(f.0)).collect();
+    ends.retain(|&n| n > 0 && n < total_n);
+    ends.sort_unstable();
     ends.dedup();
     ends.push(total_n);
     ends
-}
-
-/// The faults scheduled at exactly `at_nanos` on the runner's grid, in
-/// manifest-application order.
-pub(crate) fn fed_faults_at(spec: &FedSpec, at_nanos: u64) -> Vec<FedFault> {
-    let mut faults = spec.faults.clone();
-    faults.sort_by(|a, b| a.0.total_cmp(&b.0));
-    faults
-        .iter()
-        .filter(|(at, _)| secs_to_nanos(*at) == at_nanos)
-        .map(|(_, f)| *f)
-        .collect()
 }
 
 #[cfg(test)]
@@ -276,23 +263,22 @@ mod tests {
     #[test]
     fn fed_times_round_up_to_epoch_boundaries() {
         let m = fed_manifest(true);
-        let Mode::Federation(spec) = &m.mode else {
-            panic!()
-        };
         let s = secs_to_nanos;
         // segments: [0,35], [35,80], [80,120]; uplink 10s
         // 12s -> epoch boundary 20s; 31s -> capped at segment end 35s;
         // 40s -> 35+10 = 45s; 35s -> itself (a segment end);
         // 119s -> capped at 120s; 300s -> dropped (beyond the run)
-        let total_n = horizon_nanos(&m);
-        let eff = fed_effective_times(
-            spec,
-            total_n,
-            &[s(12.0), s(31.0), s(35.0), s(40.0), s(119.0), s(300.0)],
-        );
+        let requested = [s(12.0), s(31.0), s(35.0), s(40.0), s(119.0), s(300.0)];
+        let eff = effective_times(&m, &requested);
         assert_eq!(eff, vec![s(20.0), s(35.0), s(45.0), s(120.0)]);
         // effective instants are fixed points
-        assert_eq!(fed_effective_times(spec, total_n, &eff), eff);
+        assert_eq!(effective_times(&m, &eff), eff);
+        // a chaos run (horizon 100 + 600 s settle) stops at every one
+        let chaos = Manifest::parse(
+            "scenario_version = 1\nname = \"c\"\n[cluster]\nnodes = 4\n[run]\nduration = 100",
+        )
+        .expect("parses");
+        assert_eq!(effective_times(&chaos, &requested), requested);
     }
 
     #[test]
