@@ -44,7 +44,7 @@ use cwx_proc::synthetic::SyntheticProc;
 use cwx_store::disk::{DiskStore, StoreConfig};
 use cwx_store::mem::MemStore;
 use cwx_store::Store;
-use cwx_util::time::{SimDuration, SimTime};
+use cwx_util::time::{wall_since, SimDuration, SimTime};
 use parking_lot::{Mutex, RwLock};
 
 use crate::actions::{CommandTransport, ControlPlane, Effect, NoGate};
@@ -179,7 +179,7 @@ fn agent_loop(
             }
         }
         proc_.with_state(|s| s.tick(cfg.interval.as_secs_f64(), cfg.util));
-        let now = SimTime::ZERO + SimDuration::from_secs_f64(started.elapsed().as_secs_f64());
+        let now = wall_since(started);
         let sensors = Sensors {
             cpu_temp_c: 40.0 + 20.0 * cfg.util,
             board_temp_c: 35.0,
@@ -248,7 +248,7 @@ fn controller_loop(
     let boot_delay = SimDuration::from_secs_f64(cfg.boot_delay.as_secs_f64());
     let mut boots: Vec<PendingBoot> = Vec::new();
     loop {
-        let now = SimTime::ZERO + SimDuration::from_secs_f64(epoch.elapsed().as_secs_f64());
+        let now = wall_since(epoch);
         // boots reach their milestones on the wall clock
         let mut cp = control.lock();
         for b in &mut boots {

@@ -1,18 +1,21 @@
 //! Length-prefixed frame streams over nonblocking sockets.
 //!
-//! Both realtime wire protocols in this workspace — `CWB1` monitoring
-//! reports on agent uplinks and `CWF1` federation frames — travel as
-//! `u32` little-endian length-prefixed frames over TCP. This module
-//! holds the per-connection state machine a readiness reactor needs:
+//! Every realtime wire protocol in this workspace — `CWB1` monitoring
+//! reports and `CWQ1` queries on the ingest plane, `CWF1` federation
+//! frames — travels as `u32` little-endian length-prefixed frames over
+//! TCP, and this module is the one place that framing is written
+//! ([`put_frame`]) and read:
 //!
-//! * [`FrameBuffer`] accumulates wire bytes across readiness events in
-//!   one reused buffer and yields complete frames as borrowed slices —
-//!   a partial frame survives to the next event, and a complete frame
-//!   is handed to the decoder without a copy.
+//! * [`FrameBuffer`] accumulates wire bytes across reads in one reused
+//!   buffer and yields complete frames as borrowed slices — a partial
+//!   frame survives to the next readiness event (or, on a blocking
+//!   socket, the next read after a timeout), and a complete frame is
+//!   handed to the decoder without a copy.
 //! * [`FrameConn`] pairs a nonblocking [`TcpStream`] with a
 //!   [`FrameBuffer`] and a bounded outbound queue, surfacing explicit
 //!   [`ConnError`]s — oversized frames, send-queue overflow (a peer that
-//!   stopped draining) — instead of blocking a thread.
+//!   stopped draining) — instead of blocking a thread. Servers hold
+//!   their `FrameConn`s in a [`crate::conns::ConnTable`].
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -202,7 +205,7 @@ pub fn put_frame(out: &mut Vec<u8>, body: &[u8]) {
 /// A nonblocking framed TCP connection driven by a readiness reactor.
 #[derive(Debug)]
 pub struct FrameConn {
-    stream: TcpStream,
+    pub(crate) stream: TcpStream,
     rbuf: FrameBuffer,
     wbuf: Vec<u8>,
     wstart: usize,
@@ -222,11 +225,6 @@ impl FrameConn {
             wstart: 0,
             limits,
         })
-    }
-
-    /// The underlying stream (for fd registration).
-    pub fn stream(&self) -> &TcpStream {
-        &self.stream
     }
 
     /// Consume readable data, invoking `on_frame` for every complete
@@ -268,7 +266,8 @@ impl FrameConn {
     /// past the configured bound — the caller's cue to evict the slow
     /// consumer rather than buffer without limit.
     pub fn queue_frame(&mut self, body: &[u8]) -> Result<(), ConnError> {
-        if self.pending_write() + LEN_PREFIX + body.len() > self.limits.max_write_buffer {
+        let pending = self.wbuf.len() - self.wstart;
+        if pending + LEN_PREFIX + body.len() > self.limits.max_write_buffer {
             return Err(ConnError::SendOverflow);
         }
         put_frame(&mut self.wbuf, body);
@@ -298,14 +297,10 @@ impl FrameConn {
         Ok(true)
     }
 
-    /// Bytes queued but not yet accepted by the socket.
-    pub fn pending_write(&self) -> usize {
-        self.wbuf.len() - self.wstart
-    }
-
-    /// Whether the reactor should keep write interest registered.
+    /// Bytes are queued that the socket has not yet accepted: the
+    /// connection needs write interest.
     pub fn wants_write(&self) -> bool {
-        self.pending_write() > 0
+        self.wstart < self.wbuf.len()
     }
 }
 

@@ -24,6 +24,7 @@
 
 #![warn(missing_docs)]
 
+pub mod conns;
 pub mod frame;
 pub mod reactor;
 

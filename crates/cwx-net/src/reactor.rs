@@ -2,14 +2,15 @@
 //! `epoll` (Linux) or `poll(2)` (other Unixes), with no dependency
 //! beyond the libc the platform already links.
 //!
-//! This is the substrate for connection-dense servers in this
-//! workspace: the realtime ingest plane (`clusterworx::ingest`) and the
-//! federation head's TCP runtime (`cwx_fed::net`) both drive tens of
-//! thousands of sockets from one thread through a [`Poller`]. The API
-//! is deliberately the `mio` shape — register a raw fd with a
-//! [`Token`] and an [`Interest`], then [`Poller::poll`] returns the
-//! [`Event`]s that are ready — so the real crate could be swapped in
-//! without touching the callers.
+//! This is the substrate of the connection table
+//! ([`crate::conns::ConnTable`]) that the realtime ingest plane
+//! (`clusterworx::ingest`) and the federation head (`cwx_fed::net`)
+//! both serve tens of thousands of sockets from, one thread each; the
+//! table is the only place a connection's fd is registered, re-armed or
+//! deregistered. The API is deliberately the `mio` shape — register a
+//! raw fd with a [`Token`] and an [`Interest`], then [`Poller::poll`]
+//! returns the [`Event`]s that are ready — so the real crate could be
+//! swapped in without touching the table.
 //!
 //! Cross-thread wakeups go through a [`Waker`], a loopback UDP socket
 //! registered like any other fd: flush workers nudge the reactor when
@@ -41,11 +42,6 @@ impl Interest {
     pub const READABLE: Interest = Interest {
         readable: true,
         writable: false,
-    };
-    /// Writable only.
-    pub const WRITABLE: Interest = Interest {
-        readable: false,
-        writable: true,
     };
     /// Readable and writable.
     pub const BOTH: Interest = Interest {
@@ -408,7 +404,10 @@ pub fn raise_nofile_limit() -> io::Result<(u64, u64)> {
 /// that, and the dropped SYNs turn into whole-second retransmit stalls.
 /// On Linux a second `listen(2)` call updates the backlog in place; on
 /// other platforms this is a no-op.
-pub fn widen_listen_backlog(listener: &std::net::TcpListener, backlog: i32) -> io::Result<()> {
+pub(crate) fn widen_listen_backlog(
+    listener: &std::net::TcpListener,
+    backlog: i32,
+) -> io::Result<()> {
     #[cfg(target_os = "linux")]
     {
         extern "C" {

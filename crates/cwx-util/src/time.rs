@@ -49,6 +49,13 @@ impl SimTime {
     }
 }
 
+/// Wall time elapsed since `epoch`, projected onto [`SimTime`] in exact
+/// nanoseconds: the one clock reading of every live (non-simulated)
+/// path.
+pub fn wall_since(epoch: std::time::Instant) -> SimTime {
+    SimTime::from_nanos(epoch.elapsed().as_nanos() as u64)
+}
+
 impl SimDuration {
     /// Zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
@@ -205,6 +212,13 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wall_since_reads_elapsed_wall_time() {
+        let epoch = std::time::Instant::now() - std::time::Duration::from_millis(1500);
+        let t = wall_since(epoch);
+        assert!(t >= SimTime::from_nanos(1_500_000_000) && t < SimTime::from_nanos(60_000_000_000));
+    }
 
     #[test]
     fn constructors_round_trip() {
