@@ -40,6 +40,18 @@
 //!   rewritten O(log N) times over the life of an N-flush store.
 //!   [`DiskStore::compact_all`] and `forget_node` merge everything.
 //!
+//! Series: each shard keeps one index keyed monitor first (monitor
+//! name → node → shard-local series id), built from the segment
+//! indexes and the WAL at open. An ingest sample finds its series by
+//! its monitor's name and its node's slot, then one array read; a new
+//! series is an amortised O(1) insert. A query resolves its monitor
+//! once per shard, finds each node's series by its `u32` node id, and
+//! copies the in-range memtable samples of all its nodes in that shard
+//! into **one** buffer: each node's part is a range of that one `Arc`,
+//! offered after the node's segment blocks. Copying happens (and is
+//! charged to the scan budget) under the shard lock; folding happens
+//! after the lock is released.
+//!
 //! Read path: segments are *not* held decoded in memory. Opening a
 //! shard builds a [`SegmentIndex`] per file (header walk, no payload
 //! decode); queries binary-search the index, prune by the per-series
@@ -78,7 +90,7 @@ use cwx_util::time::SimTime;
 use parking_lot::Mutex;
 
 use crate::cache::{BlockCache, BlockKey, CacheStats};
-use crate::query::{self, aggregate, floor_to, merge_buckets};
+use crate::query::{self, aggregate, floor_to, merge_buckets, Collector};
 use crate::segment::{self, Segment, SegmentIndex, SeriesData, SeriesIndexEntry};
 use crate::wal::{Wal, WalRecord};
 use crate::{
@@ -289,6 +301,195 @@ fn quarantine(path: &Path, recovery: &mut RecoveryReport) {
     recovery.segments_quarantined += 1;
 }
 
+/// A hole in a dense [`Column`].
+const NO_SERIES: u32 = u32::MAX;
+
+/// Node slots a dense column of `held` series may span.
+fn dense_span(held: usize) -> usize {
+    4 * held + 16
+}
+
+/// One monitor's series ids by node slot. Dense while its slots are
+/// packed (the highest within [`dense_span`] of the series it holds),
+/// sparse otherwise: a name invented on one node costs a map entry,
+/// not a column as long as the shard's node list.
+#[derive(Debug)]
+enum Column {
+    Dense(Vec<u32>),
+    Sparse(HashMap<u32, u32>),
+}
+
+impl Column {
+    fn get(&self, slot: u32) -> Option<u32> {
+        match self {
+            Column::Dense(ids) => ids
+                .get(slot as usize)
+                .copied()
+                .filter(|&id| id != NO_SERIES),
+            Column::Sparse(ids) => ids.get(&slot).copied(),
+        }
+    }
+
+    /// Give `slot` the series `id`; the column then holds `held`.
+    fn insert(&mut self, slot: u32, id: u32, held: usize) {
+        let at = slot as usize;
+        match self {
+            Column::Dense(ids) if at < ids.len().max(dense_span(held)) => {
+                if at >= ids.len() {
+                    ids.resize(at + 1, NO_SERIES);
+                }
+                ids[at] = id;
+            }
+            Column::Dense(_) => {
+                let mut ids: HashMap<u32, u32> = self.entries().collect();
+                ids.insert(slot, id);
+                *self = Column::Sparse(ids);
+            }
+            Column::Sparse(ids) => {
+                ids.insert(slot, id);
+                // packed again? checked at each doubling: amortised O(1)
+                if !held.is_power_of_two() {
+                    return;
+                }
+                let top = ids.keys().max().map_or(0, |&s| s as usize);
+                if top < dense_span(held) {
+                    let mut dense = vec![NO_SERIES; top + 1];
+                    for (&s, &id) in ids.iter() {
+                        dense[s as usize] = id;
+                    }
+                    *self = Column::Dense(dense);
+                }
+            }
+        }
+    }
+
+    fn remove(&mut self, slot: u32) -> Option<u32> {
+        match self {
+            Column::Dense(ids) => {
+                let id = ids.get_mut(slot as usize)?;
+                Some(std::mem::replace(id, NO_SERIES)).filter(|&id| id != NO_SERIES)
+            }
+            Column::Sparse(ids) => ids.remove(&slot),
+        }
+    }
+
+    /// `(slot, series id)` of every series held.
+    fn entries(&self) -> Box<dyn Iterator<Item = (u32, u32)> + '_> {
+        match self {
+            Column::Dense(ids) => Box::new(
+                (0..)
+                    .zip(ids.iter().copied())
+                    .filter(|&(_, id)| id != NO_SERIES),
+            ),
+            Column::Sparse(ids) => Box::new(ids.iter().map(|(&slot, &id)| (slot, id))),
+        }
+    }
+}
+
+/// One monitor of a shard: its name and its series by node slot.
+#[derive(Debug)]
+struct MonitorSeries {
+    name: String,
+    held: usize,
+    by_slot: Column,
+}
+
+/// A shard's series, monitor first: monitor name → node → shard-local
+/// series id. A query resolves its monitor once per shard and then
+/// finds each node's series by its `u32` node id, never hashing a
+/// `String` per node. Nodes get dense slots in the order the shard
+/// first sees them, and a monitor's series ids sit in one array by
+/// slot (a [`Column`]): a query walks it in node order, and an ingest
+/// frame, one node's monitors, reads one entry per monitor instead of
+/// probing a hash table per monitor. Every insert is amortised O(1),
+/// and the maps keep `RandomState`: node ids and monitor names come
+/// from agents.
+#[derive(Debug, Default)]
+struct SeriesIndex {
+    /// monitor name → its position in `monitors`.
+    by_name: HashMap<String, u32>,
+    monitors: Vec<MonitorSeries>,
+    /// node → slot.
+    slots: HashMap<u32, u32>,
+    /// series id → `(node, monitor position)`. A forgotten node's ids
+    /// stay here (their memtable buffers emptied), unreachable.
+    keys: Vec<(u32, u32)>,
+}
+
+impl SeriesIndex {
+    /// Resolve `monitor` once; the result finds a node's series in it.
+    fn monitor(&self, monitor: &str) -> Option<impl Fn(u32) -> Option<u32> + '_> {
+        let column = &self.monitors[*self.by_name.get(monitor)? as usize].by_slot;
+        Some(move |node| column.get(*self.slots.get(&node)?))
+    }
+
+    fn lookup(&self, node: u32, monitor: &str) -> Option<u32> {
+        self.monitor(monitor)?(node)
+    }
+
+    /// The id of `(node, monitor)`, and whether it was registered just
+    /// now (ids are dense: a new one is the number of ids before it).
+    fn register(&mut self, node: u32, monitor: &str) -> (u32, bool) {
+        let m = match self.by_name.get(monitor) {
+            Some(&m) => m,
+            None => {
+                let m = self.monitors.len() as u32;
+                self.by_name.insert(monitor.to_string(), m);
+                self.monitors.push(MonitorSeries {
+                    name: monitor.to_string(),
+                    held: 0,
+                    by_slot: Column::Dense(Vec::new()),
+                });
+                m
+            }
+        };
+        let next_slot = self.slots.len() as u32;
+        let slot = *self.slots.entry(node).or_insert(next_slot);
+        let series = &mut self.monitors[m as usize];
+        if let Some(id) = series.by_slot.get(slot) {
+            return (id, false);
+        }
+        let id = self.keys.len() as u32;
+        series.held += 1;
+        series.by_slot.insert(slot, id, series.held);
+        self.keys.push((node, m));
+        (id, true)
+    }
+
+    /// `(node, monitor)` of a series id.
+    fn key(&self, id: u32) -> (u32, &str) {
+        let (node, m) = self.keys[id as usize];
+        (node, &self.monitors[m as usize].name)
+    }
+
+    /// Unlink every series of `node`; returns their ids.
+    fn forget(&mut self, node: u32) -> Vec<u32> {
+        let Some(&slot) = self.slots.get(&node) else {
+            return Vec::new();
+        };
+        let mut ids = Vec::new();
+        for series in &mut self.monitors {
+            if let Some(id) = series.by_slot.remove(slot) {
+                series.held -= 1;
+                ids.push(id);
+            }
+        }
+        ids
+    }
+
+    /// Every live `(node, monitor)`, unordered.
+    fn series(&self) -> impl Iterator<Item = (u32, &str)> {
+        let keys = &self.keys;
+        self.monitors.iter().flat_map(move |series| {
+            let name = series.name.as_str();
+            series
+                .by_slot
+                .entries()
+                .map(move |(_, id)| (keys[id as usize].0, name))
+        })
+    }
+}
+
 #[derive(Debug)]
 struct Shard {
     dir: PathBuf,
@@ -298,12 +499,8 @@ struct Shard {
     wal: Wal,
     /// Sequence number of the next flush — what the WAL header names.
     next_seq: u64,
-    /// node → monitor → shard-local series id: a `(u32, &str)` lookup
-    /// borrows, and a node's frame finds its few dozen monitors in one
-    /// small map.
-    ids: HashMap<u32, HashMap<String, u32>>,
-    /// series id → `(node, monitor)`.
-    keys: Vec<(u32, String)>,
+    /// `(node, monitor)` ↔ shard-local series id, monitor first.
+    index: SeriesIndex,
     /// series id → buffered samples (time-ordered as appended).
     mem: Vec<Vec<Sample>>,
     mem_samples: usize,
@@ -364,8 +561,7 @@ impl Shard {
             cache,
             wal: wal_rec.wal,
             next_seq,
-            ids: HashMap::new(),
-            keys: Vec::new(),
+            index: SeriesIndex::default(),
             mem: Vec::new(),
             mem_samples: 0,
             mem_series: 0,
@@ -447,20 +643,12 @@ impl Shard {
         Ok(shard)
     }
 
-    fn lookup(&self, node: u32, monitor: &str) -> Option<u32> {
-        self.ids.get(&node)?.get(monitor).copied()
-    }
-
     fn register(&mut self, node: u32, monitor: &str) -> u32 {
-        let of_node = self.ids.entry(node).or_default();
-        if let Some(&id) = of_node.get(monitor) {
-            return id;
+        let (id, new) = self.index.register(node, monitor);
+        if new {
+            self.mem.push(Vec::new());
+            self.logged.push(false);
         }
-        let id = self.keys.len() as u32;
-        of_node.insert(monitor.to_string(), id);
-        self.keys.push((node, monitor.to_string()));
-        self.mem.push(Vec::new());
-        self.logged.push(false);
         id
     }
 
@@ -531,7 +719,11 @@ impl Shard {
                 continue;
             }
             samples.sort_by_key(|s| s.time.as_nanos());
-            series.push((self.keys[id].clone(), SeriesData::Raw(samples.clone())));
+            let (node, monitor) = self.index.key(id as u32);
+            series.push((
+                (node, monitor.to_string()),
+                SeriesData::Raw(samples.clone()),
+            ));
         }
         series.sort_by(|a, b| a.0.cmp(&b.0));
         let seg = Segment {
@@ -652,7 +844,7 @@ impl Shard {
         if self.mem_samples == 0 {
             return Vec::new();
         }
-        let Some(id) = self.lookup(node, monitor) else {
+        let Some(id) = self.index.lookup(node, monitor) else {
             return Vec::new();
         };
         let mut out: Vec<Sample> = self.mem[id as usize]
@@ -714,12 +906,68 @@ impl Shard {
         out
     }
 
-    /// The newest sample of a series that has nothing buffered: the
-    /// last of the one block whose index promises the greatest time
-    /// (the newest segment among equals, as a stable sort of the whole
-    /// history would have it). Only if that block cannot be read is the
-    /// next best tried.
-    fn latest_on_disk(&self, node: u32, monitor: &str) -> Option<Sample> {
+    /// Offer `monitor`'s sources for `nodes` (`(shard, group position,
+    /// node)`, all of this shard) to `out`, node by node: its blocks at
+    /// `res`, oldest segment first, then its in-range memtable samples.
+    /// The monitor is resolved once; every node's memtable samples are
+    /// copied (and charged to the budget as they are) into one buffer,
+    /// offered last as ranges of one block, so each stays its node's
+    /// last source. Returns the count of unreadable blocks.
+    fn collect(
+        &self,
+        monitor: &str,
+        res: Resolution,
+        nodes: &[(usize, usize, u32)],
+        out: &mut Collector,
+    ) -> Result<u64, QueryError> {
+        let (from, to) = (out.from, out.to);
+        // nothing buffered (a compacted store, a shard just flushed):
+        // not worth a lookup per node of the query
+        let series = self.index.monitor(monitor).filter(|_| self.mem_samples > 0);
+        let ids: Vec<Option<u32>> = match series {
+            Some(series) => nodes.iter().map(|&(_, _, node)| series(node)).collect(),
+            None => Vec::new(),
+        };
+        let held = ids.iter().flatten().map(|&id| self.mem[id as usize].len());
+        let mut copied: Vec<Sample> = Vec::with_capacity(held.sum());
+        let mut spans: Vec<(usize, Range<usize>)> = Vec::with_capacity(ids.len());
+        let mut unreadable = 0;
+        for (k, &(_, pos, node)) in nodes.iter().enumerate() {
+            unreadable +=
+                self.blocks(node, monitor, res, from, to, |block| out.push(pos, block))?;
+            let Some(&Some(id)) = ids.get(k) else {
+                continue;
+            };
+            let start = copied.len();
+            let buffered = self.mem[id as usize].iter();
+            copied.extend(buffered.filter(|s| s.time >= from && s.time <= to));
+            if copied.len() == start {
+                continue;
+            }
+            // appended order is time order but for late samples
+            let mine = &mut copied[start..];
+            if !mine.is_sorted_by_key(|s| s.time.as_nanos()) {
+                mine.sort_by_key(|s| s.time.as_nanos());
+            }
+            out.charge((copied.len() - start) as u64, 0)?;
+            spans.push((pos, start..copied.len()));
+        }
+        if !spans.is_empty() {
+            out.push_ranges(&Arc::new(SeriesData::Raw(copied)), spans);
+        }
+        Ok(unreadable)
+    }
+
+    /// The newest sample of a series — the newest time, the last
+    /// appended among equals, as the end of a stable sort of its whole
+    /// history has it — given the newest of its memtable, `buffered`.
+    /// The memtable holds what arrived after every segment, so it wins
+    /// ties and any segment whose index promises nothing newer goes
+    /// unread; otherwise the answer is the last sample of the one block
+    /// whose index promises the greatest time (the newest segment among
+    /// equals). Only if that block cannot be read is the next best
+    /// tried.
+    fn latest(&self, node: u32, monitor: &str, buffered: Option<Sample>) -> Option<Sample> {
         let mut candidates: Vec<(SimTime, usize, usize)> = Vec::new();
         for (k, set) in self.segs.iter().enumerate() {
             if let Some((i, e)) = find_entry(&set.raw.index, node, monitor) {
@@ -729,13 +977,17 @@ impl Shard {
             }
         }
         candidates.sort_unstable_by_key(|&c| Reverse(c));
-        candidates.into_iter().find_map(|(_, k, i)| {
-            let set = &self.segs[k];
-            match &*self.read_block(set, &set.raw, i).ok()? {
-                SeriesData::Raw(samples) => samples.last().copied(),
-                SeriesData::Buckets(_) => None,
-            }
-        })
+        candidates
+            .into_iter()
+            .take_while(|&(newest, _, _)| buffered.is_none_or(|b| b.time < newest))
+            .find_map(|(_, k, i)| {
+                let set = &self.segs[k];
+                match &*self.read_block(set, &set.raw, i).ok()? {
+                    SeriesData::Raw(samples) => samples.last().copied(),
+                    SeriesData::Buckets(_) => None,
+                }
+            })
+            .or(buffered)
     }
 
     /// Does any segment of this shard hold a companion at `res`?
@@ -984,10 +1236,10 @@ impl DiskStore {
         // ingest rather than panicking: the samples still reach the
         // memtable so charts and events keep seeing fresh data.
         let logged = durable && {
-            let keys = &shard.keys;
+            let index = &shard.index;
             let registrations = new_series.iter().map(|&id| {
-                let (node, monitor) = &keys[id as usize];
-                (id, *node, monitor.as_str())
+                let (node, monitor) = index.key(id);
+                (id, node, monitor)
             });
             shard
                 .wal
@@ -1042,11 +1294,14 @@ impl Store for DiskStore {
 
     fn latest(&self, node: u32, monitor: &str) -> Option<Sample> {
         let shard = self.shards[self.shard_of(node)].lock();
-        let id = shard.lookup(node, monitor)?;
-        if let Some(s) = shard.mem[id as usize].last() {
-            return Some(*s);
-        }
-        shard.latest_on_disk(node, monitor)
+        let id = shard.index.lookup(node, monitor)?;
+        // the memtable's newest time, the last appended among equals
+        let buffered =
+            shard.mem[id as usize]
+                .iter()
+                .copied()
+                .reduce(|a, b| if b.time >= a.time { b } else { a });
+        shard.latest(node, monitor, buffered)
     }
 
     fn range(&self, node: u32, monitor: &str, from: SimTime, to: SimTime) -> Vec<Sample> {
@@ -1100,22 +1355,21 @@ impl Store for DiskStore {
     fn query(&self, spec: &QuerySpec) -> Result<QueryResult, QueryError> {
         let selected = query::select_tier(spec.window_nanos, spec.agg);
         query::evaluate(spec, selected, |group, out| {
-            let (from, to) = (out.from, out.to);
             // one pass per shard: blocks are collected (and the scan
             // budget charged) under the shard lock and folded once it
             // is released, so a long fold never sits on an ingest
             // shard's lock
-            let mut by_shard: Vec<Vec<(usize, u32)>> = vec![Vec::new(); self.shards.len()];
-            for (pos, &node) in group.nodes.iter().enumerate() {
-                by_shard[self.shard_of(node)].push((pos, node));
-            }
-            for (si, nodes) in by_shard.iter().enumerate() {
-                if nodes.is_empty() {
-                    continue;
-                }
+            let mut by_shard: Vec<(usize, usize, u32)> = group
+                .nodes
+                .iter()
+                .enumerate()
+                .map(|(pos, &node)| (self.shard_of(node), pos, node))
+                .collect();
+            by_shard.sort_unstable();
+            for nodes in by_shard.chunk_by(|a, b| a.0 == b.0) {
                 // the previous shard's blocks, its lock released
                 out.fold_pending()?;
-                let shard = self.shards[si].lock();
+                let shard = self.shards[nodes[0].0].lock();
                 // fresh flushes have no companions, and a shard merged
                 // before the 1h tier existed lacks `r3`; any finer
                 // stored tier still nests in the window (10s | 5m | 1h)
@@ -1124,17 +1378,9 @@ impl Store for DiskStore {
                 }
                 // each sample is in exactly one source: a tier block
                 // where a companion serves the tier, a raw block
-                // elsewhere, a sorted snapshot of the memtable
-                for &(pos, node) in nodes {
-                    out.stats.unreadable_blocks +=
-                        shard.blocks(node, &spec.monitor, selected, from, to, |block| {
-                            out.push(pos, block)
-                        })?;
-                    let mem = shard.mem_range(node, &spec.monitor, from, to);
-                    if !mem.is_empty() {
-                        out.push(pos, Arc::new(SeriesData::Raw(mem)))?;
-                    }
-                }
+                // elsewhere, a sorted copy of the memtable
+                out.stats.unreadable_blocks +=
+                    shard.collect(&spec.monitor, selected, nodes, out)?;
             }
             Ok(())
         })
@@ -1143,9 +1389,8 @@ impl Store for DiskStore {
     fn series(&self) -> Vec<(u32, String)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            for (&node, monitors) in &shard.lock().ids {
-                out.extend(monitors.keys().map(|m| (node, m.clone())));
-            }
+            let shard = shard.lock();
+            out.extend(shard.index.series().map(|(n, m)| (n, m.to_string())));
         }
         out.sort();
         out
@@ -1153,16 +1398,16 @@ impl Store for DiskStore {
 
     fn forget_node(&self, node: u32) {
         let mut shard = self.shards[self.shard_of(node)].lock();
-        let ids = shard.ids.remove(&node);
+        let ids = shard.index.forget(node);
         let on_disk = shard
             .segs
             .iter()
             .any(|set| set.raw.index.entries.iter().any(|e| e.node == node));
-        if ids.is_none() && !on_disk {
+        if ids.is_empty() && !on_disk {
             return;
         }
-        for id in ids.iter().flat_map(|m| m.values()) {
-            let gone = std::mem::take(&mut shard.mem[*id as usize]).len();
+        for id in ids {
+            let gone = std::mem::take(&mut shard.mem[id as usize]).len();
             shard.mem_samples -= gone;
             shard.mem_series -= usize::from(gone > 0);
         }
@@ -1206,6 +1451,67 @@ mod tests {
             compact_threshold: 3,
             cache_capacity_samples: 4096,
         }
+    }
+
+    #[test]
+    fn the_series_index_agrees_with_a_map_through_dense_and_sparse_columns() {
+        type Want = HashMap<(u32, String), u32>;
+        fn register(index: &mut SeriesIndex, want: &mut Want, node: u32, monitor: &str) {
+            let (id, new) = index.register(node, monitor);
+            let known = want.insert((node, monitor.to_string()), id);
+            assert_eq!(new, known.is_none(), "{node} {monitor}");
+            assert!(known.is_none_or(|k| k == id));
+        }
+        let mut index = SeriesIndex::default();
+        let mut want = Want::new();
+        let dense = |index: &SeriesIndex, monitor: &str| {
+            let m = index.by_name[monitor] as usize;
+            matches!(index.monitors[m].by_slot, Column::Dense(_))
+        };
+        // nodes 0..300 take slots 0..300 in arrival order
+        for node in 0..300 {
+            register(&mut index, &mut want, node * 7, "m");
+        }
+        assert!(dense(&index, "m"));
+        // names invented on the last node: one series each, sparse
+        for k in 0..40 {
+            register(&mut index, &mut want, 299 * 7, &format!("x{k}"));
+        }
+        assert!(!dense(&index, "x0"));
+        // every node takes up `x0`: dense again once packed
+        for node in 0..300 {
+            register(&mut index, &mut want, node * 7, "x0");
+            register(&mut index, &mut want, node * 7, "m");
+        }
+        assert!(dense(&index, "x0") && !dense(&index, "x1"));
+        // a forgotten node loses every series; back, it gets new ids
+        let mut gone = index.forget(299 * 7);
+        gone.sort();
+        let mut had: Vec<u32> = want
+            .iter()
+            .filter(|((node, _), _)| *node == 299 * 7)
+            .map(|(_, &id)| id)
+            .collect();
+        had.sort();
+        assert_eq!(gone, had);
+        want.retain(|(node, _), _| *node != 299 * 7);
+        assert_eq!(index.forget(299 * 7), Vec::<u32>::new());
+        register(&mut index, &mut want, 299 * 7, "x1");
+        assert!(!gone.contains(&want[&(299 * 7, "x1".to_string())]));
+        for ((node, monitor), &id) in &want {
+            assert_eq!(index.lookup(*node, monitor), Some(id));
+            assert_eq!(index.key(id), (*node, monitor.as_str()));
+        }
+        assert_eq!(index.lookup(299 * 7, "x0"), None);
+        assert_eq!(index.lookup(5, "m"), None, "never seen");
+        let mut listed: Vec<(u32, String)> = index
+            .series()
+            .map(|(node, monitor)| (node, monitor.to_string()))
+            .collect();
+        listed.sort();
+        let mut keys: Vec<(u32, String)> = want.keys().cloned().collect();
+        keys.sort();
+        assert_eq!(listed, keys);
     }
 
     #[test]

@@ -629,17 +629,21 @@ impl Collector {
         node_pos: usize,
         block: Arc<SeriesData>,
     ) -> Result<(), QueryError> {
-        let slice = Slice::new(
-            block,
-            (node_pos as u64) << 32 | self.offered,
-            self.from,
-            self.to,
-        );
-        self.offered += 1;
+        let slice = Slice::new(block, self.source(node_pos), self.from, self.to);
+        let held = slice.range.len() as u64;
         match &*slice.block {
-            SeriesData::Raw(_) => self.stats.scanned_raw += slice.range.len() as u64,
-            SeriesData::Buckets(_) => self.stats.scanned_buckets += slice.range.len() as u64,
+            SeriesData::Raw(_) => self.charge(held, 0)?,
+            SeriesData::Buckets(_) => self.charge(0, held)?,
         }
+        self.pending.push(slice);
+        Ok(())
+    }
+
+    /// Count entries about to be offered against the budget, and
+    /// refuse the query once they pass it.
+    pub(crate) fn charge(&mut self, raw: u64, buckets: u64) -> Result<(), QueryError> {
+        self.stats.scanned_raw += raw;
+        self.stats.scanned_buckets += buckets;
         let scanned = self.stats.scanned_raw + self.stats.scanned_buckets;
         if scanned > self.budget {
             return Err(QueryError::BudgetExceeded {
@@ -647,8 +651,33 @@ impl Collector {
                 budget: self.budget,
             });
         }
-        self.pending.push(slice);
         Ok(())
+    }
+
+    /// Offer `(node_pos, range)` parts of one shared block, each
+    /// already cut to `from..=to`, time-ordered and [`charged`].
+    ///
+    /// [`charged`]: Collector::charge
+    pub(crate) fn push_ranges(
+        &mut self,
+        block: &Arc<SeriesData>,
+        ranges: Vec<(usize, Range<usize>)>,
+    ) {
+        self.pending.reserve(ranges.len());
+        for (node_pos, range) in ranges {
+            let source = self.source(node_pos);
+            self.pending.push(Slice {
+                block: Arc::clone(block),
+                range,
+                source,
+            });
+        }
+    }
+
+    /// The next source number of the `node_pos`-th node.
+    fn source(&mut self, node_pos: usize) -> u64 {
+        self.offered += 1;
+        (node_pos as u64) << 32 | (self.offered - 1)
     }
 
     /// Fold what has been offered and let go of it: called wherever a

@@ -6,10 +6,13 @@
 //! (collect, sort by `(time, source)`, group, compute), over the store
 //! as ingest leaves it: merged segments with companions, bare flushes,
 //! a part-full memtable, late samples, equal timestamps across nodes.
-//! The rest pins down what a query may cost and must report: a refused
-//! query stops reading, an unreadable block is counted, `latest` reads
-//! one block, a window span is charged to the budget, and a merge
-//! closes the descriptors of the files it replaces.
+//! A sibling oracle test aims at the series index (an unqueried monitor,
+//! unseen and partial nodes, reverse registration order). The rest pins
+//! down what a query may cost and must report: a refused query stops
+//! reading, an unreadable block is counted, `latest` reads one block
+//! and is the end of the whole history, a window span is charged to
+//! the budget, and a merge closes the descriptors of the files it
+//! replaces.
 
 use std::path::{Path, PathBuf};
 
@@ -234,6 +237,115 @@ proptest! {
         assert_matches_oracle(agg, "MemStore", &volatile.groups[0].points, &want);
         let _ = std::fs::remove_dir_all(dir);
     }
+
+    /// What a store's series index can get wrong: both shards also hold
+    /// a monitor the query does not ask for (`mm`, sampled on the same
+    /// nodes at the same instants with other values, and registered
+    /// first), node 2 reports only that one, node 7 of the group was
+    /// never seen, and the nodes are registered in descending order, a
+    /// shard at a time. Each node's samples sit in segments and in the
+    /// memtable.
+    #[test]
+    fn the_series_index_answers_for_the_queried_monitor_only(
+        steps in 60u64..400,
+        late_every in 2u64..9,
+        seed in any::<u64>(),
+        window_idx in 0usize..6,
+        agg_idx in 0usize..9,
+    ) {
+        let agg = AGGS[agg_idx];
+        let dir = tmp_dir("index-oracle");
+        let cfg = StoreConfig {
+            n_shards: 2,
+            nodes_per_group: 2,
+            flush_threshold: 37,
+            compact_threshold: 3,
+            cache_capacity_samples: 1 << 16,
+        };
+        let store = DiskStore::open(&dir, cfg).unwrap();
+        // shard 0 holds nodes 0, 1, 4, 5 and shard 1 nodes 2, 3 (and 7)
+        let reporting = [5u32, 4, 3, 1, 0];
+        let group_nodes = [4u32, 7, 2, 0, 5, 3, 1];
+        let mut rows = Vec::new();
+        for i in 0..steps {
+            let time = 100 + i * 5 - if i % late_every == 1 { 4 } else { 0 };
+            store.append(2, "mm", t(time), -1e6);
+            for &node in &reporting {
+                let v = value(seed, i * 8 + node as u64);
+                store.append(node, "mm", t(time), v + 1e6);
+                store.append(node, "m", t(time), v);
+                let source = group_nodes.iter().position(|&n| n == node).unwrap();
+                rows.push(Row { time: time * SEC, source, arrival: i as usize, value: v });
+            }
+        }
+        let shard = |i| files_ending(&dir.join(format!("shard-00{i}")), "-r0.seg").len();
+        prop_assert!(shard(0) > 0 && shard(1) > 0, "both shards flushed");
+        let spec = QuerySpec {
+            monitor: "m".into(),
+            from: t(0),
+            to: t(100 + steps * 5),
+            window_nanos: WINDOWS_SECS[window_idx] * SEC,
+            agg,
+            groups: group(&group_nodes),
+            max_scan: 0,
+        };
+        let want = oracle(&spec, rows);
+        let disk = store.query(&spec).unwrap();
+        prop_assert_eq!(disk.stats.unreadable_blocks, 0);
+        assert_matches_oracle(agg, "disk", &disk.groups[0].points, &want);
+        let over_ranges =
+            query::run_over_ranges(&spec, |n, m, f, to_| store.range(n, m, f, to_)).unwrap();
+        assert_matches_oracle(agg, "raw ranges", &over_ranges.groups[0].points, &want);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// A node's memtable samples are its last source: at a time its
+/// segments also hold, the memtable's arrived later, and `rate` takes
+/// the later arrival as a window's last sample and the earlier as its
+/// first.
+#[test]
+fn the_memtable_is_each_nodes_last_source() {
+    let dir = tmp_dir("mem-last");
+    let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+    let nodes = [1u32, 0];
+    let mut rows = Vec::new();
+    let mut append = |source: usize, time: u64, value: f64| {
+        store.append(nodes[source], "m", t(time), value);
+        let arrival = rows.len();
+        rows.push(Row {
+            time: time * SEC,
+            source,
+            arrival,
+            value,
+        });
+    };
+    for i in 0..20 {
+        for source in 0..2 {
+            append(source, i, (i * 10 + source as u64) as f64);
+        }
+    }
+    store.flush_all().unwrap();
+    // both ends of the window again, now in the memtable
+    for source in 0..2 {
+        append(source, 19, 1_000.0);
+        append(source, 0, -1_000.0);
+    }
+    for agg in AGGS {
+        let spec = QuerySpec {
+            monitor: "m".into(),
+            from: t(0),
+            to: t(59),
+            window_nanos: 60 * SEC,
+            agg,
+            groups: group(&nodes),
+            max_scan: 0,
+        };
+        let want = oracle(&spec, rows.clone());
+        let got = store.query(&spec).unwrap();
+        assert_matches_oracle(agg, "disk", &got.groups[0].points, &want);
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// One shard, `nodes` series, `flushes` bare flush segments of eight
@@ -310,6 +422,35 @@ fn an_over_budget_query_stops_reading_where_it_trips() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+#[test]
+fn an_over_budget_query_stops_copying_the_memtable_where_it_trips() {
+    let dir = tmp_dir("budget-mem");
+    let cfg = StoreConfig {
+        n_shards: 1,
+        nodes_per_group: 200,
+        flush_threshold: 1 << 20,
+        compact_threshold: 1_000,
+        cache_capacity_samples: 1 << 16,
+    };
+    let store = DiskStore::open(&dir, cfg).unwrap();
+    for step in 0..8 {
+        for node in 0..200 {
+            store.append(node, "m", t(step * 5), 1.0);
+        }
+    }
+    assert_eq!(store.write_stats().flushes, 0, "memtable-only");
+    let mut spec = all_nodes_spec(200, AggFunc::Max, 60);
+    spec.max_scan = 20;
+    match store.query(&spec) {
+        Err(QueryError::BudgetExceeded { scanned, budget }) => {
+            assert_eq!(budget, 20);
+            assert_eq!(scanned, 24, "charged node by node: three nodes in")
+        }
+        other => panic!("expected a budget refusal, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// Flip one payload byte of `series` in the segment file at `path`.
 fn damage_payload(path: &Path, series: usize) {
     let index = SegmentIndex::read_from(path).unwrap();
@@ -344,6 +485,57 @@ fn an_unreadable_block_is_counted_not_silent() {
     assert_eq!(gapped.stats.tier, Resolution::TenSeconds);
     assert_eq!(gapped.stats.unreadable_blocks, 1);
     assert_eq!(counted(&gapped), total - 8 * 3);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_forgotten_node_comes_back_with_only_its_new_samples() {
+    let dir = tmp_dir("forget");
+    let cfg = StoreConfig {
+        n_shards: 2,
+        nodes_per_group: 2,
+        flush_threshold: 40,
+        compact_threshold: 3,
+        cache_capacity_samples: 1 << 16,
+    };
+    let count = |store: &DiskStore, node: u32| -> (u64, f64) {
+        let spec = QuerySpec {
+            groups: group(&[node]),
+            ..all_nodes_spec(1, AggFunc::Sum, 3_600)
+        };
+        let points = store.query(&spec).unwrap().groups[0].points.clone();
+        (
+            points.iter().map(|p| p.count).sum(),
+            points.iter().map(|p| p.value).sum(),
+        )
+    };
+    {
+        let store = DiskStore::open(&dir, cfg.clone()).unwrap();
+        // node 1's old samples in segments and the memtable, under "m"
+        // and a monitor it will not report again
+        for i in 0..150 {
+            for node in [0, 1] {
+                store.append(node, "m", t(i), 1.0);
+            }
+            store.append(1, "gone", t(i), 1.0);
+        }
+        assert_eq!(count(&store, 1), (150, 150.0));
+        store.forget_node(1);
+        assert_eq!(count(&store, 1), (0, 0.0));
+        for i in 200..210 {
+            store.append(1, "m", t(i), 2.0);
+        }
+        assert_eq!(count(&store, 1), (10, 20.0));
+        assert_eq!(count(&store, 0), (150, 150.0));
+        assert_eq!(store.series(), [(0, "m".to_string()), (1, "m".to_string())]);
+        assert_eq!(store.latest(1, "m").unwrap().time, t(209));
+        assert_eq!(store.latest(1, "gone"), None);
+    }
+    // and so after a restart (the new samples replay from the WAL)
+    let store = DiskStore::open(&dir, cfg).unwrap();
+    assert_eq!(count(&store, 1), (10, 20.0));
+    assert_eq!(store.range(1, "m", SimTime::ZERO, SimTime::MAX).len(), 10);
+    assert_eq!(store.series().len(), 2);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -391,12 +583,49 @@ fn latest_reads_the_one_block_that_can_hold_it() {
         assert_eq!(store.cache_stats().misses - before, 1, "node {node}");
     }
     assert_eq!(store.latest(3, "m"), None);
-    // buffered samples still win without touching disk
-    store.append(0, "m", t(1), -1.0);
+    // a buffered sample newer than every segment wins without touching
+    // disk (an older one is `latest_is_not_a_late_sample_behind_a_flushed_one`)
+    store.append(0, "m", t(10 + n), -1.0);
     let before = store.cache_stats();
     assert_eq!(store.latest(0, "m").unwrap().value, -1.0);
     assert_eq!(store.cache_stats(), before);
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `latest` is the last sample `range` returns over all time — the
+/// newest time, and the last appended among equal times — wherever the
+/// samples sit and whatever order they arrived in. `flush` puts node 0's
+/// first sample in a segment before the rest arrive.
+fn latest_matches_the_end_of_range(tag: &str, flush: bool) {
+    let dir = tmp_dir(tag);
+    let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+    let check = |want: f64| {
+        let all = store.range(0, "m", SimTime::ZERO, SimTime::MAX);
+        assert_eq!(all.last().unwrap().value, want, "range");
+        assert_eq!(store.latest(0, "m"), all.last().copied());
+    };
+    store.append(0, "m", t(100), 1.0);
+    if flush {
+        store.flush_all().unwrap();
+    }
+    // a late sample is the last appended, not the newest
+    store.append(0, "m", t(90), 2.0);
+    check(1.0);
+    // among equal times the later arrival wins, then a late one again
+    store.append(0, "m", t(100), 3.0);
+    store.append(0, "m", t(50), 4.0);
+    check(3.0);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn latest_is_not_a_late_sample_behind_a_flushed_one() {
+    latest_matches_the_end_of_range("latest-late-flushed", true);
+}
+
+#[test]
+fn latest_is_not_a_late_sample_in_the_memtable() {
+    latest_matches_the_end_of_range("latest-late-buffered", false);
 }
 
 #[test]
