@@ -1,6 +1,9 @@
 //! Cluster construction parameters.
 
+use std::sync::Arc;
+
 use cwx_bios::Firmware;
+use cwx_store::Store;
 use cwx_util::time::SimDuration;
 
 /// How node workloads are assigned.
@@ -46,9 +49,10 @@ pub struct ClusterConfig {
     /// LinuxBIOS reports the failure on the serial console (captured by
     /// the ICE Box); a vendor BIOS just beeps at a monitor nobody has.
     pub bad_memory_nodes: Vec<u32>,
-    /// When set, server history persists to a `cwx-store` directory
-    /// instead of the in-memory ring, surviving server restarts.
-    pub store_dir: Option<std::path::PathBuf>,
+    /// The server's history store, opened by the caller (a
+    /// `cwx_store::disk::DiskStore` survives server restarts). `None`
+    /// keeps history in the in-memory ring.
+    pub store: Option<Arc<dyn Store>>,
     /// Worker shards for the parallel hardware step (and agent
     /// sampling). `0` = auto: single-threaded below 1024 nodes, then one
     /// shard per 256 nodes capped at the machine's parallelism. Results
@@ -103,7 +107,7 @@ impl Default for ClusterConfig {
             compress: true,
             autostart: true,
             bad_memory_nodes: Vec::new(),
-            store_dir: None,
+            store: None,
             hw_shards: 0,
             icebox_command_loss: 0.0,
             flap_threshold: 4,

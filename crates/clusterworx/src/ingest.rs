@@ -33,6 +33,12 @@
 //! while every other lane keeps flowing. Oversized frames and garbage
 //! floods evict the same way.
 //!
+//! The history store comes from the caller: a [`DiskStore`] handed to
+//! [`IngestServer::start`] (which also enables the `CWQ1` endpoint), or
+//! else the server's own history. The plane has no stall hook of its
+//! own; slow-consumer tests hand in a fake store that is slow to take
+//! writes.
+//!
 //! Samples are stamped with the *report's* gather time (`time_secs`),
 //! so identical agent traffic produces identical store contents
 //! regardless of arrival jitter or batching boundaries — the ingest
@@ -91,10 +97,6 @@ pub struct IngestConfig {
     /// Decode failures tolerated per connection before it is evicted
     /// as a garbage flood.
     pub max_decode_errors: u64,
-    /// Test hook: per-report flush-worker delay, to force backpressure.
-    pub flush_stall: Option<Duration>,
-    /// Test hook: confine `flush_stall` to one lane (`None` = all).
-    pub stall_lane: Option<usize>,
     /// Most connections (agents + query clients) the reactor holds at
     /// once; `None` derives it from the process fd limit. A client
     /// accepted past the budget is shed with an audit row — reported,
@@ -113,8 +115,6 @@ impl Default for IngestConfig {
             lane_queue_batches: 64,
             evict_pause: Duration::from_secs(30),
             max_decode_errors: 64,
-            flush_stall: None,
-            stall_lane: None,
             conn_budget: None,
         }
     }
@@ -253,7 +253,6 @@ fn sample_time(d: &Decoded) -> SimTime {
 /// One lane's flush worker: every batch is appended to `store` at gather
 /// time outside the server lock, then the server lock is taken once for
 /// events, liveness and (every [`HOUSEKEEPING_EVERY`]) housekeeping.
-#[allow(clippy::too_many_arguments)]
 fn flusher_loop(
     rx: Receiver<Batch>,
     sync: Arc<LaneSync>,
@@ -262,15 +261,10 @@ fn flusher_loop(
     shared: Arc<Shared>,
     waker: Waker,
     epoch: Instant,
-    stall: Option<Duration>,
 ) -> u64 {
     let mut total = 0u64;
     let mut housekept: Option<SimTime> = None;
     while let Ok(batch) = rx.recv() {
-        if let Some(d) = stall {
-            // test hook: a deliberately slow consumer
-            std::thread::sleep(d * batch.reports.len().max(1) as u32);
-        }
         let now = wall_since(epoch);
         let mut out: Vec<BatchSample> = Vec::new();
         for d in &batch.reports {
@@ -365,7 +359,7 @@ impl IngestServer {
         let n_lanes = cfg.n_lanes.max(1);
         let mut lanes = Vec::with_capacity(n_lanes);
         let mut flushers = Vec::with_capacity(n_lanes);
-        for lane in 0..n_lanes {
+        for _ in 0..n_lanes {
             let (tx, rx) = bounded::<Batch>(cfg.lane_queue_batches.max(1));
             let sync = Arc::new(LaneSync::default());
             lanes.push(Lane {
@@ -380,13 +374,8 @@ impl IngestServer {
             let store = Arc::clone(&target);
             let shared = Arc::clone(&shared);
             let waker = waker.clone();
-            let stall = match (cfg.flush_stall, cfg.stall_lane) {
-                (Some(d), Some(l)) if l == lane => Some(d),
-                (Some(d), None) => Some(d),
-                _ => None,
-            };
             flushers.push(std::thread::spawn(move || {
-                flusher_loop(rx, sync, server, store, shared, waker, epoch, stall)
+                flusher_loop(rx, sync, server, store, shared, waker, epoch)
             }));
         }
 

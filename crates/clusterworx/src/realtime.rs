@@ -13,14 +13,14 @@
 //! clients access the ClusterWorX server at the same time without
 //! conflict").
 //!
-//! The server's history is one store, chosen at start: a
-//! [`cwx_store::disk::DiskStore`] when `persist_dir` is set, else an
-//! in-memory [`MemStore`] ring. Ingest lanes batch-append samples to it
-//! at each report's gather time outside the server lock, and take the
-//! server write lock only for event evaluation. With a disk store there
-//! is one lane per store shard, each agent's connection routed by its
-//! node group, and on restart the same `persist_dir` recovers every
-//! acknowledged sample.
+//! The server's history is the store the caller hands in
+//! ([`RealTimeConfig::store`]): an in-memory [`MemStore`] ring by
+//! default, or a [`cwx_store::disk::DiskStore`] the caller opened, which
+//! a restart over the same directory recovers. The ingest lane
+//! batch-appends samples to it at each report's gather time outside the
+//! server lock, and takes the server write lock only for event
+//! evaluation. Slow consumers are tested by handing in a store that is
+//! slow to take writes; the deployment itself has no stall hook.
 //!
 //! Backpressure is end-to-end and bounded at every hop: lane flush
 //! queues are bounded (a full queue pauses the offending connections
@@ -31,7 +31,6 @@
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,7 +40,6 @@ use cwx_monitor::agent::{Agent, AgentConfig};
 use cwx_monitor::snapshot::Sensors;
 use cwx_net::frame::put_frame;
 use cwx_proc::synthetic::SyntheticProc;
-use cwx_store::disk::{DiskStore, StoreConfig};
 use cwx_store::mem::MemStore;
 use cwx_store::Store;
 use cwx_util::time::{wall_since, SimDuration, SimTime};
@@ -56,7 +54,6 @@ use crate::world::{IceBoxTransport, World};
 pub struct RealTimeDeployment {
     server: Arc<RwLock<Server>>,
     control: Arc<Mutex<ControlPlane>>,
-    store: Option<Arc<DiskStore>>,
     stop: Arc<AtomicBool>,
     agents: Vec<std::thread::JoinHandle<u64>>,
     ingest: Option<IngestServer>,
@@ -70,29 +67,12 @@ pub struct RealTimeConfig {
     pub n_nodes: u32,
     /// Wall-clock sampling interval per agent.
     pub interval: Duration,
-    /// Simulated activity level of the nodes.
-    pub util: f64,
     /// Ingest listen address (port 0 picks a free port; agents connect
     /// to whatever was bound).
     pub listen: String,
-    /// Bound of each ingest lane's flush queue, in batches; a full
-    /// queue pauses (backpressures) the connections feeding that lane
-    /// rather than dropping reports.
-    pub channel_capacity: usize,
-    /// When set, history persists to a sharded [`DiskStore`] in this
-    /// directory and ingest runs one worker per shard.
-    pub persist_dir: Option<PathBuf>,
-    /// Store shard count for the persistent path.
-    pub shards: usize,
-    /// Test hook: per-report processing delay injected into ingest
-    /// threads, to exercise backpressure.
-    pub ingest_stall: Option<Duration>,
-    /// How often the controller thread drains the server's queued
-    /// actions into the control plane and pumps the command bus.
-    pub control_interval: Duration,
-    /// Wall-clock stand-in for a node's firmware+OS boot after its
-    /// outlet energizes.
-    pub boot_delay: Duration,
+    /// The server's history store, opened by the caller. Ingest appends
+    /// to it and shutdown flushes it.
+    pub store: Arc<dyn Store>,
 }
 
 /// How long after its last report a node counts as unreachable in the
@@ -104,21 +84,18 @@ impl Default for RealTimeConfig {
         RealTimeConfig {
             n_nodes: 8,
             interval: Duration::from_millis(50),
-            util: 0.4,
             listen: "127.0.0.1:0".to_string(),
-            channel_capacity: 64,
-            persist_dir: None,
-            shards: 4,
-            ingest_stall: None,
-            control_interval: Duration::from_millis(20),
-            boot_delay: Duration::from_millis(100),
+            store: Arc::new(MemStore::new(4096)),
         }
     }
 }
 
+/// Simulated activity level of the nodes.
+const UTIL: f64 = 0.4;
+
 fn agent_loop(
     node: u32,
-    cfg: RealTimeConfig,
+    interval: Duration,
     addr: Option<SocketAddr>,
     stop: Arc<AtomicBool>,
     os_up: Arc<Vec<AtomicBool>>,
@@ -159,7 +136,7 @@ fn agent_loop(
         // lifecycle effects
         if !os_up[node as usize].load(Ordering::Relaxed) {
             conn = None;
-            std::thread::sleep(cfg.interval);
+            std::thread::sleep(interval);
             continue;
         }
         // (re)connect before gathering, so the first report on a fresh
@@ -173,18 +150,18 @@ fn agent_loop(
                     conn = Some(s);
                 }
                 Err(_) => {
-                    std::thread::sleep(cfg.interval);
+                    std::thread::sleep(interval);
                     continue;
                 }
             }
         }
-        proc_.with_state(|s| s.tick(cfg.interval.as_secs_f64(), cfg.util));
+        proc_.with_state(|s| s.tick(interval.as_secs_f64(), UTIL));
         let now = wall_since(started);
         let sensors = Sensors {
-            cpu_temp_c: 40.0 + 20.0 * cfg.util,
+            cpu_temp_c: 40.0 + 20.0 * UTIL,
             board_temp_c: 35.0,
             fan_rpm: 6000.0,
-            power_watts: 90.0 + 110.0 * cfg.util,
+            power_watts: 90.0 + 110.0 * UTIL,
             udp_echo_ok: true,
         };
         if let Ok(out) = agent.tick(now, sensors) {
@@ -202,7 +179,7 @@ fn agent_loop(
                 }
             }
         }
-        std::thread::sleep(cfg.interval);
+        std::thread::sleep(interval);
     }
     sent
 }
@@ -215,29 +192,36 @@ struct PendingBoot {
     energized: bool,
 }
 
+/// How often the controller thread drains the server's queued actions
+/// into the control plane and pumps the command bus.
+const CONTROL_INTERVAL: Duration = Duration::from_millis(20);
+
+/// Wall-clock stand-in for a node's firmware+OS boot after its outlet
+/// energizes.
+const BOOT_DELAY: SimDuration = SimDuration::from_millis(100);
+
 /// The controller loop: the wall-clock twin of the simulation's
-/// `execute_pending_actions` + `pump_control`. Every `control_interval`
+/// `execute_pending_actions` + `pump_control`. Every [`CONTROL_INTERVAL`]
 /// it drains the server's queued actions into the shared
 /// [`ControlPlane`], pumps the command bus through the chassis
 /// transport the simulation uses — over a rack of ICE Boxes and a
 /// command-loss stream this thread owns — and applies the physical
 /// effects (power flags, boots, `forget_node`). Identical state machine,
 /// different clock.
-#[allow(clippy::too_many_arguments)]
 fn controller_loop(
-    cfg: RealTimeConfig,
+    n_nodes: u32,
     server: Arc<RwLock<Server>>,
     control: Arc<Mutex<ControlPlane>>,
     os_up: Arc<Vec<AtomicBool>>,
     stop: Arc<AtomicBool>,
 ) {
-    let n_boxes = (cfg.n_nodes as usize).div_ceil(NODE_PORTS);
+    let n_boxes = (n_nodes as usize).div_ceil(NODE_PORTS);
     let mut iceboxes: Vec<IceBox> = (0..n_boxes.max(1)).map(|_| IceBox::new()).collect();
     let mut rng = cwx_util::rng::rng(0x1ce_b0c5);
     // adopt the running fleet: relays closed, lifecycle forced Up
     {
         let mut cp = control.lock();
-        for node in 0..cfg.n_nodes {
+        for node in 0..n_nodes {
             let (bx, port) = World::rack_of(node);
             let _ = iceboxes[bx].power_on(SimTime::ZERO, port);
             iceboxes[bx].mark_energized(port);
@@ -245,7 +229,6 @@ fn controller_loop(
         }
     }
     let epoch = Instant::now();
-    let boot_delay = SimDuration::from_secs_f64(cfg.boot_delay.as_secs_f64());
     let mut boots: Vec<PendingBoot> = Vec::new();
     loop {
         let now = wall_since(epoch);
@@ -278,7 +261,7 @@ fn controller_loop(
             let relay_on = transport.relay_on(a.node);
             let effects = cp.submit_action(now, a.node, &a.action, relay_on, &mut NoGate);
             for e in effects {
-                apply_rt_effect(e, now, boot_delay, &mut cp, &os_up, &server, &mut boots);
+                apply_rt_effect(e, now, &mut cp, &os_up, &server, &mut boots);
             }
             loop {
                 let effects = cp.step(now, &mut transport, &mut NoGate);
@@ -286,7 +269,7 @@ fn controller_loop(
                     break;
                 }
                 for e in effects {
-                    apply_rt_effect(e, now, boot_delay, &mut cp, &os_up, &server, &mut boots);
+                    apply_rt_effect(e, now, &mut cp, &os_up, &server, &mut boots);
                 }
             }
         }
@@ -297,7 +280,7 @@ fn controller_loop(
                 break;
             }
             for e in effects {
-                apply_rt_effect(e, now, boot_delay, &mut cp, &os_up, &server, &mut boots);
+                apply_rt_effect(e, now, &mut cp, &os_up, &server, &mut boots);
             }
         }
         let idle = cp.outstanding() == 0 && boots.is_empty();
@@ -305,16 +288,14 @@ fn controller_loop(
         if stop.load(Ordering::Relaxed) && idle {
             break;
         }
-        std::thread::sleep(cfg.control_interval);
+        std::thread::sleep(CONTROL_INTERVAL);
     }
 }
 
 /// Apply one control-plane effect on the wall-clock deployment.
-#[allow(clippy::too_many_arguments)]
 fn apply_rt_effect(
     effect: Effect,
     now: SimTime,
-    boot_delay: SimDuration,
     cp: &mut ControlPlane,
     os_up: &Arc<Vec<AtomicBool>>,
     server: &Arc<RwLock<Server>>,
@@ -338,7 +319,7 @@ fn apply_rt_effect(
             boots.push(PendingBoot {
                 node,
                 energize_at,
-                up_at: energize_at + boot_delay,
+                up_at: energize_at + BOOT_DELAY,
                 energized: false,
             });
         }
@@ -354,62 +335,32 @@ fn apply_rt_effect(
     }
 }
 
+/// Bound of each ingest lane's flush queue, in batches; a full queue
+/// pauses (backpressures) the connections feeding that lane rather than
+/// dropping reports.
+const LANE_QUEUE_BATCHES: usize = 64;
+
 impl RealTimeDeployment {
     /// Start the threads.
     pub fn start(cfg: RealTimeConfig) -> Self {
         let control = Arc::new(Mutex::new(ControlPlane::new(cfg.n_nodes as usize)));
-        let store = cfg.persist_dir.as_ref().and_then(|dir| {
-            let store_cfg = StoreConfig {
-                n_shards: cfg.shards.max(1),
-                ..StoreConfig::default()
-            };
-            match DiskStore::open(dir, store_cfg) {
-                Ok(s) => Some(Arc::new(s)),
-                Err(e) => {
-                    // degrade to volatile history rather than dying: the
-                    // monitoring plane keeps running, the failure is audited
-                    control.lock().audit_io_error(
-                        SimTime::ZERO,
-                        None,
-                        format!("persistent store open failed, running volatile: {e:?}"),
-                    );
-                    None
-                }
-            }
-        });
-        let history: Arc<dyn Store> = match &store {
-            Some(s) => Arc::clone(s) as Arc<dyn Store>,
-            None => Arc::new(MemStore::new(4096)),
-        };
         let server = Arc::new(RwLock::new(Server::with_history(
             "realtime",
             SimDuration::from_secs(5),
-            history,
+            cfg.store,
             STALE_AFTER,
         )));
         let stop = Arc::new(AtomicBool::new(false));
         let started = Instant::now();
 
-        // one ingest lane per store shard (a single lane without a store)
-        let n_lanes = match &store {
-            Some(s) => s.config().n_shards,
-            None => 1,
-        };
-        let nodes_per_group = match &store {
-            Some(s) => s.config().nodes_per_group,
-            None => u32::MAX,
-        };
         let ingest = IngestServer::start(
             IngestConfig {
-                listen: cfg.listen.clone(),
-                n_lanes,
-                nodes_per_group,
-                lane_queue_batches: cfg.channel_capacity.max(1),
-                flush_stall: cfg.ingest_stall,
+                listen: cfg.listen,
+                lane_queue_batches: LANE_QUEUE_BATCHES,
                 ..IngestConfig::default()
             },
             Arc::clone(&server),
-            store.clone(),
+            None,
             Arc::clone(&control),
             started,
         );
@@ -436,26 +387,25 @@ impl RealTimeDeployment {
         let agents: Vec<_> = (0..cfg.n_nodes)
             .map(|node| {
                 let stop = Arc::clone(&stop);
-                let cfg = cfg.clone();
                 let os_up = Arc::clone(&os_up);
                 let control = Arc::clone(&control);
-                std::thread::spawn(move || agent_loop(node, cfg, addr, stop, os_up, control))
+                let interval = cfg.interval;
+                std::thread::spawn(move || agent_loop(node, interval, addr, stop, os_up, control))
             })
             .collect();
 
         let controller = {
-            let cfg = cfg.clone();
+            let n_nodes = cfg.n_nodes;
             let server = Arc::clone(&server);
             let control = Arc::clone(&control);
             let os_up = Arc::clone(&os_up);
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || controller_loop(cfg, server, control, os_up, stop))
+            std::thread::spawn(move || controller_loop(n_nodes, server, control, os_up, stop))
         };
 
         RealTimeDeployment {
             server,
             control,
-            store,
             stop,
             agents,
             ingest,
@@ -474,11 +424,6 @@ impl RealTimeDeployment {
         Arc::clone(&self.control)
     }
 
-    /// The persistent store, when the deployment runs with one.
-    pub fn store(&self) -> Option<Arc<DiskStore>> {
-        self.store.clone()
-    }
-
     /// Live ingest-plane counters (connections, frames, backpressure).
     pub fn ingest_stats(&self) -> IngestStats {
         self.ingest.as_ref().map(|i| i.stats()).unwrap_or_default()
@@ -488,21 +433,13 @@ impl RealTimeDeployment {
     /// twin of `World::fed_snapshot`, assembled under the shared locks.
     pub fn fed_snapshot(&self) -> crate::server::ClusterSnapshot {
         let counts = self.control.lock().lifecycle().counts();
-        let mut server = self.server.write();
-        let (alarms, alarms_dropped) = server.take_alarms();
-        crate::server::ClusterSnapshot {
-            n_nodes: counts.total(),
-            counts,
-            reachable: server.reachable_count(),
-            stats: server.stats(),
-            alarms,
-            alarms_dropped,
-        }
+        self.server.write().cluster_snapshot(counts)
     }
 
     /// Stop everything; returns `(reports sent, reports ingested)`.
-    /// Persistent deployments flush memtables on the way out (history is
-    /// WAL-recoverable even without this — the flush just trims replay).
+    /// The history store is flushed on the way out ([`Store::flush`]; a
+    /// disk store's history is WAL-recoverable even without it — the
+    /// flush just trims replay).
     pub fn shutdown(mut self) -> (u64, u64) {
         self.stop.store(true, Ordering::Relaxed);
         let mut sent = 0;
@@ -528,9 +465,7 @@ impl RealTimeDeployment {
         // agents have hung up; the ingest server drains their sockets
         // to EOF and flushes every buffered batch before stopping
         let ingested = self.ingest.take().map(|i| i.shutdown()).unwrap_or(0);
-        if let Some(store) = &self.store {
-            let _ = store.flush_all();
-        }
+        self.server.read().history().flush();
         (sent, ingested)
     }
 }
@@ -544,7 +479,6 @@ mod tests {
         let dep = RealTimeDeployment::start(RealTimeConfig {
             n_nodes: 6,
             interval: Duration::from_millis(20),
-            util: 0.5,
             ..RealTimeConfig::default()
         });
 
@@ -580,86 +514,5 @@ mod tests {
         for node in 0..6 {
             assert!(s.node_status(node).is_some(), "node{node} reported");
         }
-    }
-
-    #[test]
-    fn stalled_server_applies_backpressure_without_drops() {
-        // a tiny lane queue and a deliberately slow flush worker: the
-        // reactor must pause the offending connections (backpressure,
-        // audited) rather than drop or balloon, agents block in the TCP
-        // window, and shutdown still drains every buffered report. The
-        // backlog first grows the lane's batch up to its burst cap, so
-        // the queue fills only once capped batches pile up behind the
-        // stalled worker: wait for that rather than a fixed time.
-        let dep = RealTimeDeployment::start(RealTimeConfig {
-            n_nodes: 4,
-            interval: Duration::from_millis(5),
-            util: 0.3,
-            channel_capacity: 2,
-            ingest_stall: Some(Duration::from_millis(5)),
-            ..RealTimeConfig::default()
-        });
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while dep.ingest_stats().backpressure_trips == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let server = dep.server();
-        let stats = dep.ingest_stats();
-        let (sent, ingested) = dep.shutdown();
-        assert!(sent > 0, "agents made progress despite the stall");
-        assert_eq!(sent, ingested, "backpressure means blocked, never dropped");
-        assert_eq!(server.read().stats().reports_rx, ingested);
-        // the lane bound held the backlog: the flush queue filled and
-        // tripped backpressure instead of buffering without limit, and
-        // nobody was evicted (the pause bound is far away)
-        assert!(stats.backpressure_trips > 0, "lane backpressure tripped");
-        assert_eq!(stats.evicted, 0);
-        assert_eq!(server.read().stats().decode_errors, 0);
-    }
-
-    #[test]
-    fn persistent_deployment_recovers_after_restart() {
-        let dir = std::env::temp_dir().join(format!("cwx-rt-persist-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = RealTimeConfig {
-            n_nodes: 8,
-            interval: Duration::from_millis(5),
-            util: 0.5,
-            persist_dir: Some(dir.clone()),
-            shards: 4,
-            ..RealTimeConfig::default()
-        };
-        let dep = RealTimeDeployment::start(cfg.clone());
-        std::thread::sleep(Duration::from_millis(300));
-        let (sent, ingested) = dep.shutdown();
-        assert!(sent > 0);
-        assert_eq!(sent, ingested);
-
-        // "restart": a fresh deployment over the same directory sees the
-        // previous run's history before any new report arrives
-        let dep = RealTimeDeployment::start(cfg);
-        let store = dep.store().unwrap();
-        let recovered = store.total_samples();
-        assert!(recovered > 0, "prior run's samples recovered");
-        let server = dep.server();
-        {
-            let s = server.read();
-            let mut nodes_with_history = 0;
-            for node in 0..8 {
-                if !s
-                    .history()
-                    .range(node, "load.one", SimTime::ZERO, SimTime::MAX)
-                    .is_empty()
-                {
-                    nodes_with_history += 1;
-                }
-            }
-            assert!(
-                nodes_with_history >= 4,
-                "history visible for restarted cluster"
-            );
-        }
-        dep.shutdown();
-        let _ = std::fs::remove_dir_all(dir);
     }
 }

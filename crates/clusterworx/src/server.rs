@@ -216,6 +216,21 @@ impl Server {
         self.status.values().filter(|st| st.reachable).count() as u32
     }
 
+    /// This cluster's federation rollup over the control plane's
+    /// lifecycle `counts`, draining the alarm feed. The census sizes
+    /// the cluster: every node has a lifecycle state.
+    pub fn cluster_snapshot(&mut self, counts: LifecycleCounts) -> ClusterSnapshot {
+        let (alarms, alarms_dropped) = self.take_alarms();
+        ClusterSnapshot {
+            n_nodes: counts.total(),
+            counts,
+            reachable: self.reachable_count(),
+            stats: self.stats(),
+            alarms,
+            alarms_dropped,
+        }
+    }
+
     /// Queue an administrator-requested action, exactly as if a rule had
     /// fired it. This is the scriptable entry point the control-plane
     /// equivalence tests drive through both deployments.

@@ -20,9 +20,7 @@ use cwx_monitor::fault::AgentFault;
 use cwx_monitor::snapshot::Sensors;
 use cwx_net::{Network, NodeAddr, FAST_ETHERNET_BPS};
 use cwx_proc::synthetic::SyntheticProc;
-use cwx_store::disk::{DiskStore, StoreConfig};
 use cwx_store::mem::MemStore;
-use cwx_store::Store;
 use cwx_util::rng::rng as seeded_rng;
 use cwx_util::sim::{EventId, Sim};
 use cwx_util::time::{SimDuration, SimTime};
@@ -175,15 +173,8 @@ impl World {
     /// counters from the server, and the alarms raised since the last
     /// call (drained from the server's alarm feed).
     pub fn fed_snapshot(&mut self) -> crate::server::ClusterSnapshot {
-        let (alarms, alarms_dropped) = self.server.take_alarms();
-        crate::server::ClusterSnapshot {
-            n_nodes: self.cfg.n_nodes,
-            counts: self.control.lifecycle().counts(),
-            reachable: self.server.reachable_count(),
-            stats: self.server.stats(),
-            alarms,
-            alarms_dropped,
-        }
+        self.server
+            .cluster_snapshot(self.control.lifecycle().counts())
     }
 }
 
@@ -268,15 +259,10 @@ impl Cluster {
         } else {
             Network::single_segment(cfg.seed ^ 0xdead_beef, n + 1, FAST_ETHERNET_BPS, cfg.loss)
         };
-        let history: Arc<dyn Store> = match &cfg.store_dir {
-            None => Arc::new(MemStore::new(HISTORY_CAPACITY)),
-            // persistent history: a restarted simulation over the same
-            // directory recovers every recorded sample
-            Some(dir) => Arc::new(
-                DiskStore::open(dir, StoreConfig::default())
-                    .expect("open persistent history store"),
-            ),
-        };
+        let history = cfg
+            .store
+            .clone()
+            .unwrap_or_else(|| Arc::new(MemStore::new(HISTORY_CAPACITY)));
         let server = Server::with_history(
             "cluster",
             NOTIFY_WINDOW,

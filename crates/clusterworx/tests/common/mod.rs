@@ -1,0 +1,72 @@
+//! Test doubles shared by the integration tests.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
+
+use cwx_store::{BatchSample, Sample, Store};
+use cwx_util::time::SimTime;
+
+/// A history store that is slow to take writes: an `append_batch`
+/// carrying a stalled node's samples sleeps `per_report` for each report
+/// in it, then hands the batch to the inner store. Put behind the ingest
+/// lanes, it is the slow consumer the backpressure tests need; reads go
+/// straight through.
+#[derive(Debug)]
+pub struct SlowStore {
+    inner: Box<dyn Store>,
+    per_report_nanos: AtomicU64,
+    /// The one node whose batches stall; `None` stalls every batch.
+    node: Option<u32>,
+}
+
+impl SlowStore {
+    /// Stall every batch that carries `node`'s samples (`None`: every
+    /// batch).
+    pub fn new(inner: impl Store + 'static, per_report: Duration, node: Option<u32>) -> Self {
+        SlowStore {
+            inner: Box::new(inner),
+            per_report_nanos: AtomicU64::new(per_report.as_nanos() as u64),
+            node,
+        }
+    }
+
+    /// Stall no more: the consumer catches up at full speed.
+    pub fn release(&self) {
+        self.per_report_nanos.store(0, Ordering::Relaxed);
+    }
+}
+
+impl Store for SlowStore {
+    fn append_batch(&self, batch: &[BatchSample<'_>]) {
+        if self.node.is_none_or(|n| batch.iter().any(|s| s.node == n)) {
+            // a report's samples are adjacent and share node and time
+            let reports = batch
+                .chunk_by(|a, b| a.node == b.node && a.time == b.time)
+                .count()
+                .max(1);
+            let per_report = self.per_report_nanos.load(Ordering::Relaxed);
+            std::thread::sleep(Duration::from_nanos(per_report) * reports as u32);
+        }
+        self.inner.append_batch(batch);
+    }
+
+    fn latest(&self, node: u32, monitor: &str) -> Option<Sample> {
+        self.inner.latest(node, monitor)
+    }
+
+    fn range(&self, node: u32, monitor: &str, from: SimTime, to: SimTime) -> Vec<Sample> {
+        self.inner.range(node, monitor, from, to)
+    }
+
+    fn series(&self) -> Vec<(u32, String)> {
+        self.inner.series()
+    }
+
+    fn forget_node(&self, node: u32) {
+        self.inner.forget_node(node)
+    }
+
+    fn total_samples(&self) -> u64 {
+        self.inner.total_samples()
+    }
+}

@@ -86,8 +86,6 @@ fn sim_and_realtime_drive_identical_state_machines() {
     let dep = RealTimeDeployment::start(RealTimeConfig {
         n_nodes: 3,
         interval: Duration::from_millis(10),
-        control_interval: Duration::from_millis(10),
-        boot_delay: Duration::from_millis(50),
         ..RealTimeConfig::default()
     });
     dep.control()
@@ -101,7 +99,7 @@ fn sim_and_realtime_drive_identical_state_machines() {
         s.request_action(SimTime::ZERO, REBOOT_NODE, Action::Reboot);
         s.request_action(SimTime::ZERO, HALT_NODE, Action::Halt);
     }
-    // reboot budget: off + 200ms pause + sequenced energize + 50ms boot
+    // reboot budget: off + 200ms pause + sequenced energize + 100ms boot
     std::thread::sleep(Duration::from_millis(2500));
     dep.server()
         .write()

@@ -14,16 +14,30 @@ use cwx_monitor::monitor::{MonitorKey, Value};
 use cwx_monitor::transmit::{encode_compressed, Report, WireDecoder, WireEncoder};
 use cwx_net::frame::{put_frame, FrameBuffer};
 use cwx_store::disk::{DiskStore, StoreConfig};
+use cwx_store::mem::MemStore;
 use cwx_store::Store;
 use cwx_util::time::{SimDuration, SimTime};
 use parking_lot::{Mutex, RwLock};
 use proptest::prelude::*;
+
+mod common;
+use common::SlowStore;
 
 fn test_server() -> Arc<RwLock<Server>> {
     Arc::new(RwLock::new(Server::new(
         "ingest-plane-test",
         SimDuration::from_secs(5),
         4096,
+        SimDuration::from_secs(60),
+    )))
+}
+
+/// A server whose history is `store`.
+fn server_over(store: Arc<SlowStore>) -> Arc<RwLock<Server>> {
+    Arc::new(RwLock::new(Server::with_history(
+        "ingest-plane-test",
+        SimDuration::from_secs(5),
+        store,
         SimDuration::from_secs(60),
     )))
 }
@@ -178,17 +192,20 @@ proptest! {
 #[test]
 fn slow_consumer_is_evicted_while_other_lanes_flow() {
     let control = Arc::new(Mutex::new(ControlPlane::new(8)));
-    let server = test_server();
+    // one report wedges the lane-1 flusher for far longer than the
+    // eviction bound: a genuinely stuck consumer, not a slow one
+    let store = Arc::new(SlowStore::new(
+        MemStore::new(4096),
+        Duration::from_millis(200),
+        Some(1),
+    ));
+    let server = server_over(Arc::clone(&store));
     let cfg = IngestConfig {
         n_lanes: 2,
         nodes_per_group: 1, // node 0 → lane 0, node 1 → lane 1
         batch_samples: 8,
         lane_queue_batches: 1,
         evict_pause: Duration::from_millis(100),
-        // one report wedges the lane-1 flusher for far longer than the
-        // eviction bound: a genuinely stuck consumer, not a slow one
-        flush_stall: Some(Duration::from_millis(200)),
-        stall_lane: Some(1),
         ..IngestConfig::default()
     };
     let ingest = IngestServer::start(
@@ -244,6 +261,7 @@ fn slow_consumer_is_evicted_while_other_lanes_flow() {
     let healthy_sent = healthy.join().unwrap();
     flood.join().unwrap();
     let stats = ingest.stats();
+    store.release();
     ingest.shutdown();
 
     assert_eq!(healthy_sent, 60, "healthy lane never blocked the sender");
@@ -295,12 +313,11 @@ fn send_scripted(s: &mut TcpStream, node: u32, reports: u64, gap: Duration) {
     }
 }
 
-fn start_volatile(cfg: IngestConfig) -> (Arc<RwLock<Server>>, IngestServer) {
-    let server = test_server();
+/// A default ingest server whose lanes write to `server`'s history.
+fn start_volatile(server: &Arc<RwLock<Server>>) -> IngestServer {
     let control = Arc::new(Mutex::new(ControlPlane::new(8)));
-    let ingest =
-        IngestServer::start(cfg, Arc::clone(&server), None, control, Instant::now()).unwrap();
-    (server, ingest)
+    let cfg = IngestConfig::default();
+    IngestServer::start(cfg, Arc::clone(server), None, control, Instant::now()).unwrap()
 }
 
 fn wait_for_reports(ingest: &IngestServer, n: u64) {
@@ -316,7 +333,7 @@ fn wait_for_reports(ingest: &IngestServer, n: u64) {
 /// the work of one batch, not a batching delay.
 #[test]
 fn sparse_reports_are_visible_without_a_flush_timer() {
-    let (_server, ingest) = start_volatile(IngestConfig::default());
+    let ingest = start_volatile(&test_server());
     let mut s = TcpStream::connect(ingest.addr()).unwrap();
     send_scripted(&mut s, 0, 20, Duration::from_millis(10));
     wait_for_reports(&ingest, 20);
@@ -336,10 +353,12 @@ fn sparse_reports_are_visible_without_a_flush_timer() {
 /// backpressure.
 #[test]
 fn group_commit_coalesces_a_burst_behind_a_slow_batch() {
-    let (server, ingest) = start_volatile(IngestConfig {
-        flush_stall: Some(Duration::from_millis(2)),
-        ..IngestConfig::default()
-    });
+    let server = server_over(Arc::new(SlowStore::new(
+        MemStore::new(4096),
+        Duration::from_millis(2),
+        None,
+    )));
+    let ingest = start_volatile(&server);
     let mut s = TcpStream::connect(ingest.addr()).unwrap();
     send_scripted(&mut s, 0, 200, Duration::ZERO);
     wait_for_reports(&ingest, 200);
@@ -461,7 +480,8 @@ fn reactor_stores_exactly_the_scripted_traffic() {
 /// ones.
 #[test]
 fn text_wire_reports_are_decoded_and_stored() {
-    let (server, ingest) = start_volatile(IngestConfig::default());
+    let server = test_server();
+    let ingest = start_volatile(&server);
     let reports = report_stream(3, 6);
     let mut wire = Vec::new();
     for r in &reports {

@@ -56,8 +56,6 @@ fn realtime_head_and_subs_over_tcp() {
                 let dep = RealTimeDeployment::start(RealTimeConfig {
                     n_nodes: 4,
                     interval: Duration::from_millis(20),
-                    control_interval: Duration::from_millis(20),
-                    boot_delay: Duration::from_millis(30),
                     ..RealTimeConfig::default()
                 });
                 let stats =

@@ -71,8 +71,6 @@ fn spawn_join(
         let dep = RealTimeDeployment::start(RealTimeConfig {
             n_nodes: 4,
             interval: Duration::from_millis(20),
-            control_interval: Duration::from_millis(20),
-            boot_delay: Duration::from_millis(30),
             ..RealTimeConfig::default()
         });
         let stats = cwx_fed::join_loop(&dep, cluster, &addr, Duration::from_millis(100), &stop)

@@ -1264,20 +1264,6 @@ impl DiskStore {
 }
 
 impl Store for DiskStore {
-    fn append(&self, node: u32, monitor: &str, time: SimTime, value: f64) {
-        let sample = BatchSample {
-            node,
-            monitor,
-            time,
-            value,
-        };
-        self.append_to_shard(
-            self.shard_of(node),
-            self.write_allowed(),
-            std::iter::once(&sample),
-        );
-    }
-
     fn append_batch(&self, batch: &[BatchSample<'_>]) {
         let durable = self.write_allowed();
         // group by shard so each lock (and each WAL write) is taken once

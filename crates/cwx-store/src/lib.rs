@@ -183,19 +183,19 @@ pub struct BatchSample<'a> {
 /// the disk store), which is what lets many ingest threads write
 /// concurrently.
 pub trait Store: std::fmt::Debug + Send + Sync {
-    /// Record one sample; the sample is durable (per the crate's
-    /// durability contract) when this returns.
-    fn append(&self, node: u32, monitor: &str, time: SimTime, value: f64);
+    /// Record a batch of samples; every sample is durable (per the
+    /// crate's durability contract) when this returns. Backends amortize
+    /// locking and WAL writes across the whole batch.
+    fn append_batch(&self, batch: &[BatchSample<'_>]);
 
-    /// Record a batch of samples with the same durability guarantee as
-    /// [`Store::append`] for every sample once this returns.
-    ///
-    /// The default just loops over [`Store::append`]; backends override
-    /// it to amortize locking and WAL writes across the whole batch.
-    fn append_batch(&self, batch: &[BatchSample<'_>]) {
-        for s in batch {
-            self.append(s.node, s.monitor, s.time, s.value);
-        }
+    /// Record one sample: a batch of one.
+    fn append(&self, node: u32, monitor: &str, time: SimTime, value: f64) {
+        self.append_batch(&[BatchSample {
+            node,
+            monitor,
+            time,
+            value,
+        }]);
     }
 
     /// Latest sample of a series.

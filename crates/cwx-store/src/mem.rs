@@ -66,6 +66,7 @@ impl NodeSeries {
             self.rings.push(Ring {
                 buf: Vec::new(),
                 head: 0,
+                in_order: true,
             });
             self.rings.len() - 1
         });
@@ -79,10 +80,14 @@ struct Ring {
     buf: Vec<Sample>,
     /// Oldest sample once the ring has wrapped (buf.len() == cap).
     head: usize,
+    /// Every push so far came at or after the previous one's time, so
+    /// append order is time order. A late sample clears it for good.
+    in_order: bool,
 }
 
 impl Ring {
     fn push(&mut self, cap: usize, s: Sample) {
+        self.in_order &= self.last_appended().is_none_or(|p| s.time >= p.time);
         if self.buf.len() < cap {
             self.buf.push(s);
         } else {
@@ -91,17 +96,25 @@ impl Ring {
         }
     }
 
-    fn latest(&self) -> Option<Sample> {
-        if self.buf.is_empty() {
-            None
-        } else if self.head == 0 {
+    fn last_appended(&self) -> Option<Sample> {
+        if self.head == 0 {
             self.buf.last().copied()
         } else {
             Some(self.buf[self.head - 1])
         }
     }
 
-    /// Oldest-first iteration.
+    /// The newest sample by time, the last appended among equals.
+    fn latest(&self) -> Option<Sample> {
+        if self.in_order {
+            return self.last_appended();
+        }
+        self.iter()
+            .copied()
+            .reduce(|a, b| if b.time >= a.time { b } else { a })
+    }
+
+    /// Append-order (oldest appended first) iteration.
     fn iter(&self) -> impl Iterator<Item = &Sample> {
         self.buf[self.head..]
             .iter()
@@ -143,15 +156,6 @@ impl MemStore {
 }
 
 impl Store for MemStore {
-    fn append(&self, node: u32, monitor: &str, time: SimTime, value: f64) {
-        self.append_batch(&[BatchSample {
-            node,
-            monitor,
-            time,
-            value,
-        }]);
-    }
-
     fn append_batch(&self, batch: &[BatchSample<'_>]) {
         let mut inner = self.inner.write();
         let Inner {
@@ -187,7 +191,7 @@ impl Store for MemStore {
         let Some(id) = inner.key_id(monitor) else {
             return Vec::new();
         };
-        inner
+        let mut out: Vec<Sample> = inner
             .nodes
             .get(&node)
             .and_then(|ns| ns.get(id))
@@ -197,7 +201,13 @@ impl Store for MemStore {
                     .copied()
                     .collect()
             })
-            .unwrap_or_default()
+            .unwrap_or_default();
+        // a late sample sits in append order; the contract is time order
+        // (the sort is stable: append order among equal times)
+        if !out.is_sorted_by_key(|s| s.time) {
+            out.sort_by_key(|s| s.time);
+        }
+        out
     }
 
     fn series(&self) -> Vec<(u32, String)> {
@@ -262,6 +272,49 @@ mod tests {
             all.iter().map(|s| s.value).collect::<Vec<_>>(),
             vec![7.0, 8.0, 9.0, 10.0]
         );
+    }
+
+    #[test]
+    fn a_late_sample_is_read_in_time_order() {
+        let m = MemStore::new(8);
+        m.append(1, "k", t(100), 1.0);
+        m.append(1, "k", t(90), 2.0);
+        let all = m.range(1, "k", SimTime::ZERO, SimTime::MAX);
+        assert_eq!(
+            all.iter().map(|s| s.time).collect::<Vec<_>>(),
+            [t(90), t(100)]
+        );
+        assert_eq!(m.latest(1, "k").unwrap().time, t(100));
+        // the last appended wins a tie on time
+        m.append(1, "k", t(100), 3.0);
+        assert_eq!(m.latest(1, "k").unwrap().value, 3.0);
+    }
+
+    #[test]
+    fn a_late_sample_is_counted_in_its_own_window() {
+        let m = MemStore::new(8);
+        m.append(1, "k", t(100), 1.0);
+        m.append(1, "k", t(90), 2.0);
+        let r = m
+            .query(&crate::QuerySpec {
+                monitor: "k".into(),
+                from: SimTime::ZERO,
+                to: t(199),
+                window_nanos: 10 * 1_000_000_000,
+                agg: crate::AggFunc::Count,
+                groups: vec![crate::QueryGroup {
+                    key: "all".into(),
+                    nodes: vec![1],
+                }],
+                max_scan: 0,
+            })
+            .unwrap();
+        let windows: Vec<(SimTime, u64)> = r.groups[0]
+            .points
+            .iter()
+            .map(|p| (p.start, p.count))
+            .collect();
+        assert_eq!(windows, [(t(90), 1), (t(100), 1)]);
     }
 
     #[test]

@@ -25,9 +25,11 @@ use cwx_clone::protocol::{run_clone, CloneConfig, RepairStrategy};
 use cwx_hw::node::Fault;
 use cwx_monitor::snapshot::Sensors;
 use cwx_net::FAST_ETHERNET_BPS;
+use cwx_store::disk::{DiskStore, StoreConfig};
 use cwx_store::{AggFunc, QueryGroup, QuerySpec, Resolution, Store};
 use cwx_util::time::{SimDuration, SimTime};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One command: `run` gets its command line checked against `usage`
@@ -203,14 +205,21 @@ fn cmd_simulate(args: &Args) -> Result<i32, String> {
         };
         fan_fails.push((node, args.in_range("fan-fail", at)?));
     }
-    if let Some(dir) = &store_dir {
-        println!("history persists to {} (reruns recover it)", dir.display());
-    }
+    // persistent history: a rerun over the same directory recovers it
+    let store = match &store_dir {
+        Some(dir) => {
+            let store = DiskStore::open(dir, StoreConfig::default())
+                .map_err(|e| format!("could not open store {}: {e}", dir.display()))?;
+            println!("history persists to {} (reruns recover it)", dir.display());
+            Some(Arc::new(store) as Arc<dyn Store>)
+        }
+        None => None,
+    };
     let mut sim = Cluster::build(ClusterConfig {
         n_nodes: nodes,
         seed,
         workload: WorkloadMix::Mixed,
-        store_dir,
+        store,
         ..Default::default()
     });
     for (node, at) in fan_fails {
@@ -357,8 +366,6 @@ fn agg_query(args: &Args, agg: &str, from: SimTime) -> Result<(QuerySpec, String
 }
 
 fn cmd_history(args: &Args) -> Result<i32, String> {
-    use cwx_store::disk::{DiskStore, StoreConfig};
-
     let Some(dir) = args.opt::<String>("store")? else {
         return Err(args.bad("`cwx history` needs --store DIR".into()));
     };
@@ -434,7 +441,7 @@ fn cmd_history(args: &Args) -> Result<i32, String> {
                 .collect(),
         };
         let agg = spec.agg;
-        let exec = QueryExecutor::new(std::sync::Arc::new(store), QueryLimits::default());
+        let exec = QueryExecutor::new(Arc::new(store), QueryLimits::default());
         let r = exec
             .execute(spec)
             .map_err(|e| format!("query failed: {e}"))?;
@@ -678,8 +685,6 @@ fn cmd_ingest_serve(args: &Args) -> Result<i32, String> {
     use clusterworx::actions::ControlPlane;
     use clusterworx::ingest::{IngestConfig, IngestServer};
     use clusterworx::server::Server;
-    use cwx_store::disk::{DiskStore, StoreConfig};
-    use std::sync::Arc;
 
     let listen: String = args.get("listen", "127.0.0.1:7420".into())?;
     let secs = args.secs("secs")?.unwrap_or(60);

@@ -75,6 +75,23 @@ fn unknown_or_unparseable_flags_exit_3_naming_the_flag() {
     }
 }
 
+/// A history store that cannot be opened is an operational error, the
+/// same for every command that takes `--store DIR`: exit 3 with one line
+/// on stderr, never a panic.
+#[test]
+fn an_unopenable_store_exits_3_with_one_line() {
+    // Cargo.toml is a file, so no directory can be made under it
+    for line in [
+        "simulate --nodes 2 --secs 10 --store Cargo.toml/d",
+        "ingest serve --listen 127.0.0.1:0 --secs 0 --store Cargo.toml/d",
+    ] {
+        let (code, err) = cwx(line);
+        assert_eq!(code, 3, "`cwx {line}` must be refused: {err}");
+        assert_eq!(err.lines().count(), 1, "`cwx {line}`: {err}");
+        assert!(err.contains("Cargo.toml/d"), "`cwx {line}`: {err}");
+    }
+}
+
 #[test]
 fn removed_shims_are_usage_errors() {
     // scenarios are manifests: `cwx run examples/scenarios/<name>.toml`
