@@ -273,7 +273,10 @@ pub struct QueryStats {
     pub scanned_raw: u64,
     /// Pre-aggregated buckets folded.
     pub scanned_buckets: u64,
-    /// Shards with no companion at the selected tier (finer/raw served).
+    /// Shards with no companion file at the selected tier (finer/raw
+    /// served). A series a merge left out of a companion (its block
+    /// would not fold 2× fewer entries) is read from a finer companion
+    /// or raw by design, and does not count here.
     pub fallback_shards: u64,
     /// Blocks the index promised that could not be read back (damaged
     /// or gone since open): each is a gap in the answer.

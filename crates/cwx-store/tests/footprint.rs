@@ -1,0 +1,148 @@
+//! What a compacted store costs on disk, per sample and per resolution.
+//! A merge writes a series' 10 s / 5 min / 1 h block only where it
+//! folds at least 2× fewer entries than the source a query at that tier
+//! would otherwise read, so a 30 s series keeps no 10 s block (one
+//! sample a bucket) and a 1 s series keeps all three. The readings are
+//! two-decimal random walks, as a sensor reports them, and the sizes
+//! are deterministic: the same appends write the same bytes.
+
+use std::path::{Path, PathBuf};
+
+use cwx_store::disk::{DiskStore, StoreConfig};
+use cwx_store::segment::SegmentIndex;
+use cwx_store::{BatchSample, Resolution, Store};
+use cwx_util::time::{SimDuration, SimTime};
+
+const NODES: u32 = 10;
+/// Four hours: a 30 s series has 48 five-minute and 4 one-hour buckets.
+const SPAN_SECS: u64 = 4 * 3_600;
+
+/// Bytes and series held per resolution (indexed by tag), and samples.
+struct Footprint {
+    bytes: [u64; 4],
+    series: [usize; 4],
+    samples: u64,
+}
+
+impl Footprint {
+    fn per_sample(&self, res: Resolution) -> f64 {
+        self.bytes[res.tag() as usize] as f64 / self.samples as f64
+    }
+
+    fn total_per_sample(&self) -> f64 {
+        self.bytes.iter().sum::<u64>() as f64 / self.samples as f64
+    }
+}
+
+/// `NODES` series of `cpu.util` every `cadence_secs` over `SPAN_SECS`,
+/// compacted, and what its segment files hold.
+fn compacted(cadence_secs: u64) -> Footprint {
+    let dir: PathBuf = std::env::temp_dir().join(format!(
+        "cwx-footprint-{cadence_secs}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = StoreConfig {
+        n_shards: 2,
+        nodes_per_group: NODES / 2,
+        ..StoreConfig::default()
+    };
+    let store = DiskStore::open(&dir, cfg).unwrap();
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut walks = vec![5_000i64; NODES as usize];
+    for step in 0..SPAN_SECS / cadence_secs {
+        let time = SimTime::ZERO + SimDuration::from_secs(step * cadence_secs);
+        let batch: Vec<BatchSample<'_>> = (0..NODES)
+            .map(|node| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let walk = &mut walks[node as usize];
+                *walk = (*walk + (state >> 33) as i64 % 101 - 50).clamp(0, 10_000);
+                BatchSample {
+                    node,
+                    monitor: "cpu.util",
+                    time,
+                    value: *walk as f64 / 100.0,
+                }
+            })
+            .collect();
+        store.append_batch(&batch);
+    }
+    store.compact_all().unwrap();
+    let samples = store.total_samples();
+    drop(store);
+    let mut out = Footprint {
+        bytes: [0; 4],
+        series: [0; 4],
+        samples,
+    };
+    for shard in ["shard-000", "shard-001"] {
+        for path in segment_files(&dir.join(shard)) {
+            let index = SegmentIndex::read_from(&path).unwrap();
+            let tag = index.resolution.tag() as usize;
+            out.bytes[tag] += std::fs::metadata(&path).unwrap().len();
+            out.series[tag] += index.entries.len();
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+    eprintln!(
+        "{cadence_secs:>2} s: {:.2} B/sample (r0 {:.2}, r1 {:.2}, r2 {:.2}, r3 {:.2}), series {:?}",
+        out.total_per_sample(),
+        out.per_sample(Resolution::Raw),
+        out.per_sample(Resolution::TenSeconds),
+        out.per_sample(Resolution::FiveMinutes),
+        out.per_sample(Resolution::OneHour),
+        out.series,
+    );
+    out
+}
+
+fn segment_files(dir: &Path) -> Vec<PathBuf> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+        .collect()
+}
+
+/// Each resolution's bytes a sample stay under `ceiling` (r0, r1, r2,
+/// r3, by tag).
+fn assert_under(f: &Footprint, ceiling: [f64; 4]) {
+    for res in [Resolution::Raw].into_iter().chain(Resolution::TIERS) {
+        let got = f.per_sample(res);
+        assert!(
+            got <= ceiling[res.tag() as usize],
+            "{res:?}: {got:.3} B/sample"
+        );
+    }
+}
+
+#[test]
+fn a_30s_series_keeps_no_10s_block() {
+    let f = compacted(30);
+    let all = NODES as usize;
+    assert_eq!(f.series, [all, 0, all, all]);
+    // the r1 files are bare headers, written so every merge keeps its
+    // four files
+    assert_under(&f, [8.5, 0.01, 3.5, 0.5]);
+    assert!(f.total_per_sample() <= 13.0, "{:?}", f.bytes);
+}
+
+#[test]
+fn a_5s_series_keeps_every_tier() {
+    let f = compacted(5);
+    let all = NODES as usize;
+    // two samples in every 10 s bucket: the block folds exactly half
+    // the entries, the rule's edge, and is kept
+    assert_eq!(f.series, [all; 4]);
+    assert_under(&f, [8.5, 16.0, 0.6, 0.1]);
+}
+
+#[test]
+fn a_1s_series_keeps_every_tier() {
+    let f = compacted(1);
+    let all = NODES as usize;
+    assert_eq!(f.series, [all; 4]);
+    assert_under(&f, [8.5, 3.5, 0.15, 0.02]);
+}

@@ -8,6 +8,7 @@
 use std::path::{Path, PathBuf};
 
 use cwx_store::disk::{DiskStore, StoreConfig};
+use cwx_store::segment::SegmentIndex;
 use cwx_store::{query, AggFunc, QueryGroup, QuerySpec, Resolution, Sample, Store};
 use cwx_util::time::SimTime;
 
@@ -106,6 +107,22 @@ fn parent_written_store_opens_and_answers_identically() {
     store.flush_all().unwrap();
     assert_holds(&store, STEPS + 1);
     store.compact_all().unwrap();
+    assert_holds(&store, STEPS + 1);
+    // re-merged under the companion rule: a 10 s bucket of 47 s data
+    // holds one sample, so `r1` is written empty while `r2` and `r3`
+    // hold every series
+    for shard in ["shard-000", "shard-001"] {
+        let mut held = [0usize; 4];
+        for entry in std::fs::read_dir(dir.join(shard)).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "seg") {
+                continue;
+            }
+            let index = SegmentIndex::read_from(&path).unwrap();
+            held[index.resolution.tag() as usize] += index.entries.len();
+        }
+        assert_eq!(held, [4, 0, 4, 4], "{shard}: series per resolution");
+    }
     drop(store);
     let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
     assert_eq!(store.recovery().segments_loaded, 2 * 4);

@@ -5,9 +5,12 @@
 //! and memtables, and where one bucket's samples sit in several
 //! segments because they arrived late.
 
+mod common;
+
 use std::path::PathBuf;
 
 use cwx_store::disk::{DiskStore, StoreConfig};
+use cwx_store::segment::SegmentIndex;
 use cwx_store::{query, AggFunc, QueryGroup, QuerySpec, Resolution, Store};
 use cwx_util::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -168,7 +171,16 @@ proptest! {
         assert_same_points(agg, &tiered, &reference);
         let total: u64 = tiered.groups[0].points.iter().map(|p| p.count).sum();
         prop_assert_eq!(total, 2 * per_node as u64, "late samples included");
-        prop_assert!(tiered.stats.scanned_buckets > 0, "companions serve the merged runs");
+        let (from, to) = spec.window_bounds();
+        let served = nodes.iter().any(|&n| {
+            let shard = dir.join(format!("shard-00{}", n / 2 % 2));
+            common::companions_serve(&shard, n, "m", tiered.stats.tier, from, to)
+        });
+        prop_assert_eq!(
+            tiered.stats.scanned_buckets > 0,
+            served,
+            "companions serve the merged runs where the rule keeps them"
+        );
         prop_assert!(tiered.stats.scanned_raw > 0, "raw serves flushes and memtable");
 
         // range_agg over the same layout: one bucket per start, each
@@ -250,7 +262,65 @@ proptest! {
         if suffix > 0 {
             prop_assert!(tiered.stats.scanned_raw > 0, "suffix must be raw-scanned");
         }
-        prop_assert!(tiered.stats.scanned_buckets > 0, "tiers must serve the body");
+        let (from, to) = spec.window_bounds();
+        let served = nodes.iter().any(|&n| {
+            let shard = dir.join(format!("shard-00{}", n / 2 % 2));
+            common::companions_serve(&shard, n, "m", expected_tier, from, to)
+        });
+        prop_assert_eq!(
+            tiered.stats.scanned_buckets > 0,
+            served,
+            "tiers serve the body where the rule keeps them"
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// One merge, two cadences: the 1 s series earns its 10 s block and the
+/// 30 s series (one sample a bucket) does not, so one 10 s query folds
+/// the first from `r1` and the second from raw, and matches the raw
+/// fold window for window.
+#[test]
+fn one_query_folds_a_1s_series_from_its_10s_tier_and_a_30s_series_from_raw() {
+    let dir = tmp_dir("mixed");
+    let cfg = StoreConfig {
+        n_shards: 1,
+        ..StoreConfig::default()
+    };
+    let store = DiskStore::open(&dir, cfg).unwrap();
+    for i in 0..3_600u64 {
+        store.append(0, "m", t(i), value(7, i));
+        if i.is_multiple_of(30) {
+            store.append(1, "m", t(i), value(8, i));
+        }
+    }
+    store.compact_all().unwrap();
+    let shard = dir.join("shard-000");
+    let r1 = SegmentIndex::read_from(&shard.join("seg-00000001-r1.seg")).unwrap();
+    let held: Vec<u32> = r1.entries.iter().map(|e| e.node).collect();
+    assert_eq!(held, [0], "the 10 s companion holds the 1 s series only");
+
+    for agg in AGGS {
+        let spec = QuerySpec {
+            monitor: "m".into(),
+            from: t(0),
+            to: t(3_599),
+            window_nanos: 10 * SEC,
+            agg,
+            groups: vec![QueryGroup {
+                key: "g".into(),
+                nodes: vec![0, 1],
+            }],
+            max_scan: 0,
+        };
+        let tiered = store.query(&spec).unwrap();
+        assert_eq!(tiered.stats.tier, Resolution::TenSeconds);
+        assert_eq!(tiered.stats.fallback_shards, 0);
+        assert_eq!(tiered.stats.scanned_buckets, 360, "node 0 from r1");
+        assert_eq!(tiered.stats.scanned_raw, 120, "node 1 from raw");
+        let reference =
+            query::run_over_ranges(&spec, |n, m, f, to_| store.range(n, m, f, to_)).unwrap();
+        assert_same_points(agg, &tiered, &reference);
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
