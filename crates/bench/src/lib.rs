@@ -3,8 +3,7 @@
 //! Each module implements one experiment from the index in `DESIGN.md`
 //! and returns structured results; the `experiments` binary renders them
 //! as paper-vs-measured tables (and `--markdown` emits the body of
-//! `EXPERIMENTS.md`), while the Criterion benches in `benches/` reuse the
-//! same drivers at reduced scale for statistically rigorous timing.
+//! `EXPERIMENTS.md`).
 
 pub mod measure;
 

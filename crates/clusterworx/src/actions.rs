@@ -269,7 +269,8 @@ pub enum AuditEntry {
         /// `true` when the force-after deadline expired first.
         forced: bool,
     },
-    /// A lifecycle transition (mirrors the tracker log).
+    /// A lifecycle transition: the only record of it
+    /// ([`ControlPlane::transitions`] reads them back).
     Transition {
         /// State left.
         from: LifecycleState,
@@ -582,6 +583,22 @@ impl ControlPlane {
                     time: r.time,
                     node: r.node.expect("actions always target a node"),
                     action: action.clone(),
+                }),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Lifecycle transitions, in order, projected from the audit.
+    pub fn transitions(&self) -> Vec<Transition> {
+        self.audit
+            .iter()
+            .filter_map(|r| match r.entry {
+                AuditEntry::Transition { from, to } => Some(Transition {
+                    time: r.time,
+                    node: r.node.expect("transitions always name a node"),
+                    from,
+                    to,
                 }),
                 _ => None,
             })

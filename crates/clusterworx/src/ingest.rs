@@ -628,23 +628,25 @@ pub fn parse_reply(frame: &[u8]) -> Result<QueryReply, String> {
         }
     }
     for line in lines {
-        let mut f = line.splitn(4, ',');
-        let key = f.next().ok_or("short row")?.to_string();
-        let start = f
-            .next()
-            .ok_or("short row")?
-            .parse()
-            .map_err(|_| "bad start")?;
-        let value = f
-            .next()
-            .ok_or("short row")?
-            .parse()
-            .map_err(|_| "bad value")?;
+        // from the right: a group key may itself hold commas, the
+        // three numeric fields never do
+        let mut f = line.rsplitn(4, ',');
         let count = f
             .next()
             .ok_or("short row")?
             .parse()
             .map_err(|_| "bad count")?;
+        let value = f
+            .next()
+            .ok_or("short row")?
+            .parse()
+            .map_err(|_| "bad value")?;
+        let start = f
+            .next()
+            .ok_or("short row")?
+            .parse()
+            .map_err(|_| "bad start")?;
+        let key = f.next().ok_or("short row")?.to_string();
         reply.points.push((key, start, value, count));
     }
     Ok(reply)
@@ -1466,6 +1468,26 @@ mod tests {
         assert_eq!(parsed.max_scan, spec.max_scan);
         assert_eq!(parsed.groups.len(), 2);
         assert_eq!(parsed.groups[1].nodes, vec![10, 11]);
+
+        // a group key may hold a comma: `parse_query` takes it up to its
+        // `:`, and the reply must hand it back whole
+        let series = |key: &str, start, value| cwx_store::query::GroupSeries {
+            key: key.into(),
+            points: vec![cwx_store::query::AggPoint {
+                start: SimTime::from_nanos(start),
+                value,
+                count: 3,
+            }],
+        };
+        let result = QueryResult {
+            groups: vec![series("rack0", 0, 1.5), series("a,b", 5_000, -2.0)],
+            stats: Default::default(),
+        };
+        let reply = parse_reply(&encode_reply(&Ok(result))).unwrap();
+        assert_eq!(
+            reply.points,
+            vec![("rack0".into(), 0, 1.5, 3), ("a,b".into(), 5_000, -2.0, 3)]
+        );
     }
 
     #[test]

@@ -202,7 +202,8 @@ impl LifecycleCounts {
     }
 }
 
-/// One recorded transition (the lifecycle slice of the audit trail).
+/// One transition (the lifecycle slice of the audit trail, read back
+/// by `ControlPlane::transitions`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transition {
     /// When.
@@ -224,7 +225,6 @@ pub struct LifecycleTracker {
     /// when each node last entered `Up` (None once it truly leaves the
     /// up family `Up`/`Draining`) — the connectivity grace anchor
     up_entered: Vec<Option<SimTime>>,
-    log: Vec<Transition>,
 }
 
 impl LifecycleTracker {
@@ -234,7 +234,6 @@ impl LifecycleTracker {
             states: vec![LifecycleState::Off; n],
             since: vec![SimTime::ZERO; n],
             up_entered: vec![None; n],
-            log: Vec::new(),
         }
     }
 
@@ -271,11 +270,6 @@ impl LifecycleTracker {
         self.up_entered[node as usize]
     }
 
-    /// The transition log, in order.
-    pub fn log(&self) -> &[Transition] {
-        &self.log
-    }
-
     /// Tally every node by its current state.
     pub fn counts(&self) -> LifecycleCounts {
         let mut c = LifecycleCounts::default();
@@ -296,7 +290,7 @@ impl LifecycleTracker {
     }
 
     /// Attempt `node → to`. Returns the transition if the edge is legal
-    /// (recording it), `None` if it is not (state unchanged).
+    /// (applying it), `None` if it is not (state unchanged).
     pub fn transition(
         &mut self,
         now: SimTime,
@@ -312,7 +306,8 @@ impl LifecycleTracker {
 
     /// Force `node` into `to` regardless of legality — the escape hatch
     /// for adopting an already-running fleet ([`crate::realtime`]) and
-    /// for hardware events that outrank the machine. Still logged.
+    /// for hardware events that outrank the machine. Still returned,
+    /// so the control plane audits it like any other.
     pub fn force(&mut self, now: SimTime, node: u32, to: LifecycleState) -> Option<Transition> {
         let from = self.states[node as usize];
         if from == to {
@@ -335,14 +330,12 @@ impl LifecycleTracker {
             LifecycleState::Draining => {} // still up: keep the anchor
             _ => self.up_entered[node as usize] = None,
         }
-        let t = Transition {
+        Some(Transition {
             time: now,
             node,
             from,
             to,
-        };
-        self.log.push(t);
-        Some(t)
+        })
     }
 }
 
@@ -359,13 +352,16 @@ mod tests {
     fn happy_path_boot_and_drain() {
         let mut lc = LifecycleTracker::new(1);
         assert_eq!(lc.state(0), Off);
+        let mut from = Off;
         for (at, to) in [(1, PoweringOn), (2, Bios), (10, Up), (50, Draining)] {
-            assert!(lc.transition(t(at), 0, to).is_some(), "{to:?}");
+            let tr = lc.transition(t(at), 0, to).expect("legal edge");
+            assert_eq!((tr.time, tr.node, tr.from, tr.to), (t(at), 0, from, to));
+            from = to;
         }
         assert_eq!(lc.up_since(0), Some(t(10)), "draining keeps the anchor");
         assert!(lc.transition(t(60), 0, Off).is_some());
         assert_eq!(lc.up_since(0), None);
-        assert_eq!(lc.log().len(), 5);
+        assert_eq!(lc.since(0), t(60));
     }
 
     #[test]
@@ -375,7 +371,7 @@ mod tests {
         assert!(lc.transition(t(1), 0, Halted).is_none());
         assert!(lc.transition(t(1), 0, Off).is_none(), "self loop");
         assert_eq!(lc.state(0), Off, "state untouched by refusals");
-        assert!(lc.log().is_empty());
+        assert_eq!(lc.since(0), SimTime::ZERO, "refusals do not restamp");
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub fn capture_sections(sim: &Sim<World>) -> Vec<(String, Vec<u8>)> {
     }
     push("icebox", b);
 
-    // lifecycle: per-node chain position plus the full transition log
+    // lifecycle: per-node chain position plus every transition so far
     let lc = w.control.lifecycle();
     let mut b = Vec::new();
     for node in 0..n as u32 {
@@ -123,8 +123,9 @@ pub fn capture_sections(sim: &Sim<World>) -> Vec<(String, Vec<u8>)> {
     for c in lc.counts().as_array() {
         put_u64(&mut b, c as u64);
     }
-    put_u64(&mut b, lc.log().len() as u64);
-    put_u64(&mut b, fnv1a_debug(lc.log()));
+    let transitions = w.control.transitions();
+    put_u64(&mut b, transitions.len() as u64);
+    put_u64(&mut b, fnv1a_debug(&transitions));
     push("lifecycle", b);
 
     // audit: the control plane's audit trail (the chaos report's hash)

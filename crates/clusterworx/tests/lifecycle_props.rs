@@ -40,24 +40,24 @@ fn tracker_in(state: LifecycleState) -> LifecycleTracker {
 }
 
 /// Exhaustive, not sampled: the tracker agrees with the table on every
-/// one of the 11 × 11 edges — refusals leave state and log untouched.
+/// one of the 11 × 11 edges — refusals leave state and its entry time
+/// untouched, and return no transition to record.
 #[test]
 fn tracker_agrees_with_the_table_on_every_edge() {
     for &from in &ALL_STATES {
         for &to in &ALL_STATES {
             let mut t = tracker_in(from);
-            let log_before = t.log().len();
             let now = SimTime::ZERO + SimDuration::from_secs(1);
             let got = t.transition(now, 0, to);
             if legal_transition(from, to) {
                 let tr = got.unwrap_or_else(|| panic!("legal {from:?} -> {to:?} refused"));
-                assert_eq!((tr.from, tr.to), (from, to));
+                assert_eq!((tr.time, tr.node, tr.from, tr.to), (now, 0, from, to));
                 assert_eq!(t.state(0), to);
-                assert_eq!(t.log().len(), log_before + 1);
+                assert_eq!(t.since(0), now);
             } else {
                 assert!(got.is_none(), "illegal {from:?} -> {to:?} accepted");
                 assert_eq!(t.state(0), from, "refusal must not move the node");
-                assert_eq!(t.log().len(), log_before, "refusal must not log");
+                assert_eq!(t.since(0), SimTime::ZERO, "refusal must not restamp");
             }
         }
     }
@@ -95,8 +95,8 @@ proptest! {
         prop_assert_eq!(t.state(0), s);
     }
 
-    /// A random walk of transition *requests* produces a log whose every
-    /// recorded edge is legal and whose edges chain (each `from` is the
+    /// A random walk of transition *requests* yields transitions whose
+    /// every edge is legal and whose edges chain (each `from` is the
     /// previous `to`), no matter how many requests were refused along
     /// the way.
     #[test]
@@ -105,6 +105,7 @@ proptest! {
     ) {
         let mut t = LifecycleTracker::new(1);
         let mut now = SimTime::ZERO;
+        let mut walk = Vec::new();
         for &ti in &targets {
             let to = state(ti);
             now += SimDuration::from_secs(1);
@@ -114,12 +115,13 @@ proptest! {
                     prop_assert!(legal_transition(tr.from, tr.to));
                     prop_assert_eq!(tr.from, before);
                     prop_assert_eq!(t.state(0), to);
+                    walk.push(tr);
                 }
                 None => prop_assert_eq!(t.state(0), before, "refusal moved the node"),
             }
         }
         let mut prev = Off; // nodes are born Off
-        for tr in t.log() {
+        for tr in &walk {
             prop_assert!(legal_transition(tr.from, tr.to), "logged illegal edge {tr:?}");
             prop_assert_eq!(tr.from, prev, "log does not chain at {tr:?}");
             prev = tr.to;
@@ -128,7 +130,7 @@ proptest! {
     }
 
     /// Quarantine inside random walks: whenever the walk manages to
-    /// enter or leave `Quarantined`, the logged edge is one of the
+    /// enter or leave `Quarantined`, the edge it took is one of the
     /// design's — entries from power/failure states, exits to
     /// `Off`/`PoweringOn` only.
     #[test]
@@ -137,11 +139,12 @@ proptest! {
     ) {
         let mut t = LifecycleTracker::new(1);
         let mut now = SimTime::ZERO;
+        let mut walk = Vec::new();
         for &ti in &targets {
             now += SimDuration::from_secs(1);
-            t.transition(now, 0, state(ti));
+            walk.extend(t.transition(now, 0, state(ti)));
         }
-        for tr in t.log() {
+        for tr in &walk {
             if tr.to == Quarantined {
                 prop_assert!(
                     matches!(tr.from, Off | PoweringOn | Bios | Up | Halted | Failed(_)),

@@ -147,12 +147,12 @@ impl InvariantChecker {
         }
     }
 
-    /// Every recorded lifecycle transition crosses a legal edge. The
+    /// Every audited lifecycle transition crosses a legal edge. The
     /// tracker enforces this for `transition()`, but forced transitions
     /// (hardware events, provisioning claims) bypass the table — this
-    /// re-validates the whole log after the fact.
+    /// re-validates every `Transition` row of the audit after the fact.
     pub fn check_transition_legality(&mut self, w: &World) {
-        for t in w.control.lifecycle().log() {
+        for t in w.control.transitions() {
             if !legal_transition(t.from, t.to) {
                 self.report(
                     t.time,

@@ -283,7 +283,7 @@ fn coverage_of<'w>(m: &Manifest, worlds: impl IntoIterator<Item = &'w World>) ->
     for w in worlds {
         n_nodes += w.nodes.len() as u32;
         let lc = w.control.lifecycle();
-        for t in lc.log() {
+        for t in w.control.transitions() {
             states.insert(state_slug(t.from));
             states.insert(state_slug(t.to));
         }

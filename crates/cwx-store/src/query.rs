@@ -29,13 +29,15 @@
 //! Memory bounds: a query holds 80 B per window of its span, empty
 //! windows included, so the span is charged to the scan budget: more
 //! windows than `max_scan` and the query is refused before the vector
-//! grows. It pins the blocks of the shard it is folding (16 B a raw
-//! sample, 48 B a bucket) and lets go of them shard by shard — except
-//! a percentile query, which pins every raw block of its range to the
-//! end and then holds each in-range value once more, 8 B each, to
-//! select the rank from. The budget is checked as each block is
-//! collected: an over-budget query stops reading at the block that
-//! trips it.
+//! grows. Through a [`QueryExecutor`] that budget is the operator's,
+//! not the client's: a spec may lower it below
+//! [`QueryLimits::max_scanned_samples`], never raise it. A query pins
+//! the blocks of the shard it is folding (16 B a raw sample, 48 B a
+//! bucket) and lets go of them shard by shard — except a percentile
+//! query, which pins every raw block of its range to the end and then
+//! holds each in-range value once more, 8 B each, to select the rank
+//! from. The budget is checked as each block is collected: an
+//! over-budget query stops reading at the block that trips it.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -216,7 +218,8 @@ pub struct QuerySpec {
     /// Node groups; each yields one series in the result.
     pub groups: Vec<QueryGroup>,
     /// Per-query scanned-entries budget (samples + buckets); `0`
-    /// means "no explicit budget" (the executor fills in its default).
+    /// means "no explicit budget". An executor caps it at its
+    /// [`QueryLimits::max_scanned_samples`].
     pub max_scan: u64,
 }
 
@@ -762,8 +765,8 @@ pub struct QueryLimits {
     /// Queries allowed to wait; one more is shed with
     /// [`QueryError::Overloaded`].
     pub max_queue: usize,
-    /// Default per-query scanned-entries budget applied when a spec
-    /// does not set its own.
+    /// Cap on a query's scanned-entries budget: a spec's own
+    /// `max_scan` may lower it, never raise it (`0` means the cap).
     pub max_scanned_samples: u64,
 }
 
@@ -947,9 +950,11 @@ fn worker_loop(shared: Arc<ExecShared>) {
         };
         shared.active.fetch_add(1, Ordering::Relaxed);
         let mut spec = job.spec;
-        if spec.max_scan == 0 {
-            spec.max_scan = shared.limits.max_scanned_samples;
-        }
+        let cap = shared.limits.max_scanned_samples;
+        spec.max_scan = match spec.max_scan {
+            0 => cap,
+            n => n.min(cap),
+        };
         let result = shared.store.query(&spec);
         shared.completed.fetch_add(1, Ordering::Relaxed);
         if result.is_err() {
@@ -1228,6 +1233,43 @@ mod tests {
         drop(gate_tx);
         assert!(shed, "queue-depth admission control never shed");
         assert!(exec.stats().shed >= 1);
+    }
+
+    #[test]
+    fn a_client_cannot_raise_the_executor_budget() {
+        // two samples 2e17 ns apart, asked for in 1 ns windows: only the
+        // executor's cap stands between the span and the window vector
+        let far = SimTime::from_nanos(200_000_000_000_000_000);
+        let m = Arc::new(MemStore::new(16));
+        m.append(0, "cpu", SimTime::ZERO, 1.0);
+        m.append(0, "cpu", far, 2.0);
+        let exec = QueryExecutor::new(
+            m,
+            QueryLimits {
+                workers: 1,
+                max_queue: 4,
+                max_scanned_samples: 1_000_000,
+            },
+        );
+        let mut ordinary = spec(
+            AggFunc::Max,
+            vec![QueryGroup {
+                key: "g".into(),
+                nodes: vec![0],
+            }],
+        );
+        ordinary.to = far;
+        ordinary.window_nanos = far.as_nanos() / 2;
+        let mut huge = ordinary.clone();
+        huge.window_nanos = 1;
+        huge.max_scan = u64::MAX;
+        match exec.execute(huge) {
+            Err(QueryError::BudgetExceeded { budget, .. }) => assert_eq!(budget, 1_000_000),
+            other => panic!("expected the executor's budget to hold, got {other:?}"),
+        }
+        // the only worker is still alive
+        let r = exec.execute(ordinary).unwrap();
+        assert_eq!(r.groups[0].points.len(), 2);
     }
 
     #[test]

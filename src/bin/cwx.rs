@@ -441,7 +441,12 @@ fn cmd_history(args: &Args) -> Result<i32, String> {
                 .collect(),
         };
         let agg = spec.agg;
-        let exec = QueryExecutor::new(Arc::new(store), QueryLimits::default());
+        // the executor caps a spec's budget, so --max-scan sets the cap
+        let mut limits = QueryLimits::default();
+        if spec.max_scan > 0 {
+            limits.max_scanned_samples = spec.max_scan;
+        }
+        let exec = QueryExecutor::new(Arc::new(store), limits);
         let r = exec
             .execute(spec)
             .map_err(|e| format!("query failed: {e}"))?;

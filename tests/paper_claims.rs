@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use bench::{e10_icebox, e12_slurm, e1_gathering, e5_boot, e7_pipeline, e8_compress};
+use bench::{e10_icebox, e11_scale, e12_slurm, e1_gathering, e5_boot, e7_pipeline, e8_compress};
 use cwx_bios::Firmware;
 use cwx_clone::protocol::{run_clone, CloneConfig, RepairStrategy};
 use cwx_net::FAST_ETHERNET_BPS;
@@ -91,6 +91,33 @@ fn claim_s533_compression_effective_on_text() {
     for r in rows {
         assert!(r.ratio < 0.85, "{}: {}", r.corpus, r.ratio);
     }
+}
+
+#[test]
+fn claim_s53_monitoring_load_per_node_is_flat() {
+    // simulated traffic only: no wall-clock column is asserted
+    let small = e11_scale::monitor_load(3, 10, 60, true);
+    let large = e11_scale::monitor_load(3, 100, 60, true);
+    let raw = e11_scale::monitor_load(3, 100, 60, false);
+    // each node costs the same bytes whatever the cluster size
+    let per_node = large.bytes_per_node_per_sec / small.bytes_per_node_per_sec;
+    assert!((0.97..=1.03).contains(&per_node), "{small:?} vs {large:?}");
+    // one report per node every 5 s
+    for r in [&small, &large] {
+        let want = r.n_nodes as f64 / 5.0;
+        assert!(
+            (r.reports_per_sec - want).abs() <= want * 0.01,
+            "{} reports/s at {} nodes, want {want}",
+            r.reports_per_sec,
+            r.n_nodes
+        );
+    }
+    // delta consolidation is what keeps it small
+    assert!(
+        raw.bytes_per_node_per_sec >= large.bytes_per_node_per_sec * 1.8,
+        "{raw:?} vs {large:?}"
+    );
+    assert!(large.segment_fraction < 0.01, "{large:?}");
 }
 
 #[test]
