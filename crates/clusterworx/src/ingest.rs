@@ -168,6 +168,54 @@ pub struct IngestLatency {
 
 const LATENCY_RESERVOIR: usize = 200_000;
 
+/// The newest `cap` flush latencies: a ring indexed by the running
+/// count of reports measured, so a long-lived server's summary tracks
+/// its recent behaviour rather than its first minutes.
+struct LatencyRing {
+    cap: usize,
+    seen: u64,
+    us: Vec<u64>,
+}
+
+impl Default for LatencyRing {
+    fn default() -> Self {
+        LatencyRing::new(LATENCY_RESERVOIR)
+    }
+}
+
+impl LatencyRing {
+    fn new(cap: usize) -> LatencyRing {
+        LatencyRing {
+            cap,
+            seen: 0,
+            us: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, us: u64) {
+        if self.us.len() < self.cap {
+            self.us.push(us);
+        } else {
+            self.us[(self.seen % self.cap as u64) as usize] = us;
+        }
+        self.seen += 1;
+    }
+
+    fn summary(&self) -> IngestLatency {
+        if self.us.is_empty() {
+            return IngestLatency::default();
+        }
+        let mut sorted: Vec<f64> = self.us.iter().map(|&v| v as f64).collect();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        IngestLatency {
+            count: sorted.len(),
+            p50_us: cwx_util::stats::percentile_sorted(&sorted, 0.50),
+            p99_us: cwx_util::stats::percentile_sorted(&sorted, 0.99),
+            max_us: *sorted.last().expect("checked non-empty above"),
+        }
+    }
+}
+
 #[derive(Default)]
 struct Shared {
     drain: AtomicBool,
@@ -183,7 +231,7 @@ struct Shared {
     bytes: AtomicU64,
     queries: AtomicU64,
     queries_shed: AtomicU64,
-    latencies_us: Mutex<Vec<u64>>,
+    latencies_us: Mutex<LatencyRing>,
 }
 
 impl Shared {
@@ -301,9 +349,6 @@ fn flusher_loop(
         {
             let mut lat = shared.latencies_us.lock();
             for d in &batch.reports {
-                if lat.len() >= LATENCY_RESERVOIR {
-                    break;
-                }
                 lat.push(done.duration_since(d.rx_at).as_micros() as u64);
             }
         }
@@ -433,20 +478,10 @@ impl IngestServer {
         self.shared.snapshot()
     }
 
-    /// Flush-latency percentiles observed so far.
+    /// Flush-latency percentiles over the newest `LATENCY_RESERVOIR`
+    /// reports.
     pub fn latency(&self) -> IngestLatency {
-        let lat = self.shared.latencies_us.lock();
-        if lat.is_empty() {
-            return IngestLatency::default();
-        }
-        let mut sorted: Vec<f64> = lat.iter().map(|&v| v as f64).collect();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        IngestLatency {
-            count: sorted.len(),
-            p50_us: cwx_util::stats::percentile_sorted(&sorted, 0.50),
-            p99_us: cwx_util::stats::percentile_sorted(&sorted, 0.99),
-            max_us: *sorted.last().unwrap(),
-        }
+        self.shared.latencies_us.lock().summary()
     }
 
     /// Drain and stop: existing connections are read to EOF (with a
@@ -1254,6 +1289,24 @@ mod tests {
     use super::*;
     use cwx_net::frame::FrameBuffer;
     use cwx_util::time::SimDuration;
+
+    #[test]
+    fn latency_summary_tracks_the_newest_reports() {
+        let mut ring = LatencyRing::new(4);
+        for us in [900, 900, 900, 900, 900, 10, 20, 30] {
+            ring.push(us);
+        }
+        // 8 pushed past a cap of 4: four of the five 900s are gone
+        let s = ring.summary();
+        assert_eq!(s.count, 4);
+        assert_eq!(s.max_us, 900.0);
+        for us in [40, 50] {
+            ring.push(us);
+        }
+        let s = ring.summary();
+        assert_eq!((s.count, s.max_us), (4, 50.0));
+        assert_eq!(s.p50_us, 40.0);
+    }
 
     fn harness(cfg_tweak: impl FnOnce(&mut IngestConfig)) -> TestRig {
         let control = Arc::new(Mutex::new(ControlPlane::new(64)));

@@ -3,7 +3,8 @@
 //! * LEB128 varints for unsigned integers,
 //! * zigzag mapping for signed deltas,
 //! * delta-of-delta timestamp compression (Gorilla-style, byte-aligned),
-//! * XOR chaining for f64 values (consecutive equal values cost 1 byte),
+//! * tagged f64 value columns: a decimal column as zigzag deltas of
+//!   scaled integers, anything else as an XOR chain of bit patterns,
 //! * CRC32 (IEEE) for record and file checksums.
 
 /// Errors from decoding a varint stream.
@@ -13,6 +14,8 @@ pub enum CodecError {
     UnexpectedEnd,
     /// A varint ran longer than 10 bytes (not a valid u64).
     Overflow,
+    /// A value column opened with a tag no encoder writes.
+    UnknownColumnTag(u8),
 }
 
 impl std::fmt::Display for CodecError {
@@ -20,6 +23,7 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::UnexpectedEnd => write!(f, "input ended inside a value"),
             CodecError::Overflow => write!(f, "varint longer than 10 bytes"),
+            CodecError::UnknownColumnTag(tag) => write!(f, "unknown value column tag {tag}"),
         }
     }
 }
@@ -121,11 +125,96 @@ pub fn get_timestamps(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u
     Ok(out)
 }
 
-/// Encode f64 values as an XOR chain over their bit patterns: the first
-/// value's bits as a varint, then `prev ^ cur` varints. Slowly-changing
-/// monitor values share exponent/sign bits, so XOR leaves mostly low
-/// zero bits; runs of identical values cost one byte each.
+/// Largest decimal exponent a value column may be scaled by: a column
+/// needing more than six decimals is stored as an XOR chain.
+const MAX_DECIMAL_EXP: u8 = 6;
+
+/// Column tag of an XOR chain; `1 + e` tags a column scaled by `10^e`.
+const XOR_TAG: u8 = 0;
+
+const POW10: [f64; MAX_DECIMAL_EXP as usize + 1] = [1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6];
+
+/// 2^53: every integer of smaller magnitude is an exact f64.
+const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
+/// Bytes [`put_uvarint`] spends on `v`.
+fn uvarint_len(v: u64) -> usize {
+    ((64 - v.leading_zeros()).max(1) as usize).div_ceil(7)
+}
+
+/// Bytes the XOR chain of `values` takes after its tag.
+fn xor_chain_len(values: &[f64]) -> usize {
+    let mut prev = 0u64;
+    values
+        .iter()
+        .map(|v| {
+            let bits = v.to_bits();
+            let len = uvarint_len(prev ^ bits);
+            prev = bits;
+            len
+        })
+        .sum()
+}
+
+/// `v` as the integer `m` with `m as f64 / 10^e` bit-equal to `v`, if
+/// there is one with |m| < 2^53. `-0.0`, NaN and the infinities have
+/// none.
+fn scaled(v: f64, e: usize) -> Option<i64> {
+    let m = (v * POW10[e]).round();
+    if m.is_nan() || m.abs() >= EXACT_INT_LIMIT {
+        return None;
+    }
+    let m = m as i64;
+    ((m as f64 / POW10[e]).to_bits() == v.to_bits()).then_some(m)
+}
+
+/// The smallest exponent at which every value looks decimal, or `None`
+/// past [`MAX_DECIMAL_EXP`]. A value exact at `e` is exact at any larger
+/// exponent too (its scaled integer stays exact, and the division is
+/// correctly rounded), so one pass that only ever raises `e` finds it;
+/// [`put_values`] re-checks every value at the final `e` regardless.
+fn decimal_exponent(values: &[f64]) -> Option<usize> {
+    let mut e = 0;
+    for &v in values {
+        while scaled(v, e).is_none() {
+            e += 1;
+            if e > MAX_DECIMAL_EXP as usize {
+                return None;
+            }
+        }
+    }
+    Some(e)
+}
+
+/// Encode one f64 value column, opening with a one-byte tag:
+///
+/// * `1 + e`: every value is bit-equal to `m / 10^e` for an integer
+///   |m| < 2^53, at the smallest `e` in `0..=MAX_DECIMAL_EXP`; the
+///   column is the zigzag varint deltas of `m`. Integer counters and
+///   two-decimal readings cost a byte or two a value.
+/// * `0`: an XOR chain (see [`for_each_xor_value`]), for every other
+///   column — ratios, `-0.0`, NaN, infinities, misrounded readings —
+///   and for a decimal column the chain would encode smaller. So no
+///   column costs more than one byte over the bare chain.
 pub fn put_values(out: &mut Vec<u8>, values: &[f64]) {
+    let start = out.len();
+    if let Some(e) = decimal_exponent(values) {
+        out.push(1 + e as u8);
+        let mut prev = 0i64;
+        let exact = values.iter().all(|&v| match scaled(v, e) {
+            Some(m) => {
+                put_uvarint(out, zigzag(m.wrapping_sub(prev)));
+                prev = m;
+                true
+            }
+            None => false,
+        });
+        if exact && out.len() - start - 1 < xor_chain_len(values) {
+            return;
+        }
+        out.truncate(start);
+    }
+    out.push(XOR_TAG);
     let mut prev = 0u64;
     for &v in values {
         let bits = v.to_bits();
@@ -134,10 +223,37 @@ pub fn put_values(out: &mut Vec<u8>, values: &[f64]) {
     }
 }
 
-/// Decode `count` values written by [`put_values`], handing each to
-/// `each` in order. Bit patterns (NaN payloads included) round-trip
-/// exactly.
+/// Decode `count` values of a column written by [`put_values`], handing
+/// each to `each` in order. Bit patterns (NaN payloads included)
+/// round-trip exactly.
 pub fn for_each_value(
+    buf: &[u8],
+    pos: &mut usize,
+    count: usize,
+    mut each: impl FnMut(f64),
+) -> Result<(), CodecError> {
+    let tag = *buf.get(*pos).ok_or(CodecError::UnexpectedEnd)?;
+    *pos += 1;
+    if tag == XOR_TAG {
+        return for_each_xor_value(buf, pos, count, each);
+    }
+    let scale = *POW10
+        .get(tag as usize - 1)
+        .ok_or(CodecError::UnknownColumnTag(tag))?;
+    let mut m = 0i64;
+    for _ in 0..count {
+        m = m.wrapping_add(unzigzag(get_uvarint(buf, pos)?));
+        each(m as f64 / scale);
+    }
+    Ok(())
+}
+
+/// Decode `count` values of an untagged XOR chain: the first value's
+/// bits as a varint, then `prev ^ cur` varints. This is the body of a
+/// tag-0 column, and every value column of a `CWXSEG2` segment. A
+/// repeated value costs one byte, but LEB128 sheds only *high* zero
+/// bytes, so a changed value costs most of its eight.
+pub fn for_each_xor_value(
     buf: &[u8],
     pos: &mut usize,
     count: usize,
@@ -165,6 +281,7 @@ pub use cwx_util::hash::crc32;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn varint_round_trip() {
@@ -240,5 +357,182 @@ mod tests {
         let mut buf = Vec::new();
         put_values(&mut buf, &values);
         assert!(buf.len() <= 500 + 9, "{} bytes for 500 repeats", buf.len());
+    }
+
+    fn encode(values: &[f64]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_values(&mut buf, values);
+        buf
+    }
+
+    /// Decode a whole buffer, demanding it is consumed exactly.
+    fn decode(buf: &[u8], count: usize) -> Result<Vec<f64>, CodecError> {
+        let mut pos = 0;
+        let back = get_values(buf, &mut pos, count)?;
+        assert_eq!(pos, buf.len(), "column fully consumed");
+        Ok(back)
+    }
+
+    /// Bytes of the untagged XOR chain alone, counted by encoding it.
+    fn bare_chain_len(values: &[f64]) -> usize {
+        let mut buf = Vec::new();
+        let mut prev = 0u64;
+        for v in values {
+            put_uvarint(&mut buf, prev ^ v.to_bits());
+            prev = v.to_bits();
+        }
+        buf.len()
+    }
+
+    fn assert_bit_exact(values: &[f64]) -> Vec<u8> {
+        let buf = encode(values);
+        let back = decode(&buf, values.len()).unwrap();
+        for (a, b) in values.iter().zip(&back) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{a:?} came back as {b:?}");
+        }
+        assert!(
+            buf.len() <= bare_chain_len(values) + 1,
+            "{} bytes against a {}-byte chain",
+            buf.len(),
+            bare_chain_len(values)
+        );
+        buf
+    }
+
+    #[test]
+    fn decimal_columns_take_the_smallest_exponent() {
+        let cases: [(&[f64], u8); 5] = [
+            (&[3.0, 4.0, 1e15, -7.0], 1),
+            (&[0.5, 12.0, 0.25, 13.75], 1 + 2),
+            (&[0.01, 99.99, 50.5], 1 + 2),
+            (&[1.234567, 0.0], 1 + 6),
+            // nothing to scale: a bare tag-0 chain
+            (&[], 0),
+        ];
+        for (values, tag) in cases {
+            assert_eq!(assert_bit_exact(values)[0], tag, "{values:?}");
+        }
+    }
+
+    #[test]
+    fn non_decimal_columns_fall_back_to_the_xor_chain() {
+        for values in [
+            vec![1.0, -0.0, 2.0],
+            vec![1.0, f64::NAN],
+            vec![f64::INFINITY, 1.0],
+            vec![1.0 / 3.0, 0.5],
+            vec![0.1 + 0.2],
+            vec![1.2345678],
+            vec![9_007_199_254_740_992.0],
+            vec![f64::from_bits(1)],
+        ] {
+            assert_eq!(assert_bit_exact(&values)[0], 0, "{values:?}");
+        }
+        // decimal at e = 1, but near 2^49 the chain's XORs stay in the
+        // low bits while the deltas of the scaled integers do not
+        let mut wide: Vec<f64> = (0..64)
+            .map(|i| (1u64 << 49) as f64 + (i * 7919 % 1000) as f64)
+            .collect();
+        wide.push(0.5);
+        assert_eq!(assert_bit_exact(&wide)[0], 0);
+    }
+
+    #[test]
+    fn a_two_decimal_walk_costs_a_byte_or_two_a_value() {
+        let values: Vec<f64> = (0..1000)
+            .map(|i: i64| (5_000 + (i * 37 % 101) - 50) as f64 / 100.0)
+            .collect();
+        let buf = assert_bit_exact(&values);
+        assert_eq!(buf[0], 1 + 2);
+        assert!(buf.len() <= 2 * values.len(), "{} bytes", buf.len());
+        assert!(bare_chain_len(&values) > 6 * values.len());
+    }
+
+    #[test]
+    fn an_unknown_column_tag_is_an_error() {
+        for tag in 1 + MAX_DECIMAL_EXP + 1..=u8::MAX {
+            assert_eq!(
+                decode(&[tag, 0, 0], 2),
+                Err(CodecError::UnknownColumnTag(tag))
+            );
+        }
+        assert_eq!(decode(&[], 0), Err(CodecError::UnexpectedEnd));
+    }
+
+    /// One value of a mixed column, by `kind`: arbitrary bits, a
+    /// decimal at exponent `e` (small or near 2^53), a special, or a
+    /// decimal nudged one ulp off.
+    fn mixed_value(kind: u8, bits: u64, e: usize) -> f64 {
+        let small = (bits % (1 << 20)) as i64 - (1 << 19);
+        match kind {
+            0 => f64::from_bits(bits),
+            1 | 2 => small as f64 / POW10[e],
+            3 => {
+                let m = (bits >> 11) as i64;
+                (if bits & 1 == 1 { -m } else { m }) as f64 / POW10[e]
+            }
+            4 => {
+                let specials = [
+                    -0.0,
+                    f64::from_bits(0x7ff8_0000_0000_0000 | (bits & 0xf_ffff)),
+                    f64::from_bits(0xfff0_0000_0000_0001 | (bits & 0xffff)),
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::from_bits(bits & 0x000f_ffff_ffff_ffff),
+                    EXACT_INT_LIMIT,
+                    -EXACT_INT_LIMIT - 2.0,
+                    1e300,
+                    f64::MIN_POSITIVE,
+                ];
+                specials[(bits % specials.len() as u64) as usize]
+            }
+            _ => f64::from_bits((small as f64 / POW10[e]).to_bits() ^ 1),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bit_patterns_round_trip(
+            bits in collection::vec(any::<u64>(), 0..120),
+        ) {
+            let values: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            assert_bit_exact(&values);
+        }
+
+        #[test]
+        fn mixed_columns_round_trip_within_a_byte_of_the_chain(
+            parts in collection::vec(
+                (0u8..6, any::<u64>(), 0usize..=MAX_DECIMAL_EXP as usize),
+                0..120,
+            ),
+        ) {
+            let values: Vec<f64> = parts.iter().map(|&(k, b, e)| mixed_value(k, b, e)).collect();
+            assert_bit_exact(&values);
+        }
+
+        #[test]
+        fn decimal_columns_round_trip_at_every_exponent(
+            e in 0usize..=MAX_DECIMAL_EXP as usize,
+            bits in collection::vec(any::<u64>(), 1..120),
+            big in any::<bool>(),
+        ) {
+            let kind = if big { 3 } else { 1 };
+            let values: Vec<f64> = bits.iter().map(|&b| mixed_value(kind, b, e)).collect();
+            let tag = assert_bit_exact(&values)[0];
+            prop_assert!(tag as usize <= 1 + e, "tag {} for exponent {}", tag, e);
+        }
+
+        #[test]
+        fn garbage_columns_decode_or_fail_without_panicking(
+            bytes in collection::vec(any::<u8>(), 0..64),
+            count in 0usize..80,
+        ) {
+            let mut pos = 0;
+            if let Err(CodecError::UnknownColumnTag(tag)) = get_values(&bytes, &mut pos, count) {
+                prop_assert!(tag > 1 + MAX_DECIMAL_EXP);
+            }
+        }
     }
 }

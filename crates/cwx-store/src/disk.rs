@@ -94,6 +94,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
+use std::io::Write;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -217,6 +218,7 @@ impl SegmentFile {
         segment::read_series_at(
             file,
             &self.path,
+            self.index.format,
             self.index.resolution,
             &self.index.entries[series],
         )
@@ -1042,38 +1044,61 @@ pub struct DiskStore {
     fail_inject: AtomicBool,
 }
 
+/// The positive integer `key=` holds in the `CONFIG` text at `path`. A
+/// missing or garbled key refuses the open: guessing the sharding
+/// would hide every node whose shard changed.
+fn config_key<T: std::str::FromStr + Default + PartialOrd>(
+    path: &Path,
+    text: &str,
+    key: &str,
+) -> Result<T, StoreError> {
+    text.lines()
+        .find_map(|line| line.strip_prefix(key)?.strip_prefix('='))
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|v| *v > T::default())
+        .ok_or_else(|| {
+            StoreError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "{}: `{key}` missing or not a positive integer",
+                    path.display()
+                ),
+            ))
+        })
+}
+
 impl DiskStore {
     /// Open or create a store at `dir`, recovering any existing state.
+    /// An existing `CONFIG` fixes the sharding; one that cannot be read
+    /// refuses the open.
     pub fn open(dir: &Path, mut cfg: StoreConfig) -> Result<DiskStore, StoreError> {
         std::fs::create_dir_all(dir)?;
+        cfg.n_shards = cfg.n_shards.max(1);
+        cfg.nodes_per_group = cfg.nodes_per_group.max(1);
         let config_path = dir.join("CONFIG");
         match std::fs::read_to_string(&config_path) {
             Ok(text) => {
-                for line in text.lines() {
-                    match line.split_once('=') {
-                        Some(("n_shards", v)) => {
-                            cfg.n_shards = v.trim().parse().unwrap_or(cfg.n_shards)
-                        }
-                        Some(("nodes_per_group", v)) => {
-                            cfg.nodes_per_group = v.trim().parse().unwrap_or(cfg.nodes_per_group)
-                        }
-                        _ => {}
-                    }
-                }
+                cfg.n_shards = config_key(&config_path, &text, "n_shards")?;
+                cfg.nodes_per_group = config_key(&config_path, &text, "nodes_per_group")?;
             }
-            Err(_) => {
-                std::fs::write(
-                    &config_path,
-                    format!(
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                // temp file + rename: a crash leaves no CONFIG or a
+                // whole one, never a torn one
+                let tmp = config_path.with_extension("tmp");
+                {
+                    let mut f = File::create(&tmp)?;
+                    write!(
+                        f,
                         "n_shards={}\nnodes_per_group={}\n",
-                        cfg.n_shards.max(1),
-                        cfg.nodes_per_group.max(1)
-                    ),
-                )?;
+                        cfg.n_shards, cfg.nodes_per_group
+                    )?;
+                    f.sync_data()?;
+                }
+                std::fs::rename(&tmp, &config_path)?;
+                File::open(dir)?.sync_all()?;
             }
+            Err(e) => return Err(e.into()),
         }
-        cfg.n_shards = cfg.n_shards.max(1);
-        cfg.nodes_per_group = cfg.nodes_per_group.max(1);
 
         let cache = Arc::new(BlockCache::new(cfg.cache_capacity_samples));
         let mut recovery = RecoveryReport::default();
@@ -1375,11 +1400,16 @@ impl Store for DiskStore {
             shard.mem_samples -= gone;
             shard.mem_series -= usize::from(gone > 0);
         }
-        // rewrite segments without the node so the forget is durable
-        let _ = shard.flush();
+        // rewrite segments without the node so the forget is durable;
+        // a failure degrades the store, as a failed append does
+        if let Err(e) = shard.flush() {
+            self.degrade(e);
+        }
         let whole = 0..shard.segs.len();
         if !whole.is_empty() {
-            let _ = shard.merge(whole, Some(node));
+            if let Err(e) = shard.merge(whole, Some(node)) {
+                self.degrade(e);
+            }
         }
     }
 
@@ -1388,7 +1418,9 @@ impl Store for DiskStore {
     }
 
     fn flush(&self) {
-        let _ = self.flush_all();
+        if let Err(e) = self.flush_all() {
+            self.degrade(e);
+        }
     }
 }
 
@@ -2042,6 +2074,65 @@ mod tests {
         assert_eq!(store.config().n_shards, 2);
         assert_eq!(store.config().nodes_per_group, 4);
         assert_eq!(store.range(0, "m", SimTime::ZERO, SimTime::MAX).len(), 1);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_garbled_config_refuses_the_open() {
+        let dir = tmp("cfg-garbled");
+        let cfg = StoreConfig {
+            n_shards: 2,
+            nodes_per_group: 5,
+            ..StoreConfig::default()
+        };
+        {
+            let store = DiskStore::open(&dir, cfg.clone()).unwrap();
+            store.append(7, "m", t(1), 1.0);
+            store.flush_all().unwrap();
+        }
+        assert!(!dir.join("CONFIG.tmp").exists(), "temp file renamed away");
+        let config = dir.join("CONFIG");
+        for text in [
+            "n_shards=2\nnodes_per_group=five\n",
+            "n_shards=2\n",
+            "n_shards=2\nnodes_per_group=0\n",
+            "n_shar",
+        ] {
+            std::fs::write(&config, text).unwrap();
+            let err = DiskStore::open(&dir, StoreConfig::default()).unwrap_err();
+            let StoreError::Io(io) = &err else {
+                panic!("{text:?}: {err}")
+            };
+            assert_eq!(io.kind(), std::io::ErrorKind::InvalidData, "{text:?}");
+            assert!(err.to_string().contains("CONFIG"), "{err}");
+        }
+        // the file is left as found; mended, the history is all there
+        std::fs::write(&config, "n_shards=2\nnodes_per_group=5\n").unwrap();
+        let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+        assert_eq!(store.config().nodes_per_group, 5);
+        assert_eq!(store.range(7, "m", SimTime::ZERO, SimTime::MAX).len(), 1);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn failed_flushes_and_forgets_degrade_the_store() {
+        let dir = tmp("flush-fails");
+        let store = DiskStore::open(&dir, small_cfg()).unwrap();
+        store.append(0, "m", t(1), 1.0);
+        store.inject_kill_after(0);
+        Store::flush(&store);
+        assert_eq!(store.write_stats().flushes, 0);
+        assert!(store.degraded());
+        assert!(store.last_error().unwrap().contains("injected kill"));
+        drop(store);
+
+        let store = DiskStore::open(&dir, small_cfg()).unwrap();
+        store.append(1, "m", t(1), 1.0);
+        store.flush_all().unwrap();
+        store.inject_kill_after(0);
+        store.forget_node(1);
+        assert!(store.degraded());
+        assert!(store.last_error().unwrap().contains("injected kill"));
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -10,7 +10,8 @@
 //!   CRC32 and recovery replays the log, truncating a torn tail.
 //! * [`segment`] — immutable on-disk segment files flushed from
 //!   in-memory memtables, with delta-of-delta timestamp compression and
-//!   XOR-varint value compression ([`codec`]).
+//!   tagged value columns: scaled-integer deltas for decimal readings,
+//!   an XOR chain otherwise ([`codec`]).
 //! * size-tiered merges — runs of similar-sized raw segments are merged
 //!   and downsampled into 10-second, 5-minute and 1-hour
 //!   min/mean/max/last companions, so charts over long windows read

@@ -4,18 +4,27 @@
 //! at one resolution. Layout, little-endian:
 //!
 //! ```text
-//! 8B  magic "CWXSEG2\n"
-//! u8  resolution tag (0 raw, 1 ten-second, 2 five-minute)
+//! 8B  magic "CWXSEG3\n"
+//! u8  resolution tag (0 raw, 1 ten-second, 2 five-minute, 3 one-hour)
 //! u32 series count
 //! per series:
 //!   u32 node | u16 name_len | name bytes | u32 count
 //!   u32 payload_len | u32 payload_crc32 | u64 min_time | u64 max_time
 //!   payload (payload_len bytes):
-//!     raw:  delta-of-delta timestamps, then XOR-varint values
-//!     tier: delta-of-delta bucket starts, varint counts, then XOR-varint
-//!           min / mean / max / last chains
+//!     raw:  delta-of-delta timestamps, then one value column
+//!     tier: delta-of-delta bucket starts, varint counts, then the
+//!           min / mean / max / last value columns
 //! u32 crc32 over everything after the magic
+//!
+//! value column (codec::put_values):
+//!   u8 tag 0       XOR chain: varint(prev_bits ^ bits) per value
+//!   u8 tag 1 + e   decimal: varint(zigzag(m - prev_m)) per value,
+//!                  each value m / 10^e, e in 0..=6
 //! ```
+//!
+//! `CWXSEG2` files have the same layout with untagged XOR-chain
+//! columns. They are still read ([`Format::V2`]); a merge rewrites its
+//! inputs as v3, so a v2 store converts as it compacts.
 //!
 //! Each series header carries the payload length, its own CRC and the
 //! series' time bounds, so a reader can walk the headers once into a
@@ -36,15 +45,37 @@ use std::path::{Path, PathBuf};
 use cwx_util::time::SimTime;
 
 use crate::codec::{
-    crc32, for_each_timestamp, for_each_value, get_uvarint, put_timestamps, put_uvarint,
-    put_values, CodecError,
+    crc32, for_each_timestamp, for_each_value, for_each_xor_value, get_uvarint, put_timestamps,
+    put_uvarint, put_values, CodecError,
 };
 use crate::{AggBucket, Resolution, Sample, StoreError};
 
-const MAGIC: &[u8; 8] = b"CWXSEG2\n";
+const MAGIC: &[u8; 8] = b"CWXSEG3\n";
+const MAGIC_V2: &[u8; 8] = b"CWXSEG2\n";
 /// Bytes in a per-series header after the variable-length name:
 /// count + payload_len + payload_crc + min_time + max_time.
 const SERIES_HEADER_TAIL: usize = 4 + 4 + 4 + 8 + 8;
+
+/// The payload layout a segment file's magic names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Format {
+    /// `CWXSEG2`: untagged XOR-chain value columns. Read, never written.
+    V2,
+    /// `CWXSEG3`: every value column opens with its tag byte.
+    V3,
+}
+
+impl Format {
+    /// The format of a file starting with `data`, or `None` for a bad
+    /// magic.
+    fn of(data: &[u8]) -> Option<Format> {
+        match data.get(..MAGIC.len())? {
+            m if m == MAGIC => Some(Format::V3),
+            m if m == MAGIC_V2 => Some(Format::V2),
+            _ => None,
+        }
+    }
+}
 
 /// One series' payload inside a segment.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,6 +146,8 @@ pub struct SeriesIndexEntry {
 /// can binary-search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentIndex {
+    /// Payload layout, from the file's magic.
+    pub format: Format,
     /// Tier.
     pub resolution: Resolution,
     /// Per-series locations, sorted by `(node, monitor)`.
@@ -130,14 +163,7 @@ impl SegmentIndex {
             path: path.to_path_buf(),
             reason,
         };
-        if data.len() < MAGIC.len() + 4 || &data[..MAGIC.len()] != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let body = &data[MAGIC.len()..data.len() - 4];
-        let stored = u32::from_le_bytes(data[data.len() - 4..].try_into().unwrap());
-        if crc32(body) != stored {
-            return Err(corrupt("checksum mismatch"));
-        }
+        let (format, body) = checked_body(&data, path)?;
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], StoreError> {
             let s = body
@@ -183,31 +209,59 @@ impl SegmentIndex {
             return Err(corrupt("trailing bytes after last series"));
         }
         Ok(SegmentIndex {
+            format,
             resolution,
             entries,
         })
     }
 }
 
+/// Check a whole file's magic and trailing CRC (`origin` names it in
+/// the error); its format, and the body between magic and CRC.
+fn checked_body<'a>(data: &'a [u8], origin: &Path) -> Result<(Format, &'a [u8]), StoreError> {
+    let corrupt = |reason| StoreError::CorruptSegment {
+        path: origin.to_path_buf(),
+        reason,
+    };
+    let format = Format::of(data)
+        .filter(|_| data.len() >= MAGIC.len() + 4)
+        .ok_or_else(|| corrupt("bad magic"))?;
+    let body = &data[MAGIC.len()..data.len() - 4];
+    let stored = u32::from_le_bytes(data[data.len() - 4..].try_into().unwrap());
+    if crc32(body) != stored {
+        return Err(corrupt("checksum mismatch"));
+    }
+    Ok((format, body))
+}
+
 /// Fetch and decode one series' payload: [`read_series_at`] on a file
-/// opened for this one read.
+/// opened for this one read, its format read from the magic.
 pub fn read_series(
     path: &Path,
     resolution: Resolution,
     entry: &SeriesIndexEntry,
 ) -> Result<SeriesData, StoreError> {
-    read_series_at(&File::open(path)?, path, resolution, entry)
+    let file = File::open(path)?;
+    let mut magic = [0u8; MAGIC.len()];
+    file.read_exact_at(&mut magic, 0)?;
+    let format = Format::of(&magic).ok_or_else(|| StoreError::CorruptSegment {
+        path: path.to_path_buf(),
+        reason: "bad magic",
+    })?;
+    read_series_at(&file, path, format, resolution, entry)
 }
 
 /// Fetch and decode one series' payload with a single positioned read
 /// on `file` (the segment at `origin`, which the error names).
 ///
-/// `entry` must come from a [`SegmentIndex`] built over the same file;
-/// the payload CRC recorded in the header is re-verified, so a file
-/// swapped or damaged since indexing is detected, not mis-decoded.
+/// `format` and `entry` must come from a [`SegmentIndex`] built over
+/// the same file; the payload CRC recorded in the header is re-verified,
+/// so a file swapped or damaged since indexing is detected, not
+/// mis-decoded.
 pub fn read_series_at(
     file: &File,
     origin: &Path,
+    format: Format,
     resolution: Resolution,
     entry: &SeriesIndexEntry,
 ) -> Result<SeriesData, StoreError> {
@@ -219,7 +273,7 @@ pub fn read_series_at(
             reason: "series payload checksum mismatch",
         });
     }
-    decode_payload(&payload, resolution, entry.count as usize, origin)
+    decode_payload(&payload, format, resolution, entry.count as usize, origin)
 }
 
 fn encode_payload(data: &SeriesData, out: &mut Vec<u8>) {
@@ -249,22 +303,26 @@ fn encode_payload(data: &SeriesData, out: &mut Vec<u8>) {
     }
 }
 
-/// Decode one XOR-chained value column into a field of every row.
+/// Decode one value column into a field of every row.
 fn fill_column<T>(
     rows: &mut [T],
     payload: &[u8],
     pos: &mut usize,
+    format: Format,
     set: impl Fn(&mut T, f64),
 ) -> Result<(), CodecError> {
     let count = rows.len();
     let mut row = rows.iter_mut();
-    for_each_value(payload, pos, count, |v| {
-        set(row.next().expect("one value per row"), v)
-    })
+    let each = |v| set(row.next().expect("one value per row"), v);
+    match format {
+        Format::V2 => for_each_xor_value(payload, pos, count, each),
+        Format::V3 => for_each_value(payload, pos, count, each),
+    }
 }
 
 fn decode_payload(
     payload: &[u8],
+    format: Format,
     resolution: Resolution,
     count: usize,
     origin: &Path,
@@ -278,7 +336,12 @@ fn decode_payload(
     if count > payload.len() {
         return Err(corrupt("series count exceeds its payload"));
     }
-    let truncated = |_| corrupt("varint stream truncated");
+    let truncated = |e| {
+        corrupt(match e {
+            CodecError::UnknownColumnTag(_) => "unknown value column tag",
+            _ => "varint stream truncated",
+        })
+    };
     let mut pos = 0usize;
     // one pass per column, each written straight into the output rows
     let data = if resolution == Resolution::Raw {
@@ -290,7 +353,7 @@ fn decode_payload(
             })
         })
         .map_err(truncated)?;
-        fill_column(&mut rows, payload, &mut pos, |s, v| s.value = v).map_err(truncated)?;
+        fill_column(&mut rows, payload, &mut pos, format, |s, v| s.value = v).map_err(truncated)?;
         SeriesData::Raw(rows)
     } else {
         let mut rows: Vec<AggBucket> = Vec::with_capacity(count);
@@ -308,10 +371,10 @@ fn decode_payload(
         for row in &mut rows {
             row.count = get_uvarint(payload, &mut pos).map_err(truncated)?;
         }
-        fill_column(&mut rows, payload, &mut pos, |b, v| b.min = v).map_err(truncated)?;
-        fill_column(&mut rows, payload, &mut pos, |b, v| b.mean = v).map_err(truncated)?;
-        fill_column(&mut rows, payload, &mut pos, |b, v| b.max = v).map_err(truncated)?;
-        fill_column(&mut rows, payload, &mut pos, |b, v| b.last = v).map_err(truncated)?;
+        fill_column(&mut rows, payload, &mut pos, format, |b, v| b.min = v).map_err(truncated)?;
+        fill_column(&mut rows, payload, &mut pos, format, |b, v| b.mean = v).map_err(truncated)?;
+        fill_column(&mut rows, payload, &mut pos, format, |b, v| b.max = v).map_err(truncated)?;
+        fill_column(&mut rows, payload, &mut pos, format, |b, v| b.last = v).map_err(truncated)?;
         SeriesData::Buckets(rows)
     };
     if pos != payload.len() {
@@ -368,6 +431,7 @@ impl Segment {
         out.extend_from_slice(&body);
         out.extend_from_slice(&crc32(&body).to_le_bytes());
         let index = SegmentIndex {
+            format: Format::V3,
             resolution: self.resolution,
             entries,
         };
@@ -379,20 +443,14 @@ impl Segment {
         self.encode_indexed().0
     }
 
-    /// Decode and validate bytes produced by [`Segment::encode`].
+    /// Decode and validate bytes produced by [`Segment::encode`] (or by
+    /// a `CWXSEG2` writer).
     pub fn decode(data: &[u8], origin: &Path) -> Result<Segment, StoreError> {
         let corrupt = |reason| StoreError::CorruptSegment {
             path: origin.to_path_buf(),
             reason,
         };
-        if data.len() < MAGIC.len() + 4 || &data[..MAGIC.len()] != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let body = &data[MAGIC.len()..data.len() - 4];
-        let stored = u32::from_le_bytes(data[data.len() - 4..].try_into().unwrap());
-        if crc32(body) != stored {
-            return Err(corrupt("checksum mismatch"));
-        }
+        let (format, body) = checked_body(data, origin)?;
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], StoreError> {
             let s = body
@@ -417,7 +475,7 @@ impl Segment {
             let count = u32::from_le_bytes(tail[0..4].try_into().unwrap()) as usize;
             let len = u32::from_le_bytes(tail[4..8].try_into().unwrap()) as usize;
             let payload = take(&mut pos, len)?;
-            let data = decode_payload(payload, resolution, count, origin)?;
+            let data = decode_payload(payload, format, resolution, count, origin)?;
             series.push(((node, name), data));
         }
         Ok(Segment { resolution, series })
@@ -515,6 +573,38 @@ mod tests {
             "{} bytes should beat raw 16B/sample",
             bytes.len()
         );
+    }
+
+    #[test]
+    fn decimal_readings_cost_a_fraction_of_the_xor_chain() {
+        // 0.5 steps: a one-decimal column of 1-byte deltas
+        let seg = raw_segment();
+        let (node, data) = &seg.series[0];
+        let mut payload = Vec::new();
+        encode_payload(data, &mut payload);
+        let timestamps = 1 + 5 + 98;
+        assert_eq!(
+            payload[timestamps],
+            1 + 1,
+            "{node:?}: tagged decimal, e = 1"
+        );
+        assert_eq!(payload.len(), timestamps + 1 + 100);
+    }
+
+    #[test]
+    fn an_unknown_column_tag_is_a_corrupt_segment() {
+        let mut payload = Vec::new();
+        put_timestamps(&mut payload, &[0, 5_000_000_000]);
+        payload.extend_from_slice(&[0xff, 0, 0]);
+        let err =
+            decode_payload(&payload, Format::V3, Resolution::Raw, 2, Path::new("mem")).unwrap_err();
+        assert!(matches!(
+            err,
+            StoreError::CorruptSegment {
+                reason: "unknown value column tag",
+                ..
+            }
+        ));
     }
 
     #[test]

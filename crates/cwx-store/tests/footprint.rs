@@ -3,8 +3,11 @@
 //! folds at least 2× fewer entries than the source a query at that tier
 //! would otherwise read, so a 30 s series keeps no 10 s block (one
 //! sample a bucket) and a 1 s series keeps all three. The readings are
-//! two-decimal random walks, as a sensor reports them, and the sizes
-//! are deterministic: the same appends write the same bytes.
+//! two-decimal random walks, as a sensor reports them, so each value
+//! column is stored as scaled-integer deltas; one case feeds ratios
+//! with no short decimal form instead, which fall back to the XOR
+//! chain. The sizes are deterministic: the same appends write the same
+//! bytes.
 
 use std::path::{Path, PathBuf};
 
@@ -34,11 +37,23 @@ impl Footprint {
     }
 }
 
+/// A two-decimal reading: a walk step of 1 is 0.01.
+fn two_decimals(walk: i64) -> f64 {
+    walk as f64 / 100.0
+}
+
+/// A ratio with no short decimal form, as `cpu.util_pct` reports one.
+fn ratio(walk: i64) -> f64 {
+    walk as f64 / 7.0
+}
+
 /// `NODES` series of `cpu.util` every `cadence_secs` over `SPAN_SECS`,
-/// compacted, and what its segment files hold.
-fn compacted(cadence_secs: u64) -> Footprint {
+/// each value `reading(walk)`, compacted, and what its segment files
+/// hold.
+fn compacted(cadence_secs: u64, reading: fn(i64) -> f64) -> Footprint {
     let dir: PathBuf = std::env::temp_dir().join(format!(
-        "cwx-footprint-{cadence_secs}-{}",
+        "cwx-footprint-{cadence_secs}-{}-{}",
+        reading(1),
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -63,7 +78,7 @@ fn compacted(cadence_secs: u64) -> Footprint {
                     node,
                     monitor: "cpu.util",
                     time,
-                    value: *walk as f64 / 100.0,
+                    value: reading(*walk),
                 }
             })
             .collect();
@@ -120,29 +135,41 @@ fn assert_under(f: &Footprint, ceiling: [f64; 4]) {
 
 #[test]
 fn a_30s_series_keeps_no_10s_block() {
-    let f = compacted(30);
+    let f = compacted(30, two_decimals);
     let all = NODES as usize;
     assert_eq!(f.series, [all, 0, all, all]);
     // the r1 files are bare headers, written so every merge keeps its
     // four files
-    assert_under(&f, [8.5, 0.01, 3.5, 0.5]);
-    assert!(f.total_per_sample() <= 13.0, "{:?}", f.bytes);
+    assert_under(&f, [2.4, 0.01, 1.7, 0.3]);
+    assert!(f.total_per_sample() <= 4.4, "{:?}", f.bytes);
 }
 
 #[test]
 fn a_5s_series_keeps_every_tier() {
-    let f = compacted(5);
+    let f = compacted(5, two_decimals);
     let all = NODES as usize;
     // two samples in every 10 s bucket: the block folds exactly half
     // the entries, the rule's edge, and is kept
     assert_eq!(f.series, [all; 4]);
-    assert_under(&f, [8.5, 16.0, 0.6, 0.1]);
+    assert_under(&f, [2.4, 7.1, 0.3, 0.05]);
 }
 
 #[test]
 fn a_1s_series_keeps_every_tier() {
-    let f = compacted(1);
+    let f = compacted(1, two_decimals);
     let all = NODES as usize;
     assert_eq!(f.series, [all; 4]);
-    assert_under(&f, [8.5, 3.5, 0.15, 0.02]);
+    assert_under(&f, [2.4, 1.6, 0.07, 0.015]);
+}
+
+#[test]
+fn ratios_fall_back_to_the_xor_chain() {
+    let f = compacted(30, ratio);
+    let all = NODES as usize;
+    assert_eq!(f.series, [all, 0, all, all]);
+    // every column is a tagged XOR chain: about what an untagged chain
+    // cost, and no decimal saving
+    assert_under(&f, [8.5, 0.01, 3.5, 0.5]);
+    assert!(f.per_sample(Resolution::Raw) >= 7.5, "{:?}", f.bytes);
+    assert!(f.total_per_sample() <= 12.5, "{:?}", f.bytes);
 }

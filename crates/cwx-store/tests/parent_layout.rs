@@ -3,12 +3,13 @@
 //! and answer as it did then. `fixtures/parent-layout` was written by
 //! that code (2 shards × {one compacted segment with its three tier
 //! files, one later flush segment, a headerless WAL holding the tail}):
-//! 4 nodes × 2 monitors × 35 samples, 47 s apart.
+//! 4 nodes × 2 monitors × 35 samples, 47 s apart. Its segments are
+//! `CWXSEG2` (untagged XOR value columns); a merge rewrites them as v3.
 
 use std::path::{Path, PathBuf};
 
 use cwx_store::disk::{DiskStore, StoreConfig};
-use cwx_store::segment::SegmentIndex;
+use cwx_store::segment::{Format, SegmentIndex};
 use cwx_store::{query, AggFunc, QueryGroup, QuerySpec, Resolution, Sample, Store};
 use cwx_util::time::SimTime;
 
@@ -39,6 +40,29 @@ fn copy_fixture(tag: &str) -> PathBuf {
     to
 }
 
+/// Every segment file of both shards, by format: how many series each
+/// resolution holds, per shard.
+fn segment_formats(dir: &Path) -> Vec<(Format, [usize; 4])> {
+    let mut out = Vec::new();
+    for shard in ["shard-000", "shard-001"] {
+        let mut held = [0usize; 4];
+        let mut formats = Vec::new();
+        for entry in std::fs::read_dir(dir.join(shard)).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "seg") {
+                continue;
+            }
+            let index = SegmentIndex::read_from(&path).unwrap();
+            held[index.resolution.tag() as usize] += index.entries.len();
+            formats.push(index.format);
+        }
+        formats.dedup();
+        assert_eq!(formats.len(), 1, "{shard}: one format, {formats:?}");
+        out.push((formats[0], held));
+    }
+    out
+}
+
 fn assert_holds(store: &DiskStore, steps: u64) {
     assert_eq!(store.total_samples(), 8 * steps);
     for node in 0..4u32 {
@@ -63,6 +87,8 @@ fn assert_holds(store: &DiskStore, steps: u64) {
 #[test]
 fn parent_written_store_opens_and_answers_identically() {
     let dir = copy_fixture("open");
+    let before = segment_formats(&dir);
+    assert!(before.iter().all(|(f, _)| *f == Format::V2), "{before:?}");
     let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
     let rec = store.recovery();
     assert_eq!(
@@ -108,21 +134,14 @@ fn parent_written_store_opens_and_answers_identically() {
     assert_holds(&store, STEPS + 1);
     store.compact_all().unwrap();
     assert_holds(&store, STEPS + 1);
-    // re-merged under the companion rule: a 10 s bucket of 47 s data
-    // holds one sample, so `r1` is written empty while `r2` and `r3`
-    // hold every series
-    for shard in ["shard-000", "shard-001"] {
-        let mut held = [0usize; 4];
-        for entry in std::fs::read_dir(dir.join(shard)).unwrap() {
-            let path = entry.unwrap().path();
-            if path.extension().is_none_or(|e| e != "seg") {
-                continue;
-            }
-            let index = SegmentIndex::read_from(&path).unwrap();
-            held[index.resolution.tag() as usize] += index.entries.len();
-        }
-        assert_eq!(held, [4, 0, 4, 4], "{shard}: series per resolution");
-    }
+    // re-merged as v3 under the companion rule: a 10 s bucket of 47 s
+    // data holds one sample, so `r1` is written empty while `r2` and
+    // `r3` hold every series
+    assert_eq!(
+        segment_formats(&dir),
+        vec![(Format::V3, [4, 0, 4, 4]); 2],
+        "format and series per resolution, per shard"
+    );
     drop(store);
     let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
     assert_eq!(store.recovery().segments_loaded, 2 * 4);
