@@ -28,7 +28,7 @@
 //! two policies, neither of which depends on how many series the fleet
 //! has or how old the store is:
 //!
-//! * **Flush** — a series costs ≈ 50 B of header in a segment however
+//! * **Flush** — a series costs ≈ 12 B of header in a segment however
 //!   few samples it brings, so a shard flushes when its memtable
 //!   averages 8 samples per buffered series (`FLUSH_SAMPLES_PER_SERIES`):
 //!   never before `flush_threshold` samples (a handful of series flush
@@ -112,7 +112,8 @@ use crate::{
 };
 
 /// Samples per buffered series a memtable must average before it is
-/// worth a segment (≈ 50 B of per-series header ÷ 8 ≈ 6 B a sample).
+/// worth a segment: ≈ 12 B of v4 series header ÷ 8 ≈ 1.5 B a sample,
+/// about what a sample's stamp or decimal value costs beside it.
 const FLUSH_SAMPLES_PER_SERIES: usize = 8;
 /// A memtable never outgrows this multiple of `flush_threshold`,
 /// however many series share it: the bound on WAL replay.
@@ -1644,6 +1645,32 @@ mod tests {
         let r = store.range(2, "load.one", SimTime::ZERO, SimTime::MAX);
         assert_eq!(r.len(), 50);
         assert_eq!(r[49].value, 49.0);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_segment_claiming_more_series_than_it_holds_is_quarantined() {
+        let dir = tmp("huge-count");
+        {
+            let store = DiskStore::open(&dir, small_cfg()).unwrap();
+            for i in 0..50u64 {
+                store.append(2, "load.one", t(i), i as f64);
+            }
+            store.flush_all().unwrap();
+        }
+        // checksum-valid: resolution tag, then u32::MAX series
+        let body = [[Resolution::Raw.tag()].as_slice(), &u32::MAX.to_le_bytes()].concat();
+        let mut bytes = b"CWXSEG3\n".to_vec();
+        bytes.extend_from_slice(&body);
+        bytes.extend_from_slice(&crate::codec::crc32(&body).to_le_bytes());
+        let bogus = dir.join("shard-000").join("seg-00000009-r0.seg");
+        std::fs::write(&bogus, bytes).unwrap();
+
+        let store = DiskStore::open(&dir, small_cfg()).unwrap();
+        assert_eq!(store.recovery().segments_quarantined, 1);
+        assert!(bogus.with_extension("seg.corrupt").exists());
+        let kept = store.range(2, "load.one", SimTime::ZERO, SimTime::MAX);
+        assert_eq!(kept.len(), 50);
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -1,16 +1,20 @@
 //! Immutable on-disk segment files.
 //!
 //! A segment holds the samples (or downsampled buckets) of many series
-//! at one resolution. Layout, little-endian:
+//! at one resolution. Layout, little-endian, varints LEB128:
 //!
 //! ```text
-//! 8B  magic "CWXSEG3\n"
+//! 8B  magic "CWXSEG4\n"
 //! u8  resolution tag (0 raw, 1 ten-second, 2 five-minute, 3 one-hour)
 //! u32 series count
-//! per series:
-//!   u32 node | u16 name_len | name bytes | u32 count
-//!   u32 payload_len | u32 payload_crc32 | u64 min_time | u64 max_time
-//!   payload (payload_len bytes):
+//! name table: varint name count, then per name (sorted, no repeats)
+//!   varint len | name bytes
+//! per series, sorted by (node, monitor) without repeats:
+//!   varint name index | varint node − previous series' node (from 0)
+//!   varint count | varint payload_len | u32 payload_crc32
+//!   varint zigzag(min_time − previous series' min_time (from 0))
+//!   varint max_time − min_time
+//!   payload (payload_len bytes), every timestamp less min_time:
 //!     raw:  delta-of-delta timestamps, then one value column
 //!     tier: delta-of-delta bucket starts, varint counts, then the
 //!           min / mean / max / last value columns
@@ -22,9 +26,22 @@
 //!                  each value m / 10^e, e in 0..=6
 //! ```
 //!
-//! `CWXSEG2` files have the same layout with untagged XOR-chain
-//! columns. They are still read ([`Format::V2`]); a merge rewrites its
-//! inputs as v3, so a v2 store converts as it compacts.
+//! A young segment holds a few samples a series, so the header is most
+//! of what a series costs: a v4 header is ≈ 12 B on `ingest_live`'s
+//! flushes where the fixed v3 one was ≈ 43 B, and a payload's first
+//! stamp is one byte instead of nine.
+//!
+//! `CWXSEG3` and `CWXSEG2` files are still read ([`Format::V3`],
+//! [`Format::V2`]). Their series header is fixed-width and carries its
+//! name, and their payload stamps are absolute:
+//!
+//! ```text
+//! u32 node | u16 name_len | name bytes | u32 count
+//! u32 payload_len | u32 payload_crc32 | u64 min_time | u64 max_time
+//! ```
+//!
+//! v2 value columns are untagged XOR chains. A merge rewrites its
+//! inputs as v4, so an older store converts as it compacts.
 //!
 //! Each series header carries the payload length, its own CRC and the
 //! series' time bounds, so a reader can walk the headers once into a
@@ -35,7 +52,10 @@
 //!
 //! Segments are written to a temp file and atomically renamed into
 //! place, so a crash mid-flush leaves no partial segment behind. The
-//! reader verifies magic and CRC before parsing anything.
+//! reader verifies magic and CRC before parsing anything, and a
+//! checksum-valid file whose headers do not add up (a count the body
+//! cannot hold, a name index past the table, series out of order) is a
+//! [`StoreError::CorruptSegment`], never a panic or a huge allocation.
 
 use std::fs::File;
 use std::io::Write;
@@ -46,23 +66,31 @@ use cwx_util::time::SimTime;
 
 use crate::codec::{
     crc32, for_each_timestamp, for_each_value, for_each_xor_value, get_uvarint, put_timestamps,
-    put_uvarint, put_values, CodecError,
+    put_uvarint, put_values, unzigzag, zigzag, CodecError,
 };
 use crate::{AggBucket, Resolution, Sample, StoreError};
 
-const MAGIC: &[u8; 8] = b"CWXSEG3\n";
+const MAGIC: &[u8; 8] = b"CWXSEG4\n";
+const MAGIC_V3: &[u8; 8] = b"CWXSEG3\n";
 const MAGIC_V2: &[u8; 8] = b"CWXSEG2\n";
-/// Bytes in a per-series header after the variable-length name:
-/// count + payload_len + payload_crc + min_time + max_time.
-const SERIES_HEADER_TAIL: usize = 4 + 4 + 4 + 8 + 8;
+/// Fewest bytes a v2/v3 series header takes: node, name length, an
+/// empty name, count, payload_len, payload_crc, min_time, max_time.
+const V3_HEADER_MIN: usize = 4 + 2 + 4 + 4 + 4 + 8 + 8;
+/// Fewest bytes a v4 series header takes: one-byte name index, node
+/// delta, count and payload_len, the CRC, one-byte time bounds.
+const V4_HEADER_MIN: usize = 1 + 1 + 1 + 1 + 4 + 1 + 1;
 
-/// The payload layout a segment file's magic names.
+/// The layout a segment file's magic names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Format {
     /// `CWXSEG2`: untagged XOR-chain value columns. Read, never written.
     V2,
-    /// `CWXSEG3`: every value column opens with its tag byte.
+    /// `CWXSEG3`: every value column opens with its tag byte. Read,
+    /// never written.
     V3,
+    /// `CWXSEG4`: v3 payloads under compact series headers, stamps
+    /// counted from the series' `min_time`.
+    V4,
 }
 
 impl Format {
@@ -70,9 +98,19 @@ impl Format {
     /// magic.
     fn of(data: &[u8]) -> Option<Format> {
         match data.get(..MAGIC.len())? {
-            m if m == MAGIC => Some(Format::V3),
+            m if m == MAGIC => Some(Format::V4),
+            m if m == MAGIC_V3 => Some(Format::V3),
             m if m == MAGIC_V2 => Some(Format::V2),
             _ => None,
+        }
+    }
+
+    /// What a payload's timestamps are counted from: the series'
+    /// `min_time` in v4, zero before.
+    fn time_base(self, entry: &SeriesIndexEntry) -> u64 {
+        match self {
+            Format::V4 => entry.min_time.as_nanos(),
+            Format::V2 | Format::V3 => 0,
         }
     }
 }
@@ -158,62 +196,187 @@ impl SegmentIndex {
     /// Read the file at `path`, verify its checksum and build the index
     /// without decoding any series payload.
     pub fn read_from(path: &Path) -> Result<SegmentIndex, StoreError> {
-        let data = std::fs::read(path)?;
-        let corrupt = |reason| StoreError::CorruptSegment {
-            path: path.to_path_buf(),
-            reason,
-        };
-        let (format, body) = checked_body(&data, path)?;
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], StoreError> {
-            let s = body
-                .get(*pos..*pos + n)
-                .ok_or_else(|| StoreError::CorruptSegment {
-                    path: path.to_path_buf(),
-                    reason: "truncated body",
-                })?;
-            *pos += n;
-            Ok(s)
-        };
-        let resolution = Resolution::from_tag(take(&mut pos, 1)?[0])
-            .ok_or_else(|| corrupt("bad resolution tag"))?;
-        let n_series = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let mut entries = Vec::with_capacity(n_series);
-        for _ in 0..n_series {
-            let node = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-            let name_len = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
-            let monitor = String::from_utf8(take(&mut pos, name_len)?.to_vec())
-                .map_err(|_| corrupt("monitor name not utf-8"))?;
-            let tail = take(&mut pos, SERIES_HEADER_TAIL)?;
-            let count = u32::from_le_bytes(tail[0..4].try_into().unwrap());
-            let len = u32::from_le_bytes(tail[4..8].try_into().unwrap());
-            let crc = u32::from_le_bytes(tail[8..12].try_into().unwrap());
-            let min_time =
-                SimTime::from_nanos(u64::from_le_bytes(tail[12..20].try_into().unwrap()));
-            let max_time =
-                SimTime::from_nanos(u64::from_le_bytes(tail[20..28].try_into().unwrap()));
-            let offset = (MAGIC.len() + pos) as u64;
-            take(&mut pos, len as usize)?;
-            entries.push(SeriesIndexEntry {
-                node,
-                monitor,
-                count,
-                min_time,
-                max_time,
-                offset,
-                len,
-                crc,
-            });
-        }
-        if pos != body.len() {
-            return Err(corrupt("trailing bytes after last series"));
-        }
-        Ok(SegmentIndex {
-            format,
-            resolution,
-            entries,
-        })
+        walk(&std::fs::read(path)?, path)
     }
+}
+
+/// A read cursor over a segment body; running past its end, or a field
+/// that does not fit its type, is a corrupt segment at `origin`.
+struct Body<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    origin: &'a Path,
+}
+
+impl<'a> Body<'a> {
+    fn corrupt(&self, reason: &'static str) -> StoreError {
+        StoreError::CorruptSegment {
+            path: self.origin.to_path_buf(),
+            reason,
+        }
+    }
+
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// The file offset of the cursor.
+    fn offset(&self) -> u64 {
+        (MAGIC.len() + self.pos) as u64
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
+        if n > self.remaining() {
+            return Err(self.corrupt("truncated body"));
+        }
+        self.pos += n;
+        Ok(&self.bytes[self.pos - n..self.pos])
+    }
+
+    fn u32(&mut self) -> Result<u32, StoreError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+
+    fn u64(&mut self) -> Result<u64, StoreError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    fn varint(&mut self) -> Result<u64, StoreError> {
+        get_uvarint(self.bytes, &mut self.pos).map_err(|_| self.corrupt("truncated body"))
+    }
+
+    fn varint_u32(&mut self) -> Result<u32, StoreError> {
+        let v = self.varint()?;
+        u32::try_from(v).map_err(|_| self.corrupt("header field overflows u32"))
+    }
+
+    /// A varint count, length or index; one past `usize` is past any
+    /// body, and fails the caller's bounds check.
+    fn varint_usize(&mut self) -> Result<usize, StoreError> {
+        Ok(usize::try_from(self.varint()?).unwrap_or(usize::MAX))
+    }
+
+    fn name(&mut self, len: usize) -> Result<String, StoreError> {
+        String::from_utf8(self.take(len)?.to_vec())
+            .map_err(|_| self.corrupt("monitor name not utf-8"))
+    }
+
+    /// An empty vector with room for `n` items of at least `min_bytes`
+    /// each, or corrupt when what is left of the body cannot hold them:
+    /// a damaged count never sizes an allocation.
+    fn room_for<T>(&self, n: usize, min_bytes: usize) -> Result<Vec<T>, StoreError> {
+        if n > self.remaining() / min_bytes {
+            return Err(self.corrupt("count exceeds the body"));
+        }
+        Ok(Vec::with_capacity(n))
+    }
+}
+
+/// Walk a whole segment file's bytes into its index: magic and file
+/// CRC checked, every series header parsed, no payload decoded. The one
+/// place each header layout is read.
+fn walk(data: &[u8], origin: &Path) -> Result<SegmentIndex, StoreError> {
+    let (format, bytes) = checked_body(data, origin)?;
+    let mut body = Body {
+        bytes,
+        pos: 0,
+        origin,
+    };
+    let resolution =
+        Resolution::from_tag(body.take(1)?[0]).ok_or_else(|| body.corrupt("bad resolution tag"))?;
+    let n_series = body.u32()? as usize;
+    let entries = match format {
+        Format::V2 | Format::V3 => walk_v3(&mut body, n_series)?,
+        Format::V4 => walk_v4(&mut body, n_series)?,
+    };
+    if body.remaining() != 0 {
+        return Err(body.corrupt("trailing bytes after last series"));
+    }
+    Ok(SegmentIndex {
+        format,
+        resolution,
+        entries,
+    })
+}
+
+/// The fixed-width v2/v3 series headers, each followed by its payload.
+fn walk_v3(body: &mut Body<'_>, n_series: usize) -> Result<Vec<SeriesIndexEntry>, StoreError> {
+    let mut entries = body.room_for(n_series, V3_HEADER_MIN)?;
+    for _ in 0..n_series {
+        let node = body.u32()?;
+        let name_len = u16::from_le_bytes(body.take(2)?.try_into().unwrap()) as usize;
+        let monitor = body.name(name_len)?;
+        let count = body.u32()?;
+        let len = body.u32()?;
+        let crc = body.u32()?;
+        let min_time = SimTime::from_nanos(body.u64()?);
+        let max_time = SimTime::from_nanos(body.u64()?);
+        let offset = body.offset();
+        body.take(len as usize)?;
+        entries.push(SeriesIndexEntry {
+            node,
+            monitor,
+            count,
+            min_time,
+            max_time,
+            offset,
+            len,
+            crc,
+        });
+    }
+    Ok(entries)
+}
+
+/// The v4 name table and the compact series headers after it, each
+/// followed by its payload.
+fn walk_v4(body: &mut Body<'_>, n_series: usize) -> Result<Vec<SeriesIndexEntry>, StoreError> {
+    let n_names = body.varint_usize()?;
+    let mut names: Vec<String> = body.room_for(n_names, 1)?;
+    for _ in 0..n_names {
+        let len = body.varint_usize()?;
+        let name = body.name(len)?;
+        if names.last().is_some_and(|prev| *prev >= name) {
+            return Err(body.corrupt("name table not sorted"));
+        }
+        names.push(name);
+    }
+    let mut entries = body.room_for(n_series, V4_HEADER_MIN)?;
+    let mut prev: Option<(u32, usize)> = None;
+    let (mut node, mut min_time) = (0u32, 0u64);
+    for _ in 0..n_series {
+        let name = body.varint_usize()?;
+        let monitor = names
+            .get(name)
+            .ok_or_else(|| body.corrupt("name index past the name table"))?
+            .clone();
+        node = u64::from(node)
+            .checked_add(body.varint()?)
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or_else(|| body.corrupt("node delta overflows"))?;
+        // the name table is sorted, so index order is name order
+        if prev.is_some_and(|p| p >= (node, name)) {
+            return Err(body.corrupt("series out of order"));
+        }
+        prev = Some((node, name));
+        let count = body.varint_u32()?;
+        let len = body.varint_u32()?;
+        let crc = body.u32()?;
+        min_time = min_time.wrapping_add(unzigzag(body.varint()?) as u64);
+        let max_time = min_time.wrapping_add(body.varint()?);
+        let offset = body.offset();
+        body.take(len as usize)?;
+        entries.push(SeriesIndexEntry {
+            node,
+            monitor,
+            count,
+            min_time: SimTime::from_nanos(min_time),
+            max_time: SimTime::from_nanos(max_time),
+            offset,
+            len,
+            crc,
+        });
+    }
+    Ok(entries)
 }
 
 /// Check a whole file's magic and trailing CRC (`origin` names it in
@@ -273,19 +436,26 @@ pub fn read_series_at(
             reason: "series payload checksum mismatch",
         });
     }
-    decode_payload(&payload, format, resolution, entry.count as usize, origin)
+    decode_payload(&payload, format, resolution, entry, origin)
 }
 
-fn encode_payload(data: &SeriesData, out: &mut Vec<u8>) {
+/// Encode one series' payload, every timestamp less `base`.
+fn encode_payload(data: &SeriesData, base: u64, out: &mut Vec<u8>) {
     match data {
         SeriesData::Raw(samples) => {
-            let times: Vec<u64> = samples.iter().map(|s| s.time.as_nanos()).collect();
+            let times: Vec<u64> = samples
+                .iter()
+                .map(|s| s.time.as_nanos().wrapping_sub(base))
+                .collect();
             let values: Vec<f64> = samples.iter().map(|s| s.value).collect();
             put_timestamps(out, &times);
             put_values(out, &values);
         }
         SeriesData::Buckets(buckets) => {
-            let starts: Vec<u64> = buckets.iter().map(|b| b.start.as_nanos()).collect();
+            let starts: Vec<u64> = buckets
+                .iter()
+                .map(|b| b.start.as_nanos().wrapping_sub(base))
+                .collect();
             put_timestamps(out, &starts);
             for b in buckets {
                 put_uvarint(out, b.count);
@@ -316,21 +486,23 @@ fn fill_column<T>(
     let each = |v| set(row.next().expect("one value per row"), v);
     match format {
         Format::V2 => for_each_xor_value(payload, pos, count, each),
-        Format::V3 => for_each_value(payload, pos, count, each),
+        Format::V3 | Format::V4 => for_each_value(payload, pos, count, each),
     }
 }
 
+/// Decode the payload `entry` locates, in a file of `format`.
 fn decode_payload(
     payload: &[u8],
     format: Format,
     resolution: Resolution,
-    count: usize,
+    entry: &SeriesIndexEntry,
     origin: &Path,
 ) -> Result<SeriesData, StoreError> {
     let corrupt = |reason| StoreError::CorruptSegment {
         path: origin.to_path_buf(),
         reason,
     };
+    let count = entry.count as usize;
     // every entry costs at least a byte per column: bounds the
     // allocation a damaged header could ask for
     if count > payload.len() {
@@ -342,13 +514,14 @@ fn decode_payload(
             _ => "varint stream truncated",
         })
     };
+    let base = format.time_base(entry);
     let mut pos = 0usize;
     // one pass per column, each written straight into the output rows
     let data = if resolution == Resolution::Raw {
         let mut rows: Vec<Sample> = Vec::with_capacity(count);
         for_each_timestamp(payload, &mut pos, count, |t| {
             rows.push(Sample {
-                time: SimTime::from_nanos(t),
+                time: SimTime::from_nanos(t.wrapping_add(base)),
                 value: 0.0,
             })
         })
@@ -359,7 +532,7 @@ fn decode_payload(
         let mut rows: Vec<AggBucket> = Vec::with_capacity(count);
         for_each_timestamp(payload, &mut pos, count, |t| {
             rows.push(AggBucket {
-                start: SimTime::from_nanos(t),
+                start: SimTime::from_nanos(t.wrapping_add(base)),
                 count: 0,
                 min: 0.0,
                 mean: 0.0,
@@ -388,32 +561,56 @@ fn decode_payload(
 pub struct Segment {
     /// Tier.
     pub resolution: Resolution,
-    /// Per-series payloads keyed by `(node, monitor)`.
+    /// Per-series payloads keyed by `(node, monitor)`, sorted by key
+    /// without repeats.
     pub series: Vec<((u32, String), SeriesData)>,
 }
 
 impl Segment {
     /// Encode to bytes, also returning the index of what was written.
+    ///
+    /// # Panics
+    ///
+    /// If `series` is not sorted by `(node, monitor)` without repeats:
+    /// the headers store each node as a delta from the one before.
     pub fn encode_indexed(&self) -> (Vec<u8>, SegmentIndex) {
+        let mut names: Vec<&str> = self.series.iter().map(|((_, m), _)| m.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
         let mut body = Vec::new();
         body.push(self.resolution.tag());
         body.extend_from_slice(&(self.series.len() as u32).to_le_bytes());
+        put_uvarint(&mut body, names.len() as u64);
+        for name in &names {
+            put_uvarint(&mut body, name.len() as u64);
+            body.extend_from_slice(name.as_bytes());
+        }
         let mut entries = Vec::with_capacity(self.series.len());
         let mut payload = Vec::new();
+        let mut prev: Option<(u32, &str)> = None;
+        let mut prev_min = 0u64;
         for ((node, name), data) in &self.series {
-            payload.clear();
-            encode_payload(data, &mut payload);
-            let crc = crc32(&payload);
-            body.extend_from_slice(&node.to_le_bytes());
-            body.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            body.extend_from_slice(name.as_bytes());
-            body.extend_from_slice(&(data.len() as u32).to_le_bytes());
-            body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            body.extend_from_slice(&crc.to_le_bytes());
+            let key = (*node, name.as_str());
+            assert!(
+                prev.is_none_or(|p| p < key),
+                "segment series out of (node, monitor) order at {key:?}"
+            );
             let min_time = data.min_time().unwrap_or(SimTime::ZERO);
             let max_time = data.max_time().unwrap_or(SimTime::ZERO);
-            body.extend_from_slice(&min_time.as_nanos().to_le_bytes());
-            body.extend_from_slice(&max_time.as_nanos().to_le_bytes());
+            let (min, max) = (min_time.as_nanos(), max_time.as_nanos());
+            payload.clear();
+            encode_payload(data, min, &mut payload);
+            let crc = crc32(&payload);
+            let name_index = names
+                .binary_search(&key.1)
+                .expect("every name is in the table");
+            put_uvarint(&mut body, name_index as u64);
+            put_uvarint(&mut body, u64::from(node - prev.map_or(0, |p| p.0)));
+            put_uvarint(&mut body, data.len() as u64);
+            put_uvarint(&mut body, payload.len() as u64);
+            body.extend_from_slice(&crc.to_le_bytes());
+            put_uvarint(&mut body, zigzag(min.wrapping_sub(prev_min) as i64));
+            put_uvarint(&mut body, max.wrapping_sub(min));
             entries.push(SeriesIndexEntry {
                 node: *node,
                 monitor: name.clone(),
@@ -425,13 +622,15 @@ impl Segment {
                 crc,
             });
             body.extend_from_slice(&payload);
+            prev = Some(key);
+            prev_min = min;
         }
         let mut out = Vec::with_capacity(MAGIC.len() + body.len() + 4);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&body);
         out.extend_from_slice(&crc32(&body).to_le_bytes());
         let index = SegmentIndex {
-            format: Format::V3,
+            format: Format::V4,
             resolution: self.resolution,
             entries,
         };
@@ -444,41 +643,22 @@ impl Segment {
     }
 
     /// Decode and validate bytes produced by [`Segment::encode`] (or by
-    /// a `CWXSEG2` writer).
+    /// a `CWXSEG2`/`CWXSEG3` writer): the header walk of
+    /// [`SegmentIndex::read_from`], then each payload it locates.
     pub fn decode(data: &[u8], origin: &Path) -> Result<Segment, StoreError> {
-        let corrupt = |reason| StoreError::CorruptSegment {
-            path: origin.to_path_buf(),
-            reason,
-        };
-        let (format, body) = checked_body(data, origin)?;
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], StoreError> {
-            let s = body
-                .get(*pos..*pos + n)
-                .ok_or_else(|| StoreError::CorruptSegment {
-                    path: origin.to_path_buf(),
-                    reason: "truncated body",
-                })?;
-            *pos += n;
-            Ok(s)
-        };
-        let resolution = Resolution::from_tag(take(&mut pos, 1)?[0])
-            .ok_or_else(|| corrupt("bad resolution tag"))?;
-        let n_series = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let mut series = Vec::with_capacity(n_series);
-        for _ in 0..n_series {
-            let node = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-            let name_len = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
-            let name = String::from_utf8(take(&mut pos, name_len)?.to_vec())
-                .map_err(|_| corrupt("monitor name not utf-8"))?;
-            let tail = take(&mut pos, SERIES_HEADER_TAIL)?;
-            let count = u32::from_le_bytes(tail[0..4].try_into().unwrap()) as usize;
-            let len = u32::from_le_bytes(tail[4..8].try_into().unwrap()) as usize;
-            let payload = take(&mut pos, len)?;
-            let data = decode_payload(payload, format, resolution, count, origin)?;
-            series.push(((node, name), data));
+        let index = walk(data, origin)?;
+        let mut series = Vec::with_capacity(index.entries.len());
+        for entry in index.entries {
+            // the walk checked every payload lies inside the body
+            let at = entry.offset as usize;
+            let payload = &data[at..at + entry.len as usize];
+            let decoded = decode_payload(payload, index.format, index.resolution, &entry, origin)?;
+            series.push(((entry.node, entry.monitor), decoded));
         }
-        Ok(Segment { resolution, series })
+        Ok(Segment {
+            resolution: index.resolution,
+            series,
+        })
     }
 
     /// Write atomically to `path` (temp file + rename), returning the
@@ -502,7 +682,6 @@ impl Segment {
         Segment::decode(&data, path)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,7 +760,7 @@ mod tests {
         let seg = raw_segment();
         let (node, data) = &seg.series[0];
         let mut payload = Vec::new();
-        encode_payload(data, &mut payload);
+        encode_payload(data, 0, &mut payload);
         let timestamps = 1 + 5 + 98;
         assert_eq!(
             payload[timestamps],
@@ -596,8 +775,24 @@ mod tests {
         let mut payload = Vec::new();
         put_timestamps(&mut payload, &[0, 5_000_000_000]);
         payload.extend_from_slice(&[0xff, 0, 0]);
-        let err =
-            decode_payload(&payload, Format::V3, Resolution::Raw, 2, Path::new("mem")).unwrap_err();
+        let entry = SeriesIndexEntry {
+            node: 0,
+            monitor: "m".into(),
+            count: 2,
+            min_time: SimTime::ZERO,
+            max_time: t(5),
+            offset: 0,
+            len: payload.len() as u32,
+            crc: 0,
+        };
+        let err = decode_payload(
+            &payload,
+            Format::V4,
+            Resolution::Raw,
+            &entry,
+            Path::new("mem"),
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             StoreError::CorruptSegment {
@@ -632,6 +827,160 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// `body` behind `magic` and before its CRC: a checksum-valid file.
+    fn sealed(magic: &[u8; 8], body: &[u8]) -> Vec<u8> {
+        let mut out = magic.to_vec();
+        out.extend_from_slice(body);
+        out.extend_from_slice(&crc32(body).to_le_bytes());
+        out
+    }
+
+    /// A checksum-valid v4 raw segment with name table `names` and one
+    /// empty series per `(name index, node delta)` header.
+    fn v4_file(names: &[&str], headers: &[(u64, u64)]) -> Vec<u8> {
+        let mut empty = Vec::new();
+        encode_payload(&SeriesData::Raw(vec![]), 0, &mut empty);
+        let mut body = vec![Resolution::Raw.tag()];
+        body.extend_from_slice(&(headers.len() as u32).to_le_bytes());
+        put_uvarint(&mut body, names.len() as u64);
+        for name in names {
+            put_uvarint(&mut body, name.len() as u64);
+            body.extend_from_slice(name.as_bytes());
+        }
+        for &(name, node_delta) in headers {
+            put_uvarint(&mut body, name);
+            put_uvarint(&mut body, node_delta);
+            // count, payload_len, payload CRC, the two time bounds
+            body.extend_from_slice(&[0, empty.len() as u8]);
+            body.extend_from_slice(&crc32(&empty).to_le_bytes());
+            body.extend_from_slice(&[0, 0]);
+            body.extend_from_slice(&empty);
+        }
+        sealed(MAGIC, &body)
+    }
+
+    /// Why decoding `bytes` fails, which it must.
+    fn corrupt_reason(bytes: &[u8]) -> &'static str {
+        match Segment::decode(bytes, Path::new("mem")) {
+            Err(StoreError::CorruptSegment { reason, .. }) => reason,
+            other => panic!("not a corrupt segment: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_series_count_the_body_cannot_hold_is_corrupt_not_an_abort() {
+        let dir = std::env::temp_dir().join(format!("cwx-seg-count-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut body = vec![Resolution::Raw.tag()];
+        body.extend_from_slice(&u32::MAX.to_le_bytes());
+        // 17 bytes of v3: once a 275 GB reservation, an abort
+        let v3 = sealed(MAGIC_V3, &body);
+        assert_eq!(v3.len(), 17);
+        // v4 with an empty name table
+        body.push(0);
+        let v4 = sealed(MAGIC, &body);
+        for bytes in [v3, v4] {
+            assert_eq!(corrupt_reason(&bytes), "count exceeds the body");
+            let path = dir.join("seg-00000001-r0.seg");
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                SegmentIndex::read_from(&path),
+                Err(StoreError::CorruptSegment {
+                    reason: "count exceeds the body",
+                    ..
+                })
+            ));
+        }
+        // a name count past the body is refused the same way
+        let mut body = vec![Resolution::Raw.tag(), 0, 0, 0, 0];
+        put_uvarint(&mut body, u64::MAX);
+        assert_eq!(
+            corrupt_reason(&sealed(MAGIC, &body)),
+            "count exceeds the body"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn damaged_v4_headers_are_corrupt_not_a_panic() {
+        let seg = Segment::decode(
+            &v4_file(&["a", "b"], &[(0, 1), (1, 0), (0, 3)]),
+            Path::new("mem"),
+        )
+        .unwrap();
+        let keys: Vec<_> = seg.series.iter().map(|(k, _)| k.clone()).collect();
+        assert_eq!(keys, [(1, "a".into()), (1, "b".into()), (4, "a".into())]);
+
+        for (bytes, reason) in [
+            (v4_file(&["a"], &[(1, 0)]), "name index past the name table"),
+            (
+                v4_file(&["a"], &[(u64::MAX, 0)]),
+                "name index past the name table",
+            ),
+            (v4_file(&["a"], &[(0, 1 << 32)]), "node delta overflows"),
+            (v4_file(&["a"], &[(0, u64::MAX)]), "node delta overflows"),
+            (
+                v4_file(&["a"], &[(0, u32::MAX as u64), (0, 1)]),
+                "node delta overflows",
+            ),
+            (
+                v4_file(&["a", "b"], &[(1, 3), (0, 0)]),
+                "series out of order",
+            ),
+            (v4_file(&["a"], &[(0, 3), (0, 0)]), "series out of order"),
+            (v4_file(&["b", "a"], &[]), "name table not sorted"),
+            (v4_file(&["a", "a"], &[]), "name table not sorted"),
+        ] {
+            assert_eq!(corrupt_reason(&bytes), reason);
+        }
+    }
+
+    #[test]
+    fn v4_stamps_count_from_the_series_min_time() {
+        let at = |i: u64| SimTime::from_nanos(1_700_000_000_000_000_000 + i * 2_000_000_000);
+        let series = (0..3u32)
+            .map(|node| {
+                let samples = (0..4)
+                    .map(|i| Sample {
+                        time: at(i + node as u64),
+                        value: 20.0 + i as f64 * 0.25,
+                    })
+                    .collect();
+                ((node, "cpu.util".to_string()), SeriesData::Raw(samples))
+            })
+            .collect();
+        let seg = Segment {
+            resolution: Resolution::Raw,
+            series,
+        };
+        let (bytes, index) = seg.encode_indexed();
+        assert_eq!(Segment::decode(&bytes, Path::new("mem")).unwrap(), seg);
+        for (node, e) in index.entries.iter().enumerate() {
+            assert_eq!(
+                (e.min_time, e.max_time),
+                (at(node as u64), at(node as u64 + 3))
+            );
+            // stamps: 0, a 2 s delta (5 B), two unchanged deltas; then
+            // the tagged two-decimal column: 2000 (2 B), three steps of 25
+            let payload = &bytes[e.offset as usize..][..e.len as usize];
+            assert_eq!(payload[0], 0, "series {node}");
+            assert_eq!(
+                payload.len(),
+                (1 + 5 + 1 + 1) + (1 + 2 + 3),
+                "series {node}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of (node, monitor) order")]
+    fn encoding_unsorted_series_is_refused() {
+        let mut seg = raw_segment();
+        seg.series.reverse();
+        seg.encode();
     }
 
     #[test]

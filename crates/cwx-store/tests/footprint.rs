@@ -6,8 +6,9 @@
 //! two-decimal random walks, as a sensor reports them, so each value
 //! column is stored as scaled-integer deltas; one case feeds ratios
 //! with no short decimal form instead, which fall back to the XOR
-//! chain. The sizes are deterministic: the same appends write the same
-//! bytes.
+//! chain. One case is a young store instead: a flush of a few samples
+//! a series, where the series headers are most of the bytes. The sizes
+//! are deterministic: the same appends write the same bytes.
 
 use std::path::{Path, PathBuf};
 
@@ -172,4 +173,72 @@ fn ratios_fall_back_to_the_xor_chain() {
     assert_under(&f, [8.5, 0.01, 3.5, 0.5]);
     assert!(f.per_sample(Resolution::Raw) >= 7.5, "{:?}", f.bytes);
     assert!(f.total_per_sample() <= 12.5, "{:?}", f.bytes);
+}
+
+/// An `ingest_live` flush in miniature: 250 nodes × 4 monitors, four
+/// two-decimal samples a series 2 s apart on nanosecond stamps near
+/// 1.7 × 10^18, each node's reports 8 ms after the one before, flushed
+/// once. Bytes per series, all segment files together.
+fn young_bytes_per_series() -> f64 {
+    const NODES: u32 = 250;
+    const MONITORS: [&str; 4] = ["bench.m0", "bench.m1", "bench.m2", "bench.m3"];
+    let dir = std::env::temp_dir().join(format!("cwx-footprint-young-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut walks = vec![5_000i64; NODES as usize * MONITORS.len()];
+    for step in 0..4u64 {
+        for node in 0..NODES {
+            let time = SimTime::from_nanos(
+                1_700_000_000_000_000_000 + step * 2_000_000_000 + node as u64 * 8_000_000,
+            );
+            let batch: Vec<BatchSample<'_>> = MONITORS
+                .iter()
+                .enumerate()
+                .map(|(m, monitor)| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let walk = &mut walks[node as usize * MONITORS.len() + m];
+                    *walk = (*walk + (state >> 33) as i64 % 101 - 50).clamp(0, 10_000);
+                    BatchSample {
+                        node,
+                        monitor,
+                        time,
+                        value: two_decimals(*walk),
+                    }
+                })
+                .collect();
+            store.append_batch(&batch);
+        }
+    }
+    store.flush_all().unwrap();
+    assert_eq!(store.total_samples(), 4 * 1_000);
+    drop(store);
+    let (mut bytes, mut series) = (0u64, 0usize);
+    for shard in std::fs::read_dir(&dir).unwrap() {
+        let shard = shard.unwrap().path();
+        if !shard.is_dir() {
+            continue;
+        }
+        for path in segment_files(&shard) {
+            series += SegmentIndex::read_from(&path).unwrap().entries.len();
+            bytes += std::fs::metadata(&path).unwrap().len();
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+    assert_eq!(series, 1_000);
+    let per_series = bytes as f64 / series as f64;
+    eprintln!("young store: {bytes} B, {per_series:.1} B a series");
+    per_series
+}
+
+#[test]
+fn a_young_store_pays_for_its_samples_not_its_headers() {
+    // a series is ≈ 29 B: a ≈ 15 B header, 8 B of stamps (the 2 s
+    // delta is 5 of them) and 6 B of values. The fixed-width v3 header
+    // with its name and 8 B time bounds, and a full-nanosecond first
+    // stamp, made it ≈ 64 B
+    let per_series = young_bytes_per_series();
+    assert!(per_series <= 36.0, "{per_series:.1} B a series");
 }

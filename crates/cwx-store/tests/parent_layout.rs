@@ -1,10 +1,21 @@
-//! A store directory written before segments were named by sequence
-//! range and before the WAL header named its flush target must open
-//! and answer as it did then. `fixtures/parent-layout` was written by
-//! that code (2 shards × {one compacted segment with its three tier
-//! files, one later flush segment, a headerless WAL holding the tail}):
-//! 4 nodes × 2 monitors × 35 samples, 47 s apart. Its segments are
-//! `CWXSEG2` (untagged XOR value columns); a merge rewrites them as v3.
+//! Store directories written by earlier versions must open and answer
+//! as they did then, and convert to the current segment format as they
+//! merge.
+//!
+//! `fixtures/parent-layout` was written before segments were named by
+//! sequence range and before the WAL header named its flush target
+//! (2 shards × {one compacted segment with its three tier files, one
+//! later flush segment, a headerless WAL holding the tail}): 4 nodes ×
+//! 2 monitors × 35 samples, 47 s apart. Its segments are `CWXSEG2`
+//! (untagged XOR value columns).
+//!
+//! `fixtures/v3-layout` was written by the `CWXSEG3` writer in the same
+//! shape (2 shards × {a merged segment `seg-00000001-00000002` with its
+//! three companions, the flush segment `seg-00000003`, a WAL holding the
+//! tail}): 4 nodes × 2 monitors × 70 samples, 5 s apart from
+//! 1.7 × 10^18 ns, so every companion holds every series. `cpu.util`
+//! is a two-decimal reading (decimal columns), `load.one` a ratio (XOR
+//! columns). A merge rewrites either as v4.
 
 use std::path::{Path, PathBuf};
 
@@ -25,9 +36,11 @@ fn expected(node: u32, monitor: usize, steps: u64) -> Vec<Sample> {
         .collect()
 }
 
-fn copy_fixture(tag: &str) -> PathBuf {
-    let from = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent-layout");
-    let to = std::env::temp_dir().join(format!("cwx-parent-layout-{tag}-{}", std::process::id()));
+fn copy_fixture(fixture: &str) -> PathBuf {
+    let from = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(fixture);
+    let to = std::env::temp_dir().join(format!("cwx-{fixture}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&to);
     for shard in ["shard-000", "shard-001"] {
         std::fs::create_dir_all(to.join(shard)).unwrap();
@@ -86,7 +99,7 @@ fn assert_holds(store: &DiskStore, steps: u64) {
 
 #[test]
 fn parent_written_store_opens_and_answers_identically() {
-    let dir = copy_fixture("open");
+    let dir = copy_fixture("parent-layout");
     let before = segment_formats(&dir);
     assert!(before.iter().all(|(f, _)| *f == Format::V2), "{before:?}");
     let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
@@ -134,17 +147,107 @@ fn parent_written_store_opens_and_answers_identically() {
     assert_holds(&store, STEPS + 1);
     store.compact_all().unwrap();
     assert_holds(&store, STEPS + 1);
-    // re-merged as v3 under the companion rule: a 10 s bucket of 47 s
+    // re-merged as v4 under the companion rule: a 10 s bucket of 47 s
     // data holds one sample, so `r1` is written empty while `r2` and
     // `r3` hold every series
     assert_eq!(
         segment_formats(&dir),
-        vec![(Format::V3, [4, 0, 4, 4]); 2],
+        vec![(Format::V4, [4, 0, 4, 4]); 2],
         "format and series per resolution, per shard"
     );
     drop(store);
     let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
     assert_eq!(store.recovery().segments_loaded, 2 * 4);
     assert_holds(&store, STEPS + 1);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+const V3_STEPS: u64 = 70;
+
+fn v3_expected(node: u32, monitor: usize) -> Vec<Sample> {
+    (0..V3_STEPS)
+        .map(|i| {
+            let walk = ((node as u64 * 31 + monitor as u64 * 7 + i * 13) % 997) as f64;
+            Sample {
+                time: SimTime::from_nanos(1_700_000_000_000_000_000 + i * 5_000_000_000),
+                value: if monitor == 0 {
+                    walk / 100.0
+                } else {
+                    walk / 7.0
+                },
+            }
+        })
+        .collect()
+}
+
+/// Every series' samples, bit for bit, and the answer of a windowed
+/// query over all four nodes per monitor, resolution and function.
+/// `avg` is left out: its sums fold in block order, so a merge that
+/// moves block boundaries moves its last bits, whatever the format.
+fn v3_answers(store: &DiskStore) -> Vec<(Resolution, AggFunc, Vec<query::AggPoint>)> {
+    assert_eq!(store.total_samples(), 8 * V3_STEPS);
+    for node in 0..4u32 {
+        for (m, monitor) in MONITORS.iter().enumerate() {
+            let got = store.range(node, monitor, SimTime::ZERO, SimTime::MAX);
+            let want = v3_expected(node, m);
+            let bits = |s: &[Sample]| -> Vec<(SimTime, u64)> {
+                s.iter().map(|s| (s.time, s.value.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "node{node} {monitor}");
+            for res in Resolution::TIERS {
+                let buckets = store.range_agg(node, monitor, SimTime::ZERO, SimTime::MAX, res);
+                assert_eq!(
+                    buckets,
+                    query::aggregate(&want, res.bucket_nanos().unwrap())
+                );
+            }
+        }
+    }
+    let mut answers = Vec::new();
+    for monitor in MONITORS {
+        for res in [Resolution::Raw].into_iter().chain(Resolution::TIERS) {
+            for agg in [AggFunc::Min, AggFunc::Max, AggFunc::Count] {
+                let spec = QuerySpec {
+                    monitor: monitor.into(),
+                    from: SimTime::ZERO,
+                    to: SimTime::MAX,
+                    window_nanos: res.bucket_nanos().unwrap_or(1_000_000_000),
+                    agg,
+                    groups: vec![QueryGroup {
+                        key: "all".into(),
+                        nodes: (0..4).collect(),
+                    }],
+                    max_scan: 0,
+                };
+                let got = store.query(&spec).unwrap();
+                assert_eq!(got.stats.tier, res, "{monitor} {agg:?}");
+                assert_eq!(got.stats.unreadable_blocks, 0);
+                answers.push((res, agg, got.groups[0].points.clone()));
+            }
+        }
+    }
+    answers
+}
+
+#[test]
+fn v3_written_store_opens_answers_and_merges_to_v4_identically() {
+    let dir = copy_fixture("v3-layout");
+    // the merged set holds every series in all four files, the flush
+    // segment every series raw
+    assert_eq!(segment_formats(&dir), vec![(Format::V3, [8, 4, 4, 4]); 2]);
+    let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+    let rec = store.recovery();
+    assert_eq!(rec.segments_loaded, 2 * 5, "{rec:?}");
+    assert_eq!(rec.segments_quarantined, 0, "{rec:?}");
+    assert_eq!(rec.samples_replayed, 2 * 4 * 6, "the WAL tail: {rec:?}");
+    let before = v3_answers(&store);
+
+    store.compact_all().unwrap();
+    assert_eq!(segment_formats(&dir), vec![(Format::V4, [4, 4, 4, 4]); 2]);
+    assert_eq!(v3_answers(&store), before);
+    drop(store);
+    let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+    assert_eq!(store.recovery().segments_loaded, 2 * 4);
+    assert_eq!(v3_answers(&store), before);
     let _ = std::fs::remove_dir_all(dir);
 }
