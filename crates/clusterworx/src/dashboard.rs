@@ -6,7 +6,7 @@
 //! Historical graphing reads any [`Store`]: [`chart`] draws one series,
 //! [`export_node_csv`] hands a node's history to external tools.
 
-use cwx_store::{AggBucket, Store};
+use cwx_store::{query, AggBucket, Store};
 use cwx_util::time::SimTime;
 
 use crate::world::World;
@@ -194,7 +194,7 @@ pub fn chart(
         for row in grid.iter_mut().take(rmax + 1).skip(rmin) {
             row[col] = '·';
         }
-        grid[row_of(b.mean)][col] = '*';
+        grid[row_of(b.mean())][col] = '*';
     }
     for (i, row) in grid.iter().enumerate().rev() {
         let label = if i == height - 1 {
@@ -239,17 +239,12 @@ fn downsample(
                 b.count += 1;
                 b.min = b.min.min(s.value);
                 b.max = b.max.max(s.value);
-                // incremental mean: no count*mean products to overflow
-                b.mean += (s.value - b.mean) / b.count as f64;
+                b.sum += s.value;
                 b.last = s.value;
             }
             _ => out.push(AggBucket {
                 start,
-                count: 1,
-                min: s.value,
-                mean: s.value,
-                max: s.value,
-                last: s.value,
+                ..query::bucket_of(s)
             }),
         }
     }
@@ -378,7 +373,7 @@ mod tests {
         assert_eq!(b0.min, 0.0);
         assert_eq!(b0.max, 9.0);
         assert_eq!(b0.last, 9.0);
-        assert!((b0.mean - 4.5).abs() < 1e-9);
+        assert_eq!(b0.mean(), 4.5);
     }
 
     #[test]
@@ -406,7 +401,7 @@ mod tests {
             (buckets[0].min, buckets[0].max, buckets[0].last),
             (2.0, 4.0, 4.0)
         );
-        assert!((buckets[0].mean - 3.0).abs() < 1e-9);
+        assert_eq!(buckets[0].mean(), 3.0);
     }
 
     #[test]

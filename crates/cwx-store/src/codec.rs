@@ -5,6 +5,8 @@
 //! * delta-of-delta timestamp compression (Gorilla-style, byte-aligned),
 //! * tagged f64 value columns: a decimal column as zigzag deltas of
 //!   scaled integers, anything else as an XOR chain of bit patterns,
+//! * exact decimal sums ([`decimal_sum`]), which keep a tier bucket's
+//!   sum a short decimal that such a column stores as one,
 //! * CRC32 (IEEE) for record and file checksums.
 
 /// Errors from decoding a varint stream.
@@ -184,6 +186,34 @@ fn decimal_exponent(values: &[f64]) -> Option<usize> {
         }
     }
     Some(e)
+}
+
+/// The sum of `values` as one correctly rounded division, `Σm / 10^e`:
+/// `m` are the values' scaled integers at the smallest `e` in
+/// `0..=MAX_DECIMAL_EXP` at which every value is decimal. `None` when
+/// some value is not, or when |Σm| reaches 2^53 (no longer exact).
+///
+/// So the sum of two-decimal readings is itself a two-decimal value,
+/// whichever order and grouping the readings are summed in, and a
+/// column of such sums is stored as scaled-integer deltas. One pass:
+/// raising `e` rescales the running `Σm` by 10, which is what the
+/// values summed so far scale to (see [`decimal_exponent`]).
+pub fn decimal_sum(values: impl IntoIterator<Item = f64>) -> Option<f64> {
+    let (mut e, mut sum) = (0usize, 0i64);
+    for v in values {
+        let m = loop {
+            if let Some(m) = scaled(v, e) {
+                break m;
+            }
+            e += 1;
+            if e > MAX_DECIMAL_EXP as usize {
+                return None;
+            }
+            sum = sum.checked_mul(10)?;
+        };
+        sum = sum.checked_add(m)?;
+    }
+    ((sum.unsigned_abs() as f64) < EXACT_INT_LIMIT).then(|| sum as f64 / POW10[e])
 }
 
 /// Encode one f64 value column, opening with a one-byte tag:
@@ -446,6 +476,32 @@ mod tests {
         assert_eq!(buf[0], 1 + 2);
         assert!(buf.len() <= 2 * values.len(), "{} bytes", buf.len());
         assert!(bare_chain_len(&values) > 6 * values.len());
+    }
+
+    #[test]
+    fn decimal_sums_divide_once() {
+        // 0.1 + 0.2 + 0.3 is 0.6000000000000001 added in f64
+        assert_eq!(decimal_sum([0.1, 0.2, 0.3]), Some(0.6));
+        assert_eq!(decimal_sum([0.25, 1.5, 3.0]), Some(4.75));
+        let readings: Vec<f64> = (0..1000).map(|i| (5_000 + i % 97) as f64 / 100.0).collect();
+        let m: i64 = (0..1000).map(|i| 5_000 + i % 97).sum();
+        let want = m as f64 / 100.0;
+        assert_eq!(decimal_sum(readings.iter().copied()), Some(want));
+        // a partial sum is a decimal too, so sums of sums are exact
+        let parts = readings
+            .chunks(7)
+            .map(|c| decimal_sum(c.iter().copied()).unwrap());
+        assert_eq!(decimal_sum(parts), Some(want));
+        assert_eq!(decimal_sum([]), Some(0.0));
+        for values in [
+            vec![1.0 / 3.0],
+            vec![1.0, f64::NAN],
+            vec![-0.0],
+            vec![1.2345678],
+            vec![4e15, 4e15, 4e15],
+        ] {
+            assert_eq!(decimal_sum(values.iter().copied()), None, "{values:?}");
+        }
     }
 
     #[test]

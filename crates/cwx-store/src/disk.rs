@@ -279,9 +279,9 @@ fn find_entry<'a>(
 ) -> Option<(usize, &'a SeriesIndexEntry)> {
     let i = index
         .entries
-        .partition_point(|e| (e.node, e.monitor.as_str()) < (node, monitor));
+        .partition_point(|e| (e.node, &*e.monitor) < (node, monitor));
     let e = index.entries.get(i)?;
-    (e.node == node && e.monitor == monitor).then_some((i, e))
+    (e.node == node && *e.monitor == *monitor).then_some((i, e))
 }
 
 fn segment_name(lo: u64, hi: u64, res: Resolution) -> String {

@@ -14,7 +14,7 @@
 //!   an XOR chain otherwise ([`codec`]).
 //! * size-tiered merges — runs of similar-sized raw segments are merged
 //!   and downsampled into 10-second, 5-minute and 1-hour
-//!   min/mean/max/last companions, so charts over long windows read
+//!   min/sum/max/last companions, so charts over long windows read
 //!   pre-aggregated data and a sample is rewritten O(log N) times.
 //! * [`disk::DiskStore`] — shard-per-node-group write paths: each
 //!   shard owns its own WAL, memtable and segments behind its own lock,
@@ -66,12 +66,21 @@ pub struct AggBucket {
     pub count: u64,
     /// Minimum value.
     pub min: f64,
-    /// Mean value.
-    pub mean: f64,
+    /// Sum of the values: exact for decimal readings while it stays
+    /// under 2^53 scaled (see [`codec::decimal_sum`]), an `f64` sum in
+    /// time order otherwise.
+    pub sum: f64,
     /// Maximum value.
     pub max: f64,
     /// Last (most recent) value — charts draw step lines from this.
     pub last: f64,
+}
+
+impl AggBucket {
+    /// Mean value.
+    pub fn mean(&self) -> f64 {
+        self.sum / self.count as f64
+    }
 }
 
 /// Storage resolution tiers.
@@ -80,11 +89,11 @@ pub enum Resolution {
     /// Every sample as ingested.
     #[default]
     Raw,
-    /// 10-second min/mean/max/last buckets.
+    /// 10-second min/sum/max/last buckets.
     TenSeconds,
-    /// 5-minute min/mean/max/last buckets.
+    /// 5-minute min/sum/max/last buckets.
     FiveMinutes,
-    /// 1-hour min/mean/max/last buckets (dashboard-range queries).
+    /// 1-hour min/sum/max/last buckets (dashboard-range queries).
     OneHour,
 }
 
@@ -219,14 +228,7 @@ pub trait Store: std::fmt::Debug + Send + Sync {
             return self
                 .range(node, monitor, from, to)
                 .into_iter()
-                .map(|s| AggBucket {
-                    start: s.time,
-                    count: 1,
-                    min: s.value,
-                    mean: s.value,
-                    max: s.value,
-                    last: s.value,
-                })
+                .map(query::bucket_of)
                 .collect();
         };
         aggregate(&self.range(node, monitor, from, to), width)
@@ -288,7 +290,8 @@ mod tests {
         assert_eq!(buckets[0].min, 0.0);
         assert_eq!(buckets[0].max, 9.0);
         assert_eq!(buckets[0].last, 9.0);
-        assert!((buckets[0].mean - 4.5).abs() < 1e-9);
+        assert_eq!(buckets[0].sum, 45.0);
+        assert_eq!(buckets[0].mean(), 4.5);
     }
 
     #[test]
@@ -307,7 +310,7 @@ mod tests {
         assert_eq!(b.len(), 1);
         assert_eq!(b[0].count, 2);
         assert_eq!((b[0].min, b[0].max, b[0].last), (1.0, 3.0, 3.0));
-        assert!((b[0].mean - 2.0).abs() < 1e-9);
+        assert_eq!(b[0].mean(), 2.0);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! * **The stored rollup** — [`aggregate`] and [`merge_buckets`]: the
 //!   time-ordered fold that merges write into tier companions and
-//!   `range_agg` returns (min / mean / max / last buckets).
+//!   `range_agg` returns (min / sum / max / last buckets; a decimal
+//!   series' sums are exact).
 //! * **Query evaluation** — [`QuerySpec`] (windowed function over a
 //!   time range, evaluated per [`QueryGroup`] of nodes) is answered by
 //!   one order-independent accumulator, `WindowFold`: every in-range
@@ -47,6 +48,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use cwx_util::time::SimTime;
 
+use crate::codec::decimal_sum;
 use crate::segment::SeriesData;
 use crate::{AggBucket, Resolution, Sample, Store};
 
@@ -65,53 +67,58 @@ pub fn bucket_of(s: Sample) -> AggBucket {
         start: s.time,
         count: 1,
         min: s.value,
-        mean: s.value,
+        sum: s.value,
         max: s.value,
         last: s.value,
     }
 }
 
 /// Aggregate time-ordered samples into fixed-width buckets aligned to
-/// the epoch (so buckets from different flushes line up); the mean is
-/// kept incrementally.
+/// the epoch (so buckets from different flushes line up).
 pub fn aggregate(samples: &[Sample], width_nanos: u64) -> Vec<AggBucket> {
-    let mut out: Vec<AggBucket> = Vec::new();
-    for &s in samples {
-        let start = floor_to(s.time, width_nanos);
-        match out.last_mut() {
-            Some(b) if b.start == start => {
-                b.count += 1;
-                b.min = b.min.min(s.value);
-                b.max = b.max.max(s.value);
-                b.mean += (s.value - b.mean) / b.count as f64;
-                b.last = s.value;
-            }
-            _ => out.push(AggBucket {
-                start,
-                ..bucket_of(s)
-            }),
-        }
-    }
-    out
+    rollup(samples, width_nanos, |s| bucket_of(*s))
 }
 
-/// Combine time-ordered fine buckets into wider epoch-aligned buckets;
-/// means are combined count-weighted.
+/// Combine time-ordered fine buckets into wider epoch-aligned buckets.
 pub fn merge_buckets(fine: &[AggBucket], width_nanos: u64) -> Vec<AggBucket> {
+    rollup(fine, width_nanos, |b| *b)
+}
+
+/// The one rollup behind [`aggregate`] and [`merge_buckets`]: each run
+/// of `rows` in one epoch-aligned bucket becomes that bucket. Its sum is
+/// the parts' [`decimal_sum`], exact and a decimal itself, so a coarser
+/// tier summing these sums again is as exact; where that fails (a
+/// non-decimal part, |Σm| ≥ 2^53) it is their `f64` sum in time order.
+/// A bucket of one part keeps that part's sum, which either would be.
+fn rollup<T>(rows: &[T], width_nanos: u64, part: impl Fn(&T) -> AggBucket) -> Vec<AggBucket> {
+    let sum_of = |run: &[T]| {
+        let sums = run.iter().map(|r| part(r).sum);
+        decimal_sum(sums.clone()).unwrap_or_else(|| sums.sum())
+    };
     let mut out: Vec<AggBucket> = Vec::new();
-    for b in fine {
-        let start = floor_to(b.start, width_nanos);
+    // where the last bucket's run of rows starts
+    let mut first = 0;
+    for (i, row) in rows.iter().enumerate() {
+        let p = part(row);
+        let start = floor_to(p.start, width_nanos);
         match out.last_mut() {
-            Some(w) if w.start == start => {
-                let total = w.count + b.count;
-                w.mean = (w.mean * w.count as f64 + b.mean * b.count as f64) / total as f64;
-                w.count = total;
-                w.min = w.min.min(b.min);
-                w.max = w.max.max(b.max);
-                w.last = b.last;
+            Some(b) if b.start == start => {
+                b.count += p.count;
+                b.min = b.min.min(p.min);
+                b.max = b.max.max(p.max);
+                b.last = p.last;
             }
-            _ => out.push(AggBucket { start, ..*b }),
+            last => {
+                if let Some(b) = last.filter(|_| i - first > 1) {
+                    b.sum = sum_of(&rows[first..i]);
+                }
+                first = i;
+                out.push(AggBucket { start, ..p });
+            }
         }
+    }
+    if let Some(b) = out.last_mut().filter(|_| rows.len() - first > 1) {
+        b.sum = sum_of(&rows[first..]);
     }
     out
 }
@@ -174,7 +181,7 @@ impl AggFunc {
         }
     }
 
-    /// Can this function be computed from stored min/mean/max/count
+    /// Can this function be computed from stored min/sum/max/count
     /// buckets? Percentiles and `rate` need the individual samples.
     pub fn tier_serveable(self) -> bool {
         matches!(
@@ -539,7 +546,7 @@ impl WindowFold {
                 debug_assert!(self.agg.tier_serveable(), "{:?} needs samples", self.agg);
                 for b in &buckets[slice.range.clone()] {
                     let w = self.window_of(b.start.as_nanos());
-                    self.accs[w].add(b.count, b.mean * b.count as f64, b.min, b.max);
+                    self.accs[w].add(b.count, b.sum, b.min, b.max);
                 }
             }
         }

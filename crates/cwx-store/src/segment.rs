@@ -4,21 +4,26 @@
 //! at one resolution. Layout, little-endian, varints LEB128:
 //!
 //! ```text
-//! 8B  magic "CWXSEG4\n"
+//! 8B  magic "CWXSEG5\n"
 //! u8  resolution tag (0 raw, 1 ten-second, 2 five-minute, 3 one-hour)
 //! u32 series count
 //! name table: varint name count, then per name (sorted, no repeats)
 //!   varint len | name bytes
 //! per series, sorted by (node, monitor) without repeats:
 //!   varint name index | varint node − previous series' node (from 0)
-//!   varint count | varint payload_len | u32 payload_crc32
+//!   varint count << 1 | even | varint payload_len | u32 payload_crc32
 //!   varint zigzag(min_time − previous series' min_time (from 0))
 //!   varint max_time − min_time
-//!   payload (payload_len bytes), every timestamp less min_time:
-//!     raw:  delta-of-delta timestamps, then one value column
-//!     tier: delta-of-delta bucket starts, varint counts, then the
-//!           min / mean / max / last value columns
+//!   payload (payload_len bytes):
+//!     raw:  stamps, then one value column
+//!     tier: bucket-start stamps, varint counts, then the
+//!           min / sum / max / last value columns
 //! u32 crc32 over everything after the magic
+//!
+//! stamps:
+//!   even = 1  none: entry i is at min_time + i × stride, stride =
+//!             (max_time − min_time) / (count − 1), 0 for one entry
+//!   even = 0  delta-of-delta stamps, each less min_time
 //!
 //! value column (codec::put_values):
 //!   u8 tag 0       XOR chain: varint(prev_bits ^ bits) per value
@@ -26,10 +31,21 @@
 //!                  each value m / 10^e, e in 0..=6
 //! ```
 //!
-//! A young segment holds a few samples a series, so the header is most
-//! of what a series costs: a v4 header is ≈ 12 B on `ingest_live`'s
-//! flushes where the fixed v3 one was ≈ 43 B, and a payload's first
-//! stamp is one byte instead of nine.
+//! The writer sets `even` on every series with one entry and on every
+//! series whose stamps are exactly evenly spaced, so a monitor sampled
+//! on a fixed tick pays nothing for its stamps; any other series keeps
+//! the delta-of-delta column (one byte a stamp at best). The flag rides
+//! in the count varint: the count is a `u32`, so the shift never
+//! overflows, and it costs a byte only when the count crosses a 7-bit
+//! boundary. A tier bucket stores its values' sum, not their mean: the
+//! sum of decimal readings is an exact decimal
+//! ([`crate::codec::decimal_sum`]), so its column is scaled-integer
+//! deltas where a mean was an XOR chain.
+//!
+//! `CWXSEG4` files ([`Format::V4`]) have the same header without the
+//! flag (a plain count), always carry stamps, and store a tier bucket's
+//! `f64` mean where v5 has the sum: it is read back as `mean × count`,
+//! the sum every query folded from it before.
 //!
 //! `CWXSEG3` and `CWXSEG2` files are still read ([`Format::V3`],
 //! [`Format::V2`]). Their series header is fixed-width and carries its
@@ -41,7 +57,7 @@
 //! ```
 //!
 //! v2 value columns are untagged XOR chains. A merge rewrites its
-//! inputs as v4, so an older store converts as it compacts.
+//! inputs as v5, so an older store converts as it compacts.
 //!
 //! Each series header carries the payload length, its own CRC and the
 //! series' time bounds, so a reader can walk the headers once into a
@@ -54,13 +70,15 @@
 //! place, so a crash mid-flush leaves no partial segment behind. The
 //! reader verifies magic and CRC before parsing anything, and a
 //! checksum-valid file whose headers do not add up (a count the body
-//! cannot hold, a name index past the table, series out of order) is a
+//! cannot hold, a name index past the table, series out of order, an
+//! evenly spaced series whose span its count does not divide) is a
 //! [`StoreError::CorruptSegment`], never a panic or a huge allocation.
 
 use std::fs::File;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use cwx_util::time::SimTime;
 
@@ -70,13 +88,14 @@ use crate::codec::{
 };
 use crate::{AggBucket, Resolution, Sample, StoreError};
 
-const MAGIC: &[u8; 8] = b"CWXSEG4\n";
+const MAGIC: &[u8; 8] = b"CWXSEG5\n";
+const MAGIC_V4: &[u8; 8] = b"CWXSEG4\n";
 const MAGIC_V3: &[u8; 8] = b"CWXSEG3\n";
 const MAGIC_V2: &[u8; 8] = b"CWXSEG2\n";
 /// Fewest bytes a v2/v3 series header takes: node, name length, an
 /// empty name, count, payload_len, payload_crc, min_time, max_time.
 const V3_HEADER_MIN: usize = 4 + 2 + 4 + 4 + 4 + 8 + 8;
-/// Fewest bytes a v4 series header takes: one-byte name index, node
+/// Fewest bytes a v4/v5 series header takes: one-byte name index, node
 /// delta, count and payload_len, the CRC, one-byte time bounds.
 const V4_HEADER_MIN: usize = 1 + 1 + 1 + 1 + 4 + 1 + 1;
 
@@ -89,8 +108,11 @@ pub enum Format {
     /// never written.
     V3,
     /// `CWXSEG4`: v3 payloads under compact series headers, stamps
-    /// counted from the series' `min_time`.
+    /// counted from the series' `min_time`. Read, never written.
     V4,
+    /// `CWXSEG5`: v4 with no stamp column for an evenly spaced series,
+    /// and tier sums in place of means.
+    V5,
 }
 
 impl Format {
@@ -98,7 +120,8 @@ impl Format {
     /// magic.
     fn of(data: &[u8]) -> Option<Format> {
         match data.get(..MAGIC.len())? {
-            m if m == MAGIC => Some(Format::V4),
+            m if m == MAGIC => Some(Format::V5),
+            m if m == MAGIC_V4 => Some(Format::V4),
             m if m == MAGIC_V3 => Some(Format::V3),
             m if m == MAGIC_V2 => Some(Format::V2),
             _ => None,
@@ -106,10 +129,10 @@ impl Format {
     }
 
     /// What a payload's timestamps are counted from: the series'
-    /// `min_time` in v4, zero before.
+    /// `min_time` since v4, zero before.
     fn time_base(self, entry: &SeriesIndexEntry) -> u64 {
         match self {
-            Format::V4 => entry.min_time.as_nanos(),
+            Format::V4 | Format::V5 => entry.min_time.as_nanos(),
             Format::V2 | Format::V3 => 0,
         }
     }
@@ -160,10 +183,14 @@ impl SeriesData {
 pub struct SeriesIndexEntry {
     /// Node index.
     pub node: u32,
-    /// Monitor name.
-    pub monitor: String,
+    /// Monitor name, shared with every entry of the segment that names
+    /// the same monitor.
+    pub monitor: Arc<str>,
     /// Entries in the payload (samples or buckets).
     pub count: u32,
+    /// `Some(stride)` when the entries are evenly spaced, entry `i` at
+    /// `min_time + i × stride`, and the payload holds no stamps (v5).
+    pub stride: Option<u64>,
     /// Smallest timestamp in the payload (0 when empty).
     pub min_time: SimTime,
     /// Largest timestamp in the payload (0 when empty).
@@ -256,8 +283,10 @@ impl<'a> Body<'a> {
         Ok(usize::try_from(self.varint()?).unwrap_or(usize::MAX))
     }
 
-    fn name(&mut self, len: usize) -> Result<String, StoreError> {
-        String::from_utf8(self.take(len)?.to_vec())
+    fn name(&mut self, len: usize) -> Result<Arc<str>, StoreError> {
+        let bytes = self.take(len)?;
+        std::str::from_utf8(bytes)
+            .map(Arc::from)
             .map_err(|_| self.corrupt("monitor name not utf-8"))
     }
 
@@ -287,7 +316,7 @@ fn walk(data: &[u8], origin: &Path) -> Result<SegmentIndex, StoreError> {
     let n_series = body.u32()? as usize;
     let entries = match format {
         Format::V2 | Format::V3 => walk_v3(&mut body, n_series)?,
-        Format::V4 => walk_v4(&mut body, n_series)?,
+        Format::V4 | Format::V5 => walk_compact(&mut body, n_series, format)?,
     };
     if body.remaining() != 0 {
         return Err(body.corrupt("trailing bytes after last series"));
@@ -317,6 +346,7 @@ fn walk_v3(body: &mut Body<'_>, n_series: usize) -> Result<Vec<SeriesIndexEntry>
             node,
             monitor,
             count,
+            stride: None,
             min_time,
             max_time,
             offset,
@@ -327,11 +357,30 @@ fn walk_v3(body: &mut Body<'_>, n_series: usize) -> Result<Vec<SeriesIndexEntry>
     Ok(entries)
 }
 
-/// The v4 name table and the compact series headers after it, each
-/// followed by its payload.
-fn walk_v4(body: &mut Body<'_>, n_series: usize) -> Result<Vec<SeriesIndexEntry>, StoreError> {
+/// The stride `count` evenly spaced entries over `span` nanoseconds
+/// take, if there is one: `span` must be a multiple of `count − 1` (a
+/// single entry has none but a zero span), and there is no stride
+/// without an entry.
+fn stride(count: u32, span: u64) -> Option<u64> {
+    match count {
+        0 => None,
+        1 => (span == 0).then_some(0),
+        n => span
+            .is_multiple_of(u64::from(n - 1))
+            .then(|| span / u64::from(n - 1)),
+    }
+}
+
+/// The v4/v5 name table and the compact series headers after it, each
+/// followed by its payload. Every entry naming a monitor shares its
+/// table entry: indexing allocates per name, not per series.
+fn walk_compact(
+    body: &mut Body<'_>,
+    n_series: usize,
+    format: Format,
+) -> Result<Vec<SeriesIndexEntry>, StoreError> {
     let n_names = body.varint_usize()?;
-    let mut names: Vec<String> = body.room_for(n_names, 1)?;
+    let mut names: Vec<Arc<str>> = body.room_for(n_names, 1)?;
     for _ in 0..n_names {
         let len = body.varint_usize()?;
         let name = body.name(len)?;
@@ -345,10 +394,11 @@ fn walk_v4(body: &mut Body<'_>, n_series: usize) -> Result<Vec<SeriesIndexEntry>
     let (mut node, mut min_time) = (0u32, 0u64);
     for _ in 0..n_series {
         let name = body.varint_usize()?;
-        let monitor = names
-            .get(name)
-            .ok_or_else(|| body.corrupt("name index past the name table"))?
-            .clone();
+        let monitor = Arc::clone(
+            names
+                .get(name)
+                .ok_or_else(|| body.corrupt("name index past the name table"))?,
+        );
         node = u64::from(node)
             .checked_add(body.varint()?)
             .and_then(|n| u32::try_from(n).ok())
@@ -358,17 +408,35 @@ fn walk_v4(body: &mut Body<'_>, n_series: usize) -> Result<Vec<SeriesIndexEntry>
             return Err(body.corrupt("series out of order"));
         }
         prev = Some((node, name));
-        let count = body.varint_u32()?;
+        let (count, even) = match format {
+            Format::V5 => {
+                let field = body.varint()?;
+                let count = u32::try_from(field >> 1)
+                    .map_err(|_| body.corrupt("header field overflows u32"))?;
+                (count, field & 1 == 1)
+            }
+            _ => (body.varint_u32()?, false),
+        };
         let len = body.varint_u32()?;
         let crc = body.u32()?;
         min_time = min_time.wrapping_add(unzigzag(body.varint()?) as u64);
-        let max_time = min_time.wrapping_add(body.varint()?);
+        let span = body.varint()?;
+        let max_time = min_time.wrapping_add(span);
+        let stride =
+            match (even, count) {
+                (false, _) => None,
+                (true, 0) => return Err(body.corrupt("stamp flag on an empty series")),
+                (true, _) => Some(stride(count, span).ok_or_else(|| {
+                    body.corrupt("evenly spaced span not a multiple of count − 1")
+                })?),
+            };
         let offset = body.offset();
         body.take(len as usize)?;
         entries.push(SeriesIndexEntry {
             node,
             monitor,
             count,
+            stride,
             min_time: SimTime::from_nanos(min_time),
             max_time: SimTime::from_nanos(max_time),
             offset,
@@ -439,30 +507,38 @@ pub fn read_series_at(
     decode_payload(&payload, format, resolution, entry, origin)
 }
 
-/// Encode one series' payload, every timestamp less `base`.
-fn encode_payload(data: &SeriesData, base: u64, out: &mut Vec<u8>) {
+/// Encode one series' payload, its first timestamp as `base`: no
+/// stamps when they are evenly spaced (the stride is returned for the
+/// header to flag), else every timestamp less `base`.
+fn encode_payload(data: &SeriesData, base: u64, out: &mut Vec<u8>) -> Option<u64> {
+    let stamp = |t: SimTime| t.as_nanos().wrapping_sub(base);
+    let times: Vec<u64> = match data {
+        SeriesData::Raw(samples) => samples.iter().map(|s| stamp(s.time)).collect(),
+        SeriesData::Buckets(buckets) => buckets.iter().map(|b| stamp(b.start)).collect(),
+    };
+    // the same stride and products the decoder rebuilds the stamps from
+    let stride = times.last().and_then(|&span| {
+        let stride = stride(times.len() as u32, span)?;
+        (0u64..)
+            .zip(&times)
+            .all(|(i, &t)| t == stride.wrapping_mul(i))
+            .then_some(stride)
+    });
+    if stride.is_none() {
+        put_timestamps(out, &times);
+    }
     match data {
         SeriesData::Raw(samples) => {
-            let times: Vec<u64> = samples
-                .iter()
-                .map(|s| s.time.as_nanos().wrapping_sub(base))
-                .collect();
             let values: Vec<f64> = samples.iter().map(|s| s.value).collect();
-            put_timestamps(out, &times);
             put_values(out, &values);
         }
         SeriesData::Buckets(buckets) => {
-            let starts: Vec<u64> = buckets
-                .iter()
-                .map(|b| b.start.as_nanos().wrapping_sub(base))
-                .collect();
-            put_timestamps(out, &starts);
             for b in buckets {
                 put_uvarint(out, b.count);
             }
             for field in [
                 |b: &AggBucket| b.min,
-                |b: &AggBucket| b.mean,
+                |b: &AggBucket| b.sum,
                 |b: &AggBucket| b.max,
                 |b: &AggBucket| b.last,
             ] {
@@ -470,6 +546,29 @@ fn encode_payload(data: &SeriesData, base: u64, out: &mut Vec<u8>) {
                 put_values(out, &vals);
             }
         }
+    }
+    stride
+}
+
+/// Hand each of `entry`'s stamps to `each`, in order: rebuilt from its
+/// stride, or decoded from the payload's stamp column, plus `base`.
+fn for_each_stamp(
+    payload: &[u8],
+    pos: &mut usize,
+    entry: &SeriesIndexEntry,
+    base: u64,
+    mut each: impl FnMut(u64),
+) -> Result<(), CodecError> {
+    match entry.stride {
+        Some(stride) => {
+            for i in 0..u64::from(entry.count) {
+                each(base.wrapping_add(stride.wrapping_mul(i)));
+            }
+            Ok(())
+        }
+        None => for_each_timestamp(payload, pos, entry.count as usize, |t| {
+            each(t.wrapping_add(base))
+        }),
     }
 }
 
@@ -486,7 +585,7 @@ fn fill_column<T>(
     let each = |v| set(row.next().expect("one value per row"), v);
     match format {
         Format::V2 => for_each_xor_value(payload, pos, count, each),
-        Format::V3 | Format::V4 => for_each_value(payload, pos, count, each),
+        Format::V3 | Format::V4 | Format::V5 => for_each_value(payload, pos, count, each),
     }
 }
 
@@ -503,8 +602,9 @@ fn decode_payload(
         reason,
     };
     let count = entry.count as usize;
-    // every entry costs at least a byte per column: bounds the
-    // allocation a damaged header could ask for
+    // every entry costs at least one byte in its value column (raw) or
+    // its count column (tier), stamps or none: bounds the allocation a
+    // damaged header could ask for
     if count > payload.len() {
         return Err(corrupt("series count exceeds its payload"));
     }
@@ -519,9 +619,9 @@ fn decode_payload(
     // one pass per column, each written straight into the output rows
     let data = if resolution == Resolution::Raw {
         let mut rows: Vec<Sample> = Vec::with_capacity(count);
-        for_each_timestamp(payload, &mut pos, count, |t| {
+        for_each_stamp(payload, &mut pos, entry, base, |t| {
             rows.push(Sample {
-                time: SimTime::from_nanos(t.wrapping_add(base)),
+                time: SimTime::from_nanos(t),
                 value: 0.0,
             })
         })
@@ -530,12 +630,12 @@ fn decode_payload(
         SeriesData::Raw(rows)
     } else {
         let mut rows: Vec<AggBucket> = Vec::with_capacity(count);
-        for_each_timestamp(payload, &mut pos, count, |t| {
+        for_each_stamp(payload, &mut pos, entry, base, |t| {
             rows.push(AggBucket {
-                start: SimTime::from_nanos(t.wrapping_add(base)),
+                start: SimTime::from_nanos(t),
                 count: 0,
                 min: 0.0,
-                mean: 0.0,
+                sum: 0.0,
                 max: 0.0,
                 last: 0.0,
             })
@@ -545,7 +645,13 @@ fn decode_payload(
             row.count = get_uvarint(payload, &mut pos).map_err(truncated)?;
         }
         fill_column(&mut rows, payload, &mut pos, format, |b, v| b.min = v).map_err(truncated)?;
-        fill_column(&mut rows, payload, &mut pos, format, |b, v| b.mean = v).map_err(truncated)?;
+        // before v5 the column is the mean: the sum a query folded from
+        // it was `mean × count`, and still is
+        let sum = |b: &mut AggBucket, v: f64| match format {
+            Format::V5 => b.sum = v,
+            _ => b.sum = v * b.count as f64,
+        };
+        fill_column(&mut rows, payload, &mut pos, format, sum).map_err(truncated)?;
         fill_column(&mut rows, payload, &mut pos, format, |b, v| b.max = v).map_err(truncated)?;
         fill_column(&mut rows, payload, &mut pos, format, |b, v| b.last = v).map_err(truncated)?;
         SeriesData::Buckets(rows)
@@ -585,6 +691,7 @@ impl Segment {
             put_uvarint(&mut body, name.len() as u64);
             body.extend_from_slice(name.as_bytes());
         }
+        let monitors: Vec<Arc<str>> = names.iter().map(|&n| Arc::from(n)).collect();
         let mut entries = Vec::with_capacity(self.series.len());
         let mut payload = Vec::new();
         let mut prev: Option<(u32, &str)> = None;
@@ -599,22 +706,26 @@ impl Segment {
             let max_time = data.max_time().unwrap_or(SimTime::ZERO);
             let (min, max) = (min_time.as_nanos(), max_time.as_nanos());
             payload.clear();
-            encode_payload(data, min, &mut payload);
+            let stride = encode_payload(data, min, &mut payload);
             let crc = crc32(&payload);
             let name_index = names
                 .binary_search(&key.1)
                 .expect("every name is in the table");
             put_uvarint(&mut body, name_index as u64);
             put_uvarint(&mut body, u64::from(node - prev.map_or(0, |p| p.0)));
-            put_uvarint(&mut body, data.len() as u64);
+            put_uvarint(
+                &mut body,
+                (data.len() as u64) << 1 | u64::from(stride.is_some()),
+            );
             put_uvarint(&mut body, payload.len() as u64);
             body.extend_from_slice(&crc.to_le_bytes());
             put_uvarint(&mut body, zigzag(min.wrapping_sub(prev_min) as i64));
             put_uvarint(&mut body, max.wrapping_sub(min));
             entries.push(SeriesIndexEntry {
                 node: *node,
-                monitor: name.clone(),
+                monitor: Arc::clone(&monitors[name_index]),
                 count: data.len() as u32,
+                stride,
                 min_time,
                 max_time,
                 offset: (MAGIC.len() + body.len()) as u64,
@@ -630,7 +741,7 @@ impl Segment {
         out.extend_from_slice(&body);
         out.extend_from_slice(&crc32(&body).to_le_bytes());
         let index = SegmentIndex {
-            format: Format::V4,
+            format: Format::V5,
             resolution: self.resolution,
             entries,
         };
@@ -643,7 +754,7 @@ impl Segment {
     }
 
     /// Decode and validate bytes produced by [`Segment::encode`] (or by
-    /// a `CWXSEG2`/`CWXSEG3` writer): the header walk of
+    /// a `CWXSEG2`/`CWXSEG3`/`CWXSEG4` writer): the header walk of
     /// [`SegmentIndex::read_from`], then each payload it locates.
     pub fn decode(data: &[u8], origin: &Path) -> Result<Segment, StoreError> {
         let index = walk(data, origin)?;
@@ -653,7 +764,7 @@ impl Segment {
             let at = entry.offset as usize;
             let payload = &data[at..at + entry.len as usize];
             let decoded = decode_payload(payload, index.format, index.resolution, &entry, origin)?;
-            series.push(((entry.node, entry.monitor), decoded));
+            series.push(((entry.node, entry.monitor.to_string()), decoded));
         }
         Ok(Segment {
             resolution: index.resolution,
@@ -730,7 +841,7 @@ mod tests {
                             start: t(i * 10),
                             count: 10,
                             min: i as f64,
-                            mean: i as f64 + 0.5,
+                            sum: (i as f64 + 0.5) * 10.0,
                             max: i as f64 + 1.0,
                             last: i as f64 + 0.25,
                         })
@@ -760,14 +871,10 @@ mod tests {
         let seg = raw_segment();
         let (node, data) = &seg.series[0];
         let mut payload = Vec::new();
-        encode_payload(data, 0, &mut payload);
-        let timestamps = 1 + 5 + 98;
-        assert_eq!(
-            payload[timestamps],
-            1 + 1,
-            "{node:?}: tagged decimal, e = 1"
-        );
-        assert_eq!(payload.len(), timestamps + 1 + 100);
+        // 5 s apart from 0: no stamps
+        assert_eq!(encode_payload(data, 0, &mut payload), Some(5_000_000_000));
+        assert_eq!(payload[0], 1 + 1, "{node:?}: tagged decimal, e = 1");
+        assert_eq!(payload.len(), 1 + 100);
     }
 
     #[test]
@@ -779,6 +886,7 @@ mod tests {
             node: 0,
             monitor: "m".into(),
             count: 2,
+            stride: None,
             min_time: SimTime::ZERO,
             max_time: t(5),
             offset: 0,
@@ -837,11 +945,20 @@ mod tests {
         out
     }
 
-    /// A checksum-valid v4 raw segment with name table `names` and one
-    /// empty series per `(name index, node delta)` header.
-    fn v4_file(names: &[&str], headers: &[(u64, u64)]) -> Vec<u8> {
-        let mut empty = Vec::new();
-        encode_payload(&SeriesData::Raw(vec![]), 0, &mut empty);
+    /// One raw series header and its payload, as a hand-built file
+    /// holds it.
+    struct Header<'a> {
+        name: u64,
+        node_delta: u64,
+        /// The count varint as stored: `count << 1 | even` in v5.
+        count_field: u64,
+        span: u64,
+        payload: &'a [u8],
+    }
+
+    /// A checksum-valid raw segment of `magic` (v4 or v5) with name
+    /// table `names` and one series per header, every `min_time` 0.
+    fn compact_file(magic: &[u8; 8], names: &[&str], headers: &[Header<'_>]) -> Vec<u8> {
         let mut body = vec![Resolution::Raw.tag()];
         body.extend_from_slice(&(headers.len() as u32).to_le_bytes());
         put_uvarint(&mut body, names.len() as u64);
@@ -849,16 +966,34 @@ mod tests {
             put_uvarint(&mut body, name.len() as u64);
             body.extend_from_slice(name.as_bytes());
         }
-        for &(name, node_delta) in headers {
-            put_uvarint(&mut body, name);
-            put_uvarint(&mut body, node_delta);
-            // count, payload_len, payload CRC, the two time bounds
-            body.extend_from_slice(&[0, empty.len() as u8]);
-            body.extend_from_slice(&crc32(&empty).to_le_bytes());
-            body.extend_from_slice(&[0, 0]);
-            body.extend_from_slice(&empty);
+        for h in headers {
+            for field in [h.name, h.node_delta, h.count_field, h.payload.len() as u64] {
+                put_uvarint(&mut body, field);
+            }
+            body.extend_from_slice(&crc32(h.payload).to_le_bytes());
+            put_uvarint(&mut body, 0);
+            put_uvarint(&mut body, h.span);
+            body.extend_from_slice(h.payload);
         }
-        sealed(MAGIC, &body)
+        sealed(magic, &body)
+    }
+
+    /// A checksum-valid v5 raw segment with name table `names` and one
+    /// empty series per `(name index, node delta)` header.
+    fn empty_series_file(names: &[&str], headers: &[(u64, u64)]) -> Vec<u8> {
+        let mut empty = Vec::new();
+        encode_payload(&SeriesData::Raw(vec![]), 0, &mut empty);
+        let headers: Vec<Header<'_>> = headers
+            .iter()
+            .map(|&(name, node_delta)| Header {
+                name,
+                node_delta,
+                count_field: 0,
+                span: 0,
+                payload: &empty,
+            })
+            .collect();
+        compact_file(MAGIC, names, &headers)
     }
 
     /// Why decoding `bytes` fails, which it must.
@@ -879,10 +1014,11 @@ mod tests {
         // 17 bytes of v3: once a 275 GB reservation, an abort
         let v3 = sealed(MAGIC_V3, &body);
         assert_eq!(v3.len(), 17);
-        // v4 with an empty name table
+        // v4 and v5 with an empty name table
         body.push(0);
-        let v4 = sealed(MAGIC, &body);
-        for bytes in [v3, v4] {
+        let v4 = sealed(MAGIC_V4, &body);
+        let v5 = sealed(MAGIC, &body);
+        for bytes in [v3, v4, v5] {
             assert_eq!(corrupt_reason(&bytes), "count exceeds the body");
             let path = dir.join("seg-00000001-r0.seg");
             std::fs::write(&path, &bytes).unwrap();
@@ -907,7 +1043,7 @@ mod tests {
     #[test]
     fn damaged_v4_headers_are_corrupt_not_a_panic() {
         let seg = Segment::decode(
-            &v4_file(&["a", "b"], &[(0, 1), (1, 0), (0, 3)]),
+            &empty_series_file(&["a", "b"], &[(0, 1), (1, 0), (0, 3)]),
             Path::new("mem"),
         )
         .unwrap();
@@ -915,32 +1051,117 @@ mod tests {
         assert_eq!(keys, [(1, "a".into()), (1, "b".into()), (4, "a".into())]);
 
         for (bytes, reason) in [
-            (v4_file(&["a"], &[(1, 0)]), "name index past the name table"),
             (
-                v4_file(&["a"], &[(u64::MAX, 0)]),
+                empty_series_file(&["a"], &[(1, 0)]),
                 "name index past the name table",
             ),
-            (v4_file(&["a"], &[(0, 1 << 32)]), "node delta overflows"),
-            (v4_file(&["a"], &[(0, u64::MAX)]), "node delta overflows"),
             (
-                v4_file(&["a"], &[(0, u32::MAX as u64), (0, 1)]),
+                empty_series_file(&["a"], &[(u64::MAX, 0)]),
+                "name index past the name table",
+            ),
+            (
+                empty_series_file(&["a"], &[(0, 1 << 32)]),
                 "node delta overflows",
             ),
             (
-                v4_file(&["a", "b"], &[(1, 3), (0, 0)]),
+                empty_series_file(&["a"], &[(0, u64::MAX)]),
+                "node delta overflows",
+            ),
+            (
+                empty_series_file(&["a"], &[(0, u32::MAX as u64), (0, 1)]),
+                "node delta overflows",
+            ),
+            (
+                empty_series_file(&["a", "b"], &[(1, 3), (0, 0)]),
                 "series out of order",
             ),
-            (v4_file(&["a"], &[(0, 3), (0, 0)]), "series out of order"),
-            (v4_file(&["b", "a"], &[]), "name table not sorted"),
-            (v4_file(&["a", "a"], &[]), "name table not sorted"),
+            (
+                empty_series_file(&["a"], &[(0, 3), (0, 0)]),
+                "series out of order",
+            ),
+            (empty_series_file(&["b", "a"], &[]), "name table not sorted"),
+            (empty_series_file(&["a", "a"], &[]), "name table not sorted"),
         ] {
             assert_eq!(corrupt_reason(&bytes), reason);
         }
+
+        // v5's evenly spaced flag: three samples 5 s apart, one value
+        // column of 1-byte deltas
+        let mut values = Vec::new();
+        put_values(&mut values, &[1.0, 2.0, 3.0]);
+        let mut stamped = Vec::new();
+        put_timestamps(&mut stamped, &[0, 5_000_000_000, 10_000_000_000]);
+        stamped.extend_from_slice(&values);
+        let one = |count_field, span, payload| {
+            let header = Header {
+                name: 0,
+                node_delta: 0,
+                count_field,
+                span,
+                payload,
+            };
+            compact_file(MAGIC, &["a"], &[header])
+        };
+        let seg = Segment::decode(&one(3 << 1 | 1, 10_000_000_000, &values), Path::new("mem"));
+        let SeriesData::Raw(samples) = &seg.unwrap().series[0].1 else {
+            unreachable!()
+        };
+        assert_eq!(
+            samples[2],
+            Sample {
+                time: t(10),
+                value: 3.0
+            }
+        );
+        for (bytes, reason) in [
+            // a span three entries cannot split evenly, or one entry
+            // spanning time
+            (
+                one(3 << 1 | 1, 10_000_000_001, &values),
+                "evenly spaced span not a multiple of count − 1",
+            ),
+            (
+                one(1 << 1 | 1, 7, &values[..2]),
+                "evenly spaced span not a multiple of count − 1",
+            ),
+            (one(1, 0, &[]), "stamp flag on an empty series"),
+            (one(1, 5, &values), "stamp flag on an empty series"),
+            // a count whose flag shifts it past u32
+            (
+                one((u32::MAX as u64 + 1) << 1 | 1, 0, &values),
+                "header field overflows u32",
+            ),
+            // stamps left in a flagged payload are read as values, and
+            // their tail is left over
+            (
+                one(3 << 1 | 1, 10_000_000_000, &stamped),
+                "trailing bytes in series payload",
+            ),
+            // the same payload unflagged is fine; in v4 there is no flag
+            // bit, so the same field counts 7 entries the payload lacks
+            (
+                compact_file(
+                    MAGIC_V4,
+                    &["a"],
+                    &[Header {
+                        name: 0,
+                        node_delta: 0,
+                        count_field: 3 << 1 | 1,
+                        span: 10_000_000_000,
+                        payload: &stamped,
+                    }],
+                ),
+                "varint stream truncated",
+            ),
+        ] {
+            assert_eq!(corrupt_reason(&bytes), reason);
+        }
+        assert!(Segment::decode(&one(3 << 1, 10_000_000_000, &stamped), Path::new("mem")).is_ok());
     }
 
-    #[test]
-    fn v4_stamps_count_from_the_series_min_time() {
-        let at = |i: u64| SimTime::from_nanos(1_700_000_000_000_000_000 + i * 2_000_000_000);
+    /// Three series of four two-decimal samples each, sample `i` of
+    /// node `n` at `at(i + n)`.
+    fn stamped_segment(at: impl Fn(u64) -> SimTime) -> Segment {
         let series = (0..3u32)
             .map(|node| {
                 let samples = (0..4)
@@ -952,10 +1173,16 @@ mod tests {
                 ((node, "cpu.util".to_string()), SeriesData::Raw(samples))
             })
             .collect();
-        let seg = Segment {
+        Segment {
             resolution: Resolution::Raw,
             series,
-        };
+        }
+    }
+
+    #[test]
+    fn evenly_spaced_stamps_cost_no_bytes() {
+        let at = |i: u64| SimTime::from_nanos(1_700_000_000_000_000_000 + i * 2_000_000_000);
+        let seg = stamped_segment(at);
         let (bytes, index) = seg.encode_indexed();
         assert_eq!(Segment::decode(&bytes, Path::new("mem")).unwrap(), seg);
         for (node, e) in index.entries.iter().enumerate() {
@@ -963,8 +1190,26 @@ mod tests {
                 (e.min_time, e.max_time),
                 (at(node as u64), at(node as u64 + 3))
             );
-            // stamps: 0, a 2 s delta (5 B), two unchanged deltas; then
-            // the tagged two-decimal column: 2000 (2 B), three steps of 25
+            assert_eq!(e.stride, Some(2_000_000_000));
+            // no stamps: the tagged two-decimal column alone, 2000
+            // (2 B) and three steps of 25
+            let payload = &bytes[e.offset as usize..][..e.len as usize];
+            assert_eq!(payload.len(), 1 + 2 + 3, "series {node}");
+        }
+    }
+
+    #[test]
+    fn jittered_stamps_keep_their_column_from_the_series_min_time() {
+        // a nanosecond off the 2 s tick on every other sample
+        let at =
+            |i: u64| SimTime::from_nanos(1_700_000_000_000_000_000 + i * 2_000_000_000 + i % 2);
+        let seg = stamped_segment(at);
+        let (bytes, index) = seg.encode_indexed();
+        assert_eq!(Segment::decode(&bytes, Path::new("mem")).unwrap(), seg);
+        for (node, e) in index.entries.iter().enumerate() {
+            assert_eq!(e.stride, None);
+            // stamps: 0, a 2 s delta (5 B), two ±2 ns delta changes;
+            // then the same value column
             let payload = &bytes[e.offset as usize..][..e.len as usize];
             assert_eq!(payload[0], 0, "series {node}");
             assert_eq!(
@@ -973,6 +1218,45 @@ mod tests {
                 "series {node}"
             );
         }
+    }
+
+    #[test]
+    fn one_entry_is_evenly_spaced_and_none_is_not() {
+        let seg = Segment {
+            resolution: Resolution::Raw,
+            series: vec![
+                (
+                    (0, "a".into()),
+                    SeriesData::Raw(vec![Sample {
+                        time: t(9),
+                        value: 1.0,
+                    }]),
+                ),
+                ((0, "b".into()), SeriesData::Raw(vec![])),
+                (
+                    (0, "c".into()),
+                    SeriesData::Raw(vec![
+                        Sample {
+                            time: t(9),
+                            value: 1.0,
+                        },
+                        Sample {
+                            time: t(4),
+                            value: 1.0,
+                        },
+                    ]),
+                ),
+            ],
+        };
+        let (bytes, index) = seg.encode_indexed();
+        assert_eq!(Segment::decode(&bytes, Path::new("mem")).unwrap(), seg);
+        let strides: Vec<_> = index.entries.iter().map(|e| e.stride).collect();
+        // two entries are always evenly spaced, even backwards: the
+        // stride wraps, as the span does
+        assert_eq!(
+            strides,
+            [Some(0), None, Some(0u64.wrapping_sub(5_000_000_000))]
+        );
     }
 
     #[test]
@@ -1012,7 +1296,7 @@ mod tests {
         assert_eq!(index.resolution, Resolution::Raw);
         assert_eq!(index.entries.len(), 2);
         let e = &index.entries[0];
-        assert_eq!((e.node, e.monitor.as_str()), (3, "cpu.util"));
+        assert_eq!((e.node, &*e.monitor), (3, "cpu.util"));
         assert_eq!(e.count, 100);
         assert_eq!(e.min_time, t(0));
         assert_eq!(e.max_time, t(99 * 5));

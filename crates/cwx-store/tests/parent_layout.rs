@@ -15,7 +15,16 @@
 //! tail}): 4 nodes × 2 monitors × 70 samples, 5 s apart from
 //! 1.7 × 10^18 ns, so every companion holds every series. `cpu.util`
 //! is a two-decimal reading (decimal columns), `load.one` a ratio (XOR
-//! columns). A merge rewrites either as v4.
+//! columns).
+//!
+//! `fixtures/v4-layout` was written by the `CWXSEG4` writer with the
+//! same appends, flushes and merge as `v3-layout`. Its `ANSWERS` file
+//! holds the tier `avg` and `sum` answers the v4 code gave over it
+//! (`monitor tier function window_start count value_bits`), which v5
+//! must give bit for bit while the tiers are v4 files: it reads a v4
+//! mean as the sum `mean × count` that v4 queries folded.
+//!
+//! A merge rewrites any of them as v5.
 
 use std::path::{Path, PathBuf};
 
@@ -147,12 +156,12 @@ fn parent_written_store_opens_and_answers_identically() {
     assert_holds(&store, STEPS + 1);
     store.compact_all().unwrap();
     assert_holds(&store, STEPS + 1);
-    // re-merged as v4 under the companion rule: a 10 s bucket of 47 s
+    // re-merged as v5 under the companion rule: a 10 s bucket of 47 s
     // data holds one sample, so `r1` is written empty while `r2` and
     // `r3` hold every series
     assert_eq!(
         segment_formats(&dir),
-        vec![(Format::V4, [4, 0, 4, 4]); 2],
+        vec![(Format::V5, [4, 0, 4, 4]); 2],
         "format and series per resolution, per shard"
     );
     drop(store);
@@ -162,10 +171,11 @@ fn parent_written_store_opens_and_answers_identically() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-const V3_STEPS: u64 = 70;
+/// Samples a series of the v3 and v4 fixtures holds.
+const LAYOUT_STEPS: u64 = 70;
 
-fn v3_expected(node: u32, monitor: usize) -> Vec<Sample> {
-    (0..V3_STEPS)
+fn layout_expected(node: u32, monitor: usize) -> Vec<Sample> {
+    (0..LAYOUT_STEPS)
         .map(|i| {
             let walk = ((node as u64 * 31 + monitor as u64 * 7 + i * 13) % 997) as f64;
             Sample {
@@ -184,12 +194,12 @@ fn v3_expected(node: u32, monitor: usize) -> Vec<Sample> {
 /// query over all four nodes per monitor, resolution and function.
 /// `avg` is left out: its sums fold in block order, so a merge that
 /// moves block boundaries moves its last bits, whatever the format.
-fn v3_answers(store: &DiskStore) -> Vec<(Resolution, AggFunc, Vec<query::AggPoint>)> {
-    assert_eq!(store.total_samples(), 8 * V3_STEPS);
+fn layout_answers(store: &DiskStore) -> Vec<(Resolution, AggFunc, Vec<query::AggPoint>)> {
+    assert_eq!(store.total_samples(), 8 * LAYOUT_STEPS);
     for node in 0..4u32 {
         for (m, monitor) in MONITORS.iter().enumerate() {
             let got = store.range(node, monitor, SimTime::ZERO, SimTime::MAX);
-            let want = v3_expected(node, m);
+            let want = layout_expected(node, m);
             let bits = |s: &[Sample]| -> Vec<(SimTime, u64)> {
                 s.iter().map(|s| (s.time, s.value.to_bits())).collect()
             };
@@ -203,10 +213,25 @@ fn v3_answers(store: &DiskStore) -> Vec<(Resolution, AggFunc, Vec<query::AggPoin
             }
         }
     }
+    let resolutions = [Resolution::Raw].into_iter().chain(Resolution::TIERS);
+    all_nodes_answers(
+        store,
+        resolutions,
+        &[AggFunc::Min, AggFunc::Max, AggFunc::Count],
+    )
+}
+
+/// Each monitor's answer over all four nodes, at each of `resolutions`
+/// (one window a bucket, a second at raw) and for each of `aggs`.
+fn all_nodes_answers(
+    store: &DiskStore,
+    resolutions: impl Iterator<Item = Resolution> + Clone,
+    aggs: &[AggFunc],
+) -> Vec<(Resolution, AggFunc, Vec<query::AggPoint>)> {
     let mut answers = Vec::new();
     for monitor in MONITORS {
-        for res in [Resolution::Raw].into_iter().chain(Resolution::TIERS) {
-            for agg in [AggFunc::Min, AggFunc::Max, AggFunc::Count] {
+        for res in resolutions.clone() {
+            for &agg in aggs {
                 let spec = QuerySpec {
                     monitor: monitor.into(),
                     from: SimTime::ZERO,
@@ -230,7 +255,7 @@ fn v3_answers(store: &DiskStore) -> Vec<(Resolution, AggFunc, Vec<query::AggPoin
 }
 
 #[test]
-fn v3_written_store_opens_answers_and_merges_to_v4_identically() {
+fn v3_written_store_opens_answers_and_merges_to_v5_identically() {
     let dir = copy_fixture("v3-layout");
     // the merged set holds every series in all four files, the flush
     // segment every series raw
@@ -240,14 +265,91 @@ fn v3_written_store_opens_answers_and_merges_to_v4_identically() {
     assert_eq!(rec.segments_loaded, 2 * 5, "{rec:?}");
     assert_eq!(rec.segments_quarantined, 0, "{rec:?}");
     assert_eq!(rec.samples_replayed, 2 * 4 * 6, "the WAL tail: {rec:?}");
-    let before = v3_answers(&store);
+    let before = layout_answers(&store);
 
     store.compact_all().unwrap();
-    assert_eq!(segment_formats(&dir), vec![(Format::V4, [4, 4, 4, 4]); 2]);
-    assert_eq!(v3_answers(&store), before);
+    assert_eq!(segment_formats(&dir), vec![(Format::V5, [4, 4, 4, 4]); 2]);
+    assert_eq!(layout_answers(&store), before);
     drop(store);
     let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
     assert_eq!(store.recovery().segments_loaded, 2 * 4);
-    assert_eq!(v3_answers(&store), before);
+    assert_eq!(layout_answers(&store), before);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Tier `avg` and `sum` answers over all four nodes, one line a window
+/// in the fixture's `ANSWERS` format.
+fn tier_sum_lines(store: &DiskStore) -> Vec<String> {
+    let answers = all_nodes_answers(
+        store,
+        Resolution::TIERS.into_iter(),
+        &[AggFunc::Avg, AggFunc::Sum],
+    );
+    let per_monitor = answers.len() / MONITORS.len();
+    let mut lines = Vec::new();
+    for (i, (res, agg, points)) in answers.into_iter().enumerate() {
+        for p in points {
+            lines.push(format!(
+                "{} {} {} {} {} {:016x}",
+                MONITORS[i / per_monitor],
+                res.tag(),
+                agg.name(),
+                p.start.as_nanos(),
+                p.count,
+                p.value.to_bits()
+            ));
+        }
+    }
+    lines
+}
+
+#[test]
+fn v4_written_store_opens_answers_and_merges_to_v5_identically() {
+    let dir = copy_fixture("v4-layout");
+    assert_eq!(segment_formats(&dir), vec![(Format::V4, [8, 4, 4, 4]); 2]);
+    let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+    let rec = store.recovery();
+    assert_eq!(rec.segments_loaded, 2 * 5, "{rec:?}");
+    assert_eq!(rec.segments_quarantined, 0, "{rec:?}");
+    assert_eq!(rec.samples_replayed, 2 * 4 * 6, "the WAL tail: {rec:?}");
+    let before = layout_answers(&store);
+    let v4_sums = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v4-layout/ANSWERS"),
+    )
+    .unwrap();
+    let v4_sums: Vec<&str> = v4_sums.lines().collect();
+    assert_eq!(
+        tier_sum_lines(&store),
+        v4_sums,
+        "tier avg/sum as v4 answered"
+    );
+
+    store.compact_all().unwrap();
+    assert_eq!(segment_formats(&dir), vec![(Format::V5, [4, 4, 4, 4]); 2]);
+    assert_eq!(layout_answers(&store), before);
+    // the merged tiers hold exact sums: the same windows and counts,
+    // the values within the tier tests' bound of the v4 means'
+    let parse = |line: &str| {
+        let (key, bits) = line.rsplit_once(' ').unwrap();
+        (
+            key.to_string(),
+            f64::from_bits(u64::from_str_radix(bits, 16).unwrap()),
+        )
+    };
+    let merged = tier_sum_lines(&store);
+    assert_eq!(merged.len(), v4_sums.len());
+    for (got, want) in merged.iter().zip(&v4_sums) {
+        let ((got_key, got), (want_key, want)) = (parse(got), parse(want));
+        assert_eq!(got_key, want_key);
+        assert!(
+            (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+            "{got_key}: {got} vs {want}"
+        );
+    }
+    drop(store);
+    let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+    assert_eq!(store.recovery().segments_loaded, 2 * 4);
+    assert_eq!(layout_answers(&store), before);
+    assert_eq!(tier_sum_lines(&store), merged);
     let _ = std::fs::remove_dir_all(dir);
 }

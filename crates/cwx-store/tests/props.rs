@@ -110,7 +110,7 @@ proptest! {
                 start: SimTime::from_nanos(*s),
                 count: i as u64 + 1,
                 min: i as f64 - 1.0,
-                mean: i as f64,
+                sum: i as f64,
                 max: i as f64 + 1.5,
                 last: i as f64 + 0.5,
             })

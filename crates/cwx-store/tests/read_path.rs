@@ -760,11 +760,11 @@ fn assert_same_buckets(what: &str, got: &[AggBucket], want: &[AggBucket]) {
             g.start
         );
         assert!(
-            (g.mean - w.mean).abs() <= 1e-12 * g.mean.abs().max(w.mean.abs()),
+            (g.mean() - w.mean()).abs() <= 1e-12 * g.mean().abs().max(w.mean().abs()),
             "{what} at {:?}: mean {} vs {}",
             g.start,
-            g.mean,
-            w.mean
+            g.mean(),
+            w.mean()
         );
     }
 }

@@ -10,7 +10,7 @@ mod common;
 use std::path::PathBuf;
 
 use cwx_store::disk::{DiskStore, StoreConfig};
-use cwx_store::segment::SegmentIndex;
+use cwx_store::segment::{Segment, SegmentIndex, SeriesData};
 use cwx_store::{query, AggFunc, QueryGroup, QuerySpec, Resolution, Store};
 use cwx_util::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -31,9 +31,10 @@ fn t(s: u64) -> SimTime {
 
 const SEC: u64 = 1_000_000_000;
 
-/// Relative comparison: Avg/Sum merge means count-weighted on the tier
-/// path vs incrementally on the raw path, so demand closeness, not
-/// bit-equality. Min/Max/Count must be exact and are checked exactly.
+/// Relative comparison: Avg/Sum add stored bucket sums on the tier
+/// path (exact for decimal readings) and samples in `f64` on the raw
+/// path, so demand closeness, not bit-equality. Min/Max/Count must be
+/// exact and are checked exactly.
 fn close(a: f64, b: f64) -> bool {
     if a == b {
         return true;
@@ -196,7 +197,7 @@ proptest! {
                     (w.start, w.count, w.min.to_bits(), w.max.to_bits()),
                     "{:?}", res
                 );
-                prop_assert!(close(g.mean, w.mean), "{:?}: {} vs {}", res, g.mean, w.mean);
+                prop_assert!(close(g.mean(), w.mean()), "{:?}: {} vs {}", res, g.mean(), w.mean());
             }
         }
         let _ = std::fs::remove_dir_all(dir);
@@ -322,5 +323,72 @@ fn one_query_folds_a_1s_series_from_its_10s_tier_and_a_30s_series_from_raw() {
             query::run_over_ranges(&spec, |n, m, f, to_| store.range(n, m, f, to_)).unwrap();
         assert_same_points(agg, &tiered, &reference);
     }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A two-decimal reading's stored 5 min and 1 h buckets hold the exact
+/// sum of their samples, `Σm / 100` divided once, bit for bit — where
+/// adding the readings in `f64` would miss by an ulp or more.
+#[test]
+fn stored_sums_of_two_decimal_readings_are_exact() {
+    let dir = tmp_dir("exact");
+    let cfg = StoreConfig {
+        n_shards: 1,
+        nodes_per_group: 2,
+        ..StoreConfig::default()
+    };
+    let store = DiskStore::open(&dir, cfg).unwrap();
+    // three hours at 1 s of a walk in hundredths, per node
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut scaled: Vec<Vec<(u64, i64)>> = vec![Vec::new(); 2];
+    for secs in 0..3 * 3_600u64 {
+        for (node, series) in scaled.iter_mut().enumerate() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let prev = series.last().map_or(5_000, |&(_, m)| m);
+            let m = (prev + (state >> 33) as i64 % 101 - 50).clamp(0, 10_000);
+            series.push((secs, m));
+            store.append(node as u32, "temp.cpu", t(secs), m as f64 / 100.0);
+        }
+    }
+    store.compact_all().unwrap();
+    drop(store);
+    let mut inexact_in_f64 = 0;
+    for (res, buckets) in [(Resolution::FiveMinutes, 36), (Resolution::OneHour, 3)] {
+        let width = res.bucket_nanos().unwrap() / SEC;
+        let suffix = format!("-r{}.seg", res.tag());
+        let files: Vec<_> = std::fs::read_dir(dir.join("shard-000"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.to_string_lossy().ends_with(&suffix))
+            .collect();
+        assert_eq!(files.len(), 1, "{res:?}");
+        let segment = Segment::read_from(&files[0]).unwrap();
+        assert_eq!(segment.series.len(), 2, "{res:?}");
+        for ((node, _), data) in &segment.series {
+            let SeriesData::Buckets(stored) = data else {
+                panic!("{res:?}: not buckets")
+            };
+            assert_eq!(stored.len(), buckets, "{res:?}");
+            for b in stored {
+                let start = b.start.as_nanos() / SEC;
+                let ms: Vec<i64> = scaled[*node as usize]
+                    .iter()
+                    .filter(|&&(secs, _)| secs / width * width == start)
+                    .map(|&(_, m)| m)
+                    .collect();
+                assert_eq!(b.count, ms.len() as u64);
+                let exact = ms.iter().sum::<i64>() as f64 / 100.0;
+                assert_eq!(b.sum.to_bits(), exact.to_bits(), "{res:?} at {start} s");
+                let in_f64: f64 = ms.iter().map(|&m| m as f64 / 100.0).sum();
+                inexact_in_f64 += usize::from(in_f64 != exact);
+            }
+        }
+    }
+    assert!(
+        inexact_in_f64 > 0,
+        "every f64 sum was exact: the test shows nothing"
+    );
     let _ = std::fs::remove_dir_all(dir);
 }

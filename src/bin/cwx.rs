@@ -505,7 +505,7 @@ fn cmd_history(args: &Args) -> Result<i32, String> {
     println!("bucket_start_secs,count,min,mean,max,last");
     for b in store.range_agg(node, &monitor, from, to, res) {
         let start = b.start.as_secs_f64();
-        let (count, min, mean, max, last) = (b.count, b.min, b.mean, b.max, b.last);
+        let (count, min, mean, max, last) = (b.count, b.min, b.mean(), b.max, b.last);
         println!("{start:.0},{count},{min:.4},{mean:.4},{max:.4},{last:.4}");
     }
     Ok(0)
