@@ -222,10 +222,13 @@ pub fn decimal_sum(values: impl IntoIterator<Item = f64>) -> Option<f64> {
 ///   |m| < 2^53, at the smallest `e` in `0..=MAX_DECIMAL_EXP`; the
 ///   column is the zigzag varint deltas of `m`. Integer counters and
 ///   two-decimal readings cost a byte or two a value.
-/// * `0`: an XOR chain (see [`for_each_xor_value`]), for every other
-///   column — ratios, `-0.0`, NaN, infinities, misrounded readings —
-///   and for a decimal column the chain would encode smaller. So no
-///   column costs more than one byte over the bare chain.
+/// * `0`: an XOR chain, the first value's bits as a varint, then
+///   `prev ^ cur` varints, for every other column — ratios, `-0.0`,
+///   NaN, infinities, misrounded readings — and for a decimal column
+///   the chain would encode smaller. So no column costs more than one
+///   byte over the bare chain. A repeated value costs one byte, but
+///   LEB128 sheds only *high* zero bytes, so a changed value costs
+///   most of its eight.
 pub fn put_values(out: &mut Vec<u8>, values: &[f64]) {
     let start = out.len();
     if let Some(e) = decimal_exponent(values) {
@@ -265,7 +268,12 @@ pub fn for_each_value(
     let tag = *buf.get(*pos).ok_or(CodecError::UnexpectedEnd)?;
     *pos += 1;
     if tag == XOR_TAG {
-        return for_each_xor_value(buf, pos, count, each);
+        let mut prev = 0u64;
+        for _ in 0..count {
+            prev ^= get_uvarint(buf, pos)?;
+            each(f64::from_bits(prev));
+        }
+        return Ok(());
     }
     let scale = *POW10
         .get(tag as usize - 1)
@@ -274,25 +282,6 @@ pub fn for_each_value(
     for _ in 0..count {
         m = m.wrapping_add(unzigzag(get_uvarint(buf, pos)?));
         each(m as f64 / scale);
-    }
-    Ok(())
-}
-
-/// Decode `count` values of an untagged XOR chain: the first value's
-/// bits as a varint, then `prev ^ cur` varints. This is the body of a
-/// tag-0 column, and every value column of a `CWXSEG2` segment. A
-/// repeated value costs one byte, but LEB128 sheds only *high* zero
-/// bytes, so a changed value costs most of its eight.
-pub fn for_each_xor_value(
-    buf: &[u8],
-    pos: &mut usize,
-    count: usize,
-    mut each: impl FnMut(f64),
-) -> Result<(), CodecError> {
-    let mut prev = 0u64;
-    for _ in 0..count {
-        prev ^= get_uvarint(buf, pos)?;
-        each(f64::from_bits(prev));
     }
     Ok(())
 }

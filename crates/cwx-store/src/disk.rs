@@ -86,7 +86,9 @@
 //! a merge that never committed and are removed. Corrupt files are
 //! quarantined with a `.corrupt` suffix (a corrupt raw file takes its
 //! companions along) *before* that comparison, so a damaged merge
-//! output never costs its surviving inputs. The WAL header names the
+//! output never costs its surviving inputs. A segment of a retired
+//! format is not corrupt: it refuses the open before any shard changes
+//! a file ([`StoreError::RetiredSegment`]). The WAL header names the
 //! segment its records flush to: the log is discarded when that
 //! segment is live (a kill between flush and checkpoint) and replayed
 //! in full otherwise, torn tail truncated.
@@ -105,7 +107,7 @@ use parking_lot::Mutex;
 
 use crate::cache::{BlockCache, BlockKey, CacheStats};
 use crate::query::{self, aggregate, floor_to, merge_buckets, Collector};
-use crate::segment::{self, Segment, SegmentIndex, SeriesData, SeriesIndexEntry};
+use crate::segment::{self, Segment, SegmentIndex, SeriesData, SeriesIndexEntry, SeriesKey};
 use crate::wal::{Wal, WalRecord};
 use crate::{
     BatchSample, QueryError, QueryResult, QuerySpec, Resolution, Sample, Store, StoreError,
@@ -402,7 +404,8 @@ impl Column {
 /// One monitor of a shard: its name and its series by node slot.
 #[derive(Debug)]
 struct MonitorSeries {
-    name: String,
+    /// Shared with `by_name`, and with every segment key a flush writes.
+    name: Arc<str>,
     held: usize,
     by_slot: Column,
 }
@@ -420,7 +423,7 @@ struct MonitorSeries {
 #[derive(Debug, Default)]
 struct SeriesIndex {
     /// monitor name → its position in `monitors`.
-    by_name: HashMap<String, u32>,
+    by_name: HashMap<Arc<str>, u32>,
     monitors: Vec<MonitorSeries>,
     /// node → slot.
     slots: HashMap<u32, u32>,
@@ -447,9 +450,10 @@ impl SeriesIndex {
             Some(&m) => m,
             None => {
                 let m = self.monitors.len() as u32;
-                self.by_name.insert(monitor.to_string(), m);
+                let name: Arc<str> = monitor.into();
+                self.by_name.insert(Arc::clone(&name), m);
                 self.monitors.push(MonitorSeries {
-                    name: monitor.to_string(),
+                    name,
                     held: 0,
                     by_slot: Column::Dense(Vec::new()),
                 });
@@ -470,7 +474,7 @@ impl SeriesIndex {
     }
 
     /// `(node, monitor)` of a series id.
-    fn key(&self, id: u32) -> (u32, &str) {
+    fn key(&self, id: u32) -> (u32, &Arc<str>) {
         let (node, m) = self.keys[id as usize];
         (node, &self.monitors[m as usize].name)
     }
@@ -494,7 +498,7 @@ impl SeriesIndex {
     fn series(&self) -> impl Iterator<Item = (u32, &str)> {
         let keys = &self.keys;
         self.monitors.iter().flat_map(move |series| {
-            let name = series.name.as_str();
+            let name = &*series.name;
             series
                 .by_slot
                 .entries()
@@ -531,34 +535,60 @@ struct Shard {
     kill_in: Option<u32>,
 }
 
+/// A segment file found by [`scan`]: its sequence range, resolution,
+/// path, and its index or why it has none.
+type Found = (
+    (u64, u64, Resolution),
+    PathBuf,
+    Result<SegmentIndex, StoreError>,
+);
+
+/// Read a shard directory's segment files and the temp files a crash
+/// mid-write left, changing nothing. A segment of a retired format
+/// refuses the whole store before any shard repairs a file.
+fn scan(shard_dir: &Path) -> Result<(Vec<Found>, Vec<PathBuf>), StoreError> {
+    let (mut found, mut tmp) = (Vec::new(), Vec::new());
+    for entry in std::fs::read_dir(shard_dir)? {
+        let path = entry?.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if name.ends_with(".tmp") {
+            tmp.push(path);
+            continue;
+        }
+        let Some(range) = parse_segment_name(name) else {
+            continue;
+        };
+        match SegmentIndex::read_from(&path) {
+            Err(e @ StoreError::RetiredSegment { .. }) => return Err(e),
+            index => found.push((range, path, index)),
+        }
+    }
+    Ok((found, tmp))
+}
+
 impl Shard {
     fn open(
         shard_dir: &Path,
+        (found, tmp): (Vec<Found>, Vec<PathBuf>),
         idx: u32,
         cfg: &StoreConfig,
         cache: Arc<BlockCache>,
         recovery: &mut RecoveryReport,
         total: &mut u64,
     ) -> Result<Shard, StoreError> {
+        // a crash mid-write left a partial file
+        for path in tmp {
+            let _ = std::fs::remove_file(path);
+        }
         // 1. segment files, checksum-verified and indexed, grouped by
         // the sequence range they cover (the bool: its raw file was
         // quarantined)
         let mut next_seq = 1u64;
         let mut groups: BTreeMap<(u64, Reverse<u64>), (Vec<SegmentFile>, bool)> = BTreeMap::new();
-        for entry in std::fs::read_dir(shard_dir)? {
-            let path = entry?.path();
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.ends_with(".tmp") {
-                // a crash mid-write left a partial file
-                let _ = std::fs::remove_file(&path);
-                continue;
-            }
-            let Some((lo, hi, res)) = parse_segment_name(name) else {
-                continue;
-            };
+        for ((lo, hi, res), path, index) in found {
             next_seq = next_seq.max(hi + 1);
             let (files, raw_quarantined) = groups.entry((lo, Reverse(hi))).or_default();
-            match SegmentIndex::read_from(&path) {
+            match index {
                 Ok(index) => files.push(SegmentFile::new(path, index)),
                 Err(_) => {
                     quarantine(&path, recovery);
@@ -734,7 +764,7 @@ impl Shard {
             samples.sort_by_key(|s| s.time.as_nanos());
             let (node, monitor) = self.index.key(id as u32);
             series.push((
-                (node, monitor.to_string()),
+                (node, Arc::clone(monitor)),
                 SeriesData::Raw(samples.clone()),
             ));
         }
@@ -792,7 +822,7 @@ impl Shard {
         let (lo, hi) = (self.segs[run.start].lo, self.segs[run.end - 1].hi);
         // full-file reads: a merge touches everything in its inputs
         // anyway, no point going through the cache
-        let mut parts: Vec<((u32, String), Vec<Sample>)> = Vec::new();
+        let mut parts: Vec<(SeriesKey, Vec<Sample>)> = Vec::new();
         for set in &self.segs[run.clone()] {
             for (key, data) in Segment::read_from(&set.raw.path)?.series {
                 if let (SeriesData::Raw(samples), true) = (data, Some(key.0) != drop_node) {
@@ -803,7 +833,7 @@ impl Shard {
         // stable sorts: a series' parts stay in segment order, and so
         // do samples of equal time
         parts.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut series: [Vec<((u32, String), SeriesData)>; 4] = Default::default();
+        let mut series: [Vec<(SeriesKey, SeriesData)>; 4] = Default::default();
         let mut rewritten = 0u64;
         let mut parts = parts.into_iter().peekable();
         while let Some((key, mut samples)) = parts.next() {
@@ -1013,9 +1043,8 @@ impl Shard {
             .or(buffered)
     }
 
-    /// Does any segment of this shard hold a companion at `res`?
-    /// (Fresh flushes have none; stores written before the 1h tier
-    /// existed lack `r3` files until merged again.)
+    /// Does any segment of this shard hold a companion at `res`? Not
+    /// until the shard's first merge: fresh flushes have none.
     fn has_tier(&self, res: Resolution) -> bool {
         self.segs
             .iter()
@@ -1071,7 +1100,7 @@ fn config_key<T: std::str::FromStr + Default + PartialOrd>(
 impl DiskStore {
     /// Open or create a store at `dir`, recovering any existing state.
     /// An existing `CONFIG` fixes the sharding; one that cannot be read
-    /// refuses the open.
+    /// refuses the open, and so does a segment of a retired format.
     pub fn open(dir: &Path, mut cfg: StoreConfig) -> Result<DiskStore, StoreError> {
         std::fs::create_dir_all(dir)?;
         cfg.n_shards = cfg.n_shards.max(1);
@@ -1104,12 +1133,18 @@ impl DiskStore {
         let cache = Arc::new(BlockCache::new(cfg.cache_capacity_samples));
         let mut recovery = RecoveryReport::default();
         let mut total = 0u64;
-        let mut shards = Vec::with_capacity(cfg.n_shards);
+        // every shard is read before any is repaired
+        let mut scans = Vec::with_capacity(cfg.n_shards);
         for i in 0..cfg.n_shards {
             let shard_dir = dir.join(format!("shard-{i:03}"));
             std::fs::create_dir_all(&shard_dir)?;
+            scans.push((scan(&shard_dir)?, shard_dir));
+        }
+        let mut shards = Vec::with_capacity(cfg.n_shards);
+        for (i, (found, shard_dir)) in scans.into_iter().enumerate() {
             let shard = Shard::open(
                 &shard_dir,
+                found,
                 i as u32,
                 &cfg,
                 Arc::clone(&cache),
@@ -1234,16 +1269,18 @@ impl DiskStore {
         Ok(())
     }
 
-    /// Merge each shard into one segment with every tier companion.
+    /// Merge each shard into one segment, in the current format, with
+    /// every tier companion.
     pub fn compact_all(&self) -> Result<(), StoreError> {
         for shard in &self.shards {
             let mut s = shard.lock();
             s.flush()?;
             let whole = 0..s.segs.len();
             if whole.len() > 1
-                || s.segs
-                    .iter()
-                    .any(|set| set.tiers.len() < Resolution::TIERS.len())
+                || s.segs.iter().any(|set| {
+                    set.tiers.len() < Resolution::TIERS.len()
+                        || set.raw.index.format != segment::Format::V5
+                })
             {
                 s.merge(whole, None)?;
             }
@@ -1285,7 +1322,7 @@ impl DiskStore {
             let index = &shard.index;
             let registrations = new_series.iter().map(|&id| {
                 let (node, monitor) = index.key(id);
-                (id, node, monitor)
+                (id, node, &**monitor)
             });
             shard
                 .wal
@@ -1360,9 +1397,9 @@ impl Store for DiskStore {
                 // the previous shard's blocks, its lock released
                 out.fold_pending()?;
                 let shard = self.shards[nodes[0].0].lock();
-                // fresh flushes have no companions, and a shard merged
-                // before the 1h tier existed lacks `r3`; any finer
-                // stored tier still nests in the window (10s | 5m | 1h)
+                // fresh flushes have no companions; where a merged
+                // segment lacks a series' block, any finer stored tier
+                // still nests in the window (10s | 5m | 1h)
                 if selected != Resolution::Raw && !shard.has_tier(selected) {
                     out.stats.fallback_shards += 1;
                 }
@@ -1497,7 +1534,7 @@ mod tests {
         assert!(!gone.contains(&want[&(299 * 7, "x1".to_string())]));
         for ((node, monitor), &id) in &want {
             assert_eq!(index.lookup(*node, monitor), Some(id));
-            assert_eq!(index.key(id), (*node, monitor.as_str()));
+            assert_eq!(index.key(id), (*node, &Arc::from(monitor.as_str())));
         }
         assert_eq!(index.lookup(299 * 7, "x0"), None);
         assert_eq!(index.lookup(5, "m"), None, "never seen");
@@ -1658,19 +1695,88 @@ mod tests {
             }
             store.flush_all().unwrap();
         }
-        // checksum-valid: resolution tag, then u32::MAX series
-        let body = [[Resolution::Raw.tag()].as_slice(), &u32::MAX.to_le_bytes()].concat();
-        let mut bytes = b"CWXSEG3\n".to_vec();
-        bytes.extend_from_slice(&body);
-        bytes.extend_from_slice(&crate::codec::crc32(&body).to_le_bytes());
+        // checksum-valid: resolution tag, u32::MAX series, an empty
+        // name table
+        let body = [Resolution::Raw.tag(), 0xff, 0xff, 0xff, 0xff, 0];
         let bogus = dir.join("shard-000").join("seg-00000009-r0.seg");
-        std::fs::write(&bogus, bytes).unwrap();
+        std::fs::write(&bogus, sealed(b"CWXSEG5\n", &body)).unwrap();
 
         let store = DiskStore::open(&dir, small_cfg()).unwrap();
         assert_eq!(store.recovery().segments_quarantined, 1);
         assert!(bogus.with_extension("seg.corrupt").exists());
         let kept = store.range(2, "load.one", SimTime::ZERO, SimTime::MAX);
         assert_eq!(kept.len(), 50);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// `body` behind `magic` and before its CRC: a checksum-valid file.
+    fn sealed(magic: &[u8; 8], body: &[u8]) -> Vec<u8> {
+        [
+            magic.as_slice(),
+            body,
+            &crate::codec::crc32(body).to_le_bytes(),
+        ]
+        .concat()
+    }
+
+    /// Every file under `dir`, and its bytes.
+    fn snapshot(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+        let mut files = BTreeMap::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                files.append(&mut snapshot(&path));
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                files.insert(path, bytes);
+            }
+        }
+        files
+    }
+
+    #[test]
+    fn a_retired_segment_refuses_the_open_and_changes_no_file() {
+        let dir = tmp("retired");
+        {
+            let store = DiskStore::open(&dir, small_cfg()).unwrap();
+            for i in 0..50u64 {
+                store.append(2, "load.one", t(i), i as f64);
+            }
+            store.flush_all().unwrap();
+            store.append(2, "load.one", t(50), 50.0);
+        }
+        // what an open repairs in the first shard: a torn WAL tail, a
+        // temp file, a corrupt segment
+        let shard = dir.join("shard-000");
+        let mut wal = std::fs::read(shard.join("wal.log")).unwrap();
+        wal.extend_from_slice(&[0xee; 5]);
+        std::fs::write(shard.join("wal.log"), wal).unwrap();
+        std::fs::write(shard.join("seg-00000007-r0.tmp"), b"partial").unwrap();
+        std::fs::write(shard.join("seg-00000008-r0.seg"), b"CWXSEG5\ngarbage").unwrap();
+        // an empty raw segment of each retired format, in the last shard
+        let body = [Resolution::Raw.tag(), 0, 0, 0, 0];
+        for (magic, format) in [(b"CWXSEG3\n", "CWXSEG3"), (b"CWXSEG2\n", "CWXSEG2")] {
+            let retired = dir.join("shard-001").join("seg-00000009-r0.seg");
+            std::fs::write(&retired, sealed(magic, &body)).unwrap();
+            let before = snapshot(&dir);
+            match DiskStore::open(&dir, small_cfg()) {
+                Err(StoreError::RetiredSegment { path, format: f }) => {
+                    assert_eq!((path, f), (retired.clone(), format))
+                }
+                other => panic!("{format}: {other:?}"),
+            }
+            assert_eq!(snapshot(&dir), before, "{format}: no file changed");
+            assert!(before
+                .keys()
+                .all(|p| p.extension().is_none_or(|e| e != "corrupt")));
+            std::fs::remove_file(retired).unwrap();
+        }
+        // without it the store opens and repairs as ever
+        let store = DiskStore::open(&dir, small_cfg()).unwrap();
+        assert_eq!(store.recovery().segments_quarantined, 1);
+        assert_eq!(store.recovery().wal_truncated_bytes, 5);
+        let kept = store.range(2, "load.one", SimTime::ZERO, SimTime::MAX);
+        assert_eq!(kept.len(), 51);
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -149,6 +149,14 @@ pub enum StoreError {
         /// What failed.
         reason: &'static str,
     },
+    /// A segment file in a format this release no longer reads. The
+    /// store refuses to open rather than set the file aside.
+    RetiredSegment {
+        /// Offending file.
+        path: std::path::PathBuf,
+        /// The format its magic names, e.g. `CWXSEG3`.
+        format: &'static str,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -158,6 +166,12 @@ impl std::fmt::Display for StoreError {
             StoreError::CorruptSegment { path, reason } => {
                 write!(f, "corrupt segment {}: {reason}", path.display())
             }
+            StoreError::RetiredSegment { path, format } => write!(
+                f,
+                "segment {} is {format}, which this release no longer reads: open the store \
+                 once under a release that still reads it, run compact_all, then upgrade",
+                path.display()
+            ),
         }
     }
 }

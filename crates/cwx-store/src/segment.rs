@@ -42,22 +42,16 @@
 //! ([`crate::codec::decimal_sum`]), so its column is scaled-integer
 //! deltas where a mean was an XOR chain.
 //!
-//! `CWXSEG4` files ([`Format::V4`]) have the same header without the
-//! flag (a plain count), always carry stamps, and store a tier bucket's
-//! `f64` mean where v5 has the sum: it is read back as `mean × count`,
-//! the sum every query folded from it before.
-//!
-//! `CWXSEG3` and `CWXSEG2` files are still read ([`Format::V3`],
-//! [`Format::V2`]). Their series header is fixed-width and carries its
-//! name, and their payload stamps are absolute:
-//!
-//! ```text
-//! u32 node | u16 name_len | name bytes | u32 count
-//! u32 payload_len | u32 payload_crc32 | u64 min_time | u64 max_time
-//! ```
-//!
-//! v2 value columns are untagged XOR chains. A merge rewrites its
-//! inputs as v5, so an older store converts as it compacts.
+//! A release reads its own format and the one before it. `CWXSEG4`
+//! files ([`Format::V4`]) have the same header without the flag (a
+//! plain count), always carry stamps, and store a tier bucket's `f64`
+//! mean where v5 has the sum: it is read back as `mean × count`, the
+//! sum every query folded from it before. A merge rewrites its inputs
+//! as v5, so a v4 store converts as it compacts. A file of an older
+//! format (`CWXSEG3`, `CWXSEG2`) is refused with
+//! [`StoreError::RetiredSegment`], never set aside as corrupt: such a
+//! store is converted by compacting it under a release that still
+//! reads it.
 //!
 //! Each series header carries the payload length, its own CRC and the
 //! series' time bounds, so a reader can walk the headers once into a
@@ -83,32 +77,25 @@ use std::sync::Arc;
 use cwx_util::time::SimTime;
 
 use crate::codec::{
-    crc32, for_each_timestamp, for_each_value, for_each_xor_value, get_uvarint, put_timestamps,
-    put_uvarint, put_values, unzigzag, zigzag, CodecError,
+    crc32, for_each_timestamp, for_each_value, get_uvarint, put_timestamps, put_uvarint,
+    put_values, unzigzag, zigzag, CodecError,
 };
 use crate::{AggBucket, Resolution, Sample, StoreError};
 
 const MAGIC: &[u8; 8] = b"CWXSEG5\n";
 const MAGIC_V4: &[u8; 8] = b"CWXSEG4\n";
-const MAGIC_V3: &[u8; 8] = b"CWXSEG3\n";
-const MAGIC_V2: &[u8; 8] = b"CWXSEG2\n";
-/// Fewest bytes a v2/v3 series header takes: node, name length, an
-/// empty name, count, payload_len, payload_crc, min_time, max_time.
-const V3_HEADER_MIN: usize = 4 + 2 + 4 + 4 + 4 + 8 + 8;
-/// Fewest bytes a v4/v5 series header takes: one-byte name index, node
+/// Magics of formats no longer read: a file opening with one is
+/// refused.
+const RETIRED: [&str; 2] = ["CWXSEG3\n", "CWXSEG2\n"];
+/// Fewest bytes a series header takes: one-byte name index, node
 /// delta, count and payload_len, the CRC, one-byte time bounds.
-const V4_HEADER_MIN: usize = 1 + 1 + 1 + 1 + 4 + 1 + 1;
+const HEADER_MIN: usize = 1 + 1 + 1 + 1 + 4 + 1 + 1;
 
 /// The layout a segment file's magic names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Format {
-    /// `CWXSEG2`: untagged XOR-chain value columns. Read, never written.
-    V2,
-    /// `CWXSEG3`: every value column opens with its tag byte. Read,
-    /// never written.
-    V3,
-    /// `CWXSEG4`: v3 payloads under compact series headers, stamps
-    /// counted from the series' `min_time`. Read, never written.
+    /// `CWXSEG4`: compact series headers, stamps counted from the
+    /// series' `min_time`, tier means. Read, never written.
     V4,
     /// `CWXSEG5`: v4 with no stamp column for an evenly spaced series,
     /// and tier sums in place of means.
@@ -116,24 +103,24 @@ pub enum Format {
 }
 
 impl Format {
-    /// The format of a file starting with `data`, or `None` for a bad
-    /// magic.
-    fn of(data: &[u8]) -> Option<Format> {
-        match data.get(..MAGIC.len())? {
-            m if m == MAGIC => Some(Format::V5),
-            m if m == MAGIC_V4 => Some(Format::V4),
-            m if m == MAGIC_V3 => Some(Format::V3),
-            m if m == MAGIC_V2 => Some(Format::V2),
-            _ => None,
-        }
-    }
-
-    /// What a payload's timestamps are counted from: the series'
-    /// `min_time` since v4, zero before.
-    fn time_base(self, entry: &SeriesIndexEntry) -> u64 {
-        match self {
-            Format::V4 | Format::V5 => entry.min_time.as_nanos(),
-            Format::V2 | Format::V3 => 0,
+    /// The format of the file at `origin`, which starts with `data`. A
+    /// retired magic is a [`StoreError::RetiredSegment`], any other one
+    /// not read here a corrupt segment.
+    fn of(data: &[u8], origin: &Path) -> Result<Format, StoreError> {
+        let path = || origin.to_path_buf();
+        match data.get(..MAGIC.len()).unwrap_or(data) {
+            m if m == MAGIC => Ok(Format::V5),
+            m if m == MAGIC_V4 => Ok(Format::V4),
+            m => Err(match RETIRED.iter().find(|r| r.as_bytes() == m) {
+                Some(r) => StoreError::RetiredSegment {
+                    path: path(),
+                    format: r.trim_end(),
+                },
+                None => StoreError::CorruptSegment {
+                    path: path(),
+                    reason: "bad magic",
+                },
+            }),
         }
     }
 }
@@ -264,10 +251,6 @@ impl<'a> Body<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
     fn varint(&mut self) -> Result<u64, StoreError> {
         get_uvarint(self.bytes, &mut self.pos).map_err(|_| self.corrupt("truncated body"))
     }
@@ -283,13 +266,6 @@ impl<'a> Body<'a> {
         Ok(usize::try_from(self.varint()?).unwrap_or(usize::MAX))
     }
 
-    fn name(&mut self, len: usize) -> Result<Arc<str>, StoreError> {
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes)
-            .map(Arc::from)
-            .map_err(|_| self.corrupt("monitor name not utf-8"))
-    }
-
     /// An empty vector with room for `n` items of at least `min_bytes`
     /// each, or corrupt when what is left of the body cannot hold them:
     /// a damaged count never sizes an allocation.
@@ -302,94 +278,41 @@ impl<'a> Body<'a> {
 }
 
 /// Walk a whole segment file's bytes into its index: magic and file
-/// CRC checked, every series header parsed, no payload decoded. The one
-/// place each header layout is read.
+/// CRC checked, the name table and every series header parsed, no
+/// payload decoded. The one place the header layout is read. Every
+/// entry naming a monitor shares its table entry: indexing allocates
+/// per name, not per series.
 fn walk(data: &[u8], origin: &Path) -> Result<SegmentIndex, StoreError> {
-    let (format, bytes) = checked_body(data, origin)?;
+    let format = Format::of(data, origin)?;
     let mut body = Body {
-        bytes,
+        bytes: &[],
         pos: 0,
         origin,
     };
+    if data.len() < MAGIC.len() + 4 {
+        return Err(body.corrupt("bad magic"));
+    }
+    let (bytes, crc) = data[MAGIC.len()..].split_at(data.len() - MAGIC.len() - 4);
+    if crc32(bytes) != u32::from_le_bytes(crc.try_into().expect("split four bytes from the end")) {
+        return Err(body.corrupt("checksum mismatch"));
+    }
+    body.bytes = bytes;
     let resolution =
         Resolution::from_tag(body.take(1)?[0]).ok_or_else(|| body.corrupt("bad resolution tag"))?;
     let n_series = body.u32()? as usize;
-    let entries = match format {
-        Format::V2 | Format::V3 => walk_v3(&mut body, n_series)?,
-        Format::V4 | Format::V5 => walk_compact(&mut body, n_series, format)?,
-    };
-    if body.remaining() != 0 {
-        return Err(body.corrupt("trailing bytes after last series"));
-    }
-    Ok(SegmentIndex {
-        format,
-        resolution,
-        entries,
-    })
-}
-
-/// The fixed-width v2/v3 series headers, each followed by its payload.
-fn walk_v3(body: &mut Body<'_>, n_series: usize) -> Result<Vec<SeriesIndexEntry>, StoreError> {
-    let mut entries = body.room_for(n_series, V3_HEADER_MIN)?;
-    for _ in 0..n_series {
-        let node = body.u32()?;
-        let name_len = u16::from_le_bytes(body.take(2)?.try_into().unwrap()) as usize;
-        let monitor = body.name(name_len)?;
-        let count = body.u32()?;
-        let len = body.u32()?;
-        let crc = body.u32()?;
-        let min_time = SimTime::from_nanos(body.u64()?);
-        let max_time = SimTime::from_nanos(body.u64()?);
-        let offset = body.offset();
-        body.take(len as usize)?;
-        entries.push(SeriesIndexEntry {
-            node,
-            monitor,
-            count,
-            stride: None,
-            min_time,
-            max_time,
-            offset,
-            len,
-            crc,
-        });
-    }
-    Ok(entries)
-}
-
-/// The stride `count` evenly spaced entries over `span` nanoseconds
-/// take, if there is one: `span` must be a multiple of `count − 1` (a
-/// single entry has none but a zero span), and there is no stride
-/// without an entry.
-fn stride(count: u32, span: u64) -> Option<u64> {
-    match count {
-        0 => None,
-        1 => (span == 0).then_some(0),
-        n => span
-            .is_multiple_of(u64::from(n - 1))
-            .then(|| span / u64::from(n - 1)),
-    }
-}
-
-/// The v4/v5 name table and the compact series headers after it, each
-/// followed by its payload. Every entry naming a monitor shares its
-/// table entry: indexing allocates per name, not per series.
-fn walk_compact(
-    body: &mut Body<'_>,
-    n_series: usize,
-    format: Format,
-) -> Result<Vec<SeriesIndexEntry>, StoreError> {
     let n_names = body.varint_usize()?;
     let mut names: Vec<Arc<str>> = body.room_for(n_names, 1)?;
     for _ in 0..n_names {
         let len = body.varint_usize()?;
-        let name = body.name(len)?;
+        let name: Arc<str> = std::str::from_utf8(body.take(len)?)
+            .map_err(|_| body.corrupt("monitor name not utf-8"))?
+            .into();
         if names.last().is_some_and(|prev| *prev >= name) {
             return Err(body.corrupt("name table not sorted"));
         }
         names.push(name);
     }
-    let mut entries = body.room_for(n_series, V4_HEADER_MIN)?;
+    let mut entries = body.room_for(n_series, HEADER_MIN)?;
     let mut prev: Option<(u32, usize)> = None;
     let (mut node, mut min_time) = (0u32, 0u64);
     for _ in 0..n_series {
@@ -415,7 +338,7 @@ fn walk_compact(
                     .map_err(|_| body.corrupt("header field overflows u32"))?;
                 (count, field & 1 == 1)
             }
-            _ => (body.varint_u32()?, false),
+            Format::V4 => (body.varint_u32()?, false),
         };
         let len = body.varint_u32()?;
         let crc = body.u32()?;
@@ -444,25 +367,28 @@ fn walk_compact(
             crc,
         });
     }
-    Ok(entries)
+    if body.remaining() != 0 {
+        return Err(body.corrupt("trailing bytes after last series"));
+    }
+    Ok(SegmentIndex {
+        format,
+        resolution,
+        entries,
+    })
 }
 
-/// Check a whole file's magic and trailing CRC (`origin` names it in
-/// the error); its format, and the body between magic and CRC.
-fn checked_body<'a>(data: &'a [u8], origin: &Path) -> Result<(Format, &'a [u8]), StoreError> {
-    let corrupt = |reason| StoreError::CorruptSegment {
-        path: origin.to_path_buf(),
-        reason,
-    };
-    let format = Format::of(data)
-        .filter(|_| data.len() >= MAGIC.len() + 4)
-        .ok_or_else(|| corrupt("bad magic"))?;
-    let body = &data[MAGIC.len()..data.len() - 4];
-    let stored = u32::from_le_bytes(data[data.len() - 4..].try_into().unwrap());
-    if crc32(body) != stored {
-        return Err(corrupt("checksum mismatch"));
+/// The stride `count` evenly spaced entries over `span` nanoseconds
+/// take, if there is one: `span` must be a multiple of `count − 1` (a
+/// single entry has none but a zero span), and there is no stride
+/// without an entry.
+fn stride(count: u32, span: u64) -> Option<u64> {
+    match count {
+        0 => None,
+        1 => (span == 0).then_some(0),
+        n => span
+            .is_multiple_of(u64::from(n - 1))
+            .then(|| span / u64::from(n - 1)),
     }
-    Ok((format, body))
 }
 
 /// Fetch and decode one series' payload: [`read_series_at`] on a file
@@ -475,11 +401,7 @@ pub fn read_series(
     let file = File::open(path)?;
     let mut magic = [0u8; MAGIC.len()];
     file.read_exact_at(&mut magic, 0)?;
-    let format = Format::of(&magic).ok_or_else(|| StoreError::CorruptSegment {
-        path: path.to_path_buf(),
-        reason: "bad magic",
-    })?;
-    read_series_at(&file, path, format, resolution, entry)
+    read_series_at(&file, path, Format::of(&magic, path)?, resolution, entry)
 }
 
 /// Fetch and decode one series' payload with a single positioned read
@@ -551,14 +473,15 @@ fn encode_payload(data: &SeriesData, base: u64, out: &mut Vec<u8>) -> Option<u64
 }
 
 /// Hand each of `entry`'s stamps to `each`, in order: rebuilt from its
-/// stride, or decoded from the payload's stamp column, plus `base`.
+/// stride, or decoded from the payload's stamp column, which counts
+/// from the series' `min_time`.
 fn for_each_stamp(
     payload: &[u8],
     pos: &mut usize,
     entry: &SeriesIndexEntry,
-    base: u64,
     mut each: impl FnMut(u64),
 ) -> Result<(), CodecError> {
+    let base = entry.min_time.as_nanos();
     match entry.stride {
         Some(stride) => {
             for i in 0..u64::from(entry.count) {
@@ -577,16 +500,13 @@ fn fill_column<T>(
     rows: &mut [T],
     payload: &[u8],
     pos: &mut usize,
-    format: Format,
     set: impl Fn(&mut T, f64),
 ) -> Result<(), CodecError> {
     let count = rows.len();
     let mut row = rows.iter_mut();
-    let each = |v| set(row.next().expect("one value per row"), v);
-    match format {
-        Format::V2 => for_each_xor_value(payload, pos, count, each),
-        Format::V3 | Format::V4 | Format::V5 => for_each_value(payload, pos, count, each),
-    }
+    for_each_value(payload, pos, count, |v| {
+        set(row.next().expect("one value per row"), v)
+    })
 }
 
 /// Decode the payload `entry` locates, in a file of `format`.
@@ -614,23 +534,22 @@ fn decode_payload(
             _ => "varint stream truncated",
         })
     };
-    let base = format.time_base(entry);
     let mut pos = 0usize;
     // one pass per column, each written straight into the output rows
     let data = if resolution == Resolution::Raw {
         let mut rows: Vec<Sample> = Vec::with_capacity(count);
-        for_each_stamp(payload, &mut pos, entry, base, |t| {
+        for_each_stamp(payload, &mut pos, entry, |t| {
             rows.push(Sample {
                 time: SimTime::from_nanos(t),
                 value: 0.0,
             })
         })
         .map_err(truncated)?;
-        fill_column(&mut rows, payload, &mut pos, format, |s, v| s.value = v).map_err(truncated)?;
+        fill_column(&mut rows, payload, &mut pos, |s, v| s.value = v).map_err(truncated)?;
         SeriesData::Raw(rows)
     } else {
         let mut rows: Vec<AggBucket> = Vec::with_capacity(count);
-        for_each_stamp(payload, &mut pos, entry, base, |t| {
+        for_each_stamp(payload, &mut pos, entry, |t| {
             rows.push(AggBucket {
                 start: SimTime::from_nanos(t),
                 count: 0,
@@ -644,16 +563,16 @@ fn decode_payload(
         for row in &mut rows {
             row.count = get_uvarint(payload, &mut pos).map_err(truncated)?;
         }
-        fill_column(&mut rows, payload, &mut pos, format, |b, v| b.min = v).map_err(truncated)?;
-        // before v5 the column is the mean: the sum a query folded from
-        // it was `mean × count`, and still is
+        fill_column(&mut rows, payload, &mut pos, |b, v| b.min = v).map_err(truncated)?;
+        // v4's column is the mean: the sum a query folded from it was
+        // `mean × count`, and still is
         let sum = |b: &mut AggBucket, v: f64| match format {
             Format::V5 => b.sum = v,
-            _ => b.sum = v * b.count as f64,
+            Format::V4 => b.sum = v * b.count as f64,
         };
-        fill_column(&mut rows, payload, &mut pos, format, sum).map_err(truncated)?;
-        fill_column(&mut rows, payload, &mut pos, format, |b, v| b.max = v).map_err(truncated)?;
-        fill_column(&mut rows, payload, &mut pos, format, |b, v| b.last = v).map_err(truncated)?;
+        fill_column(&mut rows, payload, &mut pos, sum).map_err(truncated)?;
+        fill_column(&mut rows, payload, &mut pos, |b, v| b.max = v).map_err(truncated)?;
+        fill_column(&mut rows, payload, &mut pos, |b, v| b.last = v).map_err(truncated)?;
         SeriesData::Buckets(rows)
     };
     if pos != payload.len() {
@@ -662,14 +581,17 @@ fn decode_payload(
     Ok(data)
 }
 
+/// A series' `(node, monitor)`.
+pub type SeriesKey = (u32, Arc<str>);
+
 /// A fully-decoded segment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     /// Tier.
     pub resolution: Resolution,
     /// Per-series payloads keyed by `(node, monitor)`, sorted by key
-    /// without repeats.
-    pub series: Vec<((u32, String), SeriesData)>,
+    /// without repeats. Series of one monitor may share its name.
+    pub series: Vec<(SeriesKey, SeriesData)>,
 }
 
 impl Segment {
@@ -680,7 +602,8 @@ impl Segment {
     /// If `series` is not sorted by `(node, monitor)` without repeats:
     /// the headers store each node as a delta from the one before.
     pub fn encode_indexed(&self) -> (Vec<u8>, SegmentIndex) {
-        let mut names: Vec<&str> = self.series.iter().map(|((_, m), _)| m.as_str()).collect();
+        // the index shares each name with the first series holding it
+        let mut names: Vec<&Arc<str>> = self.series.iter().map(|((_, m), _)| m).collect();
         names.sort_unstable();
         names.dedup();
         let mut body = Vec::new();
@@ -691,13 +614,12 @@ impl Segment {
             put_uvarint(&mut body, name.len() as u64);
             body.extend_from_slice(name.as_bytes());
         }
-        let monitors: Vec<Arc<str>> = names.iter().map(|&n| Arc::from(n)).collect();
         let mut entries = Vec::with_capacity(self.series.len());
         let mut payload = Vec::new();
         let mut prev: Option<(u32, &str)> = None;
         let mut prev_min = 0u64;
         for ((node, name), data) in &self.series {
-            let key = (*node, name.as_str());
+            let key = (*node, &**name);
             assert!(
                 prev.is_none_or(|p| p < key),
                 "segment series out of (node, monitor) order at {key:?}"
@@ -709,7 +631,7 @@ impl Segment {
             let stride = encode_payload(data, min, &mut payload);
             let crc = crc32(&payload);
             let name_index = names
-                .binary_search(&key.1)
+                .binary_search(&name)
                 .expect("every name is in the table");
             put_uvarint(&mut body, name_index as u64);
             put_uvarint(&mut body, u64::from(node - prev.map_or(0, |p| p.0)));
@@ -723,7 +645,7 @@ impl Segment {
             put_uvarint(&mut body, max.wrapping_sub(min));
             entries.push(SeriesIndexEntry {
                 node: *node,
-                monitor: Arc::clone(&monitors[name_index]),
+                monitor: Arc::clone(names[name_index]),
                 count: data.len() as u32,
                 stride,
                 min_time,
@@ -754,8 +676,9 @@ impl Segment {
     }
 
     /// Decode and validate bytes produced by [`Segment::encode`] (or by
-    /// a `CWXSEG2`/`CWXSEG3`/`CWXSEG4` writer): the header walk of
-    /// [`SegmentIndex::read_from`], then each payload it locates.
+    /// a `CWXSEG4` writer): the header walk of
+    /// [`SegmentIndex::read_from`], then each payload it locates. Every
+    /// key shares its monitor's name with the segment's name table.
     pub fn decode(data: &[u8], origin: &Path) -> Result<Segment, StoreError> {
         let index = walk(data, origin)?;
         let mut series = Vec::with_capacity(index.entries.len());
@@ -764,7 +687,7 @@ impl Segment {
             let at = entry.offset as usize;
             let payload = &data[at..at + entry.len as usize];
             let decoded = decode_payload(payload, index.format, index.resolution, &entry, origin)?;
-            series.push(((entry.node, entry.monitor.to_string()), decoded));
+            series.push(((entry.node, entry.monitor), decoded));
         }
         Ok(Segment {
             resolution: index.resolution,
@@ -807,7 +730,7 @@ mod tests {
             resolution: Resolution::Raw,
             series: vec![
                 (
-                    (3, "cpu.util".to_string()),
+                    (3, "cpu.util".into()),
                     SeriesData::Raw(
                         (0..100)
                             .map(|i| Sample {
@@ -817,7 +740,7 @@ mod tests {
                             .collect(),
                     ),
                 ),
-                ((9, "mem.free".to_string()), SeriesData::Raw(vec![])),
+                ((9, "mem.free".into()), SeriesData::Raw(vec![])),
             ],
         }
     }
@@ -834,7 +757,7 @@ mod tests {
         let seg = Segment {
             resolution: Resolution::TenSeconds,
             series: vec![(
-                (1, "load.one".to_string()),
+                (1, "load.one".into()),
                 SeriesData::Buckets(
                     (0..50)
                         .map(|i| AggBucket {
@@ -1011,14 +934,22 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut body = vec![Resolution::Raw.tag()];
         body.extend_from_slice(&u32::MAX.to_le_bytes());
-        // 17 bytes of v3: once a 275 GB reservation, an abort
-        let v3 = sealed(MAGIC_V3, &body);
+        // 17 bytes of v3: once a 275 GB reservation, an abort; now
+        // refused by its magic, whatever follows it
+        let v3 = sealed(b"CWXSEG3\n", &body);
         assert_eq!(v3.len(), 17);
+        assert!(matches!(
+            Segment::decode(&v3, Path::new("mem")),
+            Err(StoreError::RetiredSegment {
+                format: "CWXSEG3",
+                ..
+            })
+        ));
         // v4 and v5 with an empty name table
         body.push(0);
         let v4 = sealed(MAGIC_V4, &body);
         let v5 = sealed(MAGIC, &body);
-        for bytes in [v3, v4, v5] {
+        for bytes in [v4, v5] {
             assert_eq!(corrupt_reason(&bytes), "count exceeds the body");
             let path = dir.join("seg-00000001-r0.seg");
             std::fs::write(&path, &bytes).unwrap();
@@ -1170,7 +1101,7 @@ mod tests {
                         value: 20.0 + i as f64 * 0.25,
                     })
                     .collect();
-                ((node, "cpu.util".to_string()), SeriesData::Raw(samples))
+                ((node, "cpu.util".into()), SeriesData::Raw(samples))
             })
             .collect();
         Segment {
@@ -1300,13 +1231,14 @@ mod tests {
         assert_eq!(e.count, 100);
         assert_eq!(e.min_time, t(0));
         assert_eq!(e.max_time, t(99 * 5));
-        assert_eq!(
-            read_series(&path, index.resolution, e).unwrap(),
-            seg.series[0].1
-        );
+        let file = File::open(&path).unwrap();
+        let read = |e| read_series_at(&file, &path, index.format, index.resolution, e);
+        assert_eq!(read(e).unwrap(), seg.series[0].1);
         // the empty series round-trips too
         let e = &index.entries[1];
         assert_eq!(e.count, 0);
+        assert_eq!(read(e).unwrap(), SeriesData::Raw(vec![]));
+        // and through a file opened for the one read
         assert_eq!(
             read_series(&path, index.resolution, e).unwrap(),
             SeriesData::Raw(vec![])
@@ -1328,7 +1260,8 @@ mod tests {
         bytes[e.offset as usize + 3] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
 
-        let err = read_series(&path, index.resolution, e).unwrap_err();
+        let file = File::open(&path).unwrap();
+        let err = read_series_at(&file, &path, index.format, index.resolution, e).unwrap_err();
         assert!(matches!(
             err,
             StoreError::CorruptSegment {

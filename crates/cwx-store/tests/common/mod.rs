@@ -49,7 +49,7 @@ pub fn companions_serve(
         let Some((_, SeriesData::Raw(samples))) = segment
             .series
             .iter()
-            .find(|((n, m), _)| *n == node && m == monitor)
+            .find(|((n, m), _)| *n == node && **m == *monitor)
         else {
             return false;
         };

@@ -16,7 +16,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use cwx_store::segment::{Segment, SegmentIndex, SeriesData};
@@ -54,9 +54,11 @@ fn allocs() -> u64 {
 }
 
 /// A raw segment of `nodes` × `names` series, four samples each, written
-/// to `dir`; the allocations of indexing it.
-fn index_allocs(dir: &Path, nodes: u32, names: usize) -> u64 {
-    let monitors: Vec<String> = (0..names).map(|m| format!("bench.m{m:02}")).collect();
+/// to `dir`: its path and the index the write returned.
+fn write_segment(dir: &Path, nodes: u32, names: usize) -> (PathBuf, SegmentIndex) {
+    let monitors: Vec<Arc<str>> = (0..names)
+        .map(|m| format!("bench.m{m:02}").into())
+        .collect();
     let mut series = Vec::new();
     for node in 0..nodes {
         for monitor in &monitors {
@@ -76,6 +78,12 @@ fn index_allocs(dir: &Path, nodes: u32, names: usize) -> u64 {
     }
     .write_to(&path)
     .unwrap();
+    (path, written)
+}
+
+/// The allocations of indexing [`write_segment`]'s segment.
+fn index_allocs(dir: &Path, nodes: u32, names: usize) -> u64 {
+    let (path, written) = write_segment(dir, nodes, names);
     let before = allocs();
     let index = SegmentIndex::read_from(&path).unwrap();
     let spent = allocs() - before;
@@ -108,5 +116,33 @@ fn indexing_allocates_per_name_not_per_series() {
     // and it is the names that cost: four of them cost 28 fewer
     let four = index_allocs(&dir, 1_000, 4);
     assert!(four + 28 <= many, "4 names: {four}, 32 names: {many}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn decoding_allocates_a_vector_per_series_and_the_names() {
+    let dir = std::env::temp_dir().join(format!("cwx-decode-cost-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (nodes, names) = (1_000u32, 32usize);
+    let series = nodes as u64 * names as u64;
+    let (path, _) = write_segment(&dir, nodes, names);
+    let indexing = index_allocs(&dir, nodes, names);
+    let before = allocs();
+    let segment = Segment::read_from(&path).unwrap();
+    let spent = allocs() - before;
+    assert_eq!(segment.series.len() as u64, series);
+    // the index walk, the series vector, and each series' samples: a
+    // key is the name table's `Arc<str>`, not a `String` of its own
+    assert!(
+        spent <= indexing + 1 + series,
+        "{spent} allocations to decode {series} series ({indexing} to index them)"
+    );
+    let first = &segment.series[0].0 .1;
+    assert!(segment
+        .series
+        .iter()
+        .step_by(names)
+        .all(|((_, monitor), _)| Arc::ptr_eq(monitor, first)));
     let _ = std::fs::remove_dir_all(dir);
 }

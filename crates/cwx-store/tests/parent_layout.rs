@@ -1,30 +1,27 @@
-//! Store directories written by earlier versions must open and answer
-//! as they did then, and convert to the current segment format as they
-//! merge.
+//! A store directory written by the previous release must open and
+//! answer as it did then, and convert to the current segment format as
+//! it merges. A release reads its own segment format and the one before
+//! it; older segments refuse the open (the unit tests of `disk.rs` and
+//! `segment.rs` check that).
 //!
-//! `fixtures/parent-layout` was written before segments were named by
-//! sequence range and before the WAL header named its flush target
-//! (2 shards × {one compacted segment with its three tier files, one
-//! later flush segment, a headerless WAL holding the tail}): 4 nodes ×
-//! 2 monitors × 35 samples, 47 s apart. Its segments are `CWXSEG2`
-//! (untagged XOR value columns).
-//!
-//! `fixtures/v3-layout` was written by the `CWXSEG3` writer in the same
-//! shape (2 shards × {a merged segment `seg-00000001-00000002` with its
-//! three companions, the flush segment `seg-00000003`, a WAL holding the
-//! tail}): 4 nodes × 2 monitors × 70 samples, 5 s apart from
-//! 1.7 × 10^18 ns, so every companion holds every series. `cpu.util`
-//! is a two-decimal reading (decimal columns), `load.one` a ratio (XOR
-//! columns).
-//!
-//! `fixtures/v4-layout` was written by the `CWXSEG4` writer with the
-//! same appends, flushes and merge as `v3-layout`. Its `ANSWERS` file
-//! holds the tier `avg` and `sum` answers the v4 code gave over it
+//! `fixtures/v4-layout` was written by the `CWXSEG4` writer (2 shards ×
+//! {a merged segment `seg-00000001-00000002` with its three companions,
+//! the flush segment `seg-00000003`, a WAL holding the tail}): 4 nodes ×
+//! 2 monitors × 70 samples, 5 s apart from 1.7 × 10^18 ns, so every
+//! companion holds every series. `cpu.util` is a two-decimal reading
+//! (decimal columns), `load.one` a ratio (XOR columns). Its `ANSWERS`
+//! file holds the tier `avg` and `sum` answers the v4 code gave over it
 //! (`monitor tier function window_start count value_bits`), which v5
 //! must give bit for bit while the tiers are v4 files: it reads a v4
 //! mean as the sum `mean × count` that v4 queries folded.
 //!
-//! A merge rewrites any of them as v5.
+//! The same directory with each WAL's header replaced by the 8-byte
+//! `CWXWAL1\n` of the log format before it must replay the same tail:
+//! such a log names no segment it flushes to, so it always replays.
+//!
+//! A merge rewrites the store as v5, and `compact_all` rewrites a shard
+//! that is already one merged v4 set, so the store holds no v4 file
+//! when the next release stops reading them.
 
 use std::path::{Path, PathBuf};
 
@@ -34,28 +31,25 @@ use cwx_store::{query, AggFunc, QueryGroup, QuerySpec, Resolution, Sample, Store
 use cwx_util::time::SimTime;
 
 const MONITORS: [&str; 2] = ["cpu.util", "load.one"];
-const STEPS: u64 = 35;
 
-fn expected(node: u32, monitor: usize, steps: u64) -> Vec<Sample> {
-    (0..steps)
-        .map(|i| Sample {
-            time: SimTime::from_nanos(1_000_000_000 + i * 47_000_000_000),
-            value: ((node as u64 * 31 + monitor as u64 * 7 + i * 13) % 997) as f64 * 0.25,
-        })
-        .collect()
-}
-
-fn copy_fixture(fixture: &str) -> PathBuf {
-    let from = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(fixture);
-    let to = std::env::temp_dir().join(format!("cwx-{fixture}-{}", std::process::id()));
+/// A scratch copy of `fixtures/v4-layout` named by `tag`; with
+/// `v1_wal`, each WAL's 16-byte header (`CWXWAL2\n` and the segment it
+/// flushes to) replaced by the v1 magic alone.
+fn copy_fixture(tag: &str, v1_wal: bool) -> PathBuf {
+    let from = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v4-layout");
+    let to = std::env::temp_dir().join(format!("cwx-v4-layout-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&to);
     for shard in ["shard-000", "shard-001"] {
         std::fs::create_dir_all(to.join(shard)).unwrap();
         for entry in std::fs::read_dir(from.join(shard)).unwrap() {
             let path = entry.unwrap().path();
             std::fs::copy(&path, to.join(shard).join(path.file_name().unwrap())).unwrap();
+        }
+        if v1_wal {
+            let wal = to.join(shard).join("wal.log");
+            let bytes = std::fs::read(&wal).unwrap();
+            assert!(bytes.starts_with(b"CWXWAL2\n"), "{shard}");
+            std::fs::write(&wal, [b"CWXWAL1\n", &bytes[16..]].concat()).unwrap();
         }
     }
     std::fs::copy(from.join("CONFIG"), to.join("CONFIG")).unwrap();
@@ -85,93 +79,7 @@ fn segment_formats(dir: &Path) -> Vec<(Format, [usize; 4])> {
     out
 }
 
-fn assert_holds(store: &DiskStore, steps: u64) {
-    assert_eq!(store.total_samples(), 8 * steps);
-    for node in 0..4u32 {
-        for (m, monitor) in MONITORS.iter().enumerate() {
-            let got = store.range(node, monitor, SimTime::ZERO, SimTime::MAX);
-            let want = expected(node, m, steps);
-            assert_eq!(got.len(), want.len(), "node{node} {monitor}");
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!((g.time, g.value.to_bits()), (w.time, w.value.to_bits()));
-            }
-            for res in Resolution::TIERS {
-                let buckets = store.range_agg(node, monitor, SimTime::ZERO, SimTime::MAX, res);
-                assert_eq!(
-                    buckets,
-                    query::aggregate(&want, res.bucket_nanos().unwrap())
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn parent_written_store_opens_and_answers_identically() {
-    let dir = copy_fixture("parent-layout");
-    let before = segment_formats(&dir);
-    assert!(before.iter().all(|(f, _)| *f == Format::V2), "{before:?}");
-    let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
-    let rec = store.recovery();
-    assert_eq!(
-        (store.config().n_shards, store.config().nodes_per_group),
-        (2, 2)
-    );
-    assert_eq!(rec.segments_loaded, 2 * 5, "{rec:?}");
-    assert_eq!(rec.segments_quarantined, 0, "{rec:?}");
-    assert_eq!(rec.samples_replayed, 2 * 4 * 3, "the v1 WAL tail: {rec:?}");
-    assert_holds(&store, STEPS);
-
-    // tier queries read the old tier files as the compacted segment's
-    // companions, raw for the flush segment and the replayed memtable
-    let spec = QuerySpec {
-        monitor: "cpu.util".into(),
-        from: SimTime::ZERO,
-        to: SimTime::from_nanos(1_700 * 1_000_000_000),
-        window_nanos: 300 * 1_000_000_000,
-        agg: AggFunc::Max,
-        groups: vec![QueryGroup {
-            key: "all".into(),
-            nodes: (0..4).collect(),
-        }],
-        max_scan: 0,
-    };
-    let tiered = store.query(&spec).unwrap();
-    assert_eq!(tiered.stats.tier, Resolution::FiveMinutes);
-    assert_eq!(tiered.stats.fallback_shards, 0);
-    // 24 of each series' 35 samples are behind 5-minute buckets
-    assert_eq!(tiered.stats.scanned_raw, 4 * (35 - 24));
-    let reference = query::run_over_ranges(&spec, |n, m, f, t| store.range(n, m, f, t)).unwrap();
-    assert_eq!(tiered.groups[0].points, reference.groups[0].points);
-
-    // and it keeps living under the new rules: more samples, a flush
-    // (first v2 WAL), a full merge, a reopen
-    for node in 0..4u32 {
-        for (m, monitor) in MONITORS.iter().enumerate() {
-            let s = expected(node, m, STEPS + 1)[STEPS as usize];
-            store.append(node, monitor, s.time, s.value);
-        }
-    }
-    store.flush_all().unwrap();
-    assert_holds(&store, STEPS + 1);
-    store.compact_all().unwrap();
-    assert_holds(&store, STEPS + 1);
-    // re-merged as v5 under the companion rule: a 10 s bucket of 47 s
-    // data holds one sample, so `r1` is written empty while `r2` and
-    // `r3` hold every series
-    assert_eq!(
-        segment_formats(&dir),
-        vec![(Format::V5, [4, 0, 4, 4]); 2],
-        "format and series per resolution, per shard"
-    );
-    drop(store);
-    let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
-    assert_eq!(store.recovery().segments_loaded, 2 * 4);
-    assert_holds(&store, STEPS + 1);
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-/// Samples a series of the v3 and v4 fixtures holds.
+/// Samples a series of the v4 fixture holds.
 const LAYOUT_STEPS: u64 = 70;
 
 fn layout_expected(node: u32, monitor: usize) -> Vec<Sample> {
@@ -254,29 +162,6 @@ fn all_nodes_answers(
     answers
 }
 
-#[test]
-fn v3_written_store_opens_answers_and_merges_to_v5_identically() {
-    let dir = copy_fixture("v3-layout");
-    // the merged set holds every series in all four files, the flush
-    // segment every series raw
-    assert_eq!(segment_formats(&dir), vec![(Format::V3, [8, 4, 4, 4]); 2]);
-    let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
-    let rec = store.recovery();
-    assert_eq!(rec.segments_loaded, 2 * 5, "{rec:?}");
-    assert_eq!(rec.segments_quarantined, 0, "{rec:?}");
-    assert_eq!(rec.samples_replayed, 2 * 4 * 6, "the WAL tail: {rec:?}");
-    let before = layout_answers(&store);
-
-    store.compact_all().unwrap();
-    assert_eq!(segment_formats(&dir), vec![(Format::V5, [4, 4, 4, 4]); 2]);
-    assert_eq!(layout_answers(&store), before);
-    drop(store);
-    let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
-    assert_eq!(store.recovery().segments_loaded, 2 * 4);
-    assert_eq!(layout_answers(&store), before);
-    let _ = std::fs::remove_dir_all(dir);
-}
-
 /// Tier `avg` and `sum` answers over all four nodes, one line a window
 /// in the fixture's `ANSWERS` format.
 fn tier_sum_lines(store: &DiskStore) -> Vec<String> {
@@ -305,51 +190,81 @@ fn tier_sum_lines(store: &DiskStore) -> Vec<String> {
 
 #[test]
 fn v4_written_store_opens_answers_and_merges_to_v5_identically() {
-    let dir = copy_fixture("v4-layout");
-    assert_eq!(segment_formats(&dir), vec![(Format::V4, [8, 4, 4, 4]); 2]);
-    let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
-    let rec = store.recovery();
-    assert_eq!(rec.segments_loaded, 2 * 5, "{rec:?}");
-    assert_eq!(rec.segments_quarantined, 0, "{rec:?}");
-    assert_eq!(rec.samples_replayed, 2 * 4 * 6, "the WAL tail: {rec:?}");
-    let before = layout_answers(&store);
-    let v4_sums = std::fs::read_to_string(
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v4-layout/ANSWERS"),
-    )
-    .unwrap();
-    let v4_sums: Vec<&str> = v4_sums.lines().collect();
-    assert_eq!(
-        tier_sum_lines(&store),
-        v4_sums,
-        "tier avg/sum as v4 answered"
-    );
+    // as written, and with v1 WAL headers: those name no segment they
+    // flush to, so they replay the same tail
+    for v1_wal in [false, true] {
+        let dir = copy_fixture("answers", v1_wal);
+        assert_eq!(segment_formats(&dir), vec![(Format::V4, [8, 4, 4, 4]); 2]);
+        let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+        let rec = store.recovery();
+        assert_eq!(rec.segments_loaded, 2 * 5, "{rec:?}");
+        assert_eq!(rec.segments_quarantined, 0, "{rec:?}");
+        assert_eq!(rec.samples_replayed, 2 * 4 * 6, "the WAL tail: {rec:?}");
+        let before = layout_answers(&store);
+        let v4_sums = std::fs::read_to_string(
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v4-layout/ANSWERS"),
+        )
+        .unwrap();
+        let v4_sums: Vec<&str> = v4_sums.lines().collect();
+        assert_eq!(
+            tier_sum_lines(&store),
+            v4_sums,
+            "tier avg/sum as v4 answered"
+        );
 
+        store.compact_all().unwrap();
+        assert_eq!(segment_formats(&dir), vec![(Format::V5, [4, 4, 4, 4]); 2]);
+        assert_eq!(layout_answers(&store), before);
+        // the merged tiers hold exact sums: the same windows and counts,
+        // the values within the tier tests' bound of the v4 means'
+        let parse = |line: &str| {
+            let (key, bits) = line.rsplit_once(' ').unwrap();
+            (
+                key.to_string(),
+                f64::from_bits(u64::from_str_radix(bits, 16).unwrap()),
+            )
+        };
+        let merged = tier_sum_lines(&store);
+        assert_eq!(merged.len(), v4_sums.len());
+        for (got, want) in merged.iter().zip(&v4_sums) {
+            let ((got_key, got), (want_key, want)) = (parse(got), parse(want));
+            assert_eq!(got_key, want_key);
+            assert!(
+                (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+                "{got_key}: {got} vs {want}"
+            );
+        }
+        drop(store);
+        let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+        assert_eq!(store.recovery().segments_loaded, 2 * 4);
+        assert_eq!(layout_answers(&store), before);
+        assert_eq!(tier_sum_lines(&store), merged);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn compact_all_rewrites_a_shard_already_merged_in_v4() {
+    // each shard's merged set alone: no flush segment, no WAL tail
+    let dir = copy_fixture("merged", false);
+    for shard in ["shard-000", "shard-001"] {
+        std::fs::remove_file(dir.join(shard).join("seg-00000003-r0.seg")).unwrap();
+        std::fs::remove_file(dir.join(shard).join("wal.log")).unwrap();
+    }
+    assert_eq!(segment_formats(&dir), vec![(Format::V4, [4, 4, 4, 4]); 2]);
+    let every_series = |store: &DiskStore| -> Vec<Vec<Sample>> {
+        (0..4)
+            .flat_map(|node| MONITORS.map(|m| store.range(node, m, SimTime::ZERO, SimTime::MAX)))
+            .collect()
+    };
+    let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
+    let before = every_series(&store);
+    assert!(before.iter().all(|samples| !samples.is_empty()));
     store.compact_all().unwrap();
     assert_eq!(segment_formats(&dir), vec![(Format::V5, [4, 4, 4, 4]); 2]);
-    assert_eq!(layout_answers(&store), before);
-    // the merged tiers hold exact sums: the same windows and counts,
-    // the values within the tier tests' bound of the v4 means'
-    let parse = |line: &str| {
-        let (key, bits) = line.rsplit_once(' ').unwrap();
-        (
-            key.to_string(),
-            f64::from_bits(u64::from_str_radix(bits, 16).unwrap()),
-        )
-    };
-    let merged = tier_sum_lines(&store);
-    assert_eq!(merged.len(), v4_sums.len());
-    for (got, want) in merged.iter().zip(&v4_sums) {
-        let ((got_key, got), (want_key, want)) = (parse(got), parse(want));
-        assert_eq!(got_key, want_key);
-        assert!(
-            (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-            "{got_key}: {got} vs {want}"
-        );
-    }
+    assert_eq!(every_series(&store), before);
     drop(store);
     let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
-    assert_eq!(store.recovery().segments_loaded, 2 * 4);
-    assert_eq!(layout_answers(&store), before);
-    assert_eq!(tier_sum_lines(&store), merged);
+    assert_eq!(every_series(&store), before);
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -79,8 +79,8 @@ proptest! {
         let seg = Segment {
             resolution: Resolution::Raw,
             series: vec![
-                ((node, "load.one".to_string()), SeriesData::Raw(samples_from(&batch_a))),
-                ((node + 1, "mem.used_pct".to_string()), SeriesData::Raw(samples_from(&batch_b))),
+                ((node, "load.one".into()), SeriesData::Raw(samples_from(&batch_a))),
+                ((node + 1, "mem.used_pct".into()), SeriesData::Raw(samples_from(&batch_b))),
             ],
         };
         let back = Segment::decode(&seg.encode(), Path::new("prop")).unwrap();
@@ -117,7 +117,7 @@ proptest! {
             .collect();
         let seg = Segment {
             resolution: Resolution::TenSeconds,
-            series: vec![((7, "temp.cpu".to_string()), SeriesData::Buckets(buckets))],
+            series: vec![((7, "temp.cpu".into()), SeriesData::Buckets(buckets))],
         };
         let back = Segment::decode(&seg.encode(), Path::new("prop")).unwrap();
         prop_assert_eq!(back, seg);
@@ -131,7 +131,7 @@ proptest! {
     ) {
         let seg = Segment {
             resolution: Resolution::Raw,
-            series: vec![((1, "m".to_string()), SeriesData::Raw(samples_from(&batch)))],
+            series: vec![((1, "m".into()), SeriesData::Raw(samples_from(&batch)))],
         };
         let mut bytes = seg.encode();
         let idx = (flip_seed % bytes.len() as u64) as usize;

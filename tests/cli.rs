@@ -92,6 +92,30 @@ fn an_unopenable_store_exits_3_with_one_line() {
     }
 }
 
+/// A store holding a segment of a format this release no longer reads
+/// is refused, not repaired: exit 3, one line naming the file and the
+/// way to convert it, and the file left as found.
+#[test]
+fn a_store_with_a_retired_segment_exits_3_naming_the_file() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cwx-retired-store");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("shard-000")).unwrap();
+    std::fs::write(dir.join("CONFIG"), "n_shards=1\nnodes_per_group=10\n").unwrap();
+    let seg = dir.join("shard-000").join("seg-00000001-r0.seg");
+    let bytes = b"CWXSEG3\n\x00\x00\x00\x00\x00\x00\x00\x00\x00";
+    std::fs::write(&seg, bytes).unwrap();
+    let line = format!("history --store {}", dir.display());
+    let (code, err) = cwx(&line);
+    assert_eq!(code, 3, "`cwx {line}` must be refused: {err}");
+    assert_eq!(err.lines().count(), 1, "`cwx {line}`: {err}");
+    for part in [&*seg.to_string_lossy(), "CWXSEG3", "compact_all"] {
+        assert!(err.contains(part), "`cwx {line}` must name {part}: {err}");
+    }
+    assert_eq!(std::fs::read(&seg).unwrap(), bytes);
+    assert!(!seg.with_extension("seg.corrupt").exists());
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn removed_shims_are_usage_errors() {
     // scenarios are manifests: `cwx run examples/scenarios/<name>.toml`
