@@ -1,14 +1,16 @@
-//! `Server::ingest` hands a report's numeric values to history as one
-//! batch and evaluates events afterwards. This must be unobservable
-//! next to the loop it replaced — per value: record, then observe — on
-//! the volatile backend and on the persistent one, including when the
-//! network delivers a report twice (the `DuplicatedReports` fault).
+//! `server::commit` hands a report's numeric values to history as one
+//! batch stamped at the report's gather time and evaluates events
+//! afterwards. This must be unobservable next to the loop it replaced —
+//! per value: record at the gather time, then observe at the receive
+//! time — on the volatile backend and on the persistent one, including
+//! when the network delivers a report twice (the `DuplicatedReports`
+//! fault).
 
 use std::sync::Arc;
 
-use clusterworx::server::Server;
+use clusterworx::server::{commit, Arrival, Server};
 use cwx_monitor::monitor::{MonitorKey, Value};
-use cwx_monitor::transmit::{self, Report};
+use cwx_monitor::transmit::{self, Report, WireDecoder};
 use cwx_store::disk::{DiskStore, StoreConfig};
 use cwx_store::mem::MemStore;
 use cwx_store::{Sample, Store};
@@ -98,18 +100,25 @@ fn stored(h: &dyn Store) -> Stored {
     (rows, h.total_samples())
 }
 
-/// Run the traffic through `Server::ingest` and, beside it, through the
+/// Run the traffic through `commit` and, beside it, through the
 /// per-value loop on `reference`/`reference_history`; everything a
 /// client could read afterwards must agree.
 fn assert_batched_ingest_matches(history: Arc<dyn Store>, reference_history: Arc<dyn Store>) {
-    let mut batched = server(history);
+    let mut batched = server(Arc::clone(&history));
     let mut reference = server(Arc::new(MemStore::new(1)));
+    let mut decoder = WireDecoder::new();
     for (now, payload) in traffic() {
-        batched.ingest(now, &payload);
+        let arrival = Arrival {
+            recv: now,
+            wire: payload.len(),
+            report: decoder.decode_auto(&payload),
+        };
+        commit(&*history, &[arrival], || &mut batched);
         let report = transmit::decode_auto(&payload).unwrap();
+        let gathered = SimTime::ZERO + SimDuration::from_secs_f64(report.time_secs);
         for (key, value) in &report.values {
             if let Value::Num(x) = value {
-                reference_history.append(report.node, key, now, *x);
+                reference_history.append(report.node, key, gathered, *x);
                 reference.observe(now, report.node, key, *x);
             }
         }

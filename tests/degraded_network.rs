@@ -2,6 +2,7 @@
 //! degrade gracefully (staleness, not crashes), corrupt payloads must be
 //! counted and dropped, and the cluster must stay managed throughout.
 
+use clusterworx::world::deliver_report;
 use clusterworx::{Cluster, ClusterConfig, WorkloadMix};
 use cwx_util::time::{SimDuration, SimTime};
 
@@ -97,14 +98,13 @@ fn corrupt_payloads_are_counted_not_fatal() {
     });
     sim.run_for(SimDuration::from_secs(120));
     // a misbehaving client blasts garbage at the server port
-    let now = sim.now();
     for junk in [
         &b"total garbage"[..],
         b"CWZ1\xff\xff\xff\xff",
         b"",
         b"CWX1 node=x",
     ] {
-        sim.world_mut().server.ingest(now, junk);
+        deliver_report(&mut sim, junk);
     }
     sim.run_for(SimDuration::from_secs(60));
     let st = sim.world().server.stats();

@@ -6,9 +6,10 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 
+use clusterworx::server::{commit, Arrival};
 use clusterworx::Server;
 use cwx_monitor::monitor::{MonitorKey, Value};
-use cwx_monitor::transmit::{encode_compressed, Report};
+use cwx_monitor::transmit::{encode_compressed, Report, WireDecoder};
 use cwx_util::time::{SimDuration, SimTime};
 
 fn report(node: u32, seq: u64, load: f64) -> Vec<u8> {
@@ -42,11 +43,19 @@ fn concurrent_clients_and_agents_do_not_conflict() {
         let server = Arc::clone(&server);
         let stop = Arc::clone(&stop);
         handles.push(std::thread::spawn(move || {
+            // each feeder is one agent connection: its own decoder, the
+            // server's store, the server lock only inside `commit`
+            let store = Arc::clone(server.read().unwrap().history());
+            let mut decoder = WireDecoder::new();
             let mut seq = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let payload = report(node, seq, (seq % 10) as f64 / 10.0);
-                let now = SimTime::ZERO + SimDuration::from_secs(seq);
-                server.write().unwrap().ingest(now, &payload);
+                let arrival = Arrival {
+                    recv: SimTime::ZERO + SimDuration::from_secs(seq),
+                    wire: payload.len(),
+                    report: decoder.decode_auto(&payload),
+                };
+                commit(&*store, &[arrival], || server.write().unwrap());
                 seq += 1;
             }
             seq
