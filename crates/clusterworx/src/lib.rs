@@ -5,8 +5,11 @@
 //! monitoring agent) racked into ICE Box chassis on a shared network,
 //! managed by a central ClusterWorX server that
 //!
-//! * receives and decodes the agents' consolidated, compressed reports,
-//! * stores them in the history store for charting,
+//! * receives the agents' consolidated, compressed reports (decoded by
+//!   whoever owns the channel: the simulated segment or a live
+//!   connection),
+//! * stores them in the history store at their gather time, for
+//!   charting,
 //! * samples the ICE Box probes out-of-band (so a hung node's
 //!   temperature is still visible),
 //! * evaluates administrator-defined events and executes their actions

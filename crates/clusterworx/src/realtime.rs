@@ -7,8 +7,11 @@
 //! loopback TCP connection — length-prefixed `CWB1` frames into the
 //! [`crate::ingest`] plane, reconnecting (with
 //! [`cwx_monitor::agent::Agent::resync`]) if the link drops. Tier 2 is
-//! the ingest server's readiness-driven reactor. Decoded reports land
-//! in a shared [`Server`] behind a `parking_lot::RwLock`. Tier 3: any
+//! the ingest server's readiness-driven reactor, which decodes each
+//! connection's frames; its flush workers commit them to a shared
+//! [`Server`] behind a `parking_lot::RwLock` through
+//! [`crate::server::commit`], the function the simulator's delivery
+//! event calls too. Tier 3: any
 //! number of client threads read the lock concurrently ("multiple
 //! clients access the ClusterWorX server at the same time without
 //! conflict").
@@ -16,10 +19,9 @@
 //! The server's history is the store the caller hands in
 //! ([`RealTimeConfig::store`]): an in-memory [`MemStore`] ring by
 //! default, or a [`cwx_store::disk::DiskStore`] the caller opened, which
-//! a restart over the same directory recovers. The ingest lane
-//! batch-appends samples to it at each report's gather time outside the
-//! server lock, and takes the server write lock only for event
-//! evaluation. Slow consumers are tested by handing in a store that is
+//! a restart over the same directory recovers. `commit` batch-appends
+//! samples to it at each report's gather time outside the server lock,
+//! and takes the server write lock only for event evaluation. Slow consumers are tested by handing in a store that is
 //! slow to take writes; the deployment itself has no stall hook.
 //!
 //! Backpressure is end-to-end and bounded at every hop: lane flush
