@@ -92,13 +92,10 @@ mod tests {
             (a.running, a.total, a.last_pid),
             (g.running, g.total, g.last_pid)
         );
-        // `next_f64` computes `int + frac / 10^k`, which lands one ulp off
-        // `str::parse` for some live loads (1.14, 1.36, ...). ROADMAP item
-        // 2 makes it correctly rounded and restores exact equality here.
-        for (fast, std) in [(a.one, g.one), (a.five, g.five), (a.fifteen, g.fifteen)] {
-            let ulps = (fast.to_bits() as i64 - std.to_bits() as i64).abs();
-            assert!(ulps <= 1, "{fast} vs {std}: {ulps} ulps apart");
-        }
+        assert_eq!(
+            (a.one.to_bits(), a.five.to_bits(), a.fifteen.to_bits()),
+            (g.one.to_bits(), g.five.to_bits(), g.fifteen.to_bits())
+        );
         assert!(a.total >= 1);
     }
 }

@@ -31,30 +31,42 @@ pub fn next_u64(b: &[u8], pos: &mut usize) -> Option<u64> {
     Some(v)
 }
 
-/// Like [`next_u64`] but reads a simple decimal fraction (`123.45`).
-/// Skips non-digit bytes before the number. `None` when no digits remain.
+/// Like [`next_u64`] but reads a simple decimal fraction (`123.45`),
+/// rounded exactly as `str::parse::<f64>` rounds it. Skips non-digit
+/// bytes before the number. `None` when no digits remain.
 #[inline]
 pub fn next_f64(b: &[u8], pos: &mut usize) -> Option<f64> {
-    let int = next_u64(b, pos)? as f64;
     let mut i = *pos;
-    if i < b.len() && b[i] == b'.' {
+    while i < b.len() && !b[i].is_ascii_digit() {
         i += 1;
-        // Accumulate fraction digits as an integer and divide once; both
-        // operands are exactly representable, so the single division
-        // rounds the same way std's parser does for short fractions.
-        let mut digits: u64 = 0;
-        let mut count: i32 = 0;
-        while i < b.len() && b[i].is_ascii_digit() {
-            if count < 18 {
-                digits = digits * 10 + (b[i] - b'0') as u64;
-                count += 1;
-            }
-            i += 1;
-        }
+    }
+    if i == b.len() {
         *pos = i;
-        Some(int + digits as f64 / 10f64.powi(count))
-    } else {
-        Some(int)
+        return None;
+    }
+    let start = i;
+    // the digits as one integer `int·10^k + frac` (None on overflow),
+    // and k once past the point
+    let mut mantissa = Some(0u64);
+    let mut k: Option<i32> = None;
+    while i < b.len() {
+        match b[i] {
+            c @ b'0'..=b'9' => {
+                mantissa = mantissa.and_then(|m| m.checked_mul(10)?.checked_add((c - b'0') as u64));
+                k = k.map(|k| k + 1);
+            }
+            b'.' if k.is_none() => k = Some(0),
+            _ => break,
+        }
+        i += 1;
+    }
+    *pos = i;
+    let k = k.unwrap_or(0);
+    match mantissa {
+        // both operands are exact (below 2^53, and 10^k for k <= 22), so
+        // the one IEEE division is correctly rounded
+        Some(m) if m < 1 << 53 && k <= 22 => Some(m as f64 / 10f64.powi(k)),
+        _ => std::str::from_utf8(&b[start..i]).ok()?.parse().ok(),
     }
 }
 
@@ -130,6 +142,23 @@ mod tests {
     }
 
     #[test]
+    fn next_f64_rounds_like_std_where_int_plus_fraction_did_not() {
+        // `1 + 14/100` lands one ulp off the correctly rounded 1.14
+        for s in ["1.14", "1.36", "0.005", "999.995", "12345678901234567.5"] {
+            let got = next_f64(s.as_bytes(), &mut 0).unwrap();
+            assert_eq!(got.to_bits(), s.parse::<f64>().unwrap().to_bits(), "{s}");
+        }
+        // past 2^53 (and past u64) the digits go to std's parser whole
+        let long = "123456789012345678901234567890.25 x";
+        let mut pos = 0;
+        assert_eq!(
+            next_f64(long.as_bytes(), &mut pos),
+            Some(1.2345678901234568e29)
+        );
+        assert_eq!(&long[pos..], " x");
+    }
+
+    #[test]
     fn skip_line_moves_to_next_line() {
         let b = b"one\ntwo\n";
         let mut pos = 0;
@@ -169,6 +198,19 @@ mod tests {
             let got = next_f64(s.as_bytes(), &mut pos).unwrap();
             let want: f64 = s.parse().unwrap();
             prop_assert!((got - want).abs() < 1e-9, "{got} vs {want}");
+        }
+
+        /// Loads and uptimes as `/proc` prints them: `next_f64` is
+        /// `str::parse`, bit for bit.
+        #[test]
+        fn next_f64_equals_std_parse(int in 0u64..1000, decimals in 1usize..=3, frac in 0u64..1000) {
+            let frac = frac % 10u64.pow(decimals as u32);
+            let s = format!("{int}.{frac:0decimals$}");
+            let mut pos = 0;
+            let got = next_f64(s.as_bytes(), &mut pos).unwrap();
+            let want: f64 = s.parse().unwrap();
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "{}", s);
+            prop_assert_eq!(pos, s.len());
         }
     }
 }

@@ -390,8 +390,8 @@ impl SyntheticState {
 
 /// `x` as the loadavg and uptime files deliver it: printed `{:.2}`, as
 /// they print it, and read back with the gatherers' own scanner, so the
-/// bits are the text path's, rounding quirks included. `None` where that
-/// scanner finds no number (a non-finite `x`).
+/// bits are the text path's, `{:.2}`'s rounding included. `None` where
+/// that scanner finds no number (a non-finite `x`).
 fn through_text(x: f64) -> Option<f64> {
     use std::fmt::Write;
     /// `{:.2}` of any `f64` fits: a sign, 309 integer digits and ".00".

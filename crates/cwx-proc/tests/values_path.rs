@@ -5,7 +5,8 @@
 //! depends on those values being exactly what the six keep-open
 //! gatherers parse out of the rendered files, so this property compares
 //! the two over random states, with `to_bits` on every `f64` — including
-//! the loads `next_f64` rounds one ulp off `str::parse` (1.14, 1.36).
+//! the loads a naive `int + frac / 100` rounds one ulp off `str::parse`
+//! (1.14, 1.36), which `next_f64` must round as std does.
 
 use cwx_proc::gather::{NodeFiles, NodeReader, NodeSample};
 use cwx_proc::synthetic::{SynthDisk, SynthInterface, SyntheticProc, SyntheticState};
@@ -14,8 +15,8 @@ use proptest::prelude::*;
 
 const COUNTER_MAX: u64 = 1 << 53;
 
-/// Loads that `{:.2}` + `next_f64` do not round-trip exactly, or that
-/// sit on a rounding boundary of `{:.2}` itself.
+/// Loads that `int + frac / 100` misrounds, or that sit on a rounding
+/// boundary of `{:.2}` itself.
 const AWKWARD_LOADS: [f64; 5] = [1.14, 1.36, 2.675, 0.005, 999.995];
 
 /// A load in [0, 1000): an awkward one, a two-decimal one, or any.
@@ -145,8 +146,9 @@ proptest! {
     }
 }
 
-/// The loads `next_f64` misrounds keep their (wrong) text-path bits, and
-/// a default node ticking for a day agrees at every step.
+/// The loads a naive parse misrounds keep their text-path bits on the
+/// values path, and a default node ticking for a day agrees at every
+/// step.
 #[test]
 fn misrounded_loads_and_a_ticking_node_agree() {
     let proc_ = SyntheticProc::default();
