@@ -41,8 +41,6 @@ pub struct ClusterConfig {
     pub workload: WorkloadMix,
     /// Delta consolidation in the agents (off = E7 ablation).
     pub delta_enabled: bool,
-    /// Report compression in the agents.
-    pub compress: bool,
     /// Power nodes on automatically at t = 0.
     pub autostart: bool,
     /// Nodes with a bad DIMM: their boots fail the memory check.
@@ -104,7 +102,6 @@ impl Default for ClusterConfig {
             firmware: Firmware::LinuxBios,
             workload: WorkloadMix::Mixed,
             delta_enabled: true,
-            compress: true,
             autostart: true,
             bad_memory_nodes: Vec::new(),
             store: None,
@@ -127,7 +124,7 @@ mod tests {
         assert!(c.n_nodes > 0);
         assert!(c.agent_interval.as_secs_f64() >= c.hw_step.as_secs_f64());
         assert_eq!(c.firmware, Firmware::LinuxBios);
-        assert!(c.delta_enabled && c.compress && c.autostart);
+        assert!(c.delta_enabled && c.autostart);
     }
 
     #[test]
