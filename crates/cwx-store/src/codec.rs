@@ -197,7 +197,7 @@ fn decimal_exponent(values: &[f64]) -> Option<usize> {
 /// whichever order and grouping the readings are summed in, and a
 /// column of such sums is stored as scaled-integer deltas. One pass:
 /// raising `e` rescales the running `Σm` by 10, which is what the
-/// values summed so far scale to (see [`decimal_exponent`]).
+/// values summed so far scale to (see `decimal_exponent`).
 pub fn decimal_sum(values: impl IntoIterator<Item = f64>) -> Option<f64> {
     let (mut e, mut sum) = (0usize, 0i64);
     for v in values {
