@@ -134,8 +134,8 @@ type SnapshotPin = (&'static str, &'static [f64], u64, usize, u64, u64);
 
 #[rustfmt::skip]
 const SNAPSHOT_PINS: [SnapshotPin; 2] = [
-    ("hardware-grief.toml",       &[],      600_000_000_000, 70_846,  0x73b0_671e_d96b_2f6b, 0x6e78_a036_a6d9_3673),
-    ("federation-partition.toml", &[333.0], 340_000_000_000, 116_365, 0x8529_2ecc_554e_efc9, 0xe25b_6cf6_e346_f12c),
+    ("hardware-grief.toml",       &[],      600_000_000_000, 70_846,  0x4206_e147_90a4_1438, 0x6e78_a036_a6d9_3673),
+    ("federation-partition.toml", &[333.0], 340_000_000_000, 116_365, 0x7c16_5c60_5620_f0a7, 0xe25b_6cf6_e346_f12c),
 ];
 
 /// Snapshot files outlive the build that wrote them: a capture must
