@@ -304,14 +304,15 @@ pub enum AuditEntry {
         /// What failed.
         what: String,
     },
-    /// An ingest lane's flush queue filled: connections feeding it were
-    /// paused (explicit backpressure, never an unbounded buffer or a
-    /// stalled thread).
+    /// A hand-over took an ingest lane's inbox to its cap: connections
+    /// feeding the lane were paused until its flush worker takes what
+    /// accumulated (explicit backpressure, never an unbounded buffer or
+    /// a stalled thread).
     IngestBackpressure {
         /// The backpressured ingest lane / store shard.
         lane: usize,
-        /// Batches queued at the moment the bound tripped.
-        queued: usize,
+        /// Numeric samples the inbox held when the cap tripped.
+        samples: usize,
     },
     /// An ingest connection was closed by policy rather than by its
     /// peer (slow consumer, oversized frame, garbage flood). The
@@ -538,9 +539,9 @@ impl ControlPlane {
     }
 
     /// Log an ingest-lane backpressure trip (the lane's connections are
-    /// being paused until its flush queue drains).
-    pub fn audit_ingest_backpressure(&mut self, now: SimTime, lane: usize, queued: usize) {
-        self.record(now, None, AuditEntry::IngestBackpressure { lane, queued });
+    /// being paused until its flush worker empties the inbox).
+    pub fn audit_ingest_backpressure(&mut self, now: SimTime, lane: usize, samples: usize) {
+        self.record(now, None, AuditEntry::IngestBackpressure { lane, samples });
     }
 
     /// Log a policy eviction of an ingest connection.

@@ -8,28 +8,30 @@
 //! [`crate::ingest`] plane, reconnecting (with
 //! [`cwx_monitor::agent::Agent::resync`]) if the link drops. Tier 2 is
 //! the ingest server's readiness-driven reactor, which decodes each
-//! connection's frames; its flush workers commit them to a shared
-//! [`Server`] behind a `parking_lot::RwLock` through
+//! connection's frames and appends them to its lane's inbox; the lane's
+//! flush worker takes whatever accumulated there and commits it to a
+//! shared [`Server`] behind a `parking_lot::RwLock` through
 //! [`crate::server::commit`], the function the simulator's delivery
-//! event calls too. Tier 3: any
-//! number of client threads read the lock concurrently ("multiple
-//! clients access the ClusterWorX server at the same time without
-//! conflict").
+//! event calls too. Tier 3: any number of client threads read the lock
+//! concurrently ("multiple clients access the ClusterWorX server at the
+//! same time without conflict").
 //!
 //! The server's history is the store the caller hands in
 //! ([`RealTimeConfig::store`]): an in-memory [`MemStore`] ring by
 //! default, or a [`cwx_store::disk::DiskStore`] the caller opened, which
 //! a restart over the same directory recovers. `commit` batch-appends
 //! samples to it at each report's gather time outside the server lock,
-//! and takes the server write lock only for event evaluation. Slow consumers are tested by handing in a store that is
-//! slow to take writes; the deployment itself has no stall hook.
+//! and takes the server write lock only for event evaluation. Slow
+//! consumers are tested by handing in a store that is slow to take
+//! writes; the deployment itself has no stall hook.
 //!
-//! Backpressure is end-to-end and bounded at every hop: lane flush
-//! queues are bounded (a full queue pauses the offending connections
-//! and audits [`crate::actions::AuditEntry::IngestBackpressure`]),
-//! paused sockets push back on agents through the TCP window, and
-//! agents block in `write` rather than dropping or buffering
-//! unboundedly.
+//! Backpressure is end-to-end and bounded at every hop: each lane's
+//! inbox is capped (the hand-over that reaches the cap pauses the
+//! lane's connections and audits
+//! [`crate::actions::AuditEntry::IngestBackpressure`] until the flush
+//! worker takes what accumulated), paused sockets push back on agents
+//! through the TCP window, and agents block in `write` rather than
+//! dropping or buffering unboundedly.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -337,11 +339,6 @@ fn apply_rt_effect(
     }
 }
 
-/// Bound of each ingest lane's flush queue, in batches; a full queue
-/// pauses (backpressures) the connections feeding that lane rather than
-/// dropping reports.
-const LANE_QUEUE_BATCHES: usize = 64;
-
 impl RealTimeDeployment {
     /// Start the threads.
     pub fn start(cfg: RealTimeConfig) -> Self {
@@ -358,7 +355,6 @@ impl RealTimeDeployment {
         let ingest = IngestServer::start(
             IngestConfig {
                 listen: cfg.listen,
-                lane_queue_batches: LANE_QUEUE_BATCHES,
                 ..IngestConfig::default()
             },
             Arc::clone(&server),
@@ -508,7 +504,7 @@ mod tests {
         let (sent, ingested) = dep.shutdown();
 
         assert!(sent > 6 * 5, "agents produced work: {sent}");
-        assert_eq!(sent, ingested, "bounded channel delivered every report");
+        assert_eq!(sent, ingested, "the lane inbox delivered every report");
         assert_eq!(reads, 50);
         let s = server.read();
         assert_eq!(s.stats().decode_errors, 0);

@@ -8,7 +8,8 @@ use cwx_util::time::SimTime;
 
 /// A history store that is slow to take writes: an `append_batch`
 /// carrying a stalled node's samples sleeps `per_report` for each report
-/// in it, then hands the batch to the inner store. Put behind the ingest
+/// in it (until [`SlowStore::release`]), then hands the batch to the
+/// inner store. Put behind the ingest
 /// lanes, it is the slow consumer the backpressure tests need; reads go
 /// straight through.
 #[derive(Debug)]
@@ -44,9 +45,66 @@ impl Store for SlowStore {
                 .chunk_by(|a, b| a.node == b.node && a.time == b.time)
                 .count()
                 .max(1);
-            let per_report = self.per_report_nanos.load(Ordering::Relaxed);
-            std::thread::sleep(Duration::from_nanos(per_report) * reports as u32);
+            // a report at a time, so a release cuts a stall short
+            for _ in 0..reports {
+                match self.per_report_nanos.load(Ordering::Relaxed) {
+                    0 => break,
+                    nanos => std::thread::sleep(Duration::from_nanos(nanos)),
+                }
+            }
         }
+        self.inner.append_batch(batch);
+    }
+
+    fn latest(&self, node: u32, monitor: &str) -> Option<Sample> {
+        self.inner.latest(node, monitor)
+    }
+
+    fn range(&self, node: u32, monitor: &str, from: SimTime, to: SimTime) -> Vec<Sample> {
+        self.inner.range(node, monitor, from, to)
+    }
+
+    fn series(&self) -> Vec<(u32, String)> {
+        self.inner.series()
+    }
+
+    fn forget_node(&self, node: u32) {
+        self.inner.forget_node(node)
+    }
+
+    fn total_samples(&self) -> u64 {
+        self.inner.total_samples()
+    }
+}
+
+/// A history store with a fatal bug for one node: an `append_batch`
+/// carrying `node`'s samples panics, killing the flush worker that
+/// called it. Every other batch goes through to the inner store.
+#[derive(Debug)]
+#[allow(dead_code)] // each test binary compiles this module; not all use it
+pub struct PanickingStore {
+    inner: Box<dyn Store>,
+    node: u32,
+}
+
+#[allow(dead_code)]
+impl PanickingStore {
+    /// Panic on every batch that carries `node`'s samples.
+    pub fn new(inner: impl Store + 'static, node: u32) -> Self {
+        PanickingStore {
+            inner: Box::new(inner),
+            node,
+        }
+    }
+}
+
+impl Store for PanickingStore {
+    fn append_batch(&self, batch: &[BatchSample<'_>]) {
+        assert!(
+            batch.iter().all(|s| s.node != self.node),
+            "store bug: a batch carrying node {} cannot be written",
+            self.node
+        );
         self.inner.append_batch(batch);
     }
 

@@ -19,11 +19,10 @@ fn stalled_server_applies_backpressure_without_drops() {
     // a deliberately slow store behind the flush worker: the reactor
     // must pause the offending connections (backpressure, audited)
     // rather than drop or balloon, agents block in the TCP window, and
-    // shutdown still drains every buffered report. The backlog first
-    // grows the lane's batch up to its burst cap, so the queue fills
-    // only once capped batches pile up behind the stalled worker: wait
-    // for that rather than a fixed time. The queue holds as many batches
-    // as a live deployment's, so the fleet is big enough to fill it in
+    // shutdown still drains every buffered report. The backlog piles
+    // up in the lane's inbox behind the stalled worker and trips only at
+    // the inbox's cap: wait for that rather than a fixed time. The cap is
+    // a live deployment's, so the fleet is big enough to reach it in
     // seconds.
     let store = Arc::new(SlowStore::new(
         MemStore::new(4096),
@@ -48,7 +47,7 @@ fn stalled_server_applies_backpressure_without_drops() {
     assert!(sent > 0, "agents made progress despite the stall");
     assert_eq!(sent, ingested, "backpressure means blocked, never dropped");
     assert_eq!(server.read().stats().reports_rx, ingested);
-    // the lane bound held the backlog: the flush queue filled and
+    // the lane bound held the backlog: the inbox reached its cap and
     // tripped backpressure instead of buffering without limit, and
     // nobody was evicted (the pause bound is far away)
     assert!(stats.backpressure_trips > 0, "lane backpressure tripped");

@@ -4,11 +4,11 @@
 //! evolves its own thermal/workload state from its own RNG — but the
 //! simulation demands bit-for-bit reproducibility regardless of how many
 //! worker threads run it. [`step_fleet`] delivers both: nodes are split
-//! into contiguous index shards, each shard is stepped on its own scoped
-//! thread, and the per-shard outputs are concatenated in shard order,
-//! which (because shards are contiguous and in-order) *is* node-id
-//! order. The caller then applies outputs single-threaded, so handler
-//! semantics never see concurrency.
+//! into contiguous index shards, each shard is stepped on its own
+//! `std::thread::scope` thread, and the per-shard outputs are
+//! concatenated in shard order, which (because shards are contiguous and
+//! in-order) *is* node-id order. The caller then applies outputs
+//! single-threaded, so handler semantics never see concurrency.
 
 /// Step every item, optionally across `shards` scoped threads, and
 /// return the non-`None` outputs tagged with their item index, in index
@@ -34,13 +34,13 @@ where
     let shards = shards.min(n);
     let chunk = n.div_ceil(shards);
     let step = &step;
-    let per_shard: Vec<Vec<(u32, Out)>> = crossbeam::thread::scope(|s| {
+    let per_shard: Vec<Vec<(u32, Out)>> = std::thread::scope(|s| {
         let handles: Vec<_> = items
             .chunks_mut(chunk)
             .enumerate()
             .map(|(k, slice)| {
                 let base = (k * chunk) as u32;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut out = Vec::new();
                     for (j, item) in slice.iter_mut().enumerate() {
                         let id = base + j as u32;
@@ -56,8 +56,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("fleet shard panicked"))
             .collect()
-    })
-    .expect("fleet scope panicked");
+    });
     per_shard.into_iter().flatten().collect()
 }
 
