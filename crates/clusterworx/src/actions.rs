@@ -304,18 +304,22 @@ pub enum AuditEntry {
         /// What failed.
         what: String,
     },
-    /// A hand-over took an ingest lane's inbox to its cap: connections
-    /// feeding the lane were paused until its flush worker takes what
+    /// A hand-over took an ingest lane's inbox to its cap
+    /// ([`crate::ingest::LANE_CAP_BYTES`] of frames): connections feeding
+    /// the lane were paused until its flush worker takes what
     /// accumulated (explicit backpressure, never an unbounded buffer or
     /// a stalled thread).
     IngestBackpressure {
         /// The backpressured ingest lane / store shard.
         lane: usize,
-        /// Numeric samples the inbox held when the cap tripped.
-        samples: usize,
+        /// Frame bytes (length prefixes included) the inbox held when
+        /// the cap tripped: at least the cap, at most the cap plus one
+        /// connection's read.
+        bytes: usize,
     },
     /// An ingest connection was closed by policy rather than by its
-    /// peer (slow consumer, oversized frame, garbage flood). The
+    /// peer (slow consumer, oversized frame, garbage flood, still open
+    /// at the drain deadline). The
     /// record's `node` carries the agent when it had identified itself.
     ConnectionEvicted {
         /// Why the connection was evicted.
@@ -540,8 +544,8 @@ impl ControlPlane {
 
     /// Log an ingest-lane backpressure trip (the lane's connections are
     /// being paused until its flush worker empties the inbox).
-    pub fn audit_ingest_backpressure(&mut self, now: SimTime, lane: usize, samples: usize) {
-        self.record(now, None, AuditEntry::IngestBackpressure { lane, samples });
+    pub fn audit_ingest_backpressure(&mut self, now: SimTime, lane: usize, bytes: usize) {
+        self.record(now, None, AuditEntry::IngestBackpressure { lane, bytes });
     }
 
     /// Log a policy eviction of an ingest connection.
