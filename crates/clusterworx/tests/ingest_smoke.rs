@@ -16,6 +16,9 @@ use cwx_store::Store;
 use cwx_util::time::SimDuration;
 use parking_lot::{Mutex, RwLock};
 
+mod common;
+use common::assert_ledger_balances;
+
 fn smoke(conns: usize, frames_per_conn: u64, keys: usize) {
     let _ = cwx_net::reactor::raise_nofile_limit();
     let dir =
@@ -65,8 +68,9 @@ fn smoke(conns: usize, frames_per_conn: u64, keys: usize) {
     assert_eq!(sent.frames_sent, conns as u64 * frames_per_conn);
     assert_eq!(sent.write_errors, 0, "no evictions under healthy load");
 
-    let ingested = ingest.shutdown();
-    assert_eq!(ingested, sent.frames_sent, "every frame ingested");
+    let ingested = ingest.stop();
+    assert_ledger_balances(&ingested);
+    assert_eq!(ingested.reports, sent.frames_sent, "every frame ingested");
     store.flush_all().unwrap();
     assert_eq!(
         store.total_samples(),

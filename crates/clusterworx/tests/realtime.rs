@@ -12,7 +12,7 @@ use cwx_store::Store;
 use cwx_util::time::SimTime;
 
 mod common;
-use common::SlowStore;
+use common::{assert_ledger_balances, SlowStore};
 
 #[test]
 fn stalled_server_applies_backpressure_without_drops() {
@@ -21,9 +21,9 @@ fn stalled_server_applies_backpressure_without_drops() {
     // rather than drop or balloon, agents block in the TCP window, and
     // shutdown still drains every buffered report. The backlog piles
     // up in the lane's inbox behind the stalled worker and trips only at
-    // the inbox's cap: wait for that rather than a fixed time. The cap is
-    // a live deployment's, so the fleet is big enough to reach it in
-    // seconds.
+    // the inbox's cap: wait for that rather than a fixed time. The cap
+    // counts frame bytes, so the agents' consolidated reports, which
+    // carry a value or two each, reach it in seconds.
     let store = Arc::new(SlowStore::new(
         MemStore::new(4096),
         Duration::from_millis(5),
@@ -43,7 +43,9 @@ fn stalled_server_applies_backpressure_without_drops() {
     let stats = dep.ingest_stats();
     // the store catches up, so shutdown drains the backlog at full speed
     store.release();
-    let (sent, ingested) = dep.shutdown();
+    let (sent, ingest) = dep.shutdown();
+    assert_ledger_balances(&ingest);
+    let ingested = ingest.reports;
     assert!(sent > 0, "agents made progress despite the stall");
     assert_eq!(sent, ingested, "backpressure means blocked, never dropped");
     assert_eq!(server.read().stats().reports_rx, ingested);
@@ -75,9 +77,10 @@ fn persistent_deployment_recovers_after_restart() {
     let store = open();
     let dep = RealTimeDeployment::start(cfg(&store));
     std::thread::sleep(Duration::from_millis(300));
-    let (sent, ingested) = dep.shutdown();
+    let (sent, ingest) = dep.shutdown();
+    assert_ledger_balances(&ingest);
     assert!(sent > 0);
-    assert_eq!(sent, ingested);
+    assert_eq!(sent, ingest.reports);
     drop(store);
 
     // "restart": a fresh deployment over the same directory sees the
@@ -104,6 +107,6 @@ fn persistent_deployment_recovers_after_restart() {
             "history visible for restarted cluster"
         );
     }
-    dep.shutdown();
+    assert_ledger_balances(&dep.shutdown().1);
     let _ = std::fs::remove_dir_all(dir);
 }

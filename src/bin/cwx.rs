@@ -677,10 +677,10 @@ fn cmd_fed_join(args: &Args) -> Result<i32, String> {
         r
     })
     .map_err(|e| format!("could not reach head at {head_addr}: {e}"))?;
-    let (sent, ingested) = dep.shutdown();
+    let (sent, ingest) = dep.shutdown();
     println!(
         "done: {} exports | {} commands applied | {} reconnects | local stack {} sent / {} ingested",
-        stats.exports, stats.commands, stats.reconnects, sent, ingested
+        stats.exports, stats.commands, stats.reconnects, sent, ingest.reports
     );
     Ok(0)
 }
@@ -746,10 +746,11 @@ fn cmd_ingest_serve(args: &Args) -> Result<i32, String> {
         );
     });
     let lat = ingest.latency();
-    let total = ingest.shutdown();
+    let s = ingest.stop();
     println!(
-        "done: {} reports ingested | ingest latency p50 {:.0}us p99 {:.0}us max {:.0}us",
-        total, lat.p50_us, lat.p99_us, lat.max_us
+        "done: {} reports ingested | {} frames = {} queries + {} committed + {} stranded | \
+         ingest latency p50 {:.0}us p99 {:.0}us max {:.0}us",
+        s.reports, s.frames, s.queries, s.committed, s.stranded, lat.p50_us, lat.p99_us, lat.max_us
     );
     Ok(0)
 }
