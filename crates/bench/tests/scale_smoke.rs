@@ -9,9 +9,6 @@
 //! ```
 
 use bench::e11_scale::monitor_load;
-use clusterworx::config::{ClusterConfig, WorkloadMix};
-use clusterworx::Cluster;
-use cwx_util::time::SimDuration;
 
 /// A 2,000-node cluster must simulate 10 minutes of monitoring well
 /// inside CI patience, and the pipeline numbers must stay sane.
@@ -34,31 +31,4 @@ fn two_thousand_nodes_ten_minutes() {
         row.wall_secs
     );
     assert!(row.events_per_sec > 10_000.0, "{row:?}");
-}
-
-/// The parallel hardware step at auto shard count must agree with the
-/// serial step on a fleet big enough to actually shard.
-#[test]
-#[ignore = "scale smoke; run with --ignored in release mode"]
-fn sharded_fleet_matches_serial_at_scale() {
-    let run = |shards: usize| {
-        let mut sim = Cluster::build(ClusterConfig {
-            n_nodes: 1_500,
-            seed: 11,
-            hw_shards: shards,
-            workload: WorkloadMix::Mixed,
-            ..Default::default()
-        });
-        sim.run_for(SimDuration::from_secs(180));
-        let w = sim.world();
-        let temps: Vec<String> = w
-            .nodes
-            .iter()
-            .map(|st| format!("{:.9}", st.hw.temperature_c()))
-            .collect();
-        (w.up_count(), sim.events_executed(), temps)
-    };
-    let serial = run(1);
-    let auto = run(0);
-    assert_eq!(serial, auto, "auto-sharded run diverged from serial");
 }

@@ -51,11 +51,6 @@ pub struct ClusterConfig {
     /// `cwx_store::disk::DiskStore` survives server restarts). `None`
     /// keeps history in the in-memory ring.
     pub store: Option<Arc<dyn Store>>,
-    /// Worker shards for the parallel hardware step (and agent
-    /// sampling). `0` = auto: single-threaded below 1024 nodes, then one
-    /// shard per 256 nodes capped at the machine's parallelism. Results
-    /// are bit-identical for every value — see `cwx_hw::fleet`.
-    pub hw_shards: usize,
     /// Fraction of ICE Box commands lost in transit (fault injection for
     /// the control plane's retry machinery). `0.0` = reliable chassis
     /// link, the default.
@@ -73,23 +68,6 @@ pub struct ClusterConfig {
     pub rack_network: bool,
 }
 
-impl ClusterConfig {
-    /// Resolve [`ClusterConfig::hw_shards`] to a concrete shard count.
-    pub fn effective_hw_shards(&self) -> usize {
-        if self.hw_shards != 0 {
-            return self.hw_shards;
-        }
-        let n = self.n_nodes as usize;
-        if n < 1024 {
-            return 1; // thread setup costs more than it saves
-        }
-        let avail = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        avail.min(n / 256).max(1)
-    }
-}
-
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
@@ -105,7 +83,6 @@ impl Default for ClusterConfig {
             autostart: true,
             bad_memory_nodes: Vec::new(),
             store: None,
-            hw_shards: 0,
             icebox_command_loss: 0.0,
             flap_threshold: 4,
             quarantine_release_after: None,
@@ -125,15 +102,5 @@ mod tests {
         assert!(c.agent_interval.as_secs_f64() >= c.hw_step.as_secs_f64());
         assert_eq!(c.firmware, Firmware::LinuxBios);
         assert!(c.delta_enabled && c.autostart);
-    }
-
-    #[test]
-    fn shard_auto_scaling() {
-        let mut c = ClusterConfig::default();
-        assert_eq!(c.effective_hw_shards(), 1, "small fleets stay inline");
-        c.n_nodes = 10_000;
-        assert!(c.effective_hw_shards() >= 1);
-        c.hw_shards = 3;
-        assert_eq!(c.effective_hw_shards(), 3, "explicit setting wins");
     }
 }

@@ -78,8 +78,8 @@ pub struct NodeState {
     /// Injected monitoring-daemon fault (chaos campaigns); the node's
     /// OS and workload keep running underneath a sick agent.
     pub agent_fault: Option<AgentFault>,
-    /// This node's private noise stream. Independent per-node RNGs make
-    /// the parallel hardware step deterministic for any shard count.
+    /// This node's private noise stream: a node's hardware noise never
+    /// depends on how many other nodes the world has, or on their draws.
     pub rng: StdRng,
 }
 
@@ -202,7 +202,6 @@ impl Cluster {
     /// recurring events. Drive it with `run_for`/`run_until` (the
     /// recurring events never drain the queue).
     pub fn build(cfg: ClusterConfig) -> Sim<World> {
-        let mut rng = seeded_rng(cfg.seed);
         let n = cfg.n_nodes;
         let mut nodes = Vec::with_capacity(n as usize);
         for i in 0..n {
@@ -300,12 +299,9 @@ impl Cluster {
             // command-loss draws get their own stream so enabling loss
             // injection cannot perturb any other random sequence
             cmd_rng: seeded_rng(cfg.seed ^ 0x1ce_b0c5),
-            rng: {
-                // separate stream for firmware boot-plan randomness
-                // (hardware noise lives in the per-node RNGs)
-                let _ = &mut rng;
-                seeded_rng(cfg.seed ^ 0x5eed)
-            },
+            // separate stream for firmware boot-plan randomness
+            // (hardware noise lives in the per-node RNGs)
+            rng: seeded_rng(cfg.seed ^ 0x5eed),
             cfg,
         };
         let mut sim = Sim::new(world);
@@ -346,15 +342,13 @@ fn install_recurring_events(sim: &mut Sim<World>) {
 
 /// Advance the physics of every node and route console output.
 ///
-/// One fleet-wide pass, parallelized over shards: each node evolves from
-/// its own RNG, so shards never contend and the merged event stream is
-/// node-id-ordered regardless of shard count. Events route back through
-/// the sim single-threaded, untouched semantics.
+/// One fleet-wide pass in node-id order: each node evolves from its own
+/// RNG, then the events it emitted route back through the sim in the
+/// same order.
 fn hw_tick(sim: &mut Sim<World>, dt_secs: f64) {
-    let shards = sim.world().cfg.effective_hw_shards();
     let emitted = {
         let w = sim.world_mut();
-        cwx_hw::fleet::step_fleet(&mut w.nodes, shards, |_, st| {
+        cwx_hw::fleet::step_fleet(&mut w.nodes, 1, |_, st| {
             let events = st.hw.advance(dt_secs, &mut st.rng);
             (!events.is_empty()).then_some(events)
         })
@@ -383,10 +377,10 @@ fn route_hw_events(sim: &mut Sim<World>, node: u32, events: Vec<HwEvent>) {
 
 /// Run every live agent and ship its report to the server.
 ///
-/// Report *generation* (sampling `/proc`, consolidation, encoding) is
-/// per-node work and runs through the same sharded fleet pass as the
-/// hardware step; the shared network stays single-threaded, fed in
-/// node-id order, and each delivery is a [`deliver_report`] event.
+/// Report *generation* (sampling `/proc`, consolidation, encoding) runs
+/// as one fleet pass in node-id order, like the hardware step; the
+/// shared network is then fed in the same order, and each delivery is a
+/// [`deliver_report`] event.
 fn agent_tick(sim: &mut Sim<World>) {
     let now = sim.now();
     // clear daemon faults that expired on their own (a timed hang); the
@@ -402,10 +396,9 @@ fn agent_tick(sim: &mut Sim<World>) {
             }
         }
     }
-    let shards = sim.world().cfg.effective_hw_shards();
     let reports = {
         let w = sim.world_mut();
-        cwx_hw::fleet::step_fleet(&mut w.nodes, shards, |_, st| {
+        cwx_hw::fleet::step_fleet(&mut w.nodes, 1, |_, st| {
             if !st.hw.is_up() {
                 return None;
             }

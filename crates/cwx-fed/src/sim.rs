@@ -446,4 +446,48 @@ mod tests {
         assert_eq!(serial.head().stats().commands_delivered, 1);
         assert_eq!(serial.sub_sim(1).world().up_count(), 5);
     }
+
+    /// The `sim_fleet` benchmark's round (`SIM_FLEET` in
+    /// `cwxbench/src/simfleet.rs`, at its default seed 1): 4 × 1250
+    /// nodes, 60 s of boot, then 100 s with cluster 2 cut off from
+    /// +10 s to +60 s. One and two step threads must agree on the head
+    /// audit hash after every epoch and on every captured byte at the
+    /// end (a capture digests each node's history, so one per epoch
+    /// would cost more than the round), and the round must end on the
+    /// audit hash the benchmark prints.
+    #[test]
+    #[ignore = "4 x 1250 nodes; run with --ignored in release mode"]
+    fn benchmark_round_is_pinned() {
+        const PINNED: u64 = 0xe83d_ac3b_c7ef_c3cc;
+        const BOOT_EPOCHS: u64 = 6;
+        let (cut, heal) = (BOOT_EPOCHS + 1, BOOT_EPOCHS + 6);
+        let build = || FederationSim::build(FederationConfig::uniform(4, 1250, 1));
+        let mut feds = [(1, build()), (2, build())];
+        for k in 0..BOOT_EPOCHS + 10 {
+            for (threads, fed) in &mut feds {
+                if k == cut {
+                    fed.disconnect(2);
+                }
+                if k == heal {
+                    fed.heal(2);
+                }
+                let target = fed.now() + fed.uplink_interval();
+                fed.epoch(target, *threads);
+            }
+            assert_eq!(
+                feds[1].1.head().audit_hash(),
+                feds[0].1.head().audit_hash(),
+                "epoch {k}: 2 threads diverged from 1"
+            );
+        }
+        assert!(
+            feds[1].1.capture_sections() == feds[0].1.capture_sections(),
+            "2 threads captured other bytes than 1"
+        );
+        let fed = &feds[0].1;
+        assert_eq!(fed.aggregate().counts, fed.sub_counts_sum(), "census");
+        assert_eq!(fed.aggregate().counts.up, 5000, "every node up");
+        let hash = fed.head().audit_hash();
+        assert_eq!(hash, PINNED, "head audit hash is {hash:016x}");
+    }
 }
