@@ -251,21 +251,55 @@ fn downsample(
     out
 }
 
+/// First line of every [`export_node_csv`] rendering.
+const CSV_HEADER: &str = "monitor,time_secs,value\n";
+
 /// Export every series of a node as CSV (`monitor,time_secs,value`) —
 /// the egress path for external charting tools (`cwx simulate
 /// --dump-history`) and the digest a snapshot's `store` section holds.
 pub fn export_node_csv(history: &dyn Store, node: u32) -> String {
-    use std::fmt::Write;
-    let mut out = String::from("monitor,time_secs,value\n");
+    let mut out = String::from(CSV_HEADER);
     for (n, key) in history.series() {
-        if n != node {
-            continue;
-        }
-        for s in history.range(n, &key, SimTime::ZERO, SimTime::MAX) {
-            let _ = writeln!(out, "{},{:.3},{}", key, s.time.as_secs_f64(), s.value);
+        if n == node {
+            push_series_csv(&mut out, history, n, &key);
         }
     }
     out
+}
+
+/// [`export_node_csv`] for every node in `0..nodes`, from one walk of
+/// `series` (the store's [`Store::series`] list): `each` gets the nodes'
+/// CSV texts in node order, byte for byte what `export_node_csv` renders.
+/// A snapshot capture digests every node; a walk of the series list per
+/// node made it quadratic in the node count.
+pub fn for_each_node_csv(
+    history: &dyn Store,
+    series: &[(u32, String)],
+    nodes: u32,
+    mut each: impl FnMut(&str),
+) {
+    let mut by_node: Vec<Vec<&str>> = vec![Vec::new(); nodes as usize];
+    for (n, key) in series {
+        if let Some(keys) = by_node.get_mut(*n as usize) {
+            keys.push(key);
+        }
+    }
+    let mut out = String::new();
+    for (node, keys) in (0..nodes).zip(&by_node) {
+        out.clear();
+        out.push_str(CSV_HEADER);
+        for key in keys {
+            push_series_csv(&mut out, history, node, key);
+        }
+        each(&out);
+    }
+}
+
+fn push_series_csv(out: &mut String, history: &dyn Store, node: u32, key: &str) {
+    use std::fmt::Write;
+    for s in history.range(node, key, SimTime::ZERO, SimTime::MAX) {
+        let _ = writeln!(out, "{},{:.3},{}", key, s.time.as_secs_f64(), s.value);
+    }
 }
 
 #[cfg(test)]
@@ -431,5 +465,20 @@ mod tests {
              mem.free,5.000,1000\n"
         );
         assert_eq!(export_node_csv(&h, 9), "monitor,time_secs,value\n");
+    }
+
+    #[test]
+    fn one_walk_renders_what_export_node_csv_renders() {
+        let h = MemStore::new(10);
+        h.append(3, "mem.free", t(5), 7.0);
+        h.append(1, "mem.free", t(5), 1000.0);
+        h.append(1, "cpu.util_pct", t(10), 43.0);
+        h.append(1, "cpu.util_pct", t(5), 42.5);
+        h.append(9, "cpu.util_pct", t(5), 1.0); // past `nodes`: not visited
+        let mut got = Vec::new();
+        for_each_node_csv(&h, &h.series(), 4, |csv| got.push(csv.to_string()));
+        let want: Vec<String> = (0..4).map(|n| export_node_csv(&h, n)).collect();
+        assert_eq!(got, want);
+        assert_eq!(got[0], "monitor,time_secs,value\n", "a node with no series");
     }
 }
