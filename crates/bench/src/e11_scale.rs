@@ -32,7 +32,7 @@ pub struct ScaleRow {
     pub wall_secs: f64,
     /// Simulation events dispatched per wall-clock second over the
     /// measured window — the engine-throughput column that shows the
-    /// timing-wheel scheduler holding up as the cluster grows.
+    /// event queue holding up as the cluster grows.
     pub events_per_sec: f64,
 }
 

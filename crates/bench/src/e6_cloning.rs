@@ -43,7 +43,7 @@ pub struct SweepPoint {
     pub multicast: CloneReport,
     /// Unicast baseline. Runs at every node count — the ~N× event
     /// volume that used to force a skip above 100 nodes is cheap under
-    /// the timing-wheel engine, so the sweep shows the multicast gap
+    /// the slab-backed event engine, so the sweep shows the multicast gap
     /// all the way out to the paper's 400-node scale.
     pub unicast: CloneReport,
 }

@@ -659,7 +659,7 @@ fn apply_effect(sim: &mut Sim<World>, effect: Effect) {
 }
 
 /// Cancel every in-flight boot-sequence event for a node (energize,
-/// console phases, boot completion). O(1) per event in the wheel; stale
+/// console phases, boot completion). O(1) per event in the engine; stale
 /// ids that already fired are rejected by their generation check, so
 /// draining the whole list is always safe.
 fn cancel_boot_events(sim: &mut Sim<World>, node: u32) {

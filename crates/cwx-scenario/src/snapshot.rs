@@ -49,7 +49,7 @@ pub fn mode_byte(m: &Manifest) -> u8 {
 /// instant.
 ///
 /// Which faults count is mode-specific, and honestly so. A chaos
-/// campaign schedules its **entire** fault list into the event wheel
+/// campaign schedules its **entire** fault list into the event queue
 /// at build time, so even a fault that fires after `t_nanos` is
 /// already pending engine state at the snapshot — all faults are
 /// identity. A federation runner applies faults externally as it
