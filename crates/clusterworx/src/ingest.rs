@@ -34,10 +34,11 @@
 //! whose worker has landed no slice for as long — a stalled store, or a
 //! dead worker, holding the lane hostage — is evicted with
 //! [`AuditEntry::ConnectionEvicted`](crate::actions::AuditEntry::ConnectionEvicted)
-//! while every other lane keeps flowing. Oversized frames and garbage
-//! floods (more than [`MAX_DECODE_ERRORS`] undecodable frames) evict the
-//! same way, and so does every connection still open at the drain
-//! deadline.
+//! while every other lane keeps flowing. Oversized frames, garbage
+//! floods (more than [`MAX_DECODE_ERRORS`] undecodable frames) and a
+//! `CWB1` delta the connection's decoder refuses as desynced (a skipped
+//! `seq`: the agent's reconnect sends a reset frame) evict the same
+//! way, and so does every connection still open at the drain deadline.
 //!
 //! Every frame read is accounted for at shutdown: it is a `CWQ1` query,
 //! an arrival a worker committed, or one a dead worker left uncommitted
@@ -65,7 +66,7 @@ use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use cwx_monitor::monitor::Value;
-use cwx_monitor::transmit::{Report, WireDecoder};
+use cwx_monitor::transmit::{Report, WireDecoder, WireError};
 use cwx_net::conns::{ConnEvent, ConnId, ConnTable};
 use cwx_net::frame::{ConnError, ConnLimits, ReadState, LEN_PREFIX};
 use cwx_net::reactor::Waker;
@@ -795,6 +796,9 @@ struct Peer {
     /// The lane that node routes to (pause/resume granularity).
     lane: Option<usize>,
     decode_errors: u64,
+    /// The first delta the decoder refused as desynced: the connection
+    /// is evicted, and its agent reconnects with a reset frame.
+    desynced: Option<WireError>,
 }
 
 type Conn = cwx_net::conns::Conn<Peer>;
@@ -973,15 +977,23 @@ impl Reactor {
                 return;
             }
             let report = peer.decoder.decode_auto(frame);
+            let node = match &report {
+                Ok(report) => Some(report.node),
+                Err(e) => e.refused_node(),
+            };
+            if let Some(node) = node {
+                peer.node = Some(node);
+                peer.lane = Some((node / nodes_per_group) as usize % n_lanes);
+            }
             match &report {
-                Ok(report) => {
-                    peer.node = Some(report.node);
-                    peer.lane = Some((report.node / nodes_per_group) as usize % n_lanes);
+                Err(e @ WireError::Desynced { .. }) => {
+                    peer.desynced.get_or_insert_with(|| e.clone());
                 }
-                Err(_) => {
+                Err(e) if e.refused_node().is_none() => {
                     shared.decode_errors.fetch_add(1, Ordering::Relaxed);
                     peer.decode_errors += 1;
                 }
+                _ => {}
             }
             let staged = &mut lanes[peer.lane.unwrap_or(0)].staged;
             staged.bytes += frame.len() + LEN_PREFIX;
@@ -995,6 +1007,14 @@ impl Reactor {
             return Err(ConnError::Io(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "garbage flood: too many undecodable frames",
+            )));
+        }
+        // TCP neither loses nor repeats: a gap means the agent dropped a
+        // report, and only a new connection's reset frame repairs it
+        if let Some(e) = &conn.state.desynced {
+            return Err(ConnError::Io(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("desynced: {e}"),
             )));
         }
         Ok(state)

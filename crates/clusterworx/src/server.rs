@@ -63,6 +63,10 @@ pub struct ServerStats {
     pub values_rx: u64,
     /// Reports that failed to decode.
     pub decode_errors: u64,
+    /// Well-formed reports the channel's sequence check refused (a
+    /// duplicate, or a delta after a lost one): nothing stored, but
+    /// each proved its node alive.
+    pub refused: u64,
     /// Actions queued for execution.
     pub actions: u64,
 }
@@ -117,7 +121,8 @@ pub struct Arrival {
 /// contents are a pure function of the agent traffic. The samples go to
 /// `store` as one batch outside the server borrow. Then `server` is
 /// borrowed once: [`Server::ingest_report_events_only`] per report,
-/// [`Server::note_decode_error`] per failure. The event engine never
+/// [`Server::note_refused`] per frame the sequence check refused,
+/// [`Server::note_decode_error`] per other failure. The event engine never
 /// reads history, so evaluating after the append sees what evaluating
 /// between appends saw. Returns the samples appended.
 pub fn commit<S: DerefMut<Target = Server>>(
@@ -148,7 +153,10 @@ pub fn commit<S: DerefMut<Target = Server>>(
     for a in arrivals {
         match &a.report {
             Ok(report) => srv.ingest_report_events_only(a.recv, report, a.wire),
-            Err(_) => srv.note_decode_error(a.wire),
+            Err(e) => match e.refused_node() {
+                Some(node) => srv.note_refused(a.recv, node, a.wire),
+                None => srv.note_decode_error(a.wire),
+            },
         }
     }
     batch.len()
@@ -312,14 +320,7 @@ impl Server {
     pub fn ingest_report_events_only(&mut self, now: SimTime, report: &Report, wire_bytes: usize) {
         self.stats.bytes_rx += wire_bytes as u64;
         self.stats.reports_rx += 1;
-        let entry = self.status.entry(report.node).or_insert(NodeStatus {
-            last_report: now,
-            reports: 0,
-            reachable: true,
-        });
-        entry.last_report = now;
-        entry.reports += 1;
-        entry.reachable = true;
+        self.heard_from(now, report.node).reports += 1;
         for (key, value) in &report.values {
             self.stats.values_rx += 1;
             if let Value::Num(x) = value {
@@ -333,6 +334,26 @@ impl Server {
     pub fn note_decode_error(&mut self, wire_bytes: usize) {
         self.stats.bytes_rx += wire_bytes as u64;
         self.stats.decode_errors += 1;
+    }
+
+    /// Account a frame from `node` that the channel's sequence check
+    /// refused: nothing is stored or evaluated, but the node is alive.
+    pub fn note_refused(&mut self, now: SimTime, node: u32, wire_bytes: usize) {
+        self.stats.bytes_rx += wire_bytes as u64;
+        self.stats.refused += 1;
+        self.heard_from(now, node);
+    }
+
+    /// Liveness: `node` was heard from at `now`.
+    fn heard_from(&mut self, now: SimTime, node: u32) -> &mut NodeStatus {
+        let entry = self.status.entry(node).or_insert(NodeStatus {
+            last_report: now,
+            reports: 0,
+            reachable: true,
+        });
+        entry.last_report = now;
+        entry.reachable = true;
+        entry
     }
 
     /// Feed one out-of-band observation (ICE Box probe path — works even
@@ -468,6 +489,26 @@ mod tests {
         ingest(&mut s, t(1), b"definitely not a report");
         assert_eq!(s.stats().decode_errors, 1);
         assert_eq!(s.stats().reports_rx, 0);
+    }
+
+    #[test]
+    fn a_refused_report_proves_liveness_and_stores_nothing() {
+        let mut s = server();
+        let mut dec = WireDecoder::new();
+        let payload = encode_compressed(&report(7, 55.0));
+        for now in [t(1), t(50)] {
+            let report = dec.decode_auto(&payload);
+            commit_one(&mut s, now, payload.len(), report);
+        }
+        let st = s.stats();
+        assert_eq!((st.reports_rx, st.refused, st.decode_errors), (1, 1, 0));
+        assert_eq!(st.bytes_rx, 2 * payload.len() as u64);
+        assert_eq!(s.history().total_samples(), 2, "one copy stored");
+        let status = s.node_status(7).unwrap();
+        assert_eq!((status.last_report, status.reports), (t(50), 1));
+        // stale after 30 s: the stored copy is 59 s old, the refused 10 s
+        s.housekeeping(t(60));
+        assert!(s.node_status(7).unwrap().reachable);
     }
 
     #[test]

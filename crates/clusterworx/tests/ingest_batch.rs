@@ -4,7 +4,8 @@
 //! per value: record at the gather time, then observe at the receive
 //! time — on the volatile backend and on the persistent one, including
 //! when the network delivers a report twice (the `DuplicatedReports`
-//! fault).
+//! fault): the channel's decoder refuses the second copy, so the loop
+//! stores and observes each report once.
 
 use std::sync::Arc;
 
@@ -107,6 +108,8 @@ fn assert_batched_ingest_matches(history: Arc<dyn Store>, reference_history: Arc
     let mut batched = server(Arc::clone(&history));
     let mut reference = server(Arc::new(MemStore::new(1)));
     let mut decoder = WireDecoder::new();
+    let mut seen = std::collections::HashSet::new();
+    let mut repeats = 0;
     for (now, payload) in traffic() {
         let arrival = Arrival {
             recv: now,
@@ -115,6 +118,10 @@ fn assert_batched_ingest_matches(history: Arc<dyn Store>, reference_history: Arc
         };
         commit(&*history, &[arrival], || &mut batched);
         let report = transmit::decode_auto(&payload).unwrap();
+        if !seen.insert((report.node, report.seq)) {
+            repeats += 1;
+            continue;
+        }
         let gathered = SimTime::ZERO + SimDuration::from_secs_f64(report.time_secs);
         for (key, value) in &report.values {
             if let Value::Num(x) = value {
@@ -128,6 +135,8 @@ fn assert_batched_ingest_matches(history: Arc<dyn Store>, reference_history: Arc
             "at {now:?}"
         );
     }
+    assert_eq!(batched.stats().refused, repeats);
+    assert!(repeats > 30, "the traffic must repeat reports");
     assert_eq!(batched.take_alarms(), reference.take_alarms());
     assert_eq!(batched.stats().actions, reference.stats().actions);
     assert!(batched.stats().actions > 3, "the traffic must fire rules");

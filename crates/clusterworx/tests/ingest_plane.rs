@@ -854,11 +854,83 @@ fn text_wire_reports_are_decoded_and_stored() {
     assert_eq!(got, want);
 }
 
+/// TCP neither loses nor repeats, so a connection whose agent skips a
+/// `seq` stays desynced: the reactor evicts it with a row, the delta
+/// past the gap is refused (not stored, not a decode error), and the
+/// agent's reconnect — a fresh encoder, so a reset frame first — is
+/// stored again.
+#[test]
+fn a_connection_that_skips_a_seq_is_evicted_and_its_reconnect_is_stored() {
+    let control = Arc::new(Mutex::new(ControlPlane::new(8)));
+    let server = test_server();
+    let ingest = IngestServer::start(
+        IngestConfig::default(),
+        Arc::clone(&server),
+        None,
+        Arc::clone(&control),
+        Instant::now(),
+    )
+    .unwrap();
+    let report = |seq| scripted_report(5, seq, Duration::from_secs(1), 8);
+    let send = |s: &mut TcpStream, enc: &mut WireEncoder, seq: u64| {
+        let mut frame = Vec::new();
+        put_frame(&mut frame, &enc.encode(&report(seq)));
+        s.write_all(&frame)
+    };
+    let mut enc = WireEncoder::new();
+    let mut s = TcpStream::connect(ingest.addr()).unwrap();
+    for seq in 0..3 {
+        send(&mut s, &mut enc, seq).unwrap();
+    }
+    // seq 3 is encoded (its deltas move the chain) but never sent
+    enc.encode(&report(3));
+    send(&mut s, &mut enc, 4).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while ingest.stats().evicted == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        ingest.stats().evicted,
+        1,
+        "the desynced connection is evicted"
+    );
+    drop(s);
+
+    let mut enc = WireEncoder::new();
+    let mut s = TcpStream::connect(ingest.addr()).unwrap();
+    for seq in 5..8 {
+        send(&mut s, &mut enc, seq).unwrap();
+    }
+    drop(s);
+    let end = ingest.stop();
+    assert_ledger_balances(&end);
+    assert_eq!((end.frames, end.decode_errors, end.evicted), (7, 0, 1));
+
+    let srv = server.read();
+    let st = srv.stats();
+    assert_eq!((st.reports_rx, st.refused, st.decode_errors), (6, 1, 0));
+    let stored: Vec<f64> = srv
+        .history()
+        .range(5, "bench.m0", SimTime::ZERO, SimTime::MAX)
+        .iter()
+        .map(|s| s.time.as_secs_f64())
+        .collect();
+    // gather times are (seq + 1) s: seq 4 is missing, the reconnect's are there
+    assert_eq!(stored, [1.0, 2.0, 3.0, 6.0, 7.0, 8.0]);
+    assert!(
+        control.lock().audit().iter().any(|r| matches!(
+            &r.entry,
+            AuditEntry::ConnectionEvicted { reason } if reason.contains("desynced")
+        )),
+        "eviction audited"
+    );
+}
+
 /// Frames for the sim-versus-live oracle: six nodes, thirty gathers
 /// five seconds apart — temperatures that cross the overtemp rule and
 /// come back, a fan that dies, load spikes, text values, all-text
-/// reports — plus one garbage frame. Even nodes send text + LZSS (what
-/// simulated agents send), odd nodes `CWB1` (what live agents send).
+/// reports — plus one garbage frame. Even nodes send text + LZSS (the
+/// paper's wire), odd nodes `CWB1` (what live and simulated agents send).
 fn oracle_frames() -> Vec<Vec<u8>> {
     let mut encoders: Vec<WireEncoder> = (0..6).map(|_| WireEncoder::new()).collect();
     let mut frames = Vec::new();

@@ -234,8 +234,8 @@ fn cmd_simulate(args: &Args) -> Result<i32, String> {
     println!("{}", dashboard::render(w, sim.now()));
     let st = w.server.stats();
     println!(
-        "server: {} reports / {} values / {} B on the wire / {} decode errors",
-        st.reports_rx, st.values_rx, st.bytes_rx, st.decode_errors
+        "server: {} reports / {} values / {} B on the wire / {} decode errors / {} refused",
+        st.reports_rx, st.values_rx, st.bytes_rx, st.decode_errors, st.refused
     );
     let action_log = w.action_log();
     if !action_log.is_empty() {
