@@ -36,13 +36,16 @@ pub struct ScaleRow {
     pub events_per_sec: f64,
 }
 
-/// Simulate `secs` of monitoring on an `n`-node cluster.
+/// Simulate `secs` of monitoring on an `n`-node cluster whose agents
+/// send the paper's text + LZSS wire.
 pub fn monitor_load(seed: u64, n: u32, secs: u64, delta: bool) -> ScaleRow {
     let mut sim = Cluster::build(ClusterConfig {
         n_nodes: n,
         seed,
         workload: WorkloadMix::Mixed,
         delta_enabled: delta,
+        // the paper's bandwidth claim is about its own wire (§5.3.3)
+        text_wire: true,
         // coarser hardware step at large n keeps the event count sane
         // without changing the monitoring pipeline under test
         hw_step: SimDuration::from_secs(5),

@@ -41,6 +41,10 @@ pub struct ClusterConfig {
     pub workload: WorkloadMix,
     /// Delta consolidation in the agents (off = E7 ablation).
     pub delta_enabled: bool,
+    /// Agents send the paper's wire, text + LZSS (§5.3.3), instead of
+    /// sequence-checked `CWB1`: the baseline the paper's bandwidth
+    /// figures (E11) are measured on.
+    pub text_wire: bool,
     /// Power nodes on automatically at t = 0.
     pub autostart: bool,
     /// Nodes with a bad DIMM: their boots fail the memory check.
@@ -80,6 +84,7 @@ impl Default for ClusterConfig {
             firmware: Firmware::LinuxBios,
             workload: WorkloadMix::Mixed,
             delta_enabled: true,
+            text_wire: false,
             autostart: true,
             bad_memory_nodes: Vec::new(),
             store: None,

@@ -29,6 +29,10 @@ fn report_loss_degrades_gracefully() {
     );
     let net = w.net.stats();
     assert!(net.lost > 0, "the network actually lost traffic: {net:?}");
+    // a lost delta leaves the next one refused, not mis-decoded, and the
+    // server asks that agent for a reset frame
+    assert!(st.refused > 0, "the decoder refused deltas: {st:?}");
+    assert!(w.resync_requests > 0, "refusals were answered");
     // history still accumulates for every node despite holes
     for i in 0..10 {
         let hist = w

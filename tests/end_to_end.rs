@@ -129,6 +129,8 @@ fn consolidation_ablation_visible_at_cluster_level() {
             n_nodes: 10,
             seed: 3,
             delta_enabled: delta,
+            // the ablation measures the paper's wire, text + LZSS
+            text_wire: true,
             ..Default::default()
         });
         sim.run_for(SimDuration::from_secs(400));
