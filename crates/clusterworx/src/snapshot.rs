@@ -3,7 +3,8 @@
 //! [`capture_sections`] walks every stateful component of a simulated
 //! cluster — engine scheduling state, RNG streams, per-node hardware,
 //! firmware, agents, the network, chassis, lifecycle chains, the audit
-//! trail, the control plane, the server and its history store — and
+//! trail, the control plane, the server (with its decoder's per-agent
+//! sequence state) and its history store — and
 //! renders each into a named section of canonical bytes.
 //!
 //! The capture is strictly read-only: it never drains queues (no
@@ -146,7 +147,8 @@ pub fn capture_sections(sim: &Sim<World>) -> Vec<(String, Vec<u8>)> {
     }
     push("control", b);
 
-    // server: ingest counters, per-node status, notifier state
+    // server: ingest counters, per-node status, notifier state, and
+    // the segment decoder's place in each agent's frame sequence
     let mut b = Vec::new();
     put_str(&mut b, &format!("{:?}", w.server.stats()));
     put_u64(&mut b, w.server.reachable_count() as u64);
@@ -156,7 +158,9 @@ pub fn capture_sections(sim: &Sim<World>) -> Vec<(String, Vec<u8>)> {
     put_u64(&mut b, fnv1a_debug(w.server.outbox()));
     for node in 0..n as u32 {
         put_str(&mut b, &format!("{:?}", w.server.node_status(node)));
+        put_str(&mut b, &format!("{:?}", w.decoder.seq_state(node)));
     }
+    put_u64(&mut b, w.resync_requests);
     b.push(w.scheduler.is_some() as u8);
     push("server", b);
 
