@@ -80,13 +80,12 @@ fn identical_runs_for_identical_seeds() {
 }
 
 /// The benchmark's fleet shape: one 1250-node world. The trace — audit
-/// trail, server byte and sample counts, every node's physics — must
-/// stay what it was before the report path was rebuilt: the hash below
-/// was captured at commit `49f96f3`, when this world still stepped its
-/// nodes on two threads.
+/// trail, server byte and sample counts, every node's physics — moves
+/// only in a fingerprint epoch (DESIGN.md): the hash below was
+/// re-captured when simulated agents moved to sequence-checked `CWB1`.
 #[test]
 fn wide_fleet_is_pinned() {
-    const PINNED: u64 = 0xc377_4afb_2d4b_42d2;
+    const PINNED: u64 = 0xee6b_0035_93ce_b211;
     let trace = run_trace_of(1250, 150, 7);
     assert!(trace.contains("stats ServerStats { reports_rx: "));
     assert!(!trace.contains("reports_rx: 0,"), "agents never reported");

@@ -20,14 +20,14 @@ fn example(name: &str) -> String {
 #[rustfmt::skip]
 const PINS: [(&str, Outcome, Option<&str>, &str); 11] = [
     ("smoke.toml",                Outcome::Pass,          Some("9de5528ca84e28ea"), "3ebe2615805c5f35"),
-    ("rack-outage.toml",          Outcome::Pass,          Some("685366e29420e904"), "d49128622a4e5a62"),
-    ("hardware-grief.toml",       Outcome::Pass,          Some("a36199fc9e99ee34"), "910535949cd58dfb"),
+    ("rack-outage.toml",          Outcome::Pass,          Some("1be9312c7f7ca323"), "c152c946c8c3ee55"),
+    ("hardware-grief.toml",       Outcome::Pass,          Some("24fcd243ad99f8a0"), "ec1d7d3068e6e5cb"),
     ("sensor-lies.toml",          Outcome::Pass,          Some("d06fe04078f88c23"), "b8b3cacf7d84b2df"),
     ("bisect-demo.toml",          Outcome::AssertionFail, Some("b79a00ea9b9be1de"), "3775ae808fcb29f8"),
-    ("federation-smoke.toml",     Outcome::Pass,          Some("e87102ad078bfa7c"), "c10950f343d61915"),
-    ("federation-partition.toml", Outcome::Pass,          Some("90117aff810a5ab8"), "cacce18d9a364865"),
-    ("soak.toml",                 Outcome::Pass,          Some("1d25109361f7f75f"), "ceade77ce20e4e56"),
-    ("partition-storm.toml",      Outcome::Pass,          None,                     "6b88c27c5a66b66c"),
+    ("federation-smoke.toml",     Outcome::Pass,          Some("1f4fdb37b7115f6c"), "c10950f343d61915"),
+    ("federation-partition.toml", Outcome::Pass,          Some("c7f3057ff6716e35"), "cacce18d9a364865"),
+    ("soak.toml",                 Outcome::Pass,          Some("024bbda4bc9fddb8"), "db176533d71f32cd"),
+    ("partition-storm.toml",      Outcome::Pass,          None,                     "14d5ec6fb1c9abdf"),
     ("chassis-carnage.toml",      Outcome::Pass,          None,                     "915e8aaafe624b77"),
     ("flaky-fleet.toml",          Outcome::Pass,          None,                     "72eaf8f49809c579"),
 ];
@@ -79,7 +79,7 @@ const PARSE_PINS: [(&str, u64, u64, usize); 11] = [
     ("federation-smoke.toml",     0x143c65c4dbc19219, 0xa2bbf7ad8f5213d5,  0),
     ("federation-partition.toml", 0x37ac536b87245284, 0x85c34d4215b59cc3,  2),
     ("soak.toml",                 0x9af2cdc941063099, 0xda9bd51ed193c7c1, 31),
-    ("partition-storm.toml",      0x97e11083c6eb1ae7, 0x9fa53fd8859f4c53,  8),
+    ("partition-storm.toml",      0x97e11083c6eb1ae7, 0x2a3bb43ca11339c7,  8),
     ("chassis-carnage.toml",      0xd4728d8c910d5dc6, 0x8168a12322fafcea, 10),
     ("flaky-fleet.toml",          0xd4522ae6d59262e9, 0x83442c844d14afd5, 12),
 ];

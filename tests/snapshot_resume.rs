@@ -134,8 +134,8 @@ type SnapshotPin = (&'static str, &'static [f64], u64, usize, u64, u64);
 
 #[rustfmt::skip]
 const SNAPSHOT_PINS: [SnapshotPin; 2] = [
-    ("hardware-grief.toml",       &[],      600_000_000_000, 70_846,  0x69e0_686d_cdf1_d719, 0x6e78_a036_a6d9_3673),
-    ("federation-partition.toml", &[333.0], 340_000_000_000, 116_365, 0x87e9_e96f_cbce_3f33, 0xe25b_6cf6_e346_f12c),
+    ("hardware-grief.toml",       &[],      600_000_000_000, 73_063,  0xc531_c4ce_faad_21f2, 0x6e78_a036_a6d9_3673),
+    ("federation-partition.toml", &[333.0], 340_000_000_000, 119_893, 0x9512_5d60_dfaf_2424, 0xe25b_6cf6_e346_f12c),
 ];
 
 /// Snapshot files outlive the build that wrote them: a capture must
