@@ -16,13 +16,12 @@
 //!   flag bit 1 = literal byte, flag bit 0 = match encoded in two bytes as
 //!   a 12-bit back-offset (1..=4096) and 4-bit length-3 (3..=18).
 //!
-//! A report is a few hundred bytes and a simulated fleet compresses one
-//! per node per tick, so [`compress`] costs what its input costs: the
-//! hash chains are a per-thread table set reused across calls (see
-//! `Tables`), not 96 KiB allocated and filled per call. [`decompress`]
-//! is total: a frame cannot declare more output than its token stream
-//! could produce (a 2-byte match yields at most 18 bytes), so an 8-byte
-//! hostile payload is refused instead of reserving 4 GiB.
+//! [`compress`] builds its hash chains per call, as 48 KiB of `u32`
+//! positions (8,192 hash buckets and a window-sized ring of links), so
+//! its output depends on its input alone. [`decompress`] is total: a
+//! frame cannot declare more output than its token stream could produce
+//! (a 2-byte match yields at most 18 bytes), so an 8-byte hostile
+//! payload is refused instead of reserving 4 GiB.
 
 /// Errors produced when decoding a compressed buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,31 +74,6 @@ const HASH_BUCKETS: usize = 1 << 13;
 /// inserted position has at least [`MIN_MATCH`] bytes after it.
 const NO_POS: u32 = u32::MAX;
 
-/// The compressor's hash chains, kept between calls.
-///
-/// An agent report is a few hundred bytes; allocating and filling
-/// fresh tables (96 KiB at the old `usize` width) cost more than
-/// compressing it. The tables are therefore reused, and a per-call
-/// generation stamp on each `head` bucket stands in for the fill: a
-/// bucket stamped by an earlier call reads as empty. `prev` needs no
-/// stamp — a link is only followed from a position that is inside the
-/// window of *this* call, and such a position's link was written when
-/// this call inserted it (its ring slot is not reused until the cursor
-/// is a full window past it). The output is therefore byte-identical
-/// to what fresh tables produce, whatever was compressed before.
-struct Tables {
-    /// Per hash bucket: `(generation, most recent position)`.
-    head: Vec<(u32, u32)>,
-    /// Ring over positions: the previous position with the same hash.
-    prev: Vec<u32>,
-    /// Stamp of the call in progress; 0 is never current.
-    generation: u32,
-}
-
-thread_local! {
-    static TABLES: std::cell::RefCell<Tables> = std::cell::RefCell::new(Tables::new());
-}
-
 /// Multiplicative hash of 3 bytes into 13 bits.
 #[inline]
 fn hash3(b: &[u8]) -> usize {
@@ -130,127 +104,95 @@ impl Tokens {
     }
 }
 
-impl Tables {
-    fn new() -> Self {
-        Tables {
-            head: vec![(0, 0); HASH_BUCKETS],
-            prev: vec![NO_POS; WINDOW],
-            generation: 0,
-        }
-    }
-
-    /// Most recent position this call put in bucket `h`.
-    #[inline]
-    fn latest(&self, h: usize) -> u32 {
-        let (generation, pos) = self.head[h];
-        if generation == self.generation {
-            pos
-        } else {
-            NO_POS
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, input: &[u8], pos: usize) {
-        if pos + MIN_MATCH <= input.len() {
-            let h = hash3(&input[pos..]);
-            self.prev[pos % WINDOW] = self.latest(h);
-            self.head[h] = (self.generation, pos as u32);
-        }
-    }
-
-    fn compress(&mut self, input: &[u8]) -> Vec<u8> {
-        // the header's length field and the tables' positions are u32
-        assert!(
-            u32::try_from(input.len()).is_ok(),
-            "CWZ1 holds at most 4 GiB per buffer"
-        );
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // stamps from 2^32 calls ago would read as current
-            self.head.fill((0, 0));
-            self.generation = 1;
-        }
-
-        let mut out = Vec::with_capacity(input.len() / 2 + 16);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(input.len() as u32).to_le_bytes());
-        let flag_pos = out.len();
-        out.push(0);
-        let mut tokens = Tokens {
-            out,
-            flag_pos,
-            flag_bit: 0,
-        };
-
-        let mut i = 0;
-        while i < input.len() {
-            // find the longest match within the window via the hash chain
-            let mut best_len = 0usize;
-            let mut best_off = 0usize;
-            if i + MIN_MATCH <= input.len() {
-                let mut cand = self.latest(hash3(&input[i..]));
-                let mut probes = 0;
-                let max_len = MAX_MATCH.min(input.len() - i);
-                while cand != NO_POS && probes < MAX_CHAIN {
-                    let at = cand as usize;
-                    if i - at > WINDOW {
-                        break;
-                    }
-                    let mut l = 0;
-                    while l < max_len && input[at + l] == input[i + l] {
-                        l += 1;
-                    }
-                    if l > best_len {
-                        best_len = l;
-                        best_off = i - at;
-                        if l == max_len {
-                            break;
-                        }
-                    }
-                    let next = self.prev[at % WINDOW];
-                    // only follow strictly older positions (ends the
-                    // chain at NO_POS too)
-                    if next >= cand {
-                        break;
-                    }
-                    cand = next;
-                    probes += 1;
-                }
-            }
-
-            if best_len >= MIN_MATCH {
-                debug_assert!((1..=WINDOW).contains(&best_off));
-                let off = best_off - 1; // store 0-based, 12 bits
-                let len_code = (best_len - MIN_MATCH) as u8; // 4 bits
-                let b0 = (off & 0xFF) as u8;
-                let b1 = (((off >> 8) as u8) << 4) | len_code;
-                tokens.push(&[b0, b1], false);
-                for k in 0..best_len {
-                    self.insert(input, i + k);
-                }
-                i += best_len;
-            } else {
-                tokens.push(&[input[i]], true);
-                self.insert(input, i);
-                i += 1;
-            }
-        }
-        tokens.out
-    }
-}
-
 /// Compress `input` with LZSS.
 ///
 /// The output always round-trips through [`decompress`]. For inputs with
 /// no redundancy the output can be up to ~12.5% larger than the input
 /// (one flag bit per literal) plus the 8-byte header. Inputs are limited
 /// to the 4 GiB the header's length field can declare.
-///
-/// The hash chains live in a per-thread table set that is reused from
-/// call to call; the output depends on `input` alone.
 pub fn compress(input: &[u8]) -> Vec<u8> {
-    TABLES.with(|t| t.borrow_mut().compress(input))
+    // the header's length field and the chains' positions are u32
+    assert!(
+        u32::try_from(input.len()).is_ok(),
+        "CWZ1 holds at most 4 GiB per buffer"
+    );
+    // per hash bucket, the most recent position; per ring slot, the
+    // previous position with the same hash
+    let mut head = vec![NO_POS; HASH_BUCKETS];
+    let mut prev = vec![NO_POS; WINDOW];
+    let insert = |head: &mut [u32], prev: &mut [u32], pos: usize| {
+        if pos + MIN_MATCH <= input.len() {
+            let h = hash3(&input[pos..]);
+            prev[pos % WINDOW] = head[h];
+            head[h] = pos as u32;
+        }
+    };
+
+    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&(input.len() as u32).to_le_bytes());
+    let flag_pos = out.len();
+    out.push(0);
+    let mut tokens = Tokens {
+        out,
+        flag_pos,
+        flag_bit: 0,
+    };
+
+    let mut i = 0;
+    while i < input.len() {
+        // find the longest match within the window via the hash chain
+        let mut best_len = 0usize;
+        let mut best_off = 0usize;
+        if i + MIN_MATCH <= input.len() {
+            let mut cand = head[hash3(&input[i..])];
+            let mut probes = 0;
+            let max_len = MAX_MATCH.min(input.len() - i);
+            while cand != NO_POS && probes < MAX_CHAIN {
+                let at = cand as usize;
+                if i - at > WINDOW {
+                    break;
+                }
+                let mut l = 0;
+                while l < max_len && input[at + l] == input[i + l] {
+                    l += 1;
+                }
+                if l > best_len {
+                    best_len = l;
+                    best_off = i - at;
+                    if l == max_len {
+                        break;
+                    }
+                }
+                let next = prev[at % WINDOW];
+                // only follow strictly older positions (ends the chain
+                // at NO_POS too)
+                if next >= cand {
+                    break;
+                }
+                cand = next;
+                probes += 1;
+            }
+        }
+
+        if best_len >= MIN_MATCH {
+            debug_assert!((1..=WINDOW).contains(&best_off));
+            let off = best_off - 1; // store 0-based, 12 bits
+            let len_code = (best_len - MIN_MATCH) as u8; // 4 bits
+            let b0 = (off & 0xFF) as u8;
+            let b1 = (((off >> 8) as u8) << 4) | len_code;
+            tokens.push(&[b0, b1], false);
+            for k in 0..best_len {
+                insert(&mut head, &mut prev, i + k);
+            }
+            i += best_len;
+        } else {
+            tokens.push(&[input[i]], true);
+            insert(&mut head, &mut prev, i);
+            i += 1;
+        }
+    }
+    tokens.out
 }
 
 /// Decompress a buffer produced by [`compress`].
@@ -464,91 +406,6 @@ mod tests {
         assert!(decompress(&c).is_err());
     }
 
-    /// The allocate-per-call routine this module shipped before the
-    /// tables were kept: the byte-identity oracle.
-    fn compress_fresh_tables(input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(input.len() / 2 + 16);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(input.len() as u32).to_le_bytes());
-        let mut head = vec![usize::MAX; 1 << 13];
-        let mut prev = vec![usize::MAX; WINDOW];
-        let insert = |head: &mut [usize], prev: &mut [usize], pos: usize| {
-            if pos + MIN_MATCH <= input.len() {
-                let h = hash3(&input[pos..]);
-                prev[pos % WINDOW] = head[h];
-                head[h] = pos;
-            }
-        };
-        let mut i = 0;
-        let mut flag_pos = out.len();
-        out.push(0);
-        let mut flag_bit = 0u8;
-        let push_token = |out: &mut Vec<u8>,
-                          flag_pos: &mut usize,
-                          flag_bit: &mut u8,
-                          emit: &[u8],
-                          is_literal: bool| {
-            if *flag_bit == 8 {
-                *flag_pos = out.len();
-                out.push(0);
-                *flag_bit = 0;
-            }
-            if is_literal {
-                out[*flag_pos] |= 1 << *flag_bit;
-            }
-            *flag_bit += 1;
-            out.extend_from_slice(emit);
-        };
-        while i < input.len() {
-            let mut best_len = 0usize;
-            let mut best_off = 0usize;
-            if i + MIN_MATCH <= input.len() {
-                let h = hash3(&input[i..]);
-                let mut cand = head[h];
-                let mut probes = 0;
-                let max_len = MAX_MATCH.min(input.len() - i);
-                while cand != usize::MAX && probes < MAX_CHAIN {
-                    if i - cand > WINDOW {
-                        break;
-                    }
-                    let mut l = 0;
-                    while l < max_len && input[cand + l] == input[i + l] {
-                        l += 1;
-                    }
-                    if l > best_len {
-                        best_len = l;
-                        best_off = i - cand;
-                        if l == max_len {
-                            break;
-                        }
-                    }
-                    let next = prev[cand % WINDOW];
-                    if next >= cand {
-                        break;
-                    }
-                    cand = next;
-                    probes += 1;
-                }
-            }
-            if best_len >= MIN_MATCH {
-                let off = best_off - 1;
-                let len_code = (best_len - MIN_MATCH) as u8;
-                let b0 = (off & 0xFF) as u8;
-                let b1 = (((off >> 8) as u8) << 4) | len_code;
-                push_token(&mut out, &mut flag_pos, &mut flag_bit, &[b0, b1], false);
-                for k in 0..best_len {
-                    insert(&mut head, &mut prev, i + k);
-                }
-                i += best_len;
-            } else {
-                push_token(&mut out, &mut flag_pos, &mut flag_bit, &[input[i]], true);
-                insert(&mut head, &mut prev, i);
-                i += 1;
-            }
-        }
-        out
-    }
-
     /// A `/proc`-report-like text: shared key prefixes, drifting numbers.
     fn procish(seed: u64, lines: usize) -> Vec<u8> {
         let mut x = seed | 1;
@@ -563,47 +420,68 @@ mod tests {
         s.into_bytes()
     }
 
+    /// A deterministic xorshift byte stream.
+    fn noise(seed: u32, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// FNV-1a over the length-prefixed [`compress`] output of inputs
+    /// from empty to three windows long: `/proc`-like text, noise, a
+    /// one-byte run, and `ab?` triples over eight letters, whose hash
+    /// chains run past [`MAX_CHAIN`] while no candidate reaches
+    /// [`MAX_MATCH`]. Any change to the hash, the chain order, the
+    /// probe cap or the token layout moves it.
     #[test]
-    fn kept_tables_match_fresh_tables_across_a_generation_wrap() {
-        let mut t = Tables::new();
-        t.generation = u32::MAX - 2;
-        for round in 0..6u64 {
-            // alternate inputs so every call sees the previous call's
-            // (different) chains under a stale stamp
-            let input = if round % 2 == 0 {
-                procish(round + 1, 300) // > WINDOW bytes
-            } else {
-                vec![b'a' + round as u8; 5000]
-            };
-            assert_eq!(t.compress(&input), compress_fresh_tables(&input), "{round}");
+    fn compressed_bytes_are_pinned() {
+        const GOLDEN: u64 = 0x3be4_01d0_175d_7c72;
+        let lens = [
+            0,
+            1,
+            2,
+            3,
+            4,
+            MAX_MATCH,
+            MAX_MATCH + 1,
+            100,
+            464,
+            WINDOW - 1,
+            WINDOW,
+            WINDOW + 1,
+            2 * WINDOW + 7,
+            3 * WINDOW,
+        ];
+        let mut h = crate::hash::FNV_OFFSET;
+        for (n, &len) in lens.iter().enumerate() {
+            let mut text = procish(n as u64 + 1, len / 8 + 1);
+            text.truncate(len);
+            let triples: Vec<u8> = noise(n as u32 + 7, len)
+                .iter()
+                .enumerate()
+                .map(|(i, b)| match i % 3 {
+                    0 => b'a',
+                    1 => b'b',
+                    _ => b'a' + b % 8,
+                })
+                .collect();
+            for input in [text, noise(n as u32 + 1, len), vec![b'z'; len], triples] {
+                let c = compress(&input);
+                assert_eq!(decompress(&c).unwrap(), input);
+                h = crate::hash::fnv1a_fold_u64(h, c.len() as u64);
+                h = crate::hash::fnv1a_fold(h, &c);
+            }
         }
-        assert!(t.generation < 8, "generation wrapped past 0");
+        assert_eq!(h, GOLDEN, "got {h:#018x}");
     }
 
     proptest! {
-        /// Many calls in sequence on one thread (the thread-local
-        /// tables carry every earlier input's chains): each output must
-        /// equal what fresh tables give.
-        #[test]
-        fn kept_tables_are_unobservable(
-            seeds in proptest::collection::vec(any::<u64>(), 1..12),
-            noise in proptest::collection::vec(any::<u8>(), 0..6000),
-            texty in "[a-f =\n]{0,3000}",
-        ) {
-            for (n, &seed) in seeds.iter().enumerate() {
-                let input = match seed % 4 {
-                    0 => procish(seed, (seed >> 8) as usize % 400),
-                    1 => noise[..(seed >> 8) as usize % (noise.len() + 1)].to_vec(),
-                    2 => texty.as_bytes().to_vec(),
-                    // long runs: matches at every distance up to the window
-                    _ => procish(seed, 8).repeat(1 + (seed >> 8) as usize % 40),
-                };
-                let c = compress(&input);
-                prop_assert_eq!(&c, &compress_fresh_tables(&input), "call {}", n);
-                prop_assert_eq!(decompress(&c).unwrap(), input);
-            }
-        }
-
         #[test]
         fn round_trip_arbitrary(data in proptest::collection::vec(any::<u8>(), 0..5000)) {
             let c = compress(&data);
