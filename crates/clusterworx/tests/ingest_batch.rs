@@ -117,7 +117,7 @@ fn assert_batched_ingest_matches(history: Arc<dyn Store>, reference_history: Arc
             report: decoder.decode_auto(&payload),
         };
         commit(&*history, &[arrival], || &mut batched);
-        let report = transmit::decode_auto(&payload).unwrap();
+        let report = WireDecoder::new().decode_auto(&payload).unwrap();
         if !seen.insert((report.node, report.seq)) {
             repeats += 1;
             continue;

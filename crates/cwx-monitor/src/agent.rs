@@ -332,7 +332,7 @@ mod tests {
             .unwrap();
         let packed = transmit::encode_compressed(&out.report);
         assert_eq!(packed.len(), out.wire_len);
-        let decoded = transmit::decode_compressed(&packed).unwrap();
+        let decoded = transmit::WireDecoder::new().decode_auto(&packed).unwrap();
         assert_eq!(decoded.node, out.report.node);
         assert_eq!(decoded.values.len(), out.report.values.len());
     }

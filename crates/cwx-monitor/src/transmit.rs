@@ -43,11 +43,12 @@
 //! u32  crc32 over everything after the magic
 //! ```
 //!
-//! [`decode_auto`] (and [`WireDecoder::decode_auto`]) sniffs the magic
-//! and dispatches, so binary, compressed and plain-text senders can
-//! coexist on one channel. A decoder keyed by the frame's node id is
-//! kept per connection; the stateless free function only decodes
-//! self-contained binary frames (first frame after a reset).
+//! [`WireDecoder::decode_auto`] is the one decoder of all three
+//! formats: it sniffs the magic and dispatches, so binary, compressed
+//! and plain-text senders can coexist on one channel. A decoder is kept
+//! per connection and holds state per frame's node id; a fresh one
+//! decodes any text report and a self-contained binary frame (the first
+//! frame after a reset).
 //!
 //! # Sequence rules
 //!
@@ -204,15 +205,10 @@ pub fn encode_compressed(report: &Report) -> Vec<u8> {
     compress::compress(encode(report).as_bytes())
 }
 
-/// Parse wire text back into a report. Values that parse as numbers
-/// become [`Value::Num`]; everything else is [`Value::Text`].
-pub fn decode(text: &str) -> Result<Report, WireError> {
-    decode_text(text, |k| MonitorKey::new(k))
-}
-
-/// [`decode`] with the caller's way of turning `key=` text into a
-/// [`MonitorKey`] (a fresh allocation, or a connection's key table).
-fn decode_text(text: &str, mut key: impl FnMut(&str) -> MonitorKey) -> Result<Report, WireError> {
+/// Parse wire text back into a report, sharing key names through
+/// `keys`. Values that parse as numbers become [`Value::Num`];
+/// everything else is [`Value::Text`].
+fn decode_text(text: &str, keys: &mut HashSet<MonitorKey>) -> Result<Report, WireError> {
     let mut lines = text.lines();
     let header = lines.next().ok_or(WireError::BadHeader)?;
     let rest = header.strip_prefix("CWX1 ").ok_or(WireError::BadHeader)?;
@@ -243,7 +239,7 @@ fn decode_text(text: &str, mut key: impl FnMut(&str) -> MonitorKey) -> Result<Re
             Ok(n) => Value::Num(n),
             Err(_) => Value::Text(v.to_string()),
         };
-        values.push((key(k), value));
+        values.push((shared_key(keys, k), value));
     }
     Ok(Report {
         node,
@@ -251,42 +247,6 @@ fn decode_text(text: &str, mut key: impl FnMut(&str) -> MonitorKey) -> Result<Re
         time_secs,
         values,
     })
-}
-
-/// Decode a payload in any of the three wire formats (binary `CWB1`,
-/// LZSS `CWZ1`, plain text) by sniffing the magic. Stateless: binary
-/// frames decode only when self-contained (every referenced key bound
-/// in the frame itself, i.e. the first frame after an encoder reset);
-/// continuation frames need a per-connection [`WireDecoder`].
-pub fn decode_auto(bytes: &[u8]) -> Result<Report, WireError> {
-    if bytes.starts_with(BINARY_MAGIC) {
-        WireDecoder::new().decode_binary(bytes)
-    } else {
-        decode_text_payload(bytes, |k| MonitorKey::new(k))
-    }
-}
-
-/// The text arms of [`decode_auto`]: LZSS `CWZ1` or plain text.
-fn decode_text_payload(
-    bytes: &[u8],
-    key: impl FnMut(&str) -> MonitorKey,
-) -> Result<Report, WireError> {
-    if bytes.starts_with(b"CWZ1") {
-        decode_lzss(bytes, key)
-    } else {
-        decode_text(
-            std::str::from_utf8(bytes).map_err(|_| WireError::NotText)?,
-            key,
-        )
-    }
-}
-
-fn decode_lzss(bytes: &[u8], key: impl FnMut(&str) -> MonitorKey) -> Result<Report, WireError> {
-    let raw = compress::decompress(bytes).map_err(|e| WireError::BadCompression(e.to_string()))?;
-    decode_text(
-        std::str::from_utf8(&raw).map_err(|_| WireError::NotText)?,
-        key,
-    )
 }
 
 /// Stateful binary encoder for one agent connection.
@@ -482,8 +442,16 @@ impl WireDecoder {
         if bytes.starts_with(BINARY_MAGIC) {
             return self.decode_binary(bytes);
         }
-        let keys = &mut self.keys;
-        let report = decode_text_payload(bytes, |k| shared_key(keys, k))?;
+        let raw;
+        let text = if bytes.starts_with(b"CWZ1") {
+            raw = compress::decompress(bytes)
+                .map_err(|e| WireError::BadCompression(e.to_string()))?;
+            &raw[..]
+        } else {
+            bytes
+        };
+        let text = std::str::from_utf8(text).map_err(|_| WireError::NotText)?;
+        let report = decode_text(text, &mut self.keys)?;
         // text carries no chain: only a stale frame is refused
         let table = self.nodes.entry(report.node).or_default();
         if table.order(report.seq, report.time_secs) == Order::Stale {
@@ -606,11 +574,6 @@ fn decode_values(
     Ok(values)
 }
 
-/// Decompress and parse a report.
-pub fn decode_compressed(bytes: &[u8]) -> Result<Report, WireError> {
-    decode_lzss(bytes, |k| MonitorKey::new(k))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,7 +600,7 @@ mod tests {
         let text = encode(&r);
         assert!(text.starts_with("CWX1 node=17 seq=42 t=123.456\n"));
         assert!(text.contains("mem.free=524288\n"));
-        let back = decode(&text).unwrap();
+        let back = WireDecoder::new().decode_auto(text.as_bytes()).unwrap();
         assert_eq!(back.node, 17);
         assert_eq!(back.seq, 42);
         assert_eq!(back.values.len(), 3);
@@ -663,21 +626,22 @@ mod tests {
             packed.len(),
             raw.len()
         );
-        let back = decode_compressed(&packed).unwrap();
+        let back = WireDecoder::new().decode_auto(&packed).unwrap();
         assert_eq!(back.values.len(), r.values.len());
     }
 
     #[test]
     fn rejects_garbage() {
-        assert_eq!(decode(""), Err(WireError::BadHeader));
-        assert_eq!(decode("XYZ node=1"), Err(WireError::BadHeader));
-        assert_eq!(decode("CWX1 node=1 seq=2"), Err(WireError::BadHeader)); // missing t
+        let decode = |bytes: &[u8]| WireDecoder::new().decode_auto(bytes);
+        assert_eq!(decode(b""), Err(WireError::BadHeader));
+        assert_eq!(decode(b"XYZ node=1"), Err(WireError::BadHeader));
+        assert_eq!(decode(b"CWX1 node=1 seq=2"), Err(WireError::BadHeader)); // missing t
         assert!(matches!(
-            decode("CWX1 node=1 seq=2 t=0\nbroken-line"),
+            decode(b"CWX1 node=1 seq=2 t=0\nbroken-line"),
             Err(WireError::BadLine(_))
         ));
         assert!(matches!(
-            decode_compressed(b"junk"),
+            decode(b"CWZ1junk"),
             Err(WireError::BadCompression(_))
         ));
     }
@@ -690,7 +654,9 @@ mod tests {
             time_secs: 0.0,
             values: vec![],
         };
-        let back = decode(&encode(&r)).unwrap();
+        let back = WireDecoder::new()
+            .decode_auto(encode(&r).as_bytes())
+            .unwrap();
         assert!(back.values.is_empty());
     }
 
@@ -718,11 +684,11 @@ mod tests {
 
     #[test]
     fn binary_first_frame_is_self_contained() {
-        // the stateless decode_auto handles a frame that binds every key
+        // a fresh decoder handles a frame that binds every key
         let mut enc = WireEncoder::new();
         let r = report();
         let frame = enc.encode(&r);
-        assert_eq!(decode_auto(&frame).unwrap(), r);
+        assert_eq!(WireDecoder::new().decode_auto(&frame).unwrap(), r);
     }
 
     #[test]
@@ -732,7 +698,7 @@ mod tests {
         let _first = enc.encode(&r);
         let second = enc.encode(&r);
         assert_eq!(
-            decode_auto(&second),
+            WireDecoder::new().decode_auto(&second),
             Err(WireError::Desynced { node: 17, seq: 42 })
         );
     }
@@ -855,17 +821,20 @@ mod tests {
         let frame = enc.encode(&report());
         // every truncation point fails cleanly
         for n in 0..frame.len() {
-            assert!(decode_auto(&frame[..n]).is_err(), "truncated at {n}");
+            assert!(
+                WireDecoder::new().decode_auto(&frame[..n]).is_err(),
+                "truncated at {n}"
+            );
         }
         // a flipped payload bit fails the checksum
         let mut bad = frame.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0x10;
-        assert!(decode_auto(&bad).is_err());
+        assert!(WireDecoder::new().decode_auto(&bad).is_err());
         // garbage behind a valid magic is rejected too
         let mut junk = b"CWB1".to_vec();
         junk.extend_from_slice(&[0xAB; 32]);
-        assert!(decode_auto(&junk).is_err());
+        assert!(WireDecoder::new().decode_auto(&junk).is_err());
     }
 
     #[test]
@@ -877,7 +846,7 @@ mod tests {
             time_secs: 123.456789012345,
             values: vec![],
         };
-        let back = decode_auto(&enc.encode(&r)).unwrap();
+        let back = WireDecoder::new().decode_auto(&enc.encode(&r)).unwrap();
         assert_eq!(back.time_secs.to_bits(), r.time_secs.to_bits());
     }
 
@@ -885,12 +854,21 @@ mod tests {
     fn text_output_round_trips_through_decode_auto() {
         // backward compat: the old textual encode still decodes
         let r = report();
-        let back = decode_auto(encode(&r).as_bytes()).unwrap();
+        let back = WireDecoder::new()
+            .decode_auto(encode(&r).as_bytes())
+            .unwrap();
         assert_eq!(back.node, r.node);
         assert_eq!(back.seq, r.seq);
         assert_eq!(back.values.len(), r.values.len());
         let packed = encode_compressed(&r);
-        assert_eq!(decode_auto(&packed).unwrap().values.len(), r.values.len());
+        assert_eq!(
+            WireDecoder::new()
+                .decode_auto(&packed)
+                .unwrap()
+                .values
+                .len(),
+            r.values.len()
+        );
     }
 
     #[test]
@@ -907,17 +885,26 @@ mod tests {
                 encode_compressed(&r)
             };
             let got = dec.decode_auto(&payload).unwrap();
-            assert_eq!(got, decode_auto(&payload).unwrap(), "frame {seq}");
-            assert_eq!(got, decode(&encode(&r)).unwrap());
+            assert_eq!(
+                got,
+                WireDecoder::new().decode_auto(&payload).unwrap(),
+                "frame {seq}"
+            );
+            assert_eq!(
+                got,
+                WireDecoder::new()
+                    .decode_auto(encode(&r).as_bytes())
+                    .unwrap()
+            );
         }
         assert_eq!(dec.keys.len(), r.values.len());
-        // malformed text fails the same way through either door
+        // malformed text fails the same way in a fresh decoder
         for bad in [
             &b"CWX1 node=1 seq=2 t=0\nbroken-line"[..],
             b"\xff\xfe",
             b"CWZ1junk",
         ] {
-            assert_eq!(dec.decode_auto(bad), decode_auto(bad));
+            assert_eq!(dec.decode_auto(bad), WireDecoder::new().decode_auto(bad));
         }
     }
 
@@ -946,7 +933,7 @@ mod tests {
             let text = encode(&r);
             assert_eq!(
                 dec.decode_auto(text.as_bytes()).unwrap(),
-                decode(&text).unwrap()
+                WireDecoder::new().decode_auto(text.as_bytes()).unwrap()
             );
             assert!(dec.keys.len() <= KEYS_MAX);
         }
@@ -956,14 +943,14 @@ mod tests {
         let text = encode(&report());
         assert_eq!(
             dec.decode_auto(text.as_bytes()).unwrap(),
-            decode(&text).unwrap()
+            WireDecoder::new().decode_auto(text.as_bytes()).unwrap()
         );
         r.values.truncate(3);
         r.seq += 1;
         let text = encode(&r);
         assert_eq!(
             dec.decode_auto(text.as_bytes()).unwrap(),
-            decode(&text).unwrap()
+            WireDecoder::new().decode_auto(text.as_bytes()).unwrap()
         );
     }
 
@@ -976,7 +963,9 @@ mod tests {
             time_secs: 0.0,
             values: vec![(MonitorKey::new("k"), Value::Text("3.5".into()))],
         };
-        let back = decode(&encode(&r)).unwrap();
+        let back = WireDecoder::new()
+            .decode_auto(encode(&r).as_bytes())
+            .unwrap();
         assert_eq!(back.values[0].1, Value::Num(3.5));
     }
 }

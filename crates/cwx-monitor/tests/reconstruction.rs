@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use cwx_monitor::agent::{Agent, AgentConfig};
 use cwx_monitor::monitor::MonitorKey;
 use cwx_monitor::snapshot::Sensors;
-use cwx_monitor::transmit::{decode_auto, Report};
+use cwx_monitor::transmit::{Report, WireDecoder};
 use cwx_proc::synthetic::SyntheticProc;
 use cwx_util::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -48,6 +48,7 @@ fn run_pair(
 
     let mut view_delta = BTreeMap::new();
     let mut view_full = BTreeMap::new();
+    let mut decoder = WireDecoder::new();
     let mut now = SimTime::ZERO;
     for &(dt, util) in activity {
         now += SimDuration::from_secs_f64(dt.max(0.1));
@@ -62,7 +63,7 @@ fn run_pair(
         };
         // ship the delta agent's bytes through the codec like the wire
         let out = delta_agent.tick(now, sensors).unwrap();
-        let decoded = decode_auto(&out.payload).unwrap();
+        let decoded = decoder.decode_auto(&out.payload).unwrap();
         apply(&mut view_delta, &decoded);
         apply(
             &mut view_full,

@@ -6,7 +6,7 @@
 //! `WireError`.
 
 use cwx_monitor::monitor::{MonitorKey, Value};
-use cwx_monitor::transmit::{decode_auto, Report, WireDecoder, WireEncoder};
+use cwx_monitor::transmit::{Report, WireDecoder, WireEncoder};
 use proptest::prelude::*;
 
 /// A small key universe so frames exercise both the "bind a new key"
@@ -78,8 +78,7 @@ proptest! {
     }
 
     /// After `reset()` the next frame is self-contained: a decoder that
-    /// missed every earlier frame (receiver restart) still decodes it,
-    /// and the stateless `decode_auto` does too.
+    /// missed every earlier frame (receiver restart) still decodes it.
     #[test]
     fn reset_resynchronizes_any_stream(
         before in collection::vec(
@@ -96,7 +95,6 @@ proptest! {
         let r = report(9, before.len() as u64, &after);
         let resync = enc.encode(&r);
         assert_reports_eq(&WireDecoder::new().decode_auto(&resync).unwrap(), &r);
-        assert_reports_eq(&decode_auto(&resync).unwrap(), &r);
     }
 
     /// A session that survives a disconnect/reconnect resets its key
@@ -179,8 +177,8 @@ proptest! {
     }
 
     /// Every truncation of a valid frame — first or continuation — is
-    /// rejected without panicking, by both the free function and a
-    /// stateful decoder, and a poisoned attempt never corrupts the
+    /// rejected without panicking, by both a fresh decoder and a
+    /// stateful one, and a poisoned attempt never corrupts the
     /// decoder's state for the frames that follow.
     #[test]
     fn every_truncation_fails_cleanly(
@@ -195,7 +193,10 @@ proptest! {
         assert_reports_eq(&dec.decode_auto(&first).unwrap(), &r0);
         for bytes in [&first, &second] {
             for n in 0..bytes.len() {
-                prop_assert!(decode_auto(&bytes[..n]).is_err(), "truncated at {n}");
+                prop_assert!(
+                    WireDecoder::new().decode_auto(&bytes[..n]).is_err(),
+                    "truncated at {n}"
+                );
                 prop_assert!(dec.decode_auto(&bytes[..n]).is_err(), "truncated at {n}");
             }
         }
@@ -215,7 +216,6 @@ proptest! {
         let mut bytes = enc.encode(&report(7, 0, &frame));
         let idx = (flip_seed % bytes.len() as u64) as usize;
         bytes[idx] ^= xor;
-        prop_assert!(decode_auto(&bytes).is_err());
         prop_assert!(WireDecoder::new().decode_auto(&bytes).is_err());
     }
 
@@ -230,7 +230,6 @@ proptest! {
         }
         // a random payload passing a 32-bit checksum is out of reach;
         // the property is simply "returns Err, never panics"
-        prop_assert!(decode_auto(&bytes).is_err());
         prop_assert!(WireDecoder::new().decode_auto(&bytes).is_err());
     }
 }
