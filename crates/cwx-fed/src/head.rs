@@ -279,8 +279,11 @@ impl FederationHead {
         self.pending.iter().filter(|p| p.cluster == cluster).count()
     }
 
-    /// Ingest one sub→head frame.
-    pub fn ingest(&mut self, now: SimTime, bytes: &[u8]) -> Result<(), FedWireError> {
+    /// Ingest one sub→head frame, returning the cluster it spoke for:
+    /// the head routes that cluster's commands down the connection the
+    /// frame came on. A `Metrics` frame whose payload is refused still
+    /// names its cluster, as [`FedWireError::BadPayload`].
+    pub fn ingest(&mut self, now: SimTime, bytes: &[u8]) -> Result<u16, FedWireError> {
         self.stats.bytes_rx += bytes.len() as u64;
         let frame = match Frame::decode(bytes) {
             Ok(f) => f,
@@ -290,7 +293,7 @@ impl FederationHead {
             }
         };
         self.stats.frames_rx += 1;
-        match frame {
+        let cluster = match frame {
             Frame::Hello { cluster, n_nodes } => {
                 let known = self.clusters.contains_key(&cluster);
                 let view = self.view_mut(cluster, now);
@@ -299,12 +302,13 @@ impl FederationHead {
                 if !known {
                     self.record(now, cluster, HeadAuditEntry::ClusterJoined { n_nodes });
                 }
+                cluster
             }
             Frame::Metrics { cluster, payload } => {
                 let report = self
                     .decoder
                     .decode_auto(&payload)
-                    .map_err(|_| FedWireError::BadField)?;
+                    .map_err(|_| FedWireError::BadPayload { cluster })?;
                 let view = self.view_mut(cluster, now);
                 view.last_seen = now;
                 for (key, value) in &report.values {
@@ -323,6 +327,7 @@ impl FederationHead {
                 if let Some(r) = view.metrics.get("fleet.reachable") {
                     view.reachable = *r as u32;
                 }
+                cluster
             }
             Frame::Alarm {
                 cluster,
@@ -351,6 +356,7 @@ impl FederationHead {
                 if dropped > 0 {
                     self.record(now, cluster, HeadAuditEntry::AlarmsDropped { n: dropped });
                 }
+                cluster
             }
             Frame::Resync {
                 cluster,
@@ -407,6 +413,7 @@ impl FederationHead {
                         already_applied: already,
                     },
                 );
+                cluster
             }
             Frame::CommandAck { cluster, id, fresh } => {
                 let before = self.pending.len();
@@ -425,10 +432,11 @@ impl FederationHead {
                 if let Some(view) = self.clusters.get_mut(&cluster) {
                     view.last_seen = now;
                 }
+                cluster
             }
             Frame::Command { .. } => return Err(FedWireError::BadType),
-        }
-        Ok(())
+        };
+        Ok(cluster)
     }
 
     /// Queue a control-plane command for the owning sub-server. Returns
@@ -645,6 +653,82 @@ mod tests {
         assert_eq!(v.counts.up, 14);
         assert_eq!(h.aggregate(t(1)).total_nodes, 16);
         assert_eq!(h.status(t(1), 4), Some(ClusterStatus::Fresh));
+    }
+
+    #[test]
+    fn ingest_names_the_cluster_each_frame_spoke_for() {
+        let mut h = head();
+        let report = cwx_monitor::transmit::Report {
+            node: 4,
+            seq: 0,
+            time_secs: 1.0,
+            values: Vec::new(),
+        };
+        let metrics = cwx_monitor::transmit::WireEncoder::new().encode(&report);
+        let cases = [
+            (
+                Frame::Hello {
+                    cluster: 3,
+                    n_nodes: 2,
+                },
+                Ok(3),
+            ),
+            (
+                Frame::Metrics {
+                    cluster: 4,
+                    payload: metrics,
+                },
+                Ok(4),
+            ),
+            (
+                Frame::Metrics {
+                    cluster: 5,
+                    payload: b"junk".to_vec(),
+                },
+                Err(FedWireError::BadPayload { cluster: 5 }),
+            ),
+            (
+                Frame::Alarm {
+                    cluster: 6,
+                    alarms: Vec::new(),
+                    dropped: 1,
+                },
+                Ok(6),
+            ),
+            (
+                Frame::Resync {
+                    cluster: 7,
+                    n_nodes: 2,
+                    counts: LifecycleCounts::default(),
+                    reachable: 2,
+                    applied: Vec::new(),
+                },
+                Ok(7),
+            ),
+            (
+                Frame::CommandAck {
+                    cluster: 8,
+                    id: 1,
+                    fresh: true,
+                },
+                Ok(8),
+            ),
+            (
+                Frame::Command {
+                    id: 1,
+                    node: 0,
+                    action: Action::Reboot,
+                },
+                Err(FedWireError::BadType),
+            ),
+        ];
+        for (frame, want) in cases {
+            assert_eq!(h.ingest(t(1), &frame.encode()), want, "{frame:?}");
+        }
+        assert_eq!(
+            h.ingest(t(1), b"not a federation frame"),
+            Err(FedWireError::BadMagic)
+        );
     }
 
     #[test]

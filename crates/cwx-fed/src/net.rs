@@ -34,7 +34,7 @@ use cwx_net::reactor::Waker;
 use cwx_util::time::{wall_since, SimDuration, SimTime};
 
 use crate::head::FederationHead;
-use crate::protocol::Frame;
+use crate::protocol::FedWireError;
 use crate::sub::SubLink;
 
 /// Uplink bounds: a corrupt length prefix must not allocate gigabytes,
@@ -44,19 +44,6 @@ const LIMITS: ConnLimits = ConnLimits {
     max_frame: 16 << 20,
     max_write_buffer: 4 << 20,
 };
-
-/// The cluster id a sub→head frame speaks for, if any (used by the
-/// head to route command frames back down the right connection).
-fn frame_cluster(bytes: &[u8]) -> Option<u16> {
-    match Frame::decode(bytes).ok()? {
-        Frame::Hello { cluster, .. }
-        | Frame::Metrics { cluster, .. }
-        | Frame::Alarm { cluster, .. }
-        | Frame::Resync { cluster, .. }
-        | Frame::CommandAck { cluster, .. } => Some(cluster),
-        Frame::Command { .. } => None,
-    }
-}
 
 /// How often the head's retry/staleness machinery is pumped even with
 /// no inbound traffic.
@@ -111,10 +98,12 @@ impl HeadReactor {
             let now = wall_since(self.epoch);
             let (head, routes) = (&self.head, &mut self.routes);
             let outcome = conn.fc.read_frames(|frame| {
-                if let Some(c) = frame_cluster(frame) {
-                    routes.insert(c, ev.id);
+                match head.lock().expect("head lock poisoned").ingest(now, frame) {
+                    Ok(cluster) | Err(FedWireError::BadPayload { cluster }) => {
+                        routes.insert(cluster, ev.id);
+                    }
+                    Err(_) => {}
                 }
-                let _ = head.lock().expect("head lock poisoned").ingest(now, frame);
             });
             if !matches!(outcome, Ok(ReadState::Drained | ReadState::HasMore)) {
                 return self.conns.close(conn);

@@ -132,6 +132,12 @@ pub enum FedWireError {
     BadChecksum,
     /// A varint or string field failed to decode.
     BadField,
+    /// A well-formed `Metrics` frame whose report payload the head
+    /// refused: the frame still spoke for its cluster.
+    BadPayload {
+        /// Originating cluster.
+        cluster: u16,
+    },
 }
 
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
