@@ -7,6 +7,8 @@
 
 use std::collections::BTreeMap;
 
+use cwx_util::hash::{fnv1a_fold, FNV_OFFSET};
+
 /// Identifies an image in the manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ImageId(pub u32);
@@ -40,32 +42,20 @@ pub struct Image {
     pub packages: Vec<String>,
 }
 
-/// FNV-1a, used for the stand-in checksums.
-fn fnv1a(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
-
+/// FNV-1a over the image description: the stand-in checksum.
 fn checksum_of(name: &str, kind: ImageKind, size: u64, version: u32, packages: &[String]) -> u64 {
     let kind_tag: &[u8] = match kind {
         ImageKind::HardDisk => b"hd",
         ImageKind::NfsRoot => b"nfs",
     };
-    let mut parts: Vec<&[u8]> = vec![name.as_bytes(), kind_tag];
-    let size_b = size.to_le_bytes();
-    let ver_b = version.to_le_bytes();
-    parts.push(&size_b);
-    parts.push(&ver_b);
-    for p in packages {
-        parts.push(p.as_bytes());
-    }
-    fnv1a(&parts)
+    let parts = [
+        name.as_bytes(),
+        kind_tag,
+        &size.to_le_bytes(),
+        &version.to_le_bytes(),
+    ];
+    let h = parts.into_iter().fold(FNV_OFFSET, fnv1a_fold);
+    packages.iter().fold(h, |h, p| fnv1a_fold(h, p.as_bytes()))
 }
 
 /// Registry of images on the ClusterWorX management host.
@@ -200,6 +190,19 @@ mod tests {
         let b = m.build("b", ImageKind::HardDisk, 100, &[]);
         assert_ne!(a, b);
         assert_eq!(m.get(a).unwrap().name, "a");
+    }
+
+    #[test]
+    fn checksum_is_pinned() {
+        // the FNV-1a of the image description, byte for byte
+        let mut m = ImageManager::new();
+        let id = m.build(
+            "rh73-compute",
+            ImageKind::HardDisk,
+            650 << 20,
+            &["kernel-2.4.18", "mpich"],
+        );
+        assert_eq!(m.get(id).unwrap().checksum, 0x0264_edaf_3724_3ef2);
     }
 
     #[test]
