@@ -1,11 +1,12 @@
 //! Regenerate every quantitative claim in the paper.
 //!
 //! ```text
-//! experiments [--markdown] [--quick] [e1 e5 e6 ...]
+//! experiments [--quick] [e1 e5 e6 ...]
 //! ```
 //!
-//! With no experiment ids, runs everything. `--markdown` emits the body
-//! of `EXPERIMENTS.md`; `--quick` shrinks the workloads (used by CI).
+//! With no experiment ids, runs everything; `--quick` shrinks the
+//! workloads (used by CI). The E1–E17 tables of `EXPERIMENTS.md` come
+//! from this output; the file itself is edited by hand.
 
 use std::time::Duration;
 
@@ -16,21 +17,22 @@ use bench::{
 use cwx_bios::Firmware;
 
 struct Opts {
-    markdown: bool,
     quick: bool,
     which: Vec<String>,
 }
 
 fn parse_args() -> Opts {
     let mut o = Opts {
-        markdown: false,
         quick: false,
         which: Vec::new(),
     };
     for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--markdown" => o.markdown = true,
             "--quick" => o.quick = true,
+            flag if flag.starts_with("--") => {
+                eprintln!("experiments: unknown flag {flag}");
+                std::process::exit(2);
+            }
             other => o.which.push(other.to_string()),
         }
     }
@@ -41,52 +43,33 @@ fn want(o: &Opts, id: &str) -> bool {
     o.which.is_empty() || o.which.iter().any(|w| w == id)
 }
 
-fn heading(o: &Opts, id: &str, title: &str) {
-    if o.markdown {
-        println!("\n## {id}: {title}\n");
-    } else {
-        println!("\n=== {id}: {title} ===");
+fn heading(id: &str, title: &str) {
+    println!("\n=== {id}: {title} ===");
+}
+
+fn table(headers: &[&str], rows: &[Vec<String>]) {
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    for r in rows {
+        for (i, c) in r.iter().enumerate() {
+            widths[i] = widths[i].max(c.len());
+        }
+    }
+    let line = |cells: &[String]| {
+        let padded: Vec<String> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, c)| format!("{:<w$}", c, w = widths[i]))
+            .collect();
+        println!("  {}", padded.join("  "));
+    };
+    line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+    for r in rows {
+        line(r);
     }
 }
 
-fn table(o: &Opts, headers: &[&str], rows: &[Vec<String>]) {
-    if o.markdown {
-        println!("| {} |", headers.join(" | "));
-        println!(
-            "|{}|",
-            headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-        );
-        for r in rows {
-            println!("| {} |", r.join(" | "));
-        }
-    } else {
-        let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-        for r in rows {
-            for (i, c) in r.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let line = |cells: &[String]| {
-            let padded: Vec<String> = cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:<w$}", c, w = widths[i]))
-                .collect();
-            println!("  {}", padded.join("  "));
-        };
-        line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-        for r in rows {
-            line(r);
-        }
-    }
-}
-
-fn note(o: &Opts, text: &str) {
-    if o.markdown {
-        println!("\n{text}");
-    } else {
-        println!("  -- {text}");
-    }
+fn note(text: &str) {
+    println!("  -- {text}");
 }
 
 fn f(x: f64) -> String {
@@ -110,20 +93,9 @@ fn main() {
         Duration::from_millis(700)
     };
 
-    if o.markdown {
-        println!("# EXPERIMENTS — paper vs. measured");
-        println!();
-        println!("Generated by `cargo run -p bench --release --bin experiments -- --markdown`.");
-        println!("Absolute numbers come from the build machine / the simulator, not the");
-        println!("authors' 2002 testbed; the *shape* (who wins, by what factor, where");
-        println!("crossovers fall) is the reproduction target. See `DESIGN.md` for the");
-        println!("experiment-to-module map.");
-    }
-
     // ---------------- E1 ----------------
     if want(&o, "e1") {
         heading(
-            &o,
             "E1",
             "/proc/meminfo gathering optimization ladder (paper §5.3.1)",
         );
@@ -153,7 +125,6 @@ fn main() {
             "-".to_string(),
         ]);
         table(
-            &o,
             &[
                 "configuration",
                 "paper samples/s (2002 PIII)",
@@ -162,13 +133,12 @@ fn main() {
             ],
             &rows,
         );
-        note(&o, "Shape target: each step is a large multiplicative win, keep-open is the fastest, and the rstatd-style RPC baseline trails badly (and carries only ~21 statistics); absolute rates are ~100x the 2002 hardware.");
+        note("Shape target: each step is a large multiplicative win, keep-open is the fastest, and the rstatd-style RPC baseline trails badly (and carries only ~21 statistics); absolute rates are ~100x the 2002 hardware.");
     }
 
     // ---------------- E2 / E3 ----------------
     if want(&o, "e2") {
         heading(
-            &o,
             "E2",
             "per-file cost of the optimized gatherer (paper §5.3.1)",
         );
@@ -196,12 +166,11 @@ fn main() {
                 ]);
             }
         }
-        table(&o, &["file", "paper us/call", "measured us/call"], &rows);
+        table(&["file", "paper us/call", "measured us/call"], &rows);
     }
 
     if want(&o, "e3") {
         heading(
-            &o,
             "E3",
             "agent CPU budget at 50 samples/s (paper: ~5 s CPU per hour)",
         );
@@ -215,7 +184,6 @@ fn main() {
             ]);
         }
         table(
-            &o,
             &["configuration", "CPU seconds per hour @ 50 samples/s"],
             &rows,
         );
@@ -224,7 +192,6 @@ fn main() {
     // ---------------- E4 ----------------
     if want(&o, "e4") {
         heading(
-            &o,
             "E4",
             "optimized vs idiomatic implementation (paper: C 'only slightly ahead' of Java)",
         );
@@ -246,7 +213,6 @@ fn main() {
             format!("{:.2}x", c.ratio()),
         ]);
         table(
-            &o,
             &[
                 "source",
                 "zero-alloc samples/s",
@@ -255,16 +221,12 @@ fn main() {
             ],
             &rows,
         );
-        note(&o, "Shape target: the optimized implementation wins but stays within the same order of magnitude, matching the paper's C-vs-Java finding.");
+        note("Shape target: the optimized implementation wins but stays within the same order of magnitude, matching the paper's C-vs-Java finding.");
     }
 
     // ---------------- E5 ----------------
     if want(&o, "e5") {
-        heading(
-            &o,
-            "E5",
-            "LinuxBIOS ~3 s vs commercial BIOS 30-60 s (paper §2)",
-        );
+        heading("E5", "LinuxBIOS ~3 s vs commercial BIOS 30-60 s (paper §2)");
         let sizes: &[u32] = if o.quick {
             &[1, 10, 100]
         } else {
@@ -291,7 +253,6 @@ fn main() {
             }
         }
         table(
-            &o,
             &[
                 "storm",
                 "paper firmware s",
@@ -306,14 +267,12 @@ fn main() {
     // ---------------- E6 ----------------
     if want(&o, "e6") {
         heading(
-            &o,
             "E6",
             "clone + reboot 400 nodes over one fast Ethernet (paper §4: ~12 min)",
         );
         if !o.quick {
             let r = e6_cloning::headline(1, 0.001);
             table(
-                &o,
                 &["metric", "paper", "measured"],
                 &[
                     vec![
@@ -357,7 +316,6 @@ fn main() {
             ]);
         }
         table(
-            &o,
             &[
                 "nodes",
                 "multicast min",
@@ -367,7 +325,7 @@ fn main() {
             ],
             &rows,
         );
-        note(&o, &format!("Node-count sweep at {} MiB image, 0.5% chunk loss. Shape target: multicast flat in N, unicast linear in N.", image >> 20));
+        note(&format!("Node-count sweep at {} MiB image, 0.5% chunk loss. Shape target: multicast flat in N, unicast linear in N.", image >> 20));
 
         let losses: &[f64] = if o.quick {
             &[0.0, 0.02]
@@ -387,7 +345,6 @@ fn main() {
                 })
                 .collect();
         table(
-            &o,
             &[
                 "chunk loss",
                 "makespan min",
@@ -409,7 +366,6 @@ fn main() {
             })
             .collect();
         table(
-            &o,
             &["chunk size", "makespan min", "repair chunks", "wire GB"],
             &rows,
         );
@@ -426,7 +382,6 @@ fn main() {
             })
             .collect();
         table(
-            &o,
             &[
                 "repair strategy",
                 "makespan min",
@@ -440,7 +395,6 @@ fn main() {
     // ---------------- E7 ----------------
     if want(&o, "e7") {
         heading(
-            &o,
             "E7",
             "consolidation + compression ablation (paper §5.3.2-3)",
         );
@@ -455,17 +409,13 @@ fn main() {
                 ]
             })
             .collect();
-        table(
-            &o,
-            &["configuration", "wire bytes/tick", "values/tick"],
-            &rows,
-        );
-        note(&o, "Paper claim: consolidation 'reduces the amount of transferred data substantially'; compression is 'very effective on text input'.");
+        table(&["configuration", "wire bytes/tick", "values/tick"], &rows);
+        note("Paper claim: consolidation 'reduces the amount of transferred data substantially'; compression is 'very effective on text input'.");
     }
 
     // ---------------- E8 ----------------
     if want(&o, "e8") {
-        heading(&o, "E8", "text compression effectiveness (paper §5.3.3)");
+        heading("E8", "text compression effectiveness (paper §5.3.3)");
         let rows: Vec<Vec<String>> = e8_compress::corpora()
             .into_iter()
             .map(|r| {
@@ -477,17 +427,12 @@ fn main() {
                 ]
             })
             .collect();
-        table(
-            &o,
-            &["corpus", "input B", "compressed B", "reduction"],
-            &rows,
-        );
+        table(&["corpus", "input B", "compressed B", "reduction"], &rows);
     }
 
     // ---------------- E9 ----------------
     if want(&o, "e9") {
         heading(
-            &o,
             "E9",
             "event engine: fan failure -> power-down before burn (paper §5.2)",
         );
@@ -495,7 +440,6 @@ fn main() {
         let c = e9_events::fan_campaign(5, n, fails, false);
         let lat = c.action_latency.as_ref();
         table(
-            &o,
             &["metric", "value"],
             &[
                 vec![
@@ -540,7 +484,6 @@ fn main() {
                 })
                 .collect();
             table(
-                &o,
                 &[
                     "fault injected",
                     "automatic action",
@@ -565,7 +508,6 @@ fn main() {
                 })
                 .collect();
             table(
-                &o,
                 &[
                     "nodes",
                     "failures",
@@ -581,13 +523,11 @@ fn main() {
     // ---------------- E10 ----------------
     if want(&o, "e10") {
         heading(
-            &o,
             "E10",
             "ICE Box: power sequencing and 16 KiB console post-mortem (paper §3)",
         );
         let s = e10_icebox::sequencing();
         table(
-            &o,
             &["metric", "value"],
             &[
                 vec![
@@ -606,7 +546,6 @@ fn main() {
         );
         let p = e10_icebox::post_mortem();
         table(
-            &o,
             &["metric", "value"],
             &[
                 vec![
@@ -631,11 +570,7 @@ fn main() {
 
     // ---------------- E11 ----------------
     if want(&o, "e11") {
-        heading(
-            &o,
-            "E11",
-            "monitoring load vs cluster size (paper §5.3, §7)",
-        );
+        heading("E11", "monitoring load vs cluster size (paper §5.3, §7)");
         let sizes: &[u32] = if o.quick {
             &[10, 50]
         } else {
@@ -658,7 +593,6 @@ fn main() {
             })
             .collect();
         table(
-            &o,
             &[
                 "nodes",
                 "reports/s",
@@ -674,7 +608,6 @@ fn main() {
         let with = e11_scale::monitor_load(4, 50, if o.quick { 120 } else { 300 }, true);
         let without = e11_scale::monitor_load(4, 50, if o.quick { 120 } else { 300 }, false);
         table(
-            &o,
             &["consolidation", "B/s per node"],
             &[
                 vec![
@@ -691,7 +624,7 @@ fn main() {
 
     // ---------------- E12 ----------------
     if want(&o, "e12") {
-        heading(&o, "E12", "SLURM-lite scheduling and failover (paper §6)");
+        heading("E12", "SLURM-lite scheduling and failover (paper §6)");
         let (nodes, jobs) = if o.quick { (32, 150) } else { (64, 1000) };
         let rows: Vec<Vec<String>> = e12_slurm::policy_comparison(11, nodes, jobs)
             .into_iter()
@@ -707,7 +640,6 @@ fn main() {
             })
             .collect();
         table(
-            &o,
             &[
                 "policy",
                 "makespan h",
@@ -720,7 +652,6 @@ fn main() {
         );
         let fo = e12_slurm::failover(13, nodes, jobs.min(400));
         table(
-            &o,
             &["failover metric", "value"],
             &[
                 vec!["jobs".into(), fo.jobs.to_string()],
@@ -738,7 +669,7 @@ fn main() {
 
     // ---------------- E13 ----------------
     if want(&o, "e13") {
-        heading(&o, "E13", "control-plane command bus under chassis loss");
+        heading("E13", "control-plane command bus under chassis loss");
         let (nodes, fails) = if o.quick { (16, 4) } else { (64, 12) };
         let rows: Vec<Vec<String>> = e13_control::loss_sweep(5, nodes, fails, &[0.0, 0.01, 0.10])
             .into_iter()
@@ -759,7 +690,6 @@ fn main() {
             })
             .collect();
         table(
-            &o,
             &[
                 "cmd loss",
                 "fired",
@@ -775,9 +705,8 @@ fn main() {
 
     // ---------------- E14 ----------------
     if want(&o, "e14") {
-        heading(&o, "E14", "resilience under deterministic chaos campaigns");
+        heading("E14", "resilience under deterministic chaos campaigns");
         note(
-            &o,
             "Three canned multi-layer fault campaigns (`examples/scenarios/`) run \
              under fixed seeds with the invariant checker alongside; each is run \
              twice to confirm the audit trail replays byte-identically.",
@@ -807,7 +736,6 @@ fn main() {
             })
             .collect();
         table(
-            &o,
             &[
                 "campaign",
                 "detect s",
@@ -824,13 +752,8 @@ fn main() {
 
     // ---------------- E15 ----------------
     if want(&o, "e15") {
-        heading(
-            &o,
-            "E15",
-            "federation scale: per-tier load up to 100k nodes",
-        );
+        heading("E15", "federation scale: per-tier load up to 100k nodes");
         note(
-            &o,
             "A federation head aggregates N full sub-clusters over consolidated \
              CWB1 uplinks. Per-tier columns separate head load (frame ingest + \
              command fan-out) from sub-server load (the whole monitoring stack); \
@@ -861,7 +784,6 @@ fn main() {
             })
             .collect();
         table(
-            &o,
             &[
                 "shape",
                 "nodes",
@@ -881,12 +803,10 @@ fn main() {
     // ---------------- E16 ----------------
     if want(&o, "e16") {
         heading(
-            &o,
             "E16",
             "realtime ingest density: one reactor, thousands of connections",
         );
         note(
-            &o,
             "Live loopback TCP agents stream CWB1 frames at a fixed cadence into \
              one ingest server; each scale runs in a fresh subprocess so \
              CPU (utime+stime) and peak RSS are per-run, with the client driver in \
@@ -910,7 +830,7 @@ fn main() {
         let rows = e16_ingest::sweep(scales, frames, interval);
         let json = e16_ingest::to_json(&rows);
         let json_path = "e16_ingest.json";
-        if std::fs::write(json_path, &json).is_ok() && !o.markdown {
+        if std::fs::write(json_path, &json).is_ok() {
             println!("(machine-readable copy written to {json_path})");
         }
         let trows: Vec<Vec<String>> = rows
@@ -946,7 +866,6 @@ fn main() {
             })
             .collect();
         table(
-            &o,
             &[
                 "conns",
                 "ring",
@@ -967,12 +886,10 @@ fn main() {
     // ---------------- E17 ----------------
     if want(&o, "e17") {
         heading(
-            &o,
             "E17",
             "query engine: tiered serving, cold vs warm cache, dashboards vs ingest",
         );
         note(
-            &o,
             "Part A queries a populated, compacted store through the same \
              `Store::query` path the CLI and the `CWQ1` endpoint use. Tier \
              selection answers each window from the coarsest rollup that \
@@ -1013,7 +930,6 @@ fn main() {
             })
             .collect();
         table(
-            &o,
             &[
                 "fleet",
                 "range",
@@ -1081,7 +997,6 @@ fn main() {
             })
             .collect();
         table(
-            &o,
             &[
                 "agents",
                 "dashboards",
@@ -1098,12 +1013,10 @@ fn main() {
         );
         let json = e17_query::to_json(&qrows, &lrows);
         let json_path = "e17_query.json";
-        if std::fs::write(json_path, &json).is_ok() && !o.markdown {
+        if std::fs::write(json_path, &json).is_ok() {
             println!("(machine-readable copy written to {json_path})");
         }
     }
 
-    if !o.markdown {
-        println!("\ndone.");
-    }
+    println!("\ndone.");
 }

@@ -2,8 +2,8 @@
 //!
 //! Each module implements one experiment from the index in `DESIGN.md`
 //! and returns structured results; the `experiments` binary renders them
-//! as paper-vs-measured tables (and `--markdown` emits the body of
-//! `EXPERIMENTS.md`).
+//! as paper-vs-measured tables. The E1–E17 tables of `EXPERIMENTS.md`
+//! come from that output; the file itself is edited by hand.
 
 pub mod measure;
 

@@ -1,6 +1,6 @@
 //! The experiment harness itself is a deliverable: make sure the
-//! `experiments` binary runs, selects experiments, and renders both
-//! output formats.
+//! `experiments` binary runs, selects experiments, and refuses a flag
+//! it does not know.
 
 use std::process::Command;
 
@@ -31,11 +31,15 @@ fn quick_mode_renders_selected_experiments() {
 }
 
 #[test]
-fn markdown_mode_emits_tables() {
-    let text = run(&["--quick", "--markdown", "e10"]);
-    assert!(text.starts_with("# EXPERIMENTS"), "{text}");
-    assert!(text.contains("## E10:"));
-    assert!(text.contains("|---|"), "markdown table separators present");
+fn unknown_flags_are_refused() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["--quick", "--markdown", "e10"])
+        .output()
+        .expect("run experiments binary");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --markdown"), "{err}");
 }
 
 #[test]
