@@ -776,7 +776,24 @@ fn cmd_ingest_drive(args: &Args) -> Result<i32, String> {
     Ok(0)
 }
 
+/// A reader that closes the pipe early (`cwx history | head`) ends the
+/// run as it ends `cat`: quietly, status 141 (128 + SIGPIPE). Rust
+/// ignores SIGPIPE, so every `print!`, on any thread, panics on a
+/// closed stdout instead; this hook turns that one panic into the exit
+/// and leaves every other panic as it was.
+fn exit_quietly_on_closed_stdout() {
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload_as_str();
+        if msg.is_some_and(|m| m.starts_with("failed printing to stdout: Broken pipe")) {
+            std::process::exit(141);
+        }
+        default(info);
+    }));
+}
+
 fn main() {
+    exit_quietly_on_closed_stdout();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let result = match lookup(&argv) {
         Some((cmd, rest)) => Args::parse(cmd, rest).and_then(|args| (cmd.run)(&args)),

@@ -245,3 +245,42 @@ fn rack_grouped_history_is_pinned() {
     assert_eq!(table, TEMP_CPU_BY_RACK);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A reader that closes the pipe after one line (`cwx history | head
+/// -n 1`) ends the run quietly: no panic, whatever is left unprinted.
+/// The listing is over 64 KiB, more than a pipe buffers, so `cwx` is
+/// still writing when the pipe closes.
+#[test]
+fn a_closed_stdout_is_not_a_panic() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-closed-stdout");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let sim = "simulate --nodes 40 --secs 120 --seed 7 --store D";
+    let (code, out) = cwx_in(&dir, &sim.split_whitespace().collect::<Vec<_>>());
+    assert_eq!(code, 0, "{out}");
+    let (code, listing) = cwx_in(&dir, &["history", "--store", "D"]);
+    assert_eq!(code, 0);
+    assert!(listing.len() > 64 << 10, "{} bytes", listing.len());
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cwx"))
+        .args(["history", "--store", "D"])
+        .current_dir(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("cwx runs");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("store D:"), "{first}");
+    // the reader is dropped: the pipe is closed
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
