@@ -929,8 +929,9 @@ fn a_connection_that_skips_a_seq_is_evicted_and_its_reconnect_is_stored() {
 /// Frames for the sim-versus-live oracle: six nodes, thirty gathers
 /// five seconds apart — temperatures that cross the overtemp rule and
 /// come back, a fan that dies, load spikes, text values, all-text
-/// reports — plus one garbage frame. Even nodes send text + LZSS (the
-/// paper's wire), odd nodes `CWB1` (what live and simulated agents send).
+/// reports — plus one garbage frame and one `CWB1` frame delivered
+/// twice. Even nodes send text + LZSS (the paper's wire), odd nodes
+/// `CWB1` (what live and simulated agents send).
 fn oracle_frames() -> Vec<Vec<u8>> {
     let mut encoders: Vec<WireEncoder> = (0..6).map(|_| WireEncoder::new()).collect();
     let mut frames = Vec::new();
@@ -970,6 +971,11 @@ fn oracle_frames() -> Vec<Vec<u8>> {
         if tick == 12 {
             frames.push(b"CWZ1 not a report".to_vec());
         }
+        if tick == 17 {
+            // node 5's report again, as a retransmitting link repeats it
+            let repeat = frames[frames.len() - 1].clone();
+            frames.push(repeat);
+        }
     }
     frames
 }
@@ -1008,7 +1014,10 @@ fn firings(server: &mut Server) -> Vec<(EventId, u32, u64, Action)> {
 /// One report path, two deployments: the same frames delivered through
 /// `World`'s management segment and through a live ingest server over
 /// loopback commit the same store contents, the same server counters,
-/// the same firings and the same mail.
+/// the same firings and the same mail. Both refuse the repeated frame.
+/// The live side commits into a disk store, flushed, merged and
+/// reopened before its contents are read, so the segment format and
+/// its positioned reads are under the same oracle.
 #[test]
 fn sim_and_live_commit_identical_history_firings_and_mail() {
     let frames = oracle_frames();
@@ -1029,8 +1038,18 @@ fn sim_and_live_commit_identical_history_firings_and_mail() {
     let sim_firings = firings(sim_server);
     sim_server.housekeeping(later);
 
-    // named, windowed and staled as `Cluster::build` makes its server
-    let live_store = Arc::new(MemStore::new(4096));
+    // named, windowed and staled as `Cluster::build` makes its server;
+    // small flushes and merges, every node its own shard group
+    let dir = std::env::temp_dir().join(format!("cwx-oracle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = || StoreConfig {
+        n_shards: 2,
+        nodes_per_group: 1,
+        flush_threshold: 64,
+        compact_threshold: 2,
+        ..StoreConfig::default()
+    };
+    let live_store = Arc::new(DiskStore::open(&dir, cfg()).unwrap());
     let server = Arc::new(RwLock::new(Server::with_history(
         "cluster",
         SimDuration::from_secs(30),
@@ -1047,20 +1066,18 @@ fn sim_and_live_commit_identical_history_firings_and_mail() {
     drop(s);
     let end = ingest.stop();
     assert_ledger_balances(&end);
-    assert_eq!(end.reports, frames.len() as u64 - 1, "one frame is garbage");
+    assert_eq!(
+        end.reports,
+        frames.len() as u64 - 2,
+        "one frame is garbage, one a repeat"
+    );
     let mut live_server = server.write();
     let live_firings = firings(&mut live_server);
     live_server.housekeeping(later);
 
-    let sim_contents = contents(&*sim_store);
-    assert!(
-        sim_contents.1 > 400 && sim_contents.0.len() == 18,
-        "{}",
-        sim_contents.1
-    );
-    assert_eq!(sim_contents, contents(&*live_store));
     let sim_server = &sim.world().server;
     assert_eq!(sim_server.stats().decode_errors, 1);
+    assert_eq!(sim_server.stats().refused, 1, "the repeated frame");
     assert_eq!(sim_server.stats(), live_server.stats());
     assert!(
         sim_firings.len() > 6,
@@ -1075,4 +1092,22 @@ fn sim_and_live_commit_identical_history_firings_and_mail() {
     };
     assert!(!subjects(sim_server).is_empty());
     assert_eq!(subjects(sim_server), subjects(&live_server));
+
+    // the live history as it is read back after a restart
+    live_store.flush_all().unwrap();
+    assert!(live_store.write_stats().compactions > 0, "merges ran");
+    drop(live_server);
+    drop(server);
+    drop(Arc::into_inner(live_store).expect("the server held the only other handle"));
+    let reopened = DiskStore::open(&dir, cfg()).unwrap();
+    assert_eq!(reopened.recovery().segments_quarantined, 0);
+    let sim_contents = contents(&*sim_store);
+    assert!(
+        sim_contents.1 > 400 && sim_contents.0.len() == 18,
+        "{}",
+        sim_contents.1
+    );
+    assert_eq!(sim_contents, contents(&reopened));
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(dir);
 }

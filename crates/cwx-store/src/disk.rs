@@ -209,7 +209,7 @@ impl SegmentFile {
     }
 
     /// Read and decode one series' block: a positioned read on the
-    /// open file, payload CRC verified.
+    /// open file of the series' page, the page's CRC verified.
     fn read_series(&self, series: usize) -> Result<SeriesData, StoreError> {
         let file = match self.file.get() {
             Some(file) => file,
@@ -1279,7 +1279,7 @@ impl DiskStore {
             if whole.len() > 1
                 || s.segs.iter().any(|set| {
                     set.tiers.len() < Resolution::TIERS.len()
-                        || set.raw.index.format != segment::Format::V5
+                        || set.raw.index.format != segment::Format::V6
                 })
             {
                 s.merge(whole, None)?;
@@ -1695,11 +1695,11 @@ mod tests {
             }
             store.flush_all().unwrap();
         }
-        // checksum-valid: resolution tag, u32::MAX series, an empty
-        // name table
-        let body = [Resolution::Raw.tag(), 0xff, 0xff, 0xff, 0xff, 0];
+        // checksum-valid: resolution tag, u32::MAX series (a varint),
+        // an empty name table
+        let body = [Resolution::Raw.tag(), 0xff, 0xff, 0xff, 0xff, 0x0f, 0];
         let bogus = dir.join("shard-000").join("seg-00000009-r0.seg");
-        std::fs::write(&bogus, sealed(b"CWXSEG5\n", &body)).unwrap();
+        std::fs::write(&bogus, sealed(b"CWXSEG6\n", &body)).unwrap();
 
         let store = DiskStore::open(&dir, small_cfg()).unwrap();
         assert_eq!(store.recovery().segments_quarantined, 1);
@@ -1752,10 +1752,14 @@ mod tests {
         wal.extend_from_slice(&[0xee; 5]);
         std::fs::write(shard.join("wal.log"), wal).unwrap();
         std::fs::write(shard.join("seg-00000007-r0.tmp"), b"partial").unwrap();
-        std::fs::write(shard.join("seg-00000008-r0.seg"), b"CWXSEG5\ngarbage").unwrap();
+        std::fs::write(shard.join("seg-00000008-r0.seg"), b"CWXSEG6\ngarbage").unwrap();
         // an empty raw segment of each retired format, in the last shard
         let body = [Resolution::Raw.tag(), 0, 0, 0, 0];
-        for (magic, format) in [(b"CWXSEG3\n", "CWXSEG3"), (b"CWXSEG2\n", "CWXSEG2")] {
+        for (magic, format) in [
+            (b"CWXSEG4\n", "CWXSEG4"),
+            (b"CWXSEG3\n", "CWXSEG3"),
+            (b"CWXSEG2\n", "CWXSEG2"),
+        ] {
             let retired = dir.join("shard-001").join("seg-00000009-r0.seg");
             std::fs::write(&retired, sealed(magic, &body)).unwrap();
             let before = snapshot(&dir);

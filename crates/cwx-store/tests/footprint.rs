@@ -10,8 +10,8 @@
 //! stamps; one case jitters them by up to a millisecond, as wall-clock
 //! delivery stamps are, and pays for a delta-of-delta column exactly
 //! what the v4 format paid. One case is a young store instead: a flush
-//! of a few samples a series, where the series headers are most of the
-//! bytes. The sizes are deterministic: the same appends write the same
+//! of a few samples a series, where a header per series was most of the
+//! bytes until v6 wrote the headers as columns. The sizes are deterministic: the same appends write the same
 //! bytes.
 
 use std::path::{Path, PathBuf};
@@ -216,8 +216,9 @@ fn jittered_stamps_cost_what_they_did() {
 /// An `ingest_live` flush in miniature: 250 nodes × 4 monitors, four
 /// two-decimal samples a series 2 s apart on nanosecond stamps near
 /// 1.7 × 10^18, each node's reports 8 ms after the one before, flushed
-/// once. Bytes per series, all segment files together.
-fn young_bytes_per_series() -> f64 {
+/// once. Bytes per series, all segment files together, and those of
+/// them outside the payloads.
+fn young_bytes_per_series() -> (f64, f64) {
     const NODES: u32 = 250;
     const MONITORS: [&str; 4] = ["bench.m0", "bench.m1", "bench.m2", "bench.m3"];
     let dir = std::env::temp_dir().join(format!("cwx-footprint-young-{}", std::process::id()));
@@ -253,31 +254,40 @@ fn young_bytes_per_series() -> f64 {
     store.flush_all().unwrap();
     assert_eq!(store.total_samples(), 4 * 1_000);
     drop(store);
-    let (mut bytes, mut series) = (0u64, 0usize);
+    let (mut bytes, mut payloads, mut series) = (0u64, 0u64, 0usize);
     for shard in std::fs::read_dir(&dir).unwrap() {
         let shard = shard.unwrap().path();
         if !shard.is_dir() {
             continue;
         }
         for path in segment_files(&shard) {
-            series += SegmentIndex::read_from(&path).unwrap().entries.len();
+            let index = SegmentIndex::read_from(&path).unwrap();
+            series += index.entries.len();
+            payloads += index.entries.iter().map(|e| u64::from(e.len)).sum::<u64>();
             bytes += std::fs::metadata(&path).unwrap().len();
         }
     }
     let _ = std::fs::remove_dir_all(dir);
     assert_eq!(series, 1_000);
     let per_series = bytes as f64 / series as f64;
-    eprintln!("young store: {bytes} B, {per_series:.1} B a series");
-    per_series
+    let headers = (bytes - payloads) as f64 / series as f64;
+    eprintln!("young store: {bytes} B, {per_series:.1} B a series, {headers:.2} B of it outside the payloads");
+    (per_series, headers)
 }
 
 #[test]
 fn a_young_store_pays_for_its_samples_not_its_headers() {
-    // a series is ≈ 21 B: a ≈ 15 B header and 6 B of values. Its four
-    // stamps are 2 s apart, so they cost nothing; v4 spent 8 B on them
-    // (the 2 s delta is 5), and the fixed-width v3 header with its name
-    // and 8 B time bounds, and a full-nanosecond first stamp, made a
-    // series ≈ 64 B
-    let per_series = young_bytes_per_series();
-    assert!(per_series <= 24.0, "{per_series:.1} B a series");
+    // a series is ≈ 7.7 B: 6 B of values and ≈ 1.7 B outside them. Its
+    // four stamps are 2 s apart, so they cost nothing; its count, time
+    // bounds and name repeat the same place in the node before, so the
+    // header columns hold a few runs a node, and a page CRC is shared by
+    // ≈ 70 series. What is left is one byte a series, its payload's
+    // length. The v5 header per series (≈ 15 B, a CRC of its own) made
+    // a series ≈ 21 B, and v4's stamps (8 B) ≈ 29 B
+    let (per_series, headers) = young_bytes_per_series();
+    assert!(per_series <= 9.0, "{per_series:.1} B a series");
+    assert!(
+        headers <= 2.5,
+        "{headers:.2} B a series outside the payloads"
+    );
 }

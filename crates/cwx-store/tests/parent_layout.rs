@@ -4,23 +4,22 @@
 //! it; older segments refuse the open (the unit tests of `disk.rs` and
 //! `segment.rs` check that).
 //!
-//! `fixtures/v4-layout` was written by the `CWXSEG4` writer (2 shards ×
+//! `fixtures/v5-layout` was written by the `CWXSEG5` writer (2 shards ×
 //! {a merged segment `seg-00000001-00000002` with its three companions,
 //! the flush segment `seg-00000003`, a WAL holding the tail}): 4 nodes ×
 //! 2 monitors × 70 samples, 5 s apart from 1.7 × 10^18 ns, so every
 //! companion holds every series. `cpu.util` is a two-decimal reading
 //! (decimal columns), `load.one` a ratio (XOR columns). Its `ANSWERS`
-//! file holds the tier `avg` and `sum` answers the v4 code gave over it
-//! (`monitor tier function window_start count value_bits`), which v5
-//! must give bit for bit while the tiers are v4 files: it reads a v4
-//! mean as the sum `mean × count` that v4 queries folded.
+//! file holds the tier `avg` and `sum` answers the v5 code gave over it
+//! (`monitor tier function window_start count value_bits`), which v6
+//! must give bit for bit while the tiers are v5 files.
 //!
 //! The same directory with each WAL's header replaced by the 8-byte
 //! `CWXWAL1\n` of the log format before it must replay the same tail:
 //! such a log names no segment it flushes to, so it always replays.
 //!
-//! A merge rewrites the store as v5, and `compact_all` rewrites a shard
-//! that is already one merged v4 set, so the store holds no v4 file
+//! A merge rewrites the store as v6, and `compact_all` rewrites a shard
+//! that is already one merged v5 set, so the store holds no v5 file
 //! when the next release stops reading them.
 
 use std::path::{Path, PathBuf};
@@ -32,12 +31,12 @@ use cwx_util::time::SimTime;
 
 const MONITORS: [&str; 2] = ["cpu.util", "load.one"];
 
-/// A scratch copy of `fixtures/v4-layout` named by `tag`; with
+/// A scratch copy of `fixtures/v5-layout` named by `tag`; with
 /// `v1_wal`, each WAL's 16-byte header (`CWXWAL2\n` and the segment it
 /// flushes to) replaced by the v1 magic alone.
 fn copy_fixture(tag: &str, v1_wal: bool) -> PathBuf {
-    let from = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v4-layout");
-    let to = std::env::temp_dir().join(format!("cwx-v4-layout-{tag}-{}", std::process::id()));
+    let from = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v5-layout");
+    let to = std::env::temp_dir().join(format!("cwx-v5-layout-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&to);
     for shard in ["shard-000", "shard-001"] {
         std::fs::create_dir_all(to.join(shard)).unwrap();
@@ -79,7 +78,7 @@ fn segment_formats(dir: &Path) -> Vec<(Format, [usize; 4])> {
     out
 }
 
-/// Samples a series of the v4 fixture holds.
+/// Samples a series of the v5 fixture holds.
 const LAYOUT_STEPS: u64 = 70;
 
 fn layout_expected(node: u32, monitor: usize) -> Vec<Sample> {
@@ -189,34 +188,34 @@ fn tier_sum_lines(store: &DiskStore) -> Vec<String> {
 }
 
 #[test]
-fn v4_written_store_opens_answers_and_merges_to_v5_identically() {
+fn v5_written_store_opens_answers_and_merges_to_v6_identically() {
     // as written, and with v1 WAL headers: those name no segment they
     // flush to, so they replay the same tail
     for v1_wal in [false, true] {
         let dir = copy_fixture("answers", v1_wal);
-        assert_eq!(segment_formats(&dir), vec![(Format::V4, [8, 4, 4, 4]); 2]);
+        assert_eq!(segment_formats(&dir), vec![(Format::V5, [8, 4, 4, 4]); 2]);
         let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();
         let rec = store.recovery();
         assert_eq!(rec.segments_loaded, 2 * 5, "{rec:?}");
         assert_eq!(rec.segments_quarantined, 0, "{rec:?}");
         assert_eq!(rec.samples_replayed, 2 * 4 * 6, "the WAL tail: {rec:?}");
         let before = layout_answers(&store);
-        let v4_sums = std::fs::read_to_string(
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v4-layout/ANSWERS"),
+        let v5_sums = std::fs::read_to_string(
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v5-layout/ANSWERS"),
         )
         .unwrap();
-        let v4_sums: Vec<&str> = v4_sums.lines().collect();
+        let v5_sums: Vec<&str> = v5_sums.lines().collect();
         assert_eq!(
             tier_sum_lines(&store),
-            v4_sums,
-            "tier avg/sum as v4 answered"
+            v5_sums,
+            "tier avg/sum as v5 answered"
         );
 
         store.compact_all().unwrap();
-        assert_eq!(segment_formats(&dir), vec![(Format::V5, [4, 4, 4, 4]); 2]);
+        assert_eq!(segment_formats(&dir), vec![(Format::V6, [4, 4, 4, 4]); 2]);
         assert_eq!(layout_answers(&store), before);
-        // the merged tiers hold exact sums: the same windows and counts,
-        // the values within the tier tests' bound of the v4 means'
+        // the same windows and counts; the values within the tier
+        // tests' bound, as a window's blocks now fold in another order
         let parse = |line: &str| {
             let (key, bits) = line.rsplit_once(' ').unwrap();
             (
@@ -225,8 +224,8 @@ fn v4_written_store_opens_answers_and_merges_to_v5_identically() {
             )
         };
         let merged = tier_sum_lines(&store);
-        assert_eq!(merged.len(), v4_sums.len());
-        for (got, want) in merged.iter().zip(&v4_sums) {
+        assert_eq!(merged.len(), v5_sums.len());
+        for (got, want) in merged.iter().zip(&v5_sums) {
             let ((got_key, got), (want_key, want)) = (parse(got), parse(want));
             assert_eq!(got_key, want_key);
             assert!(
@@ -244,14 +243,14 @@ fn v4_written_store_opens_answers_and_merges_to_v5_identically() {
 }
 
 #[test]
-fn compact_all_rewrites_a_shard_already_merged_in_v4() {
+fn compact_all_rewrites_a_shard_already_merged_in_v5() {
     // each shard's merged set alone: no flush segment, no WAL tail
     let dir = copy_fixture("merged", false);
     for shard in ["shard-000", "shard-001"] {
         std::fs::remove_file(dir.join(shard).join("seg-00000003-r0.seg")).unwrap();
         std::fs::remove_file(dir.join(shard).join("wal.log")).unwrap();
     }
-    assert_eq!(segment_formats(&dir), vec![(Format::V4, [4, 4, 4, 4]); 2]);
+    assert_eq!(segment_formats(&dir), vec![(Format::V5, [4, 4, 4, 4]); 2]);
     let every_series = |store: &DiskStore| -> Vec<Vec<Sample>> {
         (0..4)
             .flat_map(|node| MONITORS.map(|m| store.range(node, m, SimTime::ZERO, SimTime::MAX)))
@@ -261,7 +260,7 @@ fn compact_all_rewrites_a_shard_already_merged_in_v4() {
     let before = every_series(&store);
     assert!(before.iter().all(|samples| !samples.is_empty()));
     store.compact_all().unwrap();
-    assert_eq!(segment_formats(&dir), vec![(Format::V5, [4, 4, 4, 4]); 2]);
+    assert_eq!(segment_formats(&dir), vec![(Format::V6, [4, 4, 4, 4]); 2]);
     assert_eq!(every_series(&store), before);
     drop(store);
     let store = DiskStore::open(&dir, StoreConfig::default()).unwrap();

@@ -4,10 +4,13 @@
 
 use std::path::{Path, PathBuf};
 
-use cwx_store::codec::{get_timestamps, get_values, put_timestamps, put_values};
-use cwx_store::segment::{Segment, SeriesData};
+use cwx_store::codec::{crc32, get_timestamps, get_values, put_timestamps, put_values};
+use cwx_store::disk::{DiskStore, StoreConfig};
+use cwx_store::segment::{Segment, SegmentIndex, SeriesData, SeriesIndexEntry};
 use cwx_store::wal::{Wal, WalRecord};
-use cwx_store::{AggBucket, Resolution, Sample};
+use cwx_store::{
+    AggBucket, AggFunc, BatchSample, QueryGroup, QuerySpec, Resolution, Sample, Store, StoreError,
+};
 use cwx_util::time::SimTime;
 use proptest::prelude::*;
 
@@ -248,5 +251,171 @@ fn wal_truncation_at_every_byte_offset_never_corrupts() {
         wal.append_samples_multi([], &[(0, one)])
             .expect("append after repair");
     }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A v6 flush in miniature: 12 nodes × 5 monitors of four evenly spaced
+/// two-decimal samples, each node 8 ms after the one before, and every
+/// third node's `m0` 200 samples long: several pages, one series a
+/// page of its own.
+fn young_segment() -> Segment {
+    let mut series = Vec::new();
+    for node in 0..12u32 {
+        for m in 0..5u64 {
+            let n = if m == 0 && node % 3 == 0 { 200 } else { 4 };
+            let samples = (0..n)
+                .map(|i| Sample {
+                    time: SimTime::from_nanos(
+                        1_700_000_000_000_000_000 + i * 2_000_000_000 + node as u64 * 8_000_000,
+                    ),
+                    value: ((node as u64 * 131 + m * 17 + i * 7) % 1_000) as f64 / 100.0,
+                })
+                .collect();
+            series.push(((node, format!("m{m}").into()), SeriesData::Raw(samples)));
+        }
+    }
+    Segment {
+        resolution: Resolution::Raw,
+        series,
+    }
+}
+
+/// Whether decoding `bytes` is refused the way damage must be: as a
+/// corrupt segment, or, where the damage spells a retired format's
+/// magic, as that format (which refuses the open and changes nothing).
+fn refused(bytes: &[u8]) -> bool {
+    match Segment::decode(bytes, Path::new("prop")) {
+        Err(StoreError::CorruptSegment { .. }) => true,
+        Err(StoreError::RetiredSegment { .. }) => bytes[..6] == *b"CWXSEG",
+        _ => false,
+    }
+}
+
+#[test]
+fn every_byte_flip_and_truncation_of_a_v6_file_is_refused() {
+    let pristine = young_segment().encode();
+    assert!(pristine.starts_with(b"CWXSEG6\n"));
+    for at in 0..pristine.len() {
+        // every bit alone and all of them; the magic with every value
+        let xors: Vec<u8> = match at < 8 {
+            true => (1..=255).collect(),
+            false => (0..8).map(|b| 1 << b).chain([0xff]).collect(),
+        };
+        for xor in xors {
+            let mut bytes = pristine.clone();
+            bytes[at] ^= xor;
+            assert!(refused(&bytes), "byte {at} ^ {xor:#04x}");
+        }
+    }
+    for cut in 0..pristine.len() {
+        assert!(refused(&pristine[..cut]), "cut at {cut}");
+    }
+    // and at open, the damaged file is set aside, the rest of the store
+    // kept
+    let dir = tmp_dir("v6-damage-open");
+    let shard = dir.join("shard-000");
+    let cfg = || StoreConfig {
+        n_shards: 1,
+        ..StoreConfig::default()
+    };
+    drop(DiskStore::open(&dir, cfg()).unwrap());
+    for at in (8..pristine.len()).step_by(23) {
+        let mut bytes = pristine.clone();
+        bytes[at] ^= 0x10;
+        let damaged = shard.join("seg-00000001-r0.seg");
+        std::fs::write(&damaged, &bytes[..bytes.len() - at % 2]).unwrap();
+        let store = DiskStore::open(&dir, cfg()).unwrap();
+        assert_eq!(store.recovery().segments_quarantined, 1, "byte {at}");
+        drop(store);
+        std::fs::remove_file(damaged.with_extension("seg.corrupt")).unwrap();
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn resealed_header_damage_is_corrupt_or_decodes_never_a_panic() {
+    // damage the file CRC cannot see: every bit of the headers flipped
+    // and the file resealed, so the walk itself meets it
+    let pristine = young_segment().encode();
+    let (_, index) = young_segment().encode_indexed();
+    let payloads = (index.entries[0].offset - u64::from(index.entries[0].lead)) as usize;
+    for at in 8..payloads {
+        for bit in 0..8 {
+            let mut bytes = pristine.clone();
+            bytes[at] ^= 1 << bit;
+            let end = bytes.len() - 4;
+            let crc = crc32(&bytes[8..end]);
+            bytes[end..].copy_from_slice(&crc.to_le_bytes());
+            match Segment::decode(&bytes, Path::new("prop")) {
+                Ok(_) | Err(StoreError::CorruptSegment { .. }) => {}
+                Err(other) => panic!("byte {at} bit {bit}: {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn a_page_damaged_after_open_is_unreadable_and_nothing_is_read_out_of_it() {
+    let dir = tmp_dir("v6-page-after-open");
+    let cfg = StoreConfig {
+        n_shards: 1,
+        nodes_per_group: 300,
+        flush_threshold: 1 << 20,
+        compact_threshold: 1_000,
+        cache_capacity_samples: 1 << 20,
+    };
+    let store = DiskStore::open(&dir, cfg).unwrap();
+    for i in 0..6u64 {
+        let batch: Vec<BatchSample<'_>> = (0..300u32)
+            .map(|node| BatchSample {
+                node,
+                monitor: "m",
+                time: SimTime::from_nanos(1_700_000_000_000_000_000 + i * 2_000_000_000),
+                value: ((node as u64 * 37 + i) % 500) as f64 / 10.0,
+            })
+            .collect();
+        store.append_batch(&batch);
+    }
+    store.flush_all().unwrap();
+    let path = dir.join("shard-000").join("seg-00000001-r0.seg");
+    let index = SegmentIndex::read_from(&path).unwrap();
+    let page = |e: &SeriesIndexEntry| e.offset - u64::from(e.lead);
+    let mut pages: Vec<u64> = index.entries.iter().map(page).collect();
+    pages.dedup();
+    assert!(pages.len() >= 3, "{} pages", pages.len());
+    // one byte of a middle page's last payload
+    let hit = index.entries.iter().rfind(|e| page(e) == pages[1]).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[(hit.offset + u64::from(hit.len)) as usize - 1] ^= 0x40;
+    std::fs::write(&path, &bytes).unwrap();
+    let lost: Vec<u32> = index
+        .entries
+        .iter()
+        .filter(|e| page(e) == pages[1])
+        .map(|e| e.node)
+        .collect();
+
+    let spec = QuerySpec {
+        monitor: "m".into(),
+        from: SimTime::ZERO,
+        to: SimTime::MAX,
+        window_nanos: 1 << 62,
+        agg: AggFunc::Count,
+        groups: (0..300u32)
+            .map(|node| QueryGroup {
+                key: node.to_string(),
+                nodes: vec![node],
+            })
+            .collect(),
+        max_scan: 0,
+    };
+    let got = store.query(&spec).unwrap();
+    assert_eq!(got.stats.unreadable_blocks, lost.len() as u64);
+    for (node, group) in got.groups.iter().enumerate() {
+        let counted: u64 = group.points.iter().map(|p| p.count).sum();
+        let want = if lost.contains(&(node as u32)) { 0 } else { 6 };
+        assert_eq!(counted, want, "node {node}");
+    }
+    drop(store);
     let _ = std::fs::remove_dir_all(dir);
 }

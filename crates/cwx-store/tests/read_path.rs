@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 
 use cwx_store::disk::{DiskStore, StoreConfig};
 use cwx_store::mem::MemStore;
-use cwx_store::segment::SegmentIndex;
+use cwx_store::segment::{SegmentIndex, SeriesIndexEntry};
 use cwx_store::{
     query, AggBucket, AggFunc, AggPoint, BatchSample, QueryError, QueryGroup, QuerySpec,
     Resolution, Store,
@@ -462,12 +462,16 @@ fn an_over_budget_query_stops_copying_the_memtable_where_it_trips() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// Flip one payload byte of `series` in the segment file at `path`.
-fn damage_payload(path: &Path, series: usize) {
+/// Flip one payload byte of `series` in the segment file at `path`:
+/// how many series share its page, and are lost with it.
+fn damage_payload(path: &Path, series: usize) -> u64 {
     let index = SegmentIndex::read_from(path).unwrap();
     let mut bytes = std::fs::read(path).unwrap();
-    bytes[index.entries[series].offset as usize + 2] ^= 0x20;
+    let e = &index.entries[series];
+    bytes[e.offset as usize + 2] ^= 0x20;
     std::fs::write(path, &bytes).unwrap();
+    let page = |e: &SeriesIndexEntry| e.offset - u64::from(e.lead);
+    index.entries.iter().filter(|o| page(o) == page(e)).count() as u64
 }
 
 #[test]
@@ -479,11 +483,17 @@ fn an_unreadable_block_is_counted_not_silent() {
     let counted =
         |r: &cwx_store::QueryResult| r.groups[0].points.iter().map(|p| p.count).sum::<u64>();
 
-    // a raw block, damaged after open
-    damage_payload(&files_ending(&shard, "-r0.seg")[0], 7);
+    // a raw block, damaged after open: its page's CRC fails, so no
+    // series of the page is read
+    let lost = damage_payload(&files_ending(&shard, "-r0.seg")[0], 7);
+    assert!(lost > 1, "series share pages");
     let raw = store.query(&all_nodes_spec(20, AggFunc::P50, 60)).unwrap();
-    assert_eq!(raw.stats.unreadable_blocks, 1);
-    assert_eq!(counted(&raw), total - 8 * 3, "the gap is one series' block");
+    assert_eq!(raw.stats.unreadable_blocks, lost);
+    assert_eq!(
+        counted(&raw),
+        total - lost * 8 * 3,
+        "the gap is one page's blocks"
+    );
     // the other tiers still answer in full
     let tier = all_nodes_spec(20, AggFunc::Avg, 10);
     let fine = store.query(&tier).unwrap();
@@ -491,11 +501,11 @@ fn an_unreadable_block_is_counted_not_silent() {
 
     // a tier block
     store.clear_cache();
-    damage_payload(&files_ending(&shard, "-r1.seg")[0], 3);
+    let lost = damage_payload(&files_ending(&shard, "-r1.seg")[0], 3);
     let gapped = store.query(&tier).unwrap();
     assert_eq!(gapped.stats.tier, Resolution::TenSeconds);
-    assert_eq!(gapped.stats.unreadable_blocks, 1);
-    assert_eq!(counted(&gapped), total - 8 * 3);
+    assert_eq!(gapped.stats.unreadable_blocks, lost);
+    assert_eq!(counted(&gapped), total - lost * 8 * 3);
     let _ = std::fs::remove_dir_all(dir);
 }
 

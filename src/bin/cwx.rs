@@ -371,10 +371,13 @@ fn cmd_history(args: &Args) -> Result<i32, String> {
     };
     let monitor: Option<String> = args.opt("monitor")?;
     let node_arg: Option<u32> = args.opt("node")?;
-    let from = SimTime::ZERO + SimDuration::from_secs(args.secs("from")?.unwrap_or(0));
-    let to_arg = args
-        .secs("to")?
-        .map(|t| SimTime::ZERO + SimDuration::from_secs(t));
+    let from_secs = args.secs("from")?.unwrap_or(0);
+    let to_secs = args.secs("to")?;
+    if let Some(to) = to_secs.filter(|&to| to < from_secs) {
+        return Err(args.bad(format!("--from {from_secs} is after --to {to}")));
+    }
+    let from = SimTime::ZERO + SimDuration::from_secs(from_secs);
+    let to_arg = to_secs.map(|t| SimTime::ZERO + SimDuration::from_secs(t));
     let res = match args.get::<String>("res", "raw".into())?.as_str() {
         "raw" => None,
         "10s" => Some(Resolution::TenSeconds),
@@ -414,9 +417,14 @@ fn cmd_history(args: &Args) -> Result<i32, String> {
             .filter(|(_, k)| *k == spec.monitor);
         // group membership: the nodes that actually hold this monitor
         let mut nodes: Vec<u32> = holders.map(|(n, _)| n).collect();
+        // a window opening past the newest sample is empty, not inverted
         spec.to = to_arg.unwrap_or_else(|| {
             let latest = nodes.iter().filter_map(|&n| store.latest(n, &spec.monitor));
-            latest.map(|s| s.time).max().unwrap_or(SimTime::ZERO)
+            latest
+                .map(|s| s.time)
+                .max()
+                .unwrap_or(SimTime::ZERO)
+                .max(spec.from)
         });
         nodes.retain(|&n| node_arg.is_none_or(|node| n == node));
         nodes.sort_unstable();

@@ -246,6 +246,69 @@ fn rack_grouped_history_is_pinned() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `cwx history --from` after `--to` asks for no time at all: refused
+/// before the store is opened, in every mode, naming both flags.
+#[test]
+fn an_inverted_window_is_refused_before_the_store_opens() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-inverted-window");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let sim = "simulate --nodes 2 --secs 30 --seed 7 --store D";
+    let (code, out) = cwx_in(&dir, &sim.split_whitespace().collect::<Vec<_>>());
+    assert_eq!(code, 0, "{out}");
+    for mode in [
+        "",
+        "--node 0 --monitor temp.cpu",
+        "--node 0 --monitor temp.cpu --res 5m",
+        "--node 0 --monitor temp.cpu --chart",
+        "--monitor temp.cpu --agg avg",
+    ] {
+        let line = format!("history --store D --from 900 --to 100 {mode}");
+        let out = Command::new(env!("CARGO_BIN_EXE_cwx"))
+            .args(line.split_whitespace())
+            .current_dir(&dir)
+            .output()
+            .expect("cwx runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(3),
+            "`cwx {line}` must be refused: {err}"
+        );
+        for flag in ["--from", "--to"] {
+            assert!(err.contains(flag), "`cwx {line}` must name {flag}: {err}");
+        }
+        assert!(out.stdout.is_empty(), "`cwx {line}` opened the store");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `cwx history --agg --from` past the newest sample, with no `--to`,
+/// is an empty answer, as the raw listing of the same window is.
+#[test]
+fn an_aggregate_from_past_the_newest_sample_is_empty() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-agg-past-newest");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let sim = "simulate --nodes 2 --secs 30 --seed 7 --store D";
+    let (code, out) = cwx_in(&dir, &sim.split_whitespace().collect::<Vec<_>>());
+    assert_eq!(code, 0, "{out}");
+    for (query, header) in [
+        (
+            "--monitor temp.cpu --agg avg",
+            "group,window_start_secs,avg,count",
+        ),
+        ("--node 0 --monitor temp.cpu", "time_secs,value"),
+    ] {
+        let line = format!("history --store D --from 900 {query}");
+        let (code, out) = cwx_in(&dir, &line.split_whitespace().collect::<Vec<_>>());
+        assert_eq!(code, 0, "`cwx {line}`: {out}");
+        let table = out.split_once('\n').map_or("", |(_, rest)| rest);
+        assert_eq!(table, format!("{header}\n"), "`cwx {line}`");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A reader that closes the pipe after one line (`cwx history | head
 /// -n 1`) ends the run quietly: no panic, whatever is left unprinted.
 /// The listing is over 64 KiB, more than a pipe buffers, so `cwx` is
